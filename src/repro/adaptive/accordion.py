@@ -14,9 +14,6 @@ idea -- two codecs behind one :class:`~repro.algorithms.base.
 CompressionAlgorithm` API with a one-byte mode header -- retained because
 it drops into the planner and the data-parallel trainer unchanged, and
 because the accordion policy plans wire sizes through it.
-
-(Both classes lived at ``repro.hipress.adaptive`` before the control
-plane existed; that path is now a deprecation shim.)
 """
 
 from __future__ import annotations

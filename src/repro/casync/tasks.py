@@ -280,7 +280,6 @@ class Coordinator:
         batched path is indistinguishable except for speed.
         """
         return (self.retry_policy is None
-                and self.env.engine.vector_bulk
                 and self.env.telemetry is None
                 and self.fabric.faults is None)
 
@@ -491,8 +490,7 @@ class NodeEngine:
             elif self.retry_policy is not None:
                 self.env.process(self._robust_send(task),
                                  name=f"send@{self.node}:{task.label}")
-            elif (self.env.engine.inline_sends
-                  and self.env.telemetry is None
+            elif (self.env.telemetry is None
                   and self.fabric.faults is None):
                 self._send_inline(task)
             else:
@@ -531,7 +529,7 @@ class NodeEngine:
     def _send_inline(self, task: Task) -> None:
         """Pristine send without a generator process (two pooled events).
 
-        The process path costs an ``Initialize`` event, a ``Timeout``, the
+        The process path costs an initializer event, a ``Timeout``, the
         process-completion event, and two generator resumes per send.  When
         nothing can observe the difference -- no retries, no faults, no
         telemetry spans -- the same work is two pooled carrier events:
@@ -540,13 +538,15 @@ class NodeEngine:
           process initializer.  NIC reservation happens when it fires, NOT
           here at dispatch time: a pending URGENT initializer of an
           earlier-scheduled flush process must reserve first, exactly as
-          on the heap engine.
+          on the process path.
         * a *finish* event at the delivery instant, doing the completion
           bookkeeping the generator performed after its final timeout.
 
         Omitting the process-completion event only shifts absolute
         sequence numbers, never the relative order of visible events, so
-        trace hashes are unchanged (the equivalence battery pins this).
+        trace hashes are unchanged (the golden trace test pins this by
+        running every case with and without a telemetry collector, which
+        forces the process path).
         """
         env = self.env
         issue = env._acquire_carrier(True, task)

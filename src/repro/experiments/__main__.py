@@ -38,60 +38,7 @@ import sys
 import time
 from pathlib import Path
 
-from . import (
-    adaptive, elastic, fig7, fig8, fig9, fig10, fig11, fig12, fig13,
-    heterogeneous, kernel_speed, table1, table5, table6, table7,
-)
 from .runner import ExperimentRunner, ResultCache, RunJournal, artifact_plans
-
-
-def _runner(module, **kwargs):
-    def run():
-        return module.render(module.run(**kwargs))
-    return run
-
-
-def _fig12_runner(**kwargs):
-    def run():
-        return fig12.render(fig12.run_bandwidth(**kwargs),
-                            fig12.run_rate(**kwargs))
-    return run
-
-
-def build_registry(quick: bool):
-    """Legacy serial registry: name -> zero-arg render closure.
-
-    Kept for API compatibility; ``main`` itself now routes through
-    :func:`repro.experiments.runner.artifact_plans`, which mirrors
-    these parameterizations exactly.
-    """
-    nodes = 8 if quick else 16
-    sweep_nodes = (4, 8) if quick else (4, 16)
-    return {
-        "adaptive": _runner(adaptive, num_nodes=nodes,
-                            large_nodes=32 if quick else None,
-                            iterations=2 if quick else 4),
-        "table1": _runner(table1, num_nodes=nodes),
-        "table5": _runner(table5),
-        "table6": _runner(table6),
-        "table7": _runner(table7),
-        "fig7": _runner(fig7, node_counts=sweep_nodes),
-        "fig8": _runner(fig8, node_counts=sweep_nodes),
-        "fig9": _runner(fig9, num_nodes=nodes),
-        "fig10": _runner(fig10, num_nodes=nodes),
-        "fig11": _runner(fig11, num_nodes=nodes),
-        "fig12": _fig12_runner(num_nodes=nodes),
-        "fig13": _runner(fig13),
-        "heterogeneous": _runner(
-            heterogeneous, num_nodes=nodes,
-            severities=(4.0,) if quick else (2.0, 4.0, 8.0),
-            wan_up_gbps=(1.0,) if quick else (0.5, 1.0, 4.0)),
-        "elastic": _runner(
-            elastic, num_nodes=nodes, epochs=2 if quick else 3,
-            churns=("static", "light") if quick
-            else ("static", "light", "heavy")),
-        "kernel_speed": _runner(kernel_speed),
-    }
 
 
 def main(argv=None) -> int:

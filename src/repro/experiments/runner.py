@@ -585,7 +585,7 @@ def artifact_plans(quick: bool = False,
                    ) -> Dict[str, ArtifactPlan]:
     """Every paper artifact as an :class:`ArtifactPlan`.
 
-    Mirrors the CLI registry: ``quick`` shrinks the clusters.
+    This is the CLI registry: ``quick`` shrinks the clusters.
     ``overrides`` merges extra kwargs into named plans (tests use this
     to shrink fig13's training run).
     """

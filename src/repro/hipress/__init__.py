@@ -1,7 +1,5 @@
 """HiPress: the top-level compression-aware training framework facade."""
 
-# Accordion moved into the adaptive control plane; the old
-# repro.hipress.adaptive path is a warning shim.
 from ..adaptive.accordion import AccordionController, AdaptiveAlgorithm
 from .framework import Profile, TrainingJob
 

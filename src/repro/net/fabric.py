@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, field
-from typing import (Any, Callable, Dict, Generator, Hashable, List, Optional,
+from typing import (Any, Callable, Dict, Generator, Hashable, Optional,
                     Sequence, Tuple)
 
 import numpy as np
@@ -586,15 +586,16 @@ class Fabric:
                 self._check_active(src, dst, nbytes)
 
     def bulk_transfer(self, transfers: Sequence[Tuple[int, int, float]],
-                      handler: Optional[Callable[[int], None]] = None
-                      ) -> Optional[List[Any]]:
+                      handler: Callable[[int], None]) -> None:
         """Issue a batch of point-to-point transfers in one reservation pass.
 
         ``transfers`` is a sequence of ``(src, dst, nbytes)`` triples, all
-        issued at the current instant.  Instead of spawning one generator
-        process (and its initializer, timeout, and completion events) per
-        message, the NIC reservation arithmetic for the whole batch runs as
-        a NumPy pass and each message gets exactly one delivery event.
+        issued at the current instant; ``handler(index)`` is invoked at
+        message ``index``'s delivery instant.  Instead of spawning one
+        generator process (and its initializer, timeout, and completion
+        events) per message, the NIC reservation arithmetic for the whole
+        batch runs as a NumPy pass and each message gets exactly one
+        pooled delivery carrier; nothing user-visible is retained.
 
         The arithmetic reproduces :meth:`transfer` bit for bit: messages
         sharing a NIC direction are serialized in list order with a
@@ -603,21 +604,10 @@ class Fabric:
         are recorded in each delivery callback so accumulation order
         matches the per-message path's delivery order.
 
-        Two completion interfaces:
-
-        * ``handler`` given -- ``handler(index)`` is invoked at message
-          ``index``'s delivery instant.  Delivery events are pooled
-          carriers; nothing user-visible is retained.
-        * ``handler`` omitted -- returns one completion event per message,
-          firing at its delivery instant with ``(src, dst, nbytes)`` as
-          value.
-
-        When a :class:`FaultState` is attached (or the engine's
-        ``vector_bulk`` knob is off) the batch falls back to one
+        When a :class:`FaultState` is attached the batch falls back to one
         :meth:`transfer` process per message, so crash/partition semantics
         -- including aborting mid-bulk -- are exactly the per-message
-        ones; fallback completion events are the transfer processes
-        themselves and fail with the per-message ``TransferError``.
+        ones: a message that fails never reaches ``handler``.
 
         Loopback messages (src == dst) are free, as on :meth:`transfer`:
         no NIC time, no statistics, completion at the issue instant
@@ -625,11 +615,12 @@ class Fabric:
         """
         n = len(transfers)
         if n == 0:
-            return None if handler is not None else []
+            return
         self._check_active_bulk(transfers)
         env = self.env
-        if self.faults is not None or not env.engine.vector_bulk:
-            return self._bulk_fallback(transfers, handler)
+        if self.faults is not None:
+            self._bulk_fallback(transfers, handler)
+            return
         now = env.now
         srcs, dsts, sizes = self._bulk_arrays(transfers, n)
         loop = srcs == dsts
@@ -667,33 +658,17 @@ class Fabric:
         if tel is not None:
             tel.metrics.counter("net.bulk_batches").inc()
             tel.metrics.counter("net.bulk_messages").inc(n)
-        if handler is not None:
-            done = self._bulk_handler_done
-            acquire = env._acquire_carrier
-            schedule = env.schedule
-            for i in range(n):
-                if loop_list[i]:
-                    handler(i)
-                    continue
-                carrier = acquire(True, (src_list[i], size_list[i],
-                                         handler, i))
-                assert carrier.callbacks is not None
-                carrier.callbacks.append(done)
-                schedule(carrier, delay=delays[i])
-            return None
-        events = []
-        record = self._bulk_record_done
-        dst_list = dsts.tolist()
+        done = self._bulk_handler_done
+        acquire = env._acquire_carrier
+        schedule = env.schedule
         for i in range(n):
-            event = Event(env)
-            event._ok = True
-            event._value = (src_list[i], dst_list[i], size_list[i])
-            if not loop_list[i]:
-                assert event.callbacks is not None
-                event.callbacks.append(record)
-            env.schedule(event, delay=delays[i])
-            events.append(event)
-        return events
+            if loop_list[i]:
+                handler(i)
+                continue
+            carrier = acquire(True, (src_list[i], size_list[i], handler, i))
+            assert carrier.callbacks is not None
+            carrier.callbacks.append(done)
+            schedule(carrier, delay=delays[i])
 
     def _bulk_arrays(self, transfers: Sequence[Tuple[int, int, float]],
                      n: int) -> Tuple["np.ndarray", "np.ndarray",
@@ -809,132 +784,21 @@ class Fabric:
         self.stats.record(src, nbytes)
         handler(index)
 
-    def _bulk_record_done(self, event: Event) -> None:
-        src, _dst, nbytes = event._value
-        self.stats.record(src, nbytes)
-
-    def bulk_transfer_batched(self, transfers: Sequence[Tuple[int, int,
-                                                              float]]
-                              ) -> Event:
-        """A whole bulk step with ONE completion event.
-
-        Like :meth:`bulk_transfer`, but instead of per-message completion
-        events the caller gets a single event firing when the *last*
-        message has been delivered, whose value is the tuple of exact
-        per-message delivery times (aligned with ``transfers``).  This is
-        the cheapest interface for drivers that only consume the timing
-        -- the whole step costs one agenda event plus the NumPy
-        reservation pass, versus three-plus heap events and a generator
-        per message on the per-process path.
-
-        Per-message statistics are recorded when the event fires, in
-        delivery order (ties in issue order), matching the accumulation
-        order of the per-message path.  On a faulty fabric (or with
-        ``vector_bulk`` off) the step degrades to per-message transfer
-        processes plus a collector process, preserving per-message fault
-        semantics; the collector fails if any message fails.
-        """
-        env = self.env
-        n = len(transfers)
-        self._check_active_bulk(transfers)
-        if self.faults is not None or not env.engine.vector_bulk:
-            times: List[Optional[float]] = [None] * n
-
-            def note(index: int) -> None:
-                times[index] = env.now
-
-            def collect() -> Generator[Any, Any,
-                                       Tuple[Optional[float], ...]]:
-                if n:
-                    yield env.all_of(self._bulk_fallback(transfers, note))
-                return tuple(times)
-
-            return env.process(collect(), name=f"bulk-batch:{n}")
-        event = Event(env)
-        if n == 0:
-            event._ok = True
-            event._value = ()
-            env.schedule(event)
-            return event
-        now = env.now
-        srcs, dsts, sizes = self._bulk_arrays(transfers, n)
-        loop = srcs == dsts
-        if loop.any():
-            wire = np.flatnonzero(~loop)
-            wire_srcs, wire_dsts = srcs[wire], dsts[wire]
-            up_ser = sizes[wire] / self._up_rates[wire_srcs]
-            down_ser = sizes[wire] / self._down_rates[wire_dsts]
-            wire_lat = np.maximum(self._latencies[wire_srcs],
-                                  self._latencies[wire_dsts])
-            up_finish = self._reserve_direction(wire_srcs, up_ser,
-                                                now, up=True)
-            down_finish = self._reserve_direction(wire_dsts,
-                                                  down_ser, now,
-                                                  up=False)
-            delivery = np.full(n, now, dtype=np.float64)
-            delivery[wire] = (np.maximum(up_finish, down_finish)
-                              + wire_lat)
-        else:
-            up_ser = sizes / self._up_rates[srcs]
-            down_ser = sizes / self._down_rates[dsts]
-            wire_lat = np.maximum(self._latencies[srcs],
-                                  self._latencies[dsts])
-            up_finish = self._reserve_direction(srcs, up_ser, now,
-                                                up=True)
-            down_finish = self._reserve_direction(dsts, down_ser, now,
-                                                  up=False)
-            delivery = (np.maximum(up_finish, down_finish)
-                        + wire_lat)
-        tel = env.telemetry
-        if tel is not None:
-            tel.metrics.counter("net.bulk_batches").inc()
-            tel.metrics.counter("net.bulk_messages").inc(n)
-        # Stats accumulate at fire time in delivery order (stable by issue
-        # index), the order the per-message path records them in.
-        order = np.argsort(delivery, kind="stable")
-        wire_order = order[~loop[order]] if loop.any() else order
-        event._ok = True
-        event._value = tuple(delivery.tolist())
-        assert event.callbacks is not None
-        event.callbacks.append(self._bulk_batch_done(
-            srcs[wire_order].tolist(), sizes[wire_order].tolist()))
-        env.schedule(event, delay=float(delivery.max()) - now)
-        return event
-
-    def _bulk_batch_done(self, src_ord: List[Any],
-                         size_ord: List[Any]) -> Callable[[Event], None]:
-        def record(_event: Event) -> None:
-            stats = self.stats
-            bytes_sent = stats.bytes_sent
-            per_node = stats.per_node_bytes
-            get = per_node.get
-            for src, nbytes in zip(src_ord, size_ord):
-                bytes_sent += nbytes
-                per_node[src] = get(src, 0.0) + nbytes
-            stats.bytes_sent = bytes_sent
-            stats.messages += len(size_ord)
-        return record
-
     def _bulk_fallback(self, transfers: Any,
-                       handler: Optional[Callable[[int], None]]
-                       ) -> List[Any]:
-        """Per-message oracle path: one transfer process per message."""
+                       handler: Callable[[int], None]) -> None:
+        """Fault-injection path: one transfer process per message."""
         if isinstance(transfers, np.ndarray):
             transfers = transfers.tolist()
-        results: List[Any] = []
         for index, (src, dst, nbytes) in enumerate(transfers):
             src, dst, nbytes = int(src), int(dst), float(nbytes)
-            results.append(self.env.process(
-                self._bulk_one(src, dst, nbytes, handler, index),
-                name=f"bulk:{src}->{dst}"))
-        return results
+            self.env.process(self._bulk_one(src, dst, nbytes, handler, index),
+                             name=f"bulk:{src}->{dst}")
 
     def _bulk_one(self, src: int, dst: int, nbytes: float,
-                  handler: Optional[Callable[[int], None]],
+                  handler: Callable[[int], None],
                   index: int) -> Generator[Any, Any, None]:
         yield from self.transfer(src, dst, nbytes)
-        if handler is not None:
-            handler(index)
+        handler(index)
 
     # -- tagged message passing ------------------------------------------
 

@@ -8,45 +8,32 @@ processes scheduled by :class:`Environment`.
 from .core import (
     AllOf,
     AnyOf,
-    DEFAULT_ENGINE,
     Environment,
     Event,
-    HEAP_ENGINE,
     Interrupt,
     Process,
-    SimEngine,
     SimulationError,
     Timeout,
-    default_engine,
-    set_default_engine,
-    use_engine,
     NORMAL,
     URGENT,
 )
-from .queues import HeapQueue, SlottedQueue
+from .queues import SlottedQueue
 from .resources import Channel, Request, Resource, Store
 
 __all__ = [
     "AllOf",
     "AnyOf",
     "Channel",
-    "DEFAULT_ENGINE",
     "Environment",
     "Event",
-    "HEAP_ENGINE",
-    "HeapQueue",
     "Interrupt",
     "Process",
     "Request",
     "Resource",
-    "SimEngine",
     "SimulationError",
     "SlottedQueue",
     "Store",
     "Timeout",
-    "default_engine",
-    "set_default_engine",
-    "use_engine",
     "NORMAL",
     "URGENT",
 ]

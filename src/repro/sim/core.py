@@ -10,21 +10,16 @@ Determinism matters for a systems simulator: two events scheduled for the
 same instant are ordered by (priority, insertion sequence), so repeated runs
 of the same workload produce identical traces.
 
-The execution machinery behind that contract is selectable through
-:class:`SimEngine` (see ``docs/SIM_CORE.md``): the tuned default runs a
-slotted calendar queue with pooled kernel-internal events, while
-``SimEngine(queue="heap")`` preserves the original flat-heap engine as a
-differential oracle -- both produce bit-identical event orderings, which
-the equivalence battery in ``tests/test_engine_equivalence.py`` locks in.
+The agenda is a slotted calendar queue and kernel-internal events are
+recycled through a free pool (see ``docs/SIM_CORE.md``); the total order
+is pinned against a sorted-list model in ``tests/test_queue_properties.py``.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from dataclasses import dataclass
 from typing import Any, Callable, Generator, Iterable, List, Optional
 
-from .queues import HeapQueue, SlottedQueue
+from .queues import SlottedQueue
 
 __all__ = [
     "Environment",
@@ -35,12 +30,6 @@ __all__ = [
     "AnyOf",
     "Interrupt",
     "SimulationError",
-    "SimEngine",
-    "DEFAULT_ENGINE",
-    "HEAP_ENGINE",
-    "default_engine",
-    "set_default_engine",
-    "use_engine",
     "NORMAL",
     "URGENT",
 ]
@@ -53,78 +42,6 @@ URGENT = 0
 
 #: Upper bound on recycled carrier events kept per environment.
 _POOL_LIMIT = 4096
-
-
-@dataclass(frozen=True)
-class SimEngine:
-    """Execution-machinery knobs for an :class:`Environment`.
-
-    Every combination implements the identical simulation semantics (the
-    (time, priority, sequence) total order); the knobs only select *how*
-    that order is produced:
-
-    queue: ``"slotted"`` (calendar queue, O(1) common-case insert) or
-        ``"heap"`` (the original flat binary heap, kept as the
-        differential oracle).
-    pool_events: recycle kernel-internal carrier events (process
-        initializers, immediate resumes, inline-send hops) through a
-        free list instead of allocating fresh ones.  User-visible events
-        (timeouts, conditions, task completions) are never pooled.
-    inline_sends: let :class:`~repro.casync.tasks.NodeEngine` execute
-        pristine-path send tasks as direct event hops instead of spawning
-        a generator process per message.
-    vector_bulk: let the bulk coordinator and
-        :meth:`~repro.net.fabric.Fabric.bulk_transfer` compute a whole
-        batch of transfers in one vectorized pass.
-    """
-
-    queue: str = "slotted"
-    pool_events: bool = True
-    inline_sends: bool = True
-    vector_bulk: bool = True
-
-    def __post_init__(self):
-        if self.queue not in ("slotted", "heap"):
-            raise ValueError(
-                f"unknown queue kind {self.queue!r}; use 'slotted' or 'heap'")
-
-
-#: The tuned engine every :class:`Environment` uses by default.
-DEFAULT_ENGINE = SimEngine()
-#: The pre-refactor engine: flat heap, no pooling, no fast paths.  The
-#: equivalence battery runs every configuration on both engines.
-HEAP_ENGINE = SimEngine(queue="heap", pool_events=False,
-                        inline_sends=False, vector_bulk=False)
-
-_default_engine = DEFAULT_ENGINE
-
-
-def default_engine() -> SimEngine:
-    """The engine newly constructed environments will use."""
-    return _default_engine
-
-
-def set_default_engine(engine: SimEngine) -> SimEngine:
-    """Swap the process-wide default engine; returns the previous one."""
-    global _default_engine
-    previous = _default_engine
-    _default_engine = engine
-    return previous
-
-
-@contextmanager
-def use_engine(engine: SimEngine):
-    """Scope the default engine, e.g. to run a whole simulation (including
-    internally constructed environments) on the heap oracle::
-
-        with use_engine(HEAP_ENGINE):
-            trace = trace_iteration(...)
-    """
-    previous = set_default_engine(engine)
-    try:
-        yield engine
-    finally:
-        set_default_engine(previous)
 
 
 class SimulationError(Exception):
@@ -252,19 +169,6 @@ class Timeout(Event):
         env.schedule(self, delay=delay)
 
 
-class Initialize(Event):
-    """Internal event used to start a freshly created process."""
-
-    __slots__ = ()
-
-    def __init__(self, env: "Environment", process: "Process"):
-        super().__init__(env)
-        self._ok = True
-        self._value = None
-        self.callbacks.append(process._resume)
-        env.schedule(self, priority=URGENT)
-
-
 class Process(Event):
     """Wraps a generator; the process *is* an event that fires on return.
 
@@ -282,12 +186,9 @@ class Process(Event):
         self._generator = generator
         self._target: Optional[Event] = None
         self.name = name or getattr(generator, "__name__", "process")
-        if env._pool_events:
-            init = env._acquire_carrier(True, None)
-            init.callbacks.append(self._resume)
-            env.schedule(init, priority=URGENT)
-        else:
-            Initialize(env, self)
+        init = env._acquire_carrier(True, None)
+        init.callbacks.append(self._resume)
+        env.schedule(init, priority=URGENT)
 
     @property
     def is_alive(self) -> bool:
@@ -346,13 +247,8 @@ class Process(Event):
         if next_event._processed:
             # Already fired: resume immediately at the current time.
             env = self.env
-            if env._pool_events:
-                immediate = env._acquire_carrier(next_event._ok,
-                                                 next_event._value)
-            else:
-                immediate = Event(env)
-                immediate._ok = next_event._ok
-                immediate._value = next_event._value
+            immediate = env._acquire_carrier(next_event._ok,
+                                             next_event._value)
             immediate.callbacks.append(self._resume)
             self._target = immediate
             env.schedule(immediate, priority=URGENT)
@@ -443,19 +339,11 @@ class Environment:
         p = env.process(proc(env))
         env.run()
         assert env.now == 5 and p.value == "done"
-
-    ``engine`` selects the execution machinery (queue implementation,
-    event pooling, fast paths); None uses :func:`default_engine`.  All
-    engines produce bit-identical event orderings.
     """
 
-    def __init__(self, initial_time: float = 0.0,
-                 engine: Optional[SimEngine] = None):
+    def __init__(self, initial_time: float = 0.0):
         self._now = float(initial_time)
-        self.engine = engine if engine is not None else _default_engine
-        self._queue = (HeapQueue() if self.engine.queue == "heap"
-                       else SlottedQueue())
-        self._pool_events = self.engine.pool_events
+        self._queue = SlottedQueue()
         self._pool: List[Event] = []
         #: Carrier events served from the free list (observability).
         self.pooled_reuses = 0
@@ -550,15 +438,7 @@ class Environment:
         Only for events whose whole life cycle the kernel controls
         (process initializers, immediate resumes, inline-send hops):
         nothing may hold a reference to a carrier after its callbacks ran.
-
-        With pooling disabled the carrier is a plain one-shot event, so
-        every ``SimEngine`` combination keeps identical visible semantics.
         """
-        if not self._pool_events:
-            event = Event(self)
-            event._ok = ok
-            event._value = value
-            return event
         pool = self._pool
         if pool:
             event = pool.pop()

@@ -1,29 +1,22 @@
-"""Event-queue implementations backing :class:`~repro.sim.core.Environment`.
+"""The event queue backing :class:`~repro.sim.core.Environment`.
 
-Two interchangeable agendas implement the same total order over scheduled
-events -- ``(time, priority, insertion sequence)``:
+:class:`SlottedQueue` orders scheduled events by ``(time, priority,
+insertion sequence)``.  It is a calendar-style queue keyed on the
+*distinct* ``(time, priority)`` instants.  Discrete-event workloads in
+this repository are heavily co-scheduled (a bulk flush completes hundreds
+of tasks at one instant; a backward pass releases a layer's worth of work
+at once), so the number of distinct keys is far smaller than the number
+of events.  Each key holds a FIFO slot (a deque -- append order *is*
+sequence order), and only slot creation/exhaustion touches the key heap:
+the common-case insert is one dict probe plus one append, O(1).
 
-* :class:`HeapQueue` -- the original flat binary heap.  Every push/pop is
-  O(log n) on one list of ``(time, priority, seq, event)`` tuples.  Kept
-  as the differential oracle: ``SimEngine(queue="heap")`` runs every
-  simulation through it, and the equivalence battery asserts bit-identical
-  traces against the slotted engine.
-* :class:`SlottedQueue` -- a calendar-style queue keyed on the *distinct*
-  ``(time, priority)`` instants.  Discrete-event workloads in this
-  repository are heavily co-scheduled (a bulk flush completes hundreds of
-  tasks at one instant; a backward pass releases a layer's worth of work
-  at once), so the number of distinct keys is far smaller than the number
-  of events.  Each key holds a FIFO slot (a deque -- append order *is*
-  sequence order), and only slot creation/exhaustion touches the key
-  heap: the common-case insert is one dict probe plus one append, O(1).
-
-Cancellation is lazy on both queues: :meth:`~repro.sim.core.Environment.
-cancel` only flags the event, and the queues skip flagged entries at pop
-time.  To bound growth under cancel churn (straggler/timeout workloads
-create one dead timer per retry attempt), every queue counts tombstones
-and compacts -- physically removing dead entries -- once they outnumber
-the live events (and exceed :data:`COMPACT_MIN_TOMBSTONES`, so tiny
-queues never bother).
+Cancellation is lazy: :meth:`~repro.sim.core.Environment.cancel` only
+flags the event, and the queue skips flagged entries at pop time.  To
+bound growth under cancel churn (straggler/timeout workloads create one
+dead timer per retry attempt), the queue counts tombstones and compacts
+-- physically removing dead entries -- once they outnumber the live
+events (and exceed :data:`COMPACT_MIN_TOMBSTONES`, so tiny queues never
+bother).
 """
 
 from __future__ import annotations
@@ -32,19 +25,26 @@ import heapq
 from collections import deque
 from typing import List, Tuple
 
-__all__ = ["COMPACT_MIN_TOMBSTONES", "HeapQueue", "SlottedQueue"]
+__all__ = ["COMPACT_MIN_TOMBSTONES", "SlottedQueue"]
 
 #: Compaction is considered only once this many cancelled entries have
 #: accumulated; below it the dead weight is cheaper than the sweep.
 COMPACT_MIN_TOMBSTONES = 64
 
 
-class _EventQueue:
-    """Shared live/tombstone bookkeeping for both agenda implementations."""
+class SlottedQueue:
+    """Calendar queue over distinct ``(time, priority)`` slots.
 
-    __slots__ = ("_live", "_tombstones", "compactions")
+    The slot deque preserves insertion order, which is the sequence-number
+    tie-break; the key heap orders the slots.  Pushing into an existing
+    slot never touches the heap.
+    """
+
+    __slots__ = ("_slots", "_keys", "_live", "_tombstones", "compactions")
 
     def __init__(self):
+        self._slots = {}
+        self._keys: List[Tuple[float, int]] = []
         self._live = 0
         self._tombstones = 0
         #: Number of compaction sweeps performed (observability).
@@ -58,77 +58,6 @@ class _EventQueue:
     def tombstones(self) -> int:
         """Cancelled entries still physically present in the queue."""
         return self._tombstones
-
-    def note_cancel(self) -> None:
-        """Account for one event flagged as cancelled; maybe compact."""
-        self._tombstones += 1
-        self._live -= 1
-        if (self._tombstones >= COMPACT_MIN_TOMBSTONES
-                and self._tombstones > self._live):
-            self.compact()
-            self.compactions += 1
-
-    def compact(self) -> None:  # pragma: no cover - overridden
-        raise NotImplementedError
-
-
-class HeapQueue(_EventQueue):
-    """The flat binary-heap agenda (the pre-refactor behaviour)."""
-
-    __slots__ = ("_heap", "_seq")
-
-    def __init__(self):
-        super().__init__()
-        self._heap: List[tuple] = []
-        self._seq = 0
-
-    def push(self, time: float, priority: int, event) -> None:
-        self._seq += 1
-        heapq.heappush(self._heap, (time, priority, self._seq, event))
-        self._live += 1
-
-    def pop(self) -> Tuple[float, object]:
-        heap = self._heap
-        while True:
-            time, _, _, event = heapq.heappop(heap)
-            if event._cancelled:
-                self._tombstones -= 1
-                continue
-            self._live -= 1
-            return time, event
-
-    def peek_time(self) -> float:
-        heap = self._heap
-        while heap:
-            head = heap[0]
-            if head[3]._cancelled:
-                heapq.heappop(heap)
-                self._tombstones -= 1
-                continue
-            return head[0]
-        return float("inf")
-
-    def compact(self) -> None:
-        self._heap = [entry for entry in self._heap
-                      if not entry[3]._cancelled]
-        heapq.heapify(self._heap)
-        self._tombstones = 0
-
-
-class SlottedQueue(_EventQueue):
-    """Calendar queue over distinct ``(time, priority)`` slots.
-
-    The slot deque preserves insertion order, which is exactly the
-    sequence-number tie-break of :class:`HeapQueue`; the key heap orders
-    the slots.  Pushing into an existing slot never touches the heap.
-    """
-
-    __slots__ = ("_slots", "_keys")
-
-    def __init__(self):
-        super().__init__()
-        self._slots = {}
-        self._keys: List[Tuple[float, int]] = []
 
     def push(self, time: float, priority: int, event) -> None:
         key = (time, priority)
@@ -169,6 +98,15 @@ class SlottedQueue(_EventQueue):
                 continue
             return key[0]
         return float("inf")
+
+    def note_cancel(self) -> None:
+        """Account for one event flagged as cancelled; maybe compact."""
+        self._tombstones += 1
+        self._live -= 1
+        if (self._tombstones >= COMPACT_MIN_TOMBSTONES
+                and self._tombstones > self._live):
+            self.compact()
+            self.compactions += 1
 
     def compact(self) -> None:
         slots = self._slots

@@ -19,14 +19,10 @@ Contracts under test (see ``docs/ADAPTIVE.md``):
   adaptive policy strictly beats every fixed single-codec policy.
 """
 
-import importlib
-import sys
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.adaptive import (
-    AccordionController,
     CompressionPolicy,
     DecisionLog,
     PolicyController,
@@ -313,13 +309,6 @@ def test_training_job_policy_routes_through_controller():
     assert result.iteration_time == job.last_policy_run.results[-1] \
         .iteration_time
     assert len(job.last_policy_run.log) == 3
-
-
-def test_hipress_adaptive_shim_warns_and_aliases():
-    sys.modules.pop("repro.hipress.adaptive", None)
-    with pytest.warns(DeprecationWarning, match="repro.adaptive"):
-        shim = importlib.import_module("repro.hipress.adaptive")
-    assert shim.AccordionController is AccordionController
 
 
 # -- the payoff --------------------------------------------------------------

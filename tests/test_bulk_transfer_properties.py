@@ -1,18 +1,17 @@
 """Property tests for the vectorized bulk-transfer path.
 
 The one-NumPy-pass-per-step fast path must be indistinguishable from
-issuing every message through :meth:`Fabric.transfer` one by one.  Under
-random link profiles Hypothesis checks, message for message:
+issuing every message through :meth:`Fabric.transfer` as its own
+process.  Under random link profiles Hypothesis checks, message for
+message:
 
 * identical delivery instants (exact float equality, not approx -- the
   vector path's left-fold accumulates are bit-compatible by design);
 * byte conservation: every non-loopback byte lands in the transfer
   statistics exactly once, per node and in total;
-* the batched single-completion-event interface reports the same times
-  the per-message interfaces deliver at;
-* under a random fault schedule (crashes, link degrades) both engines
-  must produce identical per-message outcomes -- the vector engine is
-  required to fall back to the per-message path, so a crash mid-bulk
+* under a random fault schedule (crashes, link degrades) the bulk call
+  must deliver exactly what the per-message path delivers -- it is
+  required to fall back to one process per message, so a crash mid-bulk
   aborts exactly the transfers the oracle aborts.
 """
 
@@ -20,11 +19,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.faults import FaultInjector, FaultSchedule, LinkDegrade, NodeCrash
-from repro.faults.errors import TransferError
 from repro.net import Fabric, NetworkSpec
-from repro.sim import DEFAULT_ENGINE, HEAP_ENGINE, Environment
-
-ENGINES = {"heap": HEAP_ENGINE, "tuned": DEFAULT_ENGINE}
+from repro.sim import Environment
 
 
 @st.composite
@@ -41,63 +37,59 @@ def bulk_plan(draw):
     return nodes, spec, transfers
 
 
-def _run_handler(engine, nodes, spec, transfers):
-    """Issue one bulk step via the handler interface; log deliveries."""
-    env = Environment(engine=engine)
+def _run(bulk, nodes, spec, transfers, schedule=None):
+    """Deliver ``transfers`` and log ``(index, time)`` per delivery.
+
+    ``bulk`` issues them as one :meth:`Fabric.bulk_transfer` step; the
+    oracle starts one :meth:`Fabric.transfer` process per message.
+    """
+    env = Environment()
     fabric = Fabric(env, nodes, spec)
+    if schedule is not None:
+        FaultInjector(env, schedule, fabric=fabric)
     log = []
-    fabric.bulk_transfer(transfers, handler=lambda i: log.append(
-        (i, env.now)))
-    env.run()
-    return log, fabric.stats
+
+    def deliver(index):
+        log.append((index, env.now))
+
+    if bulk:
+        fabric.bulk_transfer(transfers, handler=deliver)
+    else:
+        def one(index, src, dst, nbytes):
+            yield from fabric.transfer(src, dst, nbytes)
+            deliver(index)
+
+        for index, (src, dst, nbytes) in enumerate(transfers):
+            env.process(one(index, src, dst, nbytes))
+    env.run(until=1.0 if schedule is not None else None)
+    return log, fabric
 
 
 @given(plan=bulk_plan())
 @settings(max_examples=100, deadline=None)
-def test_vector_bulk_matches_per_message_oracle(plan):
+def test_bulk_matches_per_message_oracle(plan):
     nodes, spec, transfers = plan
-    oracle_log, oracle_stats = _run_handler(HEAP_ENGINE, nodes, spec,
-                                            transfers)
-    tuned_log, tuned_stats = _run_handler(DEFAULT_ENGINE, nodes, spec,
-                                          transfers)
-    assert tuned_log == oracle_log, (
+    oracle_log, oracle = _run(False, nodes, spec, transfers)
+    bulk_log, bulk = _run(True, nodes, spec, transfers)
+    assert bulk_log == oracle_log, (
         "per-message delivery times or ordering diverged")
-    assert tuned_stats.bytes_sent == oracle_stats.bytes_sent
-    assert tuned_stats.messages == oracle_stats.messages
-    assert tuned_stats.per_node_bytes == oracle_stats.per_node_bytes
+    assert bulk.stats.bytes_sent == oracle.stats.bytes_sent
+    assert bulk.stats.messages == oracle.stats.messages
+    assert bulk.stats.per_node_bytes == oracle.stats.per_node_bytes
 
 
 @given(plan=bulk_plan())
 @settings(max_examples=100, deadline=None)
 def test_bulk_conserves_bytes(plan):
     nodes, spec, transfers = plan
-    _log, stats = _run_handler(DEFAULT_ENGINE, nodes, spec, transfers)
+    _log, fabric = _run(True, nodes, spec, transfers)
+    stats = fabric.stats
     wire = [(s, d, n) for s, d, n in transfers if s != d]
     assert stats.messages == len(wire)
     assert stats.bytes_sent == pytest.approx(sum(n for _s, _d, n in wire))
     for node in range(nodes):
         sent = sum(n for s, _d, n in wire if s == node)
         assert stats.per_node_bytes.get(node, 0.0) == pytest.approx(sent)
-
-
-@given(plan=bulk_plan())
-@settings(max_examples=60, deadline=None)
-def test_batched_completion_reports_exact_delivery_times(plan):
-    nodes, spec, transfers = plan
-    times = {}
-    for name, engine in ENGINES.items():
-        env = Environment(engine=engine)
-        fabric = Fabric(env, nodes, spec)
-        done = fabric.bulk_transfer_batched(transfers)
-        env.run()
-        times[name] = tuple(done.value)
-    assert times["tuned"] == times["heap"]
-    # The single batch event must report the instants the handler
-    # interface actually delivers at.
-    log, _stats = _run_handler(DEFAULT_ENGINE, nodes, spec, transfers)
-    delivered = dict(log)
-    assert times["tuned"] == tuple(delivered[i]
-                                   for i in range(len(transfers)))
 
 
 @st.composite
@@ -113,52 +105,32 @@ def faulty_plan(draw):
     return nodes, spec, transfers, FaultSchedule.of(*events)
 
 
-def _run_faulty(engine, nodes, spec, transfers, schedule):
-    env = Environment(engine=engine)
-    fabric = Fabric(env, nodes, spec)
-    FaultInjector(env, schedule, fabric=fabric)
-    outcomes = [None] * len(transfers)
-
-    def watch(index, completion):
-        try:
-            yield completion
-            outcomes[index] = ("ok", env.now)
-        except TransferError as exc:
-            outcomes[index] = ("fail", env.now, str(exc))
-
-    completions = fabric.bulk_transfer(transfers)
-    for i, completion in enumerate(completions):
-        env.process(watch(i, completion))
-    env.run(until=1.0)
-    return outcomes, fabric.faults.log
+def _faulty_outcome(bulk, nodes, spec, transfers, schedule):
+    log, fabric = _run(bulk, nodes, spec, transfers, schedule)
+    faults = fabric.faults.log
+    return log, (faults.attempted_bytes, faults.delivered_bytes,
+                 faults.dropped_bytes)
 
 
 @given(plan=faulty_plan())
 @settings(max_examples=60, deadline=None)
 def test_crash_mid_bulk_aborts_identically(plan):
     nodes, spec, transfers, schedule = plan
-    oracle, oracle_log = _run_faulty(HEAP_ENGINE, nodes, spec, transfers,
-                                     schedule)
-    tuned, tuned_log = _run_faulty(DEFAULT_ENGINE, nodes, spec, transfers,
-                                   schedule)
-    assert tuned == oracle, "fault outcomes diverged between engines"
-    assert tuned_log.attempted_bytes == oracle_log.attempted_bytes
-    assert tuned_log.delivered_bytes == oracle_log.delivered_bytes
-    assert tuned_log.dropped_bytes == oracle_log.dropped_bytes
+    oracle = _faulty_outcome(False, nodes, spec, transfers, schedule)
+    bulk = _faulty_outcome(True, nodes, spec, transfers, schedule)
+    assert bulk == oracle, "fault outcomes diverged from per-message path"
 
 
 def test_crash_actually_aborts_some_transfers():
-    """Non-vacuity check: the sink dying mid-incast drops messages on
-    both engines, and drops the *same* ones."""
+    """Non-vacuity check: the sink dying mid-incast drops messages, and
+    the bulk call drops the *same* ones as the per-message path."""
     nodes = 4
     spec = NetworkSpec(bandwidth_gbps=1.0, latency_us=5.0)
     transfers = [(src, 0, 4e6) for src in (1, 2, 3)]
     schedule = FaultSchedule.of(NodeCrash(at=0.005, node=0))
-    results = {}
-    for name, engine in ENGINES.items():
-        outcomes, log = _run_faulty(engine, nodes, spec, transfers,
-                                    schedule)
-        assert any(o is not None and o[0] == "fail" for o in outcomes), (
-            f"{name}: expected the crash to abort at least one transfer")
-        results[name] = (outcomes, log.delivered_bytes, log.dropped_bytes)
-    assert results["tuned"] == results["heap"]
+    oracle = _faulty_outcome(False, nodes, spec, transfers, schedule)
+    bulk = _faulty_outcome(True, nodes, spec, transfers, schedule)
+    log, (_attempted, _delivered, dropped) = bulk
+    assert len(log) < len(transfers) and dropped > 0, (
+        "expected the crash to abort at least one transfer")
+    assert bulk == oracle

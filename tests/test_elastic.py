@@ -181,7 +181,7 @@ class TestFabricMembership:
             next(fabric.transfer(0, 2, 1024))
         assert "torn down" in str(err.value)
         with pytest.raises(TransferError):
-            fabric.bulk_transfer([(0, 2, 1024.0)])
+            fabric.bulk_transfer([(0, 2, 1024.0)], handler=lambda i: None)
 
     def test_reactivated_nic_transfers_again(self):
         env, fabric = self._fabric()

@@ -74,7 +74,5 @@ def test_cli_runs_one_artifact(tmp_path, capsys):
 
 
 def test_cli_quick_registry_differs():
-    from repro.experiments.__main__ import build_registry
-    full = build_registry(quick=False)
-    quick = build_registry(quick=True)
-    assert set(full) == set(quick)
+    from repro.experiments.runner import artifact_plans
+    assert set(artifact_plans(quick=True)) == set(artifact_plans())

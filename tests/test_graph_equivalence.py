@@ -9,12 +9,18 @@ used to build imperatively.  The golden hashes in
 code; this suite replays every configuration through the current pipeline
 and compares :func:`~repro.training.trace.trace_hash` digests.
 
+Every case also runs under an attached telemetry collector.  A collector
+disables the simulator's fast paths (inline sends, vectorized bulk
+flushes) in favour of one generator process per send and per flush, so
+the fast paths and the general paths must both reproduce the pinned hash.
+
 Regenerate (only legitimate when the *simulated behaviour* is meant to
 change, never to paper over an IR bug)::
 
     PYTHONPATH=src python tests/test_graph_equivalence.py --regen
 """
 
+import contextlib
 import json
 from pathlib import Path
 
@@ -24,6 +30,7 @@ from repro.cluster import ec2_v100_cluster
 from repro.experiments.common import SYSTEMS, default_algorithm
 from repro.models import GradientSpec, ModelSpec
 from repro.strategies import get_strategy
+from repro.telemetry import telemetry_session
 from repro.training import make_plans
 from repro.training.trace import trace_hash, trace_iteration
 
@@ -109,15 +116,22 @@ def _load_golden():
 CASES = dict(enumerate_cases())
 
 
-@pytest.mark.parametrize("case", sorted(CASES))
-def test_trace_hash_matches_pre_refactor(case):
+@pytest.mark.parametrize("case,traced", [
+    pytest.param(case, traced, id=case + ("-telemetry" if traced else ""))
+    for case in sorted(CASES) for traced in (False, True)])
+def test_trace_hash_matches_pre_refactor(case, traced):
     golden = _load_golden()
     assert case in golden, (
         f"{case} missing from {GOLDEN_PATH}; regenerate with "
         "python tests/test_graph_equivalence.py --regen")
-    assert CASES[case]() == golden[case], (
+    session = telemetry_session() if traced else contextlib.nullcontext()
+    with session as tel:
+        digest = CASES[case]()
+    if traced:
+        assert tel.spans, f"{case}: the collector recorded nothing"
+    assert digest == golden[case], (
         f"{case}: lowered TaskGraph diverged from the pre-refactor "
-        "timeline")
+        f"timeline{' under telemetry' if traced else ''}")
 
 
 def test_repeated_builds_are_bit_identical():

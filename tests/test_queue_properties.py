@@ -1,13 +1,11 @@
-"""Property tests for the agenda queues behind the simulator core.
+"""Property tests for the agenda queue behind the simulator core.
 
-The slotted calendar queue is only allowed to be *faster* than the heap
-it replaced -- never different.  Hypothesis drives arbitrary
-push/pop/cancel interleavings against a sorted-list reference model
-enforcing the exact ``(time, priority, seq)`` total order the heap
-produced, including FIFO tie-breaks among events sharing an instant and
-priority.  A second property checks Interrupt delivery end-to-end: any
-schedule of sleepers and interrupters runs identically on the heap and
-tuned engines.
+Hypothesis drives arbitrary push/pop/cancel interleavings of the slotted
+calendar queue against a sorted-list reference model enforcing the exact
+``(time, priority, seq)`` total order, including FIFO tie-breaks among
+events sharing an instant and priority.  A second property checks
+Interrupt delivery end-to-end against a closed-form model of any
+schedule of sleepers and interrupters.
 
 The cancel-churn regression pins the tombstone bound: a workload that
 cancels almost everything it schedules must not grow the agenda beyond
@@ -16,11 +14,9 @@ live events plus the compaction threshold.
 
 import bisect
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.sim import (DEFAULT_ENGINE, HEAP_ENGINE, Environment, HeapQueue,
-                       Interrupt, SlottedQueue)
+from repro.sim import Environment, Interrupt, SlottedQueue
 from repro.sim.queues import COMPACT_MIN_TOMBSTONES
 
 #: A small time domain so same-instant collisions are common.
@@ -43,9 +39,9 @@ class _Stub:
         self.ident = ident
 
 
-def _apply(queue_cls, ops):
+def _apply(ops):
     """Run ops against the queue and the sorted-list model in lockstep."""
-    queue = queue_cls()
+    queue = SlottedQueue()
     model = []  # sorted (time, priority, seq, stub); seq makes keys unique
     seq = 0
     for op in ops:
@@ -79,17 +75,15 @@ def _apply(queue_cls, ops):
     assert queue.peek_time() == float("inf")
 
 
-@pytest.mark.parametrize("queue_cls", [HeapQueue, SlottedQueue])
 @given(ops=OPS)
 @settings(max_examples=120, deadline=None)
-def test_queue_matches_sorted_model(queue_cls, ops):
-    _apply(queue_cls, ops)
+def test_queue_matches_sorted_model(ops):
+    _apply(ops)
 
 
-@pytest.mark.parametrize("queue_cls", [HeapQueue, SlottedQueue])
-def test_same_instant_fifo_within_priority(queue_cls):
+def test_same_instant_fifo_within_priority():
     """Ties at one (time, priority) slot pop in push order; urgent first."""
-    queue = queue_cls()
+    queue = SlottedQueue()
     normal = [_Stub(i) for i in range(50)]
     urgent = [_Stub(100 + i) for i in range(50)]
     for n, u in zip(normal, urgent):
@@ -110,8 +104,8 @@ def interrupt_scenario(draw):
     return delays, sorted(pokes)
 
 
-def _run_interrupts(engine, delays, pokes):
-    env = Environment(engine=engine)
+def _run_interrupts(delays, pokes):
+    env = Environment()
     log = []
 
     def sleeper(i, delay):
@@ -137,18 +131,31 @@ def _run_interrupts(engine, delays, pokes):
     return log
 
 
+def _interrupt_model(delays, pokes):
+    """Closed form: sleeper ``i`` is interrupted by the first poke aimed
+    at it strictly before its own wake-up (a tie goes to the sleeper,
+    whose timeout was scheduled first); otherwise it wakes on time."""
+    outcome = {}
+    for i, delay in enumerate(delays):
+        at = next((at for at, target in pokes
+                   if target == i and at < delay), None)
+        outcome[i] = (("done", i, delay) if at is None
+                      else ("interrupted", i, at, f"poke@{at}"))
+    return outcome
+
+
 @given(scenario=interrupt_scenario())
 @settings(max_examples=80, deadline=None)
-def test_interrupt_delivery_engine_equivalent(scenario):
+def test_interrupt_delivery_matches_model(scenario):
     delays, pokes = scenario
-    oracle = _run_interrupts(HEAP_ENGINE, delays, pokes)
-    tuned = _run_interrupts(DEFAULT_ENGINE, delays, pokes)
-    assert tuned == oracle
+    log = _run_interrupts(delays, pokes)
+    by_sleeper = {entry[1]: entry for entry in log}
+    assert len(by_sleeper) == len(log) == len(delays), (
+        f"each sleeper must log exactly once: {log}")
+    assert by_sleeper == _interrupt_model(delays, pokes)
 
 
-@pytest.mark.parametrize("engine", [HEAP_ENGINE, DEFAULT_ENGINE],
-                         ids=["heap", "slotted"])
-def test_cancel_churn_keeps_queue_bounded(engine):
+def test_cancel_churn_keeps_queue_bounded():
     """Heavy cancel churn must not accumulate unbounded tombstones.
 
     The workload schedules far-future timeouts and cancels almost all of
@@ -157,7 +164,7 @@ def test_cancel_churn_keeps_queue_bounded(engine):
     timestamp drains; the compaction hook must keep the agenda's physical
     size within live + threshold at all times.
     """
-    env = Environment(engine=engine)
+    env = Environment()
     high_water = 0
 
     def churner():
