@@ -37,9 +37,14 @@ from typing import Dict, Optional, Tuple
 
 from ..errors import ConfigError
 
-__all__ = ["AlgoSpec", "CompressionPolicy", "POLICY_KINDS", "parse_policy"]
+__all__ = ["AlgoSpec", "CompressionPolicy", "POLICY_KINDS", "parse_policy",
+           "resolve_policy"]
 
 POLICY_KINDS = ("fixed", "size", "bandwidth", "accordion")
+
+#: Policy kind -> its primary palette key (see CompressionPolicy.primary_key).
+_PRIMARY_KEYS = {"fixed": "algorithm", "size": "large",
+                 "bandwidth": "algorithm", "accordion": "conservative"}
 
 
 def _params_tuple(params: Optional[Dict]) -> Tuple:
@@ -199,6 +204,15 @@ class CompressionPolicy:
     def is_fixed(self) -> bool:
         return self.kind == "fixed"
 
+    @property
+    def primary_key(self) -> str:
+        """The palette key that stands for the whole policy.
+
+        Its codec is the plan-wide default (ops outside any gradient's
+        decision) and the one planning/profiling accessors cost against.
+        """
+        return _PRIMARY_KEYS[self.kind]
+
     def palette_dict(self) -> Dict[str, AlgoSpec]:
         return dict(self.palette)
 
@@ -293,3 +307,23 @@ def parse_policy(text: str) -> CompressionPolicy:
         named.setdefault("conservative", bare[0])
     kwargs = {k: coerce(v) for k, v in named.items()}
     return CompressionPolicy.accordion(**kwargs)
+
+
+def resolve_policy(policy, algorithm=None,
+                   algorithm_params=None) -> CompressionPolicy:
+    """``policy`` (a :class:`CompressionPolicy` or policy string) as a
+    policy, refusing the legacy ``algorithm=``/``algorithm_params=``
+    kwargs alongside it -- mixing the two surfaces is ambiguous."""
+    if isinstance(policy, str):
+        policy = parse_policy(policy)
+    if not isinstance(policy, CompressionPolicy):
+        raise ConfigError(
+            "policy", policy, ["CompressionPolicy", "policy string"],
+            hint="build one via CompressionPolicy.fixed/size_adaptive/"
+                 "bandwidth_adaptive/accordion")
+    if algorithm is not None or algorithm_params is not None:
+        raise ConfigError(
+            "algorithm", algorithm, [],
+            hint="pass policy= or the legacy algorithm=/"
+                 "algorithm_params= kwargs, not both")
+    return policy

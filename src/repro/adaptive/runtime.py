@@ -35,7 +35,7 @@ from ..strategies import get_strategy, resolve_strategy_name
 from ..telemetry import TelemetryCollector
 from ..training import make_plans, simulate_iteration
 from .controller import DecisionLog, PolicyController
-from .policy import CompressionPolicy, parse_policy
+from .policy import CompressionPolicy, resolve_policy
 
 __all__ = ["PLANNER_KINDS", "PolicyRun", "run_policy"]
 
@@ -110,13 +110,7 @@ def run_policy(model, cluster, policy,
             model = get_model(model)
         except KeyError:
             raise ConfigError("model", model, MODEL_NAMES) from None
-    if isinstance(policy, str):
-        policy = parse_policy(policy)
-    if not isinstance(policy, CompressionPolicy):
-        raise ConfigError(
-            "policy", policy, ["CompressionPolicy", "policy string"],
-            hint="build one via CompressionPolicy.fixed/size_adaptive/"
-                 "bandwidth_adaptive/accordion")
+    policy = resolve_policy(policy)
     if iterations < 1:
         raise ConfigError("iterations", iterations, [],
                           hint="need at least one iteration")
@@ -154,9 +148,7 @@ def run_policy(model, cluster, policy,
     # The plan-wide default codec: only consulted for ops outside any
     # gradient's decision (e.g. ring raw buckets); decisions always name
     # their palette entry explicitly.
-    default_key = {"size": "large", "bandwidth": "algorithm",
-                   "accordion": "conservative"}[policy.kind]
-    default_algorithm = controller.palette[default_key]
+    default_algorithm = controller.palette[policy.primary_key]
     replay_maps = replay_bandwidth = None
     if replay is not None:
         replay_maps = controller.replay_maps(replay)

@@ -42,9 +42,9 @@ Entry points:
 
 * :func:`check_plan` -- analyze one plan (plus optional recipe), return a
   :class:`PlanReport`.
-* ``build_plan(..., check=True)`` / ``GraphCache(admission="strict")`` /
-  ``REPRO_PLANCHECK=1`` -- strict admission: plans are only lowered and
-  cached if they check clean (:class:`PlanCheckError` otherwise).
+* ``GraphCache(admission="strict")`` / ``REPRO_PLANCHECK=1`` -- strict
+  admission: plans are only lowered and cached if they check clean
+  (:class:`PlanCheckError` otherwise).
 * ``python -m repro.analysis.plancheck`` -- run the analyzer over all
   golden SYSTEMS configurations (the 22-case equivalence matrix) plus
   the adaptive policies; ``--mutants`` runs the pass-mutant corpus
@@ -1042,13 +1042,11 @@ def iter_cases() -> Iterator[Tuple[str, Callable[[], Tuple[SyncPlan,
                 policy, model, cluster,
                 planner_kind=_planner_kind(strategy_name))
             decisions = controller.decide(0)
-            default_key = {"size": "large", "bandwidth": "algorithm",
-                           "accordion": "conservative"}[policy_kind]
             strategy = get_strategy(strategy_name, selective=False,
                                     adaptive=True)
             pctx = PassContext(
                 num_nodes=cluster.num_nodes, cluster=cluster,
-                algorithm=controller.palette[default_key],
+                algorithm=controller.palette[policy.primary_key],
                 decisions=decisions)
             plan = build_plan(strategy, pctx, model)
             return plan, pctx, lower_plan(plan, pctx)

@@ -727,8 +727,7 @@ def verify_plan(plan: SyncPlan, name: Optional[str] = None) -> None:
 
 
 def build_plan(strategy: Any, pctx: PassContext, model: Any,
-               telemetry: Any = None, now: float = 0.0,
-               check: bool = False) -> SyncPlan:
+               telemetry: Any = None, now: float = 0.0) -> SyncPlan:
     """Run the full frontend pipeline: directives -> expand -> op passes.
 
     ``strategy`` supplies :meth:`~repro.strategies.base.Strategy.expand`
@@ -736,12 +735,6 @@ def build_plan(strategy: Any, pctx: PassContext, model: Any,
     optimization list).  :class:`VerifyPass` always runs last, whether or
     not the strategy requested it.  ``telemetry`` records one span per
     pass (category ``syncplan``) at simulated time ``now``.
-
-    ``check=True`` is strict mode: after verification the whole-plan
-    analyzer (:func:`repro.analysis.plancheck.check_plan`) proves the
-    deadlock-freedom / buffer-safety / byte-flow / decision-coverage
-    properties and raises
-    :class:`~repro.analysis.plancheck.PlanCheckError` on any finding.
     """
     algo_name = None
     if pctx.algorithm is not None:
@@ -784,9 +777,4 @@ def build_plan(strategy: Any, pctx: PassContext, model: Any,
     # build.  Like CollapseFanInPass, not a strategy-selectable stage.
     plan_index(plan)
     plan.meta["passes"] = applied
-    if check:
-        # Deferred import: plancheck sits above the IR layer and imports
-        # this module; strict mode is the only edge back down.
-        from ..analysis.plancheck import check_plan
-        check_plan(plan, pctx=pctx).raise_if_failed()
     return plan

@@ -128,9 +128,9 @@ def run_system(system: str, model, cluster: ClusterSpec,
     policy string) instead of the ``algorithm``/``algorithm_params`` pair.
     A fixed policy maps onto the identical static path; an adaptive one
     requires a CaSync system (the AdaptivePass is a SyncPlan-pipeline
-    stage) and runs this single iteration under a fresh controller's
-    iteration-0 decisions -- use :func:`repro.adaptive.run_policy` for the
-    full multi-iteration control loop.
+    stage) and returns iteration 0 of
+    :func:`repro.adaptive.run_policy` -- call that directly for the full
+    multi-iteration control loop.
     """
     try:
         config = SYSTEMS[system]
@@ -144,32 +144,31 @@ def run_system(system: str, model, cluster: ClusterSpec,
     if config.tcp_on_ec2 and on_ec2:
         cluster = ec2_tcp_network(cluster)
     if policy is not None:
-        from ..adaptive.policy import CompressionPolicy, parse_policy
-        if isinstance(policy, str):
-            policy = parse_policy(policy)
-        if not isinstance(policy, CompressionPolicy):
-            raise ConfigError(
-                "policy", policy, ["CompressionPolicy", "policy string"],
-                hint="build one via CompressionPolicy.fixed/size_adaptive/"
-                     "bandwidth_adaptive/accordion")
-        if algorithm is not None or algorithm_params is not None:
-            raise ConfigError(
-                "algorithm", algorithm, [],
-                hint="pass policy= or the legacy algorithm=/"
-                     "algorithm_params= kwargs, not both")
+        from ..adaptive.policy import resolve_policy
+        from ..adaptive.runtime import PLANNER_KINDS, run_policy
+        policy = resolve_policy(policy, algorithm, algorithm_params)
         if not config.compression:
             raise ConfigError(
                 "system", system,
                 [k for k, c in SYSTEMS.items() if c.compression],
                 hint="policies pick compression codecs; this system "
                      "does not compress")
-        if policy.is_fixed:
-            spec = policy.fixed_algorithm()
-            algorithm = spec.name
-            algorithm_params = dict(spec.params)
-        else:
-            return _run_system_adaptive(config, model, cluster, policy,
-                                        telemetry=telemetry)
+        if not policy.is_fixed:
+            if config.strategy not in PLANNER_KINDS:
+                raise ConfigError(
+                    "system", system,
+                    [c.key for c in SYSTEMS.values()
+                     if c.strategy in PLANNER_KINDS],
+                    hint="adaptive policies run through the SyncPlan "
+                         "pipeline; use a CaSync-based system")
+            return run_policy(
+                model, cluster, policy, strategy=config.strategy,
+                iterations=1, use_coordinator=config.use_coordinator,
+                batch_compression=config.batch_compression,
+                telemetry=telemetry).results[0]
+        spec = policy.fixed_algorithm()
+        algorithm = spec.name
+        algorithm_params = dict(spec.params)
     algo = None
     plans = None
     if config.compression:
@@ -187,35 +186,6 @@ def run_system(system: str, model, cluster: ClusterSpec,
     strategy = config.strategy_factory()
     return simulate_iteration(
         model, cluster, strategy, algorithm=algo, plans=plans,
-        use_coordinator=config.use_coordinator,
-        batch_compression=config.batch_compression,
-        telemetry=telemetry)
-
-
-def _run_system_adaptive(config: "SystemConfig", model,
-                         cluster: ClusterSpec, policy,
-                         telemetry: Optional[TelemetryCollector] = None
-                         ) -> IterationResult:
-    """One iteration of a CaSync system under an adaptive policy."""
-    from ..adaptive.controller import PolicyController
-    from ..adaptive.runtime import PLANNER_KINDS
-    if config.strategy not in PLANNER_KINDS:
-        raise ConfigError(
-            "system", config.key,
-            [c.key for c in SYSTEMS.values()
-             if c.strategy in PLANNER_KINDS],
-            hint="adaptive policies run through the SyncPlan pipeline; "
-                 "use a CaSync-based system")
-    controller = PolicyController(
-        policy, model, cluster,
-        planner_kind=config.planner_kind or PLANNER_KINDS[config.strategy])
-    decisions = controller.decide(0)
-    default_key = {"size": "large", "bandwidth": "algorithm",
-                   "accordion": "conservative"}[policy.kind]
-    strategy = get_strategy(config.strategy, selective=False, adaptive=True)
-    return simulate_iteration(
-        model, cluster, strategy,
-        algorithm=controller.palette[default_key], decisions=decisions,
         use_coordinator=config.use_coordinator,
         batch_compression=config.batch_compression,
         telemetry=telemetry)

@@ -17,8 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Union
 
-from ..adaptive.policy import CompressionPolicy, parse_policy
-from ..adaptive.runtime import PolicyRun, run_policy
+from ..adaptive.policy import CompressionPolicy, resolve_policy
+from ..adaptive.runtime import PLANNER_KINDS, PolicyRun, run_policy
 from ..algorithms import available_algorithms
 from ..algorithms.base import CompressionAlgorithm
 from ..casync.passes import PassConfig
@@ -30,8 +30,7 @@ from ..cluster import (CLUSTER_PRESETS, ClusterSpec, ec2_v100_cluster,
 from ..errors import ConfigError
 from ..experiments.common import default_algorithm
 from ..models import MODEL_NAMES, ModelSpec, get_model
-from ..strategies import (CaSyncPS, CaSyncRing, Strategy, get_strategy,
-                          resolve_strategy_name)
+from ..strategies import Strategy, get_strategy, resolve_strategy_name
 from ..telemetry import TelemetryCollector
 from ..training import IterationResult, simulate_iteration
 
@@ -60,22 +59,14 @@ class TrainingJob:
         print(result.throughput, job.plans["bert-large.g000"].partitions)
     """
 
-    #: Deprecated: kept for import compatibility.  Strategy lookup now goes
-    #: through :mod:`repro.strategies.registry`; only the planner preset
-    #: per CaSync flavour lives here.
-    STRATEGIES = {"casync-ps": (CaSyncPS, "ps_colocated"),
-                  "casync-ring": (CaSyncRing, "ring")}
-
-    PLANNER_KINDS = {"casync-ps": "ps_colocated", "casync-ring": "ring"}
-
     def __init__(self, model, algorithm=None,
                  strategy: str = "casync-ps",
                  cluster: Union[ClusterSpec, str, None] = None,
                  algorithm_params: Optional[Dict] = None,
                  policy: Union[CompressionPolicy, str, None] = None):
         name = resolve_strategy_name(strategy)   # warns on hipress-* aliases
-        if name not in self.PLANNER_KINDS:
-            raise ConfigError("strategy", strategy, self.PLANNER_KINDS)
+        if name not in PLANNER_KINDS:
+            raise ConfigError("strategy", strategy, PLANNER_KINDS)
         if isinstance(model, str):
             try:
                 self.model: ModelSpec = get_model(model)
@@ -83,26 +74,11 @@ class TrainingJob:
                 raise ConfigError("model", model, MODEL_NAMES) from None
         else:
             self.model = model
-        if isinstance(policy, str):
-            policy = parse_policy(policy)
-        self.policy: Optional[CompressionPolicy] = policy
-        self.last_policy_run: Optional[PolicyRun] = None
         if policy is not None:
-            # The typed policy surface supersedes the legacy kwargs; mixing
-            # them is ambiguous, so refuse loudly rather than guess.
-            if algorithm is not None or algorithm_params is not None:
-                raise ConfigError(
-                    "algorithm", algorithm, [],
-                    hint="pass policy= or the legacy algorithm=/"
-                         "algorithm_params= kwargs, not both")
-            if policy.is_fixed:
-                algorithm = policy.fixed_algorithm().instantiate()
-            else:
-                # Planning/profiling accessors (.plans, .profile) need one
-                # concrete codec; use the policy's primary palette entry.
-                key = {"size": "large", "bandwidth": "algorithm",
-                       "accordion": "conservative"}[policy.kind]
-                algorithm = policy.instantiate_palette()[key]
+            policy = resolve_policy(policy, algorithm, algorithm_params)
+            # Planning/profiling accessors (.plans, .profile) need one
+            # concrete codec: the policy's primary palette entry.
+            algorithm = policy.instantiate_palette()[policy.primary_key]
         elif algorithm is None:
             algorithm = "onebit"                 # the historical default
         if isinstance(algorithm, str):
@@ -115,6 +91,8 @@ class TrainingJob:
         else:
             self.algorithm = algorithm
         self.strategy_name = name
+        self.policy: Optional[CompressionPolicy] = policy
+        self.last_policy_run: Optional[PolicyRun] = None
         if isinstance(cluster, str):
             try:
                 cluster = get_cluster(cluster)
@@ -122,7 +100,7 @@ class TrainingJob:
                 raise ConfigError("cluster", cluster,
                                   CLUSTER_PRESETS) from None
         self.cluster = cluster or ec2_v100_cluster()
-        self._planner_kind = self.PLANNER_KINDS[name]
+        self._planner_kind = PLANNER_KINDS[name]
         self._plans: Optional[Dict[str, GradientPlan]] = None
         self._profile: Optional[Profile] = None
 

@@ -32,7 +32,7 @@ the contract tests/test_elastic_properties.py locks in.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from ..cluster import ClusterSpec
 from ..errors import ConfigError
@@ -152,10 +152,39 @@ def epoch_inputs(model: ModelSpec, cluster: ClusterSpec,
     return roster, sub, FaultSchedule(crashes)
 
 
-def _epoch_strategy(strategy: Strategy, make_strategy, roster: Roster,
-                    epoch: int) -> Strategy:
-    fresh = make_strategy() if make_strategy is not None else strategy
-    return bind_roster(fresh, roster.nodes, epoch=epoch)
+def _epochs(model: ModelSpec, cluster: ClusterSpec, strategy: Strategy,
+            schedule: MembershipSchedule, epochs: Optional[int],
+            algorithm, planner_kind: Optional[str],
+            retry_policy: Optional[RetryPolicy],
+            epoch_horizon_s: Optional[float], min_roster: Optional[int],
+            make_strategy) -> Iterator[Tuple[int, Roster, ClusterSpec,
+                                             Dict[str, Any]]]:
+    """The epoch loop: ``(epoch, roster, sub-cluster, driver kwargs)``.
+
+    The driver kwargs are the per-epoch arguments of one round: the
+    roster-bound strategy, the sub-cluster's selective plans, the
+    mid-epoch crash schedule and the retry policy (aggressive retries
+    when something crashes and the caller chose none).
+    """
+    total = schedule.epochs() if epochs is None else epochs
+    if total < 1:
+        raise ValueError(f"epochs must be >= 1, got {total}")
+    for epoch in range(total):
+        roster, sub, crashes = epoch_inputs(
+            model, cluster, schedule, epoch, min_roster=min_roster,
+            epoch_horizon_s=epoch_horizon_s)
+        fresh = make_strategy() if make_strategy is not None else strategy
+        bound = bind_roster(fresh, roster.nodes, epoch=epoch)
+        plans = None
+        if algorithm is not None and planner_kind is not None:
+            plans = make_plans(model, sub, algorithm, planner_kind)
+        policy = retry_policy
+        if crashes and policy is None:
+            policy = RetryPolicy.aggressive()
+        yield epoch, roster, sub, dict(
+            strategy=bound, plans=plans,
+            fault_schedule=crashes if crashes else None,
+            retry_policy=policy)
 
 
 def run_elastic(model: ModelSpec, cluster: ClusterSpec,
@@ -189,33 +218,21 @@ def run_elastic(model: ModelSpec, cluster: ClusterSpec,
     ``sync_deadline_s`` round deadline): they complete degraded or are
     recorded as aborted -- a typed outcome either way.
     """
-    total = schedule.epochs() if epochs is None else epochs
-    if total < 1:
-        raise ValueError(f"epochs must be >= 1, got {total}")
     outcomes: List[EpochOutcome] = []
     total_time = 0.0
     samples = 0.0
-    for epoch in range(total):
-        roster, sub, crashes = epoch_inputs(
-            model, cluster, schedule, epoch, min_roster=min_roster,
-            epoch_horizon_s=epoch_horizon_s)
-        bound = _epoch_strategy(strategy, make_strategy, roster, epoch)
-        plans = None
-        if algorithm is not None and planner_kind is not None:
-            plans = make_plans(model, sub, algorithm, planner_kind)
-        policy = retry_policy
-        if crashes and policy is None:
-            policy = RetryPolicy.aggressive()
+    for epoch, roster, sub, driver in _epochs(
+            model, cluster, strategy, schedule, epochs, algorithm,
+            planner_kind, retry_policy, epoch_horizon_s, min_roster,
+            make_strategy):
         try:
             result = simulate_iteration(
-                model, sub, bound, algorithm=algorithm, plans=plans,
+                model, sub, algorithm=algorithm,
                 use_coordinator=use_coordinator,
                 batch_compression=batch_compression,
-                fault_schedule=crashes if crashes else None,
-                retry_policy=policy,
                 sync_deadline_s=sync_deadline_s,
                 heartbeat_timeout_s=heartbeat_timeout_s,
-                pass_config=pass_config)
+                pass_config=pass_config, **driver)
         except SyncAborted as abort:
             elapsed = (sync_deadline_s if sync_deadline_s is not None
                        else 0.0)
@@ -261,28 +278,18 @@ def elastic_trace_hashes(model: ModelSpec, cluster: ClusterSpec,
     typed abort instead (``aborted:<reason class>``), so replay
     determinism covers failed rounds too.
     """
-    total = schedule.epochs() if epochs is None else epochs
     hashes: List[str] = []
-    for epoch in range(total):
-        roster, sub, crashes = epoch_inputs(
-            model, cluster, schedule, epoch,
-            epoch_horizon_s=epoch_horizon_s)
-        bound = _epoch_strategy(strategy, make_strategy, roster, epoch)
-        plans = None
-        if algorithm is not None and planner_kind is not None:
-            plans = make_plans(model, sub, algorithm, planner_kind)
-        policy = retry_policy
-        if crashes and policy is None:
-            policy = RetryPolicy.aggressive()
+    for _, roster, sub, driver in _epochs(
+            model, cluster, strategy, schedule, epochs, algorithm,
+            planner_kind, retry_policy, epoch_horizon_s, min_roster=None,
+            make_strategy=make_strategy):
         try:
             trace = trace_iteration(
-                model, sub, bound, algorithm=algorithm, plans=plans,
+                model, sub, algorithm=algorithm,
                 use_coordinator=use_coordinator,
                 batch_compression=batch_compression,
-                fault_schedule=crashes if crashes else None,
-                retry_policy=policy,
                 sync_deadline_s=sync_deadline_s,
-                heartbeat_timeout_s=heartbeat_timeout_s)
+                heartbeat_timeout_s=heartbeat_timeout_s, **driver)
         except SyncAborted as abort:
             hashes.append(f"aborted:{type(abort).__name__}:"
                           f"{roster.token()}")

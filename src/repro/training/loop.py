@@ -16,7 +16,7 @@ step has been applied.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..algorithms.base import CompressionAlgorithm
@@ -105,6 +105,24 @@ def make_plans(model: ModelSpec, cluster: ClusterSpec,
     return planner.plan_model(model.gradients)
 
 
+@dataclass
+class _Round:
+    """What one settled BSP round ran (see :func:`_run_round`)."""
+
+    tel: Optional[TelemetryCollector]
+    graph: TaskGraph
+    gpus: List[Gpu]
+    fabric: Fabric
+    coordinator: Optional[Coordinator]
+    #: When the synchronization graph completed.
+    finish: float
+    #: When the last node finished both its compute and its sync -- the
+    #: barrier the optimizer step follows.
+    barrier: float
+    report: Optional[RobustSyncReport]
+    compute_time: float
+
+
 def simulate_iteration(model: ModelSpec, cluster: ClusterSpec,
                        strategy: Strategy,
                        algorithm: Optional[CompressionAlgorithm] = None,
@@ -166,6 +184,89 @@ def simulate_iteration(model: ModelSpec, cluster: ClusterSpec,
             raise ValueError(f"straggler node {node_idx} out of range")
         if factor < 1.0:
             raise ValueError(f"straggler factor must be >= 1, got {factor}")
+    rnd = _run_round(
+        model, cluster, strategy, algorithm=algorithm, plans=plans,
+        use_coordinator=use_coordinator, batch_compression=batch_compression,
+        local_aggregation=local_aggregation, straggler=straggler,
+        fault_schedule=fault_schedule, retry_policy=retry_policy,
+        degradation=degradation, sync_deadline_s=sync_deadline_s,
+        heartbeat_timeout_s=heartbeat_timeout_s, telemetry=telemetry,
+        pass_config=pass_config, decisions=decisions)
+    tel, gpus, fabric = rnd.tel, rnd.gpus, rnd.fabric
+    compute_time = rnd.compute_time
+    iteration_time = rnd.barrier + compute_time * OPTIMIZER_FRACTION
+    comm_busy = sum(nic.up_busy for nic in fabric.nics)
+    comm_ratio = (comm_busy / cluster.num_nodes) / iteration_time
+    measured_bw = (fabric.stats.bytes_sent / comm_busy
+                   if comm_busy > 0 else 0.0)
+    compression_time = (sum(g.log.busy_time("compression") for g in gpus)
+                        / cluster.num_nodes)
+    exposed = max(0.0, iteration_time - compute_time)
+    util = tuple(gpus[0].log.utilization_series(
+        bin_width=util_bin_s, horizon=iteration_time, category="compute"))
+    peaks = peak_buffer_memory(rnd.graph)
+    peak_memory = max(peaks.values()) if peaks else 0.0
+
+    if tel is not None:
+        iter_span = tel.begin(
+            f"iteration:{model.name}", category="iteration",
+            track="sim/iteration", at=0.0, strategy=strategy.name,
+            num_nodes=cluster.num_nodes)
+        tel.finish(iter_span, iteration_time)
+        labels = {"model": model.name, "strategy": strategy.name}
+        tel.metrics.counter("training.iterations").inc()
+        tel.metrics.gauge("training.iteration_time_s", **labels).set(
+            iteration_time)
+        tel.metrics.gauge("training.compute_time_s", **labels).set(
+            compute_time)
+        tel.metrics.gauge("training.comm_ratio", **labels).set(
+            min(1.0, comm_ratio))
+        tel.metrics.gauge("training.exposed_sync_s", **labels).set(exposed)
+        tel.metrics.gauge("training.compression_s", **labels).set(
+            compression_time)
+
+    return IterationResult(
+        model=model.name,
+        strategy=strategy.name,
+        num_nodes=cluster.num_nodes,
+        gpus_per_node=cluster.node.gpus_per_node,
+        iteration_time=iteration_time,
+        compute_time=compute_time,
+        batch_size=model.batch_size,
+        comm_ratio=min(1.0, comm_ratio),
+        exposed_sync_time=exposed,
+        compression_time=compression_time,
+        gpu_util_series=util,
+        coordinator_batches=(rnd.coordinator.batches_flushed
+                             if rnd.coordinator else 0),
+        peak_comm_buffer_bytes=peak_memory,
+        fault_report=rnd.report,
+        measured_link_bandwidth=measured_bw,
+    )
+
+
+def _run_round(model: ModelSpec, cluster: ClusterSpec, strategy: Strategy,
+               algorithm: Optional[CompressionAlgorithm] = None,
+               plans: Optional[Dict[str, GradientPlan]] = None,
+               use_coordinator: bool = False,
+               batch_compression: bool = False,
+               local_aggregation: bool = True,
+               straggler: Optional[Tuple[int, float]] = None,
+               fault_schedule: Optional[FaultSchedule] = None,
+               retry_policy: Optional[RetryPolicy] = None,
+               degradation: bool = True,
+               sync_deadline_s: Optional[float] = None,
+               heartbeat_timeout_s: float = 0.02,
+               telemetry: Optional[TelemetryCollector] = None,
+               pass_config: Optional[PassConfig] = None,
+               decisions=None,
+               label_prefix: str = "") -> _Round:
+    """Build and run one BSP round until it has settled.
+
+    The one iteration driver: :func:`simulate_iteration` turns what ran
+    into metrics, :func:`repro.training.trace.trace_iteration` into a
+    task timeline.  ``label_prefix`` prefixes the telemetry run label.
+    """
     schedule = fault_schedule if fault_schedule is not None else cluster.faults
     faulty = schedule is not None and len(schedule) > 0
     robust = faulty or retry_policy is not None
@@ -177,7 +278,8 @@ def simulate_iteration(model: ModelSpec, cluster: ClusterSpec,
     env = Environment()
     env.telemetry = tel
     if tel is not None:
-        tel.start_run(f"{model.name}/{strategy.name}/{cluster.num_nodes}n")
+        tel.start_run(
+            f"{label_prefix}{model.name}/{strategy.name}/{cluster.num_nodes}n")
     fabric = Fabric(env, cluster.num_nodes, cluster.network)
     gpus = [Gpu(env, cluster.node_at(i).gpu, index=i)
             for i in range(cluster.num_nodes)]
@@ -318,64 +420,18 @@ def simulate_iteration(model: ModelSpec, cluster: ClusterSpec,
             yield env.all_of(node_procs)
 
     env.run_until_complete(env.process(drain(), name="drain"))
-    iteration_time = max(finish, env.now) + compute_time * OPTIMIZER_FRACTION
+    barrier = max(finish, env.now)
     if robust:
         # Let background retries/backoffs/timers play out so the transfer
         # ledger settles (byte conservation is checked over a quiescent
         # trace).  The clock this runs up is deliberately NOT part of the
-        # iteration time, which was captured above.
+        # barrier, which was captured above.
         env.run()
-        if report is not None:
-            report.declared_dead = membership.dead()
-            report.retries = sum(e.retries for e in engines)
-
-    comm_busy = sum(nic.up_busy for nic in fabric.nics)
-    comm_ratio = (comm_busy / cluster.num_nodes) / iteration_time
-    measured_bw = (fabric.stats.bytes_sent / comm_busy
-                   if comm_busy > 0 else 0.0)
-    compression_time = (sum(g.log.busy_time("compression") for g in gpus)
-                        / cluster.num_nodes)
-    exposed = max(0.0, iteration_time - compute_time)
-    util = tuple(gpus[0].log.utilization_series(
-        bin_width=util_bin_s, horizon=iteration_time, category="compute"))
-    peaks = peak_buffer_memory(graph)
-    peak_memory = max(peaks.values()) if peaks else 0.0
-
-    if tel is not None:
-        iter_span = tel.begin(
-            f"iteration:{model.name}", category="iteration",
-            track="sim/iteration", at=0.0, strategy=strategy.name,
-            num_nodes=cluster.num_nodes)
-        tel.finish(iter_span, iteration_time)
-        labels = {"model": model.name, "strategy": strategy.name}
-        tel.metrics.counter("training.iterations").inc()
-        tel.metrics.gauge("training.iteration_time_s", **labels).set(
-            iteration_time)
-        tel.metrics.gauge("training.compute_time_s", **labels).set(
-            compute_time)
-        tel.metrics.gauge("training.comm_ratio", **labels).set(
-            min(1.0, comm_ratio))
-        tel.metrics.gauge("training.exposed_sync_s", **labels).set(exposed)
-        tel.metrics.gauge("training.compression_s", **labels).set(
-            compression_time)
-
-    return IterationResult(
-        model=model.name,
-        strategy=strategy.name,
-        num_nodes=cluster.num_nodes,
-        gpus_per_node=cluster.node.gpus_per_node,
-        iteration_time=iteration_time,
-        compute_time=compute_time,
-        batch_size=model.batch_size,
-        comm_ratio=min(1.0, comm_ratio),
-        exposed_sync_time=exposed,
-        compression_time=compression_time,
-        gpu_util_series=util,
-        coordinator_batches=coordinator.batches_flushed if coordinator else 0,
-        peak_comm_buffer_bytes=peak_memory,
-        fault_report=report,
-        measured_link_bandwidth=measured_bw,
-    )
+        report.declared_dead = membership.dead()
+        report.retries = sum(e.retries for e in engines)
+    return _Round(tel=tel, graph=graph, gpus=gpus, fabric=fabric,
+                  coordinator=coordinator, finish=finish,
+                  barrier=barrier, report=report, compute_time=compute_time)
 
 
 def scaling_efficiency(result: IterationResult) -> float:

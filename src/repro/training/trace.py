@@ -1,12 +1,17 @@
 """Chrome-trace export of a simulated iteration's task timeline.
 
-``trace_iteration`` runs one iteration like
-:func:`~repro.training.loop.simulate_iteration` but keeps the task graph
-and converts every task's (start, finish) into Chrome Trace Event Format
-(the JSON that ``chrome://tracing`` / Perfetto load), one row per node
-with GPU-compute, GPU-compression, CPU, and network lanes.  This is the
+``trace_iteration`` is a view over the round
+:func:`~repro.training.loop.simulate_iteration` runs, not a second
+driver: it runs that same round, with intra-node aggregation off (each
+gradient is ready the moment backward produces it), and converts every
+executed task's (start, finish) plus each GPU's compute intervals into
+:class:`TraceEvent` rows -- one row per node with GPU-compute,
+GPU-compression, host-CPU and network lanes.
+:meth:`IterationTrace.to_chrome_trace` writes the Chrome Trace Event
+Format JSON that ``chrome://tracing`` / Perfetto load; this is the
 debugging view the paper's Figure 9 nsight screenshots give their
-authors, for this simulator.
+authors.  :func:`trace_hash` digests the timeline; the golden hashes in
+``tests/golden/`` pin it.
 """
 
 from __future__ import annotations
@@ -17,24 +22,14 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from ..algorithms.base import CompressionAlgorithm
-from ..casync.passes import DEFAULT_PASS_CONFIG, PassConfig
+from ..casync.passes import PassConfig
 from ..casync.planner import GradientPlan
-from ..casync.tasks import Coordinator, NodeEngine, run_graph
 from ..cluster import ClusterSpec
-from ..faults import (
-    FaultInjector,
-    FaultSchedule,
-    Membership,
-    NodeRestart,
-    RetryPolicy,
-    run_graph_robust,
-)
-from ..gpu import Gpu
+from ..faults import FaultSchedule, RetryPolicy
 from ..models import ModelSpec
-from ..net import Fabric
-from ..sim import Environment, Interrupt
-from ..strategies.base import Strategy, SyncContext
-from ..telemetry import TelemetryCollector, current_collector
+from ..strategies.base import Strategy
+from ..telemetry import TelemetryCollector
+from .loop import _run_round
 
 __all__ = ["TraceEvent", "IterationTrace", "trace_iteration", "trace_hash"]
 
@@ -96,104 +91,23 @@ def trace_iteration(model: ModelSpec, cluster: ClusterSpec,
                     decisions=None) -> IterationTrace:
     """Simulate one iteration, returning the full task timeline.
 
-    The fault parameters mirror
-    :func:`~repro.training.loop.simulate_iteration`; with a non-empty
-    ``fault_schedule`` the timeline shows the degraded round (retries,
-    re-routed sends, dropped tasks) instead of the pristine one.
+    Every parameter means what it means to
+    :func:`~repro.training.loop.simulate_iteration`, which runs the same
+    round; with a non-empty ``fault_schedule`` the timeline shows the
+    degraded round (retries, re-routed sends, dropped tasks) instead of
+    the pristine one.
     """
-    schedule = fault_schedule if fault_schedule is not None else cluster.faults
-    faulty = schedule is not None and len(schedule) > 0
-    robust = faulty or retry_policy is not None
-    policy = retry_policy if retry_policy is not None else (
-        RetryPolicy() if faulty else None)
-    membership = Membership(cluster.num_nodes) if robust else None
-
-    tel = telemetry if telemetry is not None else current_collector()
-    env = Environment()
-    env.telemetry = tel
-    if tel is not None:
-        tel.start_run(
-            f"trace:{model.name}/{strategy.name}/{cluster.num_nodes}n")
-    fabric = Fabric(env, cluster.num_nodes, cluster.network)
-    gpus = [Gpu(env, cluster.node_at(i).gpu, index=i)
-            for i in range(cluster.num_nodes)]
-    pconf = pass_config if pass_config is not None else DEFAULT_PASS_CONFIG
-    coordinator = (Coordinator(env, fabric,
-                               size_threshold=pconf.coordinator_batch_bytes,
-                               timeout_s=pconf.coordinator_timeout_s,
-                               retry_policy=policy, membership=membership)
-                   if use_coordinator else None)
-    engines = [NodeEngine(env, i, gpus[i], fabric, coordinator=coordinator,
-                          batch_compression=batch_compression,
-                          retry_policy=policy, membership=membership,
-                          degradation=degradation)
-               for i in range(cluster.num_nodes)]
-    injector = (FaultInjector(env, schedule, fabric=fabric, gpus=gpus,
-                              engines=engines)
-                if faulty else None)
-    ready = {(node, grad.name): env.event()
-             for node in range(cluster.num_nodes)
-             for grad in model.gradients}
-    ctx = SyncContext(env=env, cluster=cluster, fabric=fabric, gpus=gpus,
-                      engines=engines, ready=ready, algorithm=algorithm,
-                      plans=plans, coordinator=coordinator,
-                      pass_config=pconf, decisions=decisions)
-    graph = strategy.build(ctx, model)
-
-    # One timing entry per distinct GPU model (one on homogeneous).
-    timings = {}
-    for node_spec in cluster.distinct_nodes():
-        if node_spec.gpu not in timings:
-            timings[node_spec.gpu] = (
-                model.forward_time(node_spec.gpu),
-                list(model.backward_schedule(node_spec.gpu)))
-
-    def node_process(node: int):
-        gpu = gpus[node]
-        forward, backward = timings[cluster.node_at(node).gpu]
-        recover_delay = 0.0
-        while True:
-            try:
-                if recover_delay > 0:
-                    yield env.timeout(recover_delay)
-                yield from gpu.run_compute(forward)
-                prev = 0.0
-                for offset, grad in backward:
-                    yield from gpu.run_compute(offset - prev)
-                    prev = offset
-                    if not ready[(node, grad.name)].triggered:
-                        ready[(node, grad.name)].succeed()
-                return
-            except Interrupt:
-                # Crashed; recover at the next scheduled restart (redoing
-                # the lost compute), or stay down for the round.
-                restarts = [] if schedule is None else [
-                    ev.at for ev in schedule
-                    if isinstance(ev, NodeRestart) and ev.node == node
-                    and ev.at >= env.now]
-                if not restarts:
-                    return
-                recover_delay = min(restarts) - env.now
-
-    node_procs = [env.process(node_process(i), name=f"node{i}")
-                  for i in range(cluster.num_nodes)]
-    if robust:
-        if injector is not None:
-            for i, proc in enumerate(node_procs):
-                injector.bind_node_process(i, proc)
-        node_events = {n: [ready[(n, grad.name)] for grad in model.gradients]
-                       for n in range(cluster.num_nodes)}
-        report = run_graph_robust(
-            env, graph, engines, membership, injector=injector,
-            deadline_s=sync_deadline_s, degradation=degradation,
-            heartbeat_timeout_s=heartbeat_timeout_s, node_events=node_events)
-        finish = report.finish_time
-        env.run()  # settle background retries so the timeline is complete
-    else:
-        finish = run_graph(env, graph, engines)
+    rnd = _run_round(
+        model, cluster, strategy, algorithm=algorithm, plans=plans,
+        use_coordinator=use_coordinator, batch_compression=batch_compression,
+        local_aggregation=False, fault_schedule=fault_schedule,
+        retry_policy=retry_policy, degradation=degradation,
+        sync_deadline_s=sync_deadline_s,
+        heartbeat_timeout_s=heartbeat_timeout_s, telemetry=telemetry,
+        pass_config=pass_config, decisions=decisions, label_prefix="trace:")
 
     events: List[TraceEvent] = []
-    for task in graph.tasks:
+    for task in rnd.graph.tasks:
         if task.kind == "notify" or task.started_at is None:
             continue
         start = task.started_at
@@ -203,14 +117,14 @@ def trace_iteration(model: ModelSpec, cluster: ClusterSpec,
             lane=_LANES.get(task.kind, task.kind),
             start=start, duration=max(0.0, end - start)))
     # GPU compute intervals come from the interval log.
-    for node, gpu in enumerate(gpus):
+    for node, gpu in enumerate(rnd.gpus):
         for start, end, category in gpu.log.intervals:
             if category == "compute":
                 events.append(TraceEvent(
                     name="dnn-compute", node=node, lane="gpu-compute",
                     start=start, duration=end - start))
     events.sort(key=lambda e: (e.node, e.lane, e.start))
-    return IterationTrace(events=events, finish_time=finish)
+    return IterationTrace(events=events, finish_time=rnd.finish)
 
 
 def trace_hash(trace: IterationTrace) -> str:

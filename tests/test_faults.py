@@ -6,6 +6,8 @@ and the determinism regression (identical seed + schedule -> identical
 event-trace hash) for every strategy.
 """
 
+import json
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -360,6 +362,14 @@ ALL_STRATEGIES = [
 ]
 
 
+#: Per-strategy fingerprints, pristine and under the seed-11 schedule,
+#: pinned so a change that shifts both runs of a determinism check the
+#: same way still fails.
+GOLDEN_FINGERPRINTS = json.loads(
+    (Path(__file__).parent / "golden" / "fault_fingerprints.json")
+    .read_text())
+
+
 def _trace_fingerprint(make_strategy, algo_factory, schedule):
     """trace hash on completion, or the (typed) abort coordinates."""
     algo = algo_factory() if algo_factory else None
@@ -381,6 +391,7 @@ def test_identical_seed_and_schedule_identical_trace(name, make_strategy,
     first = _trace_fingerprint(make_strategy, algo_factory, schedule)
     second = _trace_fingerprint(make_strategy, algo_factory, schedule)
     assert first == second
+    assert first == GOLDEN_FINGERPRINTS[f"{name}/seed11"]
 
 
 @pytest.mark.parametrize("name,make_strategy,algo_factory", ALL_STRATEGIES,
@@ -389,6 +400,7 @@ def test_pristine_trace_is_deterministic(name, make_strategy, algo_factory):
     first = _trace_fingerprint(make_strategy, algo_factory, None)
     second = _trace_fingerprint(make_strategy, algo_factory, None)
     assert first == second
+    assert first == GOLDEN_FINGERPRINTS[f"{name}/pristine"]
 
 
 @pytest.mark.parametrize("name,make_strategy,algo_factory", ALL_STRATEGIES,

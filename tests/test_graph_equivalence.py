@@ -8,6 +8,9 @@ used to build imperatively.  The golden hashes in
 ``tests/golden/trace_hashes.json`` were captured from the pre-refactor
 code; this suite replays every configuration through the current pipeline
 and compares :func:`~repro.training.trace.trace_hash` digests.
+:func:`~repro.training.trace.trace_iteration` runs the very round
+:func:`~repro.training.loop.simulate_iteration` runs, with intra-node
+aggregation off, so the goldens pin the real driver, not a copy of it.
 
 Every case also runs under an attached telemetry collector.  A collector
 disables the simulator's fast paths (inline sends, vectorized bulk
