@@ -4,15 +4,17 @@
 check_plan` over every cold-built plan (and its lowered recipe) before
 the recipe may serve warm iterations.  The acceptance bar is that this
 proof adds **< 10%** to the cold build it gates -- the analyzer consumes
-the shared :class:`~repro.casync.index.PlanIndex` the build pipeline
-already derived, so it pays only for rule evaluation.
+the shared :class:`~repro.casync.index.PlanIndex` that the build
+pipeline's verify stage already built (the plan's one structural walk,
+which also records the PC1xx findings), so it pays only for rule
+evaluation.
 
 Each rep times the two sides of the admission decision back to back
 (same process, interleaved, so machine drift cancels out of the ratio):
 
 * **cold** -- the full cache-miss path strict mode gates:
-  ``build_plan`` (passes + verify + index) -> ``lower_plan`` ->
-  ``instantiate``;
+  ``build_plan`` (passes + verify, which indexes the plan) ->
+  ``lower_plan`` -> ``instantiate``;
 * **check** -- ``check_plan(plan, recipe=...)``, exactly the call strict
   admission inserts between lowering and caching.
 

@@ -46,7 +46,6 @@ _API_NAMES = frozenset({
     "SyncPlan", "build_plan", "default_graph_cache", "get_pass",
     "list_passes", "register_pass", "sync_plan_dump", "verify_plan",
     "PlanCheckError", "PlanReport", "check_plan", "check_recipe",
-    "verify_diagnostics",
     "CompressionPolicy", "DecisionLog", "DecisionMap", "GradientDecision",
     "PolicyController", "PolicyRun", "parse_policy", "run_policy",
     "MetricsRegistry", "Span", "TelemetryCollector", "attach",

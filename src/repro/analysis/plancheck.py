@@ -3,21 +3,22 @@
 The pass pipeline (:mod:`repro.casync.passes`) earns its speedups by
 reordering, fusing, and bulk-routing communication -- exactly the
 transformations that can silently introduce deadlocks, lost sends, buffer
-races, or byte-flow leaks.  The in-pipeline :class:`VerifyPass` is a
-*local* guard: it checks each edge in isolation.  PlanCheck is the
-*global* one: given a post-passes :class:`~repro.casync.ir.SyncPlan` (and
-optionally its environment-free
-:class:`~repro.casync.lower.LoweredRecipe`), it builds an explicit
-happens-before relation from op dependencies, ``ReadyRef`` events,
-send/recv pairing, and fan-in barriers, then proves four properties,
-reporting violations as :class:`~repro.analysis.diagnostics.Diagnostic`
-records whose line spans index the plan dump
-(:meth:`~repro.casync.ir.SyncPlan.format_text`):
+races, or byte-flow leaks.  The structural rules each edge must obey
+on its own (PC1xx) are recorded by the plan's one structural walk,
+:meth:`repro.casync.index.PlanIndex.build`, which the pipeline's
+:class:`VerifyPass` runs and enforces.  PlanCheck reads those findings
+from the shared index and adds the *global* proofs: given a post-passes
+:class:`~repro.casync.ir.SyncPlan` (and optionally its
+environment-free :class:`~repro.casync.lower.LoweredRecipe`), it builds
+an explicit happens-before relation from op dependencies, ``ReadyRef``
+events, send/recv pairing, and fan-in barriers, then proves four
+properties, reporting violations as
+:class:`~repro.analysis.diagnostics.Diagnostic` records whose line spans
+index the plan dump (:meth:`~repro.casync.ir.SyncPlan.format_text`):
 
 1. **Deadlock-freedom** (PC10x) -- the dependency relation is acyclic,
    every cross-node receive is backed by a matching reachable ``send``,
-   and no send is lost.  Structural checks are shared with the verifier
-   (:func:`repro.casync.passes.verify_diagnostics`).
+   and no send is lost (the index's structural findings).
 2. **Buffer safety** (PC2xx) -- no unordered read/write or write/write
    pair touches the same gradient-buffer region, where a region is
    ``(node, gradient, partition)`` and an op with no partition token
@@ -64,11 +65,10 @@ from dataclasses import dataclass
 from typing import (Any, Callable, Dict, Iterable, Iterator, List, Optional,
                     Sequence, Set, Tuple)
 
-from ..casync.index import (PlanIndex, invalidate as invalidate_index,
-                            plan_index, region_pid as _region_pid)
-from ..casync.ir import Op, PlanVerificationError, ReadyRef, SyncPlan
-from ..casync.passes import (PassContext, _sizes_match, plan_file,
-                             verify_diagnostics)
+from ..casync.index import (PlanIndex, _sizes_match, plan_file, plan_index,
+                            region_pid as _region_pid)
+from ..casync.ir import Op, PlanVerificationError, SyncPlan
+from ..casync.passes import PassContext
 from .diagnostics import (Diagnostic, ERROR, count_by_severity, exit_code,
                           has_errors, render_text, sort_diagnostics)
 
@@ -82,9 +82,9 @@ __all__ = [
     "main",
 ]
 
-#: Every rule PlanCheck (or the shared structural verifier) can emit.
+#: Every rule PlanCheck (or the plan's structural index) can emit.
 PLANCHECK_RULES: Dict[str, str] = {
-    # structural / deadlock-freedom (repro.casync.passes.verify_diagnostics)
+    # structural / deadlock-freedom (repro.casync.index.PlanIndex.build)
     "PC100": "directive partition count out of range",
     "PC101": "duplicate op uid",
     "PC102": "unknown op kind",
@@ -189,12 +189,13 @@ class _PlanAnalyzer:
 
     All structural derivations (uid->index map, predecessor lists,
     gradient groups, ready seeds, encode/decode classification) come
-    from the shared :class:`~repro.casync.index.PlanIndex` -- computed
-    once per plan at the end of ``build_plan`` and reused by lowering --
+    from the shared :class:`~repro.casync.index.PlanIndex` -- built once
+    per plan by ``build_plan``'s verify stage and reused by lowering --
     so on the GraphCache admission path the analyzer pays only for rule
-    *evaluation*.  When a lowered ``recipe`` is supplied, the PC6xx
-    cross-checks mirror each spec against the same index
-    (:meth:`_check_recipe_specs`).
+    *evaluation*.  A plan whose index has structural findings raises
+    :class:`~repro.casync.ir.PlanVerificationError` instead.  When a
+    lowered ``recipe`` is supplied, the PC6xx cross-checks mirror each
+    spec against the same index (:meth:`_check_recipe_specs`).
     """
 
     def __init__(self, plan: SyncPlan, pctx: Optional[PassContext],
@@ -210,6 +211,7 @@ class _PlanAnalyzer:
         self._wire_memo: Dict[Tuple[Optional[str], float, bool], float] = {}
         self.findings: List[Diagnostic] = []
         idx = plan_index(plan)
+        idx.raise_if_invalid(plan, file)
         self.index_of = idx.index_of
         self.preds = idx.preds
         self.by_grad = idx.by_grad
@@ -278,7 +280,6 @@ class _PlanAnalyzer:
                 f"{len(ops)} ops")
             return
         encodings = idx.dep_encodings
-        index_of = idx.index_of
         wire_op = None if self.pctx is None else self.pctx.wire_op
         #: gradient -> [(nbytes, compressed, wire), ...] -- the inline
         #: wire-size cache (sends dominate large plans; a tuple-keyed
@@ -294,10 +295,10 @@ class _PlanAnalyzer:
             if (not dmatch or spec.label != op.label
                     or spec.node != op.node
                     or spec.duration < 0 or spec.nbytes < 0):
-                self._check_spec(i, spec, op, sdeps, dmatch, index_of)
+                self._check_spec(i, spec, op, expected)
             elif op.kind == "send":
                 if spec.dst != op.dst:
-                    self._check_spec(i, spec, op, sdeps, dmatch, index_of)
+                    self._check_spec(i, spec, op, expected)
                 elif wire_op is not None:
                     sz = op.size
                     nb = sz.nbytes
@@ -316,17 +317,12 @@ class _PlanAnalyzer:
                         wlist.append((nb, comp, wire))
                     if (spec.nbytes != wire
                             and not _sizes_match(spec.nbytes, wire)):
-                        self._check_spec(i, spec, op, sdeps, dmatch,
-                                         index_of)
+                        self._check_spec(i, spec, op, expected)
 
-    def _check_spec(self, i: int, spec: Any, op: Op, sdeps: Any,
-                    dmatch: bool, index_of: Dict[int, int]) -> None:
-        """PC602-PC606 for one (spec, op) pair (see :func:`check_recipe`).
-
-        ``dmatch`` is the dependency-mirror verdict the shared dep walk
-        already computed; the slow path below only re-derives the
-        expected encoding to build the message.
-        """
+    def _check_spec(self, i: int, spec: Any, op: Op,
+                    expected: Tuple[Tuple[object, ...], ...]) -> None:
+        """PC602-PC606 for one (spec, op) pair (see :func:`check_recipe`);
+        ``expected`` is the index's encoding of the op's deps."""
         if spec.node != op.node or spec.label != op.label:
             self.emit(
                 "PC602",
@@ -345,23 +341,18 @@ class _PlanAnalyzer:
                 f"spec[{i}] for {op!r} has negative cost "
                 f"(duration={spec.duration}, nbytes={spec.nbytes})",
                 uid=op.uid)
+        sdeps = spec.deps
         for sd in sdeps:
             if sd[0] == "t" and sd[1] >= i:
                 self.emit(
                     "PC604",
                     f"spec[{i}] depends on spec[{sd[1]}], which is not "
                     f"earlier in the recipe", uid=op.uid)
-        if not dmatch:
-            expected: List[Tuple[Any, ...]] = []
-            for dep in op.deps:
-                if type(dep) is ReadyRef:
-                    expected.append(("r", dep.node, dep.gradient))
-                else:
-                    expected.append(("t", index_of[dep]))
+        if sdeps != expected:
             self.emit(
                 "PC603",
                 f"spec[{i}] dependency encoding {list(sdeps)!r} "
-                f"disagrees with {op!r} deps {expected!r}", uid=op.uid)
+                f"disagrees with {op!r} deps {list(expected)!r}", uid=op.uid)
         if kind == "send" and self.pctx is not None:
             wire = self.wire_of(op)
             if spec.nbytes != wire and not _sizes_match(spec.nbytes, wire):
@@ -892,7 +883,7 @@ def check_recipe(plan: SyncPlan, recipe: Any,
     :class:`~repro.casync.passes.PassContext` is supplied -- send wire
     sizes that agree with the shared size model.
 
-    The plan must be structurally valid (topologically ordered ops);
+    Structural findings raise :class:`~repro.casync.ir.PlanVerificationError`;
     the checks themselves run in the analyzer's recipe mirror
     (:meth:`_PlanAnalyzer._check_recipe_specs`, against the shared
     :class:`~repro.casync.index.PlanIndex`), and this entry point just
@@ -904,30 +895,19 @@ def check_recipe(plan: SyncPlan, recipe: Any,
 
 
 def check_plan(plan: SyncPlan, pctx: Optional[PassContext] = None,
-               recipe: Any = None, name: Optional[str] = None,
-               structural: Optional[bool] = None) -> PlanReport:
+               recipe: Any = None, name: Optional[str] = None) -> PlanReport:
     """Prove the four PlanCheck properties over one plan.
 
     ``pctx`` enables the context-dependent rules (PC402/PC501 wire
     thresholds, PC606); ``recipe`` adds the PC6xx lowering cross-checks.
-    ``structural`` controls whether the PC1xx structural pass re-runs:
-    the default (None) skips it for plans the pipeline already verified
-    (``meta["verified"]``), which is what keeps strict cache admission
-    cheap; pass True to force it (the CLI does).
+    The PC1xx findings are those of the plan's cached
+    :class:`~repro.casync.index.PlanIndex`.
 
     Deep analyses assume topological op order, so any structural error
     short-circuits the report to just the PC1xx findings.
     """
     file = plan_file(plan, name)
-    run_structural = (structural if structural is not None
-                      else not plan.meta.get("verified"))
-    diagnostics: List[Diagnostic] = []
-    if run_structural:
-        diagnostics.extend(verify_diagnostics(plan, name=file))
-        # A structural re-verify means the plan's provenance is not
-        # trusted (hand-built, or possibly mutated since the pipeline
-        # indexed it) -- so any cached structural index is not either.
-        invalidate_index(plan)
+    diagnostics = plan_index(plan).diagnostics(plan, file)
     if not diagnostics:
         # The analyzer's transient index structures (one preds list per
         # op) are exactly the allocation pattern that trips generational
@@ -1108,8 +1088,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.case and args.case not in case_name:
             continue
         plan, pctx, recipe = build()
-        report = check_plan(plan, pctx=pctx, recipe=recipe,
-                            name=case_name, structural=True)
+        report = check_plan(plan, pctx=pctx, recipe=recipe, name=case_name)
         reports.append(report)
         if args.format == "text":
             print(report.render_text())

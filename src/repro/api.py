@@ -105,7 +105,6 @@ from .casync import (
     get_pass,
     list_passes,
     register_pass,
-    verify_diagnostics,
     verify_plan,
 )
 from .casync.lower import (
@@ -206,7 +205,6 @@ __all__ = [
     "list_passes", "register_pass", "sync_plan_dump", "verify_plan",
     # whole-plan analyzer (see docs/ANALYSIS.md)
     "PlanCheckError", "PlanReport", "check_plan", "check_recipe",
-    "verify_diagnostics",
     # adaptive control plane (see docs/ADAPTIVE.md)
     "CompressionPolicy", "DecisionLog", "DecisionMap", "GradientDecision",
     "PolicyController", "PolicyRun", "parse_policy", "run_policy",

@@ -1,50 +1,49 @@
-"""PlanIndex: the canonical derived structural view of a SyncPlan.
+"""PlanIndex: the one structural walk of a SyncPlan.
 
-Several consumers of a built plan each used to re-derive the same
-structural facts with their own ad-hoc walks:
+In the CaSync design (§3.1) the whole synchronization task graph is
+known before the iteration starts, so its structure is checked
+statically, once.  :meth:`PlanIndex.build` is that single walk: one loop
+over ``plan.ops`` derives the uid -> position map and dependency
+encodings :func:`repro.casync.lower.lower_plan` lowers, the predecessor
+lists, ready seeds, gradient groups and buffer regions
+:mod:`repro.analysis.plancheck` evaluates its rules over, and the
+structural findings PC100-PC110 (unique uids, known kinds, nodes in
+range, no self-sends, non-negative sizes, deps only on earlier ops,
+node-local ready events, every cross-node dep backed by a send to that
+node, every send consumed on its destination, bytes conserved along
+each send -> consumer flow).
 
-* :func:`repro.casync.lower.lower_plan` resolved every dependency uid to
-  an op position to encode spec dependencies;
-* :mod:`repro.analysis.plancheck` rebuilt the same position map plus
-  predecessor lists, sink flags, ready-event seeds, per-gradient op
-  groups and buffer-region classifications on every admission check;
-* ad-hoc scripts grouped ops by gradient yet again.
-
-:class:`PlanIndex` computes all of it in one pass and is cached per
-plan object (:func:`plan_index`), so the pipeline derives the structure
-exactly once: :func:`~repro.casync.passes.build_plan` populates the
-cache right after verification, lowering consumes the dependency
-encodings, and the whole-plan analyzer consumes everything else.  That
-sharing is what keeps strict :class:`~repro.casync.lower.GraphCache`
-admission cheap relative to a cold build.
-
-The index is a *pure derivation* of ``plan.ops`` -- it restates the
-plan's structure in a different shape and never summarizes a judgement
-about it, so consuming it does not weaken any downstream proof: an
-analyzer reading ``preds`` sees exactly the dependency edges a buggy
-optimization pass left in the plan.  Anything that *evaluates* a rule
-(size models, happens-before searches, coverage) stays with the
-analyzer.
-
-The builder assumes a structurally valid plan (unique uids, deps
-referencing earlier ops) -- the shape :func:`~repro.casync.passes.
-verify_diagnostics` proves.  A dangling dependency raises ``KeyError``.
+:func:`plan_index` caches the index per plan object; ``build_plan``'s
+:class:`~repro.casync.passes.VerifyPass` builds it and rejects a plan
+with findings, and lowering and the analyzer reuse it.  An index with
+findings is partial (a dangling dep has no encoding), so ``lower_plan``
+and ``check_recipe`` refuse it; ``check_plan`` reports it.  Beyond
+those shape findings the index evaluates nothing: an analyzer reading
+``preds`` sees exactly the edges a buggy optimization pass left.
 """
 
 from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
-from .ir import Op, ReadyRef, SyncPlan
+from ..analysis.diagnostics import Diagnostic, ERROR, render_text
+from .ir import OP_KINDS, Op, PlanVerificationError, ReadyRef, SyncPlan
 
-__all__ = ["PlanIndex", "invalidate", "plan_index", "region_pid"]
+__all__ = ["PlanIndex", "invalidate", "plan_file", "plan_index",
+           "region_pid"]
 
 
 #: The region tag grammar: ``.p3`` / ``.c3`` name partition (or chunk)
 #: regions of a gradient's buffer; anything else aliases whole-buffer.
 REGION_PATTERN = r"\.[pc](\d+)(?![A-Za-z0-9_])"
+
+_KINDS = frozenset(OP_KINDS)
+
+#: One structural finding: (rule, message, location), where the
+#: location is an op uid or a directive name.
+_Finding = Tuple[str, str, Union[int, str]]
 
 
 def region_pid(op: Op) -> Optional[int]:
@@ -85,9 +84,39 @@ def region_pid(op: Op) -> Optional[int]:
         end = at + 1  # keep scanning left past the non-match
 
 
+def _sizes_match(a: float, b: float) -> bool:
+    return abs(a - b) <= 1e-6 * max(abs(a), abs(b), 1.0)
+
+
+def _flow_findings(send: Op, consumer: Op) -> List[str]:
+    """Byte-conservation violations along one cross-node edge (PC110)."""
+    out: List[str] = []
+    kind = consumer.kind
+    sent = send.size
+    got = consumer.size
+    if kind in ("decode", "decode_merge") and not sent.compressed:
+        out.append(f"{consumer!r} decodes {send!r}, which is not compressed")
+    elif kind == "merge" and sent.compressed:
+        out.append(f"{consumer!r} merges compressed payload from {send!r} "
+                   "without a decode")
+    # send->send forwarding and barriers carry no payload contract.
+    sized = (kind in ("decode", "decode_merge", "merge", "copy")
+             or (kind == "cpu" and consumer.attrs.get("duration_s") is None
+                 and bool(got.nbytes)))
+    if sized and not _sizes_match(sent.nbytes, got.nbytes):
+        out.append(f"byte-count mismatch along {send!r} -> {consumer!r}: "
+                   f"{sent.nbytes} != {got.nbytes}")
+    return out
+
+
+def plan_file(plan: SyncPlan, name: Optional[str] = None) -> str:
+    """The ``file`` field plan diagnostics carry (spans index the dump)."""
+    return name if name else f"<syncplan:{plan.strategy}>"
+
+
 @dataclass
 class PlanIndex:
-    """One-pass structural index of a (verified) SyncPlan.
+    """One-pass structural index of a SyncPlan.
 
     All fields are positional (op-list indexes), not uid-keyed, except
     ``index_of`` which is the uid -> position map itself.  Consumers
@@ -120,6 +149,9 @@ class PlanIndex:
     bulk_sends: List[int]
     #: is_enc[i] == 1 when op i is an encode.
     is_enc: bytearray
+    #: PC100-PC110 findings: directives, then ops in plan order, then
+    #: lost sends.  Empty for a structurally valid plan.
+    findings: List[_Finding]
     #: (producer, consumer) position pairs whose producer is an encode.
     encode_out_edges: List[Tuple[int, int]] = field(default_factory=list)
 
@@ -127,6 +159,14 @@ class PlanIndex:
     def build(cls, plan: SyncPlan) -> "PlanIndex":
         ops = plan.ops
         n_ops = len(ops)
+        n = plan.num_nodes
+        findings: List[_Finding] = []
+        for dname in plan.directives:
+            partitions = plan.directives[dname].partitions
+            if partitions < 1:
+                findings.append((
+                    "PC100", f"directive {dname}: partitions must be >= 1, "
+                    f"got {partitions}", dname))
         index_of: Dict[int, int] = {}
         preds: List[List[int]] = []
         dep_encodings: List[Tuple[Tuple[object, ...], ...]] = []
@@ -139,36 +179,42 @@ class PlanIndex:
         bulk_sends: List[int] = []
         is_enc = bytearray(n_ops)
         encode_out_edges: List[Tuple[int, int]] = []
+        #: In-range sends, and whether an op on their destination consumes
+        #: them (PC109).
+        sends: List[int] = []
+        delivered = bytearray(n_ops)
         preds_append = preds.append
         enc_append = dep_encodings.append
         edges_append = encode_out_edges.append
         ready_get = ready_seeds.get
         by_grad_get = by_grad.get
         encodes_get = encodes.get
+        index_get = index_of.get
         for i, op in enumerate(ops):
-            index_of[op.uid] = i
-            uid_deps: List[int] = []
-            enc_row: List[Tuple[object, ...]] = []
-            for dep in op.deps:
-                if type(dep) is ReadyRef:
-                    g = dep.gradient
-                    seeds = ready_get(g)
-                    if seeds is None:
-                        ready_seeds[g] = [(i, dep.node)]
-                    else:
-                        seeds.append((i, dep.node))
-                    enc_row.append(("r", dep.node, g))
-                else:
-                    j = index_of[dep]
-                    uid_deps.append(j)
-                    consumed[j] = 1
-                    if is_enc[j]:
-                        edges_append((j, i))
-                    enc_row.append(("t", j))
-            preds_append(uid_deps)
-            enc_append(tuple(enc_row))
-            grad = op.grad
+            uid = op.uid
             kind = op.kind
+            node = op.node
+            grad = op.grad
+            if uid in index_of:
+                findings.append(("PC101", f"duplicate op uid {uid}", uid))
+            if kind not in _KINDS:
+                findings.append(("PC102", f"unknown op kind {kind!r}", uid))
+            node_ok = 0 <= node < n
+            if not node_ok:
+                findings.append(("PC103", f"{op!r}: node out of range", uid))
+            if kind == "send":
+                dst = op.dst
+                if dst is None or not 0 <= dst < n:
+                    findings.append(("PC103", f"{op!r}: send destination "
+                                     "out of range", uid))
+                else:
+                    if dst == node:
+                        findings.append(("PC104", f"{op!r}: self-send", uid))
+                    sends.append(i)
+                if op.attrs.get("bulk"):
+                    bulk_sends.append(i)
+            if op.size.nbytes < 0:
+                findings.append(("PC105", f"{op!r}: negative size", uid))
             if grad is not None:
                 glist = by_grad_get(grad)
                 if glist is None:
@@ -185,21 +231,99 @@ class PlanIndex:
                         encodes[ekey] = [i]
                     else:
                         elist.append(i)
-            elif kind == "send":
-                if op.attrs.get("bulk"):
-                    bulk_sends.append(i)
             elif kind == "decode":
                 if (grad is not None and not op.attrs.get("fused")
                         and not op.attrs.get("allocates_output")):
                     plain_decodes.append(i)
                     region_pids[i] = region_pid(op)
+            uid_deps: List[int] = []
+            enc_row: List[Tuple[object, ...]] = []
+            for dep in op.deps:
+                if type(dep) is ReadyRef:
+                    rnode = dep.node
+                    if rnode != node or not node_ok:
+                        if not 0 <= rnode < n:
+                            findings.append(("PC103", f"{op!r}: ready ref "
+                                             "node out of range", uid))
+                        else:
+                            findings.append((
+                                "PC107", f"{op!r} depends on gradient "
+                                f"readiness of remote node {rnode}; ready "
+                                "events are node-local", uid))
+                    g = dep.gradient
+                    seeds = ready_get(g)
+                    if seeds is None:
+                        ready_seeds[g] = [(i, rnode)]
+                    else:
+                        seeds.append((i, rnode))
+                    enc_row.append(("r", rnode, g))
+                    continue
+                # index_of only holds earlier ops (this op's own uid is
+                # recorded after its deps), so a self-, forward or
+                # dangling dependency is unresolved here.
+                j = index_get(dep)
+                if j is None:
+                    findings.append((
+                        "PC106", f"{op!r} depends on unknown or later op "
+                        f"#{dep} (cycle or dangling edge)", uid))
+                    continue
+                uid_deps.append(j)
+                consumed[j] = 1
+                if is_enc[j]:
+                    edges_append((j, i))
+                enc_row.append(("t", j))
+                dop = ops[j]
+                if dop.dst == node and dop.kind == "send":  # delivered here
+                    delivered[j] = 1
+                    if dop.node != node:
+                        for message in _flow_findings(dop, op):
+                            findings.append(("PC110", message, uid))
+                elif dop.node != node:
+                    findings.append((
+                        "PC108", f"{op!r} receives from node {dop.node} "
+                        f"but dependency {dop!r} is not a send targeting "
+                        f"node {node}", uid))
+            preds_append(uid_deps)
+            enc_append(tuple(enc_row))
+            index_of[uid] = i
+        for j in sends:
+            if not delivered[j]:
+                op = ops[j]
+                findings.append(("PC109", f"{op!r} is never consumed on "
+                                 f"destination node {op.dst}", op.uid))
         return cls(
             num_ops=n_ops, index_of=index_of, preds=preds,
             dep_encodings=dep_encodings, consumed=consumed,
             ready_seeds=ready_seeds, by_grad=by_grad, encodes=encodes,
             region_pids=region_pids, plain_decodes=plain_decodes,
-            bulk_sends=bulk_sends, is_enc=is_enc,
+            bulk_sends=bulk_sends, is_enc=is_enc, findings=findings,
             encode_out_edges=encode_out_edges)
+
+    def diagnostics(self, plan: SyncPlan,
+                    name: Optional[str] = None) -> List[Diagnostic]:
+        """The findings as diagnostics of ``plan`` (the indexed plan),
+        their lines indexing :meth:`SyncPlan.format_text` (the
+        ``--dump-sync-plan`` text); ``name`` overrides the ``file``."""
+        if not self.findings:
+            return []
+        file = plan_file(plan, name)
+        op_lines = plan.op_lines()
+        dir_lines = plan.directive_lines()
+        return [Diagnostic(rule=rule, severity=ERROR, message=message,
+                           file=file,
+                           line=(op_lines.get(where, 0)
+                                 if isinstance(where, int)
+                                 else dir_lines.get(where, 0)))
+                for rule, message, where in self.findings]
+
+    def raise_if_invalid(self, plan: SyncPlan,
+                         name: Optional[str] = None) -> None:
+        """Raise :class:`~repro.casync.ir.PlanVerificationError` carrying
+        the findings (rendered as the message, and on ``.diagnostics``)."""
+        if self.findings:
+            diags = self.diagnostics(plan, name)
+            raise PlanVerificationError(
+                render_text(diags, summary=False), diagnostics=diags)
 
 
 #: Per-plan-object cache; entries die with their plan.
@@ -211,10 +335,9 @@ def plan_index(plan: SyncPlan) -> PlanIndex:
     """The cached :class:`PlanIndex` of ``plan`` (built on first use).
 
     The cache is keyed by object identity and guarded by op count, so a
-    plan mutated *in place* after indexing (outside the build pipeline,
-    which indexes only after its last pass) should be re-indexed by the
-    caller if the op count happens to match; ``build_plan`` output is
-    final and always safe.
+    plan mutated *in place* after indexing should be re-indexed by the
+    caller (:func:`invalidate`) if the op count happens to match;
+    ``build_plan`` output is final and always safe.
     """
     idx = _INDEX_CACHE.get(plan)
     if idx is None or idx.num_ops != len(plan.ops):

@@ -62,10 +62,8 @@ class PlanVerificationError(ValueError):
 
     ``diagnostics`` carries the structured findings
     (:class:`~repro.analysis.diagnostics.Diagnostic` records, one per
-    violation) when the error was raised by
-    :func:`~repro.casync.passes.verify_diagnostics`-backed callers; the
-    message is their rendered text, so ``str(exc)`` keeps the historical
-    substrings tests match on.
+    violation); the message is their rendered text, so ``str(exc)``
+    keeps the historical substrings tests match on.
     """
 
     def __init__(self, message: str,

@@ -139,6 +139,9 @@ def _spec_for(op: Op, builder, pctx: PassContext,
 def lower_plan(plan: SyncPlan, pctx: PassContext) -> LoweredRecipe:
     """Resolve a (verified) plan into an environment-free recipe.
 
+    Raises :class:`~repro.casync.ir.PlanVerificationError` when the plan
+    has structural findings (see :mod:`repro.casync.index`).
+
     Under an adaptive :class:`~repro.casync.decisions.DecisionMap`, each
     op is costed through a TaskBuilder bound to *its gradient's* codec
     (one builder per palette entry, created lazily); without decisions
@@ -162,11 +165,13 @@ def lower_plan(plan: SyncPlan, pctx: PassContext) -> LoweredRecipe:
             builders[key] = chosen
         return chosen
 
-    # The uid->position map and dependency encodings come from the shared
-    # structural index (computed once per plan at the end of build_plan);
-    # specs reference the index's tuples directly, so the whole-plan
-    # analyzer can cross-check recipe deps by identity.
-    encodings = plan_index(plan).dep_encodings
+    # The dependency encodings come from the shared structural index
+    # (built by build_plan's verify stage); specs reference the index's
+    # tuples directly, so the whole-plan analyzer can cross-check recipe
+    # deps by identity.
+    idx = plan_index(plan)
+    idx.raise_if_invalid(plan)
+    encodings = idx.dep_encodings
     specs: List[TaskSpec] = []
     for i, op in enumerate(plan.ops):
         specs.append(_spec_for(op, builder_for(op), pctx, encodings[i]))

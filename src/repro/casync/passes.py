@@ -47,19 +47,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import (Any, Callable, Dict, List, Optional, Sequence, Tuple,
-                    Type, Union)
+                    Type)
 
-from ..analysis.diagnostics import Diagnostic, ERROR, render_text
 from ..errors import ConfigError
 from .decisions import DecisionMap
-from .index import plan_index
-from .ir import (
-    Directive,
-    Op,
-    PlanVerificationError,
-    ReadyRef,
-    SyncPlan,
-)
+from .index import invalidate, plan_index
+from .ir import Directive, Op, ReadyRef, SyncPlan
 from .planner import GradientPlan
 
 __all__ = [
@@ -79,7 +72,6 @@ __all__ = [
     "get_pass",
     "list_passes",
     "register_pass",
-    "verify_diagnostics",
     "verify_plan",
     "wire_nbytes",
 ]
@@ -436,6 +428,7 @@ class VerifyPass(Pass):
 
     def run(self, plan: SyncPlan, pctx: PassContext) -> None:
         verify_plan(plan)
+        # Provenance only: plan digests and golden dumps pin the stamp.
         plan.meta["verified"] = True
 
 
@@ -542,188 +535,16 @@ for _cls in (SelectivePass, AdaptivePass, PartitionPass,
 del _cls
 
 
-def _sizes_match(a: float, b: float) -> bool:
-    return abs(a - b) <= 1e-6 * max(abs(a), abs(b), 1.0)
-
-
-#: Location of one structural finding inside a plan: an op uid, a
-#: directive name, or nothing.
-_Loc = Union[Tuple[str, int], Tuple[str, str], None]
-_Finding = Tuple[str, str, _Loc]
-
-
-def _flow_findings(send: Op, consumer: Op) -> List[str]:
-    """Byte-conservation violations along one cross-node edge (PC110)."""
-    out: List[str] = []
-    mismatch = (f"byte-count mismatch along {send!r} -> {consumer!r}: "
-                f"{send.size.nbytes} != {consumer.size.nbytes}")
-    if consumer.kind in ("decode", "decode_merge"):
-        if not send.size.compressed:
-            out.append(
-                f"{consumer!r} decodes {send!r}, which is not compressed")
-        if not _sizes_match(send.size.nbytes, consumer.size.nbytes):
-            out.append(mismatch)
-    elif consumer.kind == "merge":
-        if send.size.compressed:
-            out.append(
-                f"{consumer!r} merges compressed payload from {send!r} "
-                "without a decode")
-        if not _sizes_match(send.size.nbytes, consumer.size.nbytes):
-            out.append(mismatch)
-    elif consumer.kind == "copy":
-        if not _sizes_match(send.size.nbytes, consumer.size.nbytes):
-            out.append(mismatch)
-    elif consumer.kind == "cpu":
-        if (consumer.attrs.get("duration_s") is None
-                and consumer.size.nbytes
-                and not _sizes_match(send.size.nbytes,
-                                     consumer.size.nbytes)):
-            out.append(mismatch)
-    # send->send forwarding and barriers carry no payload contract.
-    return out
-
-
-def plan_file(plan: SyncPlan, name: Optional[str] = None) -> str:
-    """The ``file`` field plan diagnostics carry (spans index the dump)."""
-    return name if name else f"<syncplan:{plan.strategy}>"
-
-
-def _materialize(plan: SyncPlan, findings: List[_Finding],
-                 name: Optional[str]) -> List[Diagnostic]:
-    """Turn (rule, message, loc) rows into located Diagnostics.
-
-    Line numbers index :meth:`SyncPlan.format_text` -- the dump a user
-    can print with ``--dump-sync-plan`` -- and are only computed when
-    there is something to report.
-    """
-    if not findings:
-        return []
-    file = plan_file(plan, name)
-    op_lines = plan.op_lines()
-    dir_lines = plan.directive_lines()
-    out: List[Diagnostic] = []
-    for rule, message, loc in findings:
-        line = 0
-        if loc is not None:
-            kind, key = loc
-            if kind == "op" and isinstance(key, int):
-                line = op_lines.get(key, 0)
-            elif kind == "dir" and isinstance(key, str):
-                line = dir_lines.get(key, 0)
-        out.append(Diagnostic(rule=rule, severity=ERROR, message=message,
-                              file=file, line=line))
-    return out
-
-
-def verify_diagnostics(plan: SyncPlan,
-                       name: Optional[str] = None) -> List[Diagnostic]:
-    """Structural verification of a SyncPlan, as typed diagnostics.
-
-    Checks, in the spirit of the CompLL layout proofs (PR 3):
-
-    * ops appear in topological order and reference only earlier ops
-      (acyclicity) with unique uids (PC101, PC106);
-    * every node / send destination is inside the cluster, no self-sends
-      (PC102-PC104), sizes are non-negative (PC105);
-    * ready-event dependencies are local to the consuming node (PC107);
-    * every cross-node dependency is backed by a matching ``send`` whose
-      destination is the consuming node ("every recv matched to a send",
-      PC108);
-    * every send is consumed by at least one op on its destination
-      (PC109);
-    * bytes are conserved along each send -> consumer flow, and
-      compressed payloads are only consumed by decoding ops (PC110).
-
-    Returns *all* violations (the legacy :func:`verify_plan` stopped at
-    the first), each carrying a PC1xx rule id and a line span into
-    :meth:`SyncPlan.format_text`.  ``name`` overrides the diagnostics'
-    ``file`` field (defaults to ``<syncplan:STRATEGY>``).
-    """
-    n = plan.num_nodes
-    findings: List[_Finding] = []
-    for dname in plan.directives:
-        directive = plan.directives[dname]
-        if directive.partitions < 1:
-            findings.append((
-                "PC100",
-                f"directive {dname}: partitions must be >= 1, "
-                f"got {directive.partitions}",
-                ("dir", dname)))
-    seen: Dict[int, Op] = {}
-    consumers: Dict[int, List[Op]] = {}
-    for op in plan.ops:
-        loc: _Loc = ("op", op.uid)
-        if op.uid in seen:
-            findings.append(("PC101", f"duplicate op uid {op.uid}", loc))
-        if op.kind not in ("encode", "decode", "merge", "decode_merge",
-                           "copy", "cpu", "send", "barrier"):
-            findings.append(("PC102", f"unknown op kind {op.kind!r}", loc))
-        if not 0 <= op.node < n:
-            findings.append(("PC103", f"{op!r}: node out of range", loc))
-        if op.kind == "send":
-            if op.dst is None or not 0 <= op.dst < n:
-                findings.append((
-                    "PC103", f"{op!r}: send destination out of range", loc))
-            elif op.dst == op.node:
-                findings.append(("PC104", f"{op!r}: self-send", loc))
-        if op.size.nbytes < 0:
-            findings.append(("PC105", f"{op!r}: negative size", loc))
-        for dep in op.deps:
-            if isinstance(dep, ReadyRef):
-                if not 0 <= dep.node < n:
-                    findings.append((
-                        "PC103", f"{op!r}: ready ref node out of range",
-                        loc))
-                elif dep.node != op.node:
-                    findings.append((
-                        "PC107",
-                        f"{op!r} depends on gradient readiness of remote "
-                        f"node {dep.node}; ready events are node-local",
-                        loc))
-                continue
-            dep_op = seen.get(dep)
-            if dep_op is None:
-                findings.append((
-                    "PC106",
-                    f"{op!r} depends on unknown or later op #{dep} "
-                    "(cycle or dangling edge)", loc))
-                continue
-            consumers.setdefault(dep, []).append(op)
-            if dep_op.node != op.node:
-                if dep_op.kind != "send" or dep_op.dst != op.node:
-                    findings.append((
-                        "PC108",
-                        f"{op!r} receives from node {dep_op.node} but "
-                        f"dependency {dep_op!r} is not a send targeting "
-                        f"node {op.node}", loc))
-                else:
-                    for message in _flow_findings(dep_op, op):
-                        findings.append(("PC110", message, loc))
-        seen[op.uid] = op
-    for op in plan.ops:
-        if op.kind != "send":
-            continue
-        if op.dst is None or not 0 <= op.dst < n:
-            continue  # already PC103
-        if not any(c.node == op.dst for c in consumers.get(op.uid, [])):
-            findings.append((
-                "PC109",
-                f"{op!r} is never consumed on destination node {op.dst}",
-                ("op", op.uid)))
-    return _materialize(plan, findings, name)
-
-
 def verify_plan(plan: SyncPlan, name: Optional[str] = None) -> None:
-    """Structural verification of a SyncPlan (see :func:`verify_diagnostics`).
+    """Structural verification of a SyncPlan (PC100-PC110).
 
-    Raises :class:`~repro.casync.ir.PlanVerificationError` carrying the
-    rendered findings as its message (historical substrings intact) and
-    the structured records on ``exc.diagnostics``.
+    Re-derives and caches the plan's :class:`~repro.casync.index.PlanIndex`
+    (the plan may have been edited in place since it was last indexed)
+    and raises :class:`~repro.casync.ir.PlanVerificationError` carrying
+    all of its findings; ``name`` overrides their ``file`` field.
     """
-    diags = verify_diagnostics(plan, name=name)
-    if diags:
-        raise PlanVerificationError(
-            render_text(diags, summary=False), diagnostics=diags)
+    invalidate(plan)
+    plan_index(plan).raise_if_invalid(plan, name)
 
 
 def build_plan(strategy: Any, pctx: PassContext, model: Any,
@@ -770,11 +591,7 @@ def build_plan(strategy: Any, pctx: PassContext, model: Any,
     # runs on every plan (and is deliberately absent from meta["passes"],
     # which golden plan dumps pin).
     CollapseFanInPass().run(plan, pctx)
+    # Verifying indexes the plan; lowering and the analyzer reuse it.
     run_stage("verify", lambda: VerifyPass().run(plan, pctx))
-    # Populate the shared structural index of the finished plan (see
-    # repro.casync.index): lowering and the whole-plan analyzer both
-    # consume it, so it is derived once here as part of every cold
-    # build.  Like CollapseFanInPass, not a strategy-selectable stage.
-    plan_index(plan)
     plan.meta["passes"] = applied
     return plan

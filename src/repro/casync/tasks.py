@@ -172,8 +172,9 @@ def robust_transfer(env: Environment, fabric: Fabric, src: int, dst: int,
 
     The robustness contract every fault-tolerant sender shares:
 
-    * each attempt gets an expectation-scaled timeout; a stalled attempt is
-      interrupted (abandoned bytes are logged as dropped by the fabric) and
+    * each attempt gets a timeout scaled from the pair's own uncontended
+      transfer time (:meth:`Fabric.pair_transfer_time`); a stalled attempt
+      is interrupted (abandoned bytes are logged as dropped by the fabric) and
       retried after exponential backoff;
     * attempts that fail with :class:`TransferError` (transient loss,
       partition, crash) consume the same retry budget;
@@ -187,7 +188,7 @@ def robust_transfer(env: Environment, fabric: Fabric, src: int, dst: int,
     degradation to fall back on -- the caller decides whether that aborts
     the round).
     """
-    expected = fabric.spec.transfer_time(nbytes)
+    expected = fabric.pair_transfer_time(src, dst, nbytes)
     while True:
         target = membership.route(dst) if membership is not None else dst
         if target == src:

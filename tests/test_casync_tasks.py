@@ -3,17 +3,19 @@
 import pytest
 
 from repro.casync import Coordinator, NodeEngine, Task, TaskGraph, run_graph
+from repro.cluster.spec import wan_edge_cluster
+from repro.faults import RetryPolicy
 from repro.gpu import Gpu, V100
 from repro.net import Fabric, NetworkSpec
 from repro.sim import Environment
 
 
 def make_world(num_nodes=2, gbps=80.0, batch_compression=False,
-               coordinator=False, **coord_kw):
+               coordinator=False, spec=None, **coord_kw):
     env = Environment()
     fabric = Fabric(env, num_nodes,
-                    NetworkSpec(bandwidth_gbps=gbps, latency_us=0,
-                                efficiency=1.0))
+                    spec or NetworkSpec(bandwidth_gbps=gbps, latency_us=0,
+                                        efficiency=1.0))
     gpus = [Gpu(env, V100, i) for i in range(num_nodes)]
     coord = Coordinator(env, fabric, **coord_kw) if coordinator else None
     engines = [NodeEngine(env, i, gpus[i], fabric, coordinator=coord,
@@ -179,6 +181,23 @@ def test_coordinator_separate_links_batch_separately():
     graph.add(Task(0, "send", "d", nbytes=100, dst=2, bulk=True))
     run_graph(env, graph, engines)
     assert coord.batches_flushed == 2
+
+
+def test_retried_flush_over_wan_link_delivers_on_first_attempt():
+    # Timed against the 100 Gbps core, a 1 MB flush over a 1 Gbps / 20 ms
+    # WAN uplink would be declared stalled and retried, finishing later.
+    network = wan_edge_cluster(4).network
+    env, fabric, gpus, engines, coord = make_world(
+        4, spec=network, coordinator=True, size_threshold=1e12,
+        timeout_s=0.001, retry_policy=RetryPolicy())
+    src = network.wan.members(4)[0]
+    dst = (src + 1) % 4
+    graph = TaskGraph(env)
+    task = graph.add(Task(src, "send", "s", nbytes=1e6, dst=dst, bulk=True))
+    finish = run_graph(env, graph, engines)
+    assert task.completed.ok and fabric.stats.messages == 1
+    assert finish == pytest.approx(
+        0.001 + fabric.pair_transfer_time(src, dst, 1e6))
 
 
 def test_non_bulk_send_bypasses_coordinator():

@@ -5,18 +5,19 @@ Four layers:
 * the golden sweep -- every CLI case must prove clean, and the
   pass-mutant corpus must be caught with its expected typed finding
   while ``verify_plan`` (the local verifier) misses all of them;
-* hand-built plans that pin the buffer-race rules (PC201/PC202) and
-  the lowered-recipe cross-checks (PC601-PC606) on minimal examples;
+* hand-built plans that pin the structural (PC100-PC110), buffer-race
+  (PC201/PC202) and lowered-recipe (PC601-PC606) rules, one by one;
 * the strict-admission surface: ``raise_if_failed`` raising the typed
   ``PlanCheckError``, the ``REPRO_PLANCHECK`` override, and the
   end-to-end gated build;
-* the shared PlanIndex: lowering reuses the index's dependency
-  encodings by identity, the per-plan cache rebuilds on op-count
-  change, and ``invalidate`` makes in-place mutation visible.
+* the shared PlanIndex: built once per cold build + lower + check,
+  its dependency encodings reused by lowering by identity, rebuilt on
+  op-count change, and ``invalidate`` makes in-place mutation visible.
 """
 
 import dataclasses
 import json
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -39,7 +40,8 @@ from repro.casync.ir import (
     SyncPlan,
 )
 from repro.casync.lower import GraphCache, default_graph_cache, lower_plan
-from repro.casync.passes import DEFAULT_PASS_CONFIG, PassContext, build_plan
+from repro.casync.passes import (DEFAULT_PASS_CONFIG, PassContext, build_plan,
+                                 verify_plan)
 from repro.cluster import ec2_v100_cluster
 from repro.experiments.common import default_algorithm
 from repro.models import GradientSpec, ModelSpec
@@ -86,8 +88,7 @@ def test_case_matrix_shape():
                          ids=[name for name, _ in CASES])
 def test_golden_case_proves_clean(case_name, build):
     plan, pctx, recipe = build()
-    report = check_plan(plan, pctx=pctx, recipe=recipe, name=case_name,
-                        structural=True)
+    report = check_plan(plan, pctx=pctx, recipe=recipe, name=case_name)
     assert report.ok(strict=True), report.render_text()
     assert report.diagnostics == ()
     assert report.num_ops == len(plan.ops)
@@ -169,12 +170,73 @@ def test_disjoint_partition_writes_do_not_alias():
     assert _rules(plan) == set()
 
 
-def test_structural_error_short_circuits_deep_analysis():
-    plan = _race_plan()
-    size = SizeExpr(1024, compressed=True)
-    plan.add("encode", 0, "m.g0.enc", size=size, deps=(17,), grad="m.g0")
-    rules = _rules(plan)
-    assert rules == {"PC106"}  # dangling dep only; no deep rules ran
+# -- structural rules (PC100-PC110), one hand-built break each ---------------
+
+def _structural_plan():
+    """A structurally valid two-node push: encode -> send -> decode.  Its
+    deep analysis would report PC301 (node 0 has no sink), so a report
+    holding only the structural rule proves the short-circuit."""
+    plan = SyncPlan("hand", num_nodes=2)
+    plan.directives["g"] = Directive("g", nbytes=64, compress=True)
+    size = SizeExpr(64, compressed=True)
+    enc = plan.add("encode", 0, "g.enc", size=size,
+                   deps=(ReadyRef(0, "g"),), grad="g")
+    snd = plan.add("send", 0, "g.push", size=size, deps=(enc,), dst=1,
+                   grad="g")
+    plan.add("decode", 1, "g.dec", size=size, deps=(snd,), grad="g")
+    return plan
+
+
+#: (case id, message substring, corruption); the rule is the id's prefix.
+#: plan.ops is [encode uid 0, send uid 1, decode uid 2].
+STRUCTURAL_BREAKS = [
+    ("PC100", "partitions must be >= 1",
+     lambda p: setattr(p.directives["g"], "partitions", 0)),
+    ("PC101", "duplicate op uid", lambda p: setattr(p.ops[2], "uid", 0)),
+    ("PC102", "unknown op kind",
+     lambda p: setattr(p.ops[2], "kind", "teleport")),
+    ("PC103", "node out of range", lambda p: p.add("barrier", 2, "far")),
+    ("PC104", "self-send",  # consumed on its own node: no PC108/PC109
+     lambda p: p.add("barrier", 0, "after", deps=(
+         p.add("send", 0, "loop", size=SizeExpr(8), dst=0),))),
+    ("PC105", "negative size",
+     lambda p: p.add("copy", 0, "neg", size=SizeExpr(-1))),
+    ("PC106", "unknown or later op",
+     lambda p: p.add("barrier", 1, "dangling", deps=(17,))),
+    ("PC106-self-dependency", "unknown or later op",
+     lambda p: p.add("barrier", 0, "self", deps=(3,))),  # its own uid
+    ("PC107", "node-local",
+     lambda p: p.add("barrier", 1, "remote", deps=(ReadyRef(0, "g"),))),
+    ("PC108", "not a send targeting",
+     lambda p: p.add("barrier", 1, "cross", deps=(0,))),
+    ("PC109", "never consumed",
+     lambda p: p.add("send", 0, "orphan", size=SizeExpr(8), dst=1)),
+    ("PC110", "not compressed",
+     lambda p: setattr(p.ops[1], "size", SizeExpr(64))),
+]
+
+
+@pytest.mark.parametrize("case,message,corrupt", STRUCTURAL_BREAKS,
+                         ids=[case for case, _, _ in STRUCTURAL_BREAKS])
+def test_structural_rule_fires_alone(case, message, corrupt):
+    plan = _structural_plan()
+    corrupt(plan)
+    assert _rules(plan) == {case[:5]}
+    with pytest.raises(PlanVerificationError, match=message) as excinfo:
+        verify_plan(plan)
+    assert {d.rule for d in excinfo.value.diagnostics} == {case[:5]}
+
+
+@pytest.mark.parametrize("consume", [
+    lambda plan: lower_plan(plan, pctx_for(2)),
+    lambda plan: check_recipe(plan, _lowered()[2]),
+], ids=["lower_plan", "check_recipe"])
+def test_dangling_dep_is_a_typed_pc106_error(consume):
+    plan = _structural_plan()
+    plan.add("barrier", 1, "dangling", deps=(17,))
+    with pytest.raises(PlanVerificationError) as excinfo:
+        consume(plan)
+    assert [d.rule for d in excinfo.value.diagnostics] == ["PC106"]
 
 
 # -- lowered-recipe cross-checks (PC6xx) -------------------------------------
@@ -309,7 +371,7 @@ def test_pipeline_output_always_proves_clean(inputs):
         algorithm=algorithm, plans=None, config=DEFAULT_PASS_CONFIG)
     plan = build_plan(strategy, pctx, small_model(sizes))
     recipe = lower_plan(plan, pctx)
-    report = check_plan(plan, pctx=pctx, recipe=recipe, structural=True)
+    report = check_plan(plan, pctx=pctx, recipe=recipe)
     assert report.ok(strict=True), report.render_text()
     assert report.diagnostics == ()
 
@@ -344,6 +406,15 @@ def test_index_structure_matches_plan():
                 consumed.add(idx.index_of[dep])
         assert list(idx.dep_encodings[i]) == encoded
     assert {i for i in range(len(plan.ops)) if idx.consumed[i]} == consumed
+
+
+def test_cold_build_lower_and_strict_check_index_once():
+    with mock.patch.object(PlanIndex, "build",
+                           wraps=PlanIndex.build) as build:
+        plan, pctx = built_plan()
+        recipe = lower_plan(plan, pctx)
+        assert check_plan(plan, pctx=pctx, recipe=recipe).ok(strict=True)
+    build.assert_called_once_with(plan)
 
 
 def test_index_cached_per_plan_and_rebuilt_on_growth():

@@ -169,23 +169,6 @@ def test_verifier_rejects_self_send_and_unconsumed_send():
         verify_plan(plan)
 
 
-def test_verifier_rejects_remote_ready_ref():
-    plan = SyncPlan("test", 2)
-    plan.add("encode", 0, "enc", size=SizeExpr(64),
-             deps=(ReadyRef(1, "g"),), grad="g")
-    with pytest.raises(PlanVerificationError, match="node-local"):
-        verify_plan(plan)
-
-
-def test_verifier_rejects_cross_node_edge_without_send():
-    plan = SyncPlan("test", 2)
-    enc = plan.add("encode", 0, "enc", size=SizeExpr(64, compressed=True))
-    plan.add("decode", 1, "dec", size=SizeExpr(64, compressed=True),
-             deps=(enc,))
-    with pytest.raises(PlanVerificationError, match="not a send targeting"):
-        verify_plan(plan)
-
-
 # -- passes ------------------------------------------------------------------
 
 def test_selective_pass_missing_plan_raises_config_error():
