@@ -1,8 +1,8 @@
 """Benchmark: cold vs warm task-graph construction through the SyncPlan IR.
 
 A *cold* build runs the whole frontend -- directive passes, strategy
-expansion, op passes, verification, lowering through the TaskBuilder cost
-model -- and then instantiates the graph.  A *warm* build finds the
+expansion, op passes, verification, lowering (which costs every op on its
+node's hardware) -- and then instantiates the graph.  A *warm* build finds the
 lowered recipe in the :class:`~repro.casync.lower.GraphCache` and only
 instantiates.  The refactor's acceptance bar is warm >= 2x faster than
 cold; multi-iteration experiments hit the warm path on every iteration
@@ -15,6 +15,7 @@ Usage::
 
 Writes ``BENCH_graph_build.json`` (override with ``--output``) and exits
 non-zero if any case misses the 2x bar (``--no-check`` to report only).
+The committed ``BENCH_graph_build.json`` is a full run's output.
 """
 
 from __future__ import annotations
@@ -29,9 +30,7 @@ from pathlib import Path
 from repro.casync.lower import GraphCache, build_graph
 from repro.cluster import ec2_v100_cluster
 from repro.experiments.common import default_algorithm
-from repro.gpu import Gpu
 from repro.models import get_model
-from repro.net import Fabric
 from repro.sim import Environment
 from repro.strategies import CaSyncPS, CaSyncRing, get_strategy
 from repro.strategies.base import SyncContext
@@ -39,21 +38,13 @@ from repro.training import make_plans
 
 
 def make_ctx(model, cluster, algorithm, plans):
-    """A fresh per-"iteration" SyncContext, as the training loop makes one.
-
-    Engines are not needed to *build* a graph (only to run it), so the
-    benchmark leaves them empty; instantiation touches env + ready only.
-    """
+    """A fresh per-"iteration" SyncContext, as the training loop makes one."""
     env = Environment()
-    fabric = Fabric(env, cluster.num_nodes, cluster.network)
-    gpus = [Gpu(env, cluster.node.gpu, index=i)
-            for i in range(cluster.num_nodes)]
     ready = {(node, grad.name): env.event()
              for node in range(cluster.num_nodes)
              for grad in model.gradients}
-    return SyncContext(env=env, cluster=cluster, fabric=fabric, gpus=gpus,
-                       engines=[], ready=ready, algorithm=algorithm,
-                       plans=plans)
+    return SyncContext(env=env, cluster=cluster, ready=ready,
+                       algorithm=algorithm, plans=plans)
 
 
 def bench_case(name, strategy, model, cluster, algorithm, plans, reps):

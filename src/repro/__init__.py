@@ -28,8 +28,8 @@ _API_NAMES = frozenset({
     "MODEL_NAMES", "ModelSpec", "all_models", "get_model", "list_models",
     "CompressionAlgorithm", "get_algorithm", "register_algorithm",
     "available_algorithms", "list_algorithms",
-    "DEPRECATED_ALIASES", "Strategy", "get_strategy", "register_strategy",
-    "available_strategies", "list_strategies", "resolve_strategy_name",
+    "Strategy", "get_strategy", "register_strategy",
+    "available_strategies", "list_strategies",
     "CLUSTER_PRESETS", "ClusterSpec", "ec2_v100_cluster", "get_cluster",
     "local_1080ti_cluster",
     "IterationResult", "Profile", "SYSTEMS", "SystemConfig", "TrainingJob",

@@ -31,7 +31,7 @@ from typing import Dict, List, Optional, Tuple
 from ..casync.passes import PassConfig
 from ..errors import ConfigError
 from ..models import MODEL_NAMES, get_model
-from ..strategies import get_strategy, resolve_strategy_name
+from ..strategies import get_strategy
 from ..telemetry import TelemetryCollector
 from ..training import make_plans, simulate_iteration
 from .controller import DecisionLog, PolicyController
@@ -114,20 +114,19 @@ def run_policy(model, cluster, policy,
     if iterations < 1:
         raise ConfigError("iterations", iterations, [],
                           hint="need at least one iteration")
-    canonical = resolve_strategy_name(strategy)
-    if canonical not in PLANNER_KINDS:
+    if strategy not in PLANNER_KINDS:
         raise ConfigError(
             "strategy", strategy, PLANNER_KINDS,
             hint="policies run through the SyncPlan pipeline; use a "
                  "CaSync strategy")
-    planner_kind = PLANNER_KINDS[canonical]
+    planner_kind = PLANNER_KINDS[strategy]
 
     results = []
     if policy.is_fixed:
         # The static path, untouched: same strategy flags, planner plans,
         # and (decisions-free) graph-cache keys as the legacy kwargs.
         algorithm = policy.fixed_algorithm().instantiate()
-        strat = get_strategy(canonical, pipelining=pipelining, bulk=bulk)
+        strat = get_strategy(strategy, pipelining=pipelining, bulk=bulk)
         plans = make_plans(model, cluster, algorithm, planner_kind)
         log = DecisionLog(policy)
         for _ in range(iterations):
@@ -136,14 +135,14 @@ def run_policy(model, cluster, policy,
                 use_coordinator=use_coordinator,
                 batch_compression=batch_compression,
                 pass_config=pass_config, telemetry=telemetry))
-        return PolicyRun(policy=policy, strategy=canonical,
+        return PolicyRun(policy=policy, strategy=strategy,
                          results=tuple(results), log=log)
 
     controller = PolicyController(policy, model, cluster,
                                   planner_kind=planner_kind)
     # Adaptive decisions supersede the static SelectivePass (which would
     # also demand planner plans the controller already folds in).
-    strat = get_strategy(canonical, pipelining=pipelining, bulk=bulk,
+    strat = get_strategy(strategy, pipelining=pipelining, bulk=bulk,
                          selective=False, adaptive=True)
     # The plan-wide default codec: only consulted for ops outside any
     # gradient's decision (e.g. ring raw buckets); decisions always name
@@ -176,5 +175,5 @@ def run_policy(model, cluster, policy,
         if replay_maps is None:
             controller.observe(i, result)
         results.append(result)
-    return PolicyRun(policy=policy, strategy=canonical,
+    return PolicyRun(policy=policy, strategy=strategy,
                      results=tuple(results), log=controller.log)

@@ -27,9 +27,6 @@ Unknown names raise :class:`ConfigError` (from the high-level entry
 points) or ``KeyError`` (from the raw registries), always listing the
 valid choices.
 
-Deprecated strategy names ``"hipress-ps"`` / ``"hipress-ring"`` still
-resolve to ``"casync-ps"`` / ``"casync-ring"`` with a DeprecationWarning.
-
 Telemetry
 ---------
 Attach a collector to record span timelines and metrics from any run::
@@ -141,14 +138,12 @@ from .experiments.runner import (
 from .hipress import Profile, TrainingJob
 from .models import MODEL_NAMES, ModelSpec, all_models, get_model
 from .strategies import (
-    DEPRECATED_ALIASES,
     MembershipBound,
     Strategy,
     bind_roster,
     available_strategies,
     get_strategy,
     register_strategy,
-    resolve_strategy_name,
 )
 from .telemetry import (
     MetricsRegistry,
@@ -180,8 +175,8 @@ __all__ = [
     "CompressionAlgorithm", "get_algorithm", "register_algorithm",
     "available_algorithms", "list_algorithms",
     # strategies
-    "DEPRECATED_ALIASES", "Strategy", "get_strategy", "register_strategy",
-    "available_strategies", "list_strategies", "resolve_strategy_name",
+    "Strategy", "get_strategy", "register_strategy",
+    "available_strategies", "list_strategies",
     # clusters
     "CLUSTER_PRESETS", "ClusterSpec", "ec2_v100_cluster", "get_cluster",
     "local_1080ti_cluster",

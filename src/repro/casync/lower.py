@@ -1,10 +1,10 @@
 """Lowering: SyncPlan IR -> cached task recipes -> executable TaskGraphs.
 
-The backend of the SyncPlan pipeline.  :func:`lower_plan` resolves a
-verified plan against the concrete cluster/algorithm -- computing every
-op's duration, launch overhead, and wire size through the same
-:class:`~repro.strategies.base.TaskBuilder` cost model the strategies used
-to call directly -- and produces a :class:`LoweredRecipe`: a flat list of
+The backend of the SyncPlan pipeline, and the home of the cost model.
+:func:`lower_plan` resolves a verified plan against the concrete
+cluster/algorithm -- :func:`_spec_for` costs each op's duration, launch
+overhead, and wire size on *its own node's* GPU, under *its gradient's*
+codec -- and produces a :class:`LoweredRecipe`: a flat list of
 environment-free :class:`TaskSpec` rows.  :func:`instantiate` then turns a
 recipe into a live :class:`~repro.casync.tasks.TaskGraph` for one
 :class:`~repro.sim.Environment`, which is cheap (no cost-model calls, no
@@ -33,7 +33,7 @@ from typing import Dict, List, Optional, Tuple
 from ..algorithms.base import CompressionAlgorithm
 from .index import plan_index
 from .ir import Op, SyncPlan
-from .passes import DEFAULT_PASS_CONFIG, PassContext, build_plan
+from .passes import DEFAULT_PASS_CONFIG, PassContext, build_plan, wire_nbytes
 from .planner import plans_to_json
 from .tasks import Task, TaskGraph
 
@@ -86,54 +86,105 @@ class LoweredRecipe:
                 f"plan={self.plan_digest[:12]}>")
 
 
-class _BuilderContext:
-    """Duck-typed stand-in for SyncContext: TaskBuilder's cost-model calls
-    only touch ``ctx.cluster`` and ``ctx.algorithm``."""
-
-    def __init__(self, cluster, algorithm):
-        self.cluster = cluster
-        self.algorithm = algorithm
+#: Host-side (CPU) throughput penalty per byte relative to the GPU,
+#: calibrated to the paper's 35.6x on-CPU vs on-GPU compression gap.
+CPU_FACTOR = 35.0
 
 
-def _spec_for(op: Op, builder, pctx: PassContext,
-              dep_encoding: Tuple[Tuple, ...]) -> TaskSpec:
-    """Cost one IR op through the TaskBuilder and freeze it as a spec."""
-    on_cpu = bool(op.attrs.get("on_cpu"))
+def _spec_for(op: Op, pctx: PassContext, gpus: Tuple, launches: Tuple,
+              deps: Tuple[Tuple, ...]) -> TaskSpec:
+    """Cost one IR op on its node's hardware and freeze it as a spec.
+
+    Cost conventions (on node ``op.node``'s GPU unless stated):
+
+    * encode/decode durations come from the codec's
+      :class:`~repro.algorithms.base.KernelProfile`, with one launch per
+      profiled kernel; ``on_cpu`` runs them ``CPU_FACTOR`` times slower;
+    * ``merge`` of an m-byte accumulation reads two buffers and writes one
+      (3 m bytes, one launch); on the host it is 6x slower (host DRAM plus
+      the GPU<->host PCIe hops);
+    * ``decode_merge`` is CaSync's fused §5 kernel (one launch fewer than
+      decode + merge), or a scatter-add over the transmitted pairs for
+      sparsification codecs;
+    * ``copy`` is an extra device-to-device copy (2 m bytes) -- the OSS
+      integrations' overhead;
+    * ``cpu`` ops take a fixed ``duration_s`` or aggregate at the node's
+      ``cpu_agg_bytes_per_s``;
+    * ``send`` carries its wire size under its gradient's codec.
+
+    ``as_cpu`` executes GPU-costed work on the host CPU executor (the
+    BytePS-OSS pattern); IR barriers lower to ``notify`` tasks.
+    """
+    node = op.node
     nbytes = op.size.nbytes
-    if op.kind == "encode":
-        task = builder.encode(op.node, nbytes, op.label, on_cpu=on_cpu)
-    elif op.kind == "decode":
-        task = builder.decode(
-            op.node, nbytes, op.label, on_cpu=on_cpu,
-            allocates_output=bool(op.attrs.get("allocates_output")))
-    elif op.kind == "decode_merge":
-        task = builder.aggregate_received(op.node, nbytes, op.label,
-                                          on_cpu=on_cpu)
-    elif op.kind == "merge":
-        task = builder.merge(op.node, nbytes, op.label, on_cpu=on_cpu)
-    elif op.kind == "copy":
-        task = builder.copy(op.node, nbytes, op.label)
-    elif op.kind == "cpu":
+    on_cpu = bool(op.attrs.get("on_cpu"))
+    algo = pctx.algorithm_for(op.grad)
+    kind = op.kind
+    duration = 0.0
+    launch = 0.0
+    out_nbytes: Optional[float] = None
+    dst: Optional[int] = None
+    bulk = False
+    if kind == "encode":
+        duration = algo.encode_time(nbytes, gpus[node])
+        if on_cpu:
+            duration *= CPU_FACTOR
+        launch = launches[node] * algo.profile.encode_kernels
+        out_nbytes = wire_nbytes(algo, nbytes)
+    elif kind == "decode":
+        # CaSync decodes into the existing gradient tensor (§5), so only
+        # OSS-style integrations allocate a separate output buffer.
+        duration = algo.decode_time(nbytes, gpus[node])
+        if on_cpu:
+            duration *= CPU_FACTOR
+        launch = launches[node] * algo.profile.decode_kernels
+        if op.attrs.get("allocates_output"):
+            out_nbytes = nbytes
+    elif kind == "decode_merge":
+        gpu = gpus[node]
+        if algo is not None and algo.category == "sparsification":
+            kind = "merge"
+            nbytes = wire_nbytes(algo, nbytes)
+            duration = gpu.kernel_time(3 * nbytes, kernels=1)
+            if on_cpu:
+                duration *= CPU_FACTOR
+            launch = launches[node]
+        else:
+            kind = "decode"
+            duration = (algo.decode_time(nbytes, gpu)
+                        + gpu.kernel_time(nbytes, kernels=1)
+                        - launches[node])
+            launch = launches[node] * algo.profile.decode_kernels
+    elif kind == "merge":
+        duration = gpus[node].kernel_time(3 * nbytes, kernels=1)
+        if on_cpu:
+            duration *= 6
+        launch = launches[node]
+    elif kind == "copy":
+        duration = gpus[node].kernel_time(2 * nbytes, kernels=1)
+        launch = launches[node]
+        out_nbytes = nbytes
+    elif kind == "cpu":
         duration_s = op.attrs.get("duration_s")
         if duration_s is not None:
-            task = builder.cpu_work(op.node, float(duration_s), op.label)
+            duration = float(duration_s)
+            nbytes = 0.0
         else:
-            task = builder.cpu_aggregate(op.node, nbytes, op.label)
-    elif op.kind == "send":
-        task = builder.send(op.node, op.dst, pctx.wire_op(op), op.label,
-                            bulk=bool(op.attrs.get("bulk")))
-    elif op.kind == "barrier":
-        task = builder.notify(op.node, op.label)
+            duration = nbytes / pctx.cluster.node_at(node).cpu_agg_bytes_per_s
+    elif kind == "send":
+        nbytes = pctx.wire_op(op)
+        dst = op.dst
+        bulk = bool(op.attrs.get("bulk"))
+    elif kind == "barrier":
+        kind = "notify"
+        nbytes = 0.0
     else:  # unreachable: the verifier ran before lowering
         raise ValueError(f"cannot lower op kind {op.kind!r}")
-    # The byteps-oss pattern: work costed by a GPU-kind builder method but
-    # executed on the host CPU executor (encode/decode pinned to the CPU).
-    kind = "cpu" if op.attrs.get("as_cpu") else task.kind
-    return TaskSpec(kind=kind, node=task.node, label=task.label,
-                    duration=task.duration,
-                    launch_overhead=task.launch_overhead,
-                    nbytes=task.nbytes, out_nbytes=task.out_nbytes,
-                    dst=task.dst, bulk=task.bulk, deps=dep_encoding)
+    if op.attrs.get("as_cpu"):
+        kind = "cpu"
+    return TaskSpec(kind=kind, node=node, label=op.label, duration=duration,
+                    launch_overhead=launch, nbytes=nbytes,
+                    out_nbytes=out_nbytes, dst=dst, bulk=bulk, deps=deps)
 
 
 def lower_plan(plan: SyncPlan, pctx: PassContext) -> LoweredRecipe:
@@ -142,29 +193,12 @@ def lower_plan(plan: SyncPlan, pctx: PassContext) -> LoweredRecipe:
     Raises :class:`~repro.casync.ir.PlanVerificationError` when the plan
     has structural findings (see :mod:`repro.casync.index`).
 
-    Under an adaptive :class:`~repro.casync.decisions.DecisionMap`, each
-    op is costed through a TaskBuilder bound to *its gradient's* codec
-    (one builder per palette entry, created lazily); without decisions
-    every op uses the plan-wide default builder, byte-identically to the
-    pre-adaptive lowering.
+    Each op is costed on its own node's GPU and under its gradient's
+    codec (:meth:`PassContext.algorithm_for`: an adaptive decision's
+    palette entry, else the plan-wide default).
     """
-    from ..strategies.base import TaskBuilder  # deferred: avoids a cycle
-
-    builder = TaskBuilder(_BuilderContext(pctx.cluster, pctx.algorithm))
-    builders: Dict[Optional[str], object] = {None: builder}
-
-    def builder_for(op: Op):
-        if pctx.decisions is None or op.grad is None:
-            return builder
-        dec = pctx.decisions.get(op.grad)
-        key = None if dec is None else dec.algorithm
-        chosen = builders.get(key)
-        if chosen is None:
-            chosen = TaskBuilder(_BuilderContext(
-                pctx.cluster, pctx.decisions.palette[key]))
-            builders[key] = chosen
-        return chosen
-
+    gpus = tuple(spec.gpu for spec in pctx.cluster.nodes)
+    launches = tuple(gpu.kernel_launch_us * 1e-6 for gpu in gpus)
     # The dependency encodings come from the shared structural index
     # (built by build_plan's verify stage); specs reference the index's
     # tuples directly, so the whole-plan analyzer can cross-check recipe
@@ -172,9 +206,8 @@ def lower_plan(plan: SyncPlan, pctx: PassContext) -> LoweredRecipe:
     idx = plan_index(plan)
     idx.raise_if_invalid(plan)
     encodings = idx.dep_encodings
-    specs: List[TaskSpec] = []
-    for i, op in enumerate(plan.ops):
-        specs.append(_spec_for(op, builder_for(op), pctx, encodings[i]))
+    specs = [_spec_for(op, pctx, gpus, launches, encodings[i])
+             for i, op in enumerate(plan.ops)]
     return LoweredRecipe(specs=specs, plan_digest=plan.digest(),
                          strategy=plan.strategy, num_nodes=plan.num_nodes,
                          meta=dict(plan.meta))
@@ -183,15 +216,13 @@ def lower_plan(plan: SyncPlan, pctx: PassContext) -> LoweredRecipe:
 def instantiate(recipe: LoweredRecipe, ctx) -> TaskGraph:
     """Cheaply materialize a recipe as a TaskGraph for ``ctx``'s env.
 
-    Notify tasks here are the lowered form of IR barriers; specs are added
-    in recipe order, so task creation/dispatch order (and therefore the
-    executed timeline) is identical on every instantiation.
+    Specs are added in recipe order, so task creation/dispatch order (and
+    therefore the executed timeline) is identical on every instantiation.
     """
     graph = TaskGraph(ctx.env)
     tasks: List[Task] = []
     for spec in recipe.specs:
-        kind = "notify" if spec.kind == "barrier" else spec.kind
-        task = Task(spec.node, kind, spec.label, duration=spec.duration,
+        task = Task(spec.node, spec.kind, spec.label, duration=spec.duration,
                     launch_overhead=spec.launch_overhead, nbytes=spec.nbytes,
                     dst=spec.dst, bulk=spec.bulk,
                     out_nbytes=spec.out_nbytes)
@@ -385,10 +416,10 @@ def build_graph(strategy, ctx, model,
     pctx = PassContext(
         num_nodes=ctx.cluster.num_nodes, cluster=ctx.cluster,
         algorithm=ctx.algorithm, plans=ctx.plans,
-        config=(ctx.pass_config if getattr(ctx, "pass_config", None)
-                is not None else DEFAULT_PASS_CONFIG),
-        decisions=getattr(ctx, "decisions", None))
-    tel = getattr(ctx.env, "telemetry", None)
+        config=(ctx.pass_config if ctx.pass_config is not None
+                else DEFAULT_PASS_CONFIG),
+        decisions=ctx.decisions)
+    tel = ctx.env.telemetry
     store = cache if cache is not None else _DEFAULT_CACHE
     key = cache_key(strategy, model, pctx)
     recipe = store.get(key)

@@ -12,8 +12,8 @@ independent passes over :class:`~repro.casync.ir.SyncPlan`:
   into the structural partition count; without it K = 1 (whole-gradient
   encode-then-transfer, the OSS co-design shape).
 * :class:`FuseDecodeMergePass` (op phase) -- fuse adjacent decode+merge
-  pairs into the single §5 kernel (lowered through
-  :meth:`~repro.strategies.base.TaskBuilder.aggregate_received`).
+  pairs into the single §5 kernel (costed by
+  :func:`repro.casync.lower.lower_plan`).
 * :class:`BulkRoutePass` (op phase) -- mark small transfers for the
   global bulk-synchronization coordinator and enable batch compression.
 
@@ -114,8 +114,8 @@ DEFAULT_PASS_CONFIG = PassConfig()
 def wire_nbytes(algorithm: Any, nbytes: float) -> float:
     """Compressed wire size of a ``nbytes`` float32 payload.
 
-    The single size model shared by the pass pipeline, the lowering stage,
-    and :meth:`~repro.strategies.base.TaskBuilder.compressed_nbytes`.
+    The single size model shared by the pass pipeline and the lowering
+    stage (send wire sizes, encode outputs, sparse scatter-adds).
     """
     if algorithm is None:
         return nbytes

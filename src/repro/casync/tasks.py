@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from ..faults.errors import PeerDeadError, TransferError
 from ..faults.membership import Membership
@@ -50,8 +50,8 @@ class Task:
 
     __slots__ = ("id", "node", "kind", "label", "duration", "launch_overhead",
                  "nbytes", "out_nbytes", "dst", "bulk", "pending",
-                 "dependents", "completed", "started_at", "finished_at",
-                 "dropped", "attempts")
+                 "completed", "started_at", "finished_at", "dropped",
+                 "attempts")
 
     def __init__(self, node: int, kind: str, label: str = "",
                  duration: float = 0.0, launch_overhead: float = 0.0,
@@ -73,7 +73,6 @@ class Task:
         self.dst = dst
         self.bulk = bulk
         self.pending = 0
-        self.dependents: List[Task] = []
         self.completed: Optional[Event] = None  # set when graph is armed
         self.started_at: Optional[float] = None
         self.finished_at: Optional[float] = None
@@ -167,7 +166,8 @@ def _fanout_callback(dependents: List[Task], dispatch):
 def robust_transfer(env: Environment, fabric: Fabric, src: int, dst: int,
                     nbytes: float, policy: RetryPolicy,
                     membership: Optional[Membership] = None,
-                    degradation: bool = True):
+                    degradation: bool = True,
+                    on_retry: Optional[Callable[[], None]] = None):
     """Generator: move ``nbytes`` src->dst with timeout/backoff/retries.
 
     The robustness contract every fault-tolerant sender shares:
@@ -181,6 +181,8 @@ def robust_transfer(env: Environment, fabric: Fabric, src: int, dst: int,
     * when the budget for a destination is exhausted, the peer is declared
       dead in ``membership``; with ``degradation`` the transfer re-routes
       to the peer's deterministic substitute and starts a fresh budget.
+
+    ``on_retry`` is called once per failed attempt.
 
     Returns ``(outcome, final_dst)`` where outcome is ``"delivered"``
     (bytes arrived at final_dst), ``"local"`` (routing collapsed onto the
@@ -217,6 +219,8 @@ def robust_transfer(env: Environment, fabric: Fabric, src: int, dst: int,
             if not timer.processed:
                 timer.cancel()
             failures += 1
+            if on_retry is not None:
+                on_retry()
             if membership is not None:
                 membership.suspect(target)
             if attempt + 1 < policy.max_attempts:
@@ -258,6 +262,8 @@ class Coordinator:
         self._ticker_running = False
         self.batches_flushed = 0
         self.tasks_batched = 0
+        #: Failed flush attempts under a retry policy.
+        self.retries = 0
 
     def submit(self, task: Task) -> None:
         key = (task.node, task.dst)
@@ -312,7 +318,8 @@ class Coordinator:
             else:
                 outcome, _ = yield from robust_transfer(
                     self.env, self.fabric, src, dst, nbytes,
-                    self.retry_policy, self.membership)
+                    self.retry_policy, self.membership,
+                    on_retry=self._count_retry)
             if span is not None:
                 tel.finish(span, self.env.now, outcome=outcome)
             now = self.env.now
@@ -329,6 +336,9 @@ class Coordinator:
                     task.completed.succeed()
 
         self.env.process(transfer(), name=f"bulk:{src}->{dst}")
+
+    def _count_retry(self) -> None:
+        self.retries += 1
 
     def _flush_bulk(self, keys: List[Tuple[int, int]]) -> None:
         """Flush one or more link queues through the vectorized fabric path.

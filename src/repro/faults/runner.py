@@ -264,10 +264,18 @@ def run_graph_robust(env: Environment, graph: Any, engines: Sequence[Any],
     return report
 
 
+def count_retries(engines: Sequence[Any]) -> int:
+    """Failed transfer attempts: the engines' own sends plus the flushes
+    of the bulk-sync coordinator they share."""
+    coordinators = {getattr(e, "coordinator", None) for e in engines} - {None}
+    return (sum(getattr(e, "retries", 0) for e in engines)
+            + sum(c.retries for c in coordinators))
+
+
 def _finalize(report: RobustSyncReport, engines: Sequence[Any],
               membership: Membership,
               controller: DegradationController) -> None:
     report.reassigned_tasks = controller.reassigned
     report.dropped_tasks = sum(1 for rec in report.completions if rec.dropped)
     report.declared_dead = membership.dead()
-    report.retries = sum(getattr(e, "retries", 0) for e in engines)
+    report.retries = count_retries(engines)

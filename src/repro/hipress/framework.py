@@ -30,7 +30,7 @@ from ..cluster import (CLUSTER_PRESETS, ClusterSpec, ec2_v100_cluster,
 from ..errors import ConfigError
 from ..experiments.common import default_algorithm
 from ..models import MODEL_NAMES, ModelSpec, get_model
-from ..strategies import Strategy, get_strategy, resolve_strategy_name
+from ..strategies import Strategy, get_strategy
 from ..telemetry import TelemetryCollector
 from ..training import IterationResult, simulate_iteration
 
@@ -64,8 +64,7 @@ class TrainingJob:
                  cluster: Union[ClusterSpec, str, None] = None,
                  algorithm_params: Optional[Dict] = None,
                  policy: Union[CompressionPolicy, str, None] = None):
-        name = resolve_strategy_name(strategy)   # warns on hipress-* aliases
-        if name not in PLANNER_KINDS:
+        if strategy not in PLANNER_KINDS:
             raise ConfigError("strategy", strategy, PLANNER_KINDS)
         if isinstance(model, str):
             try:
@@ -90,7 +89,7 @@ class TrainingJob:
                                   available_algorithms()) from None
         else:
             self.algorithm = algorithm
-        self.strategy_name = name
+        self.strategy_name = strategy
         self.policy: Optional[CompressionPolicy] = policy
         self.last_policy_run: Optional[PolicyRun] = None
         if isinstance(cluster, str):
@@ -100,7 +99,7 @@ class TrainingJob:
                 raise ConfigError("cluster", cluster,
                                   CLUSTER_PRESETS) from None
         self.cluster = cluster or ec2_v100_cluster()
-        self._planner_kind = PLANNER_KINDS[name]
+        self._planner_kind = PLANNER_KINDS[strategy]
         self._plans: Optional[Dict[str, GradientPlan]] = None
         self._profile: Optional[Profile] = None
 

@@ -3,23 +3,14 @@
 All concrete strategies are registered in the strategy registry
 (:mod:`repro.strategies.registry`), so callers can look them up by name
 ("byteps", "ring", "byteps-oss", "ring-oss", "casync-ps", "casync-ring")
-the same way compression algorithms are looked up.  The historical
-"hipress-ps" / "hipress-ring" names still resolve, with a
-DeprecationWarning.
+the same way compression algorithms are looked up.
 """
 
-from .base import (MembershipBound, Strategy, SyncContext, TaskBuilder,
-                   bind_roster)
+from .base import MembershipBound, Strategy, SyncContext, bind_roster
 from .casync import CaSyncPS, CaSyncRing
 from .oss import BytePSOSSCompression, RingOSSCompression
 from .ps import BytePS, partition_sizes
-from .registry import (
-    DEPRECATED_ALIASES,
-    available_strategies,
-    get_strategy,
-    register_strategy,
-    resolve_strategy_name,
-)
+from .registry import available_strategies, get_strategy, register_strategy
 from .ring import RingAllreduce, bucketize
 
 register_strategy("byteps", BytePS)
@@ -34,18 +25,15 @@ __all__ = [
     "BytePSOSSCompression",
     "CaSyncPS",
     "CaSyncRing",
-    "DEPRECATED_ALIASES",
     "MembershipBound",
     "RingAllreduce",
     "RingOSSCompression",
     "Strategy",
     "SyncContext",
-    "TaskBuilder",
     "available_strategies",
     "bind_roster",
     "bucketize",
     "get_strategy",
     "partition_sizes",
     "register_strategy",
-    "resolve_strategy_name",
 ]

@@ -1,44 +1,32 @@
-"""Strategy framework: shared context and task-construction helpers.
+"""Strategy framework: the per-iteration context and the IR-frontend base.
 
 A :class:`Strategy` turns (model, cluster, algorithm, plan) into a
-:class:`~repro.casync.tasks.TaskGraph` for one training iteration.  The
+:class:`~repro.casync.tasks.TaskGraph` for one training iteration by
+emitting a :class:`~repro.casync.ir.SyncPlan` that the pass pipeline
+rewrites and :mod:`repro.casync.lower` costs and instantiates.  The
 graph's sources are per-(node, gradient) *ready events* fired by the
 simulated backward pass; its sinks mark each node's view of "all gradients
 synchronized".
-
-Cost conventions (all on the node's GPU unless stated):
-
-* encode/decode durations come from the algorithm's
-  :class:`~repro.algorithms.base.KernelProfile`;
-* ``merge`` of an m-byte accumulation reads two buffers and writes one
-  (3 m bytes, one launch);
-* ``copy`` models an extra device-to-device memory copy (read + write =
-  2 m bytes) -- the overhead the paper attributes to OSS integrations;
-* CPU-side work (BytePS servers aggregate on host CPUs) runs ``cpu_factor``
-  times slower than the GPU per byte, reflecting §2.5's measured 35.6x
-  gap for on-CPU compression.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..algorithms.base import CompressionAlgorithm
+from ..casync import lower
 from ..casync.decisions import DecisionMap
 from ..casync.ir import SyncPlan
 from ..casync.passes import MembershipPass, Pass, PassConfig, PassContext
 from ..casync.planner import GradientPlan
-from ..casync.tasks import Coordinator, NodeEngine, Task, TaskGraph
+from ..casync.tasks import TaskGraph
 from ..cluster import ClusterSpec
-from ..gpu import Gpu
-from ..models import GradientSpec, ModelSpec
-from ..net import Fabric
+from ..models import ModelSpec
 from ..sim import Environment, Event
 
-__all__ = ["MembershipBound", "SyncContext", "Strategy", "TaskBuilder",
-           "bind_roster"]
+__all__ = ["MembershipBound", "SyncContext", "Strategy", "bind_roster"]
 
 
 @dataclass
@@ -47,184 +35,16 @@ class SyncContext:
 
     env: Environment
     cluster: ClusterSpec
-    fabric: Fabric
-    gpus: List[Gpu]
-    engines: List[NodeEngine]
     ready: Dict[Tuple[int, str], Event]  # (node, gradient name) -> event
     algorithm: Optional[CompressionAlgorithm] = None
     plans: Optional[Dict[str, GradientPlan]] = None
-    coordinator: Optional[Coordinator] = None
-    #: Tuning constants for the SyncPlan pass pipeline (and the
-    #: coordinator); None means :data:`~repro.casync.passes.DEFAULT_PASS_CONFIG`.
+    #: Tuning constants for the SyncPlan pass pipeline; None means
+    #: :data:`~repro.casync.passes.DEFAULT_PASS_CONFIG`.
     pass_config: Optional[PassConfig] = None
     #: This iteration's adaptive per-gradient decisions (None = static
     #: path); consumed by :class:`~repro.casync.passes.AdaptivePass` and
     #: content-keyed into the graph cache.
     decisions: Optional[DecisionMap] = None
-
-    @property
-    def num_nodes(self) -> int:
-        return self.cluster.num_nodes
-
-    def ready_event(self, node: int, grad: GradientSpec) -> Event:
-        return self.ready[(node, grad.name)]
-
-    def plan_for(self, grad: GradientSpec) -> Optional[GradientPlan]:
-        if self.plans is None:
-            return None
-        return self.plans.get(grad.name)
-
-
-class TaskBuilder:
-    """Constructs correctly-costed tasks for one context.
-
-    Every task-building method takes the executing ``node``, and costing
-    uses *that node's* GPU / CPU hardware.  On a homogeneous cluster the
-    per-node lookup short-circuits to the shared spec (``gpu_spec``), so
-    the costed durations are bit-identical to the single-spec model.
-    """
-
-    #: Host-side (CPU) throughput penalty per byte relative to the GPU,
-    #: calibrated to the paper's 35.6x on-CPU vs on-GPU compression gap.
-    CPU_FACTOR = 35.0
-
-    def __init__(self, ctx: SyncContext):
-        self.ctx = ctx
-        cluster = ctx.cluster
-        #: Representative GPU (the shared spec on a homogeneous cluster).
-        self.gpu_spec = cluster.node.gpu
-        self._launch = self.gpu_spec.kernel_launch_us * 1e-6
-        if cluster.is_homogeneous:
-            self._gpus: Optional[Tuple] = None
-            self._launches: Optional[Tuple[float, ...]] = None
-        else:
-            self._gpus = tuple(spec.gpu for spec in cluster.nodes)
-            self._launches = tuple(
-                gpu.kernel_launch_us * 1e-6 for gpu in self._gpus)
-
-    def _gpu(self, node: int):
-        """Node ``node``'s GPU spec (shared spec when homogeneous)."""
-        if self._gpus is None:
-            return self.gpu_spec
-        return self._gpus[node]
-
-    def _launch_at(self, node: int) -> float:
-        if self._launches is None:
-            return self._launch
-        return self._launches[node]
-
-    # -- size bookkeeping --------------------------------------------------
-
-    def compressed_nbytes(self, nbytes: float) -> float:
-        algo = self.ctx.algorithm
-        if algo is None:
-            return nbytes
-        return float(algo.compressed_nbytes(max(1, int(nbytes) // 4)))
-
-    # -- computing tasks ------------------------------------------------------
-
-    def encode(self, node: int, nbytes: float, label: str = "encode",
-               on_cpu: bool = False) -> Task:
-        algo = self.ctx.algorithm
-        duration = algo.encode_time(nbytes, self._gpu(node))
-        if on_cpu:
-            duration *= self.CPU_FACTOR
-        launch = self._launch_at(node) * algo.profile.encode_kernels
-        return Task(node, "encode", label, duration=duration,
-                    launch_overhead=launch, nbytes=nbytes,
-                    out_nbytes=self.compressed_nbytes(nbytes))
-
-    def decode(self, node: int, nbytes: float, label: str = "decode",
-               on_cpu: bool = False, allocates_output: bool = False) -> Task:
-        """Decode a compressed buffer.
-
-        CaSync decodes *into the existing gradient tensor* (§5: "CompLL
-        reuses gradients produced by DNN computation"), so by default no
-        new buffer is charged; OSS-style integrations pass
-        ``allocates_output=True`` for their separate output allocations.
-        """
-        algo = self.ctx.algorithm
-        duration = algo.decode_time(nbytes, self._gpu(node))
-        if on_cpu:
-            duration *= self.CPU_FACTOR
-        launch = self._launch_at(node) * algo.profile.decode_kernels
-        return Task(node, "decode", label, duration=duration,
-                    launch_overhead=launch, nbytes=nbytes,
-                    out_nbytes=nbytes if allocates_output else None)
-
-    def decode_merge(self, node: int, nbytes: float,
-                     label: str = "decode+merge") -> Task:
-        """CaSync's fused decode-and-aggregate kernel (§5: "we also fuse
-        the decode and merge operators")."""
-        algo = self.ctx.algorithm
-        gpu = self._gpu(node)
-        launch_s = self._launch_at(node)
-        duration = (algo.decode_time(nbytes, gpu)
-                    + gpu.kernel_time(nbytes, kernels=1)
-                    - launch_s)
-        launch = launch_s * algo.profile.decode_kernels
-        return Task(node, "decode", label, duration=duration,
-                    launch_overhead=launch, nbytes=nbytes)
-
-    def aggregate_received(self, node: int, nbytes: float,
-                           label: str = "agg", on_cpu: bool = False) -> Task:
-        """Aggregate one received compressed buffer into a dense partial.
-
-        For sparsification codecs this is a scatter-add touching only the
-        transmitted (index, value) pairs; for quantizers the buffer must be
-        decoded to dense form and added (the fused decode+merge kernel).
-        """
-        algo = self.ctx.algorithm
-        if algo is not None and algo.category == "sparsification":
-            compressed = self.compressed_nbytes(nbytes)
-            duration = self._gpu(node).kernel_time(3 * compressed, kernels=1)
-            if on_cpu:
-                duration *= self.CPU_FACTOR
-            return Task(node, "merge", label, duration=duration,
-                        launch_overhead=self._launch_at(node),
-                        nbytes=compressed)
-        return self.decode_merge(node, nbytes, label)
-
-    def merge(self, node: int, nbytes: float, label: str = "merge",
-              on_cpu: bool = False) -> Task:
-        gpu = self._gpu(node)
-        duration = gpu.kernel_time(3 * nbytes, kernels=1)
-        if on_cpu:
-            # Host summation: memory-bound at host DRAM speed; fold the
-            # GPU<->host PCIe hops into the same factor-of-slower model.
-            duration = gpu.kernel_time(3 * nbytes, kernels=1) * 6
-        return Task(node, "merge", label, duration=duration,
-                    launch_overhead=self._launch_at(node), nbytes=nbytes)
-
-    def copy(self, node: int, nbytes: float, label: str = "copy") -> Task:
-        duration = self._gpu(node).kernel_time(2 * nbytes, kernels=1)
-        return Task(node, "copy", label, duration=duration,
-                    launch_overhead=self._launch_at(node), nbytes=nbytes,
-                    out_nbytes=nbytes)
-
-    def cpu_aggregate(self, node: int, nbytes: float,
-                      label: str = "cpu-agg") -> Task:
-        """Host-side summation of an ``nbytes`` partition (BytePS server).
-
-        Bandwidth comes from *this node's* spec: the PCIe hop plus
-        vectorized summation its host can sustain.
-        """
-        duration = nbytes / self.ctx.cluster.node_at(node).cpu_agg_bytes_per_s
-        return Task(node, "cpu", label, duration=duration, nbytes=nbytes)
-
-    def cpu_work(self, node: int, duration: float,
-                 label: str = "cpu") -> Task:
-        """Arbitrary host-side work of a fixed duration."""
-        return Task(node, "cpu", label, duration=duration)
-
-    # -- communication tasks ------------------------------------------------------
-
-    def send(self, src: int, dst: int, nbytes: float, label: str = "send",
-             bulk: bool = False) -> Task:
-        return Task(src, "send", label, nbytes=nbytes, dst=dst, bulk=bulk)
-
-    def notify(self, node: int, label: str = "done") -> Task:
-        return Task(node, "notify", label)
 
 
 class Strategy(ABC):
@@ -232,8 +52,8 @@ class Strategy(ABC):
 
     Strategies are IR frontends: :meth:`expand` emits the structural
     :class:`~repro.casync.ir.SyncPlan` ops for one iteration, and
-    :meth:`passes` names the CaSync optimizations to apply to it.  The
-    concrete :meth:`build` runs the whole pipeline -- directive passes,
+    :meth:`passes` names the CaSync optimizations to apply to it.
+    :meth:`build` runs the whole pipeline -- directive passes,
     expansion, op passes, verification, lowering -- through the graph
     cache (:func:`repro.casync.lower.build_graph`) and returns a
     TaskGraph whose completion means every node has the fully aggregated
@@ -244,19 +64,15 @@ class Strategy(ABC):
     #: Whether this strategy compresses gradients.
     compression: bool = False
 
+    @abstractmethod
     def expand(self, plan: SyncPlan, pctx: PassContext,
                model: ModelSpec) -> None:
         """Emit this strategy's ops into ``plan`` (after directive passes).
 
         Must only consult ``pctx`` (cluster/algorithm/plans/config) and the
         plan's directives -- never a live Environment -- so expansion stays
-        deterministic and cacheable.  Not abstract for backwards
-        compatibility: a legacy strategy may override :meth:`build`
-        directly and skip the IR pipeline entirely.
+        deterministic and cacheable.
         """
-        raise NotImplementedError(
-            f"{type(self).__name__} must implement expand() "
-            "(or override build() to bypass the SyncPlan pipeline)")
 
     def passes(self) -> List[Pass]:
         """Optimization passes to run over the plan (verify is implicit)."""
@@ -283,8 +99,7 @@ class Strategy(ABC):
 
     def build(self, ctx: SyncContext, model: ModelSpec) -> TaskGraph:
         """Construct the task graph for one iteration (via the IR pipeline)."""
-        from ..casync.lower import build_graph  # deferred: avoids a cycle
-        return build_graph(self, ctx, model)
+        return lower.build_graph(self, ctx, model)
 
     def __repr__(self) -> str:
         return f"<Strategy {self.name}>"
@@ -322,10 +137,6 @@ class MembershipBound(Strategy):
 
     def cache_token(self) -> tuple:
         return self.inner.cache_token()
-
-    def build(self, ctx: SyncContext, model: ModelSpec) -> TaskGraph:
-        return self.inner.build(ctx, model) if type(self.inner).build \
-            is not Strategy.build else super().build(ctx, model)
 
     def __repr__(self) -> str:
         return f"<Strategy {self.name} bound to {self.membership!r}>"

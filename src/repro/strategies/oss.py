@@ -59,8 +59,8 @@ class BytePSOSSCompression(Strategy):
         if pctx.algorithm is None:
             raise ValueError(f"{self.name} requires a compression algorithm")
         n = plan.num_nodes
-        # ``as_cpu``: costed by the GPU-kind builder method but executed on
-        # the host-CPU executor (the OSS on-CPU codec path).
+        # ``as_cpu``: costed as its GPU kind but executed on the host-CPU
+        # executor (the OSS on-CPU codec path).
         worker_cpu = ({"on_cpu": True, "as_cpu": True}
                       if self.worker_on_cpu else {})
         server_rr = 0

@@ -8,64 +8,35 @@ strategies integrate the same way new compression algorithms do::
 
     register_strategy("my-sync", MySyncStrategy)
     strategy = get_strategy("my-sync", pipelining=False)
-
-Historical names ("hipress-ps" / "hipress-ring", the paper's product
-branding for the CaSync variants) resolve through :data:`DEPRECATED_ALIASES`
-with a :class:`DeprecationWarning`; use "casync-ps" / "casync-ring".
 """
 
 from __future__ import annotations
 
-import warnings
 from typing import Callable, Dict, List
 
 from .base import Strategy
 
 __all__ = [
-    "DEPRECATED_ALIASES",
     "available_strategies",
     "get_strategy",
     "register_strategy",
-    "resolve_strategy_name",
 ]
 
 _REGISTRY: Dict[str, Callable[..., Strategy]] = {}
-
-#: Old name -> canonical registry name.  Lookups through an alias warn.
-DEPRECATED_ALIASES: Dict[str, str] = {
-    "hipress-ps": "casync-ps",
-    "hipress-ring": "casync-ring",
-}
 
 
 def register_strategy(name: str, factory: Callable[..., Strategy],
                       overwrite: bool = False) -> None:
     """Register a strategy factory under ``name``."""
-    if name in DEPRECATED_ALIASES:
-        raise ValueError(
-            f"{name!r} is a deprecated alias for "
-            f"{DEPRECATED_ALIASES[name]!r}; register the canonical name")
     if name in _REGISTRY and not overwrite:
         raise ValueError(f"strategy {name!r} is already registered")
     _REGISTRY[name] = factory
 
 
-def resolve_strategy_name(name: str) -> str:
-    """Canonicalize ``name``, warning if it is a deprecated alias."""
-    canonical = DEPRECATED_ALIASES.get(name)
-    if canonical is not None:
-        warnings.warn(
-            f"strategy name {name!r} is deprecated; use {canonical!r}",
-            DeprecationWarning, stacklevel=3)
-        return canonical
-    return name
-
-
 def get_strategy(name: str, **params) -> Strategy:
-    """Instantiate a registered strategy by (possibly deprecated) name."""
-    canonical = resolve_strategy_name(name)
+    """Instantiate a registered strategy by name."""
     try:
-        factory = _REGISTRY[canonical]
+        factory = _REGISTRY[name]
     except KeyError:
         raise KeyError(
             f"unknown strategy {name!r}; available: {sorted(_REGISTRY)}"
@@ -74,5 +45,5 @@ def get_strategy(name: str, **params) -> Strategy:
 
 
 def available_strategies() -> List[str]:
-    """Canonical registered names, sorted (aliases excluded)."""
+    """Registered names, sorted."""
     return sorted(_REGISTRY)

@@ -64,21 +64,17 @@ class RingAllreduce(Strategy):
         self.bucket_bytes = float(bucket_bytes)
         self.gpu_ring = gpu_ring
 
-    def _step_overhead(self, ctx) -> float:
-        """Extra serial seconds per node-level ring step.
-
-        ``ctx`` is anything exposing ``num_nodes`` and ``cluster`` (a
-        SyncContext or a :class:`~repro.casync.passes.PassContext`).
-        """
-        n = ctx.num_nodes
+    def _step_overhead(self, pctx: PassContext) -> float:
+        """Extra serial seconds per node-level ring step."""
+        n = pctx.num_nodes
         node_steps = 2 * (n - 1)
         if not self.gpu_ring:
             return self.NCCL_STEP_OVERHEAD_S
-        total_gpus = ctx.cluster.total_gpus
+        total_gpus = pctx.cluster.total_gpus
         gpu_steps = 2 * (total_gpus - 1)
         # A ring step is paced by the slowest participating link (on a
         # uniform network this is exactly the core latency).
-        latency = ctx.cluster.network.bottleneck(n).latency_s
+        latency = pctx.cluster.network.bottleneck(n).latency_s
         per_step = latency + self.NCCL_STEP_OVERHEAD_S
         # Latency of the full GPU ring, minus what the node-level transfers
         # already pay, spread over the node-level steps.

@@ -34,6 +34,7 @@ from ..faults import (
     RobustSyncReport,
     run_graph_robust,
 )
+from ..faults.runner import count_retries
 from ..gpu import Gpu
 from ..models import ModelSpec
 from ..net import Fabric
@@ -302,9 +303,8 @@ def _run_round(model: ModelSpec, cluster: ClusterSpec, strategy: Strategy,
              for node in range(cluster.num_nodes)
              for grad in model.gradients}
 
-    ctx = SyncContext(env=env, cluster=cluster, fabric=fabric, gpus=gpus,
-                      engines=engines, ready=ready, algorithm=algorithm,
-                      plans=plans, coordinator=coordinator,
+    ctx = SyncContext(env=env, cluster=cluster, ready=ready,
+                      algorithm=algorithm, plans=plans,
                       pass_config=pconf, decisions=decisions)
     graph = strategy.build(ctx, model)
 
@@ -428,7 +428,7 @@ def _run_round(model: ModelSpec, cluster: ClusterSpec, strategy: Strategy,
         # barrier, which was captured above.
         env.run()
         report.declared_dead = membership.dead()
-        report.retries = sum(e.retries for e in engines)
+        report.retries = count_retries(engines)
     return _Round(tel=tel, graph=graph, gpus=gpus, fabric=fabric,
                   coordinator=coordinator, finish=finish,
                   barrier=barrier, report=report, compute_time=compute_time)

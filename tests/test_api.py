@@ -1,13 +1,9 @@
 """Tests for the public API surface: repro.api, registries, ConfigError.
 
 The facade contract: ``from repro import TrainingJob`` works (lazily),
-every name in ``repro.api.__all__`` resolves, unknown configuration
-strings raise a typed :class:`ConfigError` that names the valid choices,
-and the historical "hipress-*" strategy names keep working behind a
-DeprecationWarning.
+every name in ``repro.api.__all__`` resolves, and unknown configuration
+strings raise a typed :class:`ConfigError` that names the valid choices.
 """
-
-import warnings
 
 import pytest
 
@@ -27,11 +23,9 @@ from repro import (
 )
 from repro.strategies import (
     CaSyncPS,
-    DEPRECATED_ALIASES,
     Strategy,
     available_strategies,
     register_strategy,
-    resolve_strategy_name,
 )
 from repro.strategies.registry import _REGISTRY
 
@@ -114,11 +108,11 @@ def test_get_strategy_unknown_name_lists_choices():
         get_strategy("nope")
 
 
-def test_register_strategy_rejects_duplicates_and_aliases():
+def test_register_strategy_rejects_duplicates():
     class Custom(Strategy):
         name = "custom-test"
 
-        def build(self, ctx, model):  # pragma: no cover
+        def expand(self, plan, pctx, model):  # pragma: no cover
             raise NotImplementedError
 
     register_strategy("custom-test", Custom)
@@ -128,31 +122,30 @@ def test_register_strategy_rejects_duplicates_and_aliases():
         with pytest.raises(ValueError, match="already registered"):
             register_strategy("custom-test", Custom)
         register_strategy("custom-test", Custom, overwrite=True)
-        with pytest.raises(ValueError, match="deprecated alias"):
-            register_strategy("hipress-ps", Custom)
     finally:
         _REGISTRY.pop("custom-test", None)
 
 
-def test_deprecated_strategy_names_resolve_with_warning():
-    assert DEPRECATED_ALIASES == {"hipress-ps": "casync-ps",
-                                  "hipress-ring": "casync-ring"}
-    for old, new in DEPRECATED_ALIASES.items():
-        with pytest.warns(DeprecationWarning, match=new):
-            assert resolve_strategy_name(old) == new
-        with pytest.warns(DeprecationWarning):
-            strategy = get_strategy(old)
-        assert strategy.name == new
-    # canonical names warn nothing
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert resolve_strategy_name("casync-ps") == "casync-ps"
+_HIPRESS_SYSTEMS = {"hipress-ps": "casync-ps", "hipress-ring": "casync-ring"}
 
 
-def test_training_job_accepts_deprecated_strategy_names():
-    with pytest.warns(DeprecationWarning):
-        job = TrainingJob("resnet50", strategy="hipress-ring")
-    assert job.strategy_name == "casync-ring"
+def test_hipress_names_are_systems_not_strategies():
+    # "hipress-ps" / "hipress-ring" name SYSTEMS entries only; the
+    # strategy registry knows the CaSync names alone.
+    for name in _HIPRESS_SYSTEMS:
+        assert name in SYSTEMS
+        with pytest.raises(KeyError, match=f"unknown strategy '{name}'"):
+            get_strategy(name)
+
+
+def test_training_job_rejects_hipress_strategy_names():
+    for name, canonical in _HIPRESS_SYSTEMS.items():
+        with pytest.raises(ConfigError) as exc:
+            TrainingJob("resnet50", strategy=name)
+        assert exc.value.kind == "strategy"
+        assert canonical in exc.value.choices
+        job = TrainingJob("resnet50", strategy=canonical)
+        assert job.strategy_name == canonical
 
 
 # -- systems + clusters -----------------------------------------------------

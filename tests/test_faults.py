@@ -46,7 +46,7 @@ from repro.strategies import (
     RingAllreduce,
     RingOSSCompression,
 )
-from repro.training import simulate_iteration
+from repro.training import make_plans, simulate_iteration
 from repro.training.trace import trace_hash, trace_iteration
 
 MB = 1024 * 1024
@@ -306,6 +306,30 @@ def test_transient_failures_are_retried_to_completion():
     check_all(report)
     # the lost attempts are in the ledger as explicit transient drops
     assert report.state.log.dropped("transient")
+
+
+@pytest.mark.parametrize("use_coordinator", [False, True])
+def test_retried_bulk_flushes_count_as_retries(use_coordinator):
+    """Two failed attempts on each of the 6 directed pairs are 12 retries,
+    whether the sends go out one by one or in coordinator flushes."""
+    sizes = (64 * 1024,) * 6 + (8 * MB,)
+    grads = tuple(GradientSpec(f"f.g{i}", s) for i, s in enumerate(sizes))
+    model = ModelSpec(name="f", gradients=grads, batch_size=4,
+                      batch_unit="images", v100_iteration_s=0.01)
+    cluster = ec2_v100_cluster(3)
+    algo = OneBit()
+    schedule = FaultSchedule(tuple(
+        TransientSendFailure(at=0.0, src=src, dst=dst, count=2)
+        for src in range(3) for dst in range(3) if src != dst))
+    result = simulate_iteration(
+        model, cluster, CaSyncPS(), algorithm=algo,
+        plans=make_plans(model, cluster, algo, "ps_colocated"),
+        use_coordinator=use_coordinator, batch_compression=True,
+        fault_schedule=schedule, retry_policy=RetryPolicy())
+    report = result.fault_report
+    assert not report.aborted
+    assert report.retries == 12
+    check_all(report)
 
 
 def test_link_degrade_slows_the_round():

@@ -29,8 +29,9 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.casync.lower import GraphCache, cache_key
-from repro.casync.passes import PassContext
+from repro.casync import tasks
+from repro.casync.lower import GraphCache, cache_key, lower_plan
+from repro.casync.passes import PassContext, build_plan
 from repro.casync.planner import CostModel
 from repro.cluster import (
     ClusterSpec,
@@ -358,3 +359,25 @@ def test_mixed_fleet_encode_cost_is_slowest_gpu():
     per_node = [cost.t_enc_at(i, 4 * MB) for i in range(8)]
     assert cost.t_enc(4 * MB) == pytest.approx(max(per_node))
     assert len(set(per_node)) == 2  # two GPU generations
+
+
+def test_lowering_costs_each_op_on_its_own_nodes_gpu():
+    mixed = hetero_mixed_cluster(8)
+    algo = default_algorithm("dgc")
+    pctx = PassContext(num_nodes=8, cluster=mixed, algorithm=algo,
+                       plans=make_plans(MODEL, mixed, algo, "ps_colocated"))
+    plan = build_plan(get_strategy("casync-ps"), pctx, MODEL)
+    counter = repr(tasks._task_counter)
+    recipe = lower_plan(plan, pctx)
+    assert repr(tasks._task_counter) == counter  # no runtime Task built
+
+    durations = {}
+    encodes = [s for s in recipe.specs if s.kind == "encode"]
+    assert encodes
+    for spec in encodes:
+        gpu = mixed.node_at(spec.node).gpu
+        assert spec.duration == algo.encode_time(spec.nbytes, gpu)
+        assert spec.launch_overhead == (gpu.kernel_launch_us * 1e-6
+                                        * algo.profile.encode_kernels)
+        durations.setdefault(spec.nbytes, set()).add(spec.duration)
+    assert any(len(seen) >= 2 for seen in durations.values())

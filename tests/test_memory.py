@@ -82,8 +82,7 @@ def _strategy_peak(strategy, model, cluster, algo, plans=None, **kw):
                for i in range(cluster.num_nodes)]
     ready = {(n, g.name): env.event() for n in range(cluster.num_nodes)
              for g in model.gradients}
-    ctx = SyncContext(env=env, cluster=cluster, fabric=fabric, gpus=gpus,
-                      engines=engines, ready=ready, algorithm=algo,
+    ctx = SyncContext(env=env, cluster=cluster, ready=ready, algorithm=algo,
                       plans=plans)
     graph = strategy.build(ctx, model)
     for ev in ready.values():

@@ -123,8 +123,7 @@ def _build_graph(strategy, model, cluster, algo):
                for i in range(cluster.num_nodes)]
     ready = {(n, g.name): env.event() for n in range(cluster.num_nodes)
              for g in model.gradients}
-    ctx = SyncContext(env=env, cluster=cluster, fabric=fabric, gpus=gpus,
-                      engines=engines, ready=ready, algorithm=algo)
+    ctx = SyncContext(env=env, cluster=cluster, ready=ready, algorithm=algo)
     return ctx, strategy.build(ctx, model), engines
 
 

@@ -44,8 +44,7 @@ def run_strategy(strategy, sizes, num_nodes, algo=None, plans_kind=None):
                for i in range(num_nodes)]
     ready = {(n, g.name): env.event() for n in range(num_nodes)
              for g in model.gradients}
-    ctx = SyncContext(env=env, cluster=cluster, fabric=fabric, gpus=gpus,
-                      engines=engines, ready=ready, algorithm=algo,
+    ctx = SyncContext(env=env, cluster=cluster, ready=ready, algorithm=algo,
                       plans=plans)
     graph = strategy.build(ctx, model)
     for ev in ready.values():
@@ -347,14 +346,9 @@ def _build_graph(strategy, grads, num_nodes, algo=None, plans=None):
                       batch_unit="images", v100_iteration_s=0.001)
     cluster = ec2_v100_cluster(num_nodes)
     env = Environment()
-    fabric = Fabric(env, num_nodes, cluster.network)
-    gpus = [Gpu(env, V100, i) for i in range(num_nodes)]
-    engines = [NodeEngine(env, i, gpus[i], fabric)
-               for i in range(num_nodes)]
     ready = {(n, g.name): env.event() for n in range(num_nodes)
              for g in model.gradients}
-    ctx = SyncContext(env=env, cluster=cluster, fabric=fabric, gpus=gpus,
-                      engines=engines, ready=ready, algorithm=algo,
+    ctx = SyncContext(env=env, cluster=cluster, ready=ready, algorithm=algo,
                       plans=plans)
     return strategy.build(ctx, model)
 
