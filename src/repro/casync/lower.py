@@ -5,10 +5,13 @@ The backend of the SyncPlan pipeline, and the home of the cost model.
 cluster/algorithm -- :func:`_spec_for` costs each op's duration, launch
 overhead, and wire size on *its own node's* GPU, under *its gradient's*
 codec -- and produces a :class:`LoweredRecipe`: a flat list of
-environment-free :class:`TaskSpec` rows.  :func:`instantiate` then turns a
-recipe into a live :class:`~repro.casync.tasks.TaskGraph` for one
-:class:`~repro.sim.Environment`, which is cheap (no cost-model calls, no
-pass pipeline) and is what makes the :class:`GraphCache` pay off: the
+environment-free :class:`TaskSpec` rows, plus (built on first use and
+cached with it) the rows' :class:`~repro.casync.tasks.SuccessorCSR`.
+:func:`instantiate` then turns a recipe into a live
+:class:`~repro.casync.tasks.TaskGraph` for one
+:class:`~repro.sim.Environment`, which is cheap (one ``Task`` per spec: no
+cost-model calls, no pass pipeline, no per-task dependency wiring) and is
+what makes the :class:`GraphCache` pay off: the
 multi-iteration experiment harness builds the plan once per
 (strategy, model, cluster, algorithm, plans, pass-config) key and replays
 the recipe every iteration.
@@ -28,6 +31,7 @@ import hashlib
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
 from ..algorithms.base import CompressionAlgorithm
@@ -35,7 +39,7 @@ from .index import plan_index
 from .ir import Op, SyncPlan
 from .passes import DEFAULT_PASS_CONFIG, PassContext, build_plan, wire_nbytes
 from .planner import plans_to_json
-from .tasks import Task, TaskGraph
+from .tasks import SuccessorCSR, Task, TaskGraph
 
 __all__ = [
     "GraphCache",
@@ -80,6 +84,15 @@ class LoweredRecipe:
     strategy: str
     num_nodes: int
     meta: Dict[str, object]
+
+    @cached_property
+    def csr(self) -> SuccessorCSR:
+        """The specs' successor CSR, built on first use and kept with the
+        recipe, so every warm instantiation shares one copy."""
+        return SuccessorCSR(
+            [spec.deps for spec in self.specs],
+            [i for i, spec in enumerate(self.specs)
+             if spec.out_nbytes is not None and spec.out_nbytes > 0])
 
     def __repr__(self) -> str:
         return (f"<LoweredRecipe {self.strategy} {len(self.specs)} tasks "
@@ -216,25 +229,17 @@ def lower_plan(plan: SyncPlan, pctx: PassContext) -> LoweredRecipe:
 def instantiate(recipe: LoweredRecipe, ctx) -> TaskGraph:
     """Cheaply materialize a recipe as a TaskGraph for ``ctx``'s env.
 
-    Specs are added in recipe order, so task creation/dispatch order (and
-    therefore the executed timeline) is identical on every instantiation.
+    One :class:`Task` per spec, in recipe order, and nothing else: the
+    dependency wiring is the recipe's cached :attr:`LoweredRecipe.csr`,
+    whose ``("r", node, gradient)`` keys resolve against ``ctx.ready``
+    when the graph is armed.  Task creation/dispatch order (and therefore
+    the executed timeline) is identical on every instantiation.
     """
-    graph = TaskGraph(ctx.env)
-    tasks: List[Task] = []
-    for spec in recipe.specs:
-        task = Task(spec.node, spec.kind, spec.label, duration=spec.duration,
-                    launch_overhead=spec.launch_overhead, nbytes=spec.nbytes,
-                    dst=spec.dst, bulk=spec.bulk,
-                    out_nbytes=spec.out_nbytes)
-        deps = []
-        for dep in spec.deps:
-            if dep[0] == "t":
-                deps.append(tasks[dep[1]])
-            else:
-                deps.append(ctx.ready[(dep[1], dep[2])])
-        graph.add(task, deps=deps)
-        tasks.append(task)
-    return graph
+    tasks = [Task(spec.node, spec.kind, spec.label, spec.duration,
+                  spec.launch_overhead, spec.nbytes, spec.dst, spec.bulk,
+                  spec.out_nbytes, i)
+             for i, spec in enumerate(recipe.specs)]
+    return TaskGraph(ctx.env, tasks, recipe.csr, ctx.ready)
 
 
 # -- cache keys --------------------------------------------------------------

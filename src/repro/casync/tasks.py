@@ -17,24 +17,28 @@ up front), and each node's :class:`NodeEngine` then executes its tasks:
   completes when the bytes have arrived.
 
 Order constraints are enforced exactly as in the paper: the dependency
-graph drives asynchronous execution (Fig. 2 steps 1-3).
+graph drives asynchronous execution (Fig. 2 steps 1-3).  The graph's
+edges are a static :class:`SuccessorCSR`; executors report a finished
+task through :meth:`TaskGraph.complete`, whose one pooled carrier event
+releases the task's dependents, so a round allocates no event,
+dependency list or callback per task.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from array import array
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..faults.errors import PeerDeadError, TransferError
 from ..faults.membership import Membership
 from ..faults.retry import RetryPolicy
 from ..gpu import Gpu, GpuSpec
 from ..net import Fabric
-from ..sim import Environment, Event, Store, URGENT
+from ..sim import Environment, Event, SimulationError, Store, URGENT
 
-__all__ = ["Task", "TaskGraph", "NodeEngine", "Coordinator", "run_graph",
-           "robust_transfer", "COMPUTE_KINDS"]
+__all__ = ["Task", "TaskGraph", "SuccessorCSR", "NodeEngine", "Coordinator",
+           "run_graph", "robust_transfer", "COMPUTE_KINDS"]
 
 #: Task kinds executed on the GPU communication stream.
 COMPUTE_KINDS = ("encode", "decode", "merge", "copy")
@@ -46,22 +50,30 @@ _task_counter = itertools.count()
 
 
 class Task:
-    """One unit of work in the synchronization DAG."""
+    """One unit of work in the synchronization DAG.
 
-    __slots__ = ("id", "node", "kind", "label", "duration", "launch_overhead",
-                 "nbytes", "out_nbytes", "dst", "bulk", "pending",
-                 "completed", "started_at", "finished_at", "dropped",
-                 "attempts")
+    Completion is per-task state, not an event: :meth:`TaskGraph.complete`
+    sets ``triggered`` (and ``error`` for a failed task) and schedules the
+    pooled carrier that releases the task's dependents.
+    """
+
+    __slots__ = ("id", "index", "node", "kind", "label", "duration",
+                 "launch_overhead", "nbytes", "out_nbytes", "dst", "bulk",
+                 "triggered", "error", "started_at", "finished_at",
+                 "dropped", "attempts")
 
     def __init__(self, node: int, kind: str, label: str = "",
                  duration: float = 0.0, launch_overhead: float = 0.0,
                  nbytes: float = 0.0, dst: Optional[int] = None,
-                 bulk: bool = False, out_nbytes: Optional[float] = None):
+                 bulk: bool = False, out_nbytes: Optional[float] = None,
+                 index: int = -1):
         if kind not in _ALL_KINDS:
             raise ValueError(f"unknown task kind {kind!r}")
         if kind == "send" and dst is None:
             raise ValueError("send tasks need a destination node")
         self.id = next(_task_counter)
+        #: Position in the owning graph's ``tasks`` (its CSR row).
+        self.index = index
         self.node = node
         self.kind = kind
         self.label = label
@@ -72,12 +84,14 @@ class Task:
         self.out_nbytes = out_nbytes
         self.dst = dst
         self.bulk = bulk
-        self.pending = 0
-        self.completed: Optional[Event] = None  # set when graph is armed
+        #: True once the completion is scheduled (``Event.triggered``).
+        self.triggered = False
+        #: The exception a failed completion carries (None = success).
+        self.error: Optional[BaseException] = None
         self.started_at: Optional[float] = None
         self.finished_at: Optional[float] = None
         #: Set by the fault machinery when this task's work was abandoned
-        #: (its completion event still fires so dependents unblock).
+        #: (its completion still fires so dependents unblock).
         self.dropped = False
         #: Transfer attempts made for this task (sends under a RetryPolicy).
         self.attempts = 0
@@ -86,81 +100,264 @@ class Task:
         return f"<Task {self.kind} {self.label!r} @node{self.node}>"
 
 
-class TaskGraph:
-    """A static DAG of tasks spanning all nodes for one iteration."""
+class SuccessorCSR:
+    """A static task DAG's edges as compressed sparse rows of C ints.
 
-    def __init__(self, env: Environment):
+    Built once per graph shape (a lowered recipe caches it), so arming an
+    iteration allocates nothing per task.  ``preds[i]`` is task ``i``'s
+    dependency row: ``("t", j)`` names an earlier task, ``("r", *key)``
+    an external event the graph resolves by ``key`` (a backward-pass
+    ready event).  Each list below keeps registration order -- ascending
+    dependent index, duplicate edges kept -- which is the order the
+    dependents are released in:
+
+    * task ``i``'s dependents: ``succ_idx[succ_ptr[i]:succ_ptr[i + 1]]``;
+    * external key ``refs[r]``'s dependents:
+      ``ref_idx[ref_ptr[r]:ref_ptr[r + 1]]`` (keys in first-use order);
+    * ``indegree[i]`` counts every dependency entry of task ``i``;
+      ``sources`` are the tasks without any;
+    * ``producers`` are the tasks that materialize a buffer, the only
+      rows buffer accounting walks.
+    """
+
+    __slots__ = ("preds", "indegree", "sources", "succ_ptr", "succ_idx",
+                 "refs", "ref_ptr", "ref_idx", "producers")
+
+    def __init__(self, preds: Sequence[Tuple[Tuple, ...]],
+                 producers: Iterable[int]):
+        # A counting sort keyed by the depended-on task: no per-row
+        # containers, so building the CSR of a large recipe stays flat in
+        # memory.  Filling in ascending dependent order keeps every row in
+        # registration order.
+        n = len(preds)
+        counts = array("i", [0]) * (n + 1)
+        by_ref: Dict[Tuple, List[int]] = {}
+        for i, row in enumerate(preds):
+            for dep in row:
+                if dep[0] == "t":
+                    counts[dep[1] + 1] += 1
+                else:
+                    by_ref.setdefault(dep[1:], []).append(i)
+        ptr = array("i", itertools.accumulate(counts))
+        fill = ptr[:-1]
+        idx = array("i", [0]) * ptr[-1]
+        for i, row in enumerate(preds):
+            for dep in row:
+                if dep[0] == "t":
+                    j = dep[1]
+                    idx[fill[j]] = i
+                    fill[j] += 1
+        self.preds = preds
+        self.indegree = array("i", map(len, preds))
+        self.sources = array("i", (i for i, row in enumerate(preds)
+                                   if not row))
+        self.succ_ptr, self.succ_idx = ptr, idx
+        self.refs = list(by_ref)
+        self.ref_ptr = array("i", itertools.accumulate(
+            map(len, by_ref.values()), initial=0))
+        self.ref_idx = array("i", itertools.chain.from_iterable(
+            by_ref.values()))
+        self.producers = array("i", producers)
+
+    def successors(self, i: int) -> array:
+        """Task ``i``'s dependents, in registration order."""
+        return self.succ_idx[self.succ_ptr[i]:self.succ_ptr[i + 1]]
+
+
+class TaskGraph:
+    """A static DAG of tasks spanning all nodes for one iteration.
+
+    Either instantiated from a lowered recipe (``tasks`` plus the
+    recipe's cached :class:`SuccessorCSR` and the ``ready`` events its
+    external keys name) or built by hand with :meth:`add`, which derives
+    the same CSR when the graph is first armed.
+
+    Dispatch runs off the CSR.  :meth:`complete` schedules one pooled
+    carrier per task at ``(now, NORMAL)``; its callback releases the
+    task's dependents in registration order, runs the ``observers``, and
+    counts toward the graph-level :attr:`done` event.  Only external
+    (ready) events carry a callback of the graph's.
+    """
+
+    def __init__(self, env: Environment, tasks: Optional[List[Task]] = None,
+                 csr: Optional[SuccessorCSR] = None,
+                 ready: Optional[Dict[Tuple, Event]] = None):
         self.env = env
-        self.tasks: List[Task] = []
-        self._deps: Dict[int, List] = {}
+        self.tasks: List[Task] = [] if tasks is None else tasks
+        self._csr = csr
+        #: Hand-built graphs' dependency rows (None on recipe graphs).
+        self._rows: Optional[List[Tuple[Tuple, ...]]] = (
+            [] if csr is None else None)
+        self._ready: Dict[Tuple, Event] = {} if ready is None else ready
+        #: ``observer(task)`` callables run at each completion, after the
+        #: task's dependents are released (the fault ledger).
+        self.observers: List[Callable[[Task], None]] = []
+        #: Fires when every task completed; fails on the first error.
+        self.done: Optional[Event] = None
+        self._engines: Dict[int, "NodeEngine"] = {}
+        self._pending: List[int] = []
+        self._remaining = 0
 
     def add(self, task: Task, deps: Iterable = ()) -> Task:
         """Add ``task`` depending on prior tasks and/or raw events."""
+        if self._rows is None:
+            raise ValueError("cannot add tasks to a recipe-instantiated graph")
+        row = []
+        for dep in deps:
+            if isinstance(dep, Task):
+                if not (0 <= dep.index < len(self.tasks)
+                        and self.tasks[dep.index] is dep):
+                    raise ValueError(
+                        f"dependency {dep!r} of {task!r} is not in this graph")
+                row.append(("t", dep.index))
+            else:
+                self._ready[(dep,)] = dep
+                row.append(("r", dep))
+        task.index = len(self.tasks)
         self.tasks.append(task)
-        self._deps[task.id] = list(deps)
+        self._rows.append(tuple(row))
+        self._csr = None
         return task
 
-    def arm(self, engines: List["NodeEngine"]) -> List[Event]:
-        """Wire dependency callbacks and release source tasks to engines.
+    @property
+    def csr(self) -> SuccessorCSR:
+        """The graph's successor CSR (derived once for hand-built graphs)."""
+        if self._csr is None:
+            self._csr = SuccessorCSR(
+                self._rows, [i for i, task in enumerate(self.tasks)
+                             if task.out_nbytes is not None
+                             and task.out_nbytes > 0])
+        return self._csr
 
-        Returns the ``completed`` events of every task (the iteration is
-        over when all have fired).
+    def predecessors(self, task: Task) -> Tuple:
+        """``task``'s dependencies (tasks and raw events), in order."""
+        tasks, ready = self.tasks, self._ready
+        return tuple(tasks[dep[1]] if dep[0] == "t" else ready[dep[1:]]
+                     for dep in self.csr.preds[task.index])
+
+    def arm(self, engines: List["NodeEngine"]) -> Event:
+        """Bind the engines, release source tasks, return :attr:`done`.
+
+        Pending counts start from the CSR's indegrees; a ready event that
+        already fired counts as satisfied, and every other one gets one
+        callback releasing its dependents.  Sources dispatch in task order.
         """
         tel = self.env.telemetry
         if tel is not None:
             # Capture the DAG so exported timelines can be cross-checked
             # against the dependencies that produced them.
             tel.register_task_graph(self)
-        for task in self.tasks:
-            task.completed = self.env.event()
+        csr = self.csr
+        self._engines = {e.node: e for e in engines}
+        for engine in engines:
+            engine.graph = self
+            if engine.coordinator is not None:
+                engine.coordinator.graph = self
+        pending = self._pending = csr.indegree.tolist()
+        self._remaining = len(self.tasks)
+        self.done = done = self.env.event()
+        released: List[int] = []
+        waiting = []
+        ref_ptr, ref_idx = csr.ref_ptr, csr.ref_idx
+        for r, key in enumerate(csr.refs):
+            event = self._ready[key]
+            dependents = ref_idx[ref_ptr[r]:ref_ptr[r + 1]]
+            if event._processed:
+                for j in dependents:
+                    pending[j] -= 1
+                    if not pending[j]:
+                        released.append(j)
+            else:
+                waiting.append((event, dependents))
+        sources = (sorted(itertools.chain(csr.sources, released))
+                   if released else csr.sources)
+        tasks = self.tasks
+        for i in sources:
+            self._dispatch(tasks[i])
+        # No event fires while arm() runs, so attaching the ready-event
+        # callbacks after the sources dispatched is safe.
+        for event, dependents in waiting:
+            event.callbacks.append(self._fanout_callback(dependents))
+        if not tasks:
+            self._finish()
+        return done
 
-        by_node: Dict[int, NodeEngine] = {e.node: e for e in engines}
+    def _fanout_callback(self, dependents: array):
+        """A ready event's callback, releasing all its dependents."""
+        def fanout(_event):
+            self._release(dependents)
+        return fanout
 
-        def dispatch(task: Task) -> None:
-            engine = by_node.get(task.node)
-            if engine is None:
-                raise ValueError(f"no engine for node {task.node}")
-            engine.dispatch(task)
+    def _dispatch(self, task: Task) -> None:
+        # task.node is read at release time: the degradation controller
+        # may have reassigned an undispatched task.
+        engine = self._engines.get(task.node)
+        if engine is None:
+            raise ValueError(f"no engine for node {task.node}")
+        engine.dispatch(task)
 
-        # Dependents are grouped per dependency event: the edge count is
-        # O(n^2) for PS-style plans (every pull send on a server depends on
-        # all n aggregates on that node), and one closure per edge
-        # dominated arm() time at scale.  One fanout callback per distinct
-        # event walks its dependents in registration order, which is
-        # exactly the order the per-edge callbacks used to run in.  No
-        # event fires while arm() runs, so deferring the attachment to
-        # after the wiring loop is safe.
-        groups: Dict[Event, List[Task]] = {}
-        for task in self.tasks:
-            deps = self._deps[task.id]
-            task.pending = len(deps)
-            for dep in deps:
-                dep_event = dep.completed if isinstance(dep, Task) else dep
-                if dep_event is None:
-                    raise ValueError(f"dependency of {task!r} is not armed")
-                if dep_event.processed or dep_event.callbacks is None:
-                    task.pending -= 1
-                else:
-                    group = groups.get(dep_event)
-                    if group is None:
-                        groups[dep_event] = [task]
-                    else:
-                        group.append(task)
-            if task.pending == 0:
-                dispatch(task)
-        for dep_event, dependents in groups.items():
-            dep_event.callbacks.append(_fanout_callback(dependents, dispatch))
-        return [t.completed for t in self.tasks]
+    def _release(self, dependents: array) -> None:
+        pending, tasks = self._pending, self.tasks
+        for j in dependents:
+            left = pending[j] - 1
+            pending[j] = left
+            if not left:
+                self._dispatch(tasks[j])
 
+    def complete(self, task: Task,
+                 error: Optional[BaseException] = None) -> None:
+        """Complete ``task`` now, failed with ``error`` if given.
 
-def _fanout_callback(dependents: List[Task], dispatch):
-    """One callback per dependency event, decrementing all its dependents."""
-    def fanout(_event):
-        for task in dependents:
-            task.pending -= 1
-            if task.pending == 0:
-                dispatch(task)
-    return fanout
+        One pooled carrier per completion, scheduled at ``(now, NORMAL)``
+        as ``Event.succeed``/``fail`` schedules an event, so a completion
+        takes one agenda entry in the same (time, priority, seq) order.
+        Completing a task twice raises :class:`SimulationError`, as a
+        second ``Event.succeed`` does.
+        """
+        if task.triggered:
+            raise SimulationError(f"{task!r} has already been completed")
+        task.triggered = True
+        task.error = error
+        env = self.env
+        carrier = env._acquire_carrier(True, task)
+        carrier.callbacks.append(self._on_complete)
+        env.schedule(carrier)
+
+    def _on_complete(self, event: Event) -> None:
+        task = event._value
+        csr = self._csr
+        i = task.index
+        start, stop = csr.succ_ptr[i], csr.succ_ptr[i + 1]
+        if start != stop:
+            self._release(csr.succ_idx[start:stop])
+        for observer in self.observers:
+            observer(task)
+        done = self.done
+        if done._scheduled:
+            return
+        if task.error is not None:
+            done.fail(task.error)
+            return
+        self._remaining -= 1
+        if not self._remaining:
+            self._finish()
+
+    def _finish(self) -> None:
+        """Fire :attr:`done` and unbind the engines.
+
+        Nothing completes a task after the last one did, and the engines'
+        back-references are the only links from the (cyclic) simulation
+        state to this graph: dropping them lets a finished round's tasks
+        free by reference counting instead of waiting for a full
+        collection.
+        """
+        self.done.succeed()
+        for engine in self._engines.values():
+            if engine.graph is self:
+                engine.graph = None
+            coordinator = engine.coordinator
+            if coordinator is not None and coordinator.graph is self:
+                coordinator.graph = None
 
 
 def robust_transfer(env: Environment, fabric: Fabric, src: int, dst: int,
@@ -259,6 +456,10 @@ class Coordinator:
         self.size_threshold = size_threshold
         self.timeout_s = timeout_s
         self._queues: Dict[Tuple[int, int], List[Tuple[Task, float]]] = {}
+        #: Running byte total of each link queue, summed in arrival order.
+        self._queue_bytes: Dict[Tuple[int, int], float] = {}
+        #: The armed graph whose tasks this coordinator completes.
+        self.graph: Optional[TaskGraph] = None
         self._ticker_running = False
         self.batches_flushed = 0
         self.tasks_batched = 0
@@ -267,9 +468,9 @@ class Coordinator:
 
     def submit(self, task: Task) -> None:
         key = (task.node, task.dst)
-        queue = self._queues.setdefault(key, [])
-        queue.append((task, self.env.now))
-        total = sum(t.nbytes for t, _ in queue)
+        self._queues.setdefault(key, []).append((task, self.env.now))
+        total = self._queue_bytes.get(key, 0) + task.nbytes
+        self._queue_bytes[key] = total
         if total >= self.size_threshold:
             if self._vector_eligible():
                 self._flush_bulk([key])
@@ -296,7 +497,7 @@ class Coordinator:
             return
         tasks = [t for t, _ in queue]
         src, dst = key
-        nbytes = sum(t.nbytes for t in tasks)
+        nbytes = self._queue_bytes.pop(key)
         self.batches_flushed += 1
         self.tasks_batched += len(tasks)
         tel = self.env.telemetry
@@ -324,16 +525,16 @@ class Coordinator:
                 tel.finish(span, self.env.now, outcome=outcome)
             now = self.env.now
             for task in tasks:
-                if task.completed.triggered:
+                if task.triggered:
                     continue
                 task.finished_at = now
                 if outcome == "dead":
-                    task.completed.fail(PeerDeadError(
+                    self.graph.complete(task, PeerDeadError(
                         src, dst, task.nbytes,
                         self.retry_policy.max_attempts))
                 else:
                     task.dropped = outcome == "local"
-                    task.completed.succeed()
+                    self.graph.complete(task)
 
         self.env.process(transfer(), name=f"bulk:{src}->{dst}")
 
@@ -359,7 +560,7 @@ class Coordinator:
             if not queue:
                 continue
             tasks = [t for t, _ in queue]
-            nbytes = sum(t.nbytes for t in tasks)
+            nbytes = self._queue_bytes.pop(key)
             self.batches_flushed += 1
             self.tasks_batched += len(tasks)
             batches.append((key[0], key[1], nbytes, tasks))
@@ -377,10 +578,10 @@ class Coordinator:
         def deliver(index: int) -> None:
             now = env.now
             for task in batches[index][3]:
-                if task.completed.triggered:
+                if task.triggered:
                     continue
                 task.finished_at = now
-                task.completed.succeed()
+                self.graph.complete(task)
 
         self.fabric.bulk_transfer(
             [(src, dst, nbytes) for src, dst, nbytes, _ in batches],
@@ -433,6 +634,8 @@ class NodeEngine:
         self.retry_policy = retry_policy
         self.membership = membership
         self.degradation = degradation
+        #: The armed graph whose tasks this engine completes.
+        self.graph: Optional[TaskGraph] = None
         self.halted = False
         #: Tasks stranded on this engine by a crash (swept by the
         #: degradation controller once the death is *declared*).
@@ -478,7 +681,7 @@ class NodeEngine:
 
     def dispatch(self, task: Task) -> None:
         """Route a ready task to the right executor."""
-        if task.completed is not None and task.completed.triggered:
+        if task.triggered:
             return  # already force-completed by the fault machinery
         if self.halted:
             if (self.membership is not None
@@ -487,7 +690,7 @@ class NodeEngine:
                 # ran, so late arrivals drop-complete to unblock dependents.
                 task.dropped = True
                 task.finished_at = self.env.now
-                task.completed.succeed()
+                self.graph.complete(task)
             else:
                 self.orphans.append(task)
             return
@@ -509,7 +712,7 @@ class NodeEngine:
                                  name=f"send@{self.node}:{task.label}")
         elif task.kind == "notify":
             task.finished_at = self.env.now
-            task.completed.succeed()
+            self.graph.complete(task)
         else:  # pragma: no cover - guarded by Task.__init__
             raise ValueError(f"cannot dispatch {task!r}")
 
@@ -534,8 +737,8 @@ class NodeEngine:
         task.finished_at = self.env.now
         self.send_busy += task.finished_at - task.started_at
         self._finish_task_span(span, dst=task.dst)
-        if not task.completed.triggered:
-            task.completed.succeed()
+        if not task.triggered:
+            self.graph.complete(task)
 
     def _send_inline(self, task: Task) -> None:
         """Pristine send without a generator process (two pooled events).
@@ -579,8 +782,8 @@ class NodeEngine:
             # Loopback is free: complete at the issue instant, like the
             # generator path (which never touches the NIC).
             task.finished_at = now
-            if not task.completed.triggered:
-                task.completed.succeed()
+            if not task.triggered:
+                self.graph.complete(task)
             return
         sender, receiver = fabric.nics[src], fabric.nics[dst]
         up_ser = task.nbytes / sender.link.up_bytes_per_s
@@ -603,8 +806,8 @@ class NodeEngine:
         self.fabric.stats.record(task.node, task.nbytes)
         task.finished_at = now
         self.send_busy += now - task.started_at
-        if not task.completed.triggered:
-            task.completed.succeed()
+        if not task.triggered:
+            self.graph.complete(task)
 
     def _robust_send(self, task: Task):
         """Fault-tolerant send: retry/timeout, then degrade or abort."""
@@ -616,14 +819,14 @@ class NodeEngine:
         self.send_busy += task.finished_at - task.started_at
         self._finish_task_span(span, outcome=outcome, dst=final_dst,
                                attempts=task.attempts - before)
-        if task.completed.triggered:
+        if task.triggered:
             return  # force-completed while we were retrying
         if outcome == "dead":
-            task.completed.fail(PeerDeadError(
+            self.graph.complete(task, PeerDeadError(
                 self.node, final_dst, task.nbytes, task.attempts - before))
         else:
             task.dropped = outcome == "local"
-            task.completed.succeed()
+            self.graph.complete(task)
 
     def _counted_robust_transfer(self, task: Task):
         policy = self.retry_policy
@@ -639,7 +842,7 @@ class NodeEngine:
                 return ("local", target)
             failures = 0
             for attempt in range(policy.max_attempts):
-                if task.completed.triggered:
+                if task.triggered:
                     return ("forced", target)
                 if membership is not None and not membership.is_alive(target):
                     break
@@ -690,8 +893,8 @@ class NodeEngine:
             task.finished_at = self.env.now
             self.cpu_busy += task.duration
             self._finish_task_span(span)
-            if not task.completed.triggered:
-                task.completed.succeed()
+            if not task.triggered:
+                self.graph.complete(task)
 
     def _comp_executor(self):
         while True:
@@ -734,17 +937,17 @@ class NodeEngine:
                 self.env.telemetry.finish(span, now)
             for task in batch:
                 task.finished_at = now
-                if not task.completed.triggered:
-                    task.completed.succeed()
+                if not task.triggered:
+                    self.graph.complete(task)
 
 
 def run_graph(env: Environment, graph: TaskGraph,
               engines: List[NodeEngine]) -> float:
     """Arm and execute a task graph to completion; returns the finish time."""
-    completions = graph.arm(engines)
+    done = graph.arm(engines)
 
     def waiter():
-        yield env.all_of(completions)
+        yield done
         return env.now
 
     return env.run_until_complete(env.process(waiter(), name="graph-waiter"))

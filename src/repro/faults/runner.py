@@ -80,9 +80,10 @@ class DegradationController:
       *reassigned* to ``route(d)`` -- the dead aggregator's partitions are
       aggregated by its substitute over the surviving workers;
     * sends from ``d``, notifies on ``d``, and tasks whose inputs died
-      with ``d`` (an unfired ready-event of a dead node) are *dropped*:
-      their completion events fire so dependents unblock, with the task
-      marked ``dropped`` for the trace and the invariant checker;
+      with ``d`` (an unfired ready-event of a dead node, found through
+      :meth:`TaskGraph.predecessors`) are *dropped*: completed through
+      ``graph.complete`` so dependents unblock, with the task marked
+      ``dropped`` for the trace and the invariant checker;
     * in-flight sends *to* ``d`` re-route themselves (the engines consult
       ``membership.route`` on every attempt), so no action is needed here.
     """
@@ -111,20 +112,18 @@ class DegradationController:
             # executing on it anyway -- the cluster has excommunicated it.
             engine.halt()
         dead_inputs = self._unfired_events_of_dead_nodes()
-        deps = getattr(self.graph, "_deps", {})
+        graph = self.graph
         try:
             substitute = self.membership.route(node) if self.enabled else None
         except RuntimeError:
             substitute = None  # everyone is dead; just drop
-        for task in self.graph.tasks:
-            if task.completed is None or task.completed.triggered:
-                continue
-            if task.node != node:
+        for task in graph.tasks:
+            if task.triggered or task.node != node:
                 continue
             salvageable = (
                 substitute is not None
                 and task.kind in _REASSIGNABLE_KINDS
-                and not self._needs_dead_input(deps.get(task.id, ()),
+                and not self._needs_dead_input(graph.predecessors(task),
                                                dead_inputs))
             if salvageable:
                 self._reassign(task, substitute, engine)
@@ -152,7 +151,7 @@ class DegradationController:
         if engine is not None and task in engine.orphans:
             # Already dispatched to the dead engine: hand it straight to
             # the substitute.  Undispatched tasks re-route on their own
-            # (arm()'s dispatch closure reads task.node at fire time).
+            # (the graph's dispatch reads task.node at release time).
             engine.orphans.remove(task)
             self.engines[substitute].dispatch(task)
 
@@ -160,7 +159,7 @@ class DegradationController:
         task.dropped = True
         task.finished_at = self.env.now
         self.dropped += 1
-        task.completed.succeed()
+        self.graph.complete(task)
 
 
 def run_graph_robust(env: Environment, graph: Any, engines: Sequence[Any],
@@ -184,16 +183,17 @@ def run_graph_robust(env: Environment, graph: Any, engines: Sequence[Any],
                                        node_events=node_events,
                                        enabled=degradation)
 
-    completions = graph.arm(list(engines))
-    for task in graph.tasks:
-        def _record(event, task=task):
-            report.completions.append(CompletionRecord(
-                task_id=task.id, at=env.now, node=task.node, kind=task.kind,
-                label=task.label, ok=bool(event.ok),
-                dropped=bool(task.dropped)))
+    barrier = graph.arm(list(engines))
 
-        if task.completed.callbacks is not None:
-            task.completed.callbacks.append(_record)
+    def _record(task) -> None:
+        report.completions.append(CompletionRecord(
+            task_id=task.id, at=env.now, node=task.node, kind=task.kind,
+            label=task.label, ok=task.error is None,
+            dropped=bool(task.dropped)))
+
+    # The ledger observes every completion after its dependents are
+    # released and before it counts toward the barrier.
+    graph.observers.append(_record)
 
     if injector is not None and heartbeat_timeout_s is not None:
         def _detect(node: int) -> None:
@@ -213,11 +213,9 @@ def run_graph_robust(env: Environment, graph: Any, engines: Sequence[Any],
 
     def _unfinished() -> Tuple[str, ...]:
         return tuple(f"{t.kind}:{t.label}@{t.node}" for t in graph.tasks
-                     if t.completed is not None
-                     and not t.completed.triggered)
+                     if not t.triggered)
 
     def waiter():
-        barrier = env.all_of(completions)
         try:
             if deadline_s is None:
                 yield barrier

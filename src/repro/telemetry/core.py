@@ -327,9 +327,9 @@ class TelemetryCollector:
         produced them (span ordering must respect task dependencies).
         """
         for task in graph.tasks:
-            deps = graph._deps.get(task.id, ())
             self.task_deps[task.id] = tuple(
-                d.id for d in deps if getattr(d, "kind", None) is not None)
+                d.id for d in graph.predecessors(task)
+                if getattr(d, "kind", None) is not None)
             self.task_meta[task.id] = {"kind": task.kind, "label": task.label,
                                        "node": task.node}
 

@@ -5,7 +5,7 @@ import pytest
 from repro.algorithms import OneBit
 from repro.casync import Task, TaskGraph, NodeEngine, run_graph
 from repro.casync.memory import buffer_lifetimes, peak_buffer_memory
-from repro.cluster import ec2_v100_cluster
+from repro.cluster import ec2_v100_cluster, hetero_mixed_cluster
 from repro.gpu import Gpu, V100
 from repro.models import GradientSpec, ModelSpec
 from repro.net import Fabric, NetworkSpec
@@ -74,10 +74,11 @@ def test_unexecuted_graph_rejected():
         buffer_lifetimes(graph)
 
 
-def _strategy_peak(strategy, model, cluster, algo, plans=None, **kw):
+def _executed_graph(strategy, model, cluster, algo, plans=None):
     env = Environment()
     fabric = Fabric(env, cluster.num_nodes, cluster.network)
-    gpus = [Gpu(env, cluster.node.gpu, i) for i in range(cluster.num_nodes)]
+    gpus = [Gpu(env, cluster.node_at(i).gpu, i)
+            for i in range(cluster.num_nodes)]
     engines = [NodeEngine(env, i, gpus[i], fabric)
                for i in range(cluster.num_nodes)]
     ready = {(n, g.name): env.event() for n in range(cluster.num_nodes)
@@ -88,7 +89,70 @@ def _strategy_peak(strategy, model, cluster, algo, plans=None, **kw):
     for ev in ready.values():
         ev.succeed()
     run_graph(env, graph, engines)
+    return graph
+
+
+def _strategy_peak(strategy, model, cluster, algo, plans=None):
+    graph = _executed_graph(strategy, model, cluster, algo, plans=plans)
     return max(peak_buffer_memory(graph).values())
+
+
+def _all_edges_oracle(graph):
+    """Lifetimes and per-node peaks from a sweep over every dependency
+    edge of every task, then the same alloc/free sweep."""
+    consumers = {}
+    for task in graph.tasks:
+        for dep in graph.predecessors(task):
+            if isinstance(dep, Task):
+                consumers.setdefault(dep.id, []).append(task)
+    lifetimes = []
+    events = {}
+    for task in graph.tasks:
+        if not task.out_nbytes or task.out_nbytes <= 0:
+            continue
+        free = max([task.finished_at] + [
+            c.finished_at for c in consumers.get(task.id, ())
+            if c.finished_at is not None])
+        nbytes = float(task.out_nbytes)
+        lifetimes.append((task.node, task.finished_at, free, nbytes))
+        events.setdefault(task.node, []).extend(
+            [(task.finished_at, nbytes), (free, -nbytes)])
+    peaks = {}
+    for node, node_events in events.items():
+        current = peak = 0.0
+        for _, delta in sorted(node_events):
+            current += delta
+            peak = max(peak, current)
+        peaks[node] = peak
+    return lifetimes, peaks
+
+
+@pytest.mark.parametrize("case", ["byteps-oss", "casync-ps-hetero-mixed-8"])
+def test_buffer_accounting_matches_all_edges_oracle(case):
+    """The producers-only CSR walk equals a brute-force all-edges sweep."""
+    grads = tuple(GradientSpec(f"o.g{i}", s) for i, s in enumerate(
+        (16 * MB, 4 * MB, 900 * 1024, 64 * 1024)))
+    model = ModelSpec(name="oracle", gradients=grads, batch_size=8,
+                      batch_unit="images", v100_iteration_s=0.01)
+    algo = OneBit()
+    if case == "byteps-oss":
+        cluster = ec2_v100_cluster(4)
+        graph = _executed_graph(BytePSOSSCompression(), model, cluster, algo)
+    else:
+        cluster = hetero_mixed_cluster(8)
+        graph = _executed_graph(
+            CaSyncPS(), model, cluster, algo,
+            plans=make_plans(model, cluster, algo, "ps_colocated"))
+    producers = [t for t in graph.tasks if t.out_nbytes]
+    assert len(producers) >= cluster.num_nodes
+    assert any(t.kind == "copy" for t in producers) == (case == "byteps-oss")
+    lifetimes, peaks = _all_edges_oracle(graph)
+    # Some buffers outlive their first consumer, so the walk must reach
+    # every consumer of a producer, not just one.
+    assert any(free > alloc for _, alloc, free, _ in lifetimes)
+    assert buffer_lifetimes(graph) == lifetimes
+    assert peak_buffer_memory(graph) == peaks
+    assert len(peaks) == cluster.num_nodes
 
 
 def test_casync_uses_less_buffer_memory_than_oss():
