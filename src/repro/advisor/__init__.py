@@ -63,9 +63,7 @@ ITERATION_INFLATION: Dict[Optional[str], float] = {
     "terngrad": 1.15,     # ternary levels, no error feedback
     "dgc": 1.08,          # deep gradient compression, 0.1% sparsity
     "tbq": 1.12,          # threshold binary quantization
-    "mgwfbp": 1.02,       # merged-gradient scheduling, lossless-ish
     "adacomp": 1.10,      # adaptive residual compression
-    "powersgd": 1.20,     # low-rank approximation
 }
 
 #: Fallback inflation for unknown codecs (pessimistic on purpose: an

@@ -364,10 +364,12 @@ def robust_transfer(env: Environment, fabric: Fabric, src: int, dst: int,
                     nbytes: float, policy: RetryPolicy,
                     membership: Optional[Membership] = None,
                     degradation: bool = True,
-                    on_retry: Optional[Callable[[], None]] = None):
+                    on_retry: Optional[Callable[[], None]] = None,
+                    task: Optional[Task] = None):
     """Generator: move ``nbytes`` src->dst with timeout/backoff/retries.
 
-    The robustness contract every fault-tolerant sender shares:
+    The one retry loop: engine sends and coordinator flushes both run on
+    it.  The robustness contract every fault-tolerant sender shares:
 
     * each attempt gets a timeout scaled from the pair's own uncontended
       transfer time (:meth:`Fabric.pair_transfer_time`); a stalled attempt
@@ -379,28 +381,34 @@ def robust_transfer(env: Environment, fabric: Fabric, src: int, dst: int,
       dead in ``membership``; with ``degradation`` the transfer re-routes
       to the peer's deterministic substitute and starts a fresh budget.
 
-    ``on_retry`` is called once per failed attempt.
+    ``on_retry`` is called once per failed attempt.  A sender moving one
+    ``task`` passes it: each attempt is counted on ``task.attempts`` and
+    its transfer process is named ``xfer@{src}:{task.label}`` (otherwise
+    ``xfer:{src}->{target}``), and once the fault machinery has
+    force-completed the task the loop stops with outcome ``"forced"``.
 
     Returns ``(outcome, final_dst)`` where outcome is ``"delivered"``
     (bytes arrived at final_dst), ``"local"`` (routing collapsed onto the
-    sender: nothing crosses the wire), or ``"dead"`` (no membership / no
-    degradation to fall back on -- the caller decides whether that aborts
-    the round).
+    sender: nothing crosses the wire), ``"forced"``, or ``"dead"`` (no
+    membership / no degradation to fall back on -- the caller decides
+    whether that aborts the round).
     """
     expected = fabric.pair_transfer_time(src, dst, nbytes)
+    name = None if task is None else f"xfer@{src}:{task.label}"
     while True:
         target = membership.route(dst) if membership is not None else dst
         if target == src:
             return ("local", target)
         failures = 0
         for attempt in range(policy.max_attempts):
+            if task is not None and task.triggered:
+                return ("forced", target)
             if membership is not None and not membership.is_alive(target):
                 break  # someone else already declared this peer dead
-
-            def _attempt(fabric=fabric, src=src, target=target, nbytes=nbytes):
-                yield from fabric.transfer(src, target, nbytes)
-
-            xfer = env.process(_attempt(), name=f"xfer:{src}->{target}")
+            if task is not None:
+                task.attempts += 1
+            xfer = env.process(fabric.transfer(src, target, nbytes),
+                               name=name or f"xfer:{src}->{target}")
             timer = env.timeout(policy.attempt_timeout(expected, attempt))
             try:
                 yield env.any_of([xfer, timer])
@@ -444,7 +452,8 @@ class Coordinator:
                  size_threshold: float = 4 * 1024 * 1024,
                  timeout_s: float = 0.0005,
                  retry_policy: Optional[RetryPolicy] = None,
-                 membership: Optional[Membership] = None):
+                 membership: Optional[Membership] = None,
+                 degradation: bool = True):
         if size_threshold <= 0:
             raise ValueError("size_threshold must be positive")
         if timeout_s <= 0:
@@ -453,6 +462,7 @@ class Coordinator:
         self.fabric = fabric
         self.retry_policy = retry_policy
         self.membership = membership
+        self.degradation = degradation
         self.size_threshold = size_threshold
         self.timeout_s = timeout_s
         self._queues: Dict[Tuple[int, int], List[Tuple[Task, float]]] = {}
@@ -519,7 +529,7 @@ class Coordinator:
             else:
                 outcome, _ = yield from robust_transfer(
                     self.env, self.fabric, src, dst, nbytes,
-                    self.retry_policy, self.membership,
+                    self.retry_policy, self.membership, self.degradation,
                     on_retry=self._count_retry)
             if span is not None:
                 tel.finish(span, self.env.now, outcome=outcome)
@@ -749,12 +759,15 @@ class NodeEngine:
         telemetry spans -- the same work is two pooled carrier events:
 
         * an *issue* event at ``(now, URGENT)``, standing in for the
-          process initializer.  NIC reservation happens when it fires, NOT
-          here at dispatch time: a pending URGENT initializer of an
+          process initializer.  It hands the send to
+          :meth:`Fabric.issue`, which reserves the NIC then, NOT here at
+          dispatch time: a pending URGENT initializer of an
           earlier-scheduled flush process must reserve first, exactly as
           on the process path.
-        * a *finish* event at the delivery instant, doing the completion
-          bookkeeping the generator performed after its final timeout.
+        * the fabric's delivery carrier at the delivery instant, which
+          records the message and runs :meth:`_finish_send`, the
+          completion bookkeeping the generator performed after its final
+          timeout.
 
         Omitting the process-completion event only shifts absolute
         sequence numbers, never the relative order of visible events, so
@@ -769,41 +782,12 @@ class NodeEngine:
 
     def _issue_send(self, event: Event) -> None:
         task = event._value
-        env = self.env
-        now = env.now
-        task.started_at = now
-        fabric = self.fabric
-        src, dst = task.node, task.dst
-        fabric._check_node(src)
-        fabric._check_node(dst)
-        if task.nbytes < 0:
-            raise ValueError(f"negative transfer size {task.nbytes}")
-        if src == dst:
-            # Loopback is free: complete at the issue instant, like the
-            # generator path (which never touches the NIC).
-            task.finished_at = now
-            if not task.triggered:
-                self.graph.complete(task)
-            return
-        sender, receiver = fabric.nics[src], fabric.nics[dst]
-        up_ser = task.nbytes / sender.link.up_bytes_per_s
-        down_ser = task.nbytes / receiver.link.down_bytes_per_s
-        up_finish = max(now, sender.up_free) + up_ser
-        down_finish = max(now, receiver.down_free) + down_ser
-        sender.up_free = up_finish
-        receiver.down_free = down_finish
-        sender.up_busy += up_ser
-        receiver.down_busy += down_ser
-        finish = max(up_finish, down_finish)
-        latency = max(sender.link.latency_s, receiver.link.latency_s)
-        done = env._acquire_carrier(True, task)
-        done.callbacks.append(self._finish_send)
-        env.schedule(done, delay=finish + latency - now)
+        task.started_at = self.env.now
+        self.fabric.issue(task.node, task.dst, task.nbytes,
+                          self._finish_send, task)
 
-    def _finish_send(self, event: Event) -> None:
-        task = event._value
+    def _finish_send(self, task: Task) -> None:
         now = self.env.now
-        self.fabric.stats.record(task.node, task.nbytes)
         task.finished_at = now
         self.send_busy += now - task.started_at
         if not task.triggered:
@@ -814,7 +798,10 @@ class NodeEngine:
         task.started_at = self.env.now
         span = self._task_span(task, task.started_at)
         before = task.attempts
-        outcome, final_dst = yield from self._counted_robust_transfer(task)
+        outcome, final_dst = yield from robust_transfer(
+            self.env, self.fabric, self.node, task.dst, task.nbytes,
+            self.retry_policy, self.membership, self.degradation,
+            on_retry=self._count_retry, task=task)
         task.finished_at = self.env.now
         self.send_busy += task.finished_at - task.started_at
         self._finish_task_span(span, outcome=outcome, dst=final_dst,
@@ -828,57 +815,8 @@ class NodeEngine:
             task.dropped = outcome == "local"
             self.graph.complete(task)
 
-    def _counted_robust_transfer(self, task: Task):
-        policy = self.retry_policy
-        membership = self.membership
-        env = self.env
-        fabric = self.fabric
-        expected = fabric.pair_transfer_time(self.node, task.dst,
-                                             task.nbytes)
-        dst = task.dst
-        while True:
-            target = membership.route(dst) if membership is not None else dst
-            if target == self.node:
-                return ("local", target)
-            failures = 0
-            for attempt in range(policy.max_attempts):
-                if task.triggered:
-                    return ("forced", target)
-                if membership is not None and not membership.is_alive(target):
-                    break
-
-                def _attempt(src=self.node, target=target, nbytes=task.nbytes):
-                    yield from fabric.transfer(src, target, nbytes)
-
-                task.attempts += 1
-                xfer = env.process(
-                    _attempt(), name=f"xfer@{self.node}:{task.label}")
-                timer = env.timeout(policy.attempt_timeout(expected, attempt))
-                try:
-                    yield env.any_of([xfer, timer])
-                except TransferError:
-                    pass
-                else:
-                    if xfer.triggered and xfer.ok:
-                        if not timer.processed:
-                            timer.cancel()
-                        return ("delivered", target)
-                    if xfer.is_alive:
-                        xfer.interrupt("retry-timeout")
-                if not timer.processed:
-                    timer.cancel()
-                failures += 1
-                self.retries += 1
-                if membership is not None:
-                    membership.suspect(target)
-                if attempt + 1 < policy.max_attempts:
-                    yield env.timeout(policy.backoff(failures))
-            if membership is None:
-                return ("dead", target)
-            membership.declare_dead(target)
-            if not self.degradation:
-                return ("dead", target)
-            # Loop around: membership.route(dst) now names the substitute.
+    def _count_retry(self) -> None:
+        self.retries += 1
 
     def _cpu_executor(self):
         """Serial host-CPU worker (BytePS-style server aggregation)."""

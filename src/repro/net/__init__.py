@@ -1,7 +1,7 @@
-"""Network fabric model (full-duplex NICs, tagged message passing)."""
+"""Network fabric model (full-duplex NICs, point-to-point transfers)."""
 
-from .fabric import (Fabric, LinkSpec, Message, NetworkSpec, Nic,
-                     StragglerProfile, TransferStats, WanTier)
+from .fabric import (Fabric, LinkSpec, NetworkSpec, Nic, StragglerProfile,
+                     TransferStats, WanTier)
 
-__all__ = ["Fabric", "LinkSpec", "Message", "NetworkSpec", "Nic",
-           "StragglerProfile", "TransferStats", "WanTier"]
+__all__ = ["Fabric", "LinkSpec", "NetworkSpec", "Nic", "StragglerProfile",
+           "TransferStats", "WanTier"]

@@ -1,4 +1,4 @@
-"""Network fabric model: full-duplex NICs, point-to-point transfers, mailboxes.
+"""Network fabric model: full-duplex NICs and point-to-point transfers.
 
 The model generalizes the assumptions the paper's cost analysis (§3.3) is
 built on: every node has a full-duplex NIC whose two directions are
@@ -31,15 +31,14 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, field
-from typing import (Any, Callable, Dict, Generator, Hashable, Optional,
-                    Sequence, Tuple)
+from typing import Any, Callable, Generator, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..sim import Environment, Event, Interrupt, Process, Store
+from ..sim import Environment, Event, Interrupt
 
-__all__ = ["LinkSpec", "NetworkSpec", "Nic", "Fabric", "Message",
-           "StragglerProfile", "TransferStats", "WanTier"]
+__all__ = ["LinkSpec", "NetworkSpec", "Nic", "Fabric", "StragglerProfile",
+           "TransferStats", "WanTier"]
 
 
 @dataclass(frozen=True)
@@ -337,29 +336,19 @@ class Nic:
         self.down_busy = 0.0
 
 
-@dataclass(frozen=True)
-class Message:
-    """A delivered payload with its transfer metadata."""
-
-    src: int
-    dst: int
-    tag: Hashable
-    payload: Any
-    nbytes: float
-    sent_at: float
-    delivered_at: float
-
-
 class Fabric:
-    """A cluster-wide network of ``num_nodes`` NICs plus tagged mailboxes.
+    """A cluster-wide network of ``num_nodes`` NICs.
 
-    Two interfaces:
+    The fabric is the only place that reserves NIC time.  Three ways to
+    move bytes, timing-only and, on a pristine fabric, delivering at
+    bit-identical instants:
 
-    * :meth:`transfer` -- timing-only point-to-point move (generator).
-    * :meth:`send` / :meth:`recv` -- message passing with tags; ``send``
-      spawns a background transfer process and ``recv`` blocks on the
-      (dst, tag) mailbox.  Tags make protocols self-synchronizing without
-      global barriers.
+    * :meth:`transfer` -- one point-to-point move as a generator, the
+      path fault injection, retries and telemetry spans run on;
+    * :meth:`issue` -- one message with a delivery callback and no
+      process;
+    * :meth:`bulk_transfer` -- a batch of messages with a delivery
+      callback, reserved in one vectorized pass.
     """
 
     def __init__(self, env: Environment, num_nodes: int,
@@ -384,61 +373,11 @@ class Fabric:
             [link.down_bytes_per_s for link in self.links], dtype=np.float64)
         self._latencies = np.array(
             [link.latency_s for link in self.links], dtype=np.float64)
-        self._mailboxes: Dict[Tuple[int, Hashable], Store] = {}
         self.stats = TransferStats()
         #: Optional :class:`~repro.faults.injector.FaultState` attached by a
         #: FaultInjector.  None means the pristine (and byte-identical to
         #: the pre-fault-subsystem) transfer path.
         self.faults: Any = None
-        #: Nodes whose NIC has been torn down (elastic departures).
-        #: Normally empty, in which case every path below is untouched.
-        self._inactive: set = set()
-
-    # -- elastic link teardown / bring-up ---------------------------------
-
-    def node_active(self, node: int) -> bool:
-        """Whether ``node``'s NIC is up (True unless torn down)."""
-        self._check_node(node)
-        return node not in self._inactive
-
-    def deactivate_node(self, node: int) -> None:
-        """Tear down ``node``'s NIC (an elastic departure).
-
-        Queued mailbox messages addressed to the departed node are
-        dropped -- nobody will ever ``recv`` them -- and any transfer
-        touching the node from now on fails fast with a typed
-        :class:`~repro.faults.errors.TransferError` instead of
-        serializing bytes into a dark NIC.  Idempotent.
-        """
-        self._check_node(node)
-        if node in self._inactive:
-            return
-        self._inactive.add(node)
-        for key in sorted(self._mailboxes, key=repr):
-            if key[0] == node:
-                # Drop undelivered payloads in place: popping via get()
-                # would schedule stray succeed events into the calendar.
-                self._mailboxes[key]._items.clear()
-
-    def activate_node(self, node: int) -> None:
-        """Bring ``node``'s NIC back up with a clean serialization queue
-        (an elastic join / rejoin).  Idempotent."""
-        self._check_node(node)
-        if node not in self._inactive:
-            return
-        self._inactive.discard(node)
-        # A rejoining NIC starts cold: fresh free/busy clocks, same
-        # resolved LinkSpec (per-node identity survives the bounce).
-        self.nics[node] = Nic(self.env, self.spec, self.links[node])
-
-    def _check_active(self, src: int, dst: int, nbytes: float) -> None:
-        if self._inactive and (src in self._inactive
-                               or dst in self._inactive):
-            from ..faults.errors import TransferError  # local: avoids cycle
-            down = src if src in self._inactive else dst
-            raise TransferError(src, dst, nbytes,
-                                f"node {down}'s NIC is torn down "
-                                f"(departed the membership)")
 
     # -- timing-only transfers -------------------------------------------
 
@@ -455,12 +394,7 @@ class Fabric:
         span (a send task, a coordinator batch); it is ignored when no
         collector is attached.
         """
-        self._check_node(src)
-        self._check_node(dst)
-        if self._inactive:
-            self._check_active(src, dst, nbytes)
-        if nbytes < 0:
-            raise ValueError(f"negative transfer size {nbytes}")
+        self._check(src, dst, nbytes)
         if src == dst:
             return
         tel = self.env.telemetry
@@ -487,28 +421,66 @@ class Fabric:
         tel.metrics.counter("net.messages").inc()
         tel.metrics.histogram("net.transfer_s").observe(span.duration)
 
+    def issue(self, src: int, dst: int, nbytes: float,
+              handler: Callable[[Any], None], token: Any) -> None:
+        """Issue one transfer now; ``handler(token)`` runs at delivery.
+
+        The one-message twin of :meth:`bulk_transfer`: it reserves NIC
+        time exactly as :meth:`transfer` does and schedules one pooled
+        delivery carrier instead of a generator process.  A loopback
+        (src == dst) is free and calls ``handler`` synchronously.  It has
+        no fault semantics and opens no telemetry span: callers take
+        :meth:`transfer` when a FaultState or collector is attached.
+        """
+        self._check(src, dst, nbytes)
+        if src == dst:
+            handler(token)
+            return
+        carrier = self.env._acquire_carrier(True, (src, nbytes, handler,
+                                                   token))
+        assert carrier.callbacks is not None
+        carrier.callbacks.append(self._deliver)
+        self.env.schedule(carrier, delay=self._reserve(src, dst, nbytes))
+
+    def _reserve(self, src: int, dst: int, nbytes: float,
+                 factor: float = 1.0, lost: bool = False) -> float:
+        """Reserve both NIC directions for one message; returns the delay
+        until it is delivered.
+
+        Each direction is an independent fluid FIFO: the sender's uplink
+        and the receiver's downlink each process the bytes when they get
+        to them, at their own link's rate (stretched by a degraded link's
+        ``factor``), and delivery completes when the slower side has plus
+        the slower endpoint's wire latency.  This avoids convoy collapse
+        under incast (an idle uplink is never blocked just because the
+        peer's downlink is backed up).
+
+        A ``lost`` message (a transient send failure) holds only half its
+        uplink serialization and no downlink; the delay returned is until
+        the sender gives up on it.
+        """
+        now = self.env.now
+        sender = self.nics[src]
+        up_ser = nbytes / sender.link.up_bytes_per_s * factor
+        if lost:
+            up_ser *= 0.5
+        up_finish = max(now, sender.up_free) + up_ser
+        sender.up_free = up_finish
+        sender.up_busy += up_ser
+        if lost:
+            return up_finish - now
+        receiver = self.nics[dst]
+        down_ser = nbytes / receiver.link.down_bytes_per_s * factor
+        down_finish = max(now, receiver.down_free) + down_ser
+        receiver.down_free = down_finish
+        receiver.down_busy += down_ser
+        latency = max(sender.link.latency_s, receiver.link.latency_s)
+        return max(up_finish, down_finish) + latency - now
+
     def _transfer_pristine(self, src: int, dst: int,
                            nbytes: float) -> Generator[Any, Any, None]:
         """The fault-free transfer path (no FaultState attached)."""
-        env = self.env
-        sender, receiver = self.nics[src], self.nics[dst]
-        up_ser = nbytes / sender.link.up_bytes_per_s
-        down_ser = nbytes / receiver.link.down_bytes_per_s
-        # Each direction is an independent fluid FIFO: the sender's uplink
-        # and the receiver's downlink each process the bytes when they get
-        # to them, at their own link's rate, and delivery completes when
-        # the slower side has.  This avoids convoy collapse under incast
-        # (an idle uplink is never blocked just because the peer's
-        # downlink is backed up).
-        up_finish = max(env.now, sender.up_free) + up_ser
-        down_finish = max(env.now, receiver.down_free) + down_ser
-        sender.up_free = up_finish
-        receiver.down_free = down_finish
-        sender.up_busy += up_ser
-        receiver.down_busy += down_ser
-        finish = max(up_finish, down_finish)
-        latency = max(sender.link.latency_s, receiver.link.latency_s)
-        yield env.timeout(finish + latency - env.now)
+        yield self.env.timeout(self._reserve(src, dst, nbytes))
         self.stats.record(src, nbytes)
 
     def _transfer_faulty(self, src: int, dst: int,
@@ -545,28 +517,14 @@ class Fabric:
             if faults.is_dead(src):
                 record.drop(env.now, "src-dead")
                 raise TransferError(src, dst, nbytes, "source node is dead")
-            sender, receiver = self.nics[src], self.nics[dst]
             factor = faults.link_factor(src, dst)
-            up_ser = nbytes / sender.link.up_bytes_per_s * factor
-            down_ser = nbytes / receiver.link.down_bytes_per_s * factor
             if faults.take_transient(src, dst):
-                partial = up_ser * 0.5
-                up_finish = max(env.now, sender.up_free) + partial
-                sender.up_free = up_finish
-                sender.up_busy += partial
-                yield env.timeout(up_finish - env.now)
+                yield env.timeout(self._reserve(src, dst, nbytes, factor,
+                                                lost=True))
                 record.drop(env.now, "transient")
                 raise TransferError(src, dst, nbytes,
                                     "transient send failure")
-            up_finish = max(env.now, sender.up_free) + up_ser
-            down_finish = max(env.now, receiver.down_free) + down_ser
-            sender.up_free = up_finish
-            receiver.down_free = down_finish
-            sender.up_busy += up_ser
-            receiver.down_busy += down_ser
-            finish = max(up_finish, down_finish)
-            latency = max(sender.link.latency_s, receiver.link.latency_s)
-            yield env.timeout(finish + latency - env.now)
+            yield env.timeout(self._reserve(src, dst, nbytes, factor))
             if faults.is_dead(dst):
                 record.drop(env.now, "dst-dead")
                 raise TransferError(src, dst, nbytes,
@@ -578,12 +536,6 @@ class Fabric:
             raise
 
     # -- vectorized bulk transfers ---------------------------------------
-
-    def _check_active_bulk(self, transfers: Sequence[Tuple[int, int, float]]
-                           ) -> None:
-        if self._inactive:
-            for src, dst, nbytes in transfers:
-                self._check_active(src, dst, nbytes)
 
     def bulk_transfer(self, transfers: Sequence[Tuple[int, int, float]],
                       handler: Callable[[int], None]) -> None:
@@ -616,7 +568,6 @@ class Fabric:
         n = len(transfers)
         if n == 0:
             return
-        self._check_active_bulk(transfers)
         env = self.env
         if self.faults is not None:
             self._bulk_fallback(transfers, handler)
@@ -658,7 +609,7 @@ class Fabric:
         if tel is not None:
             tel.metrics.counter("net.bulk_batches").inc()
             tel.metrics.counter("net.bulk_messages").inc(n)
-        done = self._bulk_handler_done
+        done = self._deliver
         acquire = env._acquire_carrier
         schedule = env.schedule
         for i in range(n):
@@ -779,10 +730,12 @@ class Fabric:
         result[order] = finish_sorted
         return result
 
-    def _bulk_handler_done(self, event: Event) -> None:
-        src, nbytes, handler, index = event._value
+    def _deliver(self, event: Event) -> None:
+        """Delivery carrier callback of :meth:`issue` and
+        :meth:`bulk_transfer`: record the message, then hand it over."""
+        src, nbytes, handler, token = event._value
         self.stats.record(src, nbytes)
-        handler(index)
+        handler(token)
 
     def _bulk_fallback(self, transfers: Any,
                        handler: Callable[[int], None]) -> None:
@@ -800,40 +753,15 @@ class Fabric:
         yield from self.transfer(src, dst, nbytes)
         handler(index)
 
-    # -- tagged message passing ------------------------------------------
-
-    def _mailbox(self, dst: int, tag: Hashable) -> Store:
-        key = (dst, tag)
-        box = self._mailboxes.get(key)
-        if box is None:
-            box = Store(self.env)
-            self._mailboxes[key] = box
-        return box
-
-    def send(self, src: int, dst: int, tag: Hashable, payload: Any,
-             nbytes: float) -> Process:
-        """Start an asynchronous tagged send; returns the transfer Process."""
-        sent_at = self.env.now
-
-        def _send() -> Generator[Any, Any, None]:
-            yield from self.transfer(src, dst, nbytes)
-            msg = Message(src=src, dst=dst, tag=tag, payload=payload,
-                          nbytes=nbytes, sent_at=sent_at,
-                          delivered_at=self.env.now)
-            self._mailbox(dst, tag).put(msg)
-
-        return self.env.process(_send(), name=f"send:{src}->{dst}:{tag}")
-
-    def recv(self, dst: int, tag: Hashable) -> Event:
-        """Event firing with the next :class:`Message` for (dst, tag)."""
-        self._check_node(dst)
-        return self._mailbox(dst, tag).get()
-
     # -- helpers -----------------------------------------------------------
 
-    def _check_node(self, node: int) -> None:
-        if not 0 <= node < self.num_nodes:
-            raise ValueError(f"node {node} outside [0, {self.num_nodes})")
+    def _check(self, src: int, dst: int, nbytes: float) -> None:
+        for node in (src, dst):
+            if not 0 <= node < self.num_nodes:
+                raise ValueError(
+                    f"node {node} outside [0, {self.num_nodes})")
+        if nbytes < 0:
+            raise ValueError(f"negative transfer size {nbytes}")
 
     def pair_transfer_time(self, src: int, dst: int, nbytes: float) -> float:
         """Uncontended time to move ``nbytes`` from src to dst through the

@@ -288,7 +288,8 @@ def _run_round(model: ModelSpec, cluster: ClusterSpec, strategy: Strategy,
     coordinator = (Coordinator(env, fabric,
                                size_threshold=pconf.coordinator_batch_bytes,
                                timeout_s=pconf.coordinator_timeout_s,
-                               retry_policy=policy, membership=membership)
+                               retry_policy=policy, membership=membership,
+                               degradation=degradation)
                    if use_coordinator else None)
     engines = [NodeEngine(env, i, gpus[i], fabric, coordinator=coordinator,
                           batch_compression=batch_compression,

@@ -1,9 +1,9 @@
-"""Property tests for the vectorized bulk-transfer path.
+"""Property tests for the process-free transfer paths.
 
-The one-NumPy-pass-per-step fast path must be indistinguishable from
-issuing every message through :meth:`Fabric.transfer` as its own
-process.  Under random link profiles Hypothesis checks, message for
-message:
+The one-NumPy-pass-per-step bulk path and the one-message
+:meth:`Fabric.issue` must be indistinguishable from issuing every
+message through :meth:`Fabric.transfer` as its own process.  Under
+random link profiles Hypothesis checks, message for message:
 
 * identical delivery instants (exact float equality, not approx -- the
   vector path's left-fold accumulates are bit-compatible by design);
@@ -12,7 +12,8 @@ message:
 * under a random fault schedule (crashes, link degrades) the bulk call
   must deliver exactly what the per-message path delivers -- it is
   required to fall back to one process per message, so a crash mid-bulk
-  aborts exactly the transfers the oracle aborts.
+  aborts exactly the transfers the oracle aborts;
+* ``issue`` delivers loopbacks synchronously, before the clock runs.
 """
 
 import pytest
@@ -37,11 +38,13 @@ def bulk_plan(draw):
     return nodes, spec, transfers
 
 
-def _run(bulk, nodes, spec, transfers, schedule=None):
+def _run(mode, nodes, spec, transfers, schedule=None):
     """Deliver ``transfers`` and log ``(index, time)`` per delivery.
 
-    ``bulk`` issues them as one :meth:`Fabric.bulk_transfer` step; the
-    oracle starts one :meth:`Fabric.transfer` process per message.
+    Mode ``"bulk"`` issues them as one :meth:`Fabric.bulk_transfer`
+    step, ``"issue"`` as one :meth:`Fabric.issue` call per message; the
+    oracle, ``"transfer"``, starts one :meth:`Fabric.transfer` process
+    per message.
     """
     env = Environment()
     fabric = Fabric(env, nodes, spec)
@@ -52,8 +55,14 @@ def _run(bulk, nodes, spec, transfers, schedule=None):
     def deliver(index):
         log.append((index, env.now))
 
-    if bulk:
+    if mode == "bulk":
         fabric.bulk_transfer(transfers, handler=deliver)
+    elif mode == "issue":
+        for index, (src, dst, nbytes) in enumerate(transfers):
+            fabric.issue(src, dst, nbytes, deliver, index)
+        assert log == [(index, 0.0) for index, (src, dst, _n)
+                       in enumerate(transfers) if src == dst], (
+            "loopbacks must be delivered synchronously")
     else:
         def one(index, src, dst, nbytes):
             yield from fabric.transfer(src, dst, nbytes)
@@ -68,21 +77,30 @@ def _run(bulk, nodes, spec, transfers, schedule=None):
 @given(plan=bulk_plan())
 @settings(max_examples=100, deadline=None)
 def test_bulk_matches_per_message_oracle(plan):
-    nodes, spec, transfers = plan
-    oracle_log, oracle = _run(False, nodes, spec, transfers)
-    bulk_log, bulk = _run(True, nodes, spec, transfers)
-    assert bulk_log == oracle_log, (
+    _assert_matches_oracle("bulk", *plan)
+
+
+@given(plan=bulk_plan())
+@settings(max_examples=100, deadline=None)
+def test_issue_matches_per_message_oracle(plan):
+    _assert_matches_oracle("issue", *plan)
+
+
+def _assert_matches_oracle(mode, nodes, spec, transfers):
+    oracle_log, oracle = _run("transfer", nodes, spec, transfers)
+    log, fabric = _run(mode, nodes, spec, transfers)
+    assert log == oracle_log, (
         "per-message delivery times or ordering diverged")
-    assert bulk.stats.bytes_sent == oracle.stats.bytes_sent
-    assert bulk.stats.messages == oracle.stats.messages
-    assert bulk.stats.per_node_bytes == oracle.stats.per_node_bytes
+    assert fabric.stats.bytes_sent == oracle.stats.bytes_sent
+    assert fabric.stats.messages == oracle.stats.messages
+    assert fabric.stats.per_node_bytes == oracle.stats.per_node_bytes
 
 
 @given(plan=bulk_plan())
 @settings(max_examples=100, deadline=None)
 def test_bulk_conserves_bytes(plan):
     nodes, spec, transfers = plan
-    _log, fabric = _run(True, nodes, spec, transfers)
+    _log, fabric = _run("bulk", nodes, spec, transfers)
     stats = fabric.stats
     wire = [(s, d, n) for s, d, n in transfers if s != d]
     assert stats.messages == len(wire)
@@ -105,8 +123,8 @@ def faulty_plan(draw):
     return nodes, spec, transfers, FaultSchedule.of(*events)
 
 
-def _faulty_outcome(bulk, nodes, spec, transfers, schedule):
-    log, fabric = _run(bulk, nodes, spec, transfers, schedule)
+def _faulty_outcome(mode, nodes, spec, transfers, schedule):
+    log, fabric = _run(mode, nodes, spec, transfers, schedule)
     faults = fabric.faults.log
     return log, (faults.attempted_bytes, faults.delivered_bytes,
                  faults.dropped_bytes)
@@ -116,8 +134,8 @@ def _faulty_outcome(bulk, nodes, spec, transfers, schedule):
 @settings(max_examples=60, deadline=None)
 def test_crash_mid_bulk_aborts_identically(plan):
     nodes, spec, transfers, schedule = plan
-    oracle = _faulty_outcome(False, nodes, spec, transfers, schedule)
-    bulk = _faulty_outcome(True, nodes, spec, transfers, schedule)
+    oracle = _faulty_outcome("transfer", nodes, spec, transfers, schedule)
+    bulk = _faulty_outcome("bulk", nodes, spec, transfers, schedule)
     assert bulk == oracle, "fault outcomes diverged from per-message path"
 
 
@@ -128,8 +146,8 @@ def test_crash_actually_aborts_some_transfers():
     spec = NetworkSpec(bandwidth_gbps=1.0, latency_us=5.0)
     transfers = [(src, 0, 4e6) for src in (1, 2, 3)]
     schedule = FaultSchedule.of(NodeCrash(at=0.005, node=0))
-    oracle = _faulty_outcome(False, nodes, spec, transfers, schedule)
-    bulk = _faulty_outcome(True, nodes, spec, transfers, schedule)
+    oracle = _faulty_outcome("transfer", nodes, spec, transfers, schedule)
+    bulk = _faulty_outcome("bulk", nodes, spec, transfers, schedule)
     log, (_attempted, _delivered, dropped) = bulk
     assert len(log) < len(transfers) and dropped > 0, (
         "expected the crash to abort at least one transfer")

@@ -3,8 +3,10 @@
 import pytest
 
 from repro.casync import Coordinator, NodeEngine, Task, TaskGraph, run_graph
+from repro.casync.tasks import robust_transfer
 from repro.cluster.spec import wan_edge_cluster
-from repro.faults import RetryPolicy
+from repro.faults import (FaultInjector, FaultSchedule, LinkPartition,
+                          RetryPolicy)
 from repro.gpu import Gpu, V100
 from repro.net import Fabric, NetworkSpec
 from repro.sim import Environment
@@ -199,6 +201,27 @@ def test_retried_flush_over_wan_link_delivers_on_first_attempt():
     assert fabric.stats.messages == 1
     assert finish == pytest.approx(
         0.001 + fabric.pair_transfer_time(src, dst, 1e6))
+
+
+def test_retry_loop_counts_task_attempts_and_stops_once_forced():
+    # Every attempt stalls on the partitioned link.  The first failed
+    # attempt force-completes the task, as the degradation controller
+    # does; the loop must give up instead of retrying into a dead peer.
+    env = Environment()
+    fabric = Fabric(env, 2, NetworkSpec(bandwidth_gbps=10))
+    FaultInjector(env, FaultSchedule.of(LinkPartition(at=0.0, src=0, dst=1)),
+                  fabric=fabric)
+    task = Task(0, "send", "s", nbytes=1e6, dst=1)
+
+    def force_complete():
+        task.triggered = True
+
+    proc = env.process(robust_transfer(
+        env, fabric, 0, 1, 1e6, RetryPolicy(max_attempts=4),
+        on_retry=force_complete, task=task))
+    env.run()
+    assert proc.value == ("forced", 1)
+    assert task.attempts == 1
 
 
 def test_non_bulk_send_bypasses_coordinator():

@@ -8,7 +8,6 @@ Unit and integration coverage for the elastic-membership subsystem
 * :meth:`ClusterSpec.subset` -- surviving nodes keep their *resolved*
   per-link hardware identity, and the full-roster subset is the
   cluster itself (the golden no-op);
-* NIC teardown/bring-up on the fabric;
 * the ``membership`` directive pass and roster-bound strategies: a
   static roster is a provable no-op on the executed timeline, while the
   graph-cache key splits per (roster, epoch);
@@ -33,7 +32,6 @@ from repro.faults import (MembershipSchedule, NodeCrash, NodeJoin, NodeLeave,
                           static_membership)
 from repro.faults.elastic import MIN_ROSTER
 from repro.models import GradientSpec, ModelSpec
-from repro.net.fabric import Fabric
 from repro.sim import Environment
 from repro.strategies import MembershipBound, bind_roster, get_strategy
 from repro.training import epoch_inputs, run_elastic
@@ -160,52 +158,6 @@ class TestClusterSubset:
         with pytest.raises(ConfigError) as err:
             sub.with_bandwidth(1e9)
         assert err.value.kind == "bandwidth-override"
-
-
-# ---------------------------------------------------------------------------
-# Fabric teardown / bring-up
-
-
-class TestFabricMembership:
-    def _fabric(self, n=3):
-        env = Environment()
-        cluster = ec2_v100_cluster(n)
-        return env, Fabric(env, n, cluster.network)
-
-    def test_departed_nic_refuses_transfers(self):
-        from repro.faults.errors import TransferError
-        env, fabric = self._fabric()
-        fabric.deactivate_node(2)
-        assert not fabric.node_active(2)
-        with pytest.raises(TransferError) as err:
-            next(fabric.transfer(0, 2, 1024))
-        assert "torn down" in str(err.value)
-        with pytest.raises(TransferError):
-            fabric.bulk_transfer([(0, 2, 1024.0)], handler=lambda i: None)
-
-    def test_reactivated_nic_transfers_again(self):
-        env, fabric = self._fabric()
-        fabric.deactivate_node(1)
-        fabric.activate_node(1)
-        assert fabric.node_active(1)
-        done = []
-
-        def send():
-            yield from fabric.transfer(0, 1, 1024)
-            done.append(env.now)
-
-        env.process(send())
-        env.run()
-        assert done and done[0] > 0.0
-
-    def test_deactivate_is_idempotent_and_drains_mail(self):
-        env, fabric = self._fabric()
-        fabric.send(0, 2, "g0", b"payload", 1024)
-        env.run()
-        assert fabric._mailboxes[(2, "g0")]._items  # delivered, unread
-        fabric.deactivate_node(2)
-        fabric.deactivate_node(2)
-        assert not fabric._mailboxes[(2, "g0")]._items
 
 
 # ---------------------------------------------------------------------------
@@ -476,6 +428,14 @@ def test_advisor_rejects_unknown_scenarios():
     with pytest.raises(ConfigError) as err:
         recommend(cluster="does-not-exist", quick=True)
     assert err.value.kind == "cluster"
+
+
+def test_advisor_inflation_table_names_only_registered_codecs():
+    from repro.advisor import ITERATION_INFLATION
+    from repro.algorithms import available_algorithms
+    registered = set(available_algorithms())
+    assert all(key is None or key in registered
+               for key in ITERATION_INFLATION)
 
 
 def test_injector_rejects_membership_events():

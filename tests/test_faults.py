@@ -9,6 +9,7 @@ event-trace hash) for every strategy.
 import json
 from pathlib import Path
 from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 
@@ -25,6 +26,7 @@ from repro.faults import (
     Membership,
     NodeCrash,
     NodeRestart,
+    PeerDeadError,
     RetryPolicy,
     SyncAborted,
     TransientSendFailure,
@@ -47,6 +49,7 @@ from repro.strategies import (
     RingOSSCompression,
 )
 from repro.training import make_plans, simulate_iteration
+from repro.training.loop import _run_round
 from repro.training.trace import trace_hash, trace_iteration
 
 MB = 1024 * 1024
@@ -332,6 +335,27 @@ def test_retried_bulk_flushes_count_as_retries(use_coordinator):
     check_all(report)
 
 
+@pytest.mark.parametrize("use_coordinator", [False, True])
+def test_dead_peer_without_degradation_aborts(use_coordinator):
+    """degradation=False aborts the round on a dead peer, whether the
+    sends go out one by one or in coordinator flushes."""
+    grads = tuple(GradientSpec(f"f.g{i}", 16 * 1024) for i in range(3))
+    model = ModelSpec(name="f", gradients=grads, batch_size=4,
+                      batch_unit="images", v100_iteration_s=0.001)
+    if use_coordinator:
+        strategy, kw = CaSyncPS(selective=False), {
+            "algorithm": OneBit(), "use_coordinator": True}
+    else:
+        strategy, kw = BytePS(), {}
+    with pytest.raises(SyncAborted) as excinfo:
+        simulate_iteration(
+            model, ec2_v100_cluster(3), strategy,
+            fault_schedule=FaultSchedule.of(NodeCrash(at=0.0, node=1)),
+            heartbeat_timeout_s=10.0, degradation=False, **kw)
+    assert isinstance(excinfo.value.__cause__, PeerDeadError)
+    check_all(excinfo.value.report)
+
+
 def test_link_degrade_slows_the_round():
     pristine = run_iter()
     degraded = run_iter(schedule=FaultSchedule.of(
@@ -394,16 +418,33 @@ GOLDEN_FINGERPRINTS = json.loads(
     .read_text())
 
 
-def _trace_fingerprint(make_strategy, algo_factory, schedule):
-    """trace hash on completion, or the (typed) abort coordinates."""
+def _trace_fingerprint(make_strategy, algo_factory, schedule,
+                       use_coordinator=False):
+    """trace hash on completion, or the (typed) abort coordinates.
+
+    With ``use_coordinator`` a completed round's fingerprint is
+    ``[hash, retries]``: the trace hash plus the round's
+    ``RobustSyncReport.retries``, which counts the coordinator's retried
+    flushes.
+    """
     algo = algo_factory() if algo_factory else None
+    rounds = []
+
+    def recording_round(*args, **kwargs):
+        rounds.append(_run_round(*args, **kwargs))
+        return rounds[-1]
+
     try:
-        trace = trace_iteration(
-            small_model(), ec2_v100_cluster(3), make_strategy(),
-            algorithm=algo, fault_schedule=schedule,
-            retry_policy=RetryPolicy.aggressive(), sync_deadline_s=0.5)
+        with mock.patch("repro.training.trace._run_round", recording_round):
+            trace = trace_iteration(
+                small_model(), ec2_v100_cluster(3), make_strategy(),
+                algorithm=algo, use_coordinator=use_coordinator,
+                fault_schedule=schedule,
+                retry_policy=RetryPolicy.aggressive(), sync_deadline_s=0.5)
     except SyncAborted as exc:
         return ("aborted", exc.reason, exc.at)
+    if use_coordinator:
+        return [trace_hash(trace), rounds[0].report.retries]
     return trace_hash(trace)
 
 
@@ -425,6 +466,19 @@ def test_pristine_trace_is_deterministic(name, make_strategy, algo_factory):
     second = _trace_fingerprint(make_strategy, algo_factory, None)
     assert first == second
     assert first == GOLDEN_FINGERPRINTS[f"{name}/pristine"]
+
+
+@pytest.mark.parametrize("seed", [None, 11], ids=["pristine", "seed11"])
+def test_coordinator_fault_path_fingerprint(seed):
+    # The coordinator's robust flush path: batched CaSync-PS sends go
+    # through Coordinator._flush under the retry policy.
+    schedule = (None if seed is None
+                else random_schedule(seed=seed, num_nodes=3, horizon=2e-3))
+    observed = _trace_fingerprint(
+        lambda: CaSyncPS(bulk=True, selective=False), OneBit, schedule,
+        use_coordinator=True)
+    key = "pristine" if seed is None else f"seed{seed}"
+    assert observed == GOLDEN_FINGERPRINTS[f"casync-ps-bulk/{key}"]
 
 
 @pytest.mark.parametrize("name,make_strategy,algo_factory", ALL_STRATEGIES,

@@ -119,51 +119,6 @@ def test_latency_does_not_occupy_nic():
     assert done == [("a", pytest.approx(1.1)), ("b", pytest.approx(2.1))]
 
 
-def test_send_recv_message_passing():
-    env, fabric = make_fabric(gbps=8.0)
-
-    def receiver(env):
-        msg = yield fabric.recv(1, tag="grad")
-        return (msg.payload, msg.src, env.now)
-
-    fabric.send(0, 1, tag="grad", payload={"x": 1}, nbytes=1e9)
-    p = env.process(receiver(env))
-    env.run()
-    assert p.value == ({"x": 1}, 0, pytest.approx(1.0))
-
-
-def test_recv_before_send_blocks():
-    env, fabric = make_fabric(gbps=8.0)
-
-    def receiver(env):
-        msg = yield fabric.recv(2, tag="t")
-        return env.now, msg.payload
-
-    def sender(env):
-        yield env.timeout(5)
-        fabric.send(0, 2, tag="t", payload="late", nbytes=0)
-
-    p = env.process(receiver(env))
-    env.process(sender(env))
-    env.run()
-    assert p.value == (5, "late")
-
-
-def test_tags_demultiplex():
-    env, fabric = make_fabric()
-    fabric.send(0, 1, tag="b", payload="B", nbytes=0)
-    fabric.send(0, 1, tag="a", payload="A", nbytes=0)
-
-    def receiver(env):
-        a = yield fabric.recv(1, tag="a")
-        b = yield fabric.recv(1, tag="b")
-        return a.payload, b.payload
-
-    p = env.process(receiver(env))
-    env.run()
-    assert p.value == ("A", "B")
-
-
 def test_stats_accounting():
     env, fabric = make_fabric(gbps=8.0)
     env.process(fabric.transfer(0, 1, 1000))
