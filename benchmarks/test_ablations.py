@@ -41,8 +41,7 @@ def test_partition_granularity(benchmark, report):
                 model.gradients[0].name, model.gradients[0].nbytes,
                 True, k, 0.0)}
             result = simulate_iteration(
-                model, cluster, CaSyncPS(), algorithm=algo, plans=plans,
-                use_coordinator=True, batch_compression=True)
+                model, cluster, CaSyncPS(), algorithm=algo, plans=plans)
             rows.append((k, result.iteration_time))
         return rows
 
@@ -66,9 +65,7 @@ def test_coordinator_batching_policy(benchmark, report):
         no_bulk = simulate_iteration(model, cluster, CaSyncPS(bulk=False),
                                      algorithm=algo, plans=plans)
         bulk = simulate_iteration(model, cluster, CaSyncPS(bulk=True),
-                                  algorithm=algo, plans=plans,
-                                  use_coordinator=True,
-                                  batch_compression=True)
+                                  algorithm=algo, plans=plans)
         return no_bulk.iteration_time, bulk.iteration_time
 
     no_bulk_t, bulk_t = benchmark.pedantic(run_pair, rounds=1, iterations=1)
@@ -81,7 +78,7 @@ def test_coordinator_batching_policy(benchmark, report):
 
 def test_batch_compression_launch_fusion(benchmark, report):
     """Batch compression amortizes kernel-launch overhead across many
-    small encodes (§3.2)."""
+    small encodes (§3.2); a bulk plan turns it on."""
     model = model_of([128 * 1024] * 200, v100_s=0.004)
     cluster = ec2_v100_cluster(4)
     algo = OneBit()
@@ -89,10 +86,10 @@ def test_batch_compression_launch_fusion(benchmark, report):
     def run_pair():
         separate = simulate_iteration(
             model, cluster, CaSyncPS(selective=False, bulk=False),
-            algorithm=algo, batch_compression=False)
+            algorithm=algo)
         fused = simulate_iteration(
-            model, cluster, CaSyncPS(selective=False, bulk=False),
-            algorithm=algo, batch_compression=True)
+            model, cluster, CaSyncPS(selective=False, bulk=True),
+            algorithm=algo)
         return separate.compression_time, fused.compression_time
 
     separate_t, fused_t = benchmark.pedantic(run_pair, rounds=1,
@@ -137,9 +134,7 @@ def test_gpu_vs_cpu_aggregation(benchmark, report):
     def run_pair():
         cpu_servers = simulate_iteration(model, cluster, BytePS())
         gpu_aggs = simulate_iteration(model, cluster, CaSyncPS(),
-                                      algorithm=algo, plans=plans,
-                                      use_coordinator=True,
-                                      batch_compression=True)
+                                      algorithm=algo, plans=plans)
         return cpu_servers.iteration_time, gpu_aggs.iteration_time
 
     cpu_t, gpu_t = benchmark.pedantic(run_pair, rounds=1, iterations=1)

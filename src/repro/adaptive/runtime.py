@@ -91,8 +91,6 @@ class PolicyRun:
 def run_policy(model, cluster, policy,
                strategy: str = "casync-ps",
                iterations: int = 8,
-               use_coordinator: bool = True,
-               batch_compression: bool = True,
                pipelining: bool = True,
                bulk: bool = True,
                pass_config: Optional[PassConfig] = None,
@@ -132,8 +130,6 @@ def run_policy(model, cluster, policy,
         for _ in range(iterations):
             results.append(simulate_iteration(
                 model, cluster, strat, algorithm=algorithm, plans=plans,
-                use_coordinator=use_coordinator,
-                batch_compression=batch_compression,
                 pass_config=pass_config, telemetry=telemetry))
         return PolicyRun(policy=policy, strategy=strategy,
                          results=tuple(results), log=log)
@@ -169,8 +165,6 @@ def run_policy(model, cluster, policy,
         result = simulate_iteration(
             model, cluster, strat, algorithm=default_algorithm,
             decisions=decisions,
-            use_coordinator=use_coordinator,
-            batch_compression=batch_compression,
             pass_config=pass_config, telemetry=telemetry)
         if replay_maps is None:
             controller.observe(i, result)

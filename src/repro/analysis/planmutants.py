@@ -63,26 +63,27 @@ def _victim(strategy_name: str = "casync-ps", selective: bool = False,
             adaptive: bool = False, config: Optional[PassConfig] = None,
             ) -> Tuple[SyncPlan, PassContext]:
     """A freshly-built, fully-verified plan for the mutators to corrupt."""
+    from ..adaptive.runtime import PLANNER_KINDS
     from ..cluster import ec2_v100_cluster
     from ..experiments.common import default_algorithm
     from ..strategies import get_strategy
     from ..training import make_plans
-    from .plancheck import _case_model, _planner_kind
+    from .plancheck import golden_model
 
-    model = _case_model()
+    model = golden_model()
     cluster = ec2_v100_cluster(4)
     algorithm = default_algorithm("onebit")
     plans = None
     decisions = None
     if selective:
         plans = make_plans(model, cluster, algorithm,
-                           _planner_kind(strategy_name))
+                           PLANNER_KINDS[strategy_name])
     if adaptive:
         from ..adaptive.controller import PolicyController
         from ..adaptive.policy import CompressionPolicy
         controller = PolicyController(
             CompressionPolicy.size_adaptive(), model, cluster,
-            planner_kind=_planner_kind(strategy_name))
+            planner_kind=PLANNER_KINDS[strategy_name])
         decisions = controller.decide(0)
         algorithm = controller.palette["large"]
     strategy = get_strategy(strategy_name, selective=selective,

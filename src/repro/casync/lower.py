@@ -233,13 +233,17 @@ def instantiate(recipe: LoweredRecipe, ctx) -> TaskGraph:
     dependency wiring is the recipe's cached :attr:`LoweredRecipe.csr`,
     whose ``("r", node, gradient)`` keys resolve against ``ctx.ready``
     when the graph is armed.  Task creation/dispatch order (and therefore
-    the executed timeline) is identical on every instantiation.
+    the executed timeline) is identical on every instantiation.  The
+    graph carries the plan's bulk decision, which
+    :class:`~repro.casync.passes.BulkRoutePass` records as
+    ``meta["batch_compression"]``.
     """
     tasks = [Task(spec.node, spec.kind, spec.label, spec.duration,
                   spec.launch_overhead, spec.nbytes, spec.dst, spec.bulk,
                   spec.out_nbytes, i)
              for i, spec in enumerate(recipe.specs)]
-    return TaskGraph(ctx.env, tasks, recipe.csr, ctx.ready)
+    return TaskGraph(ctx.env, tasks, recipe.csr, ctx.ready,
+                     bool(recipe.meta.get("batch_compression")))
 
 
 # -- cache keys --------------------------------------------------------------

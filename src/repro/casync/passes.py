@@ -24,11 +24,10 @@ strategy's structure, runs op passes, and *always* finishes with
 :class:`VerifyPass`, which rejects malformed plans (unmatched receives,
 cycles, byte-conservation violations) before anything is lowered.
 
-:class:`PassConfig` is the single home of the tuning constants that used
-to be duplicated between strategies and the coordinator
-(``BULK_ELIGIBLE_BYTES`` / ``DEFAULT_PART_BYTES`` / the coordinator's
-batching policy); override it per run via
-``simulate_iteration(pass_config=...)``.
+:class:`PassConfig` is the single home of the tuning constants the
+strategies and the coordinator share (bulk eligibility, the fallback
+partition size, the coordinator's batching policy); override it per run
+via ``simulate_iteration(pass_config=...)``.
 
 Passes are also a *registry* (:func:`register_pass` / :func:`get_pass` /
 :func:`list_passes`): strategies build their pipelines from pass names,

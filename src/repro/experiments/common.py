@@ -21,6 +21,7 @@ import json
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Mapping, Optional
 
+from ..adaptive.runtime import PLANNER_KINDS
 from ..algorithms import available_algorithms, get_algorithm
 from ..algorithms.base import CompressionAlgorithm
 from ..cluster import ClusterSpec, ec2_v100_cluster, local_1080ti_cluster
@@ -65,48 +66,39 @@ class SystemConfig:
     ``strategy`` is a strategy-registry name; the config resolves it
     through :func:`repro.strategies.get_strategy` at run time, so
     registering a new strategy and adding a SystemConfig is all a new
-    system needs.
+    system needs.  Everything else a run needs -- whether it compresses,
+    its planner preset, and (through the lowered plan) whether it runs
+    bulk synchronization -- follows from the strategy.
     """
 
     key: str
     label: str
     strategy: str                        # strategy-registry name
-    compression: bool = False
-    planner_kind: Optional[str] = None   # selective planning preset
-    use_coordinator: bool = False
-    batch_compression: bool = False
     tcp_on_ec2: bool = False
 
     def strategy_factory(self) -> Strategy:
         """Instantiate this system's strategy from the registry."""
         return get_strategy(self.strategy)
 
+    @property
+    def compression(self) -> bool:
+        """Whether this system's strategy compresses gradients."""
+        return self.strategy_factory().compression
 
-SYSTEMS: Dict[str, SystemConfig] = {
-    "byteps": SystemConfig(
-        key="byteps", label="BytePS",
-        strategy="byteps", tcp_on_ec2=True),
-    "ring": SystemConfig(
-        key="ring", label="Ring",
-        strategy="ring"),
-    "byteps-oss": SystemConfig(
-        key="byteps-oss", label="BytePS(OSS)",
-        strategy="byteps-oss", compression=True,
-        tcp_on_ec2=True),
-    "ring-oss": SystemConfig(
-        key="ring-oss", label="Ring(OSS)",
-        strategy="ring-oss", compression=True),
-    "hipress-ps": SystemConfig(
-        key="hipress-ps", label="HiPress-CaSync-PS",
-        strategy="casync-ps", compression=True,
-        planner_kind="ps_colocated", use_coordinator=True,
-        batch_compression=True),
-    "hipress-ring": SystemConfig(
-        key="hipress-ring", label="HiPress-CaSync-Ring",
-        strategy="casync-ring", compression=True,
-        planner_kind="ring", use_coordinator=True,
-        batch_compression=True),
-}
+    @property
+    def planner_kind(self) -> Optional[str]:
+        """The strategy's §3.3 selective-planning preset, if it plans."""
+        return PLANNER_KINDS.get(self.strategy)
+
+
+SYSTEMS: Dict[str, SystemConfig] = {c.key: c for c in (
+    SystemConfig("byteps", "BytePS", "byteps", tcp_on_ec2=True),
+    SystemConfig("ring", "Ring", "ring"),
+    SystemConfig("byteps-oss", "BytePS(OSS)", "byteps-oss", tcp_on_ec2=True),
+    SystemConfig("ring-oss", "Ring(OSS)", "ring-oss"),
+    SystemConfig("hipress-ps", "HiPress-CaSync-PS", "casync-ps"),
+    SystemConfig("hipress-ring", "HiPress-CaSync-Ring", "casync-ring"),
+)}
 
 
 def run_system(system: str, model, cluster: ClusterSpec,
@@ -145,7 +137,7 @@ def run_system(system: str, model, cluster: ClusterSpec,
         cluster = ec2_tcp_network(cluster)
     if policy is not None:
         from ..adaptive.policy import resolve_policy
-        from ..adaptive.runtime import PLANNER_KINDS, run_policy
+        from ..adaptive.runtime import run_policy
         policy = resolve_policy(policy, algorithm, algorithm_params)
         if not config.compression:
             raise ConfigError(
@@ -163,9 +155,7 @@ def run_system(system: str, model, cluster: ClusterSpec,
                          "pipeline; use a CaSync-based system")
             return run_policy(
                 model, cluster, policy, strategy=config.strategy,
-                iterations=1, use_coordinator=config.use_coordinator,
-                batch_compression=config.batch_compression,
-                telemetry=telemetry).results[0]
+                iterations=1, telemetry=telemetry).results[0]
         spec = policy.fixed_algorithm()
         algorithm = spec.name
         algorithm_params = dict(spec.params)
@@ -186,8 +176,6 @@ def run_system(system: str, model, cluster: ClusterSpec,
     strategy = config.strategy_factory()
     return simulate_iteration(
         model, cluster, strategy, algorithm=algo, plans=plans,
-        use_coordinator=config.use_coordinator,
-        batch_compression=config.batch_compression,
         telemetry=telemetry)
 
 

@@ -119,9 +119,7 @@ def run_job(model: str, system: str, algorithm: Optional[str], profile: str,
     report = run_elastic(
         get_model(model), cluster, get_strategy(config.strategy),
         membership, epochs=epochs,
-        algorithm=algo, planner_kind=config.planner_kind,
-        use_coordinator=config.use_coordinator,
-        batch_compression=config.batch_compression)
+        algorithm=algo, planner_kind=config.planner_kind)
     return {
         "cluster": cluster.name,
         "num_nodes": cluster.num_nodes,

@@ -99,14 +99,12 @@ def _stage_kwargs(model: str, stage: str, cluster, algorithm) -> dict:
     if stage == "+bulk":
         return dict(strategy=casync_cls(pipelining=True, bulk=True,
                                         selective=False),
-                    algorithm=algorithm, use_coordinator=True,
-                    batch_compression=True)
+                    algorithm=algorithm)
     if stage == "+secopa":
         plans = make_plans(model_spec(model), cluster, algorithm, preset)
         return dict(strategy=casync_cls(pipelining=True, bulk=True,
                                         selective=True),
-                    algorithm=algorithm, plans=plans, use_coordinator=True,
-                    batch_compression=True)
+                    algorithm=algorithm, plans=plans)
     raise ValueError(f"unknown ablation stage {stage!r}")
 
 

@@ -168,7 +168,6 @@ class TrainingJob:
             run = run_policy(
                 self.model, self.cluster, policy,
                 strategy=self.strategy_name, iterations=iterations,
-                use_coordinator=bulk, batch_compression=bulk,
                 pipelining=pipelining, bulk=bulk,
                 pass_config=pass_config, telemetry=telemetry)
             self.last_policy_run = run
@@ -179,7 +178,6 @@ class TrainingJob:
         return simulate_iteration(
             self.model, self.cluster, strategy, algorithm=self.algorithm,
             plans=self.plans if selective else None,
-            use_coordinator=bulk, batch_compression=bulk,
             telemetry=telemetry, pass_config=pass_config)
 
     def save_plans(self, path) -> None:

@@ -13,8 +13,9 @@ pass removed":
   arrives (the OSS co-design shape).
 * ``bulk`` -> :class:`~repro.casync.passes.BulkRoutePass` -- route small
   eligible transfers through the global coordinator (message batching per
-  link) and mark the plan for GPU batch compression.  Enable the engines
-  via ``simulate_iteration(use_coordinator=True, batch_compression=True)``.
+  link) and mark the plan for GPU batch compression.  That mark is the
+  only switch: a round whose lowered graph carries it runs the
+  coordinator and batch-compressing engines, and no other round does.
 * ``selective`` -> :class:`~repro.casync.passes.SelectivePass` -- honor
   the §3.3 planner's per-gradient <compress?, K> plan; with the pass
   absent, everything is compressed and K falls back to the fixed
@@ -32,23 +33,12 @@ from __future__ import annotations
 from typing import List
 
 from ..casync.ir import ReadyRef, SizeExpr, SyncPlan
-from ..casync.passes import (
-    DEFAULT_PASS_CONFIG,
-    Pass,
-    PassContext,
-    get_pass,
-)
+from ..casync.passes import Pass, PassContext, get_pass
 from ..casync.topology import ps_topology, ring_topology
 from ..models import GradientSpec, ModelSpec
 from .base import Strategy
 
 __all__ = ["CaSyncPS", "CaSyncRing"]
-
-#: Back-compat re-exports; the authoritative values live in
-#: :class:`~repro.casync.passes.PassConfig` so the strategies and the
-#: coordinator share one source of truth.
-BULK_ELIGIBLE_BYTES = DEFAULT_PASS_CONFIG.bulk_eligible_bytes
-DEFAULT_PART_BYTES = DEFAULT_PASS_CONFIG.default_part_bytes
 
 
 class _CaSyncBase(Strategy):

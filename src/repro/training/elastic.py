@@ -193,8 +193,6 @@ def run_elastic(model: ModelSpec, cluster: ClusterSpec,
                 epochs: Optional[int] = None,
                 algorithm=None,
                 planner_kind: Optional[str] = None,
-                use_coordinator: bool = False,
-                batch_compression: bool = False,
                 retry_policy: Optional[RetryPolicy] = None,
                 sync_deadline_s: Optional[float] = None,
                 heartbeat_timeout_s: float = 0.02,
@@ -228,8 +226,6 @@ def run_elastic(model: ModelSpec, cluster: ClusterSpec,
         try:
             result = simulate_iteration(
                 model, sub, algorithm=algorithm,
-                use_coordinator=use_coordinator,
-                batch_compression=batch_compression,
                 sync_deadline_s=sync_deadline_s,
                 heartbeat_timeout_s=heartbeat_timeout_s,
                 pass_config=pass_config, **driver)
@@ -262,8 +258,6 @@ def elastic_trace_hashes(model: ModelSpec, cluster: ClusterSpec,
                          epochs: Optional[int] = None,
                          algorithm=None,
                          planner_kind: Optional[str] = None,
-                         use_coordinator: bool = False,
-                         batch_compression: bool = False,
                          retry_policy: Optional[RetryPolicy] = None,
                          sync_deadline_s: Optional[float] = None,
                          heartbeat_timeout_s: float = 0.02,
@@ -286,8 +280,6 @@ def elastic_trace_hashes(model: ModelSpec, cluster: ClusterSpec,
         try:
             trace = trace_iteration(
                 model, sub, algorithm=algorithm,
-                use_coordinator=use_coordinator,
-                batch_compression=batch_compression,
                 sync_deadline_s=sync_deadline_s,
                 heartbeat_timeout_s=heartbeat_timeout_s, **driver)
         except SyncAborted as abort:

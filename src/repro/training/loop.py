@@ -128,8 +128,6 @@ def simulate_iteration(model: ModelSpec, cluster: ClusterSpec,
                        strategy: Strategy,
                        algorithm: Optional[CompressionAlgorithm] = None,
                        plans: Optional[Dict[str, GradientPlan]] = None,
-                       use_coordinator: bool = False,
-                       batch_compression: bool = False,
                        local_aggregation: bool = True,
                        util_bin_s: float = 0.010,
                        straggler: Optional[Tuple[int, float]] = None,
@@ -187,7 +185,6 @@ def simulate_iteration(model: ModelSpec, cluster: ClusterSpec,
             raise ValueError(f"straggler factor must be >= 1, got {factor}")
     rnd = _run_round(
         model, cluster, strategy, algorithm=algorithm, plans=plans,
-        use_coordinator=use_coordinator, batch_compression=batch_compression,
         local_aggregation=local_aggregation, straggler=straggler,
         fault_schedule=fault_schedule, retry_policy=retry_policy,
         degradation=degradation, sync_deadline_s=sync_deadline_s,
@@ -249,8 +246,6 @@ def simulate_iteration(model: ModelSpec, cluster: ClusterSpec,
 def _run_round(model: ModelSpec, cluster: ClusterSpec, strategy: Strategy,
                algorithm: Optional[CompressionAlgorithm] = None,
                plans: Optional[Dict[str, GradientPlan]] = None,
-               use_coordinator: bool = False,
-               batch_compression: bool = False,
                local_aggregation: bool = True,
                straggler: Optional[Tuple[int, float]] = None,
                fault_schedule: Optional[FaultSchedule] = None,
@@ -285,29 +280,30 @@ def _run_round(model: ModelSpec, cluster: ClusterSpec, strategy: Strategy,
     gpus = [Gpu(env, cluster.node_at(i).gpu, index=i)
             for i in range(cluster.num_nodes)]
     pconf = pass_config if pass_config is not None else DEFAULT_PASS_CONFIG
+    ready = {(node, grad.name): env.event()
+             for node in range(cluster.num_nodes)
+             for grad in model.gradients}
+    ctx = SyncContext(env=env, cluster=cluster, ready=ready,
+                      algorithm=algorithm, plans=plans,
+                      pass_config=pconf, decisions=decisions)
+    graph = strategy.build(ctx, model)
+
+    # The plan decides bulk synchronization (§3.2): the global
+    # coordinator and batch compression run exactly when it says so.
     coordinator = (Coordinator(env, fabric,
                                size_threshold=pconf.coordinator_batch_bytes,
                                timeout_s=pconf.coordinator_timeout_s,
                                retry_policy=policy, membership=membership,
                                degradation=degradation)
-                   if use_coordinator else None)
+                   if graph.bulk else None)
     engines = [NodeEngine(env, i, gpus[i], fabric, coordinator=coordinator,
-                          batch_compression=batch_compression,
+                          batch_compression=graph.bulk,
                           retry_policy=policy, membership=membership,
                           degradation=degradation)
                for i in range(cluster.num_nodes)]
     injector = (FaultInjector(env, schedule, fabric=fabric, gpus=gpus,
                               engines=engines)
                 if faulty else None)
-
-    ready = {(node, grad.name): env.event()
-             for node in range(cluster.num_nodes)
-             for grad in model.gradients}
-
-    ctx = SyncContext(env=env, cluster=cluster, ready=ready,
-                      algorithm=algorithm, plans=plans,
-                      pass_config=pconf, decisions=decisions)
-    graph = strategy.build(ctx, model)
 
     # Per-GPU-model timing, computed once per distinct model (one entry on
     # a homogeneous cluster).  Under BSP the iteration is paced by the

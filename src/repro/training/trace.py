@@ -79,8 +79,6 @@ def trace_iteration(model: ModelSpec, cluster: ClusterSpec,
                     strategy: Strategy,
                     algorithm: Optional[CompressionAlgorithm] = None,
                     plans: Optional[Dict[str, GradientPlan]] = None,
-                    use_coordinator: bool = False,
-                    batch_compression: bool = False,
                     fault_schedule: Optional[FaultSchedule] = None,
                     retry_policy: Optional[RetryPolicy] = None,
                     degradation: bool = True,
@@ -99,7 +97,6 @@ def trace_iteration(model: ModelSpec, cluster: ClusterSpec,
     """
     rnd = _run_round(
         model, cluster, strategy, algorithm=algorithm, plans=plans,
-        use_coordinator=use_coordinator, batch_compression=batch_compression,
         local_aggregation=False, fault_schedule=fault_schedule,
         retry_policy=retry_policy, degradation=degradation,
         sync_deadline_s=sync_deadline_s,

@@ -182,8 +182,7 @@ def test_flipped_decision_is_a_graph_cache_miss():
         before = (cache.hits, cache.misses)
         simulate_iteration(model, cluster, strategy,
                            algorithm=palette["algorithm"],
-                           decisions=decisions,
-                           use_coordinator=True, batch_compression=True)
+                           decisions=decisions)
         return cache.hits - before[0], cache.misses - before[1]
 
     base = _decisions(model, palette)
@@ -262,8 +261,7 @@ def test_adaptive_pass_requires_decisions():
     with pytest.raises(ConfigError, match="decisions"):
         simulate_iteration(tiny_model(), ec2_v100_cluster(2), strategy,
                            algorithm=CompressionPolicy.fixed("dgc")
-                           .fixed_algorithm().instantiate(),
-                           use_coordinator=True, batch_compression=True)
+                           .fixed_algorithm().instantiate())
 
 
 # -- API surface -------------------------------------------------------------

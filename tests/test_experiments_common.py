@@ -1,15 +1,20 @@
 """Tests for the experiments shared infrastructure and CLI."""
 
+from dataclasses import fields
+
 import pytest
 
+from repro.adaptive import PLANNER_KINDS
 from repro.experiments.common import (
     ALGORITHM_DEFAULTS,
     SYSTEMS,
+    SystemConfig,
     default_algorithm,
     ec2_tcp_network,
     format_table,
 )
 from repro.cluster import ec2_v100_cluster
+from repro.strategies import get_strategy
 
 
 def test_systems_registry_complete():
@@ -17,8 +22,26 @@ def test_systems_registry_complete():
                             "hipress-ps", "hipress-ring"}
     assert SYSTEMS["byteps"].tcp_on_ec2
     assert not SYSTEMS["ring"].tcp_on_ec2
-    assert SYSTEMS["hipress-ps"].use_coordinator
-    assert SYSTEMS["hipress-ps"].batch_compression
+
+
+def test_system_properties_follow_the_strategy():
+    for config in SYSTEMS.values():
+        strategy = get_strategy(config.strategy)
+        assert config.compression == strategy.compression
+        assert config.planner_kind == PLANNER_KINDS.get(config.strategy)
+    assert SYSTEMS["hipress-ps"].planner_kind == "ps_colocated"
+    assert SYSTEMS["hipress-ring"].planner_kind == "ring"
+    assert not SYSTEMS["byteps-oss"].planner_kind
+    assert SYSTEMS["byteps-oss"].compression
+    assert not SYSTEMS["ring"].compression
+
+
+def test_system_config_has_no_bulk_knobs():
+    # Bulk synchronization is the plan's decision, not the config's.
+    assert [f.name for f in fields(SystemConfig)] == [
+        "key", "label", "strategy", "tcp_on_ec2"]
+    with pytest.raises(TypeError):
+        SystemConfig("x", "X", "casync-ps", use_coordinator=True)
 
 
 def test_default_algorithm_applies_paper_settings():

@@ -311,8 +311,8 @@ def test_transient_failures_are_retried_to_completion():
     assert report.state.log.dropped("transient")
 
 
-@pytest.mark.parametrize("use_coordinator", [False, True])
-def test_retried_bulk_flushes_count_as_retries(use_coordinator):
+@pytest.mark.parametrize("bulk", [False, True])
+def test_retried_bulk_flushes_count_as_retries(bulk):
     """Two failed attempts on each of the 6 directed pairs are 12 retries,
     whether the sends go out one by one or in coordinator flushes."""
     sizes = (64 * 1024,) * 6 + (8 * MB,)
@@ -325,9 +325,8 @@ def test_retried_bulk_flushes_count_as_retries(use_coordinator):
         TransientSendFailure(at=0.0, src=src, dst=dst, count=2)
         for src in range(3) for dst in range(3) if src != dst))
     result = simulate_iteration(
-        model, cluster, CaSyncPS(), algorithm=algo,
+        model, cluster, CaSyncPS(bulk=bulk), algorithm=algo,
         plans=make_plans(model, cluster, algo, "ps_colocated"),
-        use_coordinator=use_coordinator, batch_compression=True,
         fault_schedule=schedule, retry_policy=RetryPolicy())
     report = result.fault_report
     assert not report.aborted
@@ -335,23 +334,19 @@ def test_retried_bulk_flushes_count_as_retries(use_coordinator):
     check_all(report)
 
 
-@pytest.mark.parametrize("use_coordinator", [False, True])
-def test_dead_peer_without_degradation_aborts(use_coordinator):
+@pytest.mark.parametrize("bulk", [False, True])
+def test_dead_peer_without_degradation_aborts(bulk):
     """degradation=False aborts the round on a dead peer, whether the
     sends go out one by one or in coordinator flushes."""
     grads = tuple(GradientSpec(f"f.g{i}", 16 * 1024) for i in range(3))
     model = ModelSpec(name="f", gradients=grads, batch_size=4,
                       batch_unit="images", v100_iteration_s=0.001)
-    if use_coordinator:
-        strategy, kw = CaSyncPS(selective=False), {
-            "algorithm": OneBit(), "use_coordinator": True}
-    else:
-        strategy, kw = BytePS(), {}
     with pytest.raises(SyncAborted) as excinfo:
         simulate_iteration(
-            model, ec2_v100_cluster(3), strategy,
+            model, ec2_v100_cluster(3), CaSyncPS(bulk=bulk, selective=False),
+            algorithm=OneBit(),
             fault_schedule=FaultSchedule.of(NodeCrash(at=0.0, node=1)),
-            heartbeat_timeout_s=10.0, degradation=False, **kw)
+            heartbeat_timeout_s=10.0, degradation=False)
     assert isinstance(excinfo.value.__cause__, PeerDeadError)
     check_all(excinfo.value.report)
 
@@ -418,12 +413,11 @@ GOLDEN_FINGERPRINTS = json.loads(
     .read_text())
 
 
-def _trace_fingerprint(make_strategy, algo_factory, schedule,
-                       use_coordinator=False):
+def _trace_fingerprint(make_strategy, algo_factory, schedule):
     """trace hash on completion, or the (typed) abort coordinates.
 
-    With ``use_coordinator`` a completed round's fingerprint is
-    ``[hash, retries]``: the trace hash plus the round's
+    When the plan runs the coordinator, a completed round's fingerprint
+    is ``[hash, retries]``: the trace hash plus the round's
     ``RobustSyncReport.retries``, which counts the coordinator's retried
     flushes.
     """
@@ -438,12 +432,11 @@ def _trace_fingerprint(make_strategy, algo_factory, schedule,
         with mock.patch("repro.training.trace._run_round", recording_round):
             trace = trace_iteration(
                 small_model(), ec2_v100_cluster(3), make_strategy(),
-                algorithm=algo, use_coordinator=use_coordinator,
-                fault_schedule=schedule,
+                algorithm=algo, fault_schedule=schedule,
                 retry_policy=RetryPolicy.aggressive(), sync_deadline_s=0.5)
     except SyncAborted as exc:
         return ("aborted", exc.reason, exc.at)
-    if use_coordinator:
+    if rounds[0].coordinator is not None:
         return [trace_hash(trace), rounds[0].report.retries]
     return trace_hash(trace)
 
@@ -475,8 +468,7 @@ def test_coordinator_fault_path_fingerprint(seed):
     schedule = (None if seed is None
                 else random_schedule(seed=seed, num_nodes=3, horizon=2e-3))
     observed = _trace_fingerprint(
-        lambda: CaSyncPS(bulk=True, selective=False), OneBit, schedule,
-        use_coordinator=True)
+        lambda: CaSyncPS(bulk=True, selective=False), OneBit, schedule)
     key = "pristine" if seed is None else f"seed{seed}"
     assert observed == GOLDEN_FINGERPRINTS[f"casync-ps-bulk/{key}"]
 

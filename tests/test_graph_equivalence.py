@@ -29,87 +29,28 @@ from pathlib import Path
 
 import pytest
 
+from repro.analysis.plancheck import golden_cases, golden_model
 from repro.cluster import ec2_v100_cluster
-from repro.experiments.common import SYSTEMS, default_algorithm
-from repro.models import GradientSpec, ModelSpec
-from repro.strategies import get_strategy
 from repro.telemetry import telemetry_session
-from repro.training import make_plans
 from repro.training.trace import trace_hash, trace_iteration
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "trace_hashes.json"
 
-KB = 1024
-MB = 1024 * 1024
-
-#: Compression algorithms the equivalence matrix sweeps.
-ALGORITHMS = ("onebit", "dgc", "tbq")
-
-#: CaSync optimization-flag stages (the Fig. 11 ablation ladder).
-ABLATION_FLAGS = (
-    ("none", dict(pipelining=False, bulk=False, selective=False)),
-    ("pipe", dict(pipelining=True, bulk=False, selective=False)),
-    ("pipe+bulk", dict(pipelining=True, bulk=True, selective=False)),
-    ("pipe+bulk+secopa", dict(pipelining=True, bulk=True, selective=True)),
-)
-
-
-def equivalence_model() -> ModelSpec:
-    """Deterministic model with a spread of gradient sizes.
-
-    The sizes straddle the planner's compression threshold and the bulk
-    coordinator's eligibility cutoff so every pass has work to do.
-    """
-    sizes = (8 * MB, 2 * MB, 900 * KB, 64 * KB, 16 * KB)
-    grads = tuple(GradientSpec(f"eq.g{i}", s) for i, s in enumerate(sizes))
-    return ModelSpec(name="equiv-tiny", gradients=grads, batch_size=8,
-                     batch_unit="images", v100_iteration_s=0.012)
-
-
-def _planner_kind(strategy_name: str) -> str:
-    return "ring" if "ring" in strategy_name else "ps_colocated"
-
 
 def enumerate_cases():
     """Yield (case_name, runner) pairs covering SYSTEMS plus ablations."""
-    model = equivalence_model()
+    model = golden_model()
     cluster = ec2_v100_cluster(4)
 
-    def make_runner(strategy_name, algo_name, flags, use_coordinator,
-                    batch_compression, selective):
+    def make_runner(case):
         def run():
-            algorithm = (default_algorithm(algo_name)
-                         if algo_name is not None else None)
-            plans = None
-            if selective:
-                plans = make_plans(model, cluster, algorithm,
-                                   _planner_kind(strategy_name))
-            strategy = get_strategy(strategy_name, **flags)
-            trace = trace_iteration(
-                model, cluster, strategy, algorithm=algorithm, plans=plans,
-                use_coordinator=use_coordinator,
-                batch_compression=batch_compression)
-            return trace_hash(trace)
+            strategy, algorithm, plans = case.inputs(model, cluster)
+            return trace_hash(trace_iteration(
+                model, cluster, strategy, algorithm=algorithm, plans=plans))
         return run
 
-    for key in sorted(SYSTEMS):
-        config = SYSTEMS[key]
-        algos = ALGORITHMS if config.compression else (None,)
-        for algo in algos:
-            name = f"{key}/{algo or 'raw'}/n4"
-            yield name, make_runner(
-                config.strategy, algo, {}, config.use_coordinator,
-                config.batch_compression,
-                selective=config.planner_kind is not None)
-
-    for strategy_name in ("casync-ps", "casync-ring"):
-        for stage, flags in ABLATION_FLAGS:
-            name = f"{strategy_name}:{stage}/onebit/n4"
-            yield name, make_runner(
-                strategy_name, "onebit", dict(flags),
-                use_coordinator=flags["bulk"],
-                batch_compression=flags["bulk"],
-                selective=flags["selective"])
+    for case in golden_cases():
+        yield case.name, make_runner(case)
 
 
 def _load_golden():

@@ -95,9 +95,7 @@ def run_case(cluster: ClusterSpec, system: str, algo):
                     for name, p in sorted(plans.items())}
     trace = trace_iteration(
         MODEL, cluster, get_strategy(config.strategy),
-        algorithm=algorithm, plans=plans,
-        use_coordinator=config.use_coordinator,
-        batch_compression=config.batch_compression)
+        algorithm=algorithm, plans=plans)
     return trace_hash(trace), verdicts
 
 

@@ -18,9 +18,8 @@ from pathlib import Path
 import pytest
 
 from repro.adaptive import CompressionPolicy, run_policy
+from repro.analysis.plancheck import golden_cases, golden_model
 from repro.cluster import ec2_v100_cluster
-from repro.experiments.common import SYSTEMS
-from repro.models import GradientSpec, ModelSpec
 from repro.strategies import get_strategy
 from repro.training import make_plans
 from repro.training.trace import trace_hash, trace_iteration
@@ -28,74 +27,27 @@ from repro.training.trace import trace_hash, trace_iteration
 GOLDEN_PATH = Path(__file__).parent / "golden" / "trace_hashes.json"
 GOLDEN = json.loads(GOLDEN_PATH.read_text())
 
-KB = 1024
-MB = 1024 * 1024
 
-# Mirrors tests/test_graph_equivalence.py exactly: same model, same
-# algorithm sweep, same ablation ladder -- the matrix must stay in
-# lockstep or test_matrix_is_complete fails.
-ALGORITHMS = ("onebit", "dgc", "tbq")
-
-ABLATION_FLAGS = (
-    ("none", dict(pipelining=False, bulk=False, selective=False)),
-    ("pipe", dict(pipelining=True, bulk=False, selective=False)),
-    ("pipe+bulk", dict(pipelining=True, bulk=True, selective=False)),
-    ("pipe+bulk+secopa", dict(pipelining=True, bulk=True, selective=True)),
-)
-
-
-def equivalence_model() -> ModelSpec:
-    sizes = (8 * MB, 2 * MB, 900 * KB, 64 * KB, 16 * KB)
-    grads = tuple(GradientSpec(f"eq.g{i}", s) for i, s in enumerate(sizes))
-    return ModelSpec(name="equiv-tiny", gradients=grads, batch_size=8,
-                     batch_unit="images", v100_iteration_s=0.012)
-
-
-def _planner_kind(strategy_name: str) -> str:
-    return "ring" if "ring" in strategy_name else "ps_colocated"
+def _fixed_policy_algorithm(name):
+    return CompressionPolicy.fixed(name).fixed_algorithm().instantiate()
 
 
 def policy_cases():
     """The golden matrix, with compressed cases re-routed through
     ``CompressionPolicy.fixed``."""
-    model = equivalence_model()
+    model = golden_model()
     cluster = ec2_v100_cluster(4)
 
-    def make_runner(strategy_name, algo_name, flags, use_coordinator,
-                    batch_compression, selective):
+    def make_runner(case):
         def run():
-            algorithm = None
-            if algo_name is not None:
-                policy = CompressionPolicy.fixed(algo_name)
-                algorithm = policy.fixed_algorithm().instantiate()
-            plans = None
-            if selective:
-                plans = make_plans(model, cluster, algorithm,
-                                   _planner_kind(strategy_name))
-            strategy = get_strategy(strategy_name, **flags)
-            trace = trace_iteration(
-                model, cluster, strategy, algorithm=algorithm, plans=plans,
-                use_coordinator=use_coordinator,
-                batch_compression=batch_compression)
-            return trace_hash(trace)
+            strategy, algorithm, plans = case.inputs(
+                model, cluster, _fixed_policy_algorithm)
+            return trace_hash(trace_iteration(
+                model, cluster, strategy, algorithm=algorithm, plans=plans))
         return run
 
-    for key in sorted(SYSTEMS):
-        config = SYSTEMS[key]
-        algos = ALGORITHMS if config.compression else (None,)
-        for algo in algos:
-            yield f"{key}/{algo or 'raw'}/n4", make_runner(
-                config.strategy, algo, {}, config.use_coordinator,
-                config.batch_compression,
-                selective=config.planner_kind is not None)
-
-    for strategy_name in ("casync-ps", "casync-ring"):
-        for stage, flags in ABLATION_FLAGS:
-            yield f"{strategy_name}:{stage}/onebit/n4", make_runner(
-                strategy_name, "onebit", dict(flags),
-                use_coordinator=flags["bulk"],
-                batch_compression=flags["bulk"],
-                selective=flags["selective"])
+    for case in golden_cases():
+        yield case.name, make_runner(case)
 
 
 CASES = dict(policy_cases())
@@ -119,7 +71,7 @@ def test_run_policy_fixed_matches_legacy_entry_point():
     from repro.experiments.common import default_algorithm
     from repro.training import simulate_iteration
 
-    model = equivalence_model()
+    model = golden_model()
     cluster = ec2_v100_cluster(4)
     run = run_policy(model, cluster, "fixed:algorithm=onebit",
                      iterations=2)
@@ -127,9 +79,7 @@ def test_run_policy_fixed_matches_legacy_entry_point():
     plans = make_plans(model, cluster, algorithm, "ps_colocated")
     strategy = get_strategy("casync-ps")
     legacy = [simulate_iteration(model, cluster, strategy,
-                                 algorithm=algorithm, plans=plans,
-                                 use_coordinator=True,
-                                 batch_compression=True)
+                                 algorithm=algorithm, plans=plans)
               for _ in range(2)]
     assert run.iteration_times == [r.iteration_time for r in legacy]
     assert len(run.log) == 0      # fixed policies log no decisions

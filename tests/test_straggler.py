@@ -53,8 +53,6 @@ def test_compression_does_not_mask_stragglers():
     plans = make_plans(model(), cluster, algo, "ps_colocated")
     compressed = simulate_iteration(model(), cluster, CaSyncPS(),
                                     algorithm=algo, plans=plans,
-                                    use_coordinator=True,
-                                    batch_compression=True,
                                     straggler=(0, 3.0))
     raw = simulate_iteration(model(), cluster, RingAllreduce(),
                              straggler=(0, 3.0))

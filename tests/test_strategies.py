@@ -118,8 +118,7 @@ def test_casync_beats_oss_on_comm_bound_model():
                              algorithm=algo)
     plans = make_plans(model, cluster, algo, "ps_colocated")
     casync = simulate_iteration(model, cluster, CaSyncPS(), algorithm=algo,
-                                plans=plans, use_coordinator=True,
-                                batch_compression=True)
+                                plans=plans)
     assert casync.iteration_time < oss.iteration_time
 
 
@@ -130,8 +129,7 @@ def test_casync_beats_no_compression_on_comm_bound_model():
     base = simulate_iteration(model, cluster, RingAllreduce())
     plans = make_plans(model, cluster, algo, "ring")
     casync = simulate_iteration(model, cluster, CaSyncRing(), algorithm=algo,
-                                plans=plans, use_coordinator=True,
-                                batch_compression=True)
+                                plans=plans)
     assert casync.iteration_time < base.iteration_time
 
 
@@ -173,10 +171,11 @@ def test_casync_bulk_helps_many_small_gradients():
     no_bulk = simulate_iteration(
         model, cluster, CaSyncPS(bulk=False), algorithm=algo, plans=plans)
     bulk = simulate_iteration(
-        model, cluster, CaSyncPS(bulk=True), algorithm=algo, plans=plans,
-        use_coordinator=True, batch_compression=True)
+        model, cluster, CaSyncPS(bulk=True), algorithm=algo, plans=plans)
     assert bulk.iteration_time <= no_bulk.iteration_time * 1.02
+    # The plan alone decides whether the round runs the coordinator.
     assert bulk.coordinator_batches > 0
+    assert no_bulk.coordinator_batches == 0
 
 
 def test_ring_oss_coarse_slower_than_casync_ring():
@@ -190,8 +189,7 @@ def test_ring_oss_coarse_slower_than_casync_ring():
                              algorithm=algo)
     plans = make_plans(model, cluster, algo, "ring")
     casync = simulate_iteration(model, cluster, CaSyncRing(), algorithm=algo,
-                                plans=plans, use_coordinator=True,
-                                batch_compression=True)
+                                plans=plans)
     assert casync.iteration_time < oss.iteration_time
 
 
@@ -219,6 +217,5 @@ def test_real_model_zoo_integration():
     algo = OneBit()
     plans = make_plans(model, cluster, algo, "ps_colocated")
     result = simulate_iteration(model, cluster, CaSyncPS(), algorithm=algo,
-                                plans=plans, use_coordinator=True,
-                                batch_compression=True)
+                                plans=plans)
     assert 0.1 < result.scaling_efficiency <= 1.05

@@ -41,8 +41,7 @@ def run_casync(telemetry=None, n=3):
     # transfer, merge, decode -- shows up on every node.
     return simulate_iteration(
         small_model(), ec2_v100_cluster(n), CaSyncPS(selective=False),
-        algorithm=DGC(rate=0.01), use_coordinator=True,
-        batch_compression=True, telemetry=telemetry)
+        algorithm=DGC(rate=0.01), telemetry=telemetry)
 
 
 # -- collector primitives ---------------------------------------------------
@@ -273,7 +272,6 @@ def test_strategy_registry_instances_record_same_spans():
         default_graph_cache().clear()
         tel = TelemetryCollector()
         simulate_iteration(model, cluster, strategy, algorithm=OneBit(),
-                           use_coordinator=True, batch_compression=True,
                            telemetry=tel)
         return [(s.name, s.track, s.start, s.end)
                 for s in sorted(tel.spans,

@@ -42,8 +42,7 @@ def recorded_collector(n=3):
     tel = TelemetryCollector()
     result = simulate_iteration(
         small_model(), ec2_v100_cluster(n), CaSyncPS(selective=False),
-        algorithm=OneBit(), use_coordinator=True, batch_compression=True,
-        telemetry=tel)
+        algorithm=OneBit(), telemetry=tel)
     return tel, result
 
 
