@@ -1,6 +1,7 @@
 """Tests for the Chrome-trace export of simulated iterations."""
 
 import json
+from unittest import mock
 
 import pytest
 
@@ -9,6 +10,7 @@ from repro.cluster import ec2_v100_cluster
 from repro.models import GradientSpec, ModelSpec
 from repro.strategies import CaSyncPS, RingAllreduce
 from repro.training import make_plans
+from repro.training.loop import _run_round
 from repro.training.trace import trace_iteration
 
 MB = 1024 * 1024
@@ -32,12 +34,22 @@ def run_trace(strategy=None, algorithm=None, plans=False, **kw):
 
 
 def test_trace_contains_all_lanes():
-    trace = run_trace(strategy=CaSyncPS(selective=False),
-                      algorithm=OneBit())
+    rounds = []
+
+    def recording_round(*args, **kwargs):
+        rounds.append(_run_round(*args, **kwargs))
+        return rounds[-1]
+
+    with mock.patch("repro.training.trace._run_round", recording_round):
+        trace = run_trace(strategy=CaSyncPS(selective=False),
+                          algorithm=OneBit())
     lanes = {e.lane for e in trace.events}
     assert "gpu-compute" in lanes
     assert "gpu-compression" in lanes
-    assert "network" in lanes
+    # One network event per executed send, coordinator-batched ones too.
+    sends = [t for t in rounds[0].graph.tasks if t.kind == "send"]
+    assert any(t.bulk for t in sends)
+    assert len([e for e in trace.events if e.lane == "network"]) == len(sends)
 
 
 def test_trace_events_within_horizon():
