@@ -6,7 +6,7 @@ Two measurements:
   :meth:`Fabric.bulk_transfer` with a delivery ``handler`` (one NumPy
   reservation pass and one pooled carrier per message, the interface the
   CaSync coordinator flushes through) against one :meth:`Fabric.transfer`
-  generator process per message (the fault-injection fallback), on the
+  generator process per message (the path the retry loop runs on), on the
   same simulator and a fan-out + incast workload.  Both paths must agree
   exactly on every per-message delivery time, the final simulated clock,
   bytes and messages -- a fast wrong answer is a failure, not a speedup.

@@ -344,11 +344,15 @@ class Fabric:
     bit-identical instants:
 
     * :meth:`transfer` -- one point-to-point move as a generator, the
-      path fault injection, retries and telemetry spans run on;
+      only path with fault semantics (the retry loop runs on it);
     * :meth:`issue` -- one message with a delivery callback and no
       process;
     * :meth:`bulk_transfer` -- a batch of messages with a delivery
       callback, reserved in one vectorized pass.
+
+    All three record the same ``xfer:`` telemetry span and ``net.*``
+    metrics per message when a collector is attached; recording never
+    schedules an event.
     """
 
     def __init__(self, env: Environment, num_nodes: int,
@@ -397,47 +401,45 @@ class Fabric:
         self._check(src, dst, nbytes)
         if src == dst:
             return
+        move = (self._transfer_pristine if self.faults is None
+                else self._transfer_faulty)
         tel = self.env.telemetry
         if tel is None:
-            if self.faults is not None:
-                yield from self._transfer_faulty(src, dst, nbytes)
-            else:
-                yield from self._transfer_pristine(src, dst, nbytes)
+            yield from move(src, dst, nbytes)
             return
-        span = tel.begin(f"xfer:{src}->{dst}", category="transfer",
-                         track=f"node{src}/transfer", parent=span_parent,
-                         at=self.env.now, src=src, dst=dst, nbytes=nbytes)
+        span = self._xfer_span(tel, src, dst, nbytes, span_parent)
         try:
-            if self.faults is not None:
-                yield from self._transfer_faulty(src, dst, nbytes)
-            else:
-                yield from self._transfer_pristine(src, dst, nbytes)
+            yield from move(src, dst, nbytes)
         except BaseException as exc:
             tel.finish(span, self.env.now, outcome=type(exc).__name__)
             tel.metrics.counter("net.transfer_failures").inc()
             raise
-        tel.finish(span, self.env.now, outcome="delivered")
-        tel.metrics.counter("net.bytes_sent").inc(nbytes)
-        tel.metrics.counter("net.messages").inc()
-        tel.metrics.histogram("net.transfer_s").observe(span.duration)
+        self._record_delivery(tel, span, nbytes)
 
     def issue(self, src: int, dst: int, nbytes: float,
-              handler: Callable[[Any], None], token: Any) -> None:
+              handler: Callable[[Any], None], token: Any,
+              span_parent: Optional[Any] = None) -> None:
         """Issue one transfer now; ``handler(token)`` runs at delivery.
 
         The one-message twin of :meth:`bulk_transfer`: it reserves NIC
         time exactly as :meth:`transfer` does and schedules one pooled
         delivery carrier instead of a generator process.  A loopback
-        (src == dst) is free and calls ``handler`` synchronously.  It has
-        no fault semantics and opens no telemetry span: callers take
-        :meth:`transfer` when a FaultState or collector is attached.
+        (src == dst) is free and calls ``handler`` synchronously.
+        ``span_parent`` is as on :meth:`transfer`: the message's span
+        opens now and closes in the delivery carrier.  There are no fault
+        semantics, so it raises ``ValueError`` when a FaultState is
+        attached (faulty rounds send through the retry loop).
         """
+        self._check_pristine("issue")
         self._check(src, dst, nbytes)
         if src == dst:
             handler(token)
             return
+        tel = self.env.telemetry
+        span = (self._xfer_span(tel, src, dst, nbytes, span_parent)
+                if tel is not None else None)
         carrier = self.env._acquire_carrier(True, (src, nbytes, handler,
-                                                   token))
+                                                   token, span))
         assert carrier.callbacks is not None
         carrier.callbacks.append(self._deliver)
         self.env.schedule(carrier, delay=self._reserve(src, dst, nbytes))
@@ -538,7 +540,9 @@ class Fabric:
     # -- vectorized bulk transfers ---------------------------------------
 
     def bulk_transfer(self, transfers: Sequence[Tuple[int, int, float]],
-                      handler: Callable[[int], None]) -> None:
+                      handler: Callable[[int], None],
+                      span_parents: Optional[Sequence[Any]] = None
+                      ) -> None:
         """Issue a batch of point-to-point transfers in one reservation pass.
 
         ``transfers`` is a sequence of ``(src, dst, nbytes)`` triples, all
@@ -556,22 +560,20 @@ class Fabric:
         are recorded in each delivery callback so accumulation order
         matches the per-message path's delivery order.
 
-        When a :class:`FaultState` is attached the batch falls back to one
-        :meth:`transfer` process per message, so crash/partition semantics
-        -- including aborting mid-bulk -- are exactly the per-message
-        ones: a message that fails never reaches ``handler``.
+        ``span_parents[index]``, when given, parents message ``index``'s
+        telemetry span, as ``span_parent`` does on :meth:`transfer`.  Like
+        :meth:`issue` it has no fault semantics and raises ``ValueError``
+        when a :class:`FaultState` is attached.
 
         Loopback messages (src == dst) are free, as on :meth:`transfer`:
         no NIC time, no statistics, completion at the issue instant
         (``handler`` is invoked synchronously).
         """
+        self._check_pristine("bulk_transfer")
         n = len(transfers)
         if n == 0:
             return
         env = self.env
-        if self.faults is not None:
-            self._bulk_fallback(transfers, handler)
-            return
         now = env.now
         srcs, dsts, sizes = self._bulk_arrays(transfers, n)
         loop = srcs == dsts
@@ -604,11 +606,9 @@ class Fabric:
             delays = full.tolist()
         loop_list = loop.tolist()
         src_list = srcs.tolist()
+        dst_list = dsts.tolist()
         size_list = sizes.tolist()
         tel = env.telemetry
-        if tel is not None:
-            tel.metrics.counter("net.bulk_batches").inc()
-            tel.metrics.counter("net.bulk_messages").inc(n)
         done = self._deliver
         acquire = env._acquire_carrier
         schedule = env.schedule
@@ -616,7 +616,13 @@ class Fabric:
             if loop_list[i]:
                 handler(i)
                 continue
-            carrier = acquire(True, (src_list[i], size_list[i], handler, i))
+            span = None
+            if tel is not None:
+                span = self._xfer_span(
+                    tel, src_list[i], dst_list[i], size_list[i],
+                    None if span_parents is None else span_parents[i])
+            carrier = acquire(True, (src_list[i], size_list[i], handler, i,
+                                     span))
             assert carrier.callbacks is not None
             carrier.callbacks.append(done)
             schedule(carrier, delay=delays[i])
@@ -733,27 +739,36 @@ class Fabric:
     def _deliver(self, event: Event) -> None:
         """Delivery carrier callback of :meth:`issue` and
         :meth:`bulk_transfer`: record the message, then hand it over."""
-        src, nbytes, handler, token = event._value
+        src, nbytes, handler, token, span = event._value
         self.stats.record(src, nbytes)
+        if span is not None:
+            self._record_delivery(self.env.telemetry, span, nbytes)
         handler(token)
 
-    def _bulk_fallback(self, transfers: Any,
-                       handler: Callable[[int], None]) -> None:
-        """Fault-injection path: one transfer process per message."""
-        if isinstance(transfers, np.ndarray):
-            transfers = transfers.tolist()
-        for index, (src, dst, nbytes) in enumerate(transfers):
-            src, dst, nbytes = int(src), int(dst), float(nbytes)
-            self.env.process(self._bulk_one(src, dst, nbytes, handler, index),
-                             name=f"bulk:{src}->{dst}")
+    # -- telemetry ---------------------------------------------------------
 
-    def _bulk_one(self, src: int, dst: int, nbytes: float,
-                  handler: Callable[[int], None],
-                  index: int) -> Generator[Any, Any, None]:
-        yield from self.transfer(src, dst, nbytes)
-        handler(index)
+    def _xfer_span(self, tel: Any, src: int, dst: int, nbytes: float,
+                   parent: Optional[Any]) -> Any:
+        """Open one message's transfer span at the current instant."""
+        return tel.begin(f"xfer:{src}->{dst}", category="transfer",
+                         track=f"node{src}/transfer", parent=parent,
+                         at=self.env.now, src=src, dst=dst, nbytes=nbytes)
+
+    def _record_delivery(self, tel: Any, span: Any, nbytes: float) -> None:
+        """Close a delivered message's span and count it in ``net.*``."""
+        tel.finish(span, self.env.now, outcome="delivered")
+        metrics = tel.metrics
+        metrics.counter("net.bytes_sent").inc(nbytes)
+        metrics.counter("net.messages").inc()
+        metrics.histogram("net.transfer_s").observe(span.duration)
 
     # -- helpers -----------------------------------------------------------
+
+    def _check_pristine(self, method: str) -> None:
+        if self.faults is not None:
+            raise ValueError(
+                f"Fabric.{method} has no fault semantics; with a FaultState "
+                f"attached, send through transfer() under a retry policy")
 
     def _check(self, src: int, dst: int, nbytes: float) -> None:
         for node in (src, dst):

@@ -297,7 +297,6 @@ def _run_round(model: ModelSpec, cluster: ClusterSpec, strategy: Strategy,
                                degradation=degradation)
                    if graph.bulk else None)
     engines = [NodeEngine(env, i, gpus[i], fabric, coordinator=coordinator,
-                          batch_compression=graph.bulk,
                           retry_policy=policy, membership=membership,
                           degradation=degradation)
                for i in range(cluster.num_nodes)]

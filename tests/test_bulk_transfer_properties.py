@@ -9,17 +9,17 @@ random link profiles Hypothesis checks, message for message:
   vector path's left-fold accumulates are bit-compatible by design);
 * byte conservation: every non-loopback byte lands in the transfer
   statistics exactly once, per node and in total;
-* under a random fault schedule (crashes, link degrades) the bulk call
-  must deliver exactly what the per-message path delivers -- it is
-  required to fall back to one process per message, so a crash mid-bulk
-  aborts exactly the transfers the oracle aborts;
 * ``issue`` delivers loopbacks synchronously, before the clock runs.
+
+Neither path has fault semantics: with a fault schedule attached both
+raise, and faulty rounds send through the retry loop on
+:meth:`Fabric.transfer`.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.faults import FaultInjector, FaultSchedule, LinkDegrade, NodeCrash
+from repro.faults import FaultInjector, FaultSchedule, NodeCrash
 from repro.net import Fabric, NetworkSpec
 from repro.sim import Environment
 
@@ -38,7 +38,7 @@ def bulk_plan(draw):
     return nodes, spec, transfers
 
 
-def _run(mode, nodes, spec, transfers, schedule=None):
+def _run(mode, nodes, spec, transfers):
     """Deliver ``transfers`` and log ``(index, time)`` per delivery.
 
     Mode ``"bulk"`` issues them as one :meth:`Fabric.bulk_transfer`
@@ -48,8 +48,6 @@ def _run(mode, nodes, spec, transfers, schedule=None):
     """
     env = Environment()
     fabric = Fabric(env, nodes, spec)
-    if schedule is not None:
-        FaultInjector(env, schedule, fabric=fabric)
     log = []
 
     def deliver(index):
@@ -70,7 +68,7 @@ def _run(mode, nodes, spec, transfers, schedule=None):
 
         for index, (src, dst, nbytes) in enumerate(transfers):
             env.process(one(index, src, dst, nbytes))
-    env.run(until=1.0 if schedule is not None else None)
+    env.run()
     return log, fabric
 
 
@@ -110,45 +108,14 @@ def test_bulk_conserves_bytes(plan):
         assert stats.per_node_bytes.get(node, 0.0) == pytest.approx(sent)
 
 
-@st.composite
-def faulty_plan(draw):
-    nodes, spec, transfers = draw(bulk_plan())
-    events = draw(st.lists(st.one_of(
-        st.builds(NodeCrash, at=st.floats(0.0, 0.01),
-                  node=st.integers(0, nodes - 1)),
-        st.builds(LinkDegrade, at=st.floats(0.0, 0.01),
-                  src=st.just(0), dst=st.integers(1, nodes - 1),
-                  factor=st.floats(1.0, 10.0)),
-    ), min_size=1, max_size=4))
-    return nodes, spec, transfers, FaultSchedule.of(*events)
-
-
-def _faulty_outcome(mode, nodes, spec, transfers, schedule):
-    log, fabric = _run(mode, nodes, spec, transfers, schedule)
-    faults = fabric.faults.log
-    return log, (faults.attempted_bytes, faults.delivered_bytes,
-                 faults.dropped_bytes)
-
-
-@given(plan=faulty_plan())
-@settings(max_examples=60, deadline=None)
-def test_crash_mid_bulk_aborts_identically(plan):
-    nodes, spec, transfers, schedule = plan
-    oracle = _faulty_outcome("transfer", nodes, spec, transfers, schedule)
-    bulk = _faulty_outcome("bulk", nodes, spec, transfers, schedule)
-    assert bulk == oracle, "fault outcomes diverged from per-message path"
-
-
-def test_crash_actually_aborts_some_transfers():
-    """Non-vacuity check: the sink dying mid-incast drops messages, and
-    the bulk call drops the *same* ones as the per-message path."""
-    nodes = 4
-    spec = NetworkSpec(bandwidth_gbps=1.0, latency_us=5.0)
-    transfers = [(src, 0, 4e6) for src in (1, 2, 3)]
-    schedule = FaultSchedule.of(NodeCrash(at=0.005, node=0))
-    oracle = _faulty_outcome("transfer", nodes, spec, transfers, schedule)
-    bulk = _faulty_outcome("bulk", nodes, spec, transfers, schedule)
-    log, (_attempted, _delivered, dropped) = bulk
-    assert len(log) < len(transfers) and dropped > 0, (
-        "expected the crash to abort at least one transfer")
-    assert bulk == oracle
+def test_process_free_paths_refuse_an_attached_fault_state():
+    """``issue`` and ``bulk_transfer`` have no fault semantics: with a
+    FaultState attached they raise instead of ignoring the faults."""
+    env = Environment()
+    fabric = Fabric(env, 2, NetworkSpec(bandwidth_gbps=10))
+    FaultInjector(env, FaultSchedule.of(NodeCrash(at=0.0, node=1)),
+                  fabric=fabric)
+    with pytest.raises(ValueError, match="no fault semantics"):
+        fabric.issue(0, 1, 1e6, lambda token: None, None)
+    with pytest.raises(ValueError, match="no fault semantics"):
+        fabric.bulk_transfer([(0, 1, 1e6)], handler=lambda index: None)

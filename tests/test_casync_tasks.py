@@ -7,21 +7,21 @@ from repro.casync.tasks import robust_transfer
 from repro.cluster.spec import wan_edge_cluster
 from repro.faults import (FaultInjector, FaultSchedule, LinkPartition,
                           RetryPolicy)
+from repro.faults.membership import Membership
 from repro.gpu import Gpu, V100
 from repro.net import Fabric, NetworkSpec
 from repro.sim import Environment
 
 
-def make_world(num_nodes=2, gbps=80.0, batch_compression=False,
-               coordinator=False, spec=None, **coord_kw):
+def make_world(num_nodes=2, gbps=80.0, coordinator=False, spec=None,
+               **coord_kw):
     env = Environment()
     fabric = Fabric(env, num_nodes,
                     spec or NetworkSpec(bandwidth_gbps=gbps, latency_us=0,
                                         efficiency=1.0))
     gpus = [Gpu(env, V100, i) for i in range(num_nodes)]
     coord = Coordinator(env, fabric, **coord_kw) if coordinator else None
-    engines = [NodeEngine(env, i, gpus[i], fabric, coordinator=coord,
-                          batch_compression=batch_compression)
+    engines = [NodeEngine(env, i, gpus[i], fabric, coordinator=coord)
                for i in range(num_nodes)]
     return env, fabric, gpus, engines, coord
 
@@ -129,8 +129,8 @@ def test_cpu_tasks_run_off_gpu_stream():
 
 def test_batch_compression_fuses_launches():
     # 10 tiny kernels: duration 11us each, 10us of which is launch.
-    env, fabric, gpus, engines, _ = make_world(1, batch_compression=True)
-    graph = TaskGraph(env)
+    env, fabric, gpus, engines, _ = make_world(1)
+    graph = TaskGraph(env, bulk=True)
     for i in range(10):
         graph.add(Task(0, "encode", f"k{i}", duration=11e-6,
                        launch_overhead=10e-6, nbytes=100))
@@ -140,7 +140,7 @@ def test_batch_compression_fuses_launches():
 
 
 def test_no_batching_without_flag():
-    env, fabric, gpus, engines, _ = make_world(1, batch_compression=False)
+    env, fabric, gpus, engines, _ = make_world(1)
     graph = TaskGraph(env)
     for i in range(10):
         graph.add(Task(0, "encode", f"k{i}", duration=11e-6,
@@ -222,6 +222,27 @@ def test_retry_loop_counts_task_attempts_and_stops_once_forced():
     env.run()
     assert proc.value == ("forced", 1)
     assert task.attempts == 1
+
+
+def test_rerouted_send_is_timed_on_the_substitute_link():
+    # Node 1 is dead, so the send re-routes to node 2, the WAN member.
+    # Timed against the 0->1 core link (0.13 ms) every attempt to reach
+    # node 2 (23 ms) would time out and the live node would be declared
+    # dead too.
+    cluster = wan_edge_cluster(4)
+    assert cluster.network.wan.members(4) == (2,)
+    env = Environment()
+    fabric = Fabric(env, 4, cluster.network)
+    membership = Membership(4)
+    membership.declare_dead(1)
+    retries = []
+    proc = env.process(robust_transfer(
+        env, fabric, 0, 1, 1e6, RetryPolicy(max_attempts=4), membership,
+        on_retry=lambda: retries.append(env.now)))
+    env.run()
+    assert proc.value == ("delivered", 2)
+    assert retries == []
+    assert membership.dead() == (1,)
 
 
 def test_non_bulk_send_bypasses_coordinator():

@@ -7,6 +7,7 @@ These tests pin the allocation profile, the one-agenda-entry-per-
 completion contract, and the CSR's release order.
 """
 
+import contextlib
 import gc
 import weakref
 
@@ -22,6 +23,7 @@ from repro.net import Fabric, NetworkSpec
 from repro.sim import Environment, Event, SimulationError
 from repro.strategies import get_strategy
 from repro.strategies.base import SyncContext
+from repro.telemetry import telemetry_session
 from repro.training import make_plans
 from repro.training.trace import trace_hash, trace_iteration
 
@@ -93,10 +95,13 @@ def test_instantiate_and_arm_allocate_per_ready_ref_not_per_task(event_inits):
     assert all(task.triggered and task.error is None for task in graph.tasks)
 
 
-def test_one_agenda_entry_per_completion():
+@pytest.mark.parametrize("traced", [False, True],
+                         ids=["bare", "telemetry"])
+def test_one_agenda_entry_per_completion(traced):
     """The Environment.step count of one golden case, pinned from the
     design that gave every task its own completion Event: a completion
-    carrier still takes exactly one agenda entry per task."""
+    carrier still takes exactly one agenda entry per task.  An attached
+    collector only records, so a traced round steps the same events."""
     model = golden_model()
     cluster = ec2_v100_cluster(4)
     algo = OneBit()
@@ -108,7 +113,8 @@ def test_one_agenda_entry_per_completion():
         original(self)
 
     plans = make_plans(model, cluster, algo, "ps_colocated")
-    with pytest.MonkeyPatch.context() as mp:
+    session = telemetry_session() if traced else contextlib.nullcontext()
+    with pytest.MonkeyPatch.context() as mp, session:
         mp.setattr(Environment, "step", counting)
         trace = trace_iteration(model, cluster, get_strategy("casync-ps"),
                                 algorithm=algo, plans=plans)

@@ -14,14 +14,13 @@ from repro.net import Fabric, NetworkSpec
 from repro.sim import Environment
 
 
-def build_world(num_nodes, batch_compression=False, coordinator=False):
+def build_world(num_nodes, coordinator=False):
     env = Environment()
     fabric = Fabric(env, num_nodes,
                     NetworkSpec(bandwidth_gbps=10.0, latency_us=1.0))
     gpus = [Gpu(env, V100, i) for i in range(num_nodes)]
     coord = Coordinator(env, fabric) if coordinator else None
-    engines = [NodeEngine(env, i, gpus[i], fabric, coordinator=coord,
-                          batch_compression=batch_compression)
+    engines = [NodeEngine(env, i, gpus[i], fabric, coordinator=coord)
                for i in range(num_nodes)]
     return env, fabric, engines
 
@@ -49,8 +48,8 @@ def random_dag(draw):
     return num_nodes, specs
 
 
-def materialize(env, engines, specs):
-    graph = TaskGraph(env)
+def materialize(env, engines, specs, bulk=False):
+    graph = TaskGraph(env, bulk=bulk)
     tasks = []
     for i, (node, kind, duration, nbytes, dst, deps, bulk) in enumerate(specs):
         task = Task(node, kind, label=f"t{i}", duration=duration,
@@ -66,8 +65,8 @@ def materialize(env, engines, specs):
 @settings(max_examples=60, deadline=None)
 def test_random_dag_always_completes(dag, coordinator, batching):
     num_nodes, specs = dag
-    env, fabric, engines = build_world(num_nodes, batching, coordinator)
-    graph, tasks = materialize(env, engines, specs)
+    env, fabric, engines = build_world(num_nodes, coordinator)
+    graph, tasks = materialize(env, engines, specs, bulk=batching)
     finish = run_graph(env, graph, engines)
     assert finish >= 0
     # ``done`` succeeds only once every task's completion carrier has run.
