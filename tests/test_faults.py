@@ -14,6 +14,7 @@ from unittest import mock
 import pytest
 
 from repro.algorithms import OneBit
+from repro.casync.lower import default_graph_cache
 from repro.cluster import ec2_v100_cluster
 from repro.faults import (
     DeadlineExceeded,
@@ -48,9 +49,11 @@ from repro.strategies import (
     RingAllreduce,
     RingOSSCompression,
 )
+from repro.telemetry import telemetry_session
 from repro.training import make_plans, simulate_iteration
 from repro.training.loop import _run_round
 from repro.training.trace import trace_hash, trace_iteration
+from tests.test_graph_equivalence import metrics_digest, span_digest
 
 MB = 1024 * 1024
 
@@ -473,6 +476,35 @@ def test_coordinator_fault_path_fingerprint(seed):
     assert observed == GOLDEN_FINGERPRINTS[f"casync-ps-bulk/{key}"]
 
 
+#: The seed-11 fault cases: every strategy plus the coordinator's bulk path.
+SEED11_CASES = {name: (make_strategy, algo_factory)
+                for name, make_strategy, algo_factory in ALL_STRATEGIES}
+SEED11_CASES["casync-ps-bulk"] = (
+    lambda: CaSyncPS(bulk=True, selective=False), OneBit)
+FAULT_DIGEST_PATH = (Path(__file__).parent / "golden"
+                     / "fault_telemetry_digests.json")
+
+
+def traced_fault_digests(name):
+    """Span and metric digests of case ``name``'s traced seed-11 round."""
+    make_strategy, algo_factory = SEED11_CASES[name]
+    schedule = random_schedule(seed=11, num_nodes=3, horizon=2e-3)
+    # A cold build, so the recorded syncplan spans and cache counters do
+    # not depend on which cases ran before this one.
+    default_graph_cache().clear()
+    with telemetry_session() as tel:
+        _trace_fingerprint(make_strategy, algo_factory, schedule)
+    return {"spans": span_digest(tel), "metrics": metrics_digest(tel)}
+
+
+@pytest.mark.parametrize("name", sorted(SEED11_CASES))
+def test_seed11_traced_digests_are_pinned(name):
+    # What a faulted round records -- xfer spans and their outcomes,
+    # retries, drops -- pinned like the pristine goldens' telemetry.
+    pinned = json.loads(FAULT_DIGEST_PATH.read_text())[name]
+    assert traced_fault_digests(name) == pinned
+
+
 @pytest.mark.parametrize("name,make_strategy,algo_factory", ALL_STRATEGIES,
                          ids=[s[0] for s in ALL_STRATEGIES])
 @pytest.mark.parametrize("with_schedule", [False, True],
@@ -482,7 +514,6 @@ def test_telemetry_collector_leaves_trace_hash_unchanged(
     # Telemetry's zero-cost contract: recording only observes, so the
     # event trace -- pristine or under fault injection -- is bit-identical
     # with and without an attached collector.
-    from repro.telemetry import telemetry_session
     schedule = (random_schedule(seed=11, num_nodes=3, horizon=2e-3)
                 if with_schedule else None)
     baseline = _trace_fingerprint(make_strategy, algo_factory, schedule)

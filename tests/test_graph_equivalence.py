@@ -20,6 +20,9 @@ reproduce the pinned hash too.  Its telemetry is pinned as well, in
 category but ``process``) and one over its metrics (all but
 ``sim.processes``).
 
+The seed-11 fault rounds of ``tests/test_faults.py`` pin the same two
+digests of their traced run in ``tests/golden/fault_telemetry_digests.json``.
+
 Regenerate (only legitimate when the *simulated behaviour* is meant to
 change, never to paper over an IR bug)::
 
@@ -152,10 +155,18 @@ def _regen():
     DIGEST_PATH.write_text(json.dumps(digests, indent=1, sort_keys=True)
                            + "\n")
     print(f"wrote {len(digests)} telemetry digests -> {DIGEST_PATH}")
+    from tests.test_faults import (
+        FAULT_DIGEST_PATH, SEED11_CASES, traced_fault_digests)
+    faulted = {name: traced_fault_digests(name)
+               for name in sorted(SEED11_CASES)}
+    FAULT_DIGEST_PATH.write_text(json.dumps(faulted, indent=1,
+                                            sort_keys=True) + "\n")
+    print(f"wrote {len(faulted)} fault digests -> {FAULT_DIGEST_PATH}")
 
 
 if __name__ == "__main__":
     import sys
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
     if "--regen" in sys.argv:
         _regen()
     else:
