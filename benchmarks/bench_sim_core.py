@@ -5,9 +5,9 @@ Two measurements:
 * **bulk** (gated) -- simulated-message throughput of
   :meth:`Fabric.bulk_transfer` with a delivery ``handler`` (one NumPy
   reservation pass and one pooled carrier per message, the interface the
-  CaSync coordinator flushes through) against one :meth:`Fabric.transfer`
-  generator process per message (the path the retry loop runs on), on the
-  same simulator and a fan-out + incast workload.  Both paths must agree
+  CaSync coordinator flushes through) against one generator process per
+  message, each waiting on the event its :meth:`Fabric.issue` delivery
+  fires, on the same simulator and a fan-out + incast workload.  Both paths must agree
   exactly on every per-message delivery time, the final simulated clock,
   bytes and messages -- a fast wrong answer is a failure, not a speedup.
   Acceptance bar: >= 3x.  Measured on a 2-vCPU Xeon under CPython 3.11
@@ -84,8 +84,9 @@ def run_bulk_workload(bulk: bool, nodes: int, schedule) -> dict:
 
     Each step is issued once the previous one has fully delivered.
     ``bulk`` issues a step as one ``bulk_transfer`` call; otherwise every
-    message is its own ``transfer`` process (initializer, timeout and
-    completion events plus a generator each).  Both report deliveries
+    message is its own process that issues it and waits for its delivery
+    (initializer, delivery carrier, delivery and completion events plus a
+    generator each).  Both report deliveries
     through the same handler, and must produce bit-identical
     per-message delivery times.
     """
@@ -94,7 +95,9 @@ def run_bulk_workload(bulk: bool, nodes: int, schedule) -> dict:
     delivery_times = []
 
     def one(src, dst, nbytes, deliver, index):
-        yield from fabric.transfer(src, dst, nbytes)
+        delivered = env.event()
+        fabric.issue(src, dst, nbytes, delivered.succeed, None)
+        yield delivered
         deliver(index)
 
     def driver():

@@ -26,11 +26,13 @@ dependency list or callback per task.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from array import array
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (Any, Callable, Dict, Iterable, List, Optional, Sequence,
+                    Tuple)
 
-from ..faults.errors import PeerDeadError, TransferError
+from ..faults.errors import PeerDeadError
 from ..faults.membership import Membership
 from ..faults.retry import RetryPolicy
 from ..gpu import Gpu, GpuSpec
@@ -368,81 +370,114 @@ class TaskGraph:
 
 def robust_transfer(env: Environment, fabric: Fabric, src: int, dst: int,
                     nbytes: float, policy: RetryPolicy,
+                    done: Callable[[str, int], None],
                     membership: Optional[Membership] = None,
                     degradation: bool = True,
                     on_retry: Optional[Callable[[], None]] = None,
-                    task: Optional[Task] = None):
-    """Generator: move ``nbytes`` src->dst with timeout/backoff/retries.
+                    task: Optional[Task] = None) -> None:
+    """Move ``nbytes`` src->dst with timeout/backoff/retries.
 
     The one retry loop: engine sends and coordinator flushes both run on
-    it.  The robustness contract every fault-tolerant sender shares:
+    it, a callback state machine over :meth:`Fabric.issue` that starts no
+    process.  The robustness contract every fault-tolerant sender shares:
 
-    * each attempt gets a timeout scaled from the uncontended transfer
-      time to its current target (:meth:`Fabric.pair_transfer_time`; a
-      re-routed attempt is timed on the substitute's links); a stalled
-      attempt is interrupted (abandoned bytes are logged as dropped by
-      the fabric) and retried after exponential backoff;
-    * attempts that fail with :class:`TransferError` (transient loss,
-      partition, crash) consume the same retry budget;
+    * an attempt is one ``issue`` (from a pooled URGENT carrier) plus one
+      timeout carrier scaled from the uncontended transfer time to its
+      current target (:meth:`Fabric.pair_transfer_time`; a re-routed
+      attempt is timed on the substitute's links), and whichever settles
+      first cancels the other: a timeout abandons the attempt
+      (:meth:`Fabric.abandon` logs its bytes as dropped);
+    * a failed attempt -- dropped (``TransferError``) or timed out --
+      is retried after an exponential backoff carrier;
     * when the budget for a destination is exhausted, the peer is declared
       dead in ``membership``; with ``degradation`` the transfer re-routes
       to the peer's deterministic substitute and starts a fresh budget.
 
     ``on_retry`` is called once per failed attempt.  A sender moving one
-    ``task`` passes it: each attempt is counted on ``task.attempts`` and
-    its transfer process is named ``xfer@{src}:{task.label}`` (otherwise
-    ``xfer:{src}->{target}``), and once the fault machinery has
-    force-completed the task the loop stops with outcome ``"forced"``.
+    ``task`` passes it: each attempt is counted on ``task.attempts``, and
+    once the fault machinery has force-completed the task the loop stops
+    with outcome ``"forced"``.
 
-    Returns ``(outcome, final_dst)`` where outcome is ``"delivered"``
+    Ends in ``done(outcome, final_dst)``, where outcome is ``"delivered"``
     (bytes arrived at final_dst), ``"local"`` (routing collapsed onto the
-    sender: nothing crosses the wire), ``"forced"``, or ``"dead"`` (no
-    membership / no degradation to fall back on -- the caller decides
-    whether that aborts the round).
+    sender: nothing crosses the wire; ``done`` runs before this returns),
+    ``"forced"``, or ``"dead"`` (no membership / no degradation to fall
+    back on -- the caller decides whether that aborts the round).
     """
-    name = None if task is None else f"xfer@{src}:{task.label}"
-    while True:
+    target = dst
+    expected = 0.0
+    attempt = 0           # at the current target; equals its failures
+    xfer: Any = None      # the pending attempt's fabric handle
+    timer: Optional[Event] = None
+
+    def route() -> None:
+        nonlocal target, expected, attempt
         target = membership.route(dst) if membership is not None else dst
         if target == src:
-            return ("local", target)
+            done("local", target)
+            return
         expected = fabric.pair_transfer_time(src, target, nbytes)
-        failures = 0
-        for attempt in range(policy.max_attempts):
-            if task is not None and task.triggered:
-                return ("forced", target)
-            if membership is not None and not membership.is_alive(target):
-                break  # someone else already declared this peer dead
-            if task is not None:
-                task.attempts += 1
-            xfer = env.process(fabric.transfer(src, target, nbytes),
-                               name=name or f"xfer:{src}->{target}")
-            timer = env.timeout(policy.attempt_timeout(expected, attempt))
-            try:
-                yield env.any_of([xfer, timer])
-            except TransferError:
-                pass  # this attempt failed outright; back off and retry
-            else:
-                if xfer.triggered and xfer.ok:
-                    if not timer.processed:
-                        timer.cancel()  # don't leave a dead timer queued
-                    return ("delivered", target)
-                if xfer.is_alive:
-                    xfer.interrupt("retry-timeout")
-            if not timer.processed:
-                timer.cancel()
-            failures += 1
-            if on_retry is not None:
-                on_retry()
-            if membership is not None:
-                membership.suspect(target)
-            if attempt + 1 < policy.max_attempts:
-                yield env.timeout(policy.backoff(failures))
-        if membership is None:
-            return ("dead", target)
-        membership.declare_dead(target)
-        if not degradation:
-            return ("dead", target)
-        # Loop: membership.route now yields the substitute aggregator.
+        attempt = 0
+        decide()
+
+    def decide(_event: Optional[Event] = None) -> None:
+        if task is not None and task.triggered:
+            done("forced", target)
+            return
+        if membership is not None and not membership.is_alive(target):
+            exhausted()  # someone else already declared this peer dead
+            return
+        if task is not None:
+            task.attempts += 1
+        carrier = env._acquire_carrier(True, None)
+        carrier.callbacks.append(issue)
+        env.schedule(carrier, priority=URGENT)
+
+    def issue(_event: Event) -> None:
+        nonlocal xfer, timer
+        xfer = fabric.issue(src, target, nbytes, delivered, None,
+                            on_fail=failed)
+        timer = env._acquire_carrier(True, None)
+        timer.callbacks.append(timed_out)
+        env.schedule(timer, delay=policy.attempt_timeout(expected, attempt))
+
+    def delivered(_token: object) -> None:
+        env.cancel(timer)
+        done("delivered", target)
+
+    def failed(_token: object, _error: Exception) -> None:
+        env.cancel(timer)
+        retry()
+
+    def timed_out(_event: Event) -> None:
+        nonlocal timer
+        timer = None  # a pooled carrier: recycled once this returns
+        fabric.abandon(xfer)
+        retry()
+
+    def retry() -> None:
+        nonlocal attempt
+        if on_retry is not None:
+            on_retry()
+        if membership is not None:
+            membership.suspect(target)
+        attempt += 1
+        if attempt < policy.max_attempts:
+            backoff = env._acquire_carrier(True, None)
+            backoff.callbacks.append(decide)
+            env.schedule(backoff, delay=policy.backoff(attempt))
+        else:
+            exhausted()
+
+    def exhausted() -> None:
+        if membership is not None:
+            membership.declare_dead(target)
+            if degradation:
+                route()  # membership.route now yields the substitute
+                return
+        done("dead", target)
+
+    route()
 
 
 class Coordinator:
@@ -454,9 +489,10 @@ class Coordinator:
     -- "the size of each batch is decided based on a specified timeout or
     a size threshold, whichever is met first".
 
-    Without a ``retry_policy`` flushes take the vectorized
-    :meth:`_flush_bulk`; with one, each flush is a :func:`robust_transfer`
-    process (:meth:`_flush`).  A telemetry collector only records.
+    Every flush issues from one pooled URGENT carrier
+    (:meth:`_flush_keys`): without a ``retry_policy`` its batches move in
+    one vectorized :meth:`Fabric.bulk_transfer`, with one each batch runs
+    its own :func:`robust_transfer`.  A telemetry collector only records.
     """
 
     def __init__(self, env: Environment, fabric: Fabric,
@@ -498,15 +534,6 @@ class Coordinator:
             self._ticker_running = True
             self.env.process(self._ticker(), name="coordinator-ticker")
 
-    def _flush_keys(self, keys: List[Tuple[int, int]]) -> None:
-        """Flush link queues: vectorized, or one retry process each under
-        a retry policy."""
-        if self.retry_policy is None:
-            self._flush_bulk(keys)
-        else:
-            for key in keys:
-                self._flush(key)
-
     def _drain(self, key: Tuple[int, int]
                ) -> Tuple[List[Task], float, object]:
         """Pop ``key``'s queue as one batch whose sends start now.
@@ -536,76 +563,61 @@ class Coordinator:
             tel.metrics.histogram("coordinator.batch_bytes").observe(nbytes)
         return tasks, nbytes, span
 
-    def _flush(self, key: Tuple[int, int]) -> None:
-        """Flush one link queue as a :func:`robust_transfer` process."""
-        tasks, nbytes, span = self._drain(key)
-        src, dst = key
-
-        def transfer():
-            outcome, _ = yield from robust_transfer(
-                self.env, self.fabric, src, dst, nbytes,
-                self.retry_policy, self.membership, self.degradation,
-                on_retry=self._count_retry)
-            tel = self.env.telemetry
-            if tel is not None:
-                tel.finish(span, self.env.now, outcome=outcome)
-            now = self.env.now
-            for task in tasks:
-                if task.triggered:
-                    continue
-                task.finished_at = now
-                if outcome == "dead":
-                    self.graph.complete(task, PeerDeadError(
-                        src, dst, task.nbytes,
-                        self.retry_policy.max_attempts))
-                else:
-                    task.dropped = outcome == "local"
-                    self.graph.complete(task)
-
-        self.env.process(transfer(), name=f"bulk:{src}->{dst}")
-
     def _count_retry(self) -> None:
         self.retries += 1
 
-    def _flush_bulk(self, keys: List[Tuple[int, int]]) -> None:
-        """Flush one or more link queues through the vectorized fabric path.
+    def _flush_keys(self, keys: List[Tuple[int, int]]) -> None:
+        """Flush link queues from one pooled URGENT *issue* event.
 
-        Instead of a generator process per flush, one pooled URGENT
-        *issue* event carries the drained batches.  Queues are drained
-        here, but NIC reservation waits for the issue event to fire, as a
-        flush process's initializer would: reserving eagerly would jump
-        ahead of any same-instant URGENT event already in the agenda (an
-        inline send's issue event), reordering reservations.  Consecutive
-        same-instant URGENT events run back to back, so several keys
-        flushed in one ticker tick can share one issue event without
-        anything interleaving.
+        Queues are drained here, but NIC reservation waits for the issue
+        event to fire, as a flush process's initializer would: reserving
+        eagerly would jump ahead of any same-instant URGENT event already
+        in the agenda (an inline send's issue event), reordering
+        reservations.  Consecutive same-instant URGENT events run back to
+        back, so several keys flushed in one ticker tick can share one
+        issue event without anything interleaving.
         """
         batches = [key + self._drain(key) for key in keys]
         env = self.env
         issue = env._acquire_carrier(True, batches)
-        issue.callbacks.append(self._issue_bulk)
+        issue.callbacks.append(self._issue_batches)
         env.schedule(issue, priority=URGENT)
 
-    def _issue_bulk(self, event: Event) -> None:
+    def _issue_batches(self, event: Event) -> None:
         batches = event._value
-        env = self.env
+        policy = self.retry_policy
+        if policy is None:
+            self.fabric.bulk_transfer(
+                [(src, dst, nbytes) for src, dst, _, nbytes, _ in batches],
+                handler=lambda index: self._settle(batches[index],
+                                                   "delivered"),
+                span_parents=[batch[4] for batch in batches])
+            return
+        for batch in batches:
+            robust_transfer(self.env, self.fabric, batch[0], batch[1],
+                            batch[3], policy,
+                            functools.partial(self._settle, batch),
+                            self.membership, self.degradation,
+                            on_retry=self._count_retry)
 
-        def deliver(index: int) -> None:
-            _, _, tasks, _, span = batches[index]
-            now = env.now
-            tel = env.telemetry
-            if tel is not None:
-                tel.finish(span, now, outcome="delivered")
-            for task in tasks:
-                if task.triggered:
-                    continue
-                task.finished_at = now
+    def _settle(self, batch: Tuple, outcome: str,
+                _final_dst: Optional[int] = None) -> None:
+        """Complete a flushed batch's tasks with its transfer's outcome."""
+        src, dst, tasks, _, span = batch
+        now = self.env.now
+        tel = self.env.telemetry
+        if tel is not None:
+            tel.finish(span, now, outcome=outcome)
+        for task in tasks:
+            if task.triggered:
+                continue
+            task.finished_at = now
+            if outcome == "dead":
+                self.graph.complete(task, PeerDeadError(
+                    src, dst, task.nbytes, self.retry_policy.max_attempts))
+            else:
+                task.dropped = outcome == "local"
                 self.graph.complete(task)
-
-        self.fabric.bulk_transfer(
-            [(src, dst, nbytes) for src, dst, _, nbytes, _ in batches],
-            handler=deliver,
-            span_parents=[batch[4] for batch in batches])
 
     def _ticker(self):
         """Flush queues whose oldest entry exceeded the timeout."""
@@ -625,8 +637,9 @@ class NodeEngine:
     When the armed graph is ``bulk``, all simultaneously-ready computing
     tasks fuse into a single kernel launch, the §3.2 batch-compression
     optimization.  Sends go through the coordinator (bulk sends, when one
-    is attached), :func:`robust_transfer` (under a ``retry_policy``) or
-    :meth:`_send_inline`.
+    is attached) or :meth:`_send_inline`, whose issue event hands the
+    send to :meth:`Fabric.issue` directly or, under a ``retry_policy``,
+    to :func:`robust_transfer`.
     """
 
     #: Upper bound on the bytes fused into one batched kernel.
@@ -714,11 +727,8 @@ class NodeEngine:
         elif task.kind == "send":
             if task.bulk and self.coordinator is not None:
                 self.coordinator.submit(task)
-            elif self.retry_policy is None:
-                self._send_inline(task)
             else:
-                self.env.process(self._robust_send(task),
-                                 name=f"send@{self.node}:{task.label}")
+                self._send_inline(task)
         elif task.kind == "notify":
             task.finished_at = self.env.now
             self.graph.complete(task)
@@ -739,7 +749,7 @@ class NodeEngine:
             self.env.telemetry.finish(span, self.env.now, **attrs)
 
     def _send_inline(self, task: Task) -> None:
-        """A send without a retry policy, in two pooled events.
+        """A send in pooled events, with no process.
 
         A send process would cost an initializer event, a ``Timeout``,
         the process-completion event, and two generator resumes.  Without
@@ -755,6 +765,10 @@ class NodeEngine:
           records the message (and closes its transfer span) and runs
           :meth:`_finish_send`, the completion bookkeeping.
 
+        Under a ``retry_policy`` the issue event starts
+        :func:`robust_transfer` instead (more pooled carriers), and
+        :meth:`_finish_robust` completes the task.
+
         An attached collector records the same spans and metrics a send
         process would and schedules nothing, so a traced round steps the
         same events as a bare one.
@@ -768,8 +782,17 @@ class NodeEngine:
         task = event._value
         task.started_at = self.env.now
         span = self._task_span(task, task.started_at)
-        self.fabric.issue(task.node, task.dst, task.nbytes,
-                          self._finish_send, (task, span), span_parent=span)
+        if self.retry_policy is None:
+            self.fabric.issue(task.node, task.dst, task.nbytes,
+                              self._finish_send, (task, span),
+                              span_parent=span)
+            return
+        done = functools.partial(self._finish_robust, task, span,
+                                 task.attempts)
+        robust_transfer(self.env, self.fabric, self.node, task.dst,
+                        task.nbytes, self.retry_policy, done, self.membership,
+                        self.degradation, on_retry=self._count_retry,
+                        task=task)
 
     def _finish_send(self, token: Tuple[Task, object]) -> None:
         task, span = token
@@ -780,15 +803,9 @@ class NodeEngine:
         if not task.triggered:
             self.graph.complete(task)
 
-    def _robust_send(self, task: Task):
-        """Fault-tolerant send: retry/timeout, then degrade or abort."""
-        task.started_at = self.env.now
-        span = self._task_span(task, task.started_at)
-        before = task.attempts
-        outcome, final_dst = yield from robust_transfer(
-            self.env, self.fabric, self.node, task.dst, task.nbytes,
-            self.retry_policy, self.membership, self.degradation,
-            on_retry=self._count_retry, task=task)
+    def _finish_robust(self, task: Task, span, before: int, outcome: str,
+                       final_dst: int) -> None:
+        """Complete a send with its retry loop's outcome."""
         task.finished_at = self.env.now
         self.send_busy += task.finished_at - task.started_at
         self._finish_task_span(span, outcome=outcome, dst=final_dst,

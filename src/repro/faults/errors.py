@@ -21,8 +21,8 @@ class FaultError(Exception):
 class TransferError(FaultError):
     """A point-to-point transfer failed (transient fault, partition, crash).
 
-    Raised *inside* the sending process by the fabric; the retry layer in
-    :class:`~repro.casync.tasks.NodeEngine` is its intended consumer.
+    The fabric hands it to :meth:`~repro.net.fabric.Fabric.issue`'s
+    ``on_fail`` with the message's TransferLog drop cause as ``cause``.
     """
 
     def __init__(self, src: int, dst: int, nbytes: float, cause: str):

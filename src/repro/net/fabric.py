@@ -31,11 +31,11 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Generator, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..sim import Environment, Event, Interrupt
+from ..sim import Environment, Event
 
 __all__ = ["LinkSpec", "NetworkSpec", "Nic", "Fabric", "StragglerProfile",
            "TransferStats", "WanTier"]
@@ -308,6 +308,24 @@ class TransferStats:
         self.per_node_bytes[src] = self.per_node_bytes.get(src, 0.0) + nbytes
 
 
+@dataclass(eq=False)
+class Attempt:
+    """One message issued under a FaultState: the handle
+    :meth:`Fabric.issue` returns and :meth:`Fabric.abandon` takes."""
+
+    src: int
+    dst: int
+    nbytes: float
+    handler: Callable[[Any], None]
+    on_fail: Callable[[Any, Exception], None]
+    token: Any
+    span: Any
+    #: The message's TransferRecord; finished once it is settled.
+    record: Any
+    #: The TransferLog drop cause decided at reservation time, if any.
+    cause: Optional[str] = None
+
+
 class Nic:
     """A full-duplex network interface.
 
@@ -339,20 +357,18 @@ class Nic:
 class Fabric:
     """A cluster-wide network of ``num_nodes`` NICs.
 
-    The fabric is the only place that reserves NIC time.  Three ways to
+    The fabric is the only place that reserves NIC time.  Two ways to
     move bytes, timing-only and, on a pristine fabric, delivering at
-    bit-identical instants:
+    bit-identical instants, each message in one pooled delivery carrier:
 
-    * :meth:`transfer` -- one point-to-point move as a generator, the
-      only path with fault semantics (the retry loop runs on it);
-    * :meth:`issue` -- one message with a delivery callback and no
-      process;
+    * :meth:`issue` -- one message with a delivery callback; the only
+      path with fault semantics (the retry loop re-issues through it);
     * :meth:`bulk_transfer` -- a batch of messages with a delivery
       callback, reserved in one vectorized pass.
 
-    All three record the same ``xfer:`` telemetry span and ``net.*``
-    metrics per message when a collector is attached; recording never
-    schedules an event.
+    Both record the same ``xfer:`` telemetry span and ``net.*`` metrics
+    per message when a collector is attached; recording never schedules
+    an event.
     """
 
     def __init__(self, env: Environment, num_nodes: int,
@@ -380,69 +396,113 @@ class Fabric:
         self.stats = TransferStats()
         #: Optional :class:`~repro.faults.injector.FaultState` attached by a
         #: FaultInjector.  None means the pristine (and byte-identical to
-        #: the pre-fault-subsystem) transfer path.
+        #: the pre-fault-subsystem) transfer path; see :meth:`issue`.
         self.faults: Any = None
 
     # -- timing-only transfers -------------------------------------------
 
-    def transfer(self, src: int, dst: int, nbytes: float,
-                 span_parent: Optional[Any] = None
-                 ) -> Generator[Any, Any, None]:
-        """Generator: completes when ``nbytes`` from src arrive at dst.
-
-        Holds src's uplink and dst's downlink for the serialization time;
-        wire latency is appended without occupying either NIC.  A loopback
-        (src == dst) is free: local data never touches the NIC.
-
-        ``span_parent`` links the telemetry transfer span under a causing
-        span (a send task, a coordinator batch); it is ignored when no
-        collector is attached.
-        """
-        self._check(src, dst, nbytes)
-        if src == dst:
-            return
-        move = (self._transfer_pristine if self.faults is None
-                else self._transfer_faulty)
-        tel = self.env.telemetry
-        if tel is None:
-            yield from move(src, dst, nbytes)
-            return
-        span = self._xfer_span(tel, src, dst, nbytes, span_parent)
-        try:
-            yield from move(src, dst, nbytes)
-        except BaseException as exc:
-            tel.finish(span, self.env.now, outcome=type(exc).__name__)
-            tel.metrics.counter("net.transfer_failures").inc()
-            raise
-        self._record_delivery(tel, span, nbytes)
-
     def issue(self, src: int, dst: int, nbytes: float,
               handler: Callable[[Any], None], token: Any,
-              span_parent: Optional[Any] = None) -> None:
+              span_parent: Optional[Any] = None,
+              on_fail: Optional[Callable[[Any, Exception], None]] = None
+              ) -> Optional[Attempt]:
         """Issue one transfer now; ``handler(token)`` runs at delivery.
 
-        The one-message twin of :meth:`bulk_transfer`: it reserves NIC
-        time exactly as :meth:`transfer` does and schedules one pooled
-        delivery carrier instead of a generator process.  A loopback
-        (src == dst) is free and calls ``handler`` synchronously.
-        ``span_parent`` is as on :meth:`transfer`: the message's span
-        opens now and closes in the delivery carrier.  There are no fault
-        semantics, so it raises ``ValueError`` when a FaultState is
-        attached (faulty rounds send through the retry loop).
+        The one-message twin of :meth:`bulk_transfer`: it reserves src's
+        uplink and dst's downlink (:meth:`_reserve`) and schedules one
+        pooled delivery carrier.  A loopback (src == dst) is free and
+        calls ``handler`` synchronously.  ``span_parent`` links the
+        message's telemetry span (opened now, closed at delivery) under a
+        causing span; it is ignored when no collector is attached.
+
+        With a :class:`~repro.faults.injector.FaultState` attached the
+        message is logged in its TransferLog from now on and follows the
+        fault model: a partitioned link or a dead destination *stalls* it
+        (TCP retransmitting into a black hole) until restored, a dead
+        source drops it, a transient failure loses it after half its
+        uplink serialization, a degraded link stretches serialization by
+        its factor, and a destination that dies in flight drops it at
+        delivery.  A drop calls the then required ``on_fail(token,
+        error)`` with a :class:`~repro.faults.errors.TransferError`
+        instead of ``handler``.  The returned :class:`Attempt` can be
+        given up with :meth:`abandon`; without a FaultState this returns
+        None.
         """
-        self._check_pristine("issue")
         self._check(src, dst, nbytes)
         if src == dst:
             handler(token)
-            return
-        tel = self.env.telemetry
+            return None
+        env = self.env
+        tel = env.telemetry
         span = (self._xfer_span(tel, src, dst, nbytes, span_parent)
                 if tel is not None else None)
-        carrier = self.env._acquire_carrier(True, (src, nbytes, handler,
-                                                   token, span))
+        if self.faults is None:
+            carrier = env._acquire_carrier(True, (src, nbytes, handler,
+                                                  token, span))
+            assert carrier.callbacks is not None
+            carrier.callbacks.append(self._deliver)
+            env.schedule(carrier, delay=self._reserve(src, dst, nbytes))
+            return None
+        if on_fail is None:
+            raise ValueError("Fabric.issue needs on_fail with a FaultState "
+                             "attached: a message can be dropped")
+        attempt = Attempt(src, dst, nbytes, handler, on_fail, token, span,
+                          self.faults.log.begin(env.now, src, dst, nbytes))
+        self._advance(attempt)
+        return attempt
+
+    def abandon(self, attempt: Attempt) -> None:
+        """Give up on a faulty message now: its bytes are logged as
+        dropped (``"abandoned"``), NIC time it reserved stays reserved, and
+        its pending carrier or stall wake-up will do nothing."""
+        attempt.record.drop(self.env.now, "abandoned")
+        self._close_failed(attempt.span, "Interrupt")
+
+    def _advance(self, attempt: Attempt) -> None:
+        """Move a faulty message on from issue, or from a stall."""
+        if attempt.record.outcome is not None:
+            return  # abandoned while stalled
+        faults = self.faults
+        src, dst = attempt.src, attempt.dst
+        if faults.blocked(src, dst):
+            faults.wait_event(src, dst).callbacks.append(
+                lambda _event: self._advance(attempt))
+            return
+        delay = 0.0
+        if faults.is_dead(src):
+            attempt.cause = "src-dead"
+        else:
+            lost = faults.take_transient(src, dst)
+            if lost:
+                attempt.cause = "transient"
+            delay = self._reserve(src, dst, attempt.nbytes,
+                                  faults.link_factor(src, dst), lost=lost)
+        carrier = self.env._acquire_carrier(True, attempt)
         assert carrier.callbacks is not None
-        carrier.callbacks.append(self._deliver)
-        self.env.schedule(carrier, delay=self._reserve(src, dst, nbytes))
+        carrier.callbacks.append(self._land)
+        self.env.schedule(carrier, delay=delay)
+
+    def _land(self, event: Event) -> None:
+        """Delivery carrier callback of a faulty message."""
+        attempt: Attempt = event._value
+        record = attempt.record
+        if record.outcome is not None:
+            return  # abandoned
+        now = self.env.now
+        if attempt.cause is None and not self.faults.is_dead(attempt.dst):
+            self.stats.record(attempt.src, attempt.nbytes)
+            record.deliver(now)
+            if attempt.span is not None:
+                self._record_delivery(self.env.telemetry, attempt.span,
+                                      attempt.nbytes)
+            attempt.handler(attempt.token)
+            return
+        from ..faults.errors import TransferError  # local: avoids a cycle
+        cause = attempt.cause or "dst-dead"
+        record.drop(now, cause)
+        self._close_failed(attempt.span, "TransferError")
+        attempt.on_fail(attempt.token, TransferError(
+            attempt.src, attempt.dst, attempt.nbytes, cause))
 
     def _reserve(self, src: int, dst: int, nbytes: float,
                  factor: float = 1.0, lost: bool = False) -> float:
@@ -479,64 +539,6 @@ class Fabric:
         latency = max(sender.link.latency_s, receiver.link.latency_s)
         return max(up_finish, down_finish) + latency - now
 
-    def _transfer_pristine(self, src: int, dst: int,
-                           nbytes: float) -> Generator[Any, Any, None]:
-        """The fault-free transfer path (no FaultState attached)."""
-        yield self.env.timeout(self._reserve(src, dst, nbytes))
-        self.stats.record(src, nbytes)
-
-    def _transfer_faulty(self, src: int, dst: int,
-                         nbytes: float) -> Generator[Any, Any, None]:
-        """The transfer path when a FaultState is attached.
-
-        Semantics of the fault model:
-
-        * a partitioned link (or a dead destination) *stalls* the transfer
-          -- like TCP retransmitting into a black hole -- until the link is
-          restored, the node restarts, or the caller's timeout interrupts
-          the wait;
-        * a transient failure consumes half the serialization time on the
-          sender's uplink, then loses the bytes (recorded as dropped);
-        * a degraded link stretches serialization by the degradation
-          factor;
-        * a destination that dies while bytes are in flight drops them at
-          delivery time;
-        * an interrupted (abandoned-by-timeout) attempt records its bytes
-          as dropped before re-raising, so conservation still balances.
-
-        With an attached-but-quiescent FaultState (empty schedule) this
-        path performs the identical event sequence to the pristine one, so
-        timing and trace hashes match exactly.
-        """
-        from ..faults.errors import TransferError  # local: avoids a cycle
-
-        env = self.env
-        faults = self.faults
-        record = faults.log.begin(env.now, src, dst, nbytes)
-        try:
-            while faults.blocked(src, dst):
-                yield faults.wait_event(src, dst)
-            if faults.is_dead(src):
-                record.drop(env.now, "src-dead")
-                raise TransferError(src, dst, nbytes, "source node is dead")
-            factor = faults.link_factor(src, dst)
-            if faults.take_transient(src, dst):
-                yield env.timeout(self._reserve(src, dst, nbytes, factor,
-                                                lost=True))
-                record.drop(env.now, "transient")
-                raise TransferError(src, dst, nbytes,
-                                    "transient send failure")
-            yield env.timeout(self._reserve(src, dst, nbytes, factor))
-            if faults.is_dead(dst):
-                record.drop(env.now, "dst-dead")
-                raise TransferError(src, dst, nbytes,
-                                    "destination crashed in flight")
-            self.stats.record(src, nbytes)
-            record.deliver(env.now)
-        except Interrupt:
-            record.drop(env.now, "abandoned")
-            raise
-
     # -- vectorized bulk transfers ---------------------------------------
 
     def bulk_transfer(self, transfers: Sequence[Tuple[int, int, float]],
@@ -547,13 +549,12 @@ class Fabric:
 
         ``transfers`` is a sequence of ``(src, dst, nbytes)`` triples, all
         issued at the current instant; ``handler(index)`` is invoked at
-        message ``index``'s delivery instant.  Instead of spawning one
-        generator process (and its initializer, timeout, and completion
-        events) per message, the NIC reservation arithmetic for the whole
-        batch runs as a NumPy pass and each message gets exactly one
+        message ``index``'s delivery instant.  Instead of one scalar
+        reservation per message, the NIC reservation arithmetic for the
+        whole batch runs as a NumPy pass and each message gets exactly one
         pooled delivery carrier; nothing user-visible is retained.
 
-        The arithmetic reproduces :meth:`transfer` bit for bit: messages
+        The arithmetic reproduces :meth:`issue` bit for bit: messages
         sharing a NIC direction are serialized in list order with a
         left-to-right ``np.add.accumulate`` (the same float addition
         sequence the sequential path performs), and per-message statistics
@@ -561,15 +562,18 @@ class Fabric:
         matches the per-message path's delivery order.
 
         ``span_parents[index]``, when given, parents message ``index``'s
-        telemetry span, as ``span_parent`` does on :meth:`transfer`.  Like
-        :meth:`issue` it has no fault semantics and raises ``ValueError``
-        when a :class:`FaultState` is attached.
+        telemetry span, as ``span_parent`` does on :meth:`issue`.  It has
+        no fault semantics and raises ``ValueError`` when a
+        :class:`FaultState` is attached.
 
-        Loopback messages (src == dst) are free, as on :meth:`transfer`:
+        Loopback messages (src == dst) are free, as on :meth:`issue`:
         no NIC time, no statistics, completion at the issue instant
         (``handler`` is invoked synchronously).
         """
-        self._check_pristine("bulk_transfer")
+        if self.faults is not None:
+            raise ValueError("Fabric.bulk_transfer has no fault semantics; "
+                             "with a FaultState attached, send through "
+                             "issue() under a retry policy")
         n = len(transfers)
         if n == 0:
             return
@@ -754,6 +758,14 @@ class Fabric:
                          track=f"node{src}/transfer", parent=parent,
                          at=self.env.now, src=src, dst=dst, nbytes=nbytes)
 
+    def _close_failed(self, span: Any, outcome: str) -> None:
+        """Close a dropped message's span and count the failure."""
+        if span is None:
+            return
+        tel = self.env.telemetry
+        tel.finish(span, self.env.now, outcome=outcome)
+        tel.metrics.counter("net.transfer_failures").inc()
+
     def _record_delivery(self, tel: Any, span: Any, nbytes: float) -> None:
         """Close a delivered message's span and count it in ``net.*``."""
         tel.finish(span, self.env.now, outcome="delivered")
@@ -763,12 +775,6 @@ class Fabric:
         metrics.histogram("net.transfer_s").observe(span.duration)
 
     # -- helpers -----------------------------------------------------------
-
-    def _check_pristine(self, method: str) -> None:
-        if self.faults is not None:
-            raise ValueError(
-                f"Fabric.{method} has no fault semantics; with a FaultState "
-                f"attached, send through transfer() under a retry policy")
 
     def _check(self, src: int, dst: int, nbytes: float) -> None:
         for node in (src, dst):

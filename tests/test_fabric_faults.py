@@ -22,6 +22,7 @@ from repro.faults import (
     NodeRestart,
     TransientSendFailure,
 )
+from repro.faults.errors import TransferError
 from repro.faults.injector import FaultInjector
 from repro.net import Fabric, NetworkSpec
 from repro.sim import Environment
@@ -91,7 +92,12 @@ TABLES = {
 
 
 def _transfer_log(kind):
-    """Run ``kind``'s scenario; returns its TransferLog rows."""
+    """Run ``kind``'s scenario through :meth:`Fabric.issue`.
+
+    Returns its TransferLog rows after checking each message's callbacks
+    against its row: ``handler`` at delivery, ``on_fail`` with a
+    TransferError at a drop, neither once abandoned.
+    """
     events, sends, abandons = SCENARIOS[kind]
     env = Environment()
     fabric = Fabric(env, 3, NetworkSpec(bandwidth_gbps=10.0,
@@ -99,22 +105,44 @@ def _transfer_log(kind):
     injector = FaultInjector(env, FaultSchedule.of(*events), fabric=fabric)
     actions = sorted([(t, 0, i) for i, (t, *_) in enumerate(sends)]
                      + [(t, 1, i) for t, i in abandons])
-    procs = {}
+    attempts, settled = {}, {}
+
+    def delivered(index):
+        settled.setdefault(index, []).append((env.now, "delivered"))
+
+    def failed(index, error):
+        assert isinstance(error, TransferError)
+        settled.setdefault(index, []).append((env.now, "dropped"))
+
     for t, abandon, i in actions:
         env.run(until=t)
         if abandon:
-            procs[i].interrupt("abandon")
+            fabric.abandon(attempts[i])
         else:
             _, src, dst, nbytes = sends[i]
-            procs[i] = env.process(fabric.transfer(src, dst, nbytes))
+            attempts[i] = fabric.issue(src, dst, nbytes, delivered, i,
+                                       on_fail=failed)
     env.run()
-    return [(r.t_issue, r.t_end, r.outcome, r.cause)
+    rows = [(r.t_issue, r.t_end, r.outcome, r.cause)
             for r in injector.state.log.records]
+    for index, (_t_issue, t_end, outcome, cause) in enumerate(rows):
+        expected = [] if cause == "abandoned" else [(t_end, outcome)]
+        assert settled.get(index, []) == expected, (kind, index)
+    return rows
 
 
 @pytest.mark.parametrize("kind", sorted(SCENARIOS))
 def test_fault_kind_transfer_log(kind):
     assert _transfer_log(kind) == TABLES[kind]
+
+
+def test_issue_under_faults_needs_a_failure_callback():
+    env = Environment()
+    fabric = Fabric(env, 2, NetworkSpec(bandwidth_gbps=10.0))
+    FaultInjector(env, FaultSchedule.of(NodeCrash(at=0.0, node=1)),
+                  fabric=fabric)
+    with pytest.raises(ValueError, match="on_fail"):
+        fabric.issue(0, 1, 1e6, lambda token: None, None)
 
 
 if __name__ == "__main__":

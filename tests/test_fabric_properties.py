@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.net import Fabric, NetworkSpec
 from repro.sim import Environment
+from tests.fabric_send import send
 
 
 @st.composite
@@ -29,7 +30,7 @@ def test_bytes_conserved(plan):
 
     def launch(src, dst, nbytes, delay):
         yield env.timeout(delay)
-        yield from fabric.transfer(src, dst, nbytes)
+        yield send(fabric, src, dst, nbytes)
 
     for src, dst, nbytes, delay in transfers:
         env.process(launch(src, dst, nbytes, delay))
@@ -53,7 +54,7 @@ def test_transfer_times_lower_bounded(plan):
     def launch(src, dst, nbytes, delay):
         yield env.timeout(delay)
         start = env.now
-        yield from fabric.transfer(src, dst, nbytes)
+        yield send(fabric, src, dst, nbytes)
         if src != dst:
             spans.append((nbytes, env.now - start))
 
@@ -75,7 +76,7 @@ def test_direction_busy_within_makespan(plan):
 
     def launch(src, dst, nbytes, delay):
         yield env.timeout(delay)
-        yield from fabric.transfer(src, dst, nbytes)
+        yield send(fabric, src, dst, nbytes)
 
     for src, dst, nbytes, delay in transfers:
         env.process(launch(src, dst, nbytes, delay))
@@ -94,10 +95,8 @@ def test_same_link_serializes_exactly(sizes):
     spec = NetworkSpec(bandwidth_gbps=8, latency_us=0, efficiency=1.0)
     fabric = Fabric(env, 2, spec)
 
-    def launch(nbytes):
-        yield from fabric.transfer(0, 1, nbytes)
-
-    procs = [env.process(launch(n)) for n in sizes]
+    for nbytes in sizes:
+        send(fabric, 0, 1, nbytes)
     env.run()
     expected = sum(sizes) / spec.bytes_per_second
     assert env.now == pytest.approx(expected)
@@ -109,7 +108,7 @@ def test_disjoint_links_independent(n1, n2):
     env = Environment()
     spec = NetworkSpec(bandwidth_gbps=8, latency_us=0, efficiency=1.0)
     fabric = Fabric(env, 4, spec)
-    env.process(fabric.transfer(0, 1, n1))
-    env.process(fabric.transfer(2, 3, n2))
+    send(fabric, 0, 1, n1)
+    send(fabric, 2, 3, n2)
     env.run()
     assert env.now == pytest.approx(max(n1, n2) / spec.bytes_per_second)

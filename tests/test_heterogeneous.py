@@ -52,6 +52,7 @@ from repro.sim import Environment
 from repro.strategies import get_strategy
 from repro.training import make_plans
 from repro.training.trace import trace_hash, trace_iteration
+from tests.fabric_send import send
 
 KB = 1024
 MB = 1024 * 1024
@@ -271,9 +272,8 @@ def test_wan_links_are_asymmetric_and_latency_dominant():
 
     def timed(src, dst):
         env = Environment()
-        fabric = Fabric(env, 8, net)
-        env.run_until_complete(env.process(
-            fabric.transfer(src, dst, nbytes)))
+        send(Fabric(env, 8, net), src, dst, nbytes)
+        env.run()
         return env.now
 
     out_of_wan = timed(wan, core)
@@ -307,9 +307,8 @@ def test_bulk_transfer_matches_per_message_on_hetero_links():
 
     for index, (src, dst, nbytes) in enumerate(transfers):
         env2 = Environment()
-        solo = Fabric(env2, 8, net)
-        env2.run_until_complete(env2.process(
-            solo.transfer(src, dst, nbytes)))
+        send(Fabric(env2, 8, net), src, dst, nbytes)
+        env2.run()
         delivered = dict(log)[index]
         assert delivered == env2.now, (index, src, dst)
 

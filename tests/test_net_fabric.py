@@ -4,6 +4,7 @@ import pytest
 
 from repro.net import Fabric, NetworkSpec
 from repro.sim import Environment
+from tests.fabric_send import send
 
 
 def make_fabric(num_nodes=4, gbps=100.0, latency_us=0.0, efficiency=1.0):
@@ -32,15 +33,15 @@ def test_transfer_time_formula():
 
 def test_single_transfer_duration():
     env, fabric = make_fabric(gbps=8.0)  # 1 GB/s
-    p = env.process(fabric.transfer(0, 1, 1e9))
-    env.run_until_complete(p)
+    send(fabric, 0, 1, 1e9)
+    env.run()
     assert env.now == pytest.approx(1.0)
 
 
 def test_loopback_is_free():
     env, fabric = make_fabric()
-    p = env.process(fabric.transfer(2, 2, 1e12))
-    env.run_until_complete(p)
+    send(fabric, 2, 2, 1e12)
+    env.run()
     assert env.now == 0.0
     assert fabric.stats.messages == 0
 
@@ -50,12 +51,12 @@ def test_uplink_contention_serializes():
     env, fabric = make_fabric(gbps=8.0)
     done = []
 
-    def send(env, dst):
-        yield from fabric.transfer(0, dst, 1e9)
+    def sender(env, dst):
+        yield send(fabric, 0, dst, 1e9)
         done.append((dst, env.now))
 
-    env.process(send(env, 1))
-    env.process(send(env, 2))
+    env.process(sender(env, 1))
+    env.process(sender(env, 2))
     env.run()
     assert done == [(1, pytest.approx(1.0)), (2, pytest.approx(2.0))]
 
@@ -64,12 +65,12 @@ def test_downlink_contention_serializes():
     env, fabric = make_fabric(gbps=8.0)
     done = []
 
-    def send(env, src):
-        yield from fabric.transfer(src, 3, 1e9)
+    def sender(env, src):
+        yield send(fabric, src, 3, 1e9)
         done.append((src, env.now))
 
-    env.process(send(env, 0))
-    env.process(send(env, 1))
+    env.process(sender(env, 0))
+    env.process(sender(env, 1))
     env.run()
     assert [t for _, t in done] == [pytest.approx(1.0), pytest.approx(2.0)]
 
@@ -78,12 +79,12 @@ def test_disjoint_pairs_run_in_parallel():
     env, fabric = make_fabric(gbps=8.0)
     done = []
 
-    def send(env, src, dst):
-        yield from fabric.transfer(src, dst, 1e9)
+    def sender(env, src, dst):
+        yield send(fabric, src, dst, 1e9)
         done.append(env.now)
 
-    env.process(send(env, 0, 1))
-    env.process(send(env, 2, 3))
+    env.process(sender(env, 0, 1))
+    env.process(sender(env, 2, 3))
     env.run()
     assert done == [pytest.approx(1.0), pytest.approx(1.0)]
 
@@ -93,12 +94,12 @@ def test_full_duplex_send_and_receive_overlap():
     env, fabric = make_fabric(gbps=8.0)
     done = []
 
-    def send(env, src, dst):
-        yield from fabric.transfer(src, dst, 1e9)
+    def sender(env, src, dst):
+        yield send(fabric, src, dst, 1e9)
         done.append(env.now)
 
-    env.process(send(env, 0, 1))
-    env.process(send(env, 1, 0))
+    env.process(sender(env, 0, 1))
+    env.process(sender(env, 1, 0))
     env.run()
     assert done == [pytest.approx(1.0), pytest.approx(1.0)]
 
@@ -108,12 +109,12 @@ def test_latency_does_not_occupy_nic():
     env, fabric = make_fabric(gbps=8.0, latency_us=1e5)  # 0.1 s latency
     done = []
 
-    def send(env, tag):
-        yield from fabric.transfer(0, 1, 1e9)
+    def sender(env, tag):
+        yield send(fabric, 0, 1, 1e9)
         done.append((tag, env.now))
 
-    env.process(send(env, "a"))
-    env.process(send(env, "b"))
+    env.process(sender(env, "a"))
+    env.process(sender(env, "b"))
     env.run()
     # serialize a: 0..1, arrive 1.1; serialize b: 1..2, arrive 2.1
     assert done == [("a", pytest.approx(1.1)), ("b", pytest.approx(2.1))]
@@ -121,8 +122,8 @@ def test_latency_does_not_occupy_nic():
 
 def test_stats_accounting():
     env, fabric = make_fabric(gbps=8.0)
-    env.process(fabric.transfer(0, 1, 1000))
-    env.process(fabric.transfer(1, 2, 500))
+    send(fabric, 0, 1, 1000)
+    send(fabric, 1, 2, 500)
     env.run()
     assert fabric.stats.bytes_sent == 1500
     assert fabric.stats.messages == 2
@@ -132,20 +133,20 @@ def test_stats_accounting():
 def test_invalid_nodes_rejected():
     env, fabric = make_fabric(num_nodes=2)
     with pytest.raises(ValueError):
-        list(fabric.transfer(0, 5, 10))
+        fabric.issue(0, 5, 10, lambda token: None, None)
     with pytest.raises(ValueError):
-        list(fabric.transfer(-1, 0, 10))
+        fabric.issue(-1, 0, 10, lambda token: None, None)
 
 
 def test_negative_size_rejected():
     env, fabric = make_fabric()
     with pytest.raises(ValueError):
-        list(fabric.transfer(0, 1, -5))
+        fabric.issue(0, 1, -5, lambda token: None, None)
 
 
 def test_utilization():
     env, fabric = make_fabric(num_nodes=2, gbps=8.0)
-    p = env.process(fabric.transfer(0, 1, 1e9))
-    env.run_until_complete(p)
+    send(fabric, 0, 1, 1e9)
+    env.run()
     # Sender uplink + receiver downlink: 2 of 4 directions busy the whole second.
     assert fabric.utilization() == pytest.approx(0.5, rel=0.05)
