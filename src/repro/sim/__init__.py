@@ -18,12 +18,11 @@ from .core import (
     URGENT,
 )
 from .queues import SlottedQueue
-from .resources import Channel, Request, Resource, Store
+from .resources import Request, Resource, Store
 
 __all__ = [
     "AllOf",
     "AnyOf",
-    "Channel",
     "Environment",
     "Event",
     "Interrupt",

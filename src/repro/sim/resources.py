@@ -1,6 +1,6 @@
 """Shared-resource primitives for the simulation kernel.
 
-Three resource flavours cover everything this repository needs:
+Two resource flavours cover everything this repository needs:
 
 * :class:`Resource` -- a counted semaphore (GPU streams, link directions,
   PCIe lanes).  Processes ``yield resource.request()`` and must call
@@ -8,8 +8,6 @@ Three resource flavours cover everything this repository needs:
   context-manager-like pair).
 * :class:`Store` -- an unbounded FIFO of Python objects (task queues,
   mailboxes).  ``yield store.get()`` blocks until an item is available.
-* :class:`Channel` -- a Store with an optional delivery delay, modelling an
-  in-order message pipe between two simulated entities.
 """
 
 from __future__ import annotations
@@ -19,7 +17,7 @@ from typing import Any, Deque, Optional
 
 from .core import Environment, Event, SimulationError, URGENT
 
-__all__ = ["Resource", "Request", "Store", "Channel"]
+__all__ = ["Resource", "Request", "Store"]
 
 
 class Request(Event):
@@ -147,28 +145,3 @@ class Store:
         if self._items:
             return self._items.popleft()
         return None
-
-
-class Channel(Store):
-    """A Store whose ``send`` delivers after a fixed delay, preserving order."""
-
-    def __init__(self, env: Environment, delay: float = 0.0):
-        super().__init__(env)
-        if delay < 0:
-            raise ValueError(f"negative delay {delay}")
-        self.delay = delay
-        self._last_delivery = env.now
-
-    def send(self, item: Any) -> None:
-        """Deliver ``item`` after ``delay``, never reordering messages."""
-        if self.delay == 0.0:
-            self.put(item)
-            return
-        deliver_at = max(self.env.now + self.delay, self._last_delivery)
-        self._last_delivery = deliver_at
-
-        def _deliver(env=self.env, item=item, when=deliver_at):
-            yield env.timeout(when - env.now)
-            self.put(item)
-
-        self.env.process(_deliver(), name="channel-delivery")

@@ -1,8 +1,8 @@
-"""Unit tests for simulation resources: Resource, Store, Channel."""
+"""Unit tests for simulation resources: Resource and Store."""
 
 import pytest
 
-from repro.sim import Channel, Environment, Resource, SimulationError, Store
+from repro.sim import Environment, Resource, SimulationError, Store
 
 
 # ---------------------------------------------------------------- Resource
@@ -172,67 +172,6 @@ def test_store_try_get():
     store.put(2)
     assert store.try_get() == 1
     assert len(store) == 1
-
-
-# ---------------------------------------------------------------- Channel
-
-def test_channel_delivers_after_delay():
-    env = Environment()
-    chan = Channel(env, delay=2.0)
-
-    def receiver(env):
-        item = yield chan.get()
-        return (item, env.now)
-
-    chan.send("msg")
-    p = env.process(receiver(env))
-    env.run()
-    assert p.value == ("msg", 2.0)
-
-
-def test_channel_preserves_order():
-    env = Environment()
-    chan = Channel(env, delay=1.0)
-    got = []
-
-    def receiver(env):
-        for _ in range(3):
-            item = yield chan.get()
-            got.append((item, env.now))
-
-    def sender(env):
-        chan.send("a")
-        yield env.timeout(0.5)
-        chan.send("b")
-        chan.send("c")
-
-    env.process(receiver(env))
-    env.process(sender(env))
-    env.run()
-    items = [i for i, _ in got]
-    times = [t for _, t in got]
-    assert items == ["a", "b", "c"]
-    assert times == sorted(times)
-
-
-def test_channel_zero_delay_is_store():
-    env = Environment()
-    chan = Channel(env, delay=0.0)
-    chan.send("x")
-
-    def receiver(env):
-        item = yield chan.get()
-        return (item, env.now)
-
-    p = env.process(receiver(env))
-    env.run()
-    assert p.value == ("x", 0.0)
-
-
-def test_channel_negative_delay_rejected():
-    env = Environment()
-    with pytest.raises(ValueError):
-        Channel(env, delay=-1)
 
 
 # ---------------------------------------------------------------- cancel
