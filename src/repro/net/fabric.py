@@ -762,7 +762,7 @@ class Fabric:
         """Close a dropped message's span and count the failure."""
         if span is None:
             return
-        tel = self.env.telemetry
+        tel: Any = self.env.telemetry
         tel.finish(span, self.env.now, outcome=outcome)
         tel.metrics.counter("net.transfer_failures").inc()
 
