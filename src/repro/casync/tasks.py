@@ -29,6 +29,7 @@ from __future__ import annotations
 import functools
 import itertools
 from array import array
+from dataclasses import dataclass
 from typing import (Any, Callable, Dict, Iterable, List, Optional, Sequence,
                     Tuple)
 
@@ -37,7 +38,7 @@ from ..faults.membership import Membership
 from ..faults.retry import RetryPolicy
 from ..gpu import Gpu, GpuSpec
 from ..net import Fabric
-from ..sim import Environment, Event, SimulationError, Store, URGENT
+from ..sim import Environment, Event, NORMAL, SimulationError, Store, URGENT
 
 __all__ = ["Task", "TaskGraph", "SuccessorCSR", "NodeEngine", "Coordinator",
            "run_graph", "robust_transfer", "COMPUTE_KINDS"]
@@ -385,8 +386,8 @@ def robust_transfer(env: Environment, fabric: Fabric, src: int, dst: int,
       timeout carrier scaled from the uncontended transfer time to its
       current target (:meth:`Fabric.pair_transfer_time`; a re-routed
       attempt is timed on the substitute's links), and whichever settles
-      first cancels the other: a timeout abandons the attempt
-      (:meth:`Fabric.abandon` logs its bytes as dropped);
+      first cancels the other: a timeout gives the attempt up
+      (:meth:`Fabric.abandon`; under faults its bytes log as dropped);
     * a failed attempt -- dropped (``TransferError``) or timed out --
       is retried after an exponential backoff carrier;
     * when the budget for a destination is exhausted, the peer is declared
@@ -404,80 +405,104 @@ def robust_transfer(env: Environment, fabric: Fabric, src: int, dst: int,
     ``"forced"``, or ``"dead"`` (no membership / no degradation to fall
     back on -- the caller decides whether that aborts the round).
     """
-    target = dst
-    expected = 0.0
-    attempt = 0           # at the current target; equals its failures
-    xfer: Any = None      # the pending attempt's fabric handle
+    _RetryLoop(env, fabric, src, dst, nbytes, policy, done, membership,
+               degradation, on_retry, task).route()
+
+
+@dataclass(eq=False)
+class _RetryLoop:
+    """The state of one :func:`robust_transfer` call.
+
+    An object, not closures calling each other: those would form a
+    reference cycle per message for the garbage collector, while this
+    holds its pending attempt and timer only until they settle and is
+    then freed by reference counting.
+    """
+
+    env: Environment
+    fabric: Fabric
+    src: int
+    dst: int
+    nbytes: float
+    policy: RetryPolicy
+    done: Callable[[str, int], None]
+    membership: Optional[Membership]
+    degradation: bool
+    on_retry: Optional[Callable[[], None]]
+    task: Optional[Task]
+    target: int = -1
+    attempt: int = 0  # at the current target; equals its failures
+    xfer: Any = None  # the pending attempt's fabric handle
     timer: Optional[Event] = None
 
-    def route() -> None:
-        nonlocal target, expected, attempt
-        target = membership.route(dst) if membership is not None else dst
-        if target == src:
-            done("local", target)
-            return
-        expected = fabric.pair_transfer_time(src, target, nbytes)
-        attempt = 0
-        decide()
-
-    def decide(_event: Optional[Event] = None) -> None:
-        if task is not None and task.triggered:
-            done("forced", target)
-            return
-        if membership is not None and not membership.is_alive(target):
-            exhausted()  # someone else already declared this peer dead
-            return
-        if task is not None:
-            task.attempts += 1
-        carrier = env._acquire_carrier(True, None)
-        carrier.callbacks.append(issue)
-        env.schedule(carrier, priority=URGENT)
-
-    def issue(_event: Event) -> None:
-        nonlocal xfer, timer
-        xfer = fabric.issue(src, target, nbytes, delivered, None,
-                            on_fail=failed)
-        timer = env._acquire_carrier(True, None)
-        timer.callbacks.append(timed_out)
-        env.schedule(timer, delay=policy.attempt_timeout(expected, attempt))
-
-    def delivered(_token: object) -> None:
-        env.cancel(timer)
-        done("delivered", target)
-
-    def failed(_token: object, _error: Exception) -> None:
-        env.cancel(timer)
-        retry()
-
-    def timed_out(_event: Event) -> None:
-        nonlocal timer
-        timer = None  # a pooled carrier: recycled once this returns
-        fabric.abandon(xfer)
-        retry()
-
-    def retry() -> None:
-        nonlocal attempt
-        if on_retry is not None:
-            on_retry()
-        if membership is not None:
-            membership.suspect(target)
-        attempt += 1
-        if attempt < policy.max_attempts:
-            backoff = env._acquire_carrier(True, None)
-            backoff.callbacks.append(decide)
-            env.schedule(backoff, delay=policy.backoff(attempt))
+    def route(self) -> None:
+        membership = self.membership
+        self.target = (membership.route(self.dst)
+                       if membership is not None else self.dst)
+        self.attempt = 0
+        if self.target == self.src:
+            self.done("local", self.src)
         else:
-            exhausted()
+            self.decide()
 
-    def exhausted() -> None:
-        if membership is not None:
-            membership.declare_dead(target)
-            if degradation:
-                route()  # membership.route now yields the substitute
+    def decide(self, _event: Optional[Event] = None) -> None:
+        task, membership = self.task, self.membership
+        if task is not None and task.triggered:
+            self.done("forced", self.target)
+        elif membership is not None and not membership.is_alive(self.target):
+            self.exhausted()  # someone else already declared this peer dead
+        else:
+            if task is not None:
+                task.attempts += 1
+            self._after(0.0, self.issue, URGENT)
+
+    def issue(self, _event: Event) -> None:
+        src, dst, nbytes = self.src, self.target, self.nbytes
+        self.xfer = self.fabric.issue(src, dst, nbytes, self.delivered, None,
+                                      on_fail=self.failed)
+        expected = self.fabric.pair_transfer_time(src, dst, nbytes)
+        self.timer = self._after(
+            self.policy.attempt_timeout(expected, self.attempt),
+            self.timed_out)
+
+    def delivered(self, _token: object) -> None:
+        self.env.cancel(self.timer)
+        self.xfer = self.timer = None
+        self.done("delivered", self.target)
+
+    def timed_out(self, _event: Event) -> None:
+        self.fabric.abandon(self.xfer)
+        self.failed()  # the timer has fired: cancelling it is a no-op
+
+    def failed(self, _token: object = None,
+               _error: Optional[Exception] = None) -> None:
+        self.env.cancel(self.timer)
+        self.xfer = self.timer = None
+        if self.on_retry is not None:
+            self.on_retry()
+        if self.membership is not None:
+            self.membership.suspect(self.target)
+        self.attempt += 1
+        if self.attempt < self.policy.max_attempts:
+            self._after(self.policy.backoff(self.attempt), self.decide)
+        else:
+            self.exhausted()
+
+    def exhausted(self) -> None:
+        if self.membership is not None:
+            self.membership.declare_dead(self.target)
+            if self.degradation:
+                self.route()  # membership.route now yields the substitute
                 return
-        done("dead", target)
+        self.done("dead", self.target)
 
-    route()
+    def _after(self, delay: float, callback: Callable[[Event], None],
+               priority: int = NORMAL) -> Event:
+        """Run ``callback`` in a pooled carrier ``delay`` from now."""
+        carrier = self.env._acquire_carrier(True, None)
+        carrier.callbacks.append(callback)
+        self.env.schedule(carrier, delay=delay, priority=priority)
+        return carrier
 
 
 class Coordinator:

@@ -310,7 +310,7 @@ class TransferStats:
 
 @dataclass(eq=False)
 class Attempt:
-    """One message issued under a FaultState: the handle
+    """One message issued with a failure callback: the handle
     :meth:`Fabric.issue` returns and :meth:`Fabric.abandon` takes."""
 
     src: int
@@ -320,10 +320,11 @@ class Attempt:
     on_fail: Callable[[Any, Exception], None]
     token: Any
     span: Any
-    #: The message's TransferRecord; finished once it is settled.
-    record: Any
+    #: The message's TransferRecord under a FaultState, else None.
+    record: Any = None
     #: The TransferLog drop cause decided at reservation time, if any.
     cause: Optional[str] = None
+    abandoned: bool = False
 
 
 class Nic:
@@ -422,11 +423,11 @@ class Fabric:
         source drops it, a transient failure loses it after half its
         uplink serialization, a degraded link stretches serialization by
         its factor, and a destination that dies in flight drops it at
-        delivery.  A drop calls the then required ``on_fail(token,
-        error)`` with a :class:`~repro.faults.errors.TransferError`
-        instead of ``handler``.  The returned :class:`Attempt` can be
-        given up with :meth:`abandon`; without a FaultState this returns
-        None.
+        delivery.  A drop calls ``on_fail(token, error)`` with a
+        :class:`~repro.faults.errors.TransferError` instead of
+        ``handler``; ``on_fail`` is then required.  Given ``on_fail``,
+        faults or not, this returns an :class:`Attempt` that
+        :meth:`abandon` can give up, else None.
         """
         self._check(src, dst, nbytes)
         if src == dst:
@@ -436,40 +437,47 @@ class Fabric:
         tel = env.telemetry
         span = (self._xfer_span(tel, src, dst, nbytes, span_parent)
                 if tel is not None else None)
-        if self.faults is None:
+        faults = self.faults
+        if on_fail is None:
+            if faults is not None:
+                raise ValueError("Fabric.issue needs on_fail with a "
+                                 "FaultState attached: a message can be "
+                                 "dropped")
             carrier = env._acquire_carrier(True, (src, nbytes, handler,
                                                   token, span))
             assert carrier.callbacks is not None
             carrier.callbacks.append(self._deliver)
             env.schedule(carrier, delay=self._reserve(src, dst, nbytes))
             return None
-        if on_fail is None:
-            raise ValueError("Fabric.issue needs on_fail with a FaultState "
-                             "attached: a message can be dropped")
-        attempt = Attempt(src, dst, nbytes, handler, on_fail, token, span,
-                          self.faults.log.begin(env.now, src, dst, nbytes))
+        attempt = Attempt(src, dst, nbytes, handler, on_fail, token, span)
+        if faults is not None:
+            attempt.record = faults.log.begin(env.now, src, dst, nbytes)
         self._advance(attempt)
         return attempt
 
     def abandon(self, attempt: Attempt) -> None:
-        """Give up on a faulty message now: its bytes are logged as
-        dropped (``"abandoned"``), NIC time it reserved stays reserved, and
-        its pending carrier or stall wake-up will do nothing."""
-        attempt.record.drop(self.env.now, "abandoned")
+        """Give up on a message now: NIC time it reserved stays reserved,
+        its pending carrier or stall wake-up will do nothing, and under a
+        FaultState its bytes are logged as dropped (``"abandoned"``)."""
+        attempt.abandoned = True
+        if attempt.record is not None:
+            attempt.record.drop(self.env.now, "abandoned")
         self._close_failed(attempt.span, "Interrupt")
 
     def _advance(self, attempt: Attempt) -> None:
-        """Move a faulty message on from issue, or from a stall."""
-        if attempt.record.outcome is not None:
+        """Move an :class:`Attempt` on from issue, or from a stall."""
+        if attempt.abandoned:
             return  # abandoned while stalled
         faults = self.faults
         src, dst = attempt.src, attempt.dst
-        if faults.blocked(src, dst):
+        delay = 0.0
+        if faults is None:
+            delay = self._reserve(src, dst, attempt.nbytes)
+        elif faults.blocked(src, dst):
             faults.wait_event(src, dst).callbacks.append(
                 lambda _event: self._advance(attempt))
             return
-        delay = 0.0
-        if faults.is_dead(src):
+        elif faults.is_dead(src):
             attempt.cause = "src-dead"
         else:
             lost = faults.take_transient(src, dst)
@@ -483,15 +491,17 @@ class Fabric:
         self.env.schedule(carrier, delay=delay)
 
     def _land(self, event: Event) -> None:
-        """Delivery carrier callback of a faulty message."""
+        """Delivery carrier callback of an :class:`Attempt`."""
         attempt: Attempt = event._value
-        record = attempt.record
-        if record.outcome is not None:
-            return  # abandoned
+        if attempt.abandoned:
+            return
+        faults, record = self.faults, attempt.record
         now = self.env.now
-        if attempt.cause is None and not self.faults.is_dead(attempt.dst):
+        if attempt.cause is None and (faults is None
+                                      or not faults.is_dead(attempt.dst)):
             self.stats.record(attempt.src, attempt.nbytes)
-            record.deliver(now)
+            if record is not None:
+                record.deliver(now)
             if attempt.span is not None:
                 self._record_delivery(self.env.telemetry, attempt.span,
                                       attempt.nbytes)

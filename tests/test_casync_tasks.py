@@ -247,6 +247,25 @@ def test_rerouted_send_is_timed_on_the_substitute_link():
     assert membership.dead() == (1,)
 
 
+def test_retry_loop_abandons_a_timed_out_send_on_a_pristine_fabric():
+    # A retry policy without a fault schedule: the first attempt (1 MB,
+    # 0.89 ms) outlives its 0.45 ms timeout and is abandoned; its NIC
+    # reservation stands, so the retry after the 1 ms backoff queues
+    # behind it.  Only the delivered attempt counts as a message.
+    env = Environment()
+    fabric = Fabric(env, 2, NetworkSpec(bandwidth_gbps=10.0))
+    policy = RetryPolicy(timeout_factor=0.5, min_timeout_s=1e-6)
+    retries, outcomes = [], []
+    robust_transfer(env, fabric, 0, 1, 1e6, policy,
+                    lambda *outcome: outcomes.append(outcome),
+                    on_retry=lambda: retries.append(env.now))
+    env.run()
+    assert outcomes == [("delivered", 1)]
+    assert retries == [0.00044694444444444447]
+    assert env.now == 0.0023408333333333332
+    assert fabric.stats.messages == 1
+
+
 def test_non_bulk_send_bypasses_coordinator():
     env, fabric, gpus, engines, coord = make_world(
         2, coordinator=True, size_threshold=1e12, timeout_s=100.0)
