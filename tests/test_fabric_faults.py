@@ -61,32 +61,32 @@ SCENARIOS = {
 
 #: The transfer log each scenario leaves, one row per attempt.
 TABLES = {
-    'abandon-on-timeout': [
-        (0.0001, 0.0006, 'dropped', 'abandoned'),
-        (0.0001, 0.001, 'dropped', 'abandoned'),
-        (0.002, 0.009882777777777777, 'delivered', None),
+    "abandon-on-timeout": [
+        (0.0001, 0.0006, "dropped", "abandoned"),
+        (0.0001, 0.001, "dropped", "abandoned"),
+        (0.002, 0.009882777777777777, "delivered", None),
     ],
-    'degrade': [
-        (0.0001, 0.0036605555555555554, 'delivered', None),
-        (0.0001, 0.0045494444444444445, 'delivered', None),
+    "degrade": [
+        (0.0001, 0.0036605555555555554, "delivered", None),
+        (0.0001, 0.0045494444444444445, "delivered", None),
     ],
-    'dst-dies-in-flight': [
-        (0.0001, 0.008993888888888888, 'dropped', 'dst-dead'),
-        (0.01, 0.020893888888888892, 'delivered', None),
+    "dst-dies-in-flight": [
+        (0.0001, 0.008993888888888888, "dropped", "dst-dead"),
+        (0.01, 0.020893888888888892, "delivered", None),
     ],
-    'partition-restore': [
-        (0.0001, 0.0019827777777777778, 'delivered', None),
-        (0.0002, 0.001093888888888889, 'delivered', None),
-        (0.0015, 0.0028716666666666665, 'delivered', None),
+    "partition-restore": [
+        (0.0001, 0.0019827777777777778, "delivered", None),
+        (0.0002, 0.001093888888888889, "delivered", None),
+        (0.0015, 0.0028716666666666665, "delivered", None),
     ],
-    'src-dead': [
-        (0.0001, 0.0001, 'dropped', 'src-dead'),
-        (0.0001, 0.000993888888888889, 'delivered', None),
+    "src-dead": [
+        (0.0001, 0.0001, "dropped", "src-dead"),
+        (0.0001, 0.000993888888888889, "delivered", None),
     ],
-    'transient': [
-        (0.0001, 0.0005444444444444445, 'dropped', 'transient'),
-        (0.0001, 0.0014383333333333333, 'delivered', None),
-        (0.0001, 0.002327222222222222, 'delivered', None),
+    "transient": [
+        (0.0001, 0.0005444444444444445, "dropped", "transient"),
+        (0.0001, 0.0014383333333333333, "delivered", None),
+        (0.0001, 0.002327222222222222, "delivered", None),
     ],
 }
 
@@ -147,7 +147,7 @@ def test_issue_under_faults_needs_a_failure_callback():
 
 if __name__ == "__main__":
     for name in sorted(SCENARIOS):
-        print(f"    {name!r}: [")
+        print(f'    "{name}": [')
         for row in _transfer_log(name):
-            print(f"        {row!r},")
+            print("        " + repr(row).replace("'", '"') + ",")
         print("    ],")

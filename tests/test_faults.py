@@ -467,7 +467,7 @@ def test_pristine_trace_is_deterministic(name, make_strategy, algo_factory):
 @pytest.mark.parametrize("seed", [None, 11], ids=["pristine", "seed11"])
 def test_coordinator_fault_path_fingerprint(seed):
     # The coordinator's robust flush path: batched CaSync-PS sends go
-    # through Coordinator._flush under the retry policy.
+    # through robust_transfer, one per flushed key, under the retry policy.
     schedule = (None if seed is None
                 else random_schedule(seed=seed, num_nodes=3, horizon=2e-3))
     observed = _trace_fingerprint(
