@@ -8,7 +8,9 @@ up front), and each node's :class:`NodeEngine` then executes its tasks:
 
 * computing tasks (encode/decode/merge/copy) queue into Q_comp and run on
   the GPU's communication stream, optionally *batch-compressed*: several
-  small kernels ready at the same time fuse into one launch (§3.2);
+  small kernels ready at the same time fuse into one launch (§3.2).  Q_comp
+  and the host-CPU queue are deques served by callback executors on pooled
+  carriers, not processes (see :class:`NodeEngine`);
 * ``send`` tasks queue into Q_commu and either transfer directly over the
   fabric or go through the global bulk-sync :class:`Coordinator`, which
   batches small messages per link with a size/timeout policy (§3.2);
@@ -21,7 +23,7 @@ graph drives asynchronous execution (Fig. 2 steps 1-3).  The graph's
 edges are a static :class:`SuccessorCSR`; executors report a finished
 task through :meth:`TaskGraph.complete`, whose one pooled carrier event
 releases the task's dependents, so a round allocates no event,
-dependency list or callback per task.
+dependency list or callback per task, and starts no process per task.
 """
 
 from __future__ import annotations
@@ -29,16 +31,17 @@ from __future__ import annotations
 import functools
 import itertools
 from array import array
+from collections import deque
 from dataclasses import dataclass
-from typing import (Any, Callable, Dict, Iterable, List, Optional, Sequence,
-                    Tuple)
+from typing import (Any, Callable, Deque, Dict, Iterable, List, Optional,
+                    Sequence, Tuple)
 
 from ..faults.errors import PeerDeadError
 from ..faults.membership import Membership
 from ..faults.retry import RetryPolicy
 from ..gpu import Gpu, GpuSpec
 from ..net import Fabric
-from ..sim import Environment, Event, NORMAL, SimulationError, Store, URGENT
+from ..sim import Environment, Event, SimulationError, URGENT
 
 __all__ = ["Task", "TaskGraph", "SuccessorCSR", "NodeEngine", "Coordinator",
            "run_graph", "robust_transfer", "COMPUTE_KINDS"]
@@ -74,6 +77,9 @@ class Task:
             raise ValueError(f"unknown task kind {kind!r}")
         if kind == "send" and dst is None:
             raise ValueError("send tasks need a destination node")
+        if duration < 0 or launch_overhead < 0:
+            raise ValueError(f"negative duration {duration} or launch "
+                             f"overhead {launch_overhead}")
         self.id = next(_task_counter)
         #: Position in the owning graph's ``tasks`` (its CSR row).
         self.index = index
@@ -327,10 +333,7 @@ class TaskGraph:
             raise SimulationError(f"{task!r} has already been completed")
         task.triggered = True
         task.error = error
-        env = self.env
-        carrier = env._acquire_carrier(True, task)
-        carrier.callbacks.append(self._on_complete)
-        env.schedule(carrier)
+        self.env.call_later(0.0, self._on_complete, task)
 
     def _on_complete(self, event: Event) -> None:
         task = event._value
@@ -402,8 +405,9 @@ def robust_transfer(env: Environment, fabric: Fabric, src: int, dst: int,
     Ends in ``done(outcome, final_dst)``, where outcome is ``"delivered"``
     (bytes arrived at final_dst), ``"local"`` (routing collapsed onto the
     sender: nothing crosses the wire; ``done`` runs before this returns),
-    ``"forced"``, or ``"dead"`` (no membership / no degradation to fall
-    back on -- the caller decides whether that aborts the round).
+    ``"forced"``, or ``"dead"`` (no membership / no degradation / no live
+    node to fall back on -- the caller decides whether that aborts the
+    round).
     """
     _RetryLoop(env, fabric, src, dst, nbytes, policy, done, membership,
                degradation, on_retry, task).route()
@@ -454,14 +458,14 @@ class _RetryLoop:
         else:
             if task is not None:
                 task.attempts += 1
-            self._after(0.0, self.issue, URGENT)
+            self.env.call_later(0.0, self.issue, None, URGENT)
 
     def issue(self, _event: Event) -> None:
         src, dst, nbytes = self.src, self.target, self.nbytes
         self.xfer = self.fabric.issue(src, dst, nbytes, self.delivered, None,
                                       on_fail=self.failed)
         expected = self.fabric.pair_transfer_time(src, dst, nbytes)
-        self.timer = self._after(
+        self.timer = self.env.call_later(
             self.policy.attempt_timeout(expected, self.attempt),
             self.timed_out)
 
@@ -484,25 +488,20 @@ class _RetryLoop:
             self.membership.suspect(self.target)
         self.attempt += 1
         if self.attempt < self.policy.max_attempts:
-            self._after(self.policy.backoff(self.attempt), self.decide)
+            self.env.call_later(self.policy.backoff(self.attempt),
+                                self.decide)
         else:
             self.exhausted()
 
     def exhausted(self) -> None:
-        if self.membership is not None:
-            self.membership.declare_dead(self.target)
-            if self.degradation:
+        membership = self.membership
+        if membership is not None:
+            membership.declare_dead(self.target)
+            # With every node declared dead there is no substitute left.
+            if self.degradation and membership.alive():
                 self.route()  # membership.route now yields the substitute
                 return
         self.done("dead", self.target)
-
-    def _after(self, delay: float, callback: Callable[[Event], None],
-               priority: int = NORMAL) -> Event:
-        """Run ``callback`` in a pooled carrier ``delay`` from now."""
-        carrier = self.env._acquire_carrier(True, None)
-        carrier.callbacks.append(callback)
-        self.env.schedule(carrier, delay=delay, priority=priority)
-        return carrier
 
 
 class Coordinator:
@@ -517,7 +516,9 @@ class Coordinator:
     Every flush issues from one pooled URGENT carrier
     (:meth:`_flush_keys`): without a ``retry_policy`` its batches move in
     one vectorized :meth:`Fabric.bulk_transfer`, with one each batch runs
-    its own :func:`robust_transfer`.  A telemetry collector only records.
+    its own :func:`robust_transfer`.  The timeout check is a ticker of
+    pooled carriers (:meth:`_next_tick`), not a process.  A telemetry
+    collector only records.
     """
 
     def __init__(self, env: Environment, fabric: Fabric,
@@ -557,7 +558,7 @@ class Coordinator:
             self._flush_keys([key])
         elif not self._ticker_running:
             self._ticker_running = True
-            self.env.process(self._ticker(), name="coordinator-ticker")
+            self.env.call_later(0.0, self._next_tick, None, URGENT)
 
     def _drain(self, key: Tuple[int, int]
                ) -> Tuple[List[Task], float, object]:
@@ -603,10 +604,7 @@ class Coordinator:
         issue event without anything interleaving.
         """
         batches = [key + self._drain(key) for key in keys]
-        env = self.env
-        issue = env._acquire_carrier(True, batches)
-        issue.callbacks.append(self._issue_batches)
-        env.schedule(issue, priority=URGENT)
+        self.env.call_later(0.0, self._issue_batches, batches, URGENT)
 
     def _issue_batches(self, event: Event) -> None:
         batches = event._value
@@ -644,16 +642,50 @@ class Coordinator:
                 task.dropped = outcome == "local"
                 self.graph.complete(task)
 
-    def _ticker(self):
+    def _next_tick(self, _event: Optional[Event] = None) -> None:
+        """Schedule the next tick while any queue waits, else retire."""
+        if self._queues:
+            self.env.call_later(self.timeout_s / 2, self._tick)
+        else:
+            self._ticker_running = False
+
+    def _tick(self, _event: Event) -> None:
         """Flush queues whose oldest entry exceeded the timeout."""
-        while self._queues:
-            yield self.env.timeout(self.timeout_s / 2)
-            now = self.env.now
-            due = [key for key, queue in self._queues.items()
-                   if now - queue[0][1] >= self.timeout_s]
-            if due:
-                self._flush_keys(due)
-        self._ticker_running = False
+        now = self.env.now
+        due = [key for key, queue in self._queues.items()
+               if now - queue[0][1] >= self.timeout_s]
+        if due:
+            self._flush_keys(due)
+        self._next_tick()
+
+
+class _TaskQueue:
+    """One executor's FIFO: ``take(carrier)`` runs in an URGENT hop whose
+    value is the taken task; the executor calls :meth:`next` when done."""
+
+    __slots__ = ("env", "take", "tasks", "idle")
+
+    def __init__(self, env: Environment, take: Callable[[Event], None]):
+        self.env = env
+        self.take = take
+        self.tasks: Deque[Task] = deque()
+        #: Nothing queued, taken or running: the next put takes at once.
+        self.idle = False
+        env.call_later(0.0, self.next, None, URGENT)  # the initializer
+
+    def put(self, task: Task) -> None:
+        if self.idle:
+            self.idle = False
+            self.env.call_later(0.0, self.take, task, URGENT)
+        else:
+            self.tasks.append(task)
+
+    def next(self, _event: Optional[Event] = None) -> None:
+        """Take the next queued task in a hop, or go idle."""
+        if self.tasks:
+            self.env.call_later(0.0, self.take, self.tasks.popleft(), URGENT)
+        else:
+            self.idle = True
 
 
 class NodeEngine:
@@ -665,6 +697,15 @@ class NodeEngine:
     is attached) or :meth:`_send_inline`, whose issue event hands the
     send to :meth:`Fabric.issue` directly or, under a ``retry_policy``,
     to :func:`robust_transfer`.
+
+    The compression and CPU executors start no process: each is a
+    callback state machine over a :class:`_TaskQueue`, one pooled carrier
+    wherever a generator executor's event fired, at the same ``(time,
+    priority)`` (``docs/SIM_CORE.md``).  A construction-time URGENT hop
+    stands in for the process initializer; a *take* hop at ``(now,
+    URGENT)`` for a queue ``get`` -- it forms the batch, or orphans the
+    task if the engine halted meanwhile; compute work then runs through
+    :meth:`Gpu.run_kernel`, CPU work through one finish carrier.
     """
 
     #: Upper bound on the bytes fused into one batched kernel.
@@ -692,13 +733,11 @@ class NodeEngine:
         #: degradation controller once the death is *declared*).
         self.orphans: List[Task] = []
         self.retries = 0
-        self.q_comp: Store = Store(env)
-        self.q_cpu: Store = Store(env)
+        self.q_comp = _TaskQueue(env, self._comp_take)
+        self.q_cpu = _TaskQueue(env, self._cpu_take)
         self.compute_busy = 0.0
         self.cpu_busy = 0.0
         self.send_busy = 0.0
-        env.process(self._comp_executor(), name=f"comp-exec@{node}")
-        env.process(self._cpu_executor(), name=f"cpu-exec@{node}")
 
     def halt(self) -> List[Task]:
         """Fail-stop this engine (ground-truth crash).
@@ -708,13 +747,9 @@ class NodeEngine:
         failure detector declares it.  Returns the newly stranded tasks.
         """
         self.halted = True
-        stranded = []
-        for queue in (self.q_comp, self.q_cpu):
-            while True:
-                task = queue.try_get()
-                if task is None:
-                    break
-                stranded.append(task)
+        stranded = [*self.q_comp.tasks, *self.q_cpu.tasks]
+        self.q_comp.tasks.clear()
+        self.q_cpu.tasks.clear()
         self.orphans.extend(stranded)
         return stranded
 
@@ -798,10 +833,7 @@ class NodeEngine:
         process would and schedules nothing, so a traced round steps the
         same events as a bare one.
         """
-        env = self.env
-        issue = env._acquire_carrier(True, task)
-        issue.callbacks.append(self._issue_send)
-        env.schedule(issue, priority=URGENT)
+        self.env.call_later(0.0, self._issue_send, task, URGENT)
 
     def _issue_send(self, event: Event) -> None:
         task = event._value
@@ -847,65 +879,73 @@ class NodeEngine:
     def _count_retry(self) -> None:
         self.retries += 1
 
-    def _cpu_executor(self):
+    def _cpu_take(self, event: Event) -> None:
         """Serial host-CPU worker (BytePS-style server aggregation)."""
-        while True:
-            task = yield self.q_cpu.get()
-            if self.halted:
-                self.orphans.append(task)
-                continue
-            task.started_at = self.env.now
-            span = self._task_span(task, task.started_at)
-            yield self.env.timeout(task.duration)
-            task.finished_at = self.env.now
-            self.cpu_busy += task.duration
+        task = event._value
+        if self.halted:
+            self.orphans.append(task)
+            self.q_cpu.next()
+            return
+        task.started_at = self.env.now
+        span = self._task_span(task, task.started_at)
+        self.env.call_later(task.duration, self._cpu_finish, (task, span))
+
+    def _cpu_finish(self, event: Event) -> None:
+        task, span = event._value
+        task.finished_at = self.env.now
+        self.cpu_busy += task.duration
+        self._finish_task_span(span)
+        if not task.triggered:
+            self.graph.complete(task)
+        self.q_cpu.next()
+
+    def _comp_take(self, event: Event) -> None:
+        """Launch the taken task, fused with queued ones on a bulk graph."""
+        first = event._value
+        if self.halted:
+            self.orphans.append(first)
+            self.q_comp.next()
+            return
+        batch = [first]
+        if self.graph.bulk:
+            queue = self.q_comp.tasks
+            total = first.nbytes
+            while total < self.BATCH_LIMIT_BYTES and queue:
+                extra = queue.popleft()
+                batch.append(extra)
+                total += extra.nbytes
+        if len(batch) == 1:
+            duration = first.duration
+        else:
+            # One fused launch: pay a single launch overhead.
+            duration = (sum(t.duration - t.launch_overhead for t in batch)
+                        + max(t.launch_overhead for t in batch))
+        start = self.env.now
+        spans = []
+        for task in batch:
+            task.started_at = start
+            span = self._task_span(task, start)
+            if span is not None:
+                spans.append(span)
+                if len(batch) > 1:
+                    span.attrs["fused"] = len(batch)
+        # The fused kernel is a child of the first task's span, so the
+        # flame view attributes GPU time to the work that launched it.
+        self.gpu.run_kernel(duration, self._comp_finish,
+                            (batch, start, spans), category="compression",
+                            span_parent=spans[0] if spans else None)
+
+    def _comp_finish(self, token: Tuple[List[Task], float, List]) -> None:
+        batch, start, spans = token
+        now = self.env.now
+        self.compute_busy += now - start
+        for span in spans:
             self._finish_task_span(span)
+        for task in batch:
+            task.finished_at = now
             if not task.triggered:
                 self.graph.complete(task)
-
-    def _comp_executor(self):
-        while True:
-            first = yield self.q_comp.get()
-            if self.halted:
-                self.orphans.append(first)
-                continue
-            batch = [first]
-            if self.graph.bulk:
-                total = first.nbytes
-                while total < self.BATCH_LIMIT_BYTES:
-                    extra = self.q_comp.try_get()
-                    if extra is None:
-                        break
-                    batch.append(extra)
-                    total += extra.nbytes
-            if len(batch) == 1:
-                duration = first.duration
-            else:
-                # One fused launch: pay a single launch overhead.
-                duration = (sum(t.duration - t.launch_overhead for t in batch)
-                            + max(t.launch_overhead for t in batch))
-            start = self.env.now
-            spans = []
-            for task in batch:
-                task.started_at = start
-                span = self._task_span(task, start)
-                if span is not None:
-                    spans.append(span)
-                    if len(batch) > 1:
-                        span.attrs["fused"] = len(batch)
-            # The fused kernel is a child of the first task's span, so the
-            # flame view attributes GPU time to the work that launched it.
-            yield from self.gpu.run_kernel(
-                duration, category="compression",
-                span_parent=spans[0] if spans else None)
-            now = self.env.now
-            self.compute_busy += now - start
-            for span in spans:
-                self.env.telemetry.finish(span, now)
-            for task in batch:
-                task.finished_at = now
-                if not task.triggered:
-                    self.graph.complete(task)
+        self.q_comp.next()
 
 
 def run_graph(env: Environment, graph: TaskGraph,

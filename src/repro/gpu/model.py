@@ -12,14 +12,20 @@ cost curves").  DNN forward/backward compute occupies a separate *compute*
 stream; compression kernels run on a *communication* stream, so compression
 overlaps DNN compute the way CUDA streams allow (§5: a dedicated queue
 schedules encode/decode on GPU).
+
+The compute stream is a :class:`~repro.sim.Resource` held by the node's
+forward/backward process, which a crash interrupts.  The communication
+stream is a scalar reservation: its one user, the compression executor,
+runs kernels one at a time, as pooled callbacks (:meth:`Gpu.run_kernel`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
-from ..sim import Environment, Interrupt, Resource
+from ..sim import (URGENT, Environment, Event, Interrupt, Resource,
+                   SimulationError)
 
 __all__ = ["GpuSpec", "Gpu", "IntervalLog", "V100", "GTX1080TI"]
 
@@ -130,8 +136,9 @@ class IntervalLog:
 class Gpu:
     """One simulated GPU: a compute stream plus a communication stream.
 
-    DNN forward/backward run on :attr:`compute`; compression kernels run on
-    :attr:`comm_stream`.  Both streams log busy intervals into :attr:`log`.
+    DNN forward/backward run on :attr:`compute`; compression kernels run
+    on the communication stream through :meth:`run_kernel`.  Both streams
+    log busy intervals into :attr:`log`.
     """
 
     def __init__(self, env: Environment, spec: GpuSpec, index: int = 0):
@@ -139,7 +146,9 @@ class Gpu:
         self.spec = spec
         self.index = index
         self.compute = Resource(env, capacity=1)
-        self.comm_stream = Resource(env, capacity=1)
+        #: When the communication stream's last kernel ends: the scalar
+        #: reservation every :meth:`run_kernel` grant checks and moves.
+        self.comm_free_at = env.now
         self.log = IntervalLog()
         #: Multiplier applied to every kernel's duration while > 1 -- the
         #: fault injector's straggler model (thermal throttling, a noisy
@@ -149,43 +158,85 @@ class Gpu:
     def run_compute(self, seconds: float, category: str = "compute",
                     span_parent=None):
         """Generator: occupy the compute stream for ``seconds``."""
-        yield from self._run(self.compute, seconds, category, span_parent)
-
-    def run_kernel(self, seconds: float, category: str = "compression",
-                   span_parent=None):
-        """Generator: occupy the communication stream for ``seconds``."""
-        yield from self._run(self.comm_stream, seconds, category, span_parent)
-
-    def _run(self, stream: Resource, seconds: float, category: str,
-             span_parent=None):
         if seconds < 0:
             raise ValueError(f"negative duration {seconds}")
+        stream = self.compute
         req = stream.request()
-        tel = self.env.telemetry
         span = None
         try:
             yield req
             start = self.env.now
-            if self.slowdown != 1.0:
-                seconds *= self.slowdown
-            if tel is not None:
-                stream_name = ("gpu-compute" if stream is self.compute
-                               else "gpu-comm")
-                span = tel.begin(category, category="kernel",
-                                 track=f"node{self.index}/{stream_name}",
-                                 parent=span_parent, at=start)
+            seconds, span = self._begin(seconds, "gpu-compute", category,
+                                        span_parent)
             yield self.env.timeout(seconds)
         except Interrupt:
             # A crash mid-kernel must not leak the stream: a restarted
             # node's recovery pass re-acquires it.
             stream.cancel(req)
             if span is not None:
-                tel.finish(span, self.env.now, outcome="interrupted")
+                self.env.telemetry.finish(span, self.env.now,
+                                          outcome="interrupted")
             raise
         stream.release(req)
-        self.log.record(start, self.env.now, category)
+        self._log_kernel(start, category, span)
+
+    def run_kernel(self, seconds: float, handler: Callable[[Any], None],
+                   token: Any = None, category: str = "compression",
+                   span_parent=None) -> None:
+        """Run one kernel on the communication stream, then ``handler(token)``.
+
+        A *grant* hop at ``(now, URGENT)`` applies :attr:`slowdown` and
+        reserves the stream; a *finish* carrier logs the kernel when it
+        ends.  The caller serializes its kernels: a grant while one runs
+        raises :class:`~repro.sim.SimulationError`.
+        """
+        if seconds < 0:
+            raise ValueError(f"negative duration {seconds}")
+        tel = self.env.telemetry
+        if tel is not None:
+            tel.metrics.counter("sim.resource.requests").inc()
+        self.env.call_later(0.0, self._grant,
+                            (seconds, handler, token, category, span_parent),
+                            URGENT)
+
+    def _grant(self, event: Event) -> None:
+        seconds, handler, token, category, span_parent = event._value
+        env = self.env
+        start = env.now
+        if start < self.comm_free_at:
+            raise SimulationError(
+                f"gpu{self.index}: a kernel starts at {start} while the "
+                f"communication stream is reserved until {self.comm_free_at}")
+        seconds, span = self._begin(seconds, "gpu-comm", category,
+                                    span_parent)
+        self.comm_free_at = start + seconds
+        env.call_later(seconds, self._finish,
+                       (start, handler, token, category, span))
+
+    def _begin(self, seconds: float, stream: str, category: str,
+               span_parent) -> Tuple[float, Any]:
+        """Start a kernel now: its slowed duration and span (or None)."""
+        if self.slowdown != 1.0:
+            seconds *= self.slowdown
+        tel = self.env.telemetry
+        if tel is None:
+            return seconds, None
+        return seconds, tel.begin(category, category="kernel",
+                                  track=f"node{self.index}/{stream}",
+                                  parent=span_parent, at=self.env.now)
+
+    def _finish(self, event: Event) -> None:
+        start, handler, token, category, span = event._value
+        self._log_kernel(start, category, span)
+        handler(token)
+
+    def _log_kernel(self, start: float, category: str, span) -> None:
+        """Log a kernel that ran from ``start`` until now; close its span."""
+        now = self.env.now
+        self.log.record(start, now, category)
         if span is not None:
-            tel.finish(span, self.env.now)
+            tel = self.env.telemetry
+            tel.finish(span, now)
             tel.metrics.counter("gpu.kernels", category=category).inc()
             tel.metrics.histogram("gpu.kernel_s", category=category
                                   ).observe(span.duration)

@@ -67,10 +67,9 @@ def _run_kernel_probe(cluster: ClusterSpec, duration_fn,
         worst = 0.0
         for node_spec in cluster.distinct_nodes():
             env = Environment()
-            gpu = Gpu(env, node_spec.gpu)
-            proc = env.process(
-                gpu.run_kernel(duration_fn(nbytes, node_spec.gpu)))
-            env.run_until_complete(proc)
+            Gpu(env, node_spec.gpu).run_kernel(
+                duration_fn(nbytes, node_spec.gpu), lambda _token: None)
+            env.run()
             worst = max(worst, env.now)
         times.append(worst)
     return AffineFit.from_points(list(sizes), times)

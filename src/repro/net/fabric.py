@@ -443,11 +443,8 @@ class Fabric:
                 raise ValueError("Fabric.issue needs on_fail with a "
                                  "FaultState attached: a message can be "
                                  "dropped")
-            carrier = env._acquire_carrier(True, (src, nbytes, handler,
-                                                  token, span))
-            assert carrier.callbacks is not None
-            carrier.callbacks.append(self._deliver)
-            env.schedule(carrier, delay=self._reserve(src, dst, nbytes))
+            env.call_later(self._reserve(src, dst, nbytes), self._deliver,
+                           (src, nbytes, handler, token, span))
             return None
         attempt = Attempt(src, dst, nbytes, handler, on_fail, token, span)
         if faults is not None:
@@ -485,10 +482,7 @@ class Fabric:
                 attempt.cause = "transient"
             delay = self._reserve(src, dst, attempt.nbytes,
                                   faults.link_factor(src, dst), lost=lost)
-        carrier = self.env._acquire_carrier(True, attempt)
-        assert carrier.callbacks is not None
-        carrier.callbacks.append(self._land)
-        self.env.schedule(carrier, delay=delay)
+        self.env.call_later(delay, self._land, attempt)
 
     def _land(self, event: Event) -> None:
         """Delivery carrier callback of an :class:`Attempt`."""
@@ -624,8 +618,7 @@ class Fabric:
         size_list = sizes.tolist()
         tel = env.telemetry
         done = self._deliver
-        acquire = env._acquire_carrier
-        schedule = env.schedule
+        call_later = env.call_later
         for i in range(n):
             if loop_list[i]:
                 handler(i)
@@ -635,11 +628,8 @@ class Fabric:
                 span = self._xfer_span(
                     tel, src_list[i], dst_list[i], size_list[i],
                     None if span_parents is None else span_parents[i])
-            carrier = acquire(True, (src_list[i], size_list[i], handler, i,
-                                     span))
-            assert carrier.callbacks is not None
-            carrier.callbacks.append(done)
-            schedule(carrier, delay=delays[i])
+            call_later(delays[i], done,
+                       (src_list[i], size_list[i], handler, i, span))
 
     def _bulk_arrays(self, transfers: Sequence[Tuple[int, int, float]],
                      n: int) -> Tuple["np.ndarray", "np.ndarray",

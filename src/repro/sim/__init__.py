@@ -1,8 +1,9 @@
 """Deterministic discrete-event simulation kernel (SimPy-flavoured).
 
 This package is the timing substrate for the whole reproduction: network
-transfers, GPU kernels, and synchronization protocols are all simulated
-processes scheduled by :class:`Environment`.
+transfers, GPU kernels, and synchronization protocols are all events
+scheduled by :class:`Environment` -- generator processes, or pooled
+callback carriers (:meth:`Environment.call_later`) on the hot paths.
 """
 
 from .core import (
@@ -18,7 +19,7 @@ from .core import (
     URGENT,
 )
 from .queues import SlottedQueue
-from .resources import Request, Resource, Store
+from .resources import Request, Resource
 
 __all__ = [
     "AllOf",
@@ -31,7 +32,6 @@ __all__ = [
     "Resource",
     "SimulationError",
     "SlottedQueue",
-    "Store",
     "Timeout",
     "NORMAL",
     "URGENT",

@@ -1,10 +1,10 @@
 """Discrete-event simulation kernel.
 
-A minimal, deterministic, generator-based discrete-event simulator in the
-style of SimPy.  Every timed behaviour in this repository -- network
-transfers, GPU kernels, synchronization protocols -- is expressed as a
-*process*: a Python generator that yields :class:`Event` objects and is
-resumed when they fire.
+A minimal, deterministic discrete-event simulator in the style of SimPy.
+A timed behaviour is either a *process* -- a Python generator that
+yields :class:`Event` objects and is resumed when they fire -- or, on
+the hot paths (transfers, task executors, completions), a callback on a
+pooled carrier event (:meth:`Environment.call_later`).
 
 Determinism matters for a systems simulator: two events scheduled for the
 same instant are ordered by (priority, insertion sequence), so repeated runs
@@ -186,9 +186,7 @@ class Process(Event):
         self._generator = generator
         self._target: Optional[Event] = None
         self.name = name or getattr(generator, "__name__", "process")
-        init = env._acquire_carrier(True, None)
-        init.callbacks.append(self._resume)
-        env.schedule(init, priority=URGENT)
+        env.call_later(0.0, self._resume, None, URGENT)
 
     @property
     def is_alive(self) -> bool:
@@ -246,12 +244,10 @@ class Process(Event):
         self._target = next_event
         if next_event._processed:
             # Already fired: resume immediately at the current time.
-            env = self.env
-            immediate = env._acquire_carrier(next_event._ok,
-                                             next_event._value)
-            immediate.callbacks.append(self._resume)
+            immediate = self.env.call_later(0.0, self._resume,
+                                            next_event._value, URGENT)
+            immediate._ok = next_event._ok
             self._target = immediate
-            env.schedule(immediate, priority=URGENT)
         else:
             next_event.callbacks.append(self._resume)
 
@@ -345,8 +341,6 @@ class Environment:
         self._now = float(initial_time)
         self._queue = SlottedQueue()
         self._pool: List[Event] = []
-        #: Carrier events served from the free list (observability).
-        self.pooled_reuses = 0
         #: Events removed from the agenda via :meth:`cancel`.
         self.cancellations = 0
         #: Optional :class:`~repro.telemetry.TelemetryCollector`.  None (the
@@ -364,6 +358,28 @@ class Environment:
                  priority: int = NORMAL) -> None:
         event._scheduled = True
         self._queue.push(self._now + delay, priority, event)
+
+    def call_later(self, delay: float, callback: Callable[[Event], None],
+                   value: Any = None, priority: int = NORMAL) -> Event:
+        """Run ``callback(carrier)`` ``delay`` from now, at ``priority``.
+
+        The carrier is a pooled single-shot event with value ``value``,
+        ordered as ``schedule`` orders an event pushed now.  It is
+        returned for :meth:`cancel`; nothing may hold it once it fired.
+        """
+        if delay < 0:
+            raise ValueError(f"negative delay {delay}")
+        if self._pool:
+            event = self._pool.pop()
+        else:
+            event = Event(self)
+            event._recyclable = True
+        event._ok = True
+        event._value = value
+        event.callbacks.append(callback)
+        event._scheduled = True
+        self._queue.push(self._now + delay, priority, event)
+        return event
 
     def cancel(self, event: Event) -> None:
         """Remove a scheduled-but-unprocessed event from the agenda.
@@ -431,24 +447,6 @@ class Environment:
         raise process._value
 
     # -- carrier pooling --------------------------------------------------
-
-    def _acquire_carrier(self, ok: Optional[bool], value: Any) -> Event:
-        """A kernel-owned single-shot event, recycled after it fires.
-
-        Only for events whose whole life cycle the kernel controls
-        (process initializers, immediate resumes, inline-send hops):
-        nothing may hold a reference to a carrier after its callbacks ran.
-        """
-        pool = self._pool
-        if pool:
-            event = pool.pop()
-            self.pooled_reuses += 1
-        else:
-            event = Event(self)
-            event._recyclable = True
-        event._ok = ok
-        event._value = value
-        return event
 
     def _release_carrier(self, event: Event) -> None:
         if len(self._pool) >= _POOL_LIMIT:

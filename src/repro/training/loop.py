@@ -38,7 +38,7 @@ from ..faults.runner import count_retries
 from ..gpu import Gpu
 from ..models import ModelSpec
 from ..net import Fabric
-from ..sim import Environment, Interrupt
+from ..sim import URGENT, Environment, Event, Interrupt
 from ..strategies.base import Strategy, SyncContext
 from ..telemetry import TelemetryCollector, current_collector
 
@@ -340,10 +340,10 @@ def _run_round(model: ModelSpec, cluster: ClusterSpec, strategy: Strategy,
             event = ready[(node, grad.name)]
             if event.triggered:
                 continue  # already produced before a crash
-            if local_aggregation:
-                delay = cluster.node_at(node).local_aggregation_time(
-                    grad.nbytes)
-                _fire_later(env, event, delay)
+            delay = (cluster.node_at(node).local_aggregation_time(
+                grad.nbytes) if local_aggregation else 0.0)
+            if delay > 0:
+                env.call_later(0.0, _start_local_agg, (event, delay), URGENT)
             else:
                 event.succeed()
 
@@ -371,18 +371,6 @@ def _run_round(model: ModelSpec, cluster: ClusterSpec, strategy: Strategy,
                 if not restarts:
                     return
                 recover_delay = min(restarts) - env.now
-
-    def _fire_later(env, event, delay):
-        if delay <= 0:
-            event.succeed()
-            return
-
-        def waiter():
-            yield env.timeout(delay)
-            if not event.triggered:  # a pre-crash waiter may have beaten us
-                event.succeed()
-
-        env.process(waiter(), name="local-agg")
 
     node_procs = [env.process(node_process(i), name=f"node{i}")
                   for i in range(cluster.num_nodes)]
@@ -428,6 +416,19 @@ def _run_round(model: ModelSpec, cluster: ClusterSpec, strategy: Strategy,
     return _Round(tel=tel, graph=graph, gpus=gpus, fabric=fabric,
                   coordinator=coordinator, finish=finish,
                   barrier=barrier, report=report, compute_time=compute_time)
+
+
+def _start_local_agg(carrier: Event) -> None:
+    """The URGENT hop of a gradient's intra-node aggregation: its ready
+    event fires ``delay`` later."""
+    event, delay = carrier._value
+    carrier.env.call_later(delay, _finish_local_agg, event)
+
+
+def _finish_local_agg(carrier: Event) -> None:
+    event = carrier._value
+    if not event.triggered:  # a pre-crash aggregation may have beaten us
+        event.succeed()
 
 
 def scaling_efficiency(result: IterationResult) -> float:

@@ -10,7 +10,7 @@ from repro.cluster import (
     local_1080ti_cluster,
 )
 from repro.gpu import GTX1080TI, Gpu, GpuSpec, IntervalLog, V100
-from repro.sim import Environment
+from repro.sim import Environment, SimulationError
 
 
 # ---------------------------------------------------------------- GpuSpec
@@ -66,12 +66,8 @@ def test_gpu_streams_are_independent():
         yield from gpu.run_compute(2.0)
         done.append(("compute", env.now))
 
-    def kernel(env):
-        yield from gpu.run_kernel(1.0)
-        done.append(("kernel", env.now))
-
     env.process(compute(env))
-    env.process(kernel(env))
+    gpu.run_kernel(1.0, lambda tag: done.append((tag, env.now)), "kernel")
     env.run()
     assert ("kernel", 1.0) in done
     assert ("compute", 2.0) in done
@@ -82,14 +78,21 @@ def test_gpu_same_stream_serializes():
     gpu = Gpu(env, V100)
     done = []
 
-    def kernel(env, tag):
-        yield from gpu.run_kernel(1.0)
+    def finished(tag):
         done.append((tag, env.now))
+        if tag == "a":
+            gpu.run_kernel(1.0, finished, "b")
 
-    env.process(kernel(env, "a"))
-    env.process(kernel(env, "b"))
+    gpu.run_kernel(1.0, finished, "a")
     env.run()
     assert done == [("a", 1.0), ("b", 2.0)]
+    assert gpu.comm_free_at == 2.0
+    # The stream holds one kernel at a time: a launch while one runs is
+    # refused at its grant, not queued behind it.
+    gpu.run_kernel(1.0, finished, "c")
+    gpu.run_kernel(1.0, finished, "d")
+    with pytest.raises(SimulationError, match="reserved until 3.0"):
+        env.run()
 
 
 def test_gpu_log_records_intervals():
@@ -98,7 +101,7 @@ def test_gpu_log_records_intervals():
 
     def run(env):
         yield from gpu.run_compute(1.5)
-        yield from gpu.run_kernel(0.5)
+        gpu.run_kernel(0.5, lambda _token: None)
 
     env.process(run(env))
     env.run()
@@ -113,6 +116,8 @@ def test_gpu_negative_duration_rejected():
     p = env.process(gpu.run_compute(-1))
     env.run()
     assert p.ok is False
+    with pytest.raises(ValueError, match="negative duration"):
+        gpu.run_kernel(-1, lambda _token: None)
 
 
 # ---------------------------------------------------------------- IntervalLog

@@ -1,8 +1,8 @@
-"""Unit tests for simulation resources: Resource and Store."""
+"""Unit tests for the simulation resource primitive: Resource."""
 
 import pytest
 
-from repro.sim import Environment, Resource, SimulationError, Store
+from repro.sim import Environment, Resource, SimulationError
 
 
 # ---------------------------------------------------------------- Resource
@@ -106,72 +106,6 @@ def test_resource_invalid_capacity():
     env = Environment()
     with pytest.raises(ValueError):
         Resource(env, capacity=0)
-
-
-# ---------------------------------------------------------------- Store
-
-def test_store_put_then_get():
-    env = Environment()
-    store = Store(env)
-    store.put("x")
-
-    def getter(env):
-        item = yield store.get()
-        return item
-
-    p = env.process(getter(env))
-    env.run()
-    assert p.value == "x"
-
-
-def test_store_get_blocks_until_put():
-    env = Environment()
-    store = Store(env)
-
-    def getter(env):
-        item = yield store.get()
-        return (item, env.now)
-
-    def putter(env):
-        yield env.timeout(3)
-        store.put("late")
-
-    p = env.process(getter(env))
-    env.process(putter(env))
-    env.run()
-    assert p.value == ("late", 3)
-
-
-def test_store_fifo_order_items_and_getters():
-    env = Environment()
-    store = Store(env)
-    got = []
-
-    def getter(env, tag):
-        item = yield store.get()
-        got.append((tag, item))
-
-    env.process(getter(env, "g1"))
-    env.process(getter(env, "g2"))
-
-    def putter(env):
-        yield env.timeout(1)
-        store.put("a")
-        store.put("b")
-
-    env.process(putter(env))
-    env.run()
-    assert got == [("g1", "a"), ("g2", "b")]
-
-
-def test_store_try_get():
-    env = Environment()
-    store = Store(env)
-    assert store.try_get() is None
-    store.put(1)
-    store.put(2)
-    assert store.try_get() == 1
-    assert len(store) == 1
 
 
 # ---------------------------------------------------------------- cancel

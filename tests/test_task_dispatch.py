@@ -24,7 +24,7 @@ from repro.sim import Environment, Event, SimulationError
 from repro.strategies import get_strategy
 from repro.strategies.base import SyncContext
 from repro.telemetry import telemetry_session
-from repro.training import make_plans
+from repro.training import make_plans, simulate_iteration
 from repro.training.trace import trace_hash, trace_iteration
 
 KB = 1024
@@ -101,7 +101,11 @@ def test_one_agenda_entry_per_completion(traced):
     """The Environment.step count of one golden case, pinned from the
     design that gave every task its own completion Event: a completion
     carrier still takes exactly one agenda entry per task.  An attached
-    collector only records, so a traced round steps the same events."""
+    collector only records, so a traced round steps the same events.
+
+    1,393 steps until the coordinator's ticker became pooled carriers:
+    a retiring ticker process also stepped its completion event, and
+    this round retires its ticker 5 times."""
     model = golden_model()
     cluster = ec2_v100_cluster(4)
     algo = OneBit()
@@ -119,7 +123,7 @@ def test_one_agenda_entry_per_completion(traced):
         trace = trace_iteration(model, cluster, get_strategy("casync-ps"),
                                 algorithm=algo, plans=plans)
     assert trace_hash(trace).startswith("88c4e59099cd")
-    assert steps[0] == 1393
+    assert steps[0] == 1388
 
 
 def test_completing_a_task_twice_raises():
@@ -238,3 +242,26 @@ def test_finished_graph_frees_without_a_collection():
     finally:
         if was_enabled:
             gc.enable()
+
+
+def test_pristine_round_starts_only_compute_passes_and_the_graph_waiter():
+    """Executors, the coordinator ticker and intra-node aggregation run
+    on pooled carriers: a pristine round's processes are each node's
+    compute pass, the graph waiter and the drain that joins them."""
+    model = golden_model()
+    cluster = ec2_v100_cluster(4)
+    names = []
+    original = Environment.process
+
+    def recording(self, generator, name=None):
+        names.append(name)
+        return original(self, generator, name)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Environment, "process", recording)
+        result = simulate_iteration(
+            model, cluster, get_strategy("casync-ps"), algorithm=OneBit(),
+            plans=make_plans(model, cluster, OneBit(), "ps_colocated"))
+    assert result.coordinator_batches > 0
+    assert sorted(names) == ["drain", "graph-waiter", "node0", "node1",
+                             "node2", "node3"]
