@@ -58,7 +58,6 @@ error-code table, and CLI examples.
 from __future__ import annotations
 
 import argparse
-import gc
 import json
 import sys
 from dataclasses import dataclass
@@ -69,6 +68,7 @@ from ..casync.index import (PlanIndex, _sizes_match, plan_file, plan_index,
                             region_pid as _region_pid)
 from ..casync.ir import Op, PlanVerificationError, SyncPlan
 from ..casync.passes import PassContext
+from ..sim import gc_paused
 from .diagnostics import (Diagnostic, ERROR, count_by_severity, exit_code,
                           has_errors, render_text, sort_diagnostics)
 
@@ -917,14 +917,9 @@ def check_plan(plan: SyncPlan, pctx: Optional[PassContext] = None,
         # GC mid-run while the heap already holds the full plan; pausing
         # collection for the call is worth ~1/3 of admission latency on
         # large plans and frees the same garbage right after.
-        was_enabled = gc.isenabled()
-        gc.disable()
-        try:
+        with gc_paused():
             diagnostics.extend(
                 _PlanAnalyzer(plan, pctx, file, recipe=recipe).run())
-        finally:
-            if was_enabled:
-                gc.enable()
     return PlanReport(
         name=file, strategy=plan.strategy, num_nodes=plan.num_nodes,
         num_ops=len(plan.ops), diagnostics=tuple(diagnostics))

@@ -27,7 +27,6 @@ written as ``<strategy>-<digest12>.json`` + ``.txt``.
 
 from __future__ import annotations
 
-import hashlib
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -38,7 +37,6 @@ from ..algorithms.base import CompressionAlgorithm
 from .index import plan_index
 from .ir import Op, SyncPlan
 from .passes import DEFAULT_PASS_CONFIG, PassContext, build_plan, wire_nbytes
-from .planner import plans_to_json
 from .tasks import SuccessorCSR, Task, TaskGraph
 
 __all__ = [
@@ -272,10 +270,12 @@ def _algorithm_token(algorithm) -> Optional[Tuple]:
             tuple(scalars), tuple(nested), probes)
 
 
-def _plans_token(plans) -> Optional[str]:
+def _plans_token(plans) -> Optional[Tuple]:
     if plans is None:
         return None
-    return hashlib.sha256(plans_to_json(plans).encode()).hexdigest()
+    return tuple((name, plan.nbytes, plan.compress, plan.partitions,
+                  plan.predicted_time)
+                 for name, plan in sorted(plans.items()))
 
 
 def _decisions_token(decisions) -> Optional[Tuple]:

@@ -212,6 +212,8 @@ class TaskGraph:
         self._engines: Dict[int, "NodeEngine"] = {}
         self._pending: List[int] = []
         self._remaining = 0
+        #: (ready event, its fanout callback) pairs attached by arm().
+        self._waiting: List[Tuple[Event, Callable[[Event], None]]] = []
 
     def add(self, task: Task, deps: Iterable = ()) -> Task:
         """Add ``task`` depending on prior tasks and/or raw events."""
@@ -291,8 +293,10 @@ class TaskGraph:
             self._dispatch(tasks[i])
         # No event fires while arm() runs, so attaching the ready-event
         # callbacks after the sources dispatched is safe.
-        for event, dependents in waiting:
-            event.callbacks.append(self._fanout_callback(dependents))
+        self._waiting = [(event, self._fanout_callback(dependents))
+                         for event, dependents in waiting]
+        for event, fanout in self._waiting:
+            event.callbacks.append(fanout)
         if not tasks:
             self._finish()
         return done
@@ -355,13 +359,14 @@ class TaskGraph:
             self._finish()
 
     def _finish(self) -> None:
-        """Fire :attr:`done` and unbind the engines.
+        """Fire :attr:`done` and unbind the engines and ready events.
 
-        Nothing completes a task after the last one did, and the engines'
-        back-references are the only links from the (cyclic) simulation
-        state to this graph: dropping them lets a finished round's tasks
-        free by reference counting instead of waiting for a full
-        collection.
+        Nothing completes a task after the last one did, so the engines'
+        back-references and the fanouts still attached to ready events
+        that never fired (a crashed node's gradients) are dead weight.
+        They are also the links that would put this graph in a reference
+        cycle: dropping them lets a finished round's tasks free by
+        reference counting instead of waiting for a full collection.
         """
         self.done.succeed()
         for engine in self._engines.values():
@@ -370,6 +375,10 @@ class TaskGraph:
             coordinator = engine.coordinator
             if coordinator is not None and coordinator.graph is self:
                 coordinator.graph = None
+        for event, fanout in self._waiting:
+            if event.callbacks is not None:
+                event.callbacks.remove(fanout)
+        self._waiting = []
 
 
 def robust_transfer(env: Environment, fabric: Fabric, src: int, dst: int,
@@ -661,29 +670,36 @@ class Coordinator:
 
 class _TaskQueue:
     """One executor's FIFO: ``take(carrier)`` runs in an URGENT hop whose
-    value is the taken task; the executor calls :meth:`next` when done."""
+    value is the taken task; the executor calls :meth:`next` when done.
 
-    __slots__ = ("env", "take", "tasks", "idle")
+    ``take`` is passed on every call, never stored: it is a bound method
+    of the engine that owns this queue, and keeping it would make the
+    pair a reference cycle that outlives the round.
+    """
+
+    __slots__ = ("env", "tasks", "idle")
 
     def __init__(self, env: Environment, take: Callable[[Event], None]):
         self.env = env
-        self.take = take
         self.tasks: Deque[Task] = deque()
         #: Nothing queued, taken or running: the next put takes at once.
         self.idle = False
-        env.call_later(0.0, self.next, None, URGENT)  # the initializer
+        env.call_later(0.0, self._initialize, take, URGENT)
 
-    def put(self, task: Task) -> None:
+    def _initialize(self, carrier: Event) -> None:
+        self.next(carrier._value)
+
+    def put(self, task: Task, take: Callable[[Event], None]) -> None:
         if self.idle:
             self.idle = False
-            self.env.call_later(0.0, self.take, task, URGENT)
+            self.env.call_later(0.0, take, task, URGENT)
         else:
             self.tasks.append(task)
 
-    def next(self, _event: Optional[Event] = None) -> None:
+    def next(self, take: Callable[[Event], None]) -> None:
         """Take the next queued task in a hop, or go idle."""
         if self.tasks:
-            self.env.call_later(0.0, self.take, self.tasks.popleft(), URGENT)
+            self.env.call_later(0.0, take, self.tasks.popleft(), URGENT)
         else:
             self.idle = True
 
@@ -781,9 +797,9 @@ class NodeEngine:
                 self.orphans.append(task)
             return
         if task.kind in COMPUTE_KINDS:
-            self.q_comp.put(task)
+            self.q_comp.put(task, self._comp_take)
         elif task.kind == "cpu":
-            self.q_cpu.put(task)
+            self.q_cpu.put(task, self._cpu_take)
         elif task.kind == "send":
             if task.bulk and self.coordinator is not None:
                 self.coordinator.submit(task)
@@ -884,7 +900,7 @@ class NodeEngine:
         task = event._value
         if self.halted:
             self.orphans.append(task)
-            self.q_cpu.next()
+            self.q_cpu.next(self._cpu_take)
             return
         task.started_at = self.env.now
         span = self._task_span(task, task.started_at)
@@ -897,14 +913,14 @@ class NodeEngine:
         self._finish_task_span(span)
         if not task.triggered:
             self.graph.complete(task)
-        self.q_cpu.next()
+        self.q_cpu.next(self._cpu_take)
 
     def _comp_take(self, event: Event) -> None:
         """Launch the taken task, fused with queued ones on a bulk graph."""
         first = event._value
         if self.halted:
             self.orphans.append(first)
-            self.q_comp.next()
+            self.q_comp.next(self._comp_take)
             return
         batch = [first]
         if self.graph.bulk:
@@ -945,7 +961,7 @@ class NodeEngine:
             task.finished_at = now
             if not task.triggered:
                 self.graph.complete(task)
-        self.q_comp.next()
+        self.q_comp.next(self._comp_take)
 
 
 def run_graph(env: Environment, graph: TaskGraph,

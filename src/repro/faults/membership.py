@@ -85,6 +85,15 @@ class Membership:
         """Register a callback invoked once per newly declared death."""
         self._on_death.append(callback)
 
+    def clear_callbacks(self) -> None:
+        """Drop every death callback once the round using them settled.
+
+        The degradation controller's callback reaches this membership
+        again through the engines it re-plans, so keeping it would hold
+        the round's task graph in a reference cycle.
+        """
+        self._on_death.clear()
+
     def _check(self, node: int) -> None:
         if not 0 <= node < self.num_nodes:
             raise ValueError(f"node {node} outside [0, {self.num_nodes})")

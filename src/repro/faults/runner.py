@@ -185,8 +185,13 @@ def run_graph_robust(env: Environment, graph: Any, engines: Sequence[Any],
 
     barrier = graph.arm(list(engines))
 
+    # The ledger closes over the list, not the report: the report holds
+    # the graph, whose observers hold this function, and that cycle would
+    # keep a dropped result's whole task graph alive until a collection.
+    completions = report.completions
+
     def _record(task) -> None:
-        report.completions.append(CompletionRecord(
+        completions.append(CompletionRecord(
             task_id=task.id, at=env.now, node=task.node, kind=task.kind,
             label=task.label, ok=task.error is None,
             dropped=bool(task.dropped)))
@@ -196,11 +201,13 @@ def run_graph_robust(env: Environment, graph: Any, engines: Sequence[Any],
     graph.observers.append(_record)
 
     if injector is not None and heartbeat_timeout_s is not None:
+        state = injector.state  # not the injector: it holds _detect
+
         def _detect(node: int) -> None:
             def detector():
                 yield env.timeout(heartbeat_timeout_s)
                 # A fast restart beats the heartbeat: no declaration.
-                if injector.state.is_dead(node):
+                if state.is_dead(node):
                     membership.declare_dead(node)
 
             env.process(detector(), name=f"heartbeat-detector@{node}")
@@ -208,7 +215,7 @@ def run_graph_robust(env: Environment, graph: Any, engines: Sequence[Any],
         injector.on_crash(_detect)
         # Crashes that already happened (e.g. the graph is armed mid-run)
         # get a detector too.
-        for node in sorted(injector.state.dead):
+        for node in sorted(state.dead):
             _detect(node)
 
     def _unfinished() -> Tuple[str, ...]:

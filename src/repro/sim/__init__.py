@@ -18,6 +18,7 @@ from .core import (
     NORMAL,
     URGENT,
 )
+from .gcpause import gc_paused
 from .queues import SlottedQueue
 from .resources import Request, Resource
 
@@ -35,4 +36,5 @@ __all__ = [
     "Timeout",
     "NORMAL",
     "URGENT",
+    "gc_paused",
 ]

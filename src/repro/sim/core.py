@@ -446,6 +446,19 @@ class Environment:
             return process._value
         raise process._value
 
+    def discard(self) -> None:
+        """Drop every pending event and pooled carrier, unprocessed.
+
+        Each of them refers back to this environment, so a run that stops
+        with events pending (a finished process's own completion, which
+        nothing waits on) leaves a reference cycle that only a full
+        collection frees.  A settled round discards them: they would
+        never fire, and the round's state then frees by reference
+        counting.  The environment stays usable, with an empty agenda.
+        """
+        self._queue = SlottedQueue()
+        self._pool = []
+
     # -- carrier pooling --------------------------------------------------
 
     def _release_carrier(self, event: Event) -> None:

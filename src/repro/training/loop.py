@@ -38,7 +38,7 @@ from ..faults.runner import count_retries
 from ..gpu import Gpu
 from ..models import ModelSpec
 from ..net import Fabric
-from ..sim import URGENT, Environment, Event, Interrupt
+from ..sim import URGENT, Environment, Event, Interrupt, gc_paused
 from ..strategies.base import Strategy, SyncContext
 from ..telemetry import TelemetryCollector, current_collector
 
@@ -124,6 +124,10 @@ class _Round:
     compute_time: float
 
 
+# The round owns the garbage collector: automatic collection is paused for
+# the whole call, and resumes only after the round's state has been freed
+# by reference counting (docs/SIM_CORE.md).
+@gc_paused()
 def simulate_iteration(model: ModelSpec, cluster: ClusterSpec,
                        strategy: Strategy,
                        algorithm: Optional[CompressionAlgorithm] = None,
@@ -413,6 +417,8 @@ def _run_round(model: ModelSpec, cluster: ClusterSpec, strategy: Strategy,
         env.run()
         report.declared_dead = membership.dead()
         report.retries = count_retries(engines)
+        membership.clear_callbacks()
+    env.discard()  # settled: what is left would never fire
     return _Round(tel=tel, graph=graph, gpus=gpus, fabric=fabric,
                   coordinator=coordinator, finish=finish,
                   barrier=barrier, report=report, compute_time=compute_time)

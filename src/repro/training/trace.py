@@ -27,6 +27,7 @@ from ..casync.planner import GradientPlan
 from ..cluster import ClusterSpec
 from ..faults import FaultSchedule, RetryPolicy
 from ..models import ModelSpec
+from ..sim import gc_paused
 from ..strategies.base import Strategy
 from ..telemetry import TelemetryCollector
 from .loop import _run_round
@@ -75,6 +76,7 @@ class IterationTrace:
                 if e.node == node and (lane is None or e.lane == lane)]
 
 
+@gc_paused()  # as simulate_iteration's is
 def trace_iteration(model: ModelSpec, cluster: ClusterSpec,
                     strategy: Strategy,
                     algorithm: Optional[CompressionAlgorithm] = None,

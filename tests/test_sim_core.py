@@ -433,3 +433,24 @@ def test_any_of_member_failure_after_fire_is_absorbed():
     env.process(driver(env))
     env.run()
     assert results == [1, 11]
+
+
+def test_discard_drops_pending_events_unprocessed():
+    env = Environment()
+    fired = []
+
+    def proc(env):
+        yield env.timeout(1)
+        return "done"
+
+    p = env.process(proc(env))
+    env.call_later(5.0, lambda carrier: fired.append(carrier._value), "late")
+    env.run_until_complete(p)  # p's own completion is still pending
+    env.discard()
+    assert env.peek() == float("inf")
+    env.run()
+    assert fired == [] and env.now == 1
+    # Still usable, with an empty agenda and pool.
+    env.call_later(2.0, lambda carrier: fired.append(carrier._value), "new")
+    env.run()
+    assert fired == ["new"] and env.now == 3
