@@ -22,9 +22,13 @@ Usage::
     PYTHONPATH=src python benchmarks/bench_scale.py --smoke     # CI
 
 Writes ``BENCH_scale.json`` (override with ``--output``) and exits
-non-zero if a cold call runs any gen2 pass or cold and warm disagree
-(``--no-check`` to report only).  ``--smoke`` runs 8 nodes only.  The
-committed ``BENCH_scale.json`` is a full run's output.
+non-zero if a cold call runs any gen2 pass, cold and warm disagree, or a
+node count's ``tasks`` or ``sim_events`` differ from the committed
+``BENCH_scale.json`` (``--no-check`` to report only).  The counts are
+integers, so they must match exactly; ``iteration_time`` is not
+compared, since float sums differ across Python versions.  ``--smoke``
+runs 8 nodes only.  The committed ``BENCH_scale.json`` is a full run's
+output; it is read before the new results are written.
 """
 
 from __future__ import annotations
@@ -42,6 +46,9 @@ from pathlib import Path
 
 FULL_NODES = (8, 16, 32)
 SMOKE_NODES = (8,)
+#: The committed full run, whose counts every run must reproduce.
+COMMITTED = Path(__file__).resolve().parent.parent / "BENCH_scale.json"
+COUNTS = ("tasks", "sim_events")
 CALL = ('run_system("hipress-ps", "bert-large", ec2_v100_cluster(n), '
         'algorithm="onebit")')
 
@@ -123,6 +130,12 @@ def child(nodes: int) -> dict:
                               == repr(warm_result.iteration_time))}
 
 
+def committed_counts() -> dict:
+    """``{nodes: {count: value}}`` from the committed full run."""
+    rows = json.loads(COMMITTED.read_text())["results"]
+    return {row["nodes"]: {key: row[key] for key in COUNTS} for row in rows}
+
+
 def run_fresh(nodes: int) -> dict:
     out = subprocess.run([sys.executable, __file__, "--child", str(nodes)],
                          check=True, stdout=subprocess.PIPE, text=True)
@@ -144,6 +157,7 @@ def main(argv=None) -> int:
         print(json.dumps(child(args.child)))
         return 0
 
+    committed = committed_counts()
     results = []
     for nodes in SMOKE_NODES if args.smoke else FULL_NODES:
         row = run_fresh(nodes)
@@ -169,11 +183,16 @@ def main(argv=None) -> int:
                     f"passes" for r in results if r["cold"]["gc_gen2"]]
         failures += [f"n={r['nodes']}: cold and warm iteration_time differ"
                      for r in results if not r["bit_identical"]]
+        failures += [f"n={r['nodes']}: {key} {r[key]} != committed "
+                     f"{committed[r['nodes']][key]}"
+                     for r in results if r["nodes"] in committed
+                     for key in COUNTS if r[key] != committed[r["nodes"]][key]]
         if failures:
             print("FAIL: " + "; ".join(failures))
             return 1
         print("OK: no cold round ran a gen2 pass; cold and warm "
-              "iteration_time are bit-identical")
+              "iteration_time are bit-identical; tasks and sim_events "
+              "match the committed run")
     return 0
 
 

@@ -257,7 +257,7 @@ class SyncPlan:
         return json.dumps(self.to_json_obj(), indent=indent, sort_keys=True)
 
     def digest(self) -> str:
-        """Content hash of the plan (cache/observability identity).
+        """Content hash of the plan; it names ``sync_plan_dump`` files.
 
         Streams compact per-op rows straight into the hash instead of
         materializing (and JSON-encoding) the whole plan: a 512-node

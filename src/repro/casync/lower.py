@@ -5,10 +5,11 @@ The backend of the SyncPlan pipeline, and the home of the cost model.
 cluster/algorithm -- :func:`_spec_for` costs each op's duration, launch
 overhead, and wire size on *its own node's* GPU, under *its gradient's*
 codec -- and produces a :class:`LoweredRecipe`: a flat list of
-environment-free :class:`TaskSpec` rows, plus (built on first use and
-cached with it) the rows' :class:`~repro.casync.tasks.SuccessorCSR`.
-:func:`instantiate` then turns a recipe into a live
-:class:`~repro.casync.tasks.TaskGraph` for one
+environment-free :class:`TaskSpec` rows, the plan's bulk decision, and
+(built on first use and cached with it) the rows'
+:class:`~repro.casync.tasks.SuccessorCSR`.  :func:`instantiate`, the one
+way a :class:`~repro.casync.tasks.TaskGraph` is built, turns a recipe
+into a live graph for one
 :class:`~repro.sim.Environment`, which is cheap (one ``Task`` per spec: no
 cost-model calls, no pass pipeline, no per-task dependency wiring) and is
 what makes the :class:`GraphCache` pay off: the
@@ -22,7 +23,9 @@ and dependency wiring, hence the same trace hash) to a cold-built one.
 
 ``--dump-sync-plan`` (see :mod:`repro.experiments.__main__`) routes
 through :func:`sync_plan_dump`: every plan built inside the context is
-written as ``<strategy>-<digest12>.json`` + ``.txt``.
+written as ``<strategy>-<digest12>.json`` + ``.txt``.  Naming those files
+is the only use of the plan digest here: building and lowering a plan
+hash nothing.
 """
 
 from __future__ import annotations
@@ -75,13 +78,11 @@ class TaskSpec:
 
 @dataclass
 class LoweredRecipe:
-    """A lowered SyncPlan, ready for per-environment instantiation."""
+    """A lowered SyncPlan, ready for per-environment instantiation: its
+    spec rows and the plan's bulk-synchronization decision."""
 
     specs: List[TaskSpec]
-    plan_digest: str
-    strategy: str
-    num_nodes: int
-    meta: Dict[str, object]
+    bulk: bool
 
     @cached_property
     def csr(self) -> SuccessorCSR:
@@ -93,8 +94,7 @@ class LoweredRecipe:
              if spec.out_nbytes is not None and spec.out_nbytes > 0])
 
     def __repr__(self) -> str:
-        return (f"<LoweredRecipe {self.strategy} {len(self.specs)} tasks "
-                f"plan={self.plan_digest[:12]}>")
+        return f"<LoweredRecipe {len(self.specs)} tasks bulk={self.bulk}>"
 
 
 #: Host-side (CPU) throughput penalty per byte relative to the GPU,
@@ -206,7 +206,10 @@ def lower_plan(plan: SyncPlan, pctx: PassContext) -> LoweredRecipe:
 
     Each op is costed on its own node's GPU and under its gradient's
     codec (:meth:`PassContext.algorithm_for`: an adaptive decision's
-    palette entry, else the plan-wide default).
+    palette entry, else the plan-wide default).  The recipe keeps the
+    plan's bulk decision, which
+    :class:`~repro.casync.passes.BulkRoutePass` records as
+    ``meta["batch_compression"]``; nothing else of the plan.
     """
     gpus = tuple(spec.gpu for spec in pctx.cluster.nodes)
     launches = tuple(gpu.kernel_launch_us * 1e-6 for gpu in gpus)
@@ -219,9 +222,8 @@ def lower_plan(plan: SyncPlan, pctx: PassContext) -> LoweredRecipe:
     encodings = idx.dep_encodings
     specs = [_spec_for(op, pctx, gpus, launches, encodings[i])
              for i, op in enumerate(plan.ops)]
-    return LoweredRecipe(specs=specs, plan_digest=plan.digest(),
-                         strategy=plan.strategy, num_nodes=plan.num_nodes,
-                         meta=dict(plan.meta))
+    return LoweredRecipe(specs=specs,
+                         bulk=bool(plan.meta.get("batch_compression")))
 
 
 def instantiate(recipe: LoweredRecipe, ctx) -> TaskGraph:
@@ -232,16 +234,14 @@ def instantiate(recipe: LoweredRecipe, ctx) -> TaskGraph:
     whose ``("r", node, gradient)`` keys resolve against ``ctx.ready``
     when the graph is armed.  Task creation/dispatch order (and therefore
     the executed timeline) is identical on every instantiation.  The
-    graph carries the plan's bulk decision, which
-    :class:`~repro.casync.passes.BulkRoutePass` records as
-    ``meta["batch_compression"]``.
+    graph carries the recipe's bulk decision.  This is the only place a
+    :class:`TaskGraph` is built.
     """
-    tasks = [Task(spec.node, spec.kind, spec.label, spec.duration,
+    tasks = [Task(i, spec.node, spec.kind, spec.label, spec.duration,
                   spec.launch_overhead, spec.nbytes, spec.dst, spec.bulk,
-                  spec.out_nbytes, i)
+                  spec.out_nbytes)
              for i, spec in enumerate(recipe.specs)]
-    return TaskGraph(ctx.env, tasks, recipe.csr, ctx.ready,
-                     bool(recipe.meta.get("batch_compression")))
+    return TaskGraph(ctx.env, tasks, recipe.csr, ctx.ready, recipe.bulk)
 
 
 # -- cache keys --------------------------------------------------------------

@@ -2,9 +2,11 @@
 
 This is the §3.1 architecture made executable.  Gradient synchronization is
 decomposed into the five primitives -- encode, decode, merge, send, recv --
-plus a couple of bookkeeping kinds.  A strategy builds a static
-:class:`TaskGraph` for one training iteration (every message flow is known
-up front), and each node's :class:`NodeEngine` then executes its tasks:
+plus a couple of bookkeeping kinds.  A strategy's plan is lowered to a
+recipe, and :func:`repro.casync.lower.instantiate` turns the recipe into
+the static :class:`TaskGraph` of one training iteration (every message
+flow is known up front); each node's :class:`NodeEngine` then executes
+its tasks:
 
 * computing tasks (encode/decode/merge/copy) queue into Q_comp and run on
   the GPU's communication stream, optionally *batch-compressed*: several
@@ -68,11 +70,10 @@ class Task:
                  "triggered", "error", "started_at", "finished_at",
                  "dropped", "attempts")
 
-    def __init__(self, node: int, kind: str, label: str = "",
+    def __init__(self, index: int, node: int, kind: str, label: str = "",
                  duration: float = 0.0, launch_overhead: float = 0.0,
                  nbytes: float = 0.0, dst: Optional[int] = None,
-                 bulk: bool = False, out_nbytes: Optional[float] = None,
-                 index: int = -1):
+                 bulk: bool = False, out_nbytes: Optional[float] = None):
         if kind not in _ALL_KINDS:
             raise ValueError(f"unknown task kind {kind!r}")
         if kind == "send" and dst is None:
@@ -176,14 +177,14 @@ class SuccessorCSR:
 class TaskGraph:
     """A static DAG of tasks spanning all nodes for one iteration.
 
-    Either instantiated from a lowered recipe (``tasks`` plus the
-    recipe's cached :class:`SuccessorCSR` and the ``ready`` events its
-    external keys name) or built by hand with :meth:`add`, which derives
-    the same CSR when the graph is first armed.
+    Every graph is a lowered recipe's instance
+    (:func:`repro.casync.lower.instantiate`): ``tasks`` in recipe order,
+    the recipe's cached :class:`SuccessorCSR`, and the ``ready`` events
+    its external keys name.
 
     ``bulk`` is the plan's bulk-synchronization decision (§3.2): a round
     running this graph gets a :class:`Coordinator` and batch-compressing
-    engines exactly when it is set.  Hand-built graphs default to off.
+    engines exactly when it is set.
 
     Dispatch runs off the CSR.  :meth:`complete` schedules one pooled
     carrier per task at ``(now, NORMAL)``; its callback releases the
@@ -192,18 +193,13 @@ class TaskGraph:
     (ready) events carry a callback of the graph's.
     """
 
-    def __init__(self, env: Environment, tasks: Optional[List[Task]] = None,
-                 csr: Optional[SuccessorCSR] = None,
-                 ready: Optional[Dict[Tuple, Event]] = None,
-                 bulk: bool = False):
+    def __init__(self, env: Environment, tasks: List[Task],
+                 csr: SuccessorCSR, ready: Dict[Tuple, Event], bulk: bool):
         self.env = env
-        self.tasks: List[Task] = [] if tasks is None else tasks
+        self.tasks = tasks
+        self.csr = csr
+        self._ready = ready
         self.bulk = bulk
-        self._csr = csr
-        #: Hand-built graphs' dependency rows (None on recipe graphs).
-        self._rows: Optional[List[Tuple[Tuple, ...]]] = (
-            [] if csr is None else None)
-        self._ready: Dict[Tuple, Event] = {} if ready is None else ready
         #: ``observer(task)`` callables run at each completion, after the
         #: task's dependents are released (the fault ledger).
         self.observers: List[Callable[[Task], None]] = []
@@ -214,37 +210,6 @@ class TaskGraph:
         self._remaining = 0
         #: (ready event, its fanout callback) pairs attached by arm().
         self._waiting: List[Tuple[Event, Callable[[Event], None]]] = []
-
-    def add(self, task: Task, deps: Iterable = ()) -> Task:
-        """Add ``task`` depending on prior tasks and/or raw events."""
-        if self._rows is None:
-            raise ValueError("cannot add tasks to a recipe-instantiated graph")
-        row = []
-        for dep in deps:
-            if isinstance(dep, Task):
-                if not (0 <= dep.index < len(self.tasks)
-                        and self.tasks[dep.index] is dep):
-                    raise ValueError(
-                        f"dependency {dep!r} of {task!r} is not in this graph")
-                row.append(("t", dep.index))
-            else:
-                self._ready[(dep,)] = dep
-                row.append(("r", dep))
-        task.index = len(self.tasks)
-        self.tasks.append(task)
-        self._rows.append(tuple(row))
-        self._csr = None
-        return task
-
-    @property
-    def csr(self) -> SuccessorCSR:
-        """The graph's successor CSR (derived once for hand-built graphs)."""
-        if self._csr is None:
-            self._csr = SuccessorCSR(
-                self._rows, [i for i, task in enumerate(self.tasks)
-                             if task.out_nbytes is not None
-                             and task.out_nbytes > 0])
-        return self._csr
 
     def predecessors(self, task: Task) -> Tuple:
         """``task``'s dependencies (tasks and raw events), in order."""
@@ -341,7 +306,7 @@ class TaskGraph:
 
     def _on_complete(self, event: Event) -> None:
         task = event._value
-        csr = self._csr
+        csr = self.csr
         i = task.index
         start, stop = csr.succ_ptr[i], csr.succ_ptr[i + 1]
         if start != stop:

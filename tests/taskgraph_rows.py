@@ -1,0 +1,31 @@
+"""Test helper: a task graph from rows, built through the production path.
+
+A row is a :class:`~repro.casync.lower.TaskSpec`; :func:`build` wraps the
+rows in a :class:`~repro.casync.lower.LoweredRecipe` and instantiates it
+with :func:`repro.casync.lower.instantiate`, so a test graph is a recipe
+instance like every other.
+"""
+
+from types import SimpleNamespace
+
+from repro.casync import lower
+from repro.casync.lower import LoweredRecipe, TaskSpec
+
+
+def row(node, kind, label="", *, duration=0.0, launch_overhead=0.0,
+        nbytes=0.0, out_nbytes=None, dst=None, bulk=False, deps=()):
+    """One task row.  A ``deps`` entry is an earlier row's position (an
+    int) or a key of the ``ready`` dict handed to :func:`build`."""
+    return TaskSpec(kind=kind, node=node, label=label, duration=duration,
+                    launch_overhead=launch_overhead, nbytes=nbytes,
+                    out_nbytes=out_nbytes, dst=dst, bulk=bulk,
+                    deps=tuple(("t", dep) if isinstance(dep, int)
+                               else ("r", dep) for dep in deps))
+
+
+def build(env, rows, ready=None, bulk=False):
+    """Instantiate ``rows`` as a graph in ``env``; ``ready`` maps the rows'
+    ready keys to events, ``bulk`` is the plan's bulk decision."""
+    ready = {(key,): event for key, event in (ready or {}).items()}
+    recipe = LoweredRecipe(specs=list(rows), bulk=bulk)
+    return lower.instantiate(recipe, SimpleNamespace(env=env, ready=ready))

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.casync import Coordinator, NodeEngine, Task, TaskGraph, run_graph
+from repro.casync import Coordinator, NodeEngine, Task, run_graph
 from repro.casync.tasks import robust_transfer
 from repro.cluster.spec import wan_edge_cluster
 from repro.faults import (FaultInjector, FaultSchedule, GpuSlowdown,
@@ -12,6 +12,7 @@ from repro.gpu import Gpu, V100
 from repro.net import Fabric, NetworkSpec
 from repro.sim import Environment
 from repro.telemetry import TelemetryCollector
+from tests.taskgraph_rows import build, row
 
 
 def make_world(num_nodes=2, gbps=80.0, coordinator=False, spec=None,
@@ -29,14 +30,15 @@ def make_world(num_nodes=2, gbps=80.0, coordinator=False, spec=None,
 
 def test_task_validation():
     with pytest.raises(ValueError):
-        Task(0, "explode")
+        Task(index=0, node=0, kind="explode")
     with pytest.raises(ValueError):
-        Task(0, "send")  # missing dst
+        Task(index=0, node=0, kind="send")  # missing dst
     for kind in ("encode", "cpu"):
         with pytest.raises(ValueError, match="negative"):
-            Task(0, kind, duration=-1.0)
+            Task(index=0, node=0, kind=kind, duration=-1.0)
         with pytest.raises(ValueError, match="negative"):
-            Task(0, kind, duration=1.0, launch_overhead=-1.0)
+            Task(index=0, node=0, kind=kind, duration=1.0,
+                 launch_overhead=-1.0)
 
 
 @pytest.mark.parametrize("kind", ["encode", "cpu"])
@@ -45,18 +47,17 @@ def test_executor_errors_propagate_out_of_run_graph(kind):
     # loop would swallow: the error surfaces as itself, not as a
     # deadlock of the graph waiter.
     env, fabric, gpus, engines, _ = make_world(1)
-    graph = TaskGraph(env)
-    task = graph.add(Task(0, kind, "bad", duration=1.0))
-    task.duration = -1.0  # corrupted after validation
+    graph = build(env, [row(0, kind, "bad", duration=1.0)])
+    graph.tasks[0].duration = -1.0  # corrupted after validation
     with pytest.raises(ValueError, match="negative"):
         run_graph(env, graph, engines)
 
 
 def test_linear_chain_executes_in_order():
     env, fabric, gpus, engines, _ = make_world(1)
-    graph = TaskGraph(env)
-    a = graph.add(Task(0, "encode", "a", duration=0.5))
-    b = graph.add(Task(0, "decode", "b", duration=0.25), deps=[a])
+    graph = build(env, [row(0, "encode", "a", duration=0.5),
+                        row(0, "decode", "b", duration=0.25, deps=[0])])
+    a, b = graph.tasks
     finish = run_graph(env, graph, engines)
     assert finish == pytest.approx(0.75)
     assert a.finished_at <= b.started_at
@@ -64,26 +65,23 @@ def test_linear_chain_executes_in_order():
 
 def test_independent_tasks_serialize_on_one_stream():
     env, fabric, gpus, engines, _ = make_world(1)
-    graph = TaskGraph(env)
-    graph.add(Task(0, "encode", "a", duration=1.0))
-    graph.add(Task(0, "encode", "b", duration=1.0))
+    graph = build(env, [row(0, "encode", "a", duration=1.0),
+                        row(0, "encode", "b", duration=1.0)])
     finish = run_graph(env, graph, engines)
     assert finish == pytest.approx(2.0)
 
 
 def test_tasks_on_different_nodes_run_in_parallel():
     env, fabric, gpus, engines, _ = make_world(2)
-    graph = TaskGraph(env)
-    graph.add(Task(0, "encode", "a", duration=1.0))
-    graph.add(Task(1, "encode", "b", duration=1.0))
+    graph = build(env, [row(0, "encode", "a", duration=1.0),
+                        row(1, "encode", "b", duration=1.0)])
     finish = run_graph(env, graph, engines)
     assert finish == pytest.approx(1.0)
 
 
 def test_send_transfers_bytes():
     env, fabric, gpus, engines, _ = make_world(2, gbps=8.0)  # 1 GB/s
-    graph = TaskGraph(env)
-    graph.add(Task(0, "send", "s", nbytes=1e9, dst=1))
+    graph = build(env, [row(0, "send", "s", nbytes=1e9, dst=1)])
     finish = run_graph(env, graph, engines)
     assert finish == pytest.approx(1.0)
     assert fabric.stats.bytes_sent == 1e9
@@ -92,10 +90,10 @@ def test_send_transfers_bytes():
 def test_cross_node_dependency_via_send():
     """decode on node 1 waits for node 0's send to deliver."""
     env, fabric, gpus, engines, _ = make_world(2, gbps=8.0)
-    graph = TaskGraph(env)
-    enc = graph.add(Task(0, "encode", "enc", duration=0.5))
-    snd = graph.add(Task(0, "send", "snd", nbytes=1e9, dst=1), deps=[enc])
-    dec = graph.add(Task(1, "decode", "dec", duration=0.25), deps=[snd])
+    graph = build(env, [row(0, "encode", "enc", duration=0.5),
+                        row(0, "send", "snd", nbytes=1e9, dst=1, deps=[0]),
+                        row(1, "decode", "dec", duration=0.25, deps=[1])])
+    dec = graph.tasks[2]
     finish = run_graph(env, graph, engines)
     assert finish == pytest.approx(1.75)
     assert dec.started_at == pytest.approx(1.5)
@@ -103,11 +101,11 @@ def test_cross_node_dependency_via_send():
 
 def test_diamond_dependencies():
     env, fabric, gpus, engines, _ = make_world(1)
-    graph = TaskGraph(env)
-    a = graph.add(Task(0, "encode", "a", duration=1.0))
-    b = graph.add(Task(0, "merge", "b", duration=1.0), deps=[a])
-    c = graph.add(Task(0, "merge", "c", duration=2.0), deps=[a])
-    d = graph.add(Task(0, "notify", "d"), deps=[b, c])
+    graph = build(env, [row(0, "encode", "a", duration=1.0),
+                        row(0, "merge", "b", duration=1.0, deps=[0]),
+                        row(0, "merge", "c", duration=2.0, deps=[0]),
+                        row(0, "notify", "d", deps=[1, 2])])
+    d = graph.tasks[3]
     finish = run_graph(env, graph, engines)
     assert finish == pytest.approx(4.0)  # a, then b and c serialized
     assert d.finished_at == finish
@@ -116,8 +114,8 @@ def test_diamond_dependencies():
 def test_raw_event_dependency():
     env, fabric, gpus, engines, _ = make_world(1)
     ready = env.event()
-    graph = TaskGraph(env)
-    graph.add(Task(0, "encode", "a", duration=1.0), deps=[ready])
+    graph = build(env, [row(0, "encode", "a", duration=1.0,
+                            deps=["ready"])], ready={"ready": ready})
 
     def fire(env):
         yield env.timeout(5)
@@ -130,16 +128,14 @@ def test_raw_event_dependency():
 
 def test_notify_is_instant():
     env, fabric, gpus, engines, _ = make_world(1)
-    graph = TaskGraph(env)
-    graph.add(Task(0, "notify", "n"))
+    graph = build(env, [row(0, "notify", "n")])
     assert run_graph(env, graph, engines) == 0.0
 
 
 def test_cpu_tasks_run_off_gpu_stream():
     env, fabric, gpus, engines, _ = make_world(1)
-    graph = TaskGraph(env)
-    graph.add(Task(0, "cpu", "host", duration=1.0))
-    graph.add(Task(0, "encode", "gpu", duration=1.0))
+    graph = build(env, [row(0, "cpu", "host", duration=1.0),
+                        row(0, "encode", "gpu", duration=1.0)])
     finish = run_graph(env, graph, engines)
     assert finish == pytest.approx(1.0)  # parallel executors
     assert engines[0].cpu_busy == pytest.approx(1.0)
@@ -149,10 +145,9 @@ def test_cpu_tasks_run_off_gpu_stream():
 def test_batch_compression_fuses_launches():
     # 10 tiny kernels: duration 11us each, 10us of which is launch.
     env, fabric, gpus, engines, _ = make_world(1)
-    graph = TaskGraph(env, bulk=True)
-    for i in range(10):
-        graph.add(Task(0, "encode", f"k{i}", duration=11e-6,
-                       launch_overhead=10e-6, nbytes=100))
+    graph = build(env, [row(0, "encode", f"k{i}", duration=11e-6,
+                            launch_overhead=10e-6, nbytes=100)
+                        for i in range(10)], bulk=True)
     finish = run_graph(env, graph, engines)
     # Fused: 10 x 1us compute + one 10us launch = 20us, not 110us.
     assert finish == pytest.approx(20e-6, rel=0.01)
@@ -160,10 +155,8 @@ def test_batch_compression_fuses_launches():
 
 def test_no_batching_without_flag():
     env, fabric, gpus, engines, _ = make_world(1)
-    graph = TaskGraph(env)
-    for i in range(10):
-        graph.add(Task(0, "encode", f"k{i}", duration=11e-6,
-                       launch_overhead=10e-6))
+    graph = build(env, [row(0, "encode", f"k{i}", duration=11e-6,
+                            launch_overhead=10e-6) for i in range(10)])
     finish = run_graph(env, graph, engines)
     assert finish == pytest.approx(110e-6, rel=0.01)
 
@@ -173,9 +166,8 @@ def test_no_batching_without_flag():
 def test_coordinator_batches_small_sends():
     env, fabric, gpus, engines, coord = make_world(
         2, gbps=8.0, coordinator=True, size_threshold=1000, timeout_s=10.0)
-    graph = TaskGraph(env)
-    for i in range(10):
-        graph.add(Task(0, "send", f"s{i}", nbytes=100, dst=1, bulk=True))
+    graph = build(env, [row(0, "send", f"s{i}", nbytes=100, dst=1, bulk=True)
+                        for i in range(10)])
     run_graph(env, graph, engines)
     assert coord.batches_flushed == 1
     assert coord.tasks_batched == 10
@@ -185,8 +177,7 @@ def test_coordinator_batches_small_sends():
 def test_coordinator_flushes_on_timeout():
     env, fabric, gpus, engines, coord = make_world(
         2, coordinator=True, size_threshold=1e12, timeout_s=0.01)
-    graph = TaskGraph(env)
-    t = graph.add(Task(0, "send", "s", nbytes=10, dst=1, bulk=True))
+    graph = build(env, [row(0, "send", "s", nbytes=10, dst=1, bulk=True)])
     finish = run_graph(env, graph, engines)
     assert coord.batches_flushed == 1
     assert 0.005 <= finish <= 0.05
@@ -195,11 +186,8 @@ def test_coordinator_flushes_on_timeout():
 def test_coordinator_separate_links_batch_separately():
     env, fabric, gpus, engines, coord = make_world(
         3, coordinator=True, size_threshold=150, timeout_s=10.0)
-    graph = TaskGraph(env)
-    graph.add(Task(0, "send", "a", nbytes=100, dst=1, bulk=True))
-    graph.add(Task(0, "send", "b", nbytes=100, dst=2, bulk=True))
-    graph.add(Task(0, "send", "c", nbytes=100, dst=1, bulk=True))
-    graph.add(Task(0, "send", "d", nbytes=100, dst=2, bulk=True))
+    graph = build(env, [row(0, "send", label, nbytes=100, dst=dst, bulk=True)
+                        for label, dst in zip("abcd", (1, 2, 1, 2))])
     run_graph(env, graph, engines)
     assert coord.batches_flushed == 2
 
@@ -213,8 +201,9 @@ def test_retried_flush_over_wan_link_delivers_on_first_attempt():
         timeout_s=0.001, retry_policy=RetryPolicy())
     src = network.wan.members(4)[0]
     dst = (src + 1) % 4
-    graph = TaskGraph(env)
-    task = graph.add(Task(src, "send", "s", nbytes=1e6, dst=dst, bulk=True))
+    graph = build(env, [row(src, "send", "s", nbytes=1e6, dst=dst,
+                            bulk=True)])
+    task, = graph.tasks
     finish = run_graph(env, graph, engines)
     assert task.triggered and task.error is None
     assert fabric.stats.messages == 1
@@ -230,7 +219,7 @@ def test_retry_loop_counts_task_attempts_and_stops_once_forced():
     fabric = Fabric(env, 2, NetworkSpec(bandwidth_gbps=10))
     FaultInjector(env, FaultSchedule.of(LinkPartition(at=0.0, src=0, dst=1)),
                   fabric=fabric)
-    task = Task(0, "send", "s", nbytes=1e6, dst=1)
+    task = Task(index=0, node=0, kind="send", nbytes=1e6, dst=1)
 
     def force_complete():
         task.triggered = True
@@ -306,8 +295,8 @@ def test_retry_loop_abandons_a_timed_out_send_on_a_pristine_fabric():
 def test_non_bulk_send_bypasses_coordinator():
     env, fabric, gpus, engines, coord = make_world(
         2, coordinator=True, size_threshold=1e12, timeout_s=100.0)
-    graph = TaskGraph(env)
-    graph.add(Task(0, "send", "big", nbytes=1e6, dst=1, bulk=False))
+    graph = build(env, [row(0, "send", "big", nbytes=1e6, dst=1,
+                            bulk=False)])
     run_graph(env, graph, engines)
     assert coord.batches_flushed == 0
     assert fabric.stats.messages == 1
@@ -337,11 +326,10 @@ def _labels(tasks):
 
 def _halt_world():
     env, fabric, gpus, engines, _ = make_world(1)
-    graph = TaskGraph(env)
-    for label in ("e0", "e1", "e2"):
-        graph.add(Task(0, "encode", label, duration=1.0))
-    for label in ("c0", "c1"):
-        graph.add(Task(0, "cpu", label, duration=1.0))
+    graph = build(env, [row(0, "encode", label, duration=1.0)
+                        for label in ("e0", "e1", "e2")]
+                  + [row(0, "cpu", label, duration=1.0)
+                     for label in ("c0", "c1")])
     return env, graph, engines[0]
 
 
@@ -395,10 +383,9 @@ def test_halt_while_a_take_is_pending_orphans_the_taken_task_last():
 
 def test_halt_mid_fused_kernel_finishes_the_batch():
     env, fabric, gpus, engines, _ = make_world(1)
-    graph = TaskGraph(env, bulk=True)
-    for i in range(3):
-        graph.add(Task(0, "encode", f"k{i}", duration=0.5,
-                       launch_overhead=0.25, nbytes=100))
+    graph = build(env, [row(0, "encode", f"k{i}", duration=0.5,
+                            launch_overhead=0.25, nbytes=100)
+                        for i in range(3)], bulk=True)
     done = graph.arm(engines)
     env.run(until=0.25)
     assert engines[0].halt() == []
@@ -412,13 +399,13 @@ def test_halt_mid_fused_kernel_finishes_the_batch():
 def test_fusion_stops_at_the_batch_byte_limit():
     env, fabric, gpus, engines, _ = make_world(1)
     env.telemetry = tel = TelemetryCollector()
-    graph = TaskGraph(env, bulk=True)
     mb = 1 << 20
-    for i, (duration, launch) in enumerate([(0.5, 0.125), (0.75, 0.25),
-                                            (1.0, 0.125), (0.25, 0.125),
-                                            (0.5, 0.0625)]):
-        graph.add(Task(0, "encode", f"k{i}", duration=duration,
-                       launch_overhead=launch, nbytes=100 * mb))
+    graph = build(env, [
+        row(0, "encode", f"k{i}", duration=duration, launch_overhead=launch,
+            nbytes=100 * mb)
+        for i, (duration, launch) in enumerate([(0.5, 0.125), (0.75, 0.25),
+                                                (1.0, 0.125), (0.25, 0.125),
+                                                (0.5, 0.0625)])], bulk=True)
     assert NodeEngine.BATCH_LIMIT_BYTES == 256 * mb
     finish = run_graph(env, graph, engines)
     # 300 MB reaches the limit after the third task: k0-k2 fuse, then
@@ -448,9 +435,8 @@ def test_fusion_stops_at_the_batch_byte_limit():
 ])
 def test_gpu_slowdown_between_dispatch_and_grant(at, timeline):
     env, fabric, gpus, engines, _ = make_world(1)
-    graph = TaskGraph(env)
-    graph.add(Task(0, "encode", "a", duration=1.0))
-    graph.add(Task(0, "encode", "b", duration=1.0))
+    graph = build(env, [row(0, "encode", "a", duration=1.0),
+                        row(0, "encode", "b", duration=1.0)])
     done = graph.arm(engines)
     FaultInjector(env, FaultSchedule.of(
         GpuSlowdown(at=at, node=0, factor=2.0)), gpus=gpus, engines=engines)

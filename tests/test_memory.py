@@ -3,7 +3,7 @@
 import pytest
 
 from repro.algorithms import OneBit
-from repro.casync import Task, TaskGraph, NodeEngine, run_graph
+from repro.casync import Task, NodeEngine, run_graph
 from repro.casync.memory import buffer_lifetimes, peak_buffer_memory
 from repro.cluster import ec2_v100_cluster, hetero_mixed_cluster
 from repro.gpu import Gpu, V100
@@ -13,29 +13,26 @@ from repro.sim import Environment
 from repro.strategies import BytePSOSSCompression, CaSyncPS
 from repro.strategies.base import SyncContext
 from repro.training import make_plans
+from tests.taskgraph_rows import build, row
 
 MB = 1024 * 1024
 
 
-def run_simple_graph(builder):
+def run_simple_graph(rows):
     env = Environment()
     fabric = Fabric(env, 2, NetworkSpec(bandwidth_gbps=100))
     engines = [NodeEngine(env, i, Gpu(env, V100, i), fabric)
                for i in range(2)]
-    graph = TaskGraph(env)
-    builder(graph)
+    graph = build(env, rows)
     run_graph(env, graph, engines)
     return graph
 
 
 def test_lifetime_spans_until_last_consumer():
-    def build(graph):
-        producer = graph.add(Task(0, "encode", "p", duration=1.0,
-                                  out_nbytes=100))
-        graph.add(Task(0, "merge", "c1", duration=1.0), deps=[producer])
-        graph.add(Task(0, "merge", "c2", duration=1.0), deps=[producer])
-
-    graph = run_simple_graph(build)
+    graph = run_simple_graph([
+        row(0, "encode", "p", duration=1.0, out_nbytes=100),
+        row(0, "merge", "c1", duration=1.0, deps=[0]),
+        row(0, "merge", "c2", duration=1.0, deps=[0])])
     lifetimes = buffer_lifetimes(graph)
     assert len(lifetimes) == 1
     node, alloc, free, nbytes = lifetimes[0]
@@ -45,31 +42,25 @@ def test_lifetime_spans_until_last_consumer():
 
 
 def test_peak_counts_overlapping_buffers():
-    def build(graph):
-        a = graph.add(Task(0, "encode", "a", duration=1.0, out_nbytes=100))
-        b = graph.add(Task(0, "encode", "b", duration=1.0, out_nbytes=50))
-        graph.add(Task(0, "merge", "join", duration=1.0), deps=[a, b])
-
-    graph = run_simple_graph(build)
+    graph = run_simple_graph([
+        row(0, "encode", "a", duration=1.0, out_nbytes=100),
+        row(0, "encode", "b", duration=1.0, out_nbytes=50),
+        row(0, "merge", "join", duration=1.0, deps=[0, 1])])
     assert peak_buffer_memory(graph)[0] == pytest.approx(150)
 
 
 def test_non_overlapping_buffers_reuse():
-    def build(graph):
-        a = graph.add(Task(0, "encode", "a", duration=1.0, out_nbytes=100))
-        use_a = graph.add(Task(0, "merge", "ua", duration=1.0), deps=[a])
-        b = graph.add(Task(0, "encode", "b", duration=1.0, out_nbytes=100),
-                      deps=[use_a])
-        graph.add(Task(0, "merge", "ub", duration=1.0), deps=[b])
-
-    graph = run_simple_graph(build)
+    graph = run_simple_graph([
+        row(0, "encode", "a", duration=1.0, out_nbytes=100),
+        row(0, "merge", "ua", duration=1.0, deps=[0]),
+        row(0, "encode", "b", duration=1.0, out_nbytes=100, deps=[1]),
+        row(0, "merge", "ub", duration=1.0, deps=[2])])
     assert peak_buffer_memory(graph)[0] == pytest.approx(100)
 
 
 def test_unexecuted_graph_rejected():
     env = Environment()
-    graph = TaskGraph(env)
-    graph.add(Task(0, "encode", "x", out_nbytes=10))
+    graph = build(env, [row(0, "encode", "x", out_nbytes=10)])
     with pytest.raises(ValueError, match="timestamps"):
         buffer_lifetimes(graph)
 

@@ -10,6 +10,7 @@ instantiation safe.
 
 import pytest
 
+from repro.analysis.plancheck import golden_cases, golden_model
 from repro.casync.ir import (
     PlanVerificationError,
     ReadyRef,
@@ -272,7 +273,6 @@ def test_lowered_recipe_is_environment_free_and_ordered():
     plan, pctx = casync_plan()
     recipe = lower_plan(plan, pctx)
     assert len(recipe.specs) == len(plan.ops)
-    assert recipe.plan_digest == plan.digest()
     for spec, op in zip(recipe.specs, plan.ops):
         assert spec.node == op.node
         assert spec.label == op.label
@@ -370,3 +370,33 @@ def test_sync_plan_dump_writes_json_and_text(tmp_path):
     assert obj["strategy"] == "casync-ps"
     assert obj["meta"]["verified"] is True
     assert "SyncPlan strategy=casync-ps" in txt_files[0].read_text()
+
+
+@pytest.mark.parametrize("dumped", [False, True], ids=["bare", "dumped"])
+def test_cold_build_hashes_the_plan_only_to_name_a_dump(
+        tmp_path, monkeypatch, dumped):
+    """Building and lowering a plan hash nothing: only a dump hashes it,
+    to name its files."""
+    case = next(c for c in golden_cases()
+                if c.name == "hipress-ps/onebit/n4")
+    model, cluster = golden_model(), ec2_v100_cluster(4)
+    strategy, algorithm, plans = case.inputs(model, cluster)
+    digests = []
+    digest = SyncPlan.digest
+
+    def counting(plan):
+        digests.append(digest(plan))
+        return digests[-1]
+
+    monkeypatch.setattr(SyncPlan, "digest", counting)
+    default_graph_cache().clear()
+    if dumped:
+        with sync_plan_dump(tmp_path):
+            simulate_iteration(model, cluster, strategy,
+                               algorithm=algorithm, plans=plans)
+        assert digests
+        assert (tmp_path / f"casync-ps-{digests[0][:12]}.json").is_file()
+    else:
+        simulate_iteration(model, cluster, strategy, algorithm=algorithm,
+                           plans=plans)
+        assert digests == []

@@ -15,7 +15,7 @@ import pytest
 
 from repro.algorithms import OneBit
 from repro.analysis.plancheck import golden_model
-from repro.casync import Coordinator, NodeEngine, Task, TaskGraph, run_graph
+from repro.casync import Coordinator, NodeEngine, run_graph
 from repro.cluster import ec2_v100_cluster
 from repro.gpu import Gpu, V100
 from repro.models import GradientSpec, ModelSpec
@@ -26,6 +26,7 @@ from repro.strategies.base import SyncContext
 from repro.telemetry import telemetry_session
 from repro.training import make_plans, simulate_iteration
 from repro.training.trace import trace_hash, trace_iteration
+from tests.taskgraph_rows import build, row
 
 KB = 1024
 MB = 1024 * 1024
@@ -128,8 +129,8 @@ def test_one_agenda_entry_per_completion(traced):
 
 def test_completing_a_task_twice_raises():
     env, engines = _world(1)
-    graph = TaskGraph(env)
-    task = graph.add(Task(0, "encode", "a", duration=0.5))
+    graph = build(env, [row(0, "encode", "a", duration=0.5)])
+    task, = graph.tasks
     run_graph(env, graph, engines)
     assert task.triggered
     with pytest.raises(SimulationError, match="already been completed"):
@@ -138,9 +139,9 @@ def test_completing_a_task_twice_raises():
 
 def test_failed_completion_fails_done_after_observers():
     env, engines = _world(1)
-    graph = TaskGraph(env)
-    a = graph.add(Task(0, "encode", "a", duration=1.0))
-    graph.add(Task(0, "merge", "b", duration=1.0), deps=[a])
+    graph = build(env, [row(0, "encode", "a", duration=1.0),
+                        row(0, "merge", "b", duration=1.0, deps=[0])])
+    a = graph.tasks[0]
     seen = []
     graph.observers.append(lambda task: seen.append((task.label, task.error)))
     done = graph.arm(engines)
@@ -169,12 +170,11 @@ def test_dependents_release_in_registration_order():
         real_dispatch(task)
 
     engine.dispatch = recording
-    graph = TaskGraph(env)
-    root = graph.add(Task(0, "encode", "root", duration=1.0))
-    other = graph.add(Task(0, "encode", "other", duration=2.0))
-    graph.add(Task(0, "merge", "x", duration=1.0), deps=[root, root])
-    graph.add(Task(0, "merge", "y", duration=1.0), deps=[root])
-    graph.add(Task(0, "merge", "z", duration=1.0), deps=[other, root])
+    graph = build(env, [row(0, "encode", "root", duration=1.0),
+                        row(0, "encode", "other", duration=2.0),
+                        row(0, "merge", "x", duration=1.0, deps=[0, 0]),
+                        row(0, "merge", "y", duration=1.0, deps=[0]),
+                        row(0, "merge", "z", duration=1.0, deps=[1, 0])])
     csr = graph.csr
     assert list(csr.successors(0)) == [2, 2, 3, 4]
     assert list(csr.indegree) == [0, 0, 2, 1, 2]
@@ -187,10 +187,12 @@ def test_processed_ready_event_counts_as_satisfied():
     early, late = env.event(), env.event()
     early.succeed()
     env.run()  # ``early`` is processed before the graph is armed
-    graph = TaskGraph(env)
-    a = graph.add(Task(0, "encode", "a", duration=1.0), deps=[late])
-    b = graph.add(Task(0, "encode", "b", duration=1.0), deps=[early])
-    c = graph.add(Task(0, "merge", "c", duration=1.0), deps=[early, a])
+    graph = build(env, [row(0, "encode", "a", duration=1.0, deps=["late"]),
+                        row(0, "encode", "b", duration=1.0, deps=["early"]),
+                        row(0, "merge", "c", duration=1.0,
+                            deps=["early", 0])],
+                  ready={"early": early, "late": late})
+    a, b, c = graph.tasks
     graph.arm(engines)
     assert early.callbacks is None and len(late.callbacks) == 1
     late.succeed()
@@ -199,15 +201,6 @@ def test_processed_ready_event_counts_as_satisfied():
     assert a.finished_at == pytest.approx(2.0)
     assert c.finished_at == pytest.approx(3.0)
     assert graph.predecessors(c) == (early, a)
-
-
-def test_foreign_dependency_rejected():
-    env = Environment()
-    other = TaskGraph(env)
-    stranger = other.add(Task(0, "encode", "s"))
-    graph = TaskGraph(env)
-    with pytest.raises(ValueError, match="not in this graph"):
-        graph.add(Task(0, "merge", "m"), deps=[stranger])
 
 
 def test_finished_graph_frees_without_a_collection():

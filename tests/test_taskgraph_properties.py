@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.casync import Coordinator, NodeEngine, Task, TaskGraph, run_graph
+from repro.casync import Coordinator, NodeEngine, run_graph
 from repro.gpu import Gpu, V100
 from repro.net import Fabric, NetworkSpec
 from repro.sim import Environment
+from tests.taskgraph_rows import build, row
 
 
 def build_world(num_nodes, coordinator=False):
@@ -48,16 +49,14 @@ def random_dag(draw):
     return num_nodes, specs
 
 
-def materialize(env, engines, specs, bulk=False):
-    graph = TaskGraph(env, bulk=bulk)
-    tasks = []
-    for i, (node, kind, duration, nbytes, dst, deps, bulk) in enumerate(specs):
-        task = Task(node, kind, label=f"t{i}", duration=duration,
-                    launch_overhead=min(duration, 1e-5), nbytes=nbytes,
-                    dst=dst, bulk=bulk)
-        graph.add(task, deps=[tasks[d] for d in deps])
-        tasks.append(task)
-    return graph, tasks
+def materialize(env, specs, bulk=False):
+    graph = build(env, [
+        row(node, kind, f"t{i}", duration=duration,
+            launch_overhead=min(duration, 1e-5), nbytes=nbytes, dst=dst,
+            bulk=send_bulk, deps=deps)
+        for i, (node, kind, duration, nbytes, dst, deps, send_bulk)
+        in enumerate(specs)], bulk=bulk)
+    return graph, graph.tasks
 
 
 @given(dag=random_dag(), coordinator=st.booleans(),
@@ -66,7 +65,7 @@ def materialize(env, engines, specs, bulk=False):
 def test_random_dag_always_completes(dag, coordinator, batching):
     num_nodes, specs = dag
     env, fabric, engines = build_world(num_nodes, coordinator)
-    graph, tasks = materialize(env, engines, specs, bulk=batching)
+    graph, tasks = materialize(env, specs, bulk=batching)
     finish = run_graph(env, graph, engines)
     assert finish >= 0
     # ``done`` succeeds only once every task's completion carrier has run.
@@ -80,7 +79,7 @@ def test_random_dag_always_completes(dag, coordinator, batching):
 def test_dependencies_never_violated(dag):
     num_nodes, specs = dag
     env, fabric, engines = build_world(num_nodes)
-    graph, tasks = materialize(env, engines, specs)
+    graph, tasks = materialize(env, specs)
     run_graph(env, graph, engines)
     for i, (node, kind, duration, nbytes, dst, deps, bulk) in enumerate(specs):
         for d in deps:
@@ -97,7 +96,7 @@ def test_finish_at_least_critical_path(dag):
     critical path (transfers only add to it)."""
     num_nodes, specs = dag
     env, fabric, engines = build_world(num_nodes)
-    graph, tasks = materialize(env, engines, specs)
+    graph, tasks = materialize(env, specs)
     finish = run_graph(env, graph, engines)
 
     longest = [0.0] * len(specs)
@@ -117,7 +116,7 @@ def test_fabric_accounting_conserves_bytes(dag):
     """Every non-loopback send's bytes appear exactly once in the stats."""
     num_nodes, specs = dag
     env, fabric, engines = build_world(num_nodes)
-    graph, tasks = materialize(env, engines, specs)
+    graph, tasks = materialize(env, specs)
     run_graph(env, graph, engines)
     expected = sum(nbytes for (node, kind, dur, nbytes, dst, deps, bulk)
                    in specs
