@@ -18,14 +18,20 @@ Each rep times the two sides of the admission decision back to back
 * **check** -- ``check_plan(plan, recipe=...)``, exactly the call strict
   admission inserts between lowering and caching.
 
+Each case also records its plan's op count and PlanCheck's finding
+count.  Both are integers that do not depend on the host, so every run
+must reproduce the committed ``BENCH_plancheck.json`` (a full run's
+output, read before the new results are written) exactly; timings are
+not compared.
+
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_plancheck.py           # full
     PYTHONPATH=src python benchmarks/bench_plancheck.py --smoke   # CI
 
 Writes ``BENCH_plancheck.json`` (override with ``--output``) and exits
-non-zero if any case reaches the 10% bar (``--no-check`` to report
-only).
+non-zero if any case reaches the 10% bar or its ``ops`` or ``findings``
+differ from the committed run (``--no-check`` to report only).
 """
 
 from __future__ import annotations
@@ -51,6 +57,9 @@ from bench_graph_build import make_ctx
 
 #: Strict admission must stay below this fraction of a cold build.
 OVERHEAD_BAR_PCT = 10.0
+#: The committed full run, whose counts every run must reproduce.
+COMMITTED = Path(__file__).resolve().parent.parent / "BENCH_plancheck.json"
+COUNTS = ("ops", "findings")
 
 
 def bench_case(name, strategy, model, cluster, algorithm, plans, reps):
@@ -110,6 +119,12 @@ def cases(smoke: bool):
         yield name, get_strategy(strat), model, cluster, algorithm, plans
 
 
+def committed_counts() -> dict:
+    """``{case: {count: value}}`` from the committed full run."""
+    rows = json.loads(COMMITTED.read_text())["results"]
+    return {row["case"]: {key: row[key] for key in COUNTS} for row in rows}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--smoke", action="store_true",
@@ -124,6 +139,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     reps = args.reps if args.reps else (3 if args.smoke else 5)
 
+    committed = committed_counts()
     results = []
     for name, strategy, model, cluster, algorithm, plans in cases(args.smoke):
         row = bench_case(name, strategy, model, cluster, algorithm, plans,
@@ -141,14 +157,25 @@ def main(argv=None) -> int:
 
     if not args.no_check:
         over = [r for r in results if r["overhead_pct"] >= OVERHEAD_BAR_PCT]
+        failures = []
         if over:
-            print("FAIL: strict-admission overhead at or over "
-                  f"{OVERHEAD_BAR_PCT:.0f}% of a cold build for: "
-                  + ", ".join(f"{r['case']} ({r['overhead_pct']:.1f}%)"
-                              for r in over))
+            failures.append(
+                "strict-admission overhead at or over "
+                f"{OVERHEAD_BAR_PCT:.0f}% of a cold build for: "
+                + ", ".join(f"{r['case']} ({r['overhead_pct']:.1f}%)"
+                            for r in over))
+        failures += [f"{r['case']}: not in the committed run"
+                     for r in results if r["case"] not in committed]
+        failures += [f"{r['case']}: {key} {r[key]} != committed "
+                     f"{committed[r['case']][key]}"
+                     for r in results if r["case"] in committed
+                     for key in COUNTS if r[key] != committed[r["case"]][key]]
+        if failures:
+            print("FAIL: " + "; ".join(failures))
             return 1
         print(f"OK: strict admission adds < {OVERHEAD_BAR_PCT:.0f}% to a "
-              "cold build in every case")
+              "cold build in every case; ops and findings match the "
+              "committed run")
     return 0
 
 

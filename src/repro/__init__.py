@@ -45,7 +45,7 @@ _API_NAMES = frozenset({
     "AdaptivePass", "DEFAULT_PASS_CONFIG", "GraphCache", "PassConfig",
     "SyncPlan", "build_plan", "default_graph_cache", "get_pass",
     "list_passes", "register_pass", "sync_plan_dump", "verify_plan",
-    "PlanCheckError", "PlanReport", "check_plan", "check_recipe",
+    "PlanCheckError", "PlanReport", "check_plan",
     "CompressionPolicy", "DecisionLog", "DecisionMap", "GradientDecision",
     "PolicyController", "PolicyRun", "parse_policy", "run_policy",
     "MetricsRegistry", "Span", "TelemetryCollector", "attach",

@@ -36,8 +36,8 @@ index the plan dump (:meth:`~repro.casync.ir.SyncPlan.format_text`):
    intent (compress / partitions) always matches emitted structure.
 
 PC5xx checks pass policy (bulk routing eligibility and thresholds);
-PC6xx cross-checks a lowered recipe against its plan (spec/op agreement,
-dependency encoding, wire sizes through the shared size model).
+PC605/PC606 check a lowered recipe's costs (no negative duration or
+size, send wire sizes through the shared size model).
 
 Entry points:
 
@@ -78,7 +78,6 @@ __all__ = [
     "PlanCheckError",
     "PlanReport",
     "check_plan",
-    "check_recipe",
     "golden_cases",
     "golden_model",
     "iter_cases",
@@ -114,11 +113,7 @@ PLANCHECK_RULES: Dict[str, str] = {
     "PC405": "directive plans more partitions than the ops realize",
     # pass policy
     "PC501": "bulk-routed send violates the bulk-eligibility policy",
-    # lowered-recipe cross-checks
-    "PC601": "lowered spec count differs from the plan's op count",
-    "PC602": "lowered spec field disagrees with its op",
-    "PC603": "lowered dependency encoding disagrees with the op's deps",
-    "PC604": "lowered dependency is forward or self-referential",
+    # lowered-recipe costs
     "PC605": "lowered task has a negative duration or size",
     "PC606": "lowered send wire size disagrees with the plan's size model",
 }
@@ -195,14 +190,12 @@ class _PlanAnalyzer:
     from the shared :class:`~repro.casync.index.PlanIndex` -- built once
     per plan by ``build_plan``'s verify stage and reused by lowering --
     so on the GraphCache admission path the analyzer pays only for rule
-    *evaluation*.  A plan whose index has structural findings raises
-    :class:`~repro.casync.ir.PlanVerificationError` instead.  When a
-    lowered ``recipe`` is supplied, the PC6xx cross-checks mirror each
-    spec against the same index (:meth:`_check_recipe_specs`).
+    *evaluation*.  :func:`check_plan` builds it only for a plan whose
+    index has no structural findings.
     """
 
     def __init__(self, plan: SyncPlan, pctx: Optional[PassContext],
-                 file: str, recipe: Any = None) -> None:
+                 file: str) -> None:
         self.plan = plan
         self.pctx = pctx
         self.file = file
@@ -214,7 +207,6 @@ class _PlanAnalyzer:
         self._wire_memo: Dict[Tuple[Optional[str], float, bool], float] = {}
         self.findings: List[Diagnostic] = []
         idx = plan_index(plan)
-        idx.raise_if_invalid(plan, file)
         self.index_of = idx.index_of
         self.preds = idx.preds
         self.by_grad = idx.by_grad
@@ -229,8 +221,6 @@ class _PlanAnalyzer:
         ops = self.ops
         self.bulk_sends = [ops[i] for i in idx.bulk_sends]
         self._check_encode_edges(idx)
-        if recipe is not None:
-            self._check_recipe_specs(recipe, idx)
 
     def _check_encode_edges(self, idx: PlanIndex) -> None:
         """PC302 over the index's encode->consumer edges.
@@ -263,106 +253,27 @@ class _PlanAnalyzer:
                     f"{pbytes} != {nbytes}",
                     uid=op.uid)
 
-    def _check_recipe_specs(self, recipe: Any, idx: PlanIndex) -> None:
-        """PC6xx: mirror every lowered spec against its op.
-
-        Lowering consumes the same index, so a faithful recipe's dep
-        tuples *are* the index's own ``dep_encodings`` objects -- the
-        identity probe makes the all-clean case one pointer compare
-        per op (with the structural ``==`` as the fallback for recipes
-        lowered elsewhere), and when dmatch holds PC604 cannot fire
-        either (an index "t" entry always points earlier).  Only a
-        discrepancy pays for the full rule walk in :meth:`_check_spec`.
-        """
-        ops = self.ops
-        specs = recipe.specs
-        if len(specs) != len(ops):
-            self.emit(
-                "PC601",
-                f"recipe has {len(specs)} specs but the plan has "
-                f"{len(ops)} ops")
-            return
-        encodings = idx.dep_encodings
-        wire_op = None if self.pctx is None else self.pctx.wire_op
-        #: gradient -> [(nbytes, compressed, wire), ...] -- the inline
-        #: wire-size cache (sends dominate large plans; a tuple-keyed
-        #: memo pays a tuple allocation per send, a per-gradient scan
-        #: of 1-3 entries does not).
-        wire_lists: Dict[Optional[str], List[Tuple[float, bool, float]]] = {}
-        wire_lists_get = wire_lists.get
-        for i, op in enumerate(ops):
-            spec = specs[i]
-            sdeps = spec.deps
-            expected = encodings[i]
-            dmatch = sdeps is expected or sdeps == expected
-            if (not dmatch or spec.label != op.label
-                    or spec.node != op.node
-                    or spec.duration < 0 or spec.nbytes < 0):
-                self._check_spec(i, spec, op, expected)
-            elif op.kind == "send":
-                if spec.dst != op.dst:
-                    self._check_spec(i, spec, op, expected)
-                elif wire_op is not None:
-                    sz = op.size
-                    nb = sz.nbytes
-                    comp = sz.compressed
-                    wire = None
-                    wlist = wire_lists_get(op.grad)
-                    if wlist is None:
-                        wire_lists[op.grad] = wlist = []
-                    else:
-                        for enb, ecomp, ewire in wlist:
-                            if enb == nb and ecomp == comp:
-                                wire = ewire
-                                break
-                    if wire is None:
-                        wire = wire_op(op)
-                        wlist.append((nb, comp, wire))
-                    if (spec.nbytes != wire
-                            and not _sizes_match(spec.nbytes, wire)):
-                        self._check_spec(i, spec, op, expected)
-
-    def _check_spec(self, i: int, spec: Any, op: Op,
-                    expected: Tuple[Tuple[object, ...], ...]) -> None:
-        """PC602-PC606 for one (spec, op) pair (see :func:`check_recipe`);
-        ``expected`` is the index's encoding of the op's deps."""
-        if spec.node != op.node or spec.label != op.label:
-            self.emit(
-                "PC602",
-                f"spec[{i}] ({spec.label!r}@{spec.node}) disagrees with "
-                f"{op!r}", uid=op.uid)
-            return
-        kind = op.kind
-        if kind == "send" and spec.dst != op.dst:
-            self.emit(
-                "PC602",
-                f"spec[{i}] sends to {spec.dst} but {op!r} targets "
-                f"{op.dst}", uid=op.uid)
-        if spec.duration < 0 or spec.nbytes < 0:
-            self.emit(
-                "PC605",
-                f"spec[{i}] for {op!r} has negative cost "
-                f"(duration={spec.duration}, nbytes={spec.nbytes})",
-                uid=op.uid)
-        sdeps = spec.deps
-        for sd in sdeps:
-            if sd[0] == "t" and sd[1] >= i:
+    def check_lowered_costs(self, specs: Sequence[Any]) -> None:
+        """PC605/PC606 over a lowered recipe's specs, spec *i* lowered
+        from op *i*: no negative cost, and (given a pass context) every
+        send's wire size agrees with the shared size model."""
+        wire_of = None if self.pctx is None else self.wire_of
+        for spec, op in zip(specs, self.ops):
+            if spec.duration < 0 or spec.nbytes < 0:
                 self.emit(
-                    "PC604",
-                    f"spec[{i}] depends on spec[{sd[1]}], which is not "
-                    f"earlier in the recipe", uid=op.uid)
-        if sdeps != expected:
-            self.emit(
-                "PC603",
-                f"spec[{i}] dependency encoding {list(sdeps)!r} "
-                f"disagrees with {op!r} deps {list(expected)!r}", uid=op.uid)
-        if kind == "send" and self.pctx is not None:
-            wire = self.wire_of(op)
-            if spec.nbytes != wire and not _sizes_match(spec.nbytes, wire):
-                self.emit(
-                    "PC606",
-                    f"spec[{i}] wire size {spec.nbytes} disagrees with "
-                    f"the size model's {wire} for {op!r}", uid=op.uid)
+                    "PC605",
+                    f"lowered {op!r} has negative cost "
+                    f"(duration={spec.duration}, nbytes={spec.nbytes})",
+                    uid=op.uid)
+            if op.kind == "send" and wire_of is not None:
+                wire = wire_of(op)
+                if (spec.nbytes != wire
+                        and not _sizes_match(spec.nbytes, wire)):
+                    self.emit(
+                        "PC606",
+                        f"lowered {op!r} wire size {spec.nbytes} "
+                        f"disagrees with the size model's {wire}",
+                        uid=op.uid)
 
     def wire_of(self, op: Op) -> float:
         """Memoized size-model wire size (pure in gradient and size)."""
@@ -874,41 +785,26 @@ class _PlanAnalyzer:
         return self.findings
 
 
-def check_recipe(plan: SyncPlan, recipe: Any,
-                 pctx: Optional[PassContext] = None,
-                 name: Optional[str] = None) -> List[Diagnostic]:
-    """PC6xx: cross-check a lowered recipe against its source plan.
-
-    Lowering must be a pure re-encoding: one spec per op, same node /
-    label / destination, dependency tuples that mirror the op's deps
-    (``("t", index)`` for op uids, ``("r", node, gradient)`` for ready
-    events) and never point forward, non-negative costs, and -- when a
-    :class:`~repro.casync.passes.PassContext` is supplied -- send wire
-    sizes that agree with the shared size model.
-
-    Structural findings raise :class:`~repro.casync.ir.PlanVerificationError`;
-    the checks themselves run in the analyzer's recipe mirror
-    (:meth:`_PlanAnalyzer._check_recipe_specs`, against the shared
-    :class:`~repro.casync.index.PlanIndex`), and this entry point just
-    filters out the non-recipe rule families.
-    """
-    analyzer = _PlanAnalyzer(plan, pctx, plan_file(plan, name),
-                             recipe=recipe)
-    return [d for d in analyzer.findings if d.rule.startswith("PC6")]
-
-
 def check_plan(plan: SyncPlan, pctx: Optional[PassContext] = None,
                recipe: Any = None, name: Optional[str] = None) -> PlanReport:
     """Prove the four PlanCheck properties over one plan.
 
     ``pctx`` enables the context-dependent rules (PC402/PC501 wire
-    thresholds, PC606); ``recipe`` adds the PC6xx lowering cross-checks.
+    thresholds, PC606); ``recipe``, the plan's
+    :func:`~repro.casync.lower.lower_plan` output, adds the PC605/PC606
+    cost checks of its specs.  Lowering builds spec *i* from op *i*
+    with the index's own dependency tuples, so a recipe needs no
+    structural cross-check; one of another length raises ``ValueError``.
     The PC1xx findings are those of the plan's cached
     :class:`~repro.casync.index.PlanIndex`.
 
     Deep analyses assume topological op order, so any structural error
     short-circuits the report to just the PC1xx findings.
     """
+    if recipe is not None and len(recipe.specs) != len(plan.ops):
+        raise ValueError(
+            f"recipe has {len(recipe.specs)} specs but the plan has "
+            f"{len(plan.ops)} ops; pass the plan's own lower_plan output")
     file = plan_file(plan, name)
     diagnostics = plan_index(plan).diagnostics(plan, file)
     if not diagnostics:
@@ -918,8 +814,10 @@ def check_plan(plan: SyncPlan, pctx: Optional[PassContext] = None,
         # collection for the call is worth ~1/3 of admission latency on
         # large plans and frees the same garbage right after.
         with gc_paused():
-            diagnostics.extend(
-                _PlanAnalyzer(plan, pctx, file, recipe=recipe).run())
+            analyzer = _PlanAnalyzer(plan, pctx, file)
+            if recipe is not None:
+                analyzer.check_lowered_costs(recipe.specs)
+            diagnostics.extend(analyzer.run())
     return PlanReport(
         name=file, strategy=plan.strategy, num_nodes=plan.num_nodes,
         num_ops=len(plan.ops), diagnostics=tuple(diagnostics))
@@ -1118,6 +1016,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(report.render_text())
     if args.list:
         return 0
+    if not reports:
+        parser.error(f"--case {args.case!r} matches no case (see --list)")
 
     all_diags = [d for r in reports for d in r.diagnostics]
     payload = {

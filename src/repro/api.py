@@ -59,7 +59,8 @@ of every graph built inside a ``with`` block.  See ``docs/SYNC_IR.md``.
 
 :func:`check_plan` proves whole-plan concurrency properties (deadlock
 freedom, buffer safety, byte-flow conservation, decision coverage) over
-a built plan and returns a :class:`PlanReport`;
+a built plan and returns a :class:`PlanReport`; given the plan's lowered
+recipe it also checks the recipe's costs (PC605/PC606).
 ``GraphCache(admission="strict")`` (or ``REPRO_PLANCHECK=1``) gates
 cache admission on the same proof.  See ``docs/ANALYSIS.md``.
 """
@@ -89,7 +90,6 @@ from .analysis.plancheck import (
     PlanCheckError,
     PlanReport,
     check_plan,
-    check_recipe,
 )
 from .casync import (
     DEFAULT_PASS_CONFIG,
@@ -199,7 +199,7 @@ __all__ = [
     "SyncPlan", "build_plan", "default_graph_cache", "get_pass",
     "list_passes", "register_pass", "sync_plan_dump", "verify_plan",
     # whole-plan analyzer (see docs/ANALYSIS.md)
-    "PlanCheckError", "PlanReport", "check_plan", "check_recipe",
+    "PlanCheckError", "PlanReport", "check_plan",
     # adaptive control plane (see docs/ADAPTIVE.md)
     "CompressionPolicy", "DecisionLog", "DecisionMap", "GradientDecision",
     "PolicyController", "PolicyRun", "parse_policy", "run_policy",

@@ -17,7 +17,9 @@ each send -> consumer flow).
 :class:`~repro.casync.passes.VerifyPass` builds it and rejects a plan
 with findings, and lowering and the analyzer reuse it.  An index with
 findings is partial (a dangling dep has no encoding), so ``lower_plan``
-and ``check_recipe`` refuse it; ``check_plan`` reports it.  Beyond
+refuses it; ``check_plan`` reports it.  Lowering builds spec *i* from
+op *i* and hands it ``dep_encodings[i]`` itself, so a recipe agrees with
+its plan by construction and nothing re-checks it.  Beyond
 those shape findings the index evaluates nothing: an analyzer reading
 ``preds`` sees exactly the edges a buggy optimization pass left.
 """

@@ -215,8 +215,7 @@ def lower_plan(plan: SyncPlan, pctx: PassContext) -> LoweredRecipe:
     launches = tuple(gpu.kernel_launch_us * 1e-6 for gpu in gpus)
     # The dependency encodings come from the shared structural index
     # (built by build_plan's verify stage); specs reference the index's
-    # tuples directly, so the whole-plan analyzer can cross-check recipe
-    # deps by identity.
+    # tuples directly.
     idx = plan_index(plan)
     idx.raise_if_invalid(plan)
     encodings = idx.dep_encodings

@@ -6,7 +6,8 @@ Four layers:
   pass-mutant corpus must be caught with its expected typed finding
   while ``verify_plan`` (the local verifier) misses all of them;
 * hand-built plans that pin the structural (PC100-PC110), buffer-race
-  (PC201/PC202) and lowered-recipe (PC601-PC606) rules, one by one;
+  (PC201/PC202) and lowered-recipe cost (PC605/PC606) rules, one by one
+  (lowering's spec-per-op identity is pinned in ``tests/test_sync_ir.py``);
 * the strict-admission surface: ``raise_if_failed`` raising the typed
   ``PlanCheckError``, the ``REPRO_PLANCHECK`` override, and the
   end-to-end gated build;
@@ -27,7 +28,6 @@ from repro.analysis.plancheck import (
     PLANCHECK_RULES,
     PlanCheckError,
     check_plan,
-    check_recipe,
     iter_cases,
 )
 from repro.analysis.plancheck import main as plancheck_main
@@ -227,19 +227,15 @@ def test_structural_rule_fires_alone(case, message, corrupt):
     assert {d.rule for d in excinfo.value.diagnostics} == {case[:5]}
 
 
-@pytest.mark.parametrize("consume", [
-    lambda plan: lower_plan(plan, pctx_for(2)),
-    lambda plan: check_recipe(plan, _lowered()[2]),
-], ids=["lower_plan", "check_recipe"])
-def test_dangling_dep_is_a_typed_pc106_error(consume):
+def test_dangling_dep_is_a_typed_pc106_error():
     plan = _structural_plan()
     plan.add("barrier", 1, "dangling", deps=(17,))
     with pytest.raises(PlanVerificationError) as excinfo:
-        consume(plan)
+        lower_plan(plan, pctx_for(2))
     assert [d.rule for d in excinfo.value.diagnostics] == ["PC106"]
 
 
-# -- lowered-recipe cross-checks (PC6xx) -------------------------------------
+# -- lowered-recipe costs (PC605/PC606) --------------------------------------
 
 def _lowered():
     plan, pctx = built_plan()
@@ -252,51 +248,29 @@ def _tampered(recipe, i, **changes):
     return dataclasses.replace(recipe, specs=specs)
 
 
-def test_check_recipe_clean_on_real_lowering():
-    plan, pctx, recipe = _lowered()
-    assert check_recipe(plan, recipe, pctx=pctx) == []
+def _recipe_rules(plan, recipe, pctx):
+    return {d.rule
+            for d in check_plan(plan, pctx=pctx, recipe=recipe).diagnostics}
 
 
-def test_check_recipe_spec_count_mismatch_is_pc601():
-    plan, pctx, recipe = _lowered()
-    short = dataclasses.replace(recipe, specs=list(recipe.specs)[:-1])
-    assert {d.rule for d in check_recipe(plan, short, pctx=pctx)} \
-        == {"PC601"}
-
-
-def test_check_recipe_label_mismatch_is_pc602():
-    plan, pctx, recipe = _lowered()
-    bad = _tampered(recipe, 0, label=recipe.specs[0].label + ".oops")
-    assert "PC602" in {d.rule for d in check_recipe(plan, bad, pctx=pctx)}
-
-
-def test_check_recipe_dep_rewrite_is_pc603_pc604():
-    plan, pctx, recipe = _lowered()
-    i = next(i for i, s in enumerate(recipe.specs) if s.deps)
-    bad = _tampered(recipe, i, deps=(("t", i),))  # self-reference
-    rules = {d.rule for d in check_recipe(plan, bad, pctx=pctx)}
-    assert {"PC603", "PC604"} <= rules
-
-
-def test_check_recipe_negative_cost_is_pc605():
+def test_negative_cost_is_pc605():
     plan, pctx, recipe = _lowered()
     bad = _tampered(recipe, 3, duration=-1.0)
-    assert "PC605" in {d.rule for d in check_recipe(plan, bad, pctx=pctx)}
+    assert _recipe_rules(plan, bad, pctx) == {"PC605"}
 
 
-def test_check_recipe_wire_size_drift_is_pc606():
+def test_wire_size_drift_is_pc606():
     plan, pctx, recipe = _lowered()
     i = next(i for i, s in enumerate(recipe.specs) if s.kind == "send")
     bad = _tampered(recipe, i, nbytes=recipe.specs[i].nbytes * 3 + 7)
-    assert "PC606" in {d.rule for d in check_recipe(plan, bad, pctx=pctx)}
+    assert _recipe_rules(plan, bad, pctx) == {"PC606"}
 
 
-def test_check_recipe_reports_only_pc6xx():
-    # Even on a plan with non-recipe findings, check_recipe filters.
-    plan, pctx = planmutants.build_mutant("bulk-ineligible-route")
-    recipe = lower_plan(plan, pctx)
-    rules = {d.rule for d in check_recipe(plan, recipe, pctx=pctx)}
-    assert all(rule.startswith("PC6") for rule in rules)
+def test_recipe_of_another_plan_is_a_caller_error():
+    plan, pctx, recipe = _lowered()
+    short = dataclasses.replace(recipe, specs=list(recipe.specs)[:-1])
+    with pytest.raises(ValueError, match="specs but the plan has"):
+        check_plan(plan, pctx=pctx, recipe=short)
 
 
 # -- strict admission ---------------------------------------------------------
@@ -476,6 +450,13 @@ def test_cli_list_and_single_case_json(tmp_path, capsys):
         "counts": {"error": 0, "warning": 0, "info": 0}}
     assert payload["cases"][0]["name"] == name
     assert payload["cases"][0]["diagnostics"] == []
+
+
+def test_cli_case_matching_nothing_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        plancheck_main(["--strict", "--case", "no-such-case"])
+    assert excinfo.value.code == 2
+    assert "matches no case" in capsys.readouterr().err
 
 
 def test_cli_mutant_mode_passes(capsys):

@@ -10,7 +10,8 @@ instantiation safe.
 
 import pytest
 
-from repro.analysis.plancheck import golden_cases, golden_model
+from repro.analysis.plancheck import golden_cases, golden_model, iter_cases
+from repro.casync.index import plan_index
 from repro.casync.ir import (
     PlanVerificationError,
     ReadyRef,
@@ -269,16 +270,25 @@ def test_training_job_run_accepts_pass_config():
 
 # -- lowering and the graph cache --------------------------------------------
 
-def test_lowered_recipe_is_environment_free_and_ordered():
-    plan, pctx = casync_plan()
-    recipe = lower_plan(plan, pctx)
+PLANCHECK_CASES = list(iter_cases())
+
+
+@pytest.mark.parametrize("case_name,build", PLANCHECK_CASES,
+                         ids=[name for name, _ in PLANCHECK_CASES])
+def test_lowered_recipe_is_environment_free_and_ordered(case_name, build):
+    # Lowering is the only recipe source: spec i is op i, and its deps
+    # are the plan index's own encoding tuple, so no checker re-proves it.
+    plan, _, recipe = build()
+    encodings = plan_index(plan).dep_encodings
     assert len(recipe.specs) == len(plan.ops)
-    for spec, op in zip(recipe.specs, plan.ops):
+    for i, (spec, op) in enumerate(zip(recipe.specs, plan.ops)):
         assert spec.node == op.node
         assert spec.label == op.label
-    kinds = {spec.kind for spec in recipe.specs}
-    assert "barrier" not in kinds          # barriers lower to notify
-    assert "notify" in kinds
+        if op.kind == "send":
+            assert spec.dst == op.dst
+        if op.kind == "barrier":
+            assert spec.kind == "notify"   # barriers lower to notify
+        assert spec.deps is encodings[i]
 
 
 def test_send_specs_carry_wire_sizes():
