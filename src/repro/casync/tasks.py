@@ -932,10 +932,5 @@ class NodeEngine:
 def run_graph(env: Environment, graph: TaskGraph,
               engines: List[NodeEngine]) -> float:
     """Arm and execute a task graph to completion; returns the finish time."""
-    done = graph.arm(engines)
-
-    def waiter():
-        yield done
-        return env.now
-
-    return env.run_until_complete(env.process(waiter(), name="graph-waiter"))
+    env.run_until_complete(graph.arm(engines))
+    return env.now

@@ -6,10 +6,11 @@ Two layers, deliberately separated:
   partitioned / degraded links, pending transient losses), consulted by
   :class:`~repro.net.fabric.Fabric` on every transfer, plus the
   :class:`TransferLog` that makes byte conservation checkable.
-* :class:`FaultInjector` -- a simulated process that replays a
+* :class:`FaultInjector` -- a callback state machine that replays a
   :class:`~repro.faults.schedule.FaultSchedule` against the live run:
-  flipping FaultState, halting crashed nodes' engines, interrupting their
-  bound processes, and throttling straggler GPUs.
+  flipping FaultState, halting crashed nodes' engines, telling its
+  ``on_crash`` hooks (a node's compute pass, the heartbeat detector),
+  and throttling straggler GPUs.
 
 The runtime's *belief* about all this lives elsewhere, in
 :class:`~repro.faults.membership.Membership` -- peers only learn of a crash
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from ..sim import Environment, Event
+from ..sim import URGENT, Environment, Event
 from .schedule import (
     FaultEvent,
     FaultSchedule,
@@ -191,8 +192,11 @@ class FaultInjector:
 
     Attach everything the schedule can touch: the fabric (link faults and
     the conservation log), the GPU list (stragglers), the engines (crash
-    halts execution), and any per-node processes that must die with their
-    node (``bind_node_process``).
+    halts execution), and, through :meth:`on_crash`, anything else that
+    must die with its node (a node's compute pass).
+
+    The replay is a callback state machine: a start hop at
+    ``(now, URGENT)``, then one carrier per wait for the next fault.
     """
 
     def __init__(self, env: Environment, schedule: FaultSchedule,
@@ -224,33 +228,41 @@ class FaultInjector:
         self.fabric = fabric
         self.gpus = list(gpus) if gpus is not None else []
         self.engines = list(engines) if engines is not None else []
-        self._bound: Dict[int, List[Any]] = {}
         self._on_crash: List[Callable[[int], None]] = []
         self._slowdown_token: Dict[int, int] = {}
         if fabric is not None:
             fabric.faults = self.state
         if schedule:
-            self.process = env.process(self._driver(), name="fault-injector")
+            env.call_later(0.0, self._start, None, URGENT)
 
     # -- wiring -----------------------------------------------------------
 
-    def bind_node_process(self, node: int, process: Any) -> None:
-        """Interrupt ``process`` with the NodeCrash when ``node`` dies."""
-        self._bound.setdefault(node, []).append(process)
-
     def on_crash(self, callback: Callable[[int], None]) -> None:
-        """Called with the node id at each ground-truth crash (the hook the
-        robust runner's heartbeat failure detector uses)."""
+        """Called with the node id at each ground-truth crash, in
+        registration order (the hook a node's compute pass and the robust
+        runner's heartbeat failure detector use)."""
         self._on_crash.append(callback)
 
     # -- replay -----------------------------------------------------------
 
-    def _driver(self):
-        for event in self.schedule:
-            delay = event.at - self.env.now
+    def _start(self, _carrier: Event) -> None:
+        self._replay_from(0)
+
+    def _due(self, carrier: Event) -> None:
+        index = carrier._value
+        self._apply(self.schedule.events[index])
+        self._replay_from(index + 1)
+
+    def _replay_from(self, index: int) -> None:
+        """Apply the faults from ``index`` on that are due now; wait for
+        the first one that is not."""
+        events = self.schedule.events
+        for i in range(index, len(events)):
+            delay = events[i].at - self.env.now
             if delay > 0:
-                yield self.env.timeout(delay)
-            self._apply(event)
+                self.env.call_later(delay, self._due, i)
+                return
+            self._apply(events[i])
 
     def _apply(self, event: FaultEvent) -> None:
         self.state.applied.append((self.env.now, event))
@@ -292,9 +304,6 @@ class FaultInjector:
             halt = getattr(self.engines[node], "halt", None)
             if halt is not None:
                 halt()
-        for process in self._bound.get(node, []):
-            if getattr(process, "is_alive", False):
-                process.interrupt(NodeCrash(at=self.env.now, node=node))
         for callback in list(self._on_crash):
             callback(node)
 
@@ -306,10 +315,16 @@ class FaultInjector:
         self._slowdown_token[event.node] = token
         gpu.slowdown = event.factor
         if event.duration is not None:
-            def restore():
-                yield self.env.timeout(event.duration)
-                # A newer slowdown supersedes this restore.
-                if self._slowdown_token.get(event.node) == token:
-                    gpu.slowdown = 1.0
+            # The restore's start hop, then its timer.
+            self.env.call_later(0.0, self._start_restore,
+                                (event.duration, event.node, token), URGENT)
 
-            self.env.process(restore(), name=f"slowdown-restore@{event.node}")
+    def _start_restore(self, carrier: Event) -> None:
+        duration, node, token = carrier._value
+        self.env.call_later(duration, self._restore, (node, token))
+
+    def _restore(self, carrier: Event) -> None:
+        node, token = carrier._value
+        # A newer slowdown supersedes this restore.
+        if self._slowdown_token.get(node) == token:
+            self.gpus[node].slowdown = 1.0

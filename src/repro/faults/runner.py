@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ..sim import Environment, Event, SimulationError
+from ..sim import URGENT, Environment, Event, SimulationError
 from .errors import DeadlineExceeded, FaultError, SyncAborted
 from .membership import Membership
 
@@ -203,14 +203,17 @@ def run_graph_robust(env: Environment, graph: Any, engines: Sequence[Any],
     if injector is not None and heartbeat_timeout_s is not None:
         state = injector.state  # not the injector: it holds _detect
 
-        def _detect(node: int) -> None:
-            def detector():
-                yield env.timeout(heartbeat_timeout_s)
-                # A fast restart beats the heartbeat: no declaration.
-                if state.is_dead(node):
-                    membership.declare_dead(node)
+        def _expire(carrier: Event) -> None:
+            # A fast restart beats the heartbeat: no declaration.
+            if state.is_dead(carrier._value):
+                membership.declare_dead(carrier._value)
 
-            env.process(detector(), name=f"heartbeat-detector@{node}")
+        def _watch(carrier: Event) -> None:
+            env.call_later(heartbeat_timeout_s, _expire, carrier._value)
+
+        def _detect(node: int) -> None:
+            # The detector's start hop, then its heartbeat timeout.
+            env.call_later(0.0, _watch, node, URGENT)
 
         injector.on_crash(_detect)
         # Crashes that already happened (e.g. the graph is armed mid-run)
@@ -222,29 +225,40 @@ def run_graph_robust(env: Environment, graph: Any, engines: Sequence[Any],
         return tuple(f"{t.kind}:{t.label}@{t.node}" for t in graph.tasks
                      if not t.triggered)
 
-    def waiter():
-        try:
-            if deadline_s is None:
-                yield barrier
+    settled = barrier
+    if deadline_s is not None:
+        # The round settles one hop after the first of the barrier and the
+        # deadline timer fires, so a task finishing at the deadline
+        # instant still counts as finished.
+        settled = env.event()
+
+        def _settle(event: Event) -> None:
+            if settled.triggered:
+                return
+            if event is barrier and not barrier.ok:
+                settled.fail(barrier.value)
             else:
-                timer = env.timeout(deadline_s)
-                yield env.any_of([barrier, timer])
-                if not (barrier.triggered and barrier.ok):
-                    raise DeadlineExceeded(deadline_s, env.now,
-                                           unfinished=_unfinished())
-        except SyncAborted:
-            raise
-        except FaultError as exc:
+                settled.succeed()
+
+        def _start_deadline(_carrier: Event) -> None:
+            env.call_later(deadline_s, _settle)
+
+        barrier.callbacks.append(_settle)
+        env.call_later(0.0, _start_deadline, None, URGENT)
+
+    try:
+        try:
+            env.run_until_complete(settled)
+        except FaultError as exc:  # the barrier failed
             raise SyncAborted("a peer died and degradation is disabled"
                               if not degradation else
                               "unrecoverable fault during synchronization",
                               env.now, cause=exc,
                               unfinished=_unfinished()) from exc
-        return env.now
-
-    process = env.process(waiter(), name="robust-graph-waiter")
-    try:
-        finish = env.run_until_complete(process)
+        if not (barrier.triggered and barrier.ok):
+            raise DeadlineExceeded(deadline_s, env.now,
+                                   unfinished=_unfinished())
+        finish = env.now
     except SyncAborted as exc:
         report.aborted = True
         report.abort_reason = exc.reason

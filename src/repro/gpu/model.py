@@ -13,10 +13,11 @@ stream; compression kernels run on a *communication* stream, so compression
 overlaps DNN compute the way CUDA streams allow (§5: a dedicated queue
 schedules encode/decode on GPU).
 
-The compute stream is a :class:`~repro.sim.Resource` held by the node's
-forward/backward process, which a crash interrupts.  The communication
-stream is a scalar reservation: its one user, the compression executor,
-runs kernels one at a time, as pooled callbacks (:meth:`Gpu.run_kernel`).
+Each stream is a scalar reservation with one user that runs its kernels
+one at a time, as pooled callbacks: the node's forward/backward pass on
+the compute stream (:meth:`Gpu.run_compute`, which a crash abandons),
+the compression executor on the communication stream
+(:meth:`Gpu.run_kernel`).
 """
 
 from __future__ import annotations
@@ -24,8 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, List, Optional, Tuple
 
-from ..sim import (URGENT, Environment, Event, Interrupt, Resource,
-                   SimulationError)
+from ..sim import URGENT, Environment, Event, SimulationError
 
 __all__ = ["GpuSpec", "Gpu", "IntervalLog", "V100", "GTX1080TI"]
 
@@ -133,52 +133,54 @@ class IntervalLog:
         return [min(1.0, b / bin_width) for b in bins]
 
 
+class _Stream:
+    """One stream's reservation and the kernel it runs.
+
+    ``free_at`` is when the last granted kernel ends; ``epoch`` counts
+    aborts, so a grant or finish carrier scheduled before the last abort
+    finds it moved and does nothing; ``span`` is the running kernel's
+    telemetry span (or None).
+    """
+
+    __slots__ = ("track", "free_at", "epoch", "span")
+
+    def __init__(self, track: str, now: float):
+        self.track = track
+        self.free_at = now
+        self.epoch = 0
+        self.span = None
+
+
 class Gpu:
     """One simulated GPU: a compute stream plus a communication stream.
 
-    DNN forward/backward run on :attr:`compute`; compression kernels run
-    on the communication stream through :meth:`run_kernel`.  Both streams
-    log busy intervals into :attr:`log`.
+    DNN forward/backward run on :attr:`compute` through
+    :meth:`run_compute`; compression kernels run on :attr:`comm` through
+    :meth:`run_kernel`.  Both streams log busy intervals into :attr:`log`.
     """
 
     def __init__(self, env: Environment, spec: GpuSpec, index: int = 0):
         self.env = env
         self.spec = spec
         self.index = index
-        self.compute = Resource(env, capacity=1)
-        #: When the communication stream's last kernel ends: the scalar
-        #: reservation every :meth:`run_kernel` grant checks and moves.
-        self.comm_free_at = env.now
+        self.compute = _Stream("gpu-compute", env.now)
+        self.comm = _Stream("gpu-comm", env.now)
         self.log = IntervalLog()
         #: Multiplier applied to every kernel's duration while > 1 -- the
         #: fault injector's straggler model (thermal throttling, a noisy
         #: neighbour, ECC scrubbing).  Exactly 1.0 means pristine timing.
         self.slowdown = 1.0
 
-    def run_compute(self, seconds: float, category: str = "compute",
-                    span_parent=None):
-        """Generator: occupy the compute stream for ``seconds``."""
-        if seconds < 0:
-            raise ValueError(f"negative duration {seconds}")
-        stream = self.compute
-        req = stream.request()
-        span = None
-        try:
-            yield req
-            start = self.env.now
-            seconds, span = self._begin(seconds, "gpu-compute", category,
-                                        span_parent)
-            yield self.env.timeout(seconds)
-        except Interrupt:
-            # A crash mid-kernel must not leak the stream: a restarted
-            # node's recovery pass re-acquires it.
-            stream.cancel(req)
-            if span is not None:
-                self.env.telemetry.finish(span, self.env.now,
-                                          outcome="interrupted")
-            raise
-        stream.release(req)
-        self._log_kernel(start, category, span)
+    def run_compute(self, seconds: float, handler: Callable[[Any], None],
+                    token: Any = None, category: str = "compute",
+                    span_parent=None) -> None:
+        """Run one kernel on the compute stream, then ``handler(token)``.
+
+        Scheduled as :meth:`run_kernel` schedules a kernel; a kernel
+        :meth:`abort_compute` abandons never calls ``handler``.
+        """
+        self._request(self.compute, seconds, handler, token, category,
+                      span_parent)
 
     def run_kernel(self, seconds: float, handler: Callable[[Any], None],
                    token: Any = None, category: str = "compression",
@@ -190,28 +192,52 @@ class Gpu:
         ends.  The caller serializes its kernels: a grant while one runs
         raises :class:`~repro.sim.SimulationError`.
         """
+        self._request(self.comm, seconds, handler, token, category,
+                      span_parent)
+
+    def abort_compute(self) -> None:
+        """Abandon the compute kernel requested or running, if any (a crash).
+
+        The stream is free at once, the kernel logs no busy interval and
+        its span closes with outcome ``interrupted``.
+        """
+        stream = self.compute
+        stream.epoch += 1
+        stream.free_at = self.env.now
+        if stream.span is not None:
+            self.env.telemetry.finish(stream.span, self.env.now,
+                                      outcome="interrupted")
+            stream.span = None
+
+    def _request(self, stream: _Stream, seconds: float,
+                 handler: Callable[[Any], None], token: Any, category: str,
+                 span_parent) -> None:
         if seconds < 0:
             raise ValueError(f"negative duration {seconds}")
         tel = self.env.telemetry
         if tel is not None:
             tel.metrics.counter("sim.resource.requests").inc()
         self.env.call_later(0.0, self._grant,
-                            (seconds, handler, token, category, span_parent),
-                            URGENT)
+                            (stream, stream.epoch, seconds, handler, token,
+                             category, span_parent), URGENT)
 
     def _grant(self, event: Event) -> None:
-        seconds, handler, token, category, span_parent = event._value
+        stream, epoch, seconds, handler, token, category, span_parent = (
+            event._value)
+        if epoch != stream.epoch:
+            return
         env = self.env
         start = env.now
-        if start < self.comm_free_at:
+        if start < stream.free_at:
             raise SimulationError(
                 f"gpu{self.index}: a kernel starts at {start} while the "
-                f"communication stream is reserved until {self.comm_free_at}")
-        seconds, span = self._begin(seconds, "gpu-comm", category,
+                f"{stream.track} stream is reserved until {stream.free_at}")
+        seconds, span = self._begin(seconds, stream.track, category,
                                     span_parent)
-        self.comm_free_at = start + seconds
+        stream.free_at = start + seconds
+        stream.span = span
         env.call_later(seconds, self._finish,
-                       (start, handler, token, category, span))
+                       (stream, epoch, start, handler, token, category, span))
 
     def _begin(self, seconds: float, stream: str, category: str,
                span_parent) -> Tuple[float, Any]:
@@ -226,12 +252,10 @@ class Gpu:
                                   parent=span_parent, at=self.env.now)
 
     def _finish(self, event: Event) -> None:
-        start, handler, token, category, span = event._value
-        self._log_kernel(start, category, span)
-        handler(token)
-
-    def _log_kernel(self, start: float, category: str, span) -> None:
-        """Log a kernel that ran from ``start`` until now; close its span."""
+        stream, epoch, start, handler, token, category, span = event._value
+        if epoch != stream.epoch:
+            return
+        stream.span = None
         now = self.env.now
         self.log.record(start, now, category)
         if span is not None:
@@ -240,3 +264,4 @@ class Gpu:
             tel.metrics.counter("gpu.kernels", category=category).inc()
             tel.metrics.histogram("gpu.kernel_s", category=category
                                   ).observe(span.duration)
+        handler(token)

@@ -38,7 +38,7 @@ from ..faults.runner import count_retries
 from ..gpu import Gpu
 from ..models import ModelSpec
 from ..net import Fabric
-from ..sim import URGENT, Environment, Event, Interrupt, gc_paused
+from ..sim import URGENT, Environment, Event, gc_paused
 from ..strategies.base import Strategy, SyncContext
 from ..telemetry import TelemetryCollector, current_collector
 
@@ -321,69 +321,34 @@ def _run_round(model: ModelSpec, cluster: ClusterSpec, strategy: Strategy,
                 * (1 + OPTIMIZER_FRACTION))
     compute_time = max(t[2] for t in timings.values())
 
-    def compute_pass(node: int, slowdown: float):
-        gpu = gpus[node]
-        forward, backward, _ = timings[cluster.node_at(node).gpu]
-        layers = f"node{node}/layers"
-        span = (tel.begin("forward", category="phase", track=layers,
-                          at=env.now) if tel is not None else None)
-        yield from gpu.run_compute(forward * slowdown, category="compute",
-                                   span_parent=span)
-        if span is not None:
-            tel.finish(span, env.now)
-        prev_offset = 0.0
-        for offset, grad in backward:
-            span = (tel.begin(f"backward:{grad.name}", category="phase",
-                              track=layers, at=env.now, nbytes=grad.nbytes)
-                    if tel is not None else None)
-            yield from gpu.run_compute((offset - prev_offset) * slowdown,
-                                       category="compute", span_parent=span)
-            if span is not None:
-                tel.finish(span, env.now)
-            prev_offset = offset
-            event = ready[(node, grad.name)]
-            if event.triggered:
-                continue  # already produced before a crash
-            delay = (cluster.node_at(node).local_aggregation_time(
-                grad.nbytes) if local_aggregation else 0.0)
-            if delay > 0:
-                env.call_later(0.0, _start_local_agg, (event, delay), URGENT)
-            else:
-                event.succeed()
-
-    def node_process(node: int):
-        slowdown = 1.0
-        if straggler is not None and node == straggler[0]:
-            slowdown = straggler[1]
-        recover_delay = 0.0
-        while True:
-            try:
-                if recover_delay > 0:
-                    yield env.timeout(recover_delay)
-                yield from compute_pass(node, slowdown)
-                return
-            except Interrupt:
-                # Crashed fail-stop.  If the schedule restarts this node
-                # later, it recovers then and redoes the iteration's
-                # compute from scratch (GPU state was lost); otherwise its
-                # remaining gradients are gone and the survivors' failure
-                # detector / degradation machinery takes over.
-                restarts = [] if schedule is None else [
-                    ev.at for ev in schedule
-                    if isinstance(ev, NodeRestart) and ev.node == node
-                    and ev.at >= env.now]
-                if not restarts:
-                    return
-                recover_delay = min(restarts) - env.now
-
-    node_procs = [env.process(node_process(i), name=f"node{i}")
-                  for i in range(cluster.num_nodes)]
+    # Each GPU model's compute pass as kernels: (seconds, phase, the
+    # gradient the kernel produces or None).
+    segments = {}
+    for gpu_spec, (forward, backward, _) in timings.items():
+        offsets = [0.0] + [offset for offset, _ in backward]
+        segments[gpu_spec] = [(forward, "forward", None)] + [
+            (offset - prev, f"backward:{grad.name}", grad)
+            for prev, (offset, grad) in zip(offsets, backward)]
+    passes = []
+    for node in range(cluster.num_nodes):
+        node_spec = cluster.node_at(node)
+        slowdown = (straggler[1] if straggler is not None
+                    and node == straggler[0] else 1.0)
+        restarts = () if schedule is None else tuple(
+            ev.at for ev in schedule
+            if isinstance(ev, NodeRestart) and ev.node == node)
+        passes.append(_NodePass(
+            gpus[node], node, segments[node_spec.gpu], slowdown, ready,
+            node_spec if local_aggregation else None, restarts))
+    # Each pass starts from its URGENT initializer hop.
+    for node_pass in passes:
+        env.call_later(0.0, node_pass.run, 0, URGENT)
 
     report: Optional[RobustSyncReport] = None
     if robust:
         if injector is not None:
-            for i, proc in enumerate(node_procs):
-                injector.bind_node_process(i, proc)
+            for node_pass in passes:
+                injector.on_crash(node_pass.on_crash)
         node_events = {n: [ready[(n, grad.name)] for grad in model.gradients]
                        for n in range(cluster.num_nodes)}
         report = run_graph_robust(
@@ -392,22 +357,14 @@ def _run_round(model: ModelSpec, cluster: ClusterSpec, strategy: Strategy,
             heartbeat_timeout_s=heartbeat_timeout_s,
             node_events=node_events)
         finish = report.finish_time
-
-        def drain():
-            # Crashed nodes' processes fail with Interrupt; tolerate them.
-            for proc in node_procs:
-                if proc.is_alive:
-                    try:
-                        yield proc
-                    except Interrupt:
-                        pass
     else:
         finish = run_graph(env, graph, engines)
 
-        def drain():
-            yield env.all_of(node_procs)
-
-    env.run_until_complete(env.process(drain(), name="drain"))
+    # The drain: a node's compute may outlast the synchronization.  A
+    # pass ends when its last kernel does, or at a crash with no restart
+    # to come.
+    while any(node_pass.running for node_pass in passes):
+        env.step()
     barrier = max(finish, env.now)
     if robust:
         # Let background retries/backoffs/timers play out so the transfer
@@ -422,6 +379,100 @@ def _run_round(model: ModelSpec, cluster: ClusterSpec, strategy: Strategy,
     return _Round(tel=tel, graph=graph, gpus=gpus, fabric=fabric,
                   coordinator=coordinator, finish=finish,
                   barrier=barrier, report=report, compute_time=compute_time)
+
+
+class _NodePass:
+    """One node's forward/backward compute pass, as a callback state machine.
+
+    Each of ``segments`` (forward, then one per backward layer) is one
+    compute kernel (:meth:`Gpu.run_compute`); a backward kernel's end
+    makes its gradient ready, through intra-node aggregation when
+    ``agg_node`` is given.  A crash reaches the pass through an URGENT
+    hop (:meth:`on_crash`): the kernel in flight is abandoned, and the
+    pass ends, or, if the schedule restarts the node later, redoes the
+    iteration's compute from scratch then (GPU state was lost).
+    ``epoch`` counts crashes, so a recovery timer a later crash
+    superseded does nothing.
+    """
+
+    __slots__ = ("gpu", "node", "segments", "slowdown", "ready", "agg_node",
+                 "restarts", "running", "epoch", "segment", "span")
+
+    def __init__(self, gpu: Gpu, node: int, segments: list, slowdown: float,
+                 ready: Dict, agg_node, restarts: tuple):
+        self.gpu = gpu
+        self.node = node
+        self.segments = segments
+        self.slowdown = slowdown
+        self.ready = ready
+        self.agg_node = agg_node
+        self.restarts = restarts
+        self.running = True
+        self.epoch = 0
+        self.segment = 0
+        self.span = None
+
+    def run(self, carrier: Event) -> None:
+        """Start the pass, unless a crash since superseded this hop."""
+        if carrier._value == self.epoch:
+            self._launch()
+
+    def _launch(self) -> None:
+        seconds, phase, grad = self.segments[self.segment]
+        env = self.gpu.env
+        tel = env.telemetry
+        span = None
+        if tel is not None:
+            attrs = {} if grad is None else {"nbytes": grad.nbytes}
+            span = tel.begin(phase, category="phase",
+                             track=f"node{self.node}/layers", at=env.now,
+                             **attrs)
+        self.span = span
+        self.gpu.run_compute(seconds * self.slowdown, self._segment_done,
+                             category="compute", span_parent=span)
+
+    def _segment_done(self, _token) -> None:
+        env = self.gpu.env
+        if self.span is not None:
+            env.telemetry.finish(self.span, env.now)
+        grad = self.segments[self.segment][2]
+        if grad is not None:
+            event = self.ready[(self.node, grad.name)]
+            if not event.triggered:  # else produced before a crash
+                delay = (self.agg_node.local_aggregation_time(grad.nbytes)
+                         if self.agg_node is not None else 0.0)
+                if delay > 0:
+                    env.call_later(0.0, _start_local_agg, (event, delay),
+                                   URGENT)
+                else:
+                    event.succeed()
+        self.segment += 1
+        if self.segment == len(self.segments):
+            self.running = False
+        else:
+            self._launch()
+
+    def on_crash(self, node: int) -> None:
+        """The injector's crash hook: schedule the crash's URGENT hop."""
+        if node == self.node and self.running:
+            self.gpu.env.call_later(0.0, self._crashed, None, URGENT)
+
+    def _crashed(self, _carrier: Event) -> None:
+        # The abandoned kernel's phase span stays open: the phase never
+        # ended.
+        self.epoch += 1
+        self.segment = 0
+        self.gpu.abort_compute()
+        env = self.gpu.env
+        restarts = [at for at in self.restarts if at >= env.now]
+        if not restarts:
+            self.running = False
+            return
+        delay = min(restarts) - env.now
+        if delay > 0:
+            env.call_later(delay, self.run, self.epoch)
+        else:
+            self._launch()
 
 
 def _start_local_agg(carrier: Event) -> None:

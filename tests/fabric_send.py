@@ -1,4 +1,4 @@
-"""Test helper: one fabric message as an event a process can wait on."""
+"""Test helper: one fabric message as an event a test can wait on."""
 
 
 def send(fabric, src, dst, nbytes):

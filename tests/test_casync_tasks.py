@@ -43,9 +43,8 @@ def test_task_validation():
 
 @pytest.mark.parametrize("kind", ["encode", "cpu"])
 def test_executor_errors_propagate_out_of_run_graph(kind):
-    # An executor is callbacks, not a process whose failure the event
-    # loop would swallow: the error surfaces as itself, not as a
-    # deadlock of the graph waiter.
+    # An executor is callbacks: its error surfaces out of the event loop
+    # as itself, not as a deadlock of the round.
     env, fabric, gpus, engines, _ = make_world(1)
     graph = build(env, [row(0, kind, "bad", duration=1.0)])
     graph.tasks[0].duration = -1.0  # corrupted after validation
@@ -116,12 +115,7 @@ def test_raw_event_dependency():
     ready = env.event()
     graph = build(env, [row(0, "encode", "a", duration=1.0,
                             deps=["ready"])], ready={"ready": ready})
-
-    def fire(env):
-        yield env.timeout(5)
-        ready.succeed()
-
-    env.process(fire(env))
+    env.call_later(5, lambda _carrier: ready.succeed())
     finish = run_graph(env, graph, engines)
     assert finish == pytest.approx(6.0)
 

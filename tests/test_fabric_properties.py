@@ -8,6 +8,23 @@ from repro.sim import Environment
 from tests.fabric_send import send
 
 
+def launch(env, fabric, transfers, spans=None):
+    """Issue each ``(src, dst, nbytes, delay)`` ``delay`` from now; on
+    delivery, append ``(nbytes, elapsed)`` of a non-loopback to ``spans``."""
+    def issue(carrier):
+        src, dst, nbytes = carrier.value
+        start = env.now
+
+        def delivered(_token):
+            if spans is not None and src != dst:
+                spans.append((nbytes, env.now - start))
+
+        fabric.issue(src, dst, nbytes, delivered, None)
+
+    for src, dst, nbytes, delay in transfers:
+        env.call_later(delay, issue, (src, dst, nbytes))
+
+
 @st.composite
 def transfer_plan(draw):
     num_nodes = draw(st.integers(2, 5))
@@ -27,13 +44,7 @@ def test_bytes_conserved(plan):
     num_nodes, transfers = plan
     env = Environment()
     fabric = Fabric(env, num_nodes, NetworkSpec(bandwidth_gbps=10))
-
-    def launch(src, dst, nbytes, delay):
-        yield env.timeout(delay)
-        yield send(fabric, src, dst, nbytes)
-
-    for src, dst, nbytes, delay in transfers:
-        env.process(launch(src, dst, nbytes, delay))
+    launch(env, fabric, transfers)
     env.run()
     expected = sum(n for s, d, n, _ in transfers if s != d)
     assert fabric.stats.bytes_sent == pytest.approx(expected)
@@ -50,16 +61,7 @@ def test_transfer_times_lower_bounded(plan):
     spec = NetworkSpec(bandwidth_gbps=10, latency_us=5)
     fabric = Fabric(env, num_nodes, spec)
     spans = []
-
-    def launch(src, dst, nbytes, delay):
-        yield env.timeout(delay)
-        start = env.now
-        yield send(fabric, src, dst, nbytes)
-        if src != dst:
-            spans.append((nbytes, env.now - start))
-
-    for src, dst, nbytes, delay in transfers:
-        env.process(launch(src, dst, nbytes, delay))
+    launch(env, fabric, transfers, spans)
     env.run()
     for nbytes, elapsed in spans:
         assert elapsed >= spec.transfer_time(nbytes) - 1e-12
@@ -73,13 +75,7 @@ def test_direction_busy_within_makespan(plan):
     env = Environment()
     fabric = Fabric(env, num_nodes, NetworkSpec(bandwidth_gbps=10,
                                                 latency_us=0))
-
-    def launch(src, dst, nbytes, delay):
-        yield env.timeout(delay)
-        yield send(fabric, src, dst, nbytes)
-
-    for src, dst, nbytes, delay in transfers:
-        env.process(launch(src, dst, nbytes, delay))
+    launch(env, fabric, transfers)
     env.run()
     for nic in fabric.nics:
         assert nic.up_busy <= env.now + 1e-9

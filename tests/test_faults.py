@@ -521,3 +521,76 @@ def test_telemetry_collector_leaves_trace_hash_unchanged(
         observed = _trace_fingerprint(make_strategy, algo_factory, schedule)
     assert observed == baseline
     assert tel.spans                   # the collector really did record
+
+
+# -- same-instant fault ordering ---------------------------------------------
+
+#: A hand-written schedule whose faults tie with each other and with the
+#: round's own events (``random_schedule`` draws float times, so it never
+#: ties):
+#:
+#: - node 0's slowdown is restored at 3.3e-4, the instant node 0's
+#:   forward pass ends and node 2 crashes, so its first backward kernel
+#:   is granted (and slowed 3x) before the restore fires;
+#: - node 1 crashes mid-forward and restarts at 2**-11, the same instant
+#:   as a link degradation and node 2's restart.
+TIED_SCHEDULE = FaultSchedule.of(
+    GpuSlowdown(at=1.65e-4, node=0, factor=3.0, duration=1.65e-4),
+    NodeCrash(at=3.3e-4, node=2),
+    NodeCrash(at=2.0 ** -12, node=1),
+    LinkDegrade(at=2.0 ** -11, src=0, dst=2, factor=4.0),
+    NodeRestart(at=2.0 ** -11, node=1),
+    NodeRestart(at=2.0 ** -11, node=2),
+)
+#: The instant ``push:f.g0.p0@1`` is delivered under TIED_SCHEDULE.
+TIED_DELIVERY = 0.0014913367576923078
+
+
+def _tied_round(deadline):
+    return trace_iteration(
+        small_model(), ec2_v100_cluster(3), BytePS(),
+        fault_schedule=TIED_SCHEDULE, retry_policy=RetryPolicy.aggressive(),
+        sync_deadline_s=deadline)
+
+
+def test_same_instant_faults_keep_their_order():
+    trace = _tied_round(0.5)
+    assert trace_hash(trace) == (
+        "0ef1112ae7de90b44c47cfa408ebac0cf4bb1439660c635669adb2739f5c20db")
+    assert trace.finish_time == 0.003358926358974359
+    # The slowed backward kernel, and node 1's recomputed pass that
+    # starts at its restart.
+    assert [(e.start, e.start + e.duration)
+            for e in trace.events_on(0, "gpu-compute")][1] == (
+        0.00033, 0.0019379999999999996)
+    assert trace.events_on(1, "gpu-compute")[0].start == 2.0 ** -11
+    result = simulate_iteration(
+        small_model(), ec2_v100_cluster(3), BytePS(),
+        fault_schedule=TIED_SCHEDULE, retry_policy=RetryPolicy.aggressive(),
+        sync_deadline_s=0.5)
+    assert result.iteration_time == 0.003419559745641026
+    report = result.fault_report
+    assert (report.declared_dead, report.retries, report.reassigned_tasks,
+            report.dropped_tasks) == ((), 2, 0, 0)
+    check_all(report)
+
+
+def test_deadline_on_a_delivery_instant_counts_the_delivery_finished():
+    # The deadline timer was pushed long before the delivery that lands
+    # on the same instant, so it fires first; the round is judged one
+    # hop later, by which time the delivery has completed its task.
+    with pytest.raises(DeadlineExceeded) as excinfo:
+        _tied_round(TIED_DELIVERY)
+    exc = excinfo.value
+    assert exc.at == TIED_DELIVERY
+    assert exc.unfinished == (
+        "cpu:agg:f.g0.p0@0@0", "cpu:agg:f.g0.p0@1@0", "send:push:f.g0.p0@2@2",
+        "cpu:agg:f.g0.p0@2@0", "notify:pulled:f.g0.p0@0@0",
+        "send:pull:f.g0.p0@1@0", "notify:pulled:f.g0.p0@1@1",
+        "send:pull:f.g0.p0@2@0", "notify:pulled:f.g0.p0@2@2",
+        "send:push:f.g1.p0@0@0", "cpu:agg:f.g1.p0@0@1",
+        "cpu:agg:f.g1.p0@1@1", "send:push:f.g1.p0@2@2",
+        "cpu:agg:f.g1.p0@2@1", "send:pull:f.g1.p0@0@1",
+        "notify:pulled:f.g1.p0@0@0", "notify:pulled:f.g1.p0@1@1",
+        "send:pull:f.g1.p0@2@1", "notify:pulled:f.g1.p0@2@2")
+    check_all(exc.report)

@@ -61,12 +61,7 @@ def test_gpu_streams_are_independent():
     env = Environment()
     gpu = Gpu(env, V100)
     done = []
-
-    def compute(env):
-        yield from gpu.run_compute(2.0)
-        done.append(("compute", env.now))
-
-    env.process(compute(env))
+    gpu.run_compute(2.0, lambda tag: done.append((tag, env.now)), "compute")
     gpu.run_kernel(1.0, lambda tag: done.append((tag, env.now)), "kernel")
     env.run()
     assert ("kernel", 1.0) in done
@@ -86,7 +81,7 @@ def test_gpu_same_stream_serializes():
     gpu.run_kernel(1.0, finished, "a")
     env.run()
     assert done == [("a", 1.0), ("b", 2.0)]
-    assert gpu.comm_free_at == 2.0
+    assert gpu.comm.free_at == 2.0
     # The stream holds one kernel at a time: a launch while one runs is
     # refused at its grant, not queued behind it.
     gpu.run_kernel(1.0, finished, "c")
@@ -98,12 +93,7 @@ def test_gpu_same_stream_serializes():
 def test_gpu_log_records_intervals():
     env = Environment()
     gpu = Gpu(env, V100)
-
-    def run(env):
-        yield from gpu.run_compute(1.5)
-        gpu.run_kernel(0.5, lambda _token: None)
-
-    env.process(run(env))
+    gpu.run_compute(1.5, lambda _token: gpu.run_kernel(0.5, lambda _: None))
     env.run()
     assert gpu.log.busy_time("compute") == pytest.approx(1.5)
     assert gpu.log.busy_time("compression") == pytest.approx(0.5)
@@ -113,9 +103,8 @@ def test_gpu_log_records_intervals():
 def test_gpu_negative_duration_rejected():
     env = Environment()
     gpu = Gpu(env, V100)
-    p = env.process(gpu.run_compute(-1))
-    env.run()
-    assert p.ok is False
+    with pytest.raises(ValueError, match="negative duration"):
+        gpu.run_compute(-1, lambda _token: None)
     with pytest.raises(ValueError, match="negative duration"):
         gpu.run_kernel(-1, lambda _token: None)
 
@@ -208,38 +197,33 @@ def test_cluster_validation():
 
 
 def test_interrupted_kernel_releases_the_stream():
-    """A crash mid-kernel must not leak the stream (fault injection
-    interrupts compute processes; a restarted node re-acquires)."""
-    from repro.sim import Interrupt
+    """A NodeCrash mid-kernel, delivered by the FaultInjector, abandons
+    the compute kernel: its span closes ``interrupted`` at the crash, it
+    logs no busy interval, and the NodeRestart recomputes the pass on the
+    freed stream."""
+    from repro.faults import FaultSchedule, NodeCrash, NodeRestart
+    from repro.models import GradientSpec, ModelSpec
+    from repro.strategies import BytePS
+    from repro.telemetry import telemetry_session
+    from repro.training.loop import _run_round
 
-    env = Environment()
-    gpu = Gpu(env, V100)
-    state = []
-
-    def work(env):
-        try:
-            yield from gpu.run_compute(1.0)
-        except Interrupt:
-            state.append(("interrupted", env.now))
-
-    def killer(env, victim):
-        yield env.timeout(0.5)
-        victim.interrupt()
-
-    victim = env.process(work(env))
-    env.process(killer(env, victim))
-    env.run()
-    assert state == [("interrupted", 0.5)]
-    assert gpu.compute.count == 0
-
-    def again(env):
-        yield from gpu.run_compute(0.25)
-        state.append(("done", env.now))
-
-    env.process(again(env))
-    env.run()
-    # the first run drained to t=1.0 (the defused timeout still advances
-    # the clock); the retry then held the freed stream for 0.25s
-    assert state[-1] == ("done", 1.25)
-    # the aborted kernel never logged a busy interval; the retry did
-    assert gpu.log.busy_time("compute") == pytest.approx(0.25)
+    model = ModelSpec(name="g", gradients=(GradientSpec("g.w", 1 << 20),),
+                      batch_size=4, batch_unit="images",
+                      v100_iteration_s=0.001)
+    schedule = FaultSchedule.of(NodeCrash(at=1e-4, node=1),
+                                NodeRestart(at=5e-4, node=1))
+    with telemetry_session() as tel:
+        rnd = _run_round(model, ec2_v100_cluster(2), BytePS(),
+                         fault_schedule=schedule)
+    kernels = [span for span in tel.spans
+               if span.track == "node1/gpu-compute"]
+    aborted, *recomputed = kernels
+    assert (aborted.start, aborted.end) == (0.0, 1e-4)
+    assert aborted.attrs["outcome"] == "interrupted"
+    assert recomputed[0].start == 5e-4
+    assert all("outcome" not in span.attrs for span in recomputed)
+    intervals = rnd.gpus[1].log.intervals
+    assert [start for start, _, _ in intervals][0] == 5e-4
+    assert len(intervals) == len(recomputed)
+    assert rnd.gpus[1].compute.free_at == intervals[-1][1]
+    assert not rnd.report.aborted

@@ -16,9 +16,8 @@ Every case also runs under an attached telemetry collector.  The
 collector rides the same fast paths (inline sends, vectorized bulk
 flushes) as a bare run and only records, so the traced run must
 reproduce the pinned hash too.  Its telemetry is pinned as well, in
-``tests/golden/telemetry_digests.json``: one digest over its spans (every
-category but ``process``) and one over its metrics (all but
-``sim.processes``).
+``tests/golden/telemetry_digests.json``: one digest over its spans and
+one over its metrics.
 
 The seed-11 fault rounds of ``tests/test_faults.py`` pin the same two
 digests of their traced run in ``tests/golden/fault_telemetry_digests.json``.
@@ -49,7 +48,7 @@ _ID_ATTRS = ("task", "task_ids")
 
 
 def span_digest(tel):
-    """Digest of every non-``process`` span, in recording order.
+    """Digest of every span, in recording order.
 
     A span is keyed by name, category, track, start, end, its attrs
     (task ids excluded) and its parent's name and start.
@@ -57,8 +56,6 @@ def span_digest(tel):
     by_id = {span.id: span for span in tel.spans}
     digest = hashlib.sha256()
     for span in tel.spans:
-        if span.category == "process":
-            continue
         parent = by_id.get(span.parent_id)
         attrs = sorted((k, v) for k, v in span.attrs.items()
                        if k not in _ID_ATTRS)
@@ -69,11 +66,9 @@ def span_digest(tel):
 
 
 def metrics_digest(tel):
-    """Digest of the metrics snapshot without ``sim.processes``."""
-    rows = [row for row in tel.metrics.snapshot()
-            if row["name"] != "sim.processes"]
-    return hashlib.sha256(
-        json.dumps(rows, sort_keys=True).encode()).hexdigest()
+    """Digest of the metrics snapshot."""
+    return hashlib.sha256(json.dumps(tel.metrics.snapshot(), sort_keys=True)
+                          .encode()).hexdigest()
 
 
 def enumerate_cases():

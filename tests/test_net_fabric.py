@@ -50,13 +50,8 @@ def test_uplink_contention_serializes():
     """Two sends from the same source to different destinations serialize."""
     env, fabric = make_fabric(gbps=8.0)
     done = []
-
-    def sender(env, dst):
-        yield send(fabric, 0, dst, 1e9)
-        done.append((dst, env.now))
-
-    env.process(sender(env, 1))
-    env.process(sender(env, 2))
+    for dst in (1, 2):
+        fabric.issue(0, dst, 1e9, lambda d: done.append((d, env.now)), dst)
     env.run()
     assert done == [(1, pytest.approx(1.0)), (2, pytest.approx(2.0))]
 
@@ -64,13 +59,8 @@ def test_uplink_contention_serializes():
 def test_downlink_contention_serializes():
     env, fabric = make_fabric(gbps=8.0)
     done = []
-
-    def sender(env, src):
-        yield send(fabric, src, 3, 1e9)
-        done.append((src, env.now))
-
-    env.process(sender(env, 0))
-    env.process(sender(env, 1))
+    for src in (0, 1):
+        fabric.issue(src, 3, 1e9, lambda s: done.append((s, env.now)), src)
     env.run()
     assert [t for _, t in done] == [pytest.approx(1.0), pytest.approx(2.0)]
 
@@ -78,13 +68,8 @@ def test_downlink_contention_serializes():
 def test_disjoint_pairs_run_in_parallel():
     env, fabric = make_fabric(gbps=8.0)
     done = []
-
-    def sender(env, src, dst):
-        yield send(fabric, src, dst, 1e9)
-        done.append(env.now)
-
-    env.process(sender(env, 0, 1))
-    env.process(sender(env, 2, 3))
+    for src, dst in ((0, 1), (2, 3)):
+        fabric.issue(src, dst, 1e9, lambda _: done.append(env.now), None)
     env.run()
     assert done == [pytest.approx(1.0), pytest.approx(1.0)]
 
@@ -93,13 +78,8 @@ def test_full_duplex_send_and_receive_overlap():
     """A node can send and receive at full rate simultaneously (ring step)."""
     env, fabric = make_fabric(gbps=8.0)
     done = []
-
-    def sender(env, src, dst):
-        yield send(fabric, src, dst, 1e9)
-        done.append(env.now)
-
-    env.process(sender(env, 0, 1))
-    env.process(sender(env, 1, 0))
+    for src, dst in ((0, 1), (1, 0)):
+        fabric.issue(src, dst, 1e9, lambda _: done.append(env.now), None)
     env.run()
     assert done == [pytest.approx(1.0), pytest.approx(1.0)]
 
@@ -108,13 +88,8 @@ def test_latency_does_not_occupy_nic():
     """Back-to-back messages pipeline: latency overlaps next serialization."""
     env, fabric = make_fabric(gbps=8.0, latency_us=1e5)  # 0.1 s latency
     done = []
-
-    def sender(env, tag):
-        yield send(fabric, 0, 1, 1e9)
-        done.append((tag, env.now))
-
-    env.process(sender(env, "a"))
-    env.process(sender(env, "b"))
+    for tag in ("a", "b"):
+        fabric.issue(0, 1, 1e9, lambda t: done.append((t, env.now)), tag)
     env.run()
     # serialize a: 0..1, arrive 1.1; serialize b: 1..2, arrive 2.1
     assert done == [("a", pytest.approx(1.1)), ("b", pytest.approx(2.1))]

@@ -4,8 +4,9 @@ Hypothesis drives arbitrary push/pop/cancel interleavings of the slotted
 calendar queue against a sorted-list reference model enforcing the exact
 ``(time, priority, seq)`` total order, including FIFO tie-breaks among
 events sharing an instant and priority.  A second property checks
-Interrupt delivery end-to-end against a closed-form model of any
-schedule of sleepers and interrupters.
+crash delivery end-to-end (a compute kernel abandoned mid-run, whose
+pending finish must then do nothing) against a closed-form model of any
+schedule of kernels and crashes.
 
 The cancel-churn regression pins the tombstone bound: a workload that
 cancels almost everything it schedules must not grow the agenda beyond
@@ -16,7 +17,8 @@ import bisect
 
 from hypothesis import given, settings, strategies as st
 
-from repro.sim import Environment, Interrupt, SlottedQueue
+from repro.gpu import Gpu, V100
+from repro.sim import Environment, SlottedQueue
 from repro.sim.queues import COMPACT_MIN_TOMBSTONES
 
 #: A small time domain so same-instant collisions are common.
@@ -105,36 +107,36 @@ def interrupt_scenario(draw):
 
 
 def _run_interrupts(delays, pokes):
+    """One compute kernel of ``delays[i]`` per GPU ``i``, each poke
+    aborting its target's kernel if it still runs."""
     env = Environment()
     log = []
+    gpus = [Gpu(env, V100, i) for i in range(len(delays))]
+    for i, delay in enumerate(delays):
+        gpus[i].run_compute(delay, lambda i: log.append(("done", i, env.now)),
+                            i)
 
-    def sleeper(i, delay):
-        try:
-            yield env.timeout(delay)
-            log.append(("done", i, env.now))
-        except Interrupt as exc:
-            log.append(("interrupted", i, env.now, str(exc.cause)))
+    def poke(carrier):
+        at, target = carrier.value
+        if not any(entry[1] == target for entry in log):
+            gpus[target].abort_compute()
+            log.append(("interrupted", target, env.now, f"poke@{at}"))
 
-    procs = [env.process(sleeper(i, d)) for i, d in enumerate(delays)]
-
-    def interrupter():
-        now = 0.0
+    def schedule_pokes(_carrier):
+        # Pushed after the kernels' grants, as the crashes of a fault
+        # schedule are: at a tie the kernel's finish comes first.
         for at, target in pokes:
-            if at > now:
-                yield env.timeout(at - now)
-                now = at
-            if procs[target].is_alive:
-                procs[target].interrupt(f"poke@{at}")
+            env.call_later(at, poke, (at, target))
 
-    env.process(interrupter())
+    env.call_later(0.0, schedule_pokes)
     env.run()
     return log
 
 
 def _interrupt_model(delays, pokes):
-    """Closed form: sleeper ``i`` is interrupted by the first poke aimed
-    at it strictly before its own wake-up (a tie goes to the sleeper,
-    whose timeout was scheduled first); otherwise it wakes on time."""
+    """Closed form: kernel ``i`` is abandoned by the first poke aimed at
+    it strictly before its own finish (a tie goes to the kernel, whose
+    finish was scheduled first); otherwise it finishes on time."""
     outcome = {}
     for i, delay in enumerate(delays):
         at = next((at for at, target in pokes
@@ -149,10 +151,10 @@ def _interrupt_model(delays, pokes):
 def test_interrupt_delivery_matches_model(scenario):
     delays, pokes = scenario
     log = _run_interrupts(delays, pokes)
-    by_sleeper = {entry[1]: entry for entry in log}
-    assert len(by_sleeper) == len(log) == len(delays), (
-        f"each sleeper must log exactly once: {log}")
-    assert by_sleeper == _interrupt_model(delays, pokes)
+    by_kernel = {entry[1]: entry for entry in log}
+    assert len(by_kernel) == len(log) == len(delays), (
+        f"each kernel must log exactly once: {log}")
+    assert by_kernel == _interrupt_model(delays, pokes)
 
 
 def test_cancel_churn_keeps_queue_bounded():
@@ -167,19 +169,27 @@ def test_cancel_churn_keeps_queue_bounded():
     env = Environment()
     high_water = 0
 
-    def churner():
-        for round_ in range(40):
-            timers = [env.timeout(1000.0 + i) for i in range(50)]
-            yield env.timeout(0.001)
-            for timer in timers:
-                timer.cancel()
-        yield env.timeout(0.001)
+    def arm(round_):
+        timers = [env.call_later(1000.0 + i, _never) for i in range(50)]
+        env.call_later(0.001, churn, (round_, timers))
 
-    proc = env.process(churner())
-    while proc.is_alive:
+    def churn(carrier):
+        round_, timers = carrier.value
+        for timer in timers:
+            timer.cancel()
+        if round_ + 1 < 40:
+            arm(round_ + 1)
+
+    arm(0)
+    while env.peek() < 1000.0:
         env.step()
         queue = env._queue
         high_water = max(high_water, len(queue) + queue.tombstones)
-    live_peak = 50 + 2  # one round's timers + process bookkeeping
+    assert env.cancellations == 40 * 50
+    live_peak = 50 + 1  # one round's timers + the churn carrier
     assert high_water <= live_peak + COMPACT_MIN_TOMBSTONES * 2, (
         f"agenda grew to {high_water} physical entries under cancel churn")
+
+
+def _never(_carrier):
+    raise AssertionError("a cancelled timer fired")

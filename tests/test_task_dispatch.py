@@ -106,7 +106,16 @@ def test_one_agenda_entry_per_completion(traced):
 
     1,393 steps until the coordinator's ticker became pooled carriers:
     a retiring ticker process also stepped its completion event, and
-    this round retires its ticker 5 times."""
+    this round retires its ticker 5 times.
+
+    1,388 steps until the last generator processes became callbacks.
+    The 8 entries that went pushed no work:
+    - the 4 compute passes' completion events;
+    - the graph waiter's initializer (it only attached to ``done``) and
+      its completion event;
+    - the drain's initializer and the ``AllOf`` firing it waited on.
+    Every other entry a process pushed is still one carrier at the same
+    (time, priority), pushed at the same point."""
     model = golden_model()
     cluster = ec2_v100_cluster(4)
     algo = OneBit()
@@ -124,7 +133,7 @@ def test_one_agenda_entry_per_completion(traced):
         trace = trace_iteration(model, cluster, get_strategy("casync-ps"),
                                 algorithm=algo, plans=plans)
     assert trace_hash(trace).startswith("88c4e59099cd")
-    assert steps[0] == 1388
+    assert steps[0] == 1380
 
 
 def test_completing_a_task_twice_raises():
@@ -147,12 +156,8 @@ def test_failed_completion_fails_done_after_observers():
     done = graph.arm(engines)
     boom = RuntimeError("boom")
     graph.complete(a, boom)  # force-fail ``a`` while its kernel runs
-
-    def waiter():
-        yield done
-
     with pytest.raises(RuntimeError, match="boom"):
-        env.run_until_complete(env.process(waiter()))
+        env.run_until_complete(done)
     assert seen == [("a", boom)]
     assert done.processed and not done.ok
 
@@ -237,24 +242,21 @@ def test_finished_graph_frees_without_a_collection():
             gc.enable()
 
 
-def test_pristine_round_starts_only_compute_passes_and_the_graph_waiter():
-    """Executors, the coordinator ticker and intra-node aggregation run
-    on pooled carriers: a pristine round's processes are each node's
-    compute pass, the graph waiter and the drain that joins them."""
+def test_pristine_round_builds_ready_events_done_and_pooled_carriers(
+        event_inits):
+    """Every timed behaviour of a round is a callback on a pooled carrier:
+    a pristine golden round builds one ``Event`` per (node, gradient)
+    ready signal, the graph's ``done`` and the 97 carriers its pool
+    grows to.  The generator design also built 6 processes, 24 stream
+    requests, 24 kernel timeouts and the drain's ``AllOf``."""
     model = golden_model()
     cluster = ec2_v100_cluster(4)
-    names = []
-    original = Environment.process
-
-    def recording(self, generator, name=None):
-        names.append(name)
-        return original(self, generator, name)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(Environment, "process", recording)
-        result = simulate_iteration(
-            model, cluster, get_strategy("casync-ps"), algorithm=OneBit(),
-            plans=make_plans(model, cluster, OneBit(), "ps_colocated"))
+    plans = make_plans(model, cluster, OneBit(), "ps_colocated")
+    event_inits[0] = 0
+    result = simulate_iteration(
+        model, cluster, get_strategy("casync-ps"), algorithm=OneBit(),
+        plans=plans)
     assert result.coordinator_batches > 0
-    assert sorted(names) == ["drain", "graph-waiter", "node0", "node1",
-                             "node2", "node3"]
+    ready = cluster.num_nodes * len(model.gradients)
+    assert ready == 20
+    assert event_inits[0] == ready + 1 + 97
