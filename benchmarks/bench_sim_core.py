@@ -1,21 +1,20 @@
-"""Benchmark: the vectorized bulk-transfer path vs per-message issues.
+"""Benchmark: simulated-message throughput of the fabric, and a scale sweep.
 
 Two measurements:
 
-* **bulk** (reported, not gated) -- simulated-message throughput of
-  :meth:`Fabric.bulk_transfer` with a delivery ``handler`` (one NumPy
-  reservation pass and one pooled carrier per message, the interface the
-  CaSync coordinator flushes through) against one :meth:`Fabric.issue`
-  per message (a scalar reservation and one pooled carrier each, the
-  engine's per-message path), on the same simulator and a fan-out +
-  incast workload.  Both paths must agree exactly on every per-message
-  delivery time, the final simulated clock, bytes and messages -- a
-  fast wrong answer is a failure, not a speedup.  Measured on a 2-vCPU
-  Xeon under CPython 3.11 (each run the min of 3 repetitions) at 256
-  nodes / 8,192 messages (``--smoke``): 1.2-1.4x.
+* **issue** (throughput reported, not gated) -- simulated messages per
+  second through :meth:`Fabric.issue` (a scalar reservation and one
+  pooled delivery carrier per message, the path every engine send and
+  coordinator flush takes) on a fan-out + incast workload.  The run's
+  simulated outcome -- final clock, bytes and messages -- must equal the
+  committed ``BENCH_sim_core.json``'s exactly when that file holds a run
+  of the same size: a fast wrong answer is a failure, not a speedup.
+  The committed file is read before the new results are written.
 * **scale sweep** (gated) -- the fig7-style weak-scaling sweep on the
   256- and 1024-node EC2 presets, executed through the experiment
-  runner, asserted to finish within a wall-clock budget.
+  runner, asserted to finish within a wall-clock budget.  Its
+  ``throughput`` is reported but not compared with the committed run:
+  it is a float ``sum()``, whose last bits differ from Python 3.12 on.
 
 Usage::
 
@@ -23,8 +22,8 @@ Usage::
     PYTHONPATH=src python benchmarks/bench_sim_core.py --smoke   # CI
 
 Writes ``BENCH_sim_core.json`` (override with ``--output``) and exits
-non-zero if the paths disagree or the sweep misses its budget
-(``--no-check`` to report the budget only);
+non-zero if the issue case's outcome differs from the committed run or
+the sweep misses its budget (``--no-check`` to report only);
 ``--no-sweep`` skips the scale sweep for quick local iteration.
 """
 
@@ -37,18 +36,22 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 from repro.experiments.runner import ExperimentRunner
 from repro.experiments.throughput import sweep_jobs
 from repro.net import Fabric, NetworkSpec
 from repro.sim import Environment
 
 SPEC = NetworkSpec(bandwidth_gbps=100.0, latency_us=8.0, efficiency=0.65)
+#: The committed run, whose simulated outcome every run must reproduce.
+COMMITTED = Path(__file__).resolve().parent.parent / "BENCH_sim_core.json"
+STATE = ("finish_time", "bytes_sent", "messages")
+#: (nodes, steps, messages per step) of the issue case, smoke and full.
+SMOKE_SIZE = (256, 16, 512)
+FULL_SIZE = (1024, 40, 2048)
 
 
-def _bulk_steps(nodes: int, steps: int, msgs_per_step: int, seed: int):
-    """A reproducible mixed fan-out/incast schedule of bulk steps.
+def _steps(nodes: int, steps: int, msgs_per_step: int, seed: int):
+    """A reproducible mixed fan-out/incast schedule of message steps.
 
     Odd steps fan out from a handful of sources (a server pushing
     updates); even steps incast toward a handful of sinks (workers
@@ -68,46 +71,34 @@ def _bulk_steps(nodes: int, steps: int, msgs_per_step: int, seed: int):
                 transfers.append((hub, other, nbytes))
             else:
                 transfers.append((other, hub, nbytes))
-        # Pre-built (n, 3) arrays: the bulk API takes them directly, so
-        # the measurement isolates the paths, not list conversion.
-        schedule.append(np.asarray(transfers, dtype=np.float64))
+        schedule.append(transfers)
     return schedule
 
 
-def run_bulk_workload(bulk: bool, nodes: int, schedule) -> dict:
+def run_workload(nodes: int, schedule) -> dict:
     """Simulate the schedule step by step; returns timing + end state.
 
-    Each step is issued by the delivery that completes the previous one.
-    ``bulk`` issues a step as one ``bulk_transfer`` call; otherwise every
-    message is its own ``Fabric.issue``.  Both report deliveries through
-    the same handler, and must produce bit-identical per-message delivery
-    times.
+    Every message is its own :meth:`Fabric.issue`; the delivery that
+    completes one step issues the next.
     """
     env = Environment()
     fabric = Fabric(env, nodes, SPEC)
-    delivery_times = []
     steps = iter(schedule)
 
     def issue_step():
         transfers = next(steps, None)
         if transfers is None:
             return
-        times = [0.0] * len(transfers)
         remaining = len(transfers)
 
-        def deliver(index):
+        def deliver(_token):
             nonlocal remaining
-            times[index] = env.now
             remaining -= 1
             if not remaining:
-                delivery_times.append(times)
                 issue_step()
 
-        if bulk:
-            fabric.bulk_transfer(transfers, handler=deliver)
-        else:
-            for index, (src, dst, nbytes) in enumerate(transfers.tolist()):
-                fabric.issue(int(src), int(dst), nbytes, deliver, index)
+        for src, dst, nbytes in transfers:
+            fabric.issue(src, dst, nbytes, deliver, None)
 
     start = time.perf_counter()
     issue_step()
@@ -118,48 +109,41 @@ def run_bulk_workload(bulk: bool, nodes: int, schedule) -> dict:
         "finish_time": env.now,
         "bytes_sent": fabric.stats.bytes_sent,
         "messages": fabric.stats.messages,
-        "delivery_times": delivery_times,
     }
 
 
-def bench_bulk(smoke: bool, reps: int) -> dict:
-    nodes = 256 if smoke else 1024
-    steps = 16 if smoke else 40
-    msgs = 512 if smoke else 2048
-    schedule = _bulk_steps(nodes, steps, msgs, seed=7)
+def bench_issue(smoke: bool, reps: int) -> dict:
+    nodes, steps, msgs = SMOKE_SIZE if smoke else FULL_SIZE
+    schedule = _steps(nodes, steps, msgs, seed=7)
     total_msgs = steps * msgs
 
-    message_walls, bulk_walls = [], []
-    message_state = bulk_state = None
+    walls = []
     for _ in range(reps):
-        message_state = run_bulk_workload(False, nodes, schedule)
-        message_walls.append(message_state.pop("wall_s"))
-        bulk_state = run_bulk_workload(True, nodes, schedule)
-        bulk_walls.append(bulk_state.pop("wall_s"))
-    if (bulk_state.pop("delivery_times")
-            != message_state.pop("delivery_times")):
-        raise AssertionError(
-            "bulk and per-message paths disagree on delivery times")
-    if bulk_state != message_state:
-        raise AssertionError(
-            f"bulk and per-message paths disagree on the simulated "
-            f"outcome: per-message={message_state} bulk={bulk_state}")
+        state = run_workload(nodes, schedule)
+        walls.append(state.pop("wall_s"))
     # min-of-reps: allocator/GC noise is strictly additive, so the
-    # fastest repetition is the cleanest estimate of each path's cost.
-    message_s = min(message_walls)
-    bulk_s = min(bulk_walls)
+    # fastest repetition is the cleanest estimate of the path's cost.
+    issue_s = min(walls)
     return {
-        "case": "bulk",
+        "case": "issue",
         "nodes": nodes,
-        "bulk_steps": steps,
+        "steps": steps,
         "messages": total_msgs,
-        "per_message_s": round(message_s, 4),
-        "bulk_s": round(bulk_s, 4),
-        "per_message_msgs_per_s": round(total_msgs / message_s),
-        "bulk_msgs_per_s": round(total_msgs / bulk_s),
-        "speedup": round(message_s / bulk_s, 2) if bulk_s else float("inf"),
-        "state": message_state,
+        "issue_s": round(issue_s, 4),
+        "msgs_per_s": round(total_msgs / issue_s),
+        "state": state,
     }
+
+
+def committed_state(smoke: bool):
+    """The committed run's issue ``state`` at this size, or None when the
+    committed file holds no issue run of this size."""
+    nodes, steps, _msgs = SMOKE_SIZE if smoke else FULL_SIZE
+    for row in json.loads(COMMITTED.read_text())["results"]:
+        if (row["case"] == "issue" and row["nodes"] == nodes
+                and row["steps"] == steps):
+            return row["state"]
+    return None
 
 
 def bench_scale_sweep(smoke: bool) -> dict:
@@ -203,12 +187,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     reps = args.reps if args.reps else (3 if args.smoke else 5)
 
-    bulk = bench_bulk(args.smoke, reps)
-    print(f"bulk        n={bulk['nodes']:<5d} {bulk['messages']} msgs   "
-          f"per-message {bulk['per_message_s']:8.3f}s   "
-          f"bulk {bulk['bulk_s']:8.3f}s   {bulk['speedup']:6.1f}x")
+    committed = committed_state(args.smoke)
+    issue = bench_issue(args.smoke, reps)
+    print(f"issue       n={issue['nodes']:<5d} {issue['messages']} msgs   "
+          f"{issue['issue_s']:8.3f}s   {issue['msgs_per_s']} msgs/s")
 
-    results = [bulk]
+    results = [issue]
     sweep = None
     if not args.no_sweep:
         sweep = bench_scale_sweep(args.smoke)
@@ -222,15 +206,26 @@ def main(argv=None) -> int:
     Path(args.output).write_text(json.dumps(payload, indent=1) + "\n")
     print(f"[results -> {args.output}]")
 
-    if args.no_check or sweep is None:
+    if args.no_check:
         return 0
-    if not sweep["within_budget"]:
-        print(f"FAIL: scale sweep took {sweep['wall_s']:.0f}s "
-              f"> {sweep['budget_s']:.0f}s budget")
+    failures = []
+    if committed is None:
+        print("note: no committed issue run of this size to compare")
+    else:
+        failures += [f"issue: {key} {issue['state'][key]!r} != committed "
+                     f"{committed[key]!r}" for key in STATE
+                     if issue["state"][key] != committed[key]]
+    if sweep is not None and not sweep["within_budget"]:
+        failures.append(f"scale sweep took {sweep['wall_s']:.0f}s "
+                        f"> {sweep['budget_s']:.0f}s budget")
+    if failures:
+        print("FAIL: " + "; ".join(failures))
         return 1
-    print("OK: 1024-node sweep within budget")
+    print("OK: issue outcome "
+          + ("matches the committed run" if committed is not None
+             else "not compared")
+          + ("; 1024-node sweep within budget" if sweep is not None else ""))
     return 0
-
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -488,9 +488,9 @@ class Coordinator:
     a size threshold, whichever is met first".
 
     Every flush issues from one pooled URGENT carrier
-    (:meth:`_flush_keys`): without a ``retry_policy`` its batches move in
-    one vectorized :meth:`Fabric.bulk_transfer`, with one each batch runs
-    its own :func:`robust_transfer`.  The timeout check is a ticker of
+    (:meth:`_flush_keys`), which sends each batch as one message: through
+    :meth:`Fabric.issue` without a ``retry_policy``, through its own
+    :func:`robust_transfer` with one.  The timeout check is a ticker of
     pooled carriers (:meth:`_next_tick`), not a process.  A telemetry
     collector only records.
     """
@@ -581,21 +581,22 @@ class Coordinator:
         self.env.call_later(0.0, self._issue_batches, batches, URGENT)
 
     def _issue_batches(self, event: Event) -> None:
-        batches = event._value
+        """Send each flushed batch as one message, in key order."""
         policy = self.retry_policy
-        if policy is None:
-            self.fabric.bulk_transfer(
-                [(src, dst, nbytes) for src, dst, _, nbytes, _ in batches],
-                handler=lambda index: self._settle(batches[index],
-                                                   "delivered"),
-                span_parents=[batch[4] for batch in batches])
-            return
-        for batch in batches:
-            robust_transfer(self.env, self.fabric, batch[0], batch[1],
-                            batch[3], policy,
-                            functools.partial(self._settle, batch),
-                            self.membership, self.degradation,
-                            on_retry=self._count_retry)
+        for batch in event._value:
+            src, dst, _, nbytes, span = batch
+            if policy is None:
+                self.fabric.issue(src, dst, nbytes, self._delivered, batch,
+                                  span_parent=span)
+            else:
+                robust_transfer(self.env, self.fabric, src, dst, nbytes,
+                                policy,
+                                functools.partial(self._settle, batch),
+                                self.membership, self.degradation,
+                                on_retry=self._count_retry)
+
+    def _delivered(self, batch: Tuple) -> None:
+        self._settle(batch, "delivered")
 
     def _settle(self, batch: Tuple, outcome: str,
                 _final_dst: Optional[int] = None) -> None:

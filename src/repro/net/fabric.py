@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -358,18 +358,13 @@ class Nic:
 class Fabric:
     """A cluster-wide network of ``num_nodes`` NICs.
 
-    The fabric is the only place that reserves NIC time.  Two ways to
-    move bytes, timing-only and, on a pristine fabric, delivering at
-    bit-identical instants, each message in one pooled delivery carrier:
-
-    * :meth:`issue` -- one message with a delivery callback; the only
-      path with fault semantics (the retry loop re-issues through it);
-    * :meth:`bulk_transfer` -- a batch of messages with a delivery
-      callback, reserved in one vectorized pass.
-
-    Both record the same ``xfer:`` telemetry span and ``net.*`` metrics
-    per message when a collector is attached; recording never schedules
-    an event.
+    The fabric is the only place that reserves NIC time, and
+    :meth:`issue` the only way to move bytes: one message with a
+    delivery callback, timed by :meth:`_reserve` and delivered by one
+    pooled carrier.  Engine sends, coordinator flushes and the retry
+    loop all go through it.  With a collector attached it records one
+    ``xfer:`` telemetry span and the ``net.*`` metrics per message;
+    recording never schedules an event.
     """
 
     def __init__(self, env: Environment, num_nodes: int,
@@ -384,16 +379,6 @@ class Fabric:
         self.links: Tuple[LinkSpec, ...] = spec.links(num_nodes)
         self.nics = [Nic(env, spec, link)
                      for link in self.links]
-        # Column views of the links for the vectorized bulk path.  With a
-        # uniform spec every entry equals the scalar the pre-heterogeneity
-        # code divided by / added, so the elementwise arithmetic below is
-        # bit-identical to the scalar arithmetic it replaced.
-        self._up_rates = np.array(
-            [link.up_bytes_per_s for link in self.links], dtype=np.float64)
-        self._down_rates = np.array(
-            [link.down_bytes_per_s for link in self.links], dtype=np.float64)
-        self._latencies = np.array(
-            [link.latency_s for link in self.links], dtype=np.float64)
         self.stats = TransferStats()
         #: Optional :class:`~repro.faults.injector.FaultState` attached by a
         #: FaultInjector.  None means the pristine (and byte-identical to
@@ -409,12 +394,12 @@ class Fabric:
               ) -> Optional[Attempt]:
         """Issue one transfer now; ``handler(token)`` runs at delivery.
 
-        The one-message twin of :meth:`bulk_transfer`: it reserves src's
-        uplink and dst's downlink (:meth:`_reserve`) and schedules one
-        pooled delivery carrier.  A loopback (src == dst) is free and
-        calls ``handler`` synchronously.  ``span_parent`` links the
-        message's telemetry span (opened now, closed at delivery) under a
-        causing span; it is ignored when no collector is attached.
+        It reserves src's uplink and dst's downlink (:meth:`_reserve`)
+        and schedules one pooled delivery carrier.  A loopback (src ==
+        dst) is free and calls ``handler`` synchronously.
+        ``span_parent`` links the message's telemetry span (opened now,
+        closed at delivery) under a causing span; it is ignored when no
+        collector is attached.
 
         With a :class:`~repro.faults.injector.FaultState` attached the
         message is logged in its TransferLog from now on and follows the
@@ -543,206 +528,9 @@ class Fabric:
         latency = max(sender.link.latency_s, receiver.link.latency_s)
         return max(up_finish, down_finish) + latency - now
 
-    # -- vectorized bulk transfers ---------------------------------------
-
-    def bulk_transfer(self, transfers: Sequence[Tuple[int, int, float]],
-                      handler: Callable[[int], None],
-                      span_parents: Optional[Sequence[Any]] = None
-                      ) -> None:
-        """Issue a batch of point-to-point transfers in one reservation pass.
-
-        ``transfers`` is a sequence of ``(src, dst, nbytes)`` triples, all
-        issued at the current instant; ``handler(index)`` is invoked at
-        message ``index``'s delivery instant.  Instead of one scalar
-        reservation per message, the NIC reservation arithmetic for the
-        whole batch runs as a NumPy pass and each message gets exactly one
-        pooled delivery carrier; nothing user-visible is retained.
-
-        The arithmetic reproduces :meth:`issue` bit for bit: messages
-        sharing a NIC direction are serialized in list order with a
-        left-to-right ``np.add.accumulate`` (the same float addition
-        sequence the sequential path performs), and per-message statistics
-        are recorded in each delivery callback so accumulation order
-        matches the per-message path's delivery order.
-
-        ``span_parents[index]``, when given, parents message ``index``'s
-        telemetry span, as ``span_parent`` does on :meth:`issue`.  It has
-        no fault semantics and raises ``ValueError`` when a
-        :class:`FaultState` is attached.
-
-        Loopback messages (src == dst) are free, as on :meth:`issue`:
-        no NIC time, no statistics, completion at the issue instant
-        (``handler`` is invoked synchronously).
-        """
-        if self.faults is not None:
-            raise ValueError("Fabric.bulk_transfer has no fault semantics; "
-                             "with a FaultState attached, send through "
-                             "issue() under a retry policy")
-        n = len(transfers)
-        if n == 0:
-            return
-        env = self.env
-        now = env.now
-        srcs, dsts, sizes = self._bulk_arrays(transfers, n)
-        loop = srcs == dsts
-        if loop.any():
-            wire = np.flatnonzero(~loop)
-            wire_srcs, wire_dsts = srcs[wire], dsts[wire]
-            wire_sizes = sizes[wire]
-        else:
-            wire = None
-            wire_srcs, wire_dsts, wire_sizes = srcs, dsts, sizes
-        # Per-message serialization at each endpoint's own link rate, and
-        # the slower endpoint's wire latency.  With a uniform spec every
-        # gathered rate/latency equals the old scalar, so the elementwise
-        # arithmetic is bit-identical to the scalar broadcast it replaced.
-        up_ser = wire_sizes / self._up_rates[wire_srcs]
-        down_ser = wire_sizes / self._down_rates[wire_dsts]
-        wire_lat = np.maximum(self._latencies[wire_srcs],
-                              self._latencies[wire_dsts])
-        up_finish = self._reserve_direction(wire_srcs, up_ser, now,
-                                            up=True)
-        down_finish = self._reserve_direction(wire_dsts, down_ser, now,
-                                              up=False)
-        wire_delays = (np.maximum(up_finish, down_finish)
-                       + wire_lat - now)
-        if wire is None:
-            delays = wire_delays.tolist()
-        else:
-            full = np.zeros(n, dtype=np.float64)
-            full[wire] = wire_delays
-            delays = full.tolist()
-        loop_list = loop.tolist()
-        src_list = srcs.tolist()
-        dst_list = dsts.tolist()
-        size_list = sizes.tolist()
-        tel = env.telemetry
-        done = self._deliver
-        call_later = env.call_later
-        for i in range(n):
-            if loop_list[i]:
-                handler(i)
-                continue
-            span = None
-            if tel is not None:
-                span = self._xfer_span(
-                    tel, src_list[i], dst_list[i], size_list[i],
-                    None if span_parents is None else span_parents[i])
-            call_later(delays[i], done,
-                       (src_list[i], size_list[i], handler, i, span))
-
-    def _bulk_arrays(self, transfers: Sequence[Tuple[int, int, float]],
-                     n: int) -> Tuple["np.ndarray", "np.ndarray",
-                                      "np.ndarray"]:
-        """Validated (srcs, dsts, sizes) column arrays for a bulk batch."""
-        arr = np.asarray(transfers, dtype=np.float64)
-        if arr.shape != (n, 3):
-            raise ValueError(
-                "bulk transfers must be (src, dst, nbytes) triples")
-        srcs = arr[:, 0].astype(np.int64)
-        dsts = arr[:, 1].astype(np.int64)
-        sizes = np.ascontiguousarray(arr[:, 2])
-        lo = min(int(srcs.min()), int(dsts.min()))
-        hi = max(int(srcs.max()), int(dsts.max()))
-        if lo < 0 or hi >= self.num_nodes:
-            raise ValueError(f"node outside [0, {self.num_nodes})")
-        if np.any(sizes < 0):
-            raise ValueError("negative transfer size in bulk")
-        return srcs, dsts, sizes
-
-    def _reserve_direction(self, nodes: "np.ndarray",
-                           serialize: "np.ndarray", now: float,
-                           up: bool) -> "np.ndarray":
-        """Per-NIC-direction FIFO reservation for one side of a batch.
-
-        Groups messages by NIC (stable sort keeps list order within a
-        group) and serializes each group with a left-fold accumulate whose
-        float addition order is identical to issuing the messages one by
-        one.  Busy-time counters likewise accumulate per message, in the
-        same order, so utilization metrics match the sequential path to
-        the last bit.
-        """
-        n = len(nodes)
-        if n == 0:
-            return np.empty(0, dtype=np.float64)
-        order = np.argsort(nodes, kind="stable")
-        sorted_nodes = nodes[order]
-        sorted_ser = serialize[order]
-        cuts = np.flatnonzero(sorted_nodes[1:] != sorted_nodes[:-1]) + 1
-        starts = np.concatenate(([0], cuts))
-        ends = np.concatenate((cuts, [n]))
-        lens = ends - starts
-        g = len(starts)
-        nics = self.nics
-        group_nodes = sorted_nodes[starts].tolist()
-        free0 = np.empty(g, dtype=np.float64)
-        busy0 = np.empty(g, dtype=np.float64)
-        if up:
-            for j, node in enumerate(group_nodes):
-                nic = nics[node]
-                free0[j] = nic.up_free
-                busy0[j] = nic.up_busy
-        else:
-            for j, node in enumerate(group_nodes):
-                nic = nics[node]
-                free0[j] = nic.down_free
-                busy0[j] = nic.down_busy
-        base = np.maximum(free0, now)
-        finish_sorted = np.empty(n, dtype=np.float64)
-        new_free = np.empty(g, dtype=np.float64)
-        new_busy = np.empty(g, dtype=np.float64)
-        single = lens == 1
-        sidx = starts[single]
-        fs = base[single] + sorted_ser[sidx]
-        finish_sorted[sidx] = fs
-        new_free[single] = fs
-        new_busy[single] = busy0[single] + sorted_ser[sidx]
-        multi = np.flatnonzero(~single)
-        if multi.size:
-            # All multi-message groups fold in one padded 2D accumulate.
-            # Each row is [start_value, s1, s2, ..., 0-pad]; a row-wise
-            # accumulate is exactly the left fold ((start+s1)+s2)+... the
-            # per-message path performs, and trailing +0.0 pads never get
-            # read, so every extracted value is bit-identical.  The busy
-            # counters need their own start value, hence the second block
-            # of rows sharing one accumulate call.
-            lens_m = lens[multi]
-            m = multi.size
-            width = int(lens_m.max())
-            gid = np.repeat(np.arange(g), lens)
-            multi_mask = ~single[gid]
-            mask = np.arange(width)[None, :] < lens_m[:, None]
-            body = np.zeros((m, width), dtype=np.float64)
-            body[mask] = sorted_ser[multi_mask]
-            mat = np.zeros((2 * m, width + 1), dtype=np.float64)
-            mat[:m, 0] = base[multi]
-            mat[m:, 0] = busy0[multi]
-            mat[:m, 1:] = body
-            mat[m:, 1:] = body
-            acc = np.add.accumulate(mat, axis=1)
-            finish_sorted[multi_mask] = acc[:m, 1:][mask]
-            rows = np.arange(m)
-            new_free[multi] = acc[rows, lens_m]
-            new_busy[multi] = acc[m + rows, lens_m]
-        nf = new_free.tolist()
-        nb = new_busy.tolist()
-        if up:
-            for j, node in enumerate(group_nodes):
-                nic = nics[node]
-                nic.up_free = nf[j]
-                nic.up_busy = nb[j]
-        else:
-            for j, node in enumerate(group_nodes):
-                nic = nics[node]
-                nic.down_free = nf[j]
-                nic.down_busy = nb[j]
-        result = np.empty(n, dtype=np.float64)
-        result[order] = finish_sorted
-        return result
-
     def _deliver(self, event: Event) -> None:
-        """Delivery carrier callback of :meth:`issue` and
-        :meth:`bulk_transfer`: record the message, then hand it over."""
+        """Delivery carrier callback of a pristine :meth:`issue`: record
+        the message, then hand it over."""
         src, nbytes, handler, token, span = event._value
         self.stats.record(src, nbytes)
         if span is not None:
@@ -781,8 +569,9 @@ class Fabric:
             if not 0 <= node < self.num_nodes:
                 raise ValueError(
                     f"node {node} outside [0, {self.num_nodes})")
-        if nbytes < 0:
-            raise ValueError(f"negative transfer size {nbytes}")
+        if not nbytes >= 0:  # also rejects NaN
+            raise ValueError(
+                f"transfer size must be non-negative, got {nbytes}")
 
     def pair_transfer_time(self, src: int, dst: int, nbytes: float) -> float:
         """Uncontended time to move ``nbytes`` from src to dst through the

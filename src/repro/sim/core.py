@@ -169,8 +169,8 @@ class Environment:
         ordered as ``schedule`` orders an event pushed now.  It is
         returned for :meth:`cancel`; nothing may hold it once it fired.
         """
-        if delay < 0:
-            raise ValueError(f"negative delay {delay}")
+        if not delay >= 0:  # also rejects NaN
+            raise ValueError(f"delay must be non-negative, got {delay}")
         if self._pool:
             event = self._pool.pop()
         else:

@@ -186,6 +186,28 @@ def test_coordinator_separate_links_batch_separately():
     assert coord.batches_flushed == 2
 
 
+def test_one_tick_flushes_keys_in_order_through_a_shared_uplink():
+    # Both queues age past the timeout on the same tick; the flush sends
+    # 0->1 first, so 0->2 queues behind it on node 0's uplink.
+    spec = NetworkSpec(bandwidth_gbps=8.0, latency_us=5.0, efficiency=1.0)
+    env, fabric, gpus, engines, coord = make_world(
+        3, spec=spec, coordinator=True, size_threshold=1e12,
+        timeout_s=0.01)
+    graph = build(env, [row(0, "send", "a", nbytes=1000, dst=1, bulk=True),
+                        row(0, "send", "b", nbytes=3000, dst=2, bulk=True)])
+    first, second = graph.tasks
+    run_graph(env, graph, engines)
+    assert coord.batches_flushed == 2
+    assert fabric.stats.messages == 2
+    flush = 0.01
+    assert first.started_at == second.started_at == flush
+    rate, latency = spec.bytes_per_second, spec.latency_s
+    first_up = flush + 1000 / rate
+    second_up = first_up + 3000 / rate
+    assert first.finished_at == flush + (first_up + latency - flush)
+    assert second.finished_at == flush + (second_up + latency - flush)
+
+
 def test_retried_flush_over_wan_link_delivers_on_first_attempt():
     # Timed against the 100 Gbps core, a 1 MB flush over a 1 Gbps / 20 ms
     # WAN uplink would be declared stalled and retried, finishing later.

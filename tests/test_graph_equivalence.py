@@ -13,7 +13,7 @@ and compares :func:`~repro.training.trace.trace_hash` digests.
 aggregation off, so the goldens pin the real driver, not a copy of it.
 
 Every case also runs under an attached telemetry collector.  The
-collector rides the same fast paths (inline sends, vectorized bulk
+collector rides the same send paths (inline sends, coordinator
 flushes) as a bare run and only records, so the traced run must
 reproduce the pinned hash too.  Its telemetry is pinned as well, in
 ``tests/golden/telemetry_digests.json``: one digest over its spans and

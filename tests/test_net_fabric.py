@@ -119,6 +119,16 @@ def test_negative_size_rejected():
         fabric.issue(0, 1, -5, lambda token: None, None)
 
 
+def test_nan_size_rejected():
+    """A NaN size would deliver at ``env.now == nan`` and then let the
+    clock run backwards; ``inf`` is still a (never-ending) size."""
+    env, fabric = make_fabric(num_nodes=2, gbps=10.0)
+    with pytest.raises(ValueError, match="nan"):
+        fabric.issue(0, 1, float("nan"), lambda token: None, None)
+    fabric.issue(0, 1, float("inf"), lambda token: None, None)
+    assert fabric.nics[0].up_free == float("inf")
+
+
 def test_utilization():
     env, fabric = make_fabric(num_nodes=2, gbps=8.0)
     send(fabric, 0, 1, 1e9)

@@ -28,6 +28,17 @@ def test_negative_timeout_rejected():
         env.call_later(-1, lambda carrier: None)
 
 
+def test_nan_delay_rejected():
+    """A NaN delay compares false to everything: it must not slip past
+    the negative check and land the clock at nan."""
+    env = Environment()
+    with pytest.raises(ValueError, match="nan"):
+        env.call_later(float("nan"), lambda carrier: None)
+    env.call_later(float("inf"), lambda carrier: None)
+    env.run(until=1.0)
+    assert env.now == 1.0
+
+
 def test_carrier_carries_its_value():
     env = Environment()
     seen = []
