@@ -1,15 +1,22 @@
-"""Benchmark: simulated-message throughput of the fabric, and a scale sweep.
+"""Benchmark: the agenda's per-entry cost, fabric throughput, a scale sweep.
 
-Two measurements:
+Three measurements:
 
+* **agenda** (cost reported, not gated) -- host microseconds per agenda
+  entry: a chain of zero-delay URGENT hops, each
+  :meth:`Environment.call_later` scheduling the next, then a cancel-churn
+  phase that arms far-future timers and cancels them from a tick entry.
+  Its outcome -- entries stepped, final clock and cancellations -- must
+  equal the committed run's exactly.
 * **issue** (throughput reported, not gated) -- simulated messages per
   second through :meth:`Fabric.issue` (a scalar reservation and one
-  pooled delivery carrier per message, the path every engine send and
+  delivery entry per message, the path every engine send and
   coordinator flush takes) on a fan-out + incast workload.  The run's
   simulated outcome -- final clock, bytes and messages -- must equal the
   committed ``BENCH_sim_core.json``'s exactly when that file holds a run
   of the same size: a fast wrong answer is a failure, not a speedup.
-  The committed file is read before the new results are written.
+
+The committed file is read before the new results are written.
 * **scale sweep** (gated) -- the fig7-style weak-scaling sweep on the
   256- and 1024-node EC2 presets, executed through the experiment
   runner, asserted to finish within a wall-clock budget.  Its
@@ -22,8 +29,8 @@ Usage::
     PYTHONPATH=src python benchmarks/bench_sim_core.py --smoke   # CI
 
 Writes ``BENCH_sim_core.json`` (override with ``--output``) and exits
-non-zero if the issue case's outcome differs from the committed run or
-the sweep misses its budget (``--no-check`` to report only);
+non-zero if the agenda or issue case's outcome differs from the
+committed run or the sweep misses its budget (``--no-check`` to report only);
 ``--no-sweep`` skips the scale sweep for quick local iteration.
 """
 
@@ -39,15 +46,87 @@ from pathlib import Path
 from repro.experiments.runner import ExperimentRunner
 from repro.experiments.throughput import sweep_jobs
 from repro.net import Fabric, NetworkSpec
-from repro.sim import Environment
+from repro.sim import URGENT, Environment
 
 SPEC = NetworkSpec(bandwidth_gbps=100.0, latency_us=8.0, efficiency=0.65)
 #: The committed run, whose simulated outcome every run must reproduce.
 COMMITTED = Path(__file__).resolve().parent.parent / "BENCH_sim_core.json"
 STATE = ("finish_time", "bytes_sent", "messages")
+AGENDA_STATE = ("steps", "final_time", "cancellations")
 #: (nodes, steps, messages per step) of the issue case, smoke and full.
 SMOKE_SIZE = (256, 16, 512)
 FULL_SIZE = (1024, 40, 2048)
+#: (hops, churn rounds, timers armed and cancelled per round) of the
+#: agenda case, smoke and full alike.
+AGENDA_SIZE = (200_000, 400, 50)
+#: Simulated seconds between two churn rounds.
+CHURN_TICK = 0.001
+
+
+def run_agenda(hops: int, rounds: int, timers: int) -> dict:
+    """Step ``hops`` chained URGENT hops, then ``rounds`` of cancel churn.
+
+    Returns the wall time of each phase and the end state.  ``steps``
+    counts the callbacks that ran, so a cancelled timer that fired would
+    show (it also raises).
+    """
+    env = Environment()
+    steps = 0
+
+    def hop(left: int) -> None:
+        nonlocal steps
+        steps += 1
+        if left:
+            env.call_later(0.0, hop, left - 1, URGENT)
+
+    def never(_value: None) -> None:
+        raise AssertionError("a cancelled timer fired")
+
+    def arm(round_: int) -> None:
+        armed = [env.call_later(1.0 + i, never) for i in range(timers)]
+        env.call_later(CHURN_TICK, churn, (round_, armed))
+
+    def churn(round_and_armed) -> None:
+        nonlocal steps
+        steps += 1
+        round_, armed = round_and_armed
+        for timer in armed:
+            env.cancel(timer)
+        if round_ + 1 < rounds:
+            arm(round_ + 1)
+
+    start = time.perf_counter()
+    env.call_later(0.0, hop, hops - 1, URGENT)
+    env.run()
+    hop_wall = time.perf_counter() - start
+    start = time.perf_counter()
+    arm(0)
+    env.run()
+    churn_wall = time.perf_counter() - start
+    return {
+        "hop_s": hop_wall,
+        "churn_s": churn_wall,
+        "state": {"steps": steps, "final_time": env.now,
+                  "cancellations": env.cancellations},
+    }
+
+
+def bench_agenda(reps: int) -> dict:
+    hops, rounds, timers = AGENDA_SIZE
+    runs = [run_agenda(hops, rounds, timers) for _ in range(reps)]
+    # min-of-reps, as for the issue case.
+    hop_s = min(run["hop_s"] for run in runs)
+    churn_s = min(run["churn_s"] for run in runs)
+    return {
+        "case": "agenda",
+        "hops": hops,
+        "rounds": rounds,
+        "timers": timers,
+        "us_per_hop": round(hop_s / hops * 1e6, 3),
+        "us_per_cancelled_timer": round(churn_s / (rounds * timers) * 1e6,
+                                        3),
+        "state": runs[-1]["state"],
+    }
 
 
 def _steps(nodes: int, steps: int, msgs_per_step: int, seed: int):
@@ -135,15 +214,23 @@ def bench_issue(smoke: bool, reps: int) -> dict:
     }
 
 
-def committed_state(smoke: bool):
-    """The committed run's issue ``state`` at this size, or None when the
-    committed file holds no issue run of this size."""
-    nodes, steps, _msgs = SMOKE_SIZE if smoke else FULL_SIZE
+def committed_state(case: str, size: dict):
+    """The committed run's ``state`` of ``case`` at ``size`` (the row's
+    size fields), or None when the committed file holds no such run."""
     for row in json.loads(COMMITTED.read_text())["results"]:
-        if (row["case"] == "issue" and row["nodes"] == nodes
-                and row["steps"] == steps):
+        if row["case"] == case and all(row.get(key) == value
+                                       for key, value in size.items()):
             return row["state"]
     return None
+
+
+def state_failures(case: str, keys, state: dict, committed) -> list:
+    """One message per ``keys`` value differing from the committed run."""
+    if committed is None:
+        print(f"note: no committed {case} run of this size to compare")
+        return []
+    return [f"{case}: {key} {state[key]!r} != committed {committed[key]!r}"
+            for key in keys if state[key] != committed[key]]
 
 
 def bench_scale_sweep(smoke: bool) -> dict:
@@ -187,12 +274,21 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     reps = args.reps if args.reps else (3 if args.smoke else 5)
 
-    committed = committed_state(args.smoke)
+    hops, rounds, timers = AGENDA_SIZE
+    committed_agenda = committed_state(
+        "agenda", {"hops": hops, "rounds": rounds, "timers": timers})
+    nodes, steps, _msgs = SMOKE_SIZE if args.smoke else FULL_SIZE
+    committed_issue = committed_state("issue",
+                                      {"nodes": nodes, "steps": steps})
+    agenda = bench_agenda(reps)
+    print(f"agenda      {agenda['hops']} hops   "
+          f"{agenda['us_per_hop']:.3f} us/hop   "
+          f"{agenda['us_per_cancelled_timer']:.3f} us/cancelled timer")
     issue = bench_issue(args.smoke, reps)
     print(f"issue       n={issue['nodes']:<5d} {issue['messages']} msgs   "
           f"{issue['issue_s']:8.3f}s   {issue['msgs_per_s']} msgs/s")
 
-    results = [issue]
+    results = [agenda, issue]
     sweep = None
     if not args.no_sweep:
         sweep = bench_scale_sweep(args.smoke)
@@ -208,22 +304,21 @@ def main(argv=None) -> int:
 
     if args.no_check:
         return 0
-    failures = []
-    if committed is None:
-        print("note: no committed issue run of this size to compare")
-    else:
-        failures += [f"issue: {key} {issue['state'][key]!r} != committed "
-                     f"{committed[key]!r}" for key in STATE
-                     if issue["state"][key] != committed[key]]
+    failures = (state_failures("agenda", AGENDA_STATE, agenda["state"],
+                               committed_agenda)
+                + state_failures("issue", STATE, issue["state"],
+                                 committed_issue))
     if sweep is not None and not sweep["within_budget"]:
         failures.append(f"scale sweep took {sweep['wall_s']:.0f}s "
                         f"> {sweep['budget_s']:.0f}s budget")
     if failures:
         print("FAIL: " + "; ".join(failures))
         return 1
-    print("OK: issue outcome "
-          + ("matches the committed run" if committed is not None
-             else "not compared")
+    compared = [case for case, committed in (("agenda", committed_agenda),
+                                             ("issue", committed_issue))
+                if committed is not None]
+    print("OK: " + ("/".join(compared) + " outcome matches the committed run"
+                    if compared else "no outcome compared")
           + ("; 1024-node sweep within budget" if sweep is not None else ""))
     return 0
 

@@ -11,8 +11,8 @@ its tasks:
 * computing tasks (encode/decode/merge/copy) queue into Q_comp and run on
   the GPU's communication stream, optionally *batch-compressed*: several
   small kernels ready at the same time fuse into one launch (§3.2).  Q_comp
-  and the host-CPU queue are deques served by callback executors on pooled
-  carriers, not processes (see :class:`NodeEngine`);
+  and the host-CPU queue are deques served by callback executors on
+  agenda entries, not processes (see :class:`NodeEngine`);
 * ``send`` tasks queue into Q_commu and either transfer directly over the
   fabric or go through the global bulk-sync :class:`Coordinator`, which
   batches small messages per link with a size/timeout policy (§3.2);
@@ -23,7 +23,7 @@ its tasks:
 Order constraints are enforced exactly as in the paper: the dependency
 graph drives asynchronous execution (Fig. 2 steps 1-3).  The graph's
 edges are a static :class:`SuccessorCSR`; executors report a finished
-task through :meth:`TaskGraph.complete`, whose one pooled carrier event
+task through :meth:`TaskGraph.complete`, whose one agenda entry
 releases the task's dependents, so a round allocates no event,
 dependency list or callback per task, and starts no process per task.
 """
@@ -62,7 +62,7 @@ class Task:
 
     Completion is per-task state, not an event: :meth:`TaskGraph.complete`
     sets ``triggered`` (and ``error`` for a failed task) and schedules the
-    pooled carrier that releases the task's dependents.
+    agenda entry that releases the task's dependents.
     """
 
     __slots__ = ("id", "index", "node", "kind", "label", "duration",
@@ -186,8 +186,8 @@ class TaskGraph:
     running this graph gets a :class:`Coordinator` and batch-compressing
     engines exactly when it is set.
 
-    Dispatch runs off the CSR.  :meth:`complete` schedules one pooled
-    carrier per task at ``(now, NORMAL)``; its callback releases the
+    Dispatch runs off the CSR.  :meth:`complete` schedules one agenda
+    entry per task at ``(now, NORMAL)``; its callback releases the
     task's dependents in registration order, runs the ``observers``, and
     counts toward the graph-level :attr:`done` event.  Only external
     (ready) events carry a callback of the graph's.
@@ -292,7 +292,7 @@ class TaskGraph:
                  error: Optional[BaseException] = None) -> None:
         """Complete ``task`` now, failed with ``error`` if given.
 
-        One pooled carrier per completion, scheduled at ``(now, NORMAL)``
+        One agenda entry per completion, scheduled at ``(now, NORMAL)``
         as ``Event.succeed``/``fail`` schedules an event, so a completion
         takes one agenda entry in the same (time, priority, seq) order.
         Completing a task twice raises :class:`SimulationError`, as a
@@ -304,8 +304,7 @@ class TaskGraph:
         task.error = error
         self.env.call_later(0.0, self._on_complete, task)
 
-    def _on_complete(self, event: Event) -> None:
-        task = event._value
+    def _on_complete(self, task: Task) -> None:
         csr = self.csr
         i = task.index
         start, stop = csr.succ_ptr[i], csr.succ_ptr[i + 1]
@@ -359,14 +358,14 @@ def robust_transfer(env: Environment, fabric: Fabric, src: int, dst: int,
     it, a callback state machine over :meth:`Fabric.issue` that starts no
     process.  The robustness contract every fault-tolerant sender shares:
 
-    * an attempt is one ``issue`` (from a pooled URGENT carrier) plus one
-      timeout carrier scaled from the uncontended transfer time to its
+    * an attempt is one ``issue`` (from an URGENT agenda entry) plus one
+      timeout entry scaled from the uncontended transfer time to its
       current target (:meth:`Fabric.pair_transfer_time`; a re-routed
       attempt is timed on the substitute's links), and whichever settles
       first cancels the other: a timeout gives the attempt up
       (:meth:`Fabric.abandon`; under faults its bytes log as dropped);
     * a failed attempt -- dropped (``TransferError``) or timed out --
-      is retried after an exponential backoff carrier;
+      is retried after an exponential backoff entry;
     * when the budget for a destination is exhausted, the peer is declared
       dead in ``membership``; with ``degradation`` the transfer re-routes
       to the peer's deterministic substitute and starts a fresh budget.
@@ -411,7 +410,7 @@ class _RetryLoop:
     target: int = -1
     attempt: int = 0  # at the current target; equals its failures
     xfer: Any = None  # the pending attempt's fabric handle
-    timer: Optional[Event] = None
+    timer: Optional[List[Any]] = None  # the timeout's agenda entry
 
     def route(self) -> None:
         membership = self.membership
@@ -423,7 +422,7 @@ class _RetryLoop:
         else:
             self.decide()
 
-    def decide(self, _event: Optional[Event] = None) -> None:
+    def decide(self, _value: None = None) -> None:
         task, membership = self.task, self.membership
         if task is not None and task.triggered:
             self.done("forced", self.target)
@@ -434,7 +433,7 @@ class _RetryLoop:
                 task.attempts += 1
             self.env.call_later(0.0, self.issue, None, URGENT)
 
-    def issue(self, _event: Event) -> None:
+    def issue(self, _value: None) -> None:
         src, dst, nbytes = self.src, self.target, self.nbytes
         self.xfer = self.fabric.issue(src, dst, nbytes, self.delivered, None,
                                       on_fail=self.failed)
@@ -448,7 +447,7 @@ class _RetryLoop:
         self.xfer = self.timer = None
         self.done("delivered", self.target)
 
-    def timed_out(self, _event: Event) -> None:
+    def timed_out(self, _value: None) -> None:
         self.fabric.abandon(self.xfer)
         self.failed()  # the timer has fired: cancelling it is a no-op
 
@@ -487,11 +486,11 @@ class Coordinator:
     -- "the size of each batch is decided based on a specified timeout or
     a size threshold, whichever is met first".
 
-    Every flush issues from one pooled URGENT carrier
+    Every flush issues from one URGENT agenda entry
     (:meth:`_flush_keys`), which sends each batch as one message: through
     :meth:`Fabric.issue` without a ``retry_policy``, through its own
     :func:`robust_transfer` with one.  The timeout check is a ticker of
-    pooled carriers (:meth:`_next_tick`), not a process.  A telemetry
+    agenda entries (:meth:`_next_tick`), not a process.  A telemetry
     collector only records.
     """
 
@@ -567,7 +566,7 @@ class Coordinator:
         self.retries += 1
 
     def _flush_keys(self, keys: List[Tuple[int, int]]) -> None:
-        """Flush link queues from one pooled URGENT *issue* event.
+        """Flush link queues from one URGENT *issue* entry.
 
         Queues are drained here, but NIC reservation waits for the issue
         event to fire, as a flush process's initializer would: reserving
@@ -580,10 +579,10 @@ class Coordinator:
         batches = [key + self._drain(key) for key in keys]
         self.env.call_later(0.0, self._issue_batches, batches, URGENT)
 
-    def _issue_batches(self, event: Event) -> None:
+    def _issue_batches(self, batches: List[Tuple]) -> None:
         """Send each flushed batch as one message, in key order."""
         policy = self.retry_policy
-        for batch in event._value:
+        for batch in batches:
             src, dst, _, nbytes, span = batch
             if policy is None:
                 self.fabric.issue(src, dst, nbytes, self._delivered, batch,
@@ -617,14 +616,14 @@ class Coordinator:
                 task.dropped = outcome == "local"
                 self.graph.complete(task)
 
-    def _next_tick(self, _event: Optional[Event] = None) -> None:
+    def _next_tick(self, _value: None = None) -> None:
         """Schedule the next tick while any queue waits, else retire."""
         if self._queues:
             self.env.call_later(self.timeout_s / 2, self._tick)
         else:
             self._ticker_running = False
 
-    def _tick(self, _event: Event) -> None:
+    def _tick(self, _value: None) -> None:
         """Flush queues whose oldest entry exceeded the timeout."""
         now = self.env.now
         due = [key for key, queue in self._queues.items()
@@ -635,8 +634,8 @@ class Coordinator:
 
 
 class _TaskQueue:
-    """One executor's FIFO: ``take(carrier)`` runs in an URGENT hop whose
-    value is the taken task; the executor calls :meth:`next` when done.
+    """One executor's FIFO: ``take(task)`` runs in an URGENT hop; the
+    executor calls :meth:`next` when done.
 
     ``take`` is passed on every call, never stored: it is a bound method
     of the engine that owns this queue, and keeping it would make the
@@ -645,24 +644,24 @@ class _TaskQueue:
 
     __slots__ = ("env", "tasks", "idle")
 
-    def __init__(self, env: Environment, take: Callable[[Event], None]):
+    def __init__(self, env: Environment, take: Callable[[Task], None]):
         self.env = env
         self.tasks: Deque[Task] = deque()
         #: Nothing queued, taken or running: the next put takes at once.
         self.idle = False
         env.call_later(0.0, self._initialize, take, URGENT)
 
-    def _initialize(self, carrier: Event) -> None:
-        self.next(carrier._value)
+    def _initialize(self, take: Callable[[Task], None]) -> None:
+        self.next(take)
 
-    def put(self, task: Task, take: Callable[[Event], None]) -> None:
+    def put(self, task: Task, take: Callable[[Task], None]) -> None:
         if self.idle:
             self.idle = False
             self.env.call_later(0.0, take, task, URGENT)
         else:
             self.tasks.append(task)
 
-    def next(self, take: Callable[[Event], None]) -> None:
+    def next(self, take: Callable[[Task], None]) -> None:
         """Take the next queued task in a hop, or go idle."""
         if self.tasks:
             self.env.call_later(0.0, take, self.tasks.popleft(), URGENT)
@@ -681,13 +680,13 @@ class NodeEngine:
     to :func:`robust_transfer`.
 
     The compression and CPU executors start no process: each is a
-    callback state machine over a :class:`_TaskQueue`, one pooled carrier
+    callback state machine over a :class:`_TaskQueue`, one agenda entry
     wherever a generator executor's event fired, at the same ``(time,
     priority)`` (``docs/SIM_CORE.md``).  A construction-time URGENT hop
     stands in for the process initializer; a *take* hop at ``(now,
     URGENT)`` for a queue ``get`` -- it forms the batch, or orphans the
     task if the engine halted meanwhile; compute work then runs through
-    :meth:`Gpu.run_kernel`, CPU work through one finish carrier.
+    :meth:`Gpu.run_kernel`, CPU work through one finish entry.
     """
 
     #: Upper bound on the bytes fused into one batched kernel.
@@ -791,11 +790,11 @@ class NodeEngine:
             self.env.telemetry.finish(span, self.env.now, **attrs)
 
     def _send_inline(self, task: Task) -> None:
-        """A send in pooled events, with no process.
+        """A send in agenda entries, with no process.
 
         A send process would cost an initializer event, a ``Timeout``,
         the process-completion event, and two generator resumes.  Without
-        retries the same work is two pooled carrier events:
+        retries the same work is two agenda entries:
 
         * an *issue* event at ``(now, URGENT)``, standing in for the
           process initializer.  It opens the send's telemetry span and
@@ -803,12 +802,12 @@ class NodeEngine:
           then, NOT here at dispatch time: a pending URGENT issue event
           of an earlier flush or send must reserve first, exactly as a
           send process's initializer would let it.
-        * the fabric's delivery carrier at the delivery instant, which
+        * the fabric's delivery entry at the delivery instant, which
           records the message (and closes its transfer span) and runs
           :meth:`_finish_send`, the completion bookkeeping.
 
         Under a ``retry_policy`` the issue event starts
-        :func:`robust_transfer` instead (more pooled carriers), and
+        :func:`robust_transfer` instead (more agenda entries), and
         :meth:`_finish_robust` completes the task.
 
         An attached collector records the same spans and metrics a send
@@ -817,8 +816,7 @@ class NodeEngine:
         """
         self.env.call_later(0.0, self._issue_send, task, URGENT)
 
-    def _issue_send(self, event: Event) -> None:
-        task = event._value
+    def _issue_send(self, task: Task) -> None:
         task.started_at = self.env.now
         span = self._task_span(task, task.started_at)
         if self.retry_policy is None:
@@ -861,9 +859,8 @@ class NodeEngine:
     def _count_retry(self) -> None:
         self.retries += 1
 
-    def _cpu_take(self, event: Event) -> None:
+    def _cpu_take(self, task: Task) -> None:
         """Serial host-CPU worker (BytePS-style server aggregation)."""
-        task = event._value
         if self.halted:
             self.orphans.append(task)
             self.q_cpu.next(self._cpu_take)
@@ -872,8 +869,8 @@ class NodeEngine:
         span = self._task_span(task, task.started_at)
         self.env.call_later(task.duration, self._cpu_finish, (task, span))
 
-    def _cpu_finish(self, event: Event) -> None:
-        task, span = event._value
+    def _cpu_finish(self, work: Tuple[Task, Any]) -> None:
+        task, span = work
         task.finished_at = self.env.now
         self.cpu_busy += task.duration
         self._finish_task_span(span)
@@ -881,9 +878,8 @@ class NodeEngine:
             self.graph.complete(task)
         self.q_cpu.next(self._cpu_take)
 
-    def _comp_take(self, event: Event) -> None:
+    def _comp_take(self, first: Task) -> None:
         """Launch the taken task, fused with queued ones on a bulk graph."""
-        first = event._value
         if self.halted:
             self.orphans.append(first)
             self.q_comp.next(self._comp_take)

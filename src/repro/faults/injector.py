@@ -196,7 +196,7 @@ class FaultInjector:
     must die with its node (a node's compute pass).
 
     The replay is a callback state machine: a start hop at
-    ``(now, URGENT)``, then one carrier per wait for the next fault.
+    ``(now, URGENT)``, then one agenda entry per wait for the next fault.
     """
 
     def __init__(self, env: Environment, schedule: FaultSchedule,
@@ -245,11 +245,10 @@ class FaultInjector:
 
     # -- replay -----------------------------------------------------------
 
-    def _start(self, _carrier: Event) -> None:
+    def _start(self, _value: None) -> None:
         self._replay_from(0)
 
-    def _due(self, carrier: Event) -> None:
-        index = carrier._value
+    def _due(self, index: int) -> None:
         self._apply(self.schedule.events[index])
         self._replay_from(index + 1)
 
@@ -319,12 +318,12 @@ class FaultInjector:
             self.env.call_later(0.0, self._start_restore,
                                 (event.duration, event.node, token), URGENT)
 
-    def _start_restore(self, carrier: Event) -> None:
-        duration, node, token = carrier._value
+    def _start_restore(self, restore: Tuple[float, int, int]) -> None:
+        duration, node, token = restore
         self.env.call_later(duration, self._restore, (node, token))
 
-    def _restore(self, carrier: Event) -> None:
-        node, token = carrier._value
+    def _restore(self, restore: Tuple[int, int]) -> None:
+        node, token = restore
         # A newer slowdown supersedes this restore.
         if self._slowdown_token.get(node) == token:
             self.gpus[node].slowdown = 1.0

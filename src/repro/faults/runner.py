@@ -203,13 +203,13 @@ def run_graph_robust(env: Environment, graph: Any, engines: Sequence[Any],
     if injector is not None and heartbeat_timeout_s is not None:
         state = injector.state  # not the injector: it holds _detect
 
-        def _expire(carrier: Event) -> None:
+        def _expire(node: int) -> None:
             # A fast restart beats the heartbeat: no declaration.
-            if state.is_dead(carrier._value):
-                membership.declare_dead(carrier._value)
+            if state.is_dead(node):
+                membership.declare_dead(node)
 
-        def _watch(carrier: Event) -> None:
-            env.call_later(heartbeat_timeout_s, _expire, carrier._value)
+        def _watch(node: int) -> None:
+            env.call_later(heartbeat_timeout_s, _expire, node)
 
         def _detect(node: int) -> None:
             # The detector's start hop, then its heartbeat timeout.
@@ -232,7 +232,7 @@ def run_graph_robust(env: Environment, graph: Any, engines: Sequence[Any],
         # instant still counts as finished.
         settled = env.event()
 
-        def _settle(event: Event) -> None:
+        def _settle(event: Optional[Event]) -> None:
             if settled.triggered:
                 return
             if event is barrier and not barrier.ok:
@@ -240,7 +240,7 @@ def run_graph_robust(env: Environment, graph: Any, engines: Sequence[Any],
             else:
                 settled.succeed()
 
-        def _start_deadline(_carrier: Event) -> None:
+        def _start_deadline(_value: None) -> None:
             env.call_later(deadline_s, _settle)
 
         barrier.callbacks.append(_settle)

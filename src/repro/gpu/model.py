@@ -14,7 +14,7 @@ overlaps DNN compute the way CUDA streams allow (§5: a dedicated queue
 schedules encode/decode on GPU).
 
 Each stream is a scalar reservation with one user that runs its kernels
-one at a time, as pooled callbacks: the node's forward/backward pass on
+one at a time, as agenda callbacks: the node's forward/backward pass on
 the compute stream (:meth:`Gpu.run_compute`, which a crash abandons),
 the compression executor on the communication stream
 (:meth:`Gpu.run_kernel`).
@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, List, Optional, Tuple
 
-from ..sim import URGENT, Environment, Event, SimulationError
+from ..sim import URGENT, Environment, SimulationError
 
 __all__ = ["GpuSpec", "Gpu", "IntervalLog", "V100", "GTX1080TI"]
 
@@ -137,7 +137,7 @@ class _Stream:
     """One stream's reservation and the kernel it runs.
 
     ``free_at`` is when the last granted kernel ends; ``epoch`` counts
-    aborts, so a grant or finish carrier scheduled before the last abort
+    aborts, so a grant or finish entry scheduled before the last abort
     finds it moved and does nothing; ``span`` is the running kernel's
     telemetry span (or None).
     """
@@ -188,7 +188,7 @@ class Gpu:
         """Run one kernel on the communication stream, then ``handler(token)``.
 
         A *grant* hop at ``(now, URGENT)`` applies :attr:`slowdown` and
-        reserves the stream; a *finish* carrier logs the kernel when it
+        reserves the stream; a *finish* entry logs the kernel when it
         ends.  The caller serializes its kernels: a grant while one runs
         raises :class:`~repro.sim.SimulationError`.
         """
@@ -221,9 +221,9 @@ class Gpu:
                             (stream, stream.epoch, seconds, handler, token,
                              category, span_parent), URGENT)
 
-    def _grant(self, event: Event) -> None:
+    def _grant(self, request: Tuple) -> None:
         stream, epoch, seconds, handler, token, category, span_parent = (
-            event._value)
+            request)
         if epoch != stream.epoch:
             return
         env = self.env
@@ -251,8 +251,8 @@ class Gpu:
                                   track=f"node{self.index}/{stream}",
                                   parent=span_parent, at=self.env.now)
 
-    def _finish(self, event: Event) -> None:
-        stream, epoch, start, handler, token, category, span = event._value
+    def _finish(self, kernel: Tuple) -> None:
+        stream, epoch, start, handler, token, category, span = kernel
         if epoch != stream.epoch:
             return
         stream.span = None

@@ -35,7 +35,7 @@ from typing import Any, Callable, Dict, Optional, Tuple
 
 import numpy as np
 
-from ..sim import Environment, Event
+from ..sim import Environment
 
 __all__ = ["LinkSpec", "NetworkSpec", "Nic", "Fabric", "StragglerProfile",
            "TransferStats", "WanTier"]
@@ -361,7 +361,7 @@ class Fabric:
     The fabric is the only place that reserves NIC time, and
     :meth:`issue` the only way to move bytes: one message with a
     delivery callback, timed by :meth:`_reserve` and delivered by one
-    pooled carrier.  Engine sends, coordinator flushes and the retry
+    agenda entry.  Engine sends, coordinator flushes and the retry
     loop all go through it.  With a collector attached it records one
     ``xfer:`` telemetry span and the ``net.*`` metrics per message;
     recording never schedules an event.
@@ -395,7 +395,7 @@ class Fabric:
         """Issue one transfer now; ``handler(token)`` runs at delivery.
 
         It reserves src's uplink and dst's downlink (:meth:`_reserve`)
-        and schedules one pooled delivery carrier.  A loopback (src ==
+        and schedules one delivery entry.  A loopback (src ==
         dst) is free and calls ``handler`` synchronously.
         ``span_parent`` links the message's telemetry span (opened now,
         closed at delivery) under a causing span; it is ignored when no
@@ -439,7 +439,7 @@ class Fabric:
 
     def abandon(self, attempt: Attempt) -> None:
         """Give up on a message now: NIC time it reserved stays reserved,
-        its pending carrier or stall wake-up will do nothing, and under a
+        its pending delivery entry or stall wake-up will do nothing, and under a
         FaultState its bytes are logged as dropped (``"abandoned"``)."""
         attempt.abandoned = True
         if attempt.record is not None:
@@ -469,9 +469,8 @@ class Fabric:
                                   faults.link_factor(src, dst), lost=lost)
         self.env.call_later(delay, self._land, attempt)
 
-    def _land(self, event: Event) -> None:
-        """Delivery carrier callback of an :class:`Attempt`."""
-        attempt: Attempt = event._value
+    def _land(self, attempt: Attempt) -> None:
+        """Delivery callback of an :class:`Attempt`."""
         if attempt.abandoned:
             return
         faults, record = self.faults, attempt.record
@@ -528,10 +527,11 @@ class Fabric:
         latency = max(sender.link.latency_s, receiver.link.latency_s)
         return max(up_finish, down_finish) + latency - now
 
-    def _deliver(self, event: Event) -> None:
-        """Delivery carrier callback of a pristine :meth:`issue`: record
-        the message, then hand it over."""
-        src, nbytes, handler, token, span = event._value
+    def _deliver(self, message: Tuple[int, float, Callable[[Any], None],
+                                      Any, Any]) -> None:
+        """Delivery callback of a pristine :meth:`issue`: record the
+        message, then hand it over."""
+        src, nbytes, handler, token, span = message
         self.stats.record(src, nbytes)
         if span is not None:
             self._record_delivery(self.env.telemetry, span, nbytes)

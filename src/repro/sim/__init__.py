@@ -1,9 +1,9 @@
 """Deterministic discrete-event simulation kernel.
 
 This package is the timing substrate for the whole reproduction: network
-transfers, GPU kernels, and synchronization protocols are all callbacks
-on pooled carrier events (:meth:`Environment.call_later`), ordered by
-:class:`Environment` on one agenda.
+transfers, GPU kernels, and synchronization protocols are all
+``callback(value)`` agenda entries (:meth:`Environment.call_later`),
+ordered by :class:`Environment` on one agenda.
 """
 
 from .core import (

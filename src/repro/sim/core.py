@@ -1,19 +1,20 @@
 """Discrete-event simulation kernel.
 
 A minimal, deterministic discrete-event simulator with one scheduling
-primitive: a timed behaviour is a callback on a pooled carrier event
+primitive: a timed behaviour is a ``callback(value)`` agenda entry
 (:meth:`Environment.call_later`), and a behaviour that spans several
 instants is a state machine whose callbacks schedule the next step.
 User-visible :class:`Event` objects (a gradient's ready signal, a task
-graph's ``done``) fire once and run the callbacks attached to them.
+graph's ``done``) fire once, through one such entry, and run the
+callbacks attached to them.
 
 Determinism matters for a systems simulator: two events scheduled for the
 same instant are ordered by (priority, insertion sequence), so repeated runs
 of the same workload produce identical traces.
 
-The agenda is a slotted calendar queue and kernel-internal events are
-recycled through a free pool (see ``docs/SIM_CORE.md``); the total order
-is pinned against a sorted-list model in ``tests/test_queue_properties.py``.
+The agenda is a slotted calendar queue of two-slot ``[callback, value]``
+entries (see ``docs/SIM_CORE.md``); the total order is pinned against a
+sorted-list model in ``tests/test_queue_properties.py``.
 """
 
 from __future__ import annotations
@@ -36,9 +37,6 @@ NORMAL = 1
 #: same timestamp (e.g. a kernel's grant hop, a crash reaching its node).
 URGENT = 0
 
-#: Upper bound on recycled carrier events kept per environment.
-_POOL_LIMIT = 4096
-
 
 class SimulationError(Exception):
     """Raised for structural misuse of the simulation kernel."""
@@ -53,8 +51,7 @@ class Event:
     :meth:`Environment.step`.
     """
 
-    __slots__ = ("env", "callbacks", "_value", "_ok", "_scheduled", "_processed",
-                 "_cancelled", "_recyclable")
+    __slots__ = ("env", "callbacks", "_value", "_ok", "_scheduled", "_processed")
 
     #: Sentinel meaning "no value yet".
     PENDING = object()
@@ -66,8 +63,6 @@ class Event:
         self._ok: Optional[bool] = None
         self._scheduled = False
         self._processed = False
-        self._cancelled = False
-        self._recyclable = False
 
     @property
     def triggered(self) -> bool:
@@ -82,17 +77,6 @@ class Event:
     @property
     def ok(self) -> Optional[bool]:
         return self._ok
-
-    @property
-    def cancelled(self) -> bool:
-        """True if the event was removed from the agenda before firing."""
-        return self._cancelled
-
-    def cancel(self) -> "Event":
-        """Remove this scheduled event from the agenda (see
-        :meth:`Environment.cancel`)."""
-        self.env.cancel(self)
-        return self
 
     @property
     def value(self) -> Any:
@@ -122,28 +106,38 @@ class Event:
 
     def __repr__(self) -> str:
         state = "processed" if self._processed else (
-            "cancelled" if self._cancelled else
             "triggered" if self._scheduled else "pending")
         return f"<{type(self).__name__} {state} at {id(self):#x}>"
 
 
-class Environment:
-    """Executes events in simulated-time order.
+def _process(event: Event) -> None:
+    """The agenda callback of a fired :class:`Event`: run its callbacks,
+    and raise its exception if it failed with none attached."""
+    callbacks, event.callbacks = event.callbacks, None
+    event._processed = True
+    for callback in callbacks:
+        callback(event)
+    if not event._ok and not callbacks:
+        raise event._value
 
-    Usage::
+
+class Environment:
+    """Executes agenda entries in simulated-time order.
+
+    An entry is a two-slot list ``[callback, value]``; stepping it calls
+    ``callback(value)``.  Usage::
 
         env = Environment()
         seen = []
-        env.call_later(5, lambda carrier: seen.append(carrier.env.now))
+        env.call_later(5, lambda value: seen.append((env.now, value)), "x")
         env.run()
-        assert env.now == 5 and seen == [5]
+        assert env.now == 5 and seen == [(5, "x")]
     """
 
     def __init__(self, initial_time: float = 0.0):
         self._now = float(initial_time)
         self._queue = SlottedQueue()
-        self._pool: List[Event] = []
-        #: Events removed from the agenda via :meth:`cancel`.
+        #: Entries removed from the agenda via :meth:`cancel`.
         self.cancellations = 0
         #: Optional :class:`~repro.telemetry.TelemetryCollector`.  None (the
         #: default) keeps every instrumentation site on the zero-cost path:
@@ -156,46 +150,37 @@ class Environment:
 
     # -- scheduling -------------------------------------------------------
 
-    def schedule(self, event: Event, delay: float = 0.0,
-                 priority: int = NORMAL) -> None:
+    def schedule(self, event: Event, priority: int = NORMAL) -> None:
+        """Push ``event``'s firing onto the agenda at ``(now, priority)``."""
         event._scheduled = True
-        self._queue.push(self._now + delay, priority, event)
+        self._queue.push(self._now, priority, [_process, event])
 
-    def call_later(self, delay: float, callback: Callable[[Event], None],
-                   value: Any = None, priority: int = NORMAL) -> Event:
-        """Run ``callback(carrier)`` ``delay`` from now, at ``priority``.
+    def call_later(self, delay: float, callback: Callable[[Any], None],
+                   value: Any = None, priority: int = NORMAL) -> List[Any]:
+        """Run ``callback(value)`` ``delay`` from now, at ``priority``.
 
-        The carrier is a pooled single-shot event with value ``value``,
-        ordered as ``schedule`` orders an event pushed now.  It is
-        returned for :meth:`cancel`; nothing may hold it once it fired.
+        The entry is ordered as ``schedule`` orders an event pushed now,
+        and returned as the handle for :meth:`cancel`.
         """
         if not delay >= 0:  # also rejects NaN
             raise ValueError(f"delay must be non-negative, got {delay}")
-        if self._pool:
-            event = self._pool.pop()
-        else:
-            event = Event(self)
-            event._recyclable = True
-        event._ok = True
-        event._value = value
-        event.callbacks.append(callback)
-        event._scheduled = True
-        self._queue.push(self._now + delay, priority, event)
-        return event
+        entry = [callback, value]
+        self._queue.push(self._now + delay, priority, entry)
+        return entry
 
-    def cancel(self, event: Event) -> None:
-        """Remove a scheduled-but-unprocessed event from the agenda.
+    def cancel(self, entry: List[Any]) -> None:
+        """Remove a pending :meth:`call_later` entry from the agenda.
 
-        The event never fires: its callbacks do not run and it does not
-        advance the clock.  Cancelling an unscheduled or already-processed
-        event is a no-op.  Physical removal is lazy -- the queue skips
-        tombstones at pop time and compacts once they outnumber live
-        events -- so heavy cancel churn (retry timers, straggler
-        timeouts) cannot grow the agenda without bound.
+        The entry never fires: its callback does not run and it does not
+        advance the clock.  Cancelling an entry that already fired or was
+        cancelled is a no-op.  Physical removal is lazy -- the queue skips
+        tombstones (``entry[0] is None``) at pop time and compacts once
+        they outnumber live entries -- so heavy cancel churn (retry
+        timers, straggler timeouts) cannot grow the agenda without bound.
         """
-        if not event._scheduled or event._processed or event._cancelled:
+        if entry[0] is None:
             return
-        event._cancelled = True
+        entry[0] = None
         self.cancellations += 1
         queue = self._queue
         before = queue.compactions
@@ -207,40 +192,41 @@ class Environment:
                 tel.metrics.counter("sim.queue_compactions").inc()
 
     def peek(self) -> float:
-        """Time of the next scheduled event, or ``inf`` if none."""
+        """Time of the next scheduled entry, or ``inf`` if none."""
         return self._queue.peek_time()
 
     def step(self) -> None:
-        """Process the single next event."""
-        if not self._queue:
-            raise SimulationError("no more events")
-        self._now, event = self._queue.pop()
-        callbacks, event.callbacks = event.callbacks, None
-        event._processed = True
-        for callback in callbacks:
-            callback(event)
-        if not event._ok and not callbacks:
-            raise event._value
-        if event._recyclable:
-            self._release_carrier(event)
+        """Process the single next entry."""
+        try:
+            self._now, entry = self._queue.pop()
+        except IndexError:  # no live entry left
+            raise SimulationError("no more events") from None
+        callback = entry[0]
+        entry[0] = None  # fired: a later cancel is a no-op
+        callback(entry[1])
+
+    # The run loops test the queue's live count directly: ``len()`` would
+    # cost a Python call per entry.
 
     def run(self, until: Optional[float] = None) -> None:
         """Run until the agenda is empty or simulated time reaches ``until``."""
-        if until is not None and until < self._now:
+        queue = self._queue
+        if until is None:
+            while queue._live:
+                self.step()
+            return
+        if not until >= self._now:  # also rejects NaN
             raise ValueError(f"until={until} is in the past (now={self._now})")
-        while self._queue:
-            if until is not None and self._queue.peek_time() > until:
-                self._now = until
-                return
+        while queue._live and queue.peek_time() <= until:
             self.step()
-        if until is not None:
-            self._now = until
+        self._now = until
 
     def run_until_complete(self, event: Event) -> Any:
         """Step until ``event`` is processed; return its value or raise its
         exception."""
+        queue = self._queue
         while not event._processed:
-            if not self._queue:
+            if not queue._live:
                 raise SimulationError(
                     f"deadlock: {event!r} is pending but no events remain")
             self.step()
@@ -249,29 +235,17 @@ class Environment:
         raise event._value
 
     def discard(self) -> None:
-        """Drop every pending event and pooled carrier, unprocessed.
+        """Drop every pending entry, unfired.
 
-        Each of them refers back to this environment, so the pool, and
-        any events a run stops with pending (an aborted round's timers),
-        keep a reference cycle that only a full collection frees.  A settled round discards them: they would
-        never fire, and the round's state then frees by reference
-        counting.  The environment stays usable, with an empty agenda.
+        An entry's callback usually refers back to this environment, so
+        the entries a run stops with pending (an aborted round's timers)
+        keep a reference cycle that only a full collection frees.  A
+        settled round discards them: they would never fire, and the
+        round's state then frees by reference counting.  Each is
+        tombstoned, so cancelling one later is a no-op.  The environment
+        stays usable, with an empty agenda.
         """
-        self._queue = SlottedQueue()
-        self._pool = []
-
-    # -- carrier pooling --------------------------------------------------
-
-    def _release_carrier(self, event: Event) -> None:
-        if len(self._pool) >= _POOL_LIMIT:
-            return
-        event.callbacks = []
-        event._value = Event.PENDING
-        event._ok = None
-        event._scheduled = False
-        event._processed = False
-        event._cancelled = False
-        self._pool.append(event)
+        self._queue.clear()
 
     # -- factories --------------------------------------------------------
 

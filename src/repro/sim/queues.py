@@ -1,21 +1,23 @@
-"""The event queue backing :class:`~repro.sim.core.Environment`.
+"""The agenda queue backing :class:`~repro.sim.core.Environment`.
 
-:class:`SlottedQueue` orders scheduled events by ``(time, priority,
+:class:`SlottedQueue` orders agenda entries by ``(time, priority,
 insertion sequence)``.  It is a calendar-style queue keyed on the
 *distinct* ``(time, priority)`` instants.  Discrete-event workloads in
 this repository are heavily co-scheduled (a bulk flush completes hundreds
 of tasks at one instant; a backward pass releases a layer's worth of work
 at once), so the number of distinct keys is far smaller than the number
-of events.  Each key holds a FIFO slot (a deque -- append order *is*
+of entries.  Each key holds a FIFO slot (a deque -- append order *is*
 sequence order), and only slot creation/exhaustion touches the key heap:
 the common-case insert is one dict probe plus one append, O(1).
 
-Cancellation is lazy: :meth:`~repro.sim.core.Environment.cancel` only
-flags the event, and the queue skips flagged entries at pop time.  To
+An entry is a two-slot list ``[callback, value]``.  Cancellation is
+lazy: :meth:`~repro.sim.core.Environment.cancel` only sets its callback
+slot to None -- the tombstone -- and the queue skips tombstones at pop
+time.  To
 bound growth under cancel churn (straggler/timeout workloads create one
 dead timer per retry attempt), the queue counts tombstones and compacts
 -- physically removing dead entries -- once they outnumber the live
-events (and exceed :data:`COMPACT_MIN_TOMBSTONES`, so tiny queues never
+entries (and exceed :data:`COMPACT_MIN_TOMBSTONES`, so tiny queues never
 bother).
 """
 
@@ -51,7 +53,7 @@ class SlottedQueue:
         self.compactions = 0
 
     def __len__(self) -> int:
-        """Number of *live* (scheduled, not cancelled) events."""
+        """Number of *live* (scheduled, not cancelled) entries."""
         return self._live
 
     @property
@@ -59,37 +61,37 @@ class SlottedQueue:
         """Cancelled entries still physically present in the queue."""
         return self._tombstones
 
-    def push(self, time: float, priority: int, event) -> None:
+    def push(self, time: float, priority: int, entry: list) -> None:
         key = (time, priority)
         slot = self._slots.get(key)
         if slot is None:
-            self._slots[key] = deque((event,))
+            self._slots[key] = deque((entry,))
             heapq.heappush(self._keys, key)
         else:
-            slot.append(event)
+            slot.append(entry)
         self._live += 1
 
-    def pop(self) -> Tuple[float, object]:
+    def pop(self) -> Tuple[float, list]:
         keys, slots = self._keys, self._slots
         while True:
             key = keys[0]
             slot = slots[key]
-            event = slot.popleft()
+            entry = slot.popleft()
             if not slot:
                 del slots[key]
                 heapq.heappop(keys)
-            if event._cancelled:
+            if entry[0] is None:
                 self._tombstones -= 1
                 continue
             self._live -= 1
-            return key[0], event
+            return key[0], entry
 
     def peek_time(self) -> float:
         keys, slots = self._keys, self._slots
         while keys:
             key = keys[0]
             slot = slots[key]
-            while slot and slot[0]._cancelled:
+            while slot and slot[0][0] is None:
                 slot.popleft()
                 self._tombstones -= 1
             if not slot:
@@ -100,7 +102,7 @@ class SlottedQueue:
         return float("inf")
 
     def note_cancel(self) -> None:
-        """Account for one event flagged as cancelled; maybe compact."""
+        """Account for one entry turned into a tombstone; maybe compact."""
         self._tombstones += 1
         self._live -= 1
         if (self._tombstones >= COMPACT_MIN_TOMBSTONES
@@ -108,10 +110,21 @@ class SlottedQueue:
             self.compact()
             self.compactions += 1
 
+    def clear(self) -> None:
+        """Drop every entry, each turned into a tombstone first, so a
+        handle cancelled later finds it dead."""
+        for slot in self._slots.values():
+            for entry in slot:
+                entry[0] = None
+        self._slots = {}
+        self._keys = []
+        self._live = self._tombstones = 0
+
     def compact(self) -> None:
         slots = self._slots
         for key in list(slots):
-            live = deque(ev for ev in slots[key] if not ev._cancelled)
+            live = deque(entry for entry in slots[key]
+                         if entry[0] is not None)
             if live:
                 slots[key] = live
             else:

@@ -412,9 +412,9 @@ class _NodePass:
         self.segment = 0
         self.span = None
 
-    def run(self, carrier: Event) -> None:
+    def run(self, epoch: int) -> None:
         """Start the pass, unless a crash since superseded this hop."""
-        if carrier._value == self.epoch:
+        if epoch == self.epoch:
             self._launch()
 
     def _launch(self) -> None:
@@ -442,8 +442,8 @@ class _NodePass:
                 delay = (self.agg_node.local_aggregation_time(grad.nbytes)
                          if self.agg_node is not None else 0.0)
                 if delay > 0:
-                    env.call_later(0.0, _start_local_agg, (event, delay),
-                                   URGENT)
+                    env.call_later(0.0, _start_local_agg,
+                                   (env, event, delay), URGENT)
                 else:
                     event.succeed()
         self.segment += 1
@@ -457,7 +457,7 @@ class _NodePass:
         if node == self.node and self.running:
             self.gpu.env.call_later(0.0, self._crashed, None, URGENT)
 
-    def _crashed(self, _carrier: Event) -> None:
+    def _crashed(self, _value: None) -> None:
         # The abandoned kernel's phase span stays open: the phase never
         # ended.
         self.epoch += 1
@@ -475,15 +475,14 @@ class _NodePass:
             self._launch()
 
 
-def _start_local_agg(carrier: Event) -> None:
+def _start_local_agg(hop: Tuple[Environment, Event, float]) -> None:
     """The URGENT hop of a gradient's intra-node aggregation: its ready
     event fires ``delay`` later."""
-    event, delay = carrier._value
-    carrier.env.call_later(delay, _finish_local_agg, event)
+    env, event, delay = hop
+    env.call_later(delay, _finish_local_agg, event)
 
 
-def _finish_local_agg(carrier: Event) -> None:
-    event = carrier._value
+def _finish_local_agg(event: Event) -> None:
     if not event.triggered:  # a pre-crash aggregation may have beaten us
         event.succeed()
 

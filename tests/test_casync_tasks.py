@@ -115,7 +115,7 @@ def test_raw_event_dependency():
     ready = env.event()
     graph = build(env, [row(0, "encode", "a", duration=1.0,
                             deps=["ready"])], ready={"ready": ready})
-    env.call_later(5, lambda _carrier: ready.succeed())
+    env.call_later(5, lambda _value: ready.succeed())
     finish = run_graph(env, graph, engines)
     assert finish == pytest.approx(6.0)
 

@@ -11,8 +11,8 @@ from tests.fabric_send import send
 def launch(env, fabric, transfers, spans=None):
     """Issue each ``(src, dst, nbytes, delay)`` ``delay`` from now; on
     delivery, append ``(nbytes, elapsed)`` of a non-loopback to ``spans``."""
-    def issue(carrier):
-        src, dst, nbytes = carrier.value
+    def issue(transfer):
+        src, dst, nbytes = transfer
         start = env.now
 
         def delivered(_token):

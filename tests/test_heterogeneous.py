@@ -317,8 +317,8 @@ def test_bulk_transfer_matches_per_message_on_hetero_links():
         assert task.started_at == flush_at
         env2 = Environment()
         fabric2 = Fabric(env2, 8, net)
-        env2.call_later(flush_at, lambda _e, s=src, d=dst, n=nbytes:
-                        send(fabric2, s, d, n))
+        env2.call_later(flush_at, lambda link: send(fabric2, *link),
+                        (src, dst, nbytes))
         env2.run()
         assert task.finished_at == env2.now, (src, dst)
 

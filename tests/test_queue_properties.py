@@ -31,48 +31,46 @@ OPS = st.lists(st.one_of(
 ), max_size=200)
 
 
-class _Stub:
-    """Minimal event stand-in: the queues only touch ``_cancelled``."""
+def _entry(ident: int) -> list:
+    """An agenda entry ``[callback, value]`` whose value is ``ident``.
 
-    __slots__ = ("_cancelled", "ident")
-
-    def __init__(self, ident: int):
-        self._cancelled = False
-        self.ident = ident
+    The queue only reads the callback slot: None is the tombstone.
+    """
+    return [_never, ident]
 
 
 def _apply(ops):
     """Run ops against the queue and the sorted-list model in lockstep."""
     queue = SlottedQueue()
-    model = []  # sorted (time, priority, seq, stub); seq makes keys unique
+    model = []  # sorted (time, priority, seq, entry); seq makes keys unique
     seq = 0
     for op in ops:
         if op[0] == "push":
             seq += 1
-            stub = _Stub(seq)
-            queue.push(op[1], op[2], stub)
-            bisect.insort(model, (op[1], op[2], seq, stub))
+            entry = _entry(seq)
+            queue.push(op[1], op[2], entry)
+            bisect.insort(model, (op[1], op[2], seq, entry))
         elif op[0] == "pop":
             if not model:
                 continue
-            t, _p, _s, stub = model.pop(0)
-            qt, qev = queue.pop()
+            t, _p, _s, entry = model.pop(0)
+            qt, qentry = queue.pop()
             assert qt == t, f"popped time {qt} != model time {t}"
-            assert qev is stub, (
-                f"popped #{qev.ident}, model expected #{stub.ident}")
-        else:  # cancel an arbitrary still-queued event
+            assert qentry is entry, (
+                f"popped #{qentry[1]}, model expected #{entry[1]}")
+        else:  # cancel an arbitrary still-queued entry
             if not model:
                 continue
-            _t, _p, _s, stub = model.pop(op[1] % len(model))
-            stub._cancelled = True
+            _t, _p, _s, entry = model.pop(op[1] % len(model))
+            entry[0] = None
             queue.note_cancel()
         assert len(queue) == len(model)
         expected = model[0][0] if model else float("inf")
         assert queue.peek_time() == expected
     while model:  # drain: total order must survive to the end
-        t, _p, _s, stub = model.pop(0)
-        qt, qev = queue.pop()
-        assert qt == t and qev is stub
+        t, _p, _s, entry = model.pop(0)
+        qt, qentry = queue.pop()
+        assert qt == t and qentry is entry
     assert len(queue) == 0
     assert queue.peek_time() == float("inf")
 
@@ -86,13 +84,13 @@ def test_queue_matches_sorted_model(ops):
 def test_same_instant_fifo_within_priority():
     """Ties at one (time, priority) slot pop in push order; urgent first."""
     queue = SlottedQueue()
-    normal = [_Stub(i) for i in range(50)]
-    urgent = [_Stub(100 + i) for i in range(50)]
+    normal = [_entry(i) for i in range(50)]
+    urgent = [_entry(100 + i) for i in range(50)]
     for n, u in zip(normal, urgent):
         queue.push(1.0, 1, n)
         queue.push(1.0, 0, u)
-    popped = [queue.pop()[1].ident for _ in range(100)]
-    assert popped == [s.ident for s in urgent] + [s.ident for s in normal]
+    popped = [queue.pop()[1][1] for _ in range(100)]
+    assert popped == [e[1] for e in urgent] + [e[1] for e in normal]
 
 
 @st.composite
@@ -116,13 +114,13 @@ def _run_interrupts(delays, pokes):
         gpus[i].run_compute(delay, lambda i: log.append(("done", i, env.now)),
                             i)
 
-    def poke(carrier):
-        at, target = carrier.value
+    def poke(hit):
+        at, target = hit
         if not any(entry[1] == target for entry in log):
             gpus[target].abort_compute()
             log.append(("interrupted", target, env.now, f"poke@{at}"))
 
-    def schedule_pokes(_carrier):
+    def schedule_pokes(_value):
         # Pushed after the kernels' grants, as the crashes of a fault
         # schedule are: at a tie the kernel's finish comes first.
         for at, target in pokes:
@@ -173,10 +171,10 @@ def test_cancel_churn_keeps_queue_bounded():
         timers = [env.call_later(1000.0 + i, _never) for i in range(50)]
         env.call_later(0.001, churn, (round_, timers))
 
-    def churn(carrier):
-        round_, timers = carrier.value
+    def churn(round_and_timers):
+        round_, timers = round_and_timers
         for timer in timers:
-            timer.cancel()
+            env.cancel(timer)
         if round_ + 1 < 40:
             arm(round_ + 1)
 
@@ -186,10 +184,10 @@ def test_cancel_churn_keeps_queue_bounded():
         queue = env._queue
         high_water = max(high_water, len(queue) + queue.tombstones)
     assert env.cancellations == 40 * 50
-    live_peak = 50 + 1  # one round's timers + the churn carrier
+    live_peak = 50 + 1  # one round's timers + the churn entry
     assert high_water <= live_peak + COMPACT_MIN_TOMBSTONES * 2, (
         f"agenda grew to {high_water} physical entries under cancel churn")
 
 
-def _never(_carrier):
+def _never(_value):
     raise AssertionError("a cancelled timer fired")

@@ -2,19 +2,19 @@
 
 import pytest
 
-from repro.sim import Environment, SimulationError
+from repro.sim import URGENT, Environment, SimulationError
 
 
 def test_timeout_advances_clock():
     env = Environment()
     seen = []
 
-    def second(carrier):
-        seen.append(carrier.env.now)
+    def second(_value):
+        seen.append(env.now)
 
-    def first(carrier):
-        seen.append(carrier.env.now)
-        carrier.env.call_later(2.5, second)
+    def first(_value):
+        seen.append(env.now)
+        env.call_later(2.5, second)
 
     env.call_later(5, first)
     env.run()
@@ -25,7 +25,7 @@ def test_timeout_advances_clock():
 def test_negative_timeout_rejected():
     env = Environment()
     with pytest.raises(ValueError):
-        env.call_later(-1, lambda carrier: None)
+        env.call_later(-1, lambda _value: None)
 
 
 def test_nan_delay_rejected():
@@ -33,18 +33,21 @@ def test_nan_delay_rejected():
     the negative check and land the clock at nan."""
     env = Environment()
     with pytest.raises(ValueError, match="nan"):
-        env.call_later(float("nan"), lambda carrier: None)
-    env.call_later(float("inf"), lambda carrier: None)
+        env.call_later(float("nan"), lambda _value: None)
+    env.call_later(float("inf"), lambda _value: None)
     env.run(until=1.0)
     assert env.now == 1.0
 
 
 def test_carrier_carries_its_value():
+    """An agenda entry calls its callback with the value it was given."""
     env = Environment()
     seen = []
-    env.call_later(1, lambda carrier: seen.append(carrier.value), "payload")
+    entry = env.call_later(1, seen.append, "payload")
+    assert entry == [seen.append, "payload"]
     env.run()
     assert seen == ["payload"]
+    assert entry[0] is None  # stepped: the callback slot is cleared
 
 
 def test_event_succeed_value_passed_to_waiter():
@@ -52,7 +55,7 @@ def test_event_succeed_value_passed_to_waiter():
     gate = env.event()
     seen = []
     gate.callbacks.append(lambda event: seen.append((env.now, event.value)))
-    env.call_later(4, lambda carrier: gate.succeed("open"))
+    env.call_later(4, lambda _value: gate.succeed("open"))
     env.run()
     assert seen == [(4, "open")]
     assert gate.processed and gate.ok
@@ -103,7 +106,7 @@ def test_run_until_time_boundary():
     env = Environment()
     ticks = []
 
-    def tick(carrier):
+    def tick(_value):
         ticks.append(env.now)
         env.call_later(1, tick)
 
@@ -125,7 +128,7 @@ def test_deterministic_same_time_ordering():
     env = Environment()
     order = []
     for tag in "abcde":
-        env.call_later(1, lambda carrier: order.append(carrier.value), tag)
+        env.call_later(1, order.append, tag)
     env.run()
     assert order == list("abcde")
 
@@ -133,8 +136,8 @@ def test_deterministic_same_time_ordering():
 def test_run_until_complete_returns_value():
     env = Environment()
     done = env.event()
-    env.call_later(3, lambda carrier: done.succeed("x"))
-    env.call_later(9, lambda carrier: None)
+    env.call_later(3, lambda _value: done.succeed("x"))
+    env.call_later(9, lambda _value: None)
     assert env.run_until_complete(done) == "x"
     assert env.now == 3  # stops at the step that processed ``done``
 
@@ -143,7 +146,7 @@ def test_run_until_complete_raises_the_failure():
     env = Environment()
     done = env.event()
     done.callbacks.append(lambda event: None)  # observed: step won't raise
-    env.call_later(2, lambda carrier: done.fail(KeyError("lost")))
+    env.call_later(2, lambda _value: done.fail(KeyError("lost")))
     with pytest.raises(KeyError, match="lost"):
         env.run_until_complete(done)
     assert env.now == 2
@@ -152,7 +155,7 @@ def test_run_until_complete_raises_the_failure():
 def test_run_until_complete_detects_deadlock():
     env = Environment()
     never = env.event()
-    env.call_later(1, lambda carrier: None)
+    env.call_later(1, lambda _value: None)
     with pytest.raises(SimulationError, match="deadlock"):
         env.run_until_complete(never)
     assert env.now == 1
@@ -160,34 +163,105 @@ def test_run_until_complete_detects_deadlock():
 
 def test_peek_reports_next_event_time():
     env = Environment()
-    env.call_later(7, lambda carrier: None)
+    env.call_later(7, lambda _value: None)
     assert env.peek() == 7
     env.run()
     assert env.peek() == float("inf")
 
 
 def test_cancelled_carrier_never_fires():
+    """A cancelled entry never steps and never moves the clock."""
     env = Environment()
     fired = []
-    timer = env.call_later(5, lambda carrier: fired.append("timer"))
-    env.call_later(1, lambda carrier: timer.cancel())
+    timer = env.call_later(5, fired.append, "timer")
+    env.call_later(1, env.cancel, timer)
     env.run()
     assert fired == [] and env.now == 1
     assert env.cancellations == 1
+    env.cancel(timer)  # a second cancel is a no-op
+    assert env.cancellations == 1
+
+
+def test_cancelling_a_fired_entry_is_a_noop():
+    env = Environment()
+    fired = []
+    timer = env.call_later(1, fired.append, "timer")
+    late = env.call_later(3, fired.append, "late")
+    env.call_later(2, env.cancel, timer)  # fired at 1: nothing to cancel
+    env.run()
+    assert fired == ["timer", "late"] and env.now == 3
+    assert env.cancellations == 0
+    env.cancel(late)
+    assert env.cancellations == 0
+    assert env.peek() == float("inf")
 
 
 def test_discard_drops_pending_events_unprocessed():
     env = Environment()
     fired = []
     done = env.event()
-    env.call_later(1, lambda carrier: done.succeed("done"))
-    env.call_later(5.0, lambda carrier: fired.append(carrier.value), "late")
-    env.run_until_complete(done)  # the t=5 carrier is still pending
+    env.call_later(1, lambda _value: done.succeed("done"))
+    env.call_later(5.0, fired.append, "late")
+    env.run_until_complete(done)  # the t=5 entry is still pending
     env.discard()
     assert env.peek() == float("inf")
     env.run()
     assert fired == [] and env.now == 1
-    # Still usable, with an empty agenda and pool.
-    env.call_later(2.0, lambda carrier: fired.append(carrier.value), "new")
+    # Still usable, with an empty agenda.
+    env.call_later(2.0, fired.append, "new")
     env.run()
     assert fired == ["new"] and env.now == 3
+
+
+def test_discard_drops_pending_entries_unfired():
+    """Every pending entry -- timers, URGENT hops, a triggered event --
+    is dropped unfired, and cancelling one afterwards is a no-op that
+    leaves the emptied agenda's accounting alone."""
+    env = Environment()
+    fired = []
+    gate = env.event()
+    gate.callbacks.append(lambda event: fired.append("gate"))
+    timers = [env.call_later(delay, fired.append, delay)
+              for delay in (0.0, 1.0, 1.0, 2.0)]
+    env.call_later(0.0, fired.append, "urgent", URGENT)
+    gate.succeed()
+    env.discard()
+    assert env.peek() == float("inf")
+    for timer in timers:
+        env.cancel(timer)
+    assert env.cancellations == 0
+    env.run()
+    assert fired == [] and env.now == 0
+    assert not gate.processed
+    env.call_later(1.0, fired.append, "new")
+    env.run()
+    assert fired == ["new"] and env.now == 1
+
+
+def test_schedule_has_no_delay():
+    """An event fires at ``now``: ``schedule`` takes no delay, so a
+    negative one cannot fire it before the clock, ahead of a t=1 entry."""
+    env = Environment()
+    order = []
+    env.call_later(1.0, order.append, "timer")
+    ev = env.event()
+    ev.callbacks.append(lambda event: order.append(env.now))
+    with pytest.raises(TypeError):
+        env.schedule(ev, delay=-5.0)
+    assert not ev.triggered
+    env.schedule(ev)
+    env.run()
+    assert order == [0.0, "timer"] and env.now == 1.0
+
+
+def test_run_until_nan_rejected():
+    """``until=nan`` compares false to everything: it must not step the
+    whole agenda and leave the clock at nan."""
+    env = Environment()
+    fired = []
+    env.call_later(1.0, fired.append, "timer")
+    with pytest.raises(ValueError, match="nan"):
+        env.run(until=float("nan"))
+    assert fired == [] and env.now == 0.0
+    env.run()
+    assert fired == ["timer"] and env.now == 1.0

@@ -33,7 +33,7 @@ def test_urgent_events_fire_before_normal_at_same_time():
 def test_timeout_zero_fires_immediately():
     env = Environment()
     seen = []
-    env.call_later(0, lambda carrier: seen.append(env.now))
+    env.call_later(0, lambda _value: seen.append(env.now))
     env.run()
     assert seen == [0]
 

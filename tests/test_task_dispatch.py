@@ -1,6 +1,6 @@
 """CSR dispatch: task graphs run off their successor CSR.
 
-A task's completion is per-task state plus one pooled carrier
+A task's completion is per-task state plus one agenda entry
 (:meth:`TaskGraph.complete`); only the backward-pass ready events and the
 graph-level ``done`` event are real :class:`~repro.sim.Event` objects.
 These tests pin the allocation profile, the one-agenda-entry-per-
@@ -49,7 +49,7 @@ def _world(num_nodes):
 
 @pytest.fixture
 def event_inits(monkeypatch):
-    """Count every Event constructed (carriers and subclasses too)."""
+    """Count every Event constructed (subclasses too)."""
     counter = [0]
     original = Event.__init__
 
@@ -80,10 +80,9 @@ def test_instantiate_and_arm_allocate_per_ready_ref_not_per_task(event_inits):
     assert len(graph.tasks) > 10 * len(ready)
     event_inits[0] = 0
     done = graph.arm(engines)
-    # The graph-level ``done`` event plus at most one pooled carrier per
-    # source task dispatched at arm; never one event per task.
-    assert event_inits[0] <= 1 + len(csr.sources)
-    assert event_inits[0] < len(graph.tasks) // 10
+    # Only the graph-level ``done`` event: the source tasks dispatched at
+    # arm are plain agenda entries, and no task gets an event.
+    assert event_inits[0] == 1
     # One graph callback per ready event that something depends on.
     hooked = [ev for ev in ready.values() if ev.callbacks]
     assert len(hooked) == len(csr.refs) == len(ready)
@@ -101,10 +100,10 @@ def test_instantiate_and_arm_allocate_per_ready_ref_not_per_task(event_inits):
 def test_one_agenda_entry_per_completion(traced):
     """The Environment.step count of one golden case, pinned from the
     design that gave every task its own completion Event: a completion
-    carrier still takes exactly one agenda entry per task.  An attached
+    still takes exactly one agenda entry per task.  An attached
     collector only records, so a traced round steps the same events.
 
-    1,393 steps until the coordinator's ticker became pooled carriers:
+    1,393 steps until the coordinator's ticker became agenda callbacks:
     a retiring ticker process also stepped its completion event, and
     this round retires its ticker 5 times.
 
@@ -114,7 +113,7 @@ def test_one_agenda_entry_per_completion(traced):
     - the graph waiter's initializer (it only attached to ``done``) and
       its completion event;
     - the drain's initializer and the ``AllOf`` firing it waited on.
-    Every other entry a process pushed is still one carrier at the same
+    Every other entry a process pushed is still one entry at the same
     (time, priority), pushed at the same point."""
     model = golden_model()
     cluster = ec2_v100_cluster(4)
@@ -242,13 +241,13 @@ def test_finished_graph_frees_without_a_collection():
             gc.enable()
 
 
-def test_pristine_round_builds_ready_events_done_and_pooled_carriers(
-        event_inits):
-    """Every timed behaviour of a round is a callback on a pooled carrier:
-    a pristine golden round builds one ``Event`` per (node, gradient)
-    ready signal, the graph's ``done`` and the 97 carriers its pool
-    grows to.  The generator design also built 6 processes, 24 stream
-    requests, 24 kernel timeouts and the drain's ``AllOf``."""
+def test_pristine_round_builds_only_ready_events_and_done(event_inits):
+    """Every timed behaviour of a round is a plain ``[callback, value]``
+    agenda entry: a pristine golden round builds one ``Event`` per
+    (node, gradient) ready signal and the graph's ``done``, nothing else.
+    The pooled-carrier design also built the 97 carriers its pool grew
+    to; the generator design before it, 6 processes, 24 stream requests,
+    24 kernel timeouts and the drain's ``AllOf``."""
     model = golden_model()
     cluster = ec2_v100_cluster(4)
     plans = make_plans(model, cluster, OneBit(), "ps_colocated")
@@ -259,4 +258,4 @@ def test_pristine_round_builds_ready_events_done_and_pooled_carriers(
     assert result.coordinator_batches > 0
     ready = cluster.num_nodes * len(model.gradients)
     assert ready == 20
-    assert event_inits[0] == ready + 1 + 97
+    assert event_inits[0] == ready + 1

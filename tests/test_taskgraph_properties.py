@@ -68,7 +68,7 @@ def test_random_dag_always_completes(dag, coordinator, batching):
     graph, tasks = materialize(env, specs, bulk=batching)
     finish = run_graph(env, graph, engines)
     assert finish >= 0
-    # ``done`` succeeds only once every task's completion carrier has run.
+    # ``done`` succeeds only once every task's completion entry has run.
     assert graph.done.processed and graph.done.ok
     for task in tasks:
         assert task.triggered and task.error is None, task
