@@ -51,9 +51,8 @@ from repro.cluster import ec2_v100_cluster
 from repro.experiments.common import default_algorithm
 from repro.models import get_model
 from repro.strategies import get_strategy
-from repro.training import make_plans
 
-from bench_graph_build import make_ctx
+from bench_graph_build import committed_rows, count_mismatches, make_ctx
 
 #: Strict admission must stay below this fraction of a cold build.
 OVERHEAD_BAR_PCT = 10.0
@@ -62,13 +61,13 @@ COMMITTED = Path(__file__).resolve().parent.parent / "BENCH_plancheck.json"
 COUNTS = ("ops", "findings")
 
 
-def bench_case(name, strategy, model, cluster, algorithm, plans, reps):
+def bench_case(name, strategy, model, cluster, algorithm, reps):
     cold, check = [], []
     plan = report = None
     for _ in range(reps):
-        ctx = make_ctx(model, cluster, algorithm, plans)
+        ctx = make_ctx(model, cluster, algorithm)
         pctx = PassContext(num_nodes=cluster.num_nodes, cluster=cluster,
-                           algorithm=algorithm, plans=plans)
+                           algorithm=algorithm)
         gc.collect()
         start = time.perf_counter()
         plan = build_plan(strategy, pctx, model)
@@ -96,33 +95,22 @@ def bench_case(name, strategy, model, cluster, algorithm, plans, reps):
 
 def cases(smoke: bool):
     if smoke:
-        specs = [("vgg19-casync-ps-tbq-n8", "vgg19", "casync-ps", "tbq",
-                  "ps_colocated", 8)]
+        specs = [("vgg19-casync-ps-tbq-n8", "vgg19", "casync-ps", "tbq", 8)]
     else:
         specs = [
-            ("vgg19-casync-ps-tbq-n8", "vgg19", "casync-ps", "tbq",
-             "ps_colocated", 8),
-            ("vgg19-casync-ring-tbq-n8", "vgg19", "casync-ring", "tbq",
-             "ring", 8),
+            ("vgg19-casync-ps-tbq-n8", "vgg19", "casync-ps", "tbq", 8),
+            ("vgg19-casync-ring-tbq-n8", "vgg19", "casync-ring", "tbq", 8),
             ("bert-large-casync-ps-onebit-n8", "bert-large", "casync-ps",
-             "onebit", "ps_colocated", 8),
+             "onebit", 8),
             ("resnet50-casync-ps-dgc-n16", "resnet50", "casync-ps", "dgc",
-             "ps_colocated", 16),
-            ("vgg19-byteps-n8", "vgg19", "byteps", None, None, 8),
+             16),
+            ("vgg19-byteps-n8", "vgg19", "byteps", None, 8),
         ]
-    for name, model_name, strat, algo, preset, n in specs:
+    for name, model_name, strat, algo, n in specs:
         model = get_model(model_name)
         cluster = ec2_v100_cluster(n)
         algorithm = default_algorithm(algo) if algo else None
-        plans = (make_plans(model, cluster, algorithm, preset)
-                 if preset else None)
-        yield name, get_strategy(strat), model, cluster, algorithm, plans
-
-
-def committed_counts() -> dict:
-    """``{case: {count: value}}`` from the committed full run."""
-    rows = json.loads(COMMITTED.read_text())["results"]
-    return {row["case"]: {key: row[key] for key in COUNTS} for row in rows}
+        yield name, get_strategy(strat), model, cluster, algorithm
 
 
 def main(argv=None) -> int:
@@ -139,11 +127,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     reps = args.reps if args.reps else (3 if args.smoke else 5)
 
-    committed = committed_counts()
+    committed = committed_rows(COMMITTED)
     results = []
-    for name, strategy, model, cluster, algorithm, plans in cases(args.smoke):
-        row = bench_case(name, strategy, model, cluster, algorithm, plans,
-                         reps)
+    for name, strategy, model, cluster, algorithm in cases(args.smoke):
+        row = bench_case(name, strategy, model, cluster, algorithm, reps)
         results.append(row)
         print(f"{row['case']:34s} cold {row['cold_build_ms']:9.3f} ms   "
               f"check {row['check_ms']:8.3f} ms   "
@@ -164,12 +151,7 @@ def main(argv=None) -> int:
                 f"{OVERHEAD_BAR_PCT:.0f}% of a cold build for: "
                 + ", ".join(f"{r['case']} ({r['overhead_pct']:.1f}%)"
                             for r in over))
-        failures += [f"{r['case']}: not in the committed run"
-                     for r in results if r["case"] not in committed]
-        failures += [f"{r['case']}: {key} {r[key]} != committed "
-                     f"{committed[r['case']][key]}"
-                     for r in results if r["case"] in committed
-                     for key in COUNTS if r[key] != committed[r["case"]][key]]
+        failures += count_mismatches(results, committed, COUNTS)
         if failures:
             print("FAIL: " + "; ".join(failures))
             return 1

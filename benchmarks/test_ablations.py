@@ -9,11 +9,12 @@ compression, and CPU- vs GPU-side aggregation.
 import pytest
 
 from repro.algorithms import OneBit
+from repro.casync.decisions import DecisionMap, GradientDecision
 from repro.cluster import ec2_v100_cluster
 from repro.experiments import format_table
 from repro.models import GradientSpec, ModelSpec
 from repro.strategies import BytePS, CaSyncPS, CaSyncRing, RingAllreduce
-from repro.training import make_plans, simulate_iteration
+from repro.training import simulate_iteration
 
 MB = 1024 * 1024
 
@@ -33,15 +34,16 @@ def test_partition_granularity(benchmark, report):
     cluster = ec2_v100_cluster(8)
     algo = OneBit()
 
+    strategy = CaSyncPS(selective=False, adaptive=True)
+    name = model.gradients[0].name
+
     def run_sweep():
         rows = []
-        from repro.casync.planner import GradientPlan
         for k in (1, 2, 4, 8, 16):
-            plans = {model.gradients[0].name: GradientPlan(
-                model.gradients[0].name, model.gradients[0].nbytes,
-                True, k, 0.0)}
-            result = simulate_iteration(
-                model, cluster, CaSyncPS(), algorithm=algo, plans=plans)
+            decisions = DecisionMap(
+                {name: GradientDecision(compress=True, partitions=k)})
+            result = simulate_iteration(model, cluster, strategy,
+                                        algorithm=algo, decisions=decisions)
             rows.append((k, result.iteration_time))
         return rows
 
@@ -59,13 +61,12 @@ def test_coordinator_batching_policy(benchmark, report):
     model = model_of([64 * 1024] * 150, v100_s=0.005)
     cluster = ec2_v100_cluster(8)
     algo = OneBit()
-    plans = make_plans(model, cluster, algo, "ps_colocated")
 
     def run_pair():
         no_bulk = simulate_iteration(model, cluster, CaSyncPS(bulk=False),
-                                     algorithm=algo, plans=plans)
+                                     algorithm=algo)
         bulk = simulate_iteration(model, cluster, CaSyncPS(bulk=True),
-                                  algorithm=algo, plans=plans)
+                                  algorithm=algo)
         return no_bulk.iteration_time, bulk.iteration_time
 
     no_bulk_t, bulk_t = benchmark.pedantic(run_pair, rounds=1, iterations=1)
@@ -129,12 +130,11 @@ def test_gpu_vs_cpu_aggregation(benchmark, report):
     model = model_of([64 * MB] * 8, v100_s=0.02)
     cluster = ec2_v100_cluster(8)
     algo = OneBit()
-    plans = make_plans(model, cluster, algo, "ps_colocated")
 
     def run_pair():
         cpu_servers = simulate_iteration(model, cluster, BytePS())
         gpu_aggs = simulate_iteration(model, cluster, CaSyncPS(),
-                                      algorithm=algo, plans=plans)
+                                      algorithm=algo)
         return cpu_servers.iteration_time, gpu_aggs.iteration_time
 
     cpu_t, gpu_t = benchmark.pedantic(run_pair, rounds=1, iterations=1)

@@ -30,7 +30,7 @@ def export_trace(path: str):
     job = TrainingJob(model="vgg19", algorithm="onebit",
                       strategy="casync-ps", cluster=cluster)
     trace = trace_iteration(get_model("vgg19"), cluster, CaSyncPS(),
-                            algorithm=job.algorithm, plans=job.plans)
+                            algorithm=job.algorithm)
     with open(path, "w") as fh:
         fh.write(trace.to_chrome_trace())
     lanes = {}

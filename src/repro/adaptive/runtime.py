@@ -29,18 +29,16 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..casync.passes import PassConfig
+from ..casync.planner import PLANNER_KINDS
 from ..errors import ConfigError
 from ..models import MODEL_NAMES, get_model
 from ..strategies import get_strategy
 from ..telemetry import TelemetryCollector
-from ..training import make_plans, simulate_iteration
+from ..training import simulate_iteration
 from .controller import DecisionLog, PolicyController
 from .policy import CompressionPolicy, resolve_policy
 
 __all__ = ["PLANNER_KINDS", "PolicyRun", "run_policy"]
-
-#: Strategy-registry name -> §3.3 planner step-count preset.
-PLANNER_KINDS = {"casync-ps": "ps_colocated", "casync-ring": "ring"}
 
 
 @dataclass
@@ -117,27 +115,25 @@ def run_policy(model, cluster, policy,
             "strategy", strategy, PLANNER_KINDS,
             hint="policies run through the SyncPlan pipeline; use a "
                  "CaSync strategy")
-    planner_kind = PLANNER_KINDS[strategy]
 
     results = []
     if policy.is_fixed:
-        # The static path, untouched: same strategy flags, planner plans,
-        # and (decisions-free) graph-cache keys as the legacy kwargs.
+        # The static path, untouched: same strategy flags and
+        # (decisions-free) graph-cache keys as the legacy kwargs.
         algorithm = policy.fixed_algorithm().instantiate()
         strat = get_strategy(strategy, pipelining=pipelining, bulk=bulk)
-        plans = make_plans(model, cluster, algorithm, planner_kind)
         log = DecisionLog(policy)
         for _ in range(iterations):
             results.append(simulate_iteration(
-                model, cluster, strat, algorithm=algorithm, plans=plans,
+                model, cluster, strat, algorithm=algorithm,
                 pass_config=pass_config, telemetry=telemetry))
         return PolicyRun(policy=policy, strategy=strategy,
                          results=tuple(results), log=log)
 
     controller = PolicyController(policy, model, cluster,
-                                  planner_kind=planner_kind)
-    # Adaptive decisions supersede the static SelectivePass (which would
-    # also demand planner plans the controller already folds in).
+                                  planner_kind=PLANNER_KINDS[strategy])
+    # Adaptive decisions supersede the static SelectivePass, whose §3.3
+    # verdicts the controller already folds in.
     strat = get_strategy(strategy, pipelining=pipelining, bulk=bulk,
                          selective=False, adaptive=True)
     # The plan-wide default codec: only consulted for ops outside any

@@ -839,33 +839,24 @@ def golden_model() -> Any:
 @dataclass(frozen=True)
 class GoldenCase:
     """One row of the golden matrix ``tests/golden/trace_hashes.json``
-    pins: a strategy, its flags, a codec (None = raw) and whether the
-    §3.3 planner's plans drive it."""
+    pins: a strategy, its flags and a codec (None = raw)."""
 
     name: str
     strategy: str
     flags: Tuple[Tuple[str, bool], ...]
     algorithm: Optional[str]
-    selective: bool
 
-    def inputs(self, model: Any, cluster: Any,
-               make_algorithm: Optional[Callable[[str], Any]] = None,
-               ) -> Tuple[Any, Any, Any]:
-        """``(strategy, algorithm, plans)`` for one run of this case;
+    def inputs(self, make_algorithm: Optional[Callable[[str], Any]] = None,
+               ) -> Tuple[Any, Any]:
+        """``(strategy, algorithm)`` for one run of this case;
         ``make_algorithm`` (default: the §6.1 settings) instantiates the
         codec from its name."""
-        from ..adaptive.runtime import PLANNER_KINDS
         from ..experiments.common import default_algorithm
         from ..strategies import get_strategy
-        from ..training import make_plans
         algorithm = None
         if self.algorithm is not None:
             algorithm = (make_algorithm or default_algorithm)(self.algorithm)
-        plans = (make_plans(model, cluster, algorithm,
-                            PLANNER_KINDS[self.strategy])
-                 if self.selective else None)
-        return (get_strategy(self.strategy, **dict(self.flags)), algorithm,
-                plans)
+        return get_strategy(self.strategy, **dict(self.flags)), algorithm
 
 
 def golden_cases() -> List[GoldenCase]:
@@ -886,13 +877,12 @@ def golden_cases() -> List[GoldenCase]:
             ("onebit", "dgc", "tbq") if config.compression else (None,))
         for algo in algos:
             cases.append(GoldenCase(
-                f"{key}/{algo or 'raw'}/n4", config.strategy, (), algo,
-                config.planner_kind is not None))
+                f"{key}/{algo or 'raw'}/n4", config.strategy, (), algo))
     for strategy_name in ("casync-ps", "casync-ring"):
         for stage, flags in ladder:
             cases.append(GoldenCase(
                 f"{strategy_name}:{stage}/onebit/n4", strategy_name,
-                tuple(flags.items()), "onebit", flags["selective"]))
+                tuple(flags.items()), "onebit"))
     return cases
 
 
@@ -906,9 +896,9 @@ def iter_cases() -> Iterator[Tuple[str, Callable[[], Tuple[SyncPlan,
     strategies.  Builders return ``(plan, pctx, recipe)`` so every case
     is checked through lowering.
     """
-    from ..adaptive.runtime import PLANNER_KINDS
     from ..casync.lower import lower_plan
     from ..casync.passes import build_plan
+    from ..casync.planner import PLANNER_KINDS
     from ..cluster import ec2_v100_cluster
     from ..strategies import get_strategy
 
@@ -918,10 +908,10 @@ def iter_cases() -> Iterator[Tuple[str, Callable[[], Tuple[SyncPlan,
     def make_builder(case: GoldenCase,
                      ) -> Callable[[], Tuple[SyncPlan, PassContext, Any]]:
         def build() -> Tuple[SyncPlan, PassContext, Any]:
-            strategy, algorithm, plans = case.inputs(model, cluster)
+            strategy, algorithm = case.inputs()
             pctx = PassContext(
                 num_nodes=cluster.num_nodes, cluster=cluster,
-                algorithm=algorithm, plans=plans)
+                algorithm=algorithm)
             plan = build_plan(strategy, pctx, model)
             return plan, pctx, lower_plan(plan, pctx)
         return build

@@ -63,21 +63,16 @@ def _victim(strategy_name: str = "casync-ps", selective: bool = False,
             adaptive: bool = False, config: Optional[PassConfig] = None,
             ) -> Tuple[SyncPlan, PassContext]:
     """A freshly-built, fully-verified plan for the mutators to corrupt."""
-    from ..adaptive.runtime import PLANNER_KINDS
+    from ..casync.planner import PLANNER_KINDS
     from ..cluster import ec2_v100_cluster
     from ..experiments.common import default_algorithm
     from ..strategies import get_strategy
-    from ..training import make_plans
     from .plancheck import golden_model
 
     model = golden_model()
     cluster = ec2_v100_cluster(4)
     algorithm = default_algorithm("onebit")
-    plans = None
     decisions = None
-    if selective:
-        plans = make_plans(model, cluster, algorithm,
-                           PLANNER_KINDS[strategy_name])
     if adaptive:
         from ..adaptive.controller import PolicyController
         from ..adaptive.policy import CompressionPolicy
@@ -90,7 +85,7 @@ def _victim(strategy_name: str = "casync-ps", selective: bool = False,
                             adaptive=adaptive)
     pctx = PassContext(
         num_nodes=cluster.num_nodes, cluster=cluster, algorithm=algorithm,
-        plans=plans, config=config or PassConfig(), decisions=decisions)
+        config=config or PassConfig(), decisions=decisions)
     plan = build_plan(strategy, pctx, model)
     return plan, pctx
 

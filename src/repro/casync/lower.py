@@ -13,9 +13,9 @@ into a live graph for one
 :class:`~repro.sim.Environment`, which is cheap (one ``Task`` per spec: no
 cost-model calls, no pass pipeline, no per-task dependency wiring) and is
 what makes the :class:`GraphCache` pay off: the
-multi-iteration experiment harness builds the plan once per
-(strategy, model, cluster, algorithm, plans, pass-config) key and replays
-the recipe every iteration.
+multi-iteration experiment harness builds the plan -- §3.3 planning
+included -- once per (strategy, model, cluster, algorithm, pass-config)
+key and replays the recipe every iteration.
 
 Instantiation is deterministic -- specs are emitted in plan-op order, so a
 warm-cache graph is *bit-identical* (same task order, labels, durations,
@@ -269,14 +269,6 @@ def _algorithm_token(algorithm) -> Optional[Tuple]:
             tuple(scalars), tuple(nested), probes)
 
 
-def _plans_token(plans) -> Optional[Tuple]:
-    if plans is None:
-        return None
-    return tuple((name, plan.nbytes, plan.compress, plan.partitions,
-                  plan.predicted_time)
-                 for name, plan in sorted(plans.items()))
-
-
 def _decisions_token(decisions) -> Optional[Tuple]:
     """Content identity of one iteration's adaptive decisions.
 
@@ -301,6 +293,8 @@ def cache_key(strategy, model, pctx: PassContext) -> Tuple:
     Hardware identity comes from :meth:`ClusterSpec.hardware_token`,
     which covers per-node specs and per-link straggler/WAN descriptors
     -- perturbing a single node's hardware or link is a cache miss.
+    The strategy name, model, hardware and algorithm tokens also cover
+    every input of :class:`~repro.casync.passes.SelectivePass`'s planner.
     """
     return (
         (strategy.name,
@@ -309,7 +303,6 @@ def cache_key(strategy, model, pctx: PassContext) -> Tuple:
         (model.name, tuple((g.name, g.nbytes) for g in model.gradients)),
         pctx.cluster.hardware_token(),
         _algorithm_token(pctx.algorithm),
-        _plans_token(pctx.plans),
         pctx.config.token(),
         _decisions_token(pctx.decisions),
     )
@@ -423,7 +416,7 @@ def build_graph(strategy, ctx, model,
     """
     pctx = PassContext(
         num_nodes=ctx.cluster.num_nodes, cluster=ctx.cluster,
-        algorithm=ctx.algorithm, plans=ctx.plans,
+        algorithm=ctx.algorithm,
         config=(ctx.pass_config if ctx.pass_config is not None
                 else DEFAULT_PASS_CONFIG),
         decisions=ctx.decisions)

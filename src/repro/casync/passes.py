@@ -4,9 +4,9 @@ The three CaSync optimizations (§3.2/§3.3) -- previously re-implemented
 inside every strategy behind boolean flags -- are expressed here as
 independent passes over :class:`~repro.casync.ir.SyncPlan`:
 
-* :class:`SelectivePass` (directive phase) -- apply the §3.3 planner's
-  per-gradient <compress?, K> verdicts; without it every gradient is
-  compressed indiscriminately.
+* :class:`SelectivePass` (directive phase) -- run the §3.3 planner over
+  every gradient and apply its <compress?, K> verdicts; without it every
+  gradient is compressed indiscriminately.
 * :class:`PartitionPass` (directive phase) -- enable pipelining by
   promoting the planner's K (or the fixed ``default_part_bytes`` rule)
   into the structural partition count; without it K = 1 (whole-gradient
@@ -48,11 +48,13 @@ from dataclasses import dataclass
 from typing import (Any, Callable, Dict, List, Optional, Sequence, Tuple,
                     Type)
 
+from ..algorithms.base import available_algorithms
 from ..errors import ConfigError
+from ..models import GradientSpec
 from .decisions import DecisionMap
 from .index import invalidate, plan_index
 from .ir import Directive, Op, ReadyRef, SyncPlan
-from .planner import GradientPlan
+from .planner import PLANNER_KINDS, CostModel, SelectivePlanner
 
 __all__ = [
     "DEFAULT_PASS_CONFIG",
@@ -100,6 +102,24 @@ class PassConfig:
     #: byte-identical with the pass on.
     fanin_collapse_threshold: int = 96
 
+    def __post_init__(self) -> None:
+        # Sizes divide and the timeout schedules, so each must be positive
+        # and finite (NaN fails every comparison).  The bulk threshold may
+        # be 0, which routes nothing through the coordinator.
+        for name in ("bulk_eligible_bytes", "default_part_bytes",
+                     "coordinator_batch_bytes", "coordinator_timeout_s"):
+            value = getattr(self, name)
+            in_range = (value >= 0 if name == "bulk_eligible_bytes"
+                        else value > 0)
+            if not (in_range and math.isfinite(value)):
+                raise ValueError(f"PassConfig.{name} must be positive and "
+                                 f"finite, got {value!r}")
+        threshold = self.fanin_collapse_threshold
+        if (not isinstance(threshold, int) or isinstance(threshold, bool)
+                or threshold < 0):
+            raise ValueError(f"PassConfig.fanin_collapse_threshold must be "
+                             f"an int >= 0, got {threshold!r}")
+
     def token(self) -> Tuple[float, float, float, float, int]:
         """Hashable identity for cache keys."""
         return (self.bulk_eligible_bytes, self.default_part_bytes,
@@ -133,7 +153,6 @@ class PassContext:
     num_nodes: int
     cluster: Any
     algorithm: Optional[Any] = None
-    plans: Optional[Dict[str, GradientPlan]] = None
     config: PassConfig = DEFAULT_PASS_CONFIG
     #: Per-gradient adaptive decisions for this iteration (None = the
     #: static path; plans built with and without decisions lower through
@@ -196,24 +215,36 @@ class Pass:
 
 
 class SelectivePass(Pass):
-    """Apply the §3.3 planner's per-gradient <compress?, K> decisions."""
+    """Run the §3.3 planner and apply its per-gradient <compress?, K>.
+
+    The planner costs each gradient with the step counts of the plan's
+    strategy (:data:`~repro.casync.planner.PLANNER_KINDS`) on the
+    context's cluster and codec.  Its verdicts are a pure function of the
+    graph-cache key's inputs, so a warm build never re-plans.
+    """
 
     name = "selective"
     phase = "directive"
 
     def run(self, plan: SyncPlan, pctx: PassContext) -> None:
-        for name in plan.directives:
-            directive = plan.directives[name]
-            gplan = None if pctx.plans is None else pctx.plans.get(name)
-            if gplan is None:
-                choices = [] if pctx.plans is None else sorted(pctx.plans)
-                raise ConfigError(
-                    "plan", name, choices,
-                    hint="selective compression needs the §3.3 planner's "
-                         "output for every gradient; pass plans= to "
-                         "simulate_iteration (or make_plans(...))")
-            directive.compress = gplan.compress
-            directive.planned_partitions = gplan.partitions
+        kind = PLANNER_KINDS.get(plan.strategy)
+        if kind is None:
+            raise ConfigError(
+                "strategy", plan.strategy, PLANNER_KINDS,
+                hint="the §3.3 planner has step counts only for these "
+                     "strategies")
+        if pctx.algorithm is None:
+            raise ConfigError(
+                "algorithm", None, available_algorithms(),
+                hint="selective compression plans each gradient against "
+                     "a codec; pass algorithm= to simulate_iteration")
+        planner = SelectivePlanner(
+            CostModel(pctx.cluster, pctx.algorithm, strategy=kind))
+        for name, directive in plan.directives.items():
+            verdict = planner.plan_gradient(
+                GradientSpec(name=name, nbytes=directive.nbytes))
+            directive.compress = verdict.compress
+            directive.planned_partitions = verdict.partitions
 
 
 class AdaptivePass(Pass):

@@ -32,8 +32,8 @@ from ..cluster import ClusterSpec
 from ..models import GradientSpec
 from ..net import LinkSpec
 
-__all__ = ["StepCounts", "STEP_COUNT_PRESETS", "CostModel", "GradientPlan",
-           "SelectivePlanner", "plans_to_json", "plans_from_json"]
+__all__ = ["StepCounts", "STEP_COUNT_PRESETS", "PLANNER_KINDS", "CostModel",
+           "GradientPlan", "SelectivePlanner", "plans_to_json"]
 
 
 @dataclass(frozen=True)
@@ -62,6 +62,11 @@ STEP_COUNT_PRESETS: Dict[str, Callable[[int, int], StepCounts]] = {
     "ps": _ps_counts,
     "ps_colocated": _ps_colocated_counts,
 }
+
+#: Strategy-registry name -> the step-count preset its plans are costed
+#: with.  :class:`~repro.casync.passes.SelectivePass` plans only these.
+PLANNER_KINDS: Dict[str, str] = {"casync-ps": "ps_colocated",
+                                 "casync-ring": "ring"}
 
 
 class CostModel:
@@ -241,16 +246,3 @@ def plans_to_json(plans: Dict[str, GradientPlan]) -> str:
                "predicted_time": plan.predicted_time}
         for name, plan in plans.items()}, indent=1, sort_keys=True)
 
-
-def plans_from_json(text: str) -> Dict[str, GradientPlan]:
-    """Inverse of :func:`plans_to_json`."""
-    import json
-    raw = json.loads(text)
-    plans: Dict[str, GradientPlan] = {}
-    for name, fields in raw.items():
-        plans[name] = GradientPlan(
-            name=name, nbytes=int(fields["nbytes"]),
-            compress=bool(fields["compress"]),
-            partitions=int(fields["partitions"]),
-            predicted_time=float(fields["predicted_time"]))
-    return plans

@@ -11,7 +11,9 @@ Defines the *systems under test* exactly as §6.1 configures them:
   bulk synchronization (coordinator + batch compression), and selective
   compression/partitioning, using CompLL-profiled algorithms.
 
-``run_system`` is the single entry every table/figure driver uses.
+``run_system`` is the single entry every table/figure driver uses, and
+``make_plans`` the one way a driver reads the §3.3 planner's verdict
+table (a run plans inside its own plan build).
 """
 
 from __future__ import annotations
@@ -21,9 +23,9 @@ import json
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Mapping, Optional
 
-from ..adaptive.runtime import PLANNER_KINDS
 from ..algorithms import available_algorithms, get_algorithm
 from ..algorithms.base import CompressionAlgorithm
+from ..casync.planner import PLANNER_KINDS
 from ..cluster import ClusterSpec, ec2_v100_cluster, local_1080ti_cluster
 from ..errors import ConfigError
 from ..models import MODEL_NAMES, ModelSpec, get_model
@@ -31,8 +33,8 @@ from ..strategies import Strategy, get_strategy
 from ..telemetry import TelemetryCollector
 from ..training import IterationResult, make_plans, simulate_iteration
 
-__all__ = ["SystemConfig", "SYSTEMS", "run_system", "default_algorithm",
-           "ec2_tcp_network", "format_table",
+__all__ = ["SystemConfig", "SYSTEMS", "run_system", "make_plans",
+           "default_algorithm", "ec2_tcp_network", "format_table",
            "JobSpec", "CLUSTER_FACTORIES", "canonical_json",
            "execute_job", "execute_serial"]
 
@@ -160,7 +162,6 @@ def run_system(system: str, model, cluster: ClusterSpec,
         algorithm = spec.name
         algorithm_params = dict(spec.params)
     algo = None
-    plans = None
     if config.compression:
         if algorithm is None:
             raise ConfigError(
@@ -171,12 +172,9 @@ def run_system(system: str, model, cluster: ClusterSpec,
         except KeyError:
             raise ConfigError("algorithm", algorithm,
                               available_algorithms()) from None
-        if config.planner_kind is not None:
-            plans = make_plans(model, cluster, algo, config.planner_kind)
     strategy = config.strategy_factory()
     return simulate_iteration(
-        model, cluster, strategy, algorithm=algo, plans=plans,
-        telemetry=telemetry)
+        model, cluster, strategy, algorithm=algo, telemetry=telemetry)
 
 
 # -- job manifests -----------------------------------------------------------

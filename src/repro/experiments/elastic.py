@@ -118,8 +118,7 @@ def run_job(model: str, system: str, algorithm: Optional[str], profile: str,
     algo = None if algorithm is None else default_algorithm(algorithm)
     report = run_elastic(
         get_model(model), cluster, get_strategy(config.strategy),
-        membership, epochs=epochs,
-        algorithm=algo, planner_kind=config.planner_kind)
+        membership, epochs=epochs, algorithm=algo)
     return {
         "cluster": cluster.name,
         "num_nodes": cluster.num_nodes,

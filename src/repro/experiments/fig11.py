@@ -39,7 +39,7 @@ from ..strategies import (
     CaSyncRing,
     RingAllreduce,
 )
-from ..training import make_plans, simulate_iteration
+from ..training import simulate_iteration
 from .common import JobSpec, default_algorithm, execute_serial, format_table
 
 __all__ = ["PAPER_DELTAS", "jobs", "run", "run_job", "assemble", "render",
@@ -63,48 +63,43 @@ class AblationStage:
     paper_delta: Optional[float]
 
 
+#: CaSync flags per stage: each stage adds one optional pass.
+_CASYNC_FLAGS: Dict[str, Dict[str, bool]] = {
+    "on-gpu": dict(pipelining=False, bulk=False, selective=False),
+    "+pipelining": dict(pipelining=True, bulk=False, selective=False),
+    "+bulk": dict(pipelining=True, bulk=True, selective=False),
+    "+secopa": dict(pipelining=True, bulk=True, selective=True),
+}
+
+
 def _stages_for(model_name: str):
-    """(baseline strategy, casync class, planner preset) per §6.3."""
+    """(baseline strategy, casync class, has an on-CPU stage) per §6.3."""
     if model_name == "vgg19":
-        return BytePS(), CaSyncPS, "ps_colocated", True
-    return RingAllreduce(), CaSyncRing, "ring", False
+        return BytePS(), CaSyncPS, True
+    return RingAllreduce(), CaSyncRing, False
 
 
 def _stage_names(model: str) -> Tuple[str, ...]:
     """Ablation stages in paper order (on-cpu applies to VGG19 only)."""
-    _, _, _, include_cpu = _stages_for(model)
+    _, _, include_cpu = _stages_for(model)
     stages = ["default"]
     if include_cpu:
         stages.append("on-cpu")
-    stages.extend(["on-gpu", "+pipelining", "+bulk", "+secopa"])
+    stages.extend(_CASYNC_FLAGS)
     return tuple(stages)
 
 
-def _stage_kwargs(model: str, stage: str, cluster, algorithm) -> dict:
+def _stage_kwargs(model: str, stage: str, algorithm) -> dict:
     """simulate_iteration kwargs for one ablation stage."""
-    baseline, casync_cls, preset, _ = _stages_for(model)
+    baseline, casync_cls, _ = _stages_for(model)
     if stage == "default":
         return dict(strategy=baseline, algorithm=None)
     if stage == "on-cpu":
         return dict(strategy=BytePSOSSCompression(worker_on_cpu=True),
                     algorithm=algorithm)
-    if stage == "on-gpu":
-        return dict(strategy=casync_cls(pipelining=False, bulk=False,
-                                        selective=False),
+    if stage in _CASYNC_FLAGS:
+        return dict(strategy=casync_cls(**_CASYNC_FLAGS[stage]),
                     algorithm=algorithm)
-    if stage == "+pipelining":
-        return dict(strategy=casync_cls(pipelining=True, bulk=False,
-                                        selective=False),
-                    algorithm=algorithm)
-    if stage == "+bulk":
-        return dict(strategy=casync_cls(pipelining=True, bulk=True,
-                                        selective=False),
-                    algorithm=algorithm)
-    if stage == "+secopa":
-        plans = make_plans(model_spec(model), cluster, algorithm, preset)
-        return dict(strategy=casync_cls(pipelining=True, bulk=True,
-                                        selective=True),
-                    algorithm=algorithm, plans=plans)
     raise ValueError(f"unknown ablation stage {stage!r}")
 
 
@@ -126,7 +121,7 @@ def jobs(num_nodes: int = 16,
 def run_job(model: str, stage: str, num_nodes: int) -> Dict:
     cluster = local_1080ti_cluster(num_nodes)
     algorithm = default_algorithm("onebit")
-    kwargs = _stage_kwargs(model, stage, cluster, algorithm)
+    kwargs = _stage_kwargs(model, stage, algorithm)
     strategy = kwargs.pop("strategy")
     result = simulate_iteration(model_spec(model), cluster, strategy,
                                 **kwargs)

@@ -29,9 +29,8 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..cluster import ClusterSpec, get_cluster
 from ..models import get_model
-from ..training import make_plans
 from .common import (JobSpec, default_algorithm, execute_serial,
-                     format_table, run_system)
+                     format_table, make_plans, run_system)
 
 __all__ = ["SYSTEMS_UNDER_TEST", "scenarios", "scenario_cluster", "jobs",
            "run_job", "run", "assemble", "render"]

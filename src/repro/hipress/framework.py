@@ -7,7 +7,9 @@ job then performs the steps §5 describes:
 
 1. *profiling pass* -- measure T_enc/T_dec on the GPU model and T_send on
    the network (the "first training iteration" measurement);
-2. *planning* -- run the selective compression & partitioning planner;
+2. *planning* -- the selective compression & partitioning planner, which
+   runs inside the plan build (:class:`~repro.casync.passes.SelectivePass`;
+   :attr:`TrainingJob.plans` reports its verdicts);
 3. *execution* -- simulate iterations under the CaSync architecture with
    bulk synchronization and batch compression enabled.
 """
@@ -18,12 +20,11 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Union
 
 from ..adaptive.policy import CompressionPolicy, resolve_policy
-from ..adaptive.runtime import PLANNER_KINDS, PolicyRun, run_policy
+from ..adaptive.runtime import PolicyRun, run_policy
 from ..algorithms import available_algorithms
 from ..algorithms.base import CompressionAlgorithm
 from ..casync.passes import PassConfig
-from ..casync.planner import (CostModel, GradientPlan,
-                              SelectivePlanner, plans_from_json,
+from ..casync.planner import (PLANNER_KINDS, CostModel, GradientPlan,
                               plans_to_json)
 from ..cluster import (CLUSTER_PRESETS, ClusterSpec, ec2_v100_cluster,
                        get_cluster)
@@ -32,7 +33,7 @@ from ..experiments.common import default_algorithm
 from ..models import MODEL_NAMES, ModelSpec, get_model
 from ..strategies import Strategy, get_strategy
 from ..telemetry import TelemetryCollector
-from ..training import IterationResult, simulate_iteration
+from ..training import IterationResult, make_plans, simulate_iteration
 
 __all__ = ["Profile", "TrainingJob"]
 
@@ -131,10 +132,10 @@ class TrainingJob:
 
     @property
     def plans(self) -> Dict[str, GradientPlan]:
+        """The planner's verdicts, as a selective :meth:`run` applies them."""
         if self._plans is None:
-            planner = SelectivePlanner(CostModel(
-                self.cluster, self.algorithm, strategy=self._planner_kind))
-            self._plans = planner.plan_model(self.model.gradients)
+            self._plans = make_plans(self.model, self.cluster,
+                                     self.algorithm, self._planner_kind)
         return self._plans
 
     # -- step 3: execution -----------------------------------------------------
@@ -177,24 +178,12 @@ class TrainingJob:
             selective=selective)
         return simulate_iteration(
             self.model, self.cluster, strategy, algorithm=self.algorithm,
-            plans=self.plans if selective else None,
             telemetry=telemetry, pass_config=pass_config)
 
     def save_plans(self, path) -> None:
-        """Persist the planner's per-gradient decisions as JSON."""
+        """Export the planner's per-gradient decisions as JSON."""
         from pathlib import Path
         Path(path).write_text(plans_to_json(self.plans))
-
-    def load_plans(self, path) -> None:
-        """Load previously saved plans instead of re-planning."""
-        from pathlib import Path
-        plans = plans_from_json(Path(path).read_text())
-        missing = {g.name for g in self.model.gradients} - set(plans)
-        if missing:
-            raise ValueError(
-                f"plan file misses {len(missing)} gradients, "
-                f"e.g. {sorted(missing)[:3]}")
-        self._plans = plans
 
     def summary(self) -> str:
         plans = self.plans

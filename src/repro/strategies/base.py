@@ -1,6 +1,6 @@
 """Strategy framework: the per-iteration context and the IR-frontend base.
 
-A :class:`Strategy` turns (model, cluster, algorithm, plan) into a
+A :class:`Strategy` turns (model, cluster, algorithm) into a
 :class:`~repro.casync.tasks.TaskGraph` for one training iteration by
 emitting a :class:`~repro.casync.ir.SyncPlan` that the pass pipeline
 rewrites and :mod:`repro.casync.lower` costs and instantiates.  The
@@ -20,7 +20,6 @@ from ..casync import lower
 from ..casync.decisions import DecisionMap
 from ..casync.ir import SyncPlan
 from ..casync.passes import MembershipPass, Pass, PassConfig, PassContext
-from ..casync.planner import GradientPlan
 from ..casync.tasks import TaskGraph
 from ..cluster import ClusterSpec
 from ..models import ModelSpec
@@ -37,7 +36,6 @@ class SyncContext:
     cluster: ClusterSpec
     ready: Dict[Tuple[int, str], Event]  # (node, gradient name) -> event
     algorithm: Optional[CompressionAlgorithm] = None
-    plans: Optional[Dict[str, GradientPlan]] = None
     #: Tuning constants for the SyncPlan pass pipeline; None means
     #: :data:`~repro.casync.passes.DEFAULT_PASS_CONFIG`.
     pass_config: Optional[PassConfig] = None
@@ -69,7 +67,7 @@ class Strategy(ABC):
                model: ModelSpec) -> None:
         """Emit this strategy's ops into ``plan`` (after directive passes).
 
-        Must only consult ``pctx`` (cluster/algorithm/plans/config) and the
+        Must only consult ``pctx`` (cluster/algorithm/config) and the
         plan's directives -- never a live Environment -- so expansion stays
         deterministic and cacheable.
         """

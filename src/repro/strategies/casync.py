@@ -16,10 +16,10 @@ pass removed":
   link) and mark the plan for GPU batch compression.  That mark is the
   only switch: a round whose lowered graph carries it runs the
   coordinator and batch-compressing engines, and no other round does.
-* ``selective`` -> :class:`~repro.casync.passes.SelectivePass` -- honor
-  the §3.3 planner's per-gradient <compress?, K> plan; with the pass
-  absent, everything is compressed and K falls back to the fixed
-  partitioning rule in :class:`~repro.casync.passes.PassConfig`.
+* ``selective`` -> :class:`~repro.casync.passes.SelectivePass` -- run
+  the §3.3 planner and honor its per-gradient <compress?, K> verdicts;
+  with the pass absent, everything is compressed and K falls back to the
+  fixed partitioning rule in :class:`~repro.casync.passes.PassConfig`.
 
 Decode+merge fusion (:class:`~repro.casync.passes.FuseDecodeMergePass`)
 is part of the CaSync architecture itself (§5) and always on.

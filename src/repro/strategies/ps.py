@@ -23,8 +23,8 @@ __all__ = ["BytePS", "partition_sizes"]
 
 def partition_sizes(nbytes: int, part_bytes: float) -> List[float]:
     """Slice an ``nbytes`` gradient into near-equal parts of <= part_bytes."""
-    if part_bytes <= 0:
-        raise ValueError("part_bytes must be positive")
+    if not part_bytes >= 1:  # NaN fails too
+        raise ValueError(f"part_bytes must be >= 1, got {part_bytes!r}")
     parts = max(1, -(-int(nbytes) // int(part_bytes)))
     base = nbytes / parts
     return [base] * parts

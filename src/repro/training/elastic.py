@@ -7,8 +7,9 @@ set of ranks; elasticity lives *above* it.  :func:`run_elastic` walks a
 1. compute the epoch's :class:`~repro.faults.elastic.Roster` and derive
    the matching sub-cluster (:meth:`ClusterSpec.subset` -- survivors
    keep their per-node hardware and resolved links);
-2. **re-plan**: rebuild the §3.3 selective plans and the strategy's task
-   graph for the roster via :func:`repro.strategies.bind_roster`, whose
+2. **re-plan**: rebuild the strategy's task graph -- §3.3 selective
+   verdicts included -- for the roster via
+   :func:`repro.strategies.bind_roster`, whose
    :class:`~repro.casync.passes.MembershipPass` folds the (roster,
    epoch) into the graph-cache key -- a roster change is a new cache
    entry, never a silently reused wrong-sized collective;
@@ -42,7 +43,7 @@ from ..faults.retry import RetryPolicy
 from ..faults.schedule import FaultSchedule, NodeCrash
 from ..models import ModelSpec
 from ..strategies import Strategy, bind_roster
-from .loop import IterationResult, make_plans, simulate_iteration
+from .loop import IterationResult, simulate_iteration
 from .trace import trace_hash, trace_iteration
 
 __all__ = [
@@ -154,7 +155,6 @@ def epoch_inputs(model: ModelSpec, cluster: ClusterSpec,
 
 def _epochs(model: ModelSpec, cluster: ClusterSpec, strategy: Strategy,
             schedule: MembershipSchedule, epochs: Optional[int],
-            algorithm, planner_kind: Optional[str],
             retry_policy: Optional[RetryPolicy],
             epoch_horizon_s: Optional[float], min_roster: Optional[int],
             make_strategy) -> Iterator[Tuple[int, Roster, ClusterSpec,
@@ -162,9 +162,9 @@ def _epochs(model: ModelSpec, cluster: ClusterSpec, strategy: Strategy,
     """The epoch loop: ``(epoch, roster, sub-cluster, driver kwargs)``.
 
     The driver kwargs are the per-epoch arguments of one round: the
-    roster-bound strategy, the sub-cluster's selective plans, the
-    mid-epoch crash schedule and the retry policy (aggressive retries
-    when something crashes and the caller chose none).
+    roster-bound strategy, the mid-epoch crash schedule and the retry
+    policy (aggressive retries when something crashes and the caller
+    chose none).
     """
     total = schedule.epochs() if epochs is None else epochs
     if total < 1:
@@ -175,14 +175,11 @@ def _epochs(model: ModelSpec, cluster: ClusterSpec, strategy: Strategy,
             epoch_horizon_s=epoch_horizon_s)
         fresh = make_strategy() if make_strategy is not None else strategy
         bound = bind_roster(fresh, roster.nodes, epoch=epoch)
-        plans = None
-        if algorithm is not None and planner_kind is not None:
-            plans = make_plans(model, sub, algorithm, planner_kind)
         policy = retry_policy
         if crashes and policy is None:
             policy = RetryPolicy.aggressive()
         yield epoch, roster, sub, dict(
-            strategy=bound, plans=plans,
+            strategy=bound,
             fault_schedule=crashes if crashes else None,
             retry_policy=policy)
 
@@ -192,7 +189,6 @@ def run_elastic(model: ModelSpec, cluster: ClusterSpec,
                 schedule: MembershipSchedule,
                 epochs: Optional[int] = None,
                 algorithm=None,
-                planner_kind: Optional[str] = None,
                 retry_policy: Optional[RetryPolicy] = None,
                 sync_deadline_s: Optional[float] = None,
                 heartbeat_timeout_s: float = 0.02,
@@ -206,10 +202,10 @@ def run_elastic(model: ModelSpec, cluster: ClusterSpec,
     usual contraction: per-iteration behaviour is what distinguishes
     configurations).  ``strategy`` is re-bound to every epoch's roster;
     pass ``make_strategy`` (a zero-arg factory) if the strategy type
-    keeps per-run state and should be rebuilt per epoch.  ``algorithm``
-    plus ``planner_kind`` re-run the §3.3 selective planner per epoch on
-    the epoch's sub-cluster -- the planner's verdicts shift with the
-    roster, which is the point.
+    keeps per-run state and should be rebuilt per epoch.  A selective
+    strategy re-runs the §3.3 planner per epoch on the epoch's
+    sub-cluster -- the planner's verdicts shift with the roster, which is
+    the point.
 
     Epochs with mid-epoch departures run under the robustness machinery
     (``retry_policy`` defaulting to aggressive retries, and the optional
@@ -220,9 +216,8 @@ def run_elastic(model: ModelSpec, cluster: ClusterSpec,
     total_time = 0.0
     samples = 0.0
     for epoch, roster, sub, driver in _epochs(
-            model, cluster, strategy, schedule, epochs, algorithm,
-            planner_kind, retry_policy, epoch_horizon_s, min_roster,
-            make_strategy):
+            model, cluster, strategy, schedule, epochs, retry_policy,
+            epoch_horizon_s, min_roster, make_strategy):
         try:
             result = simulate_iteration(
                 model, sub, algorithm=algorithm,
@@ -257,7 +252,6 @@ def elastic_trace_hashes(model: ModelSpec, cluster: ClusterSpec,
                          schedule: MembershipSchedule,
                          epochs: Optional[int] = None,
                          algorithm=None,
-                         planner_kind: Optional[str] = None,
                          retry_policy: Optional[RetryPolicy] = None,
                          sync_deadline_s: Optional[float] = None,
                          heartbeat_timeout_s: float = 0.02,
@@ -274,9 +268,8 @@ def elastic_trace_hashes(model: ModelSpec, cluster: ClusterSpec,
     """
     hashes: List[str] = []
     for _, roster, sub, driver in _epochs(
-            model, cluster, strategy, schedule, epochs, algorithm,
-            planner_kind, retry_policy, epoch_horizon_s, min_roster=None,
-            make_strategy=make_strategy):
+            model, cluster, strategy, schedule, epochs, retry_policy,
+            epoch_horizon_s, min_roster=None, make_strategy=make_strategy):
         try:
             trace = trace_iteration(
                 model, sub, algorithm=algorithm,

@@ -100,7 +100,11 @@ class IterationResult:
 def make_plans(model: ModelSpec, cluster: ClusterSpec,
                algorithm: CompressionAlgorithm,
                strategy_kind: str) -> Dict[str, GradientPlan]:
-    """Run the §3.3 planner over every gradient of ``model``."""
+    """The §3.3 planner's verdict for every gradient of ``model``.
+
+    A report only: :class:`~repro.casync.passes.SelectivePass` plans the
+    same gradients inside the cached plan build, so no round takes these.
+    """
     cost_model = CostModel(cluster, algorithm, strategy=strategy_kind)
     planner = SelectivePlanner(cost_model)
     return planner.plan_model(model.gradients)
@@ -131,7 +135,6 @@ class _Round:
 def simulate_iteration(model: ModelSpec, cluster: ClusterSpec,
                        strategy: Strategy,
                        algorithm: Optional[CompressionAlgorithm] = None,
-                       plans: Optional[Dict[str, GradientPlan]] = None,
                        local_aggregation: bool = True,
                        util_bin_s: float = 0.010,
                        straggler: Optional[Tuple[int, float]] = None,
@@ -188,7 +191,7 @@ def simulate_iteration(model: ModelSpec, cluster: ClusterSpec,
         if factor < 1.0:
             raise ValueError(f"straggler factor must be >= 1, got {factor}")
     rnd = _run_round(
-        model, cluster, strategy, algorithm=algorithm, plans=plans,
+        model, cluster, strategy, algorithm=algorithm,
         local_aggregation=local_aggregation, straggler=straggler,
         fault_schedule=fault_schedule, retry_policy=retry_policy,
         degradation=degradation, sync_deadline_s=sync_deadline_s,
@@ -249,7 +252,6 @@ def simulate_iteration(model: ModelSpec, cluster: ClusterSpec,
 
 def _run_round(model: ModelSpec, cluster: ClusterSpec, strategy: Strategy,
                algorithm: Optional[CompressionAlgorithm] = None,
-               plans: Optional[Dict[str, GradientPlan]] = None,
                local_aggregation: bool = True,
                straggler: Optional[Tuple[int, float]] = None,
                fault_schedule: Optional[FaultSchedule] = None,
@@ -288,8 +290,8 @@ def _run_round(model: ModelSpec, cluster: ClusterSpec, strategy: Strategy,
              for node in range(cluster.num_nodes)
              for grad in model.gradients}
     ctx = SyncContext(env=env, cluster=cluster, ready=ready,
-                      algorithm=algorithm, plans=plans,
-                      pass_config=pconf, decisions=decisions)
+                      algorithm=algorithm, pass_config=pconf,
+                      decisions=decisions)
     graph = strategy.build(ctx, model)
 
     # The plan decides bulk synchronization (§3.2): the global

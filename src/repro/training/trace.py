@@ -19,11 +19,10 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from ..algorithms.base import CompressionAlgorithm
 from ..casync.passes import PassConfig
-from ..casync.planner import GradientPlan
 from ..cluster import ClusterSpec
 from ..faults import FaultSchedule, RetryPolicy
 from ..models import ModelSpec
@@ -80,7 +79,6 @@ class IterationTrace:
 def trace_iteration(model: ModelSpec, cluster: ClusterSpec,
                     strategy: Strategy,
                     algorithm: Optional[CompressionAlgorithm] = None,
-                    plans: Optional[Dict[str, GradientPlan]] = None,
                     fault_schedule: Optional[FaultSchedule] = None,
                     retry_policy: Optional[RetryPolicy] = None,
                     degradation: bool = True,
@@ -98,7 +96,7 @@ def trace_iteration(model: ModelSpec, cluster: ClusterSpec,
     the pristine one.
     """
     rnd = _run_round(
-        model, cluster, strategy, algorithm=algorithm, plans=plans,
+        model, cluster, strategy, algorithm=algorithm,
         local_aggregation=False, fault_schedule=fault_schedule,
         retry_policy=retry_policy, degradation=degradation,
         sync_deadline_s=sync_deadline_s,

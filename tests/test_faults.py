@@ -50,7 +50,7 @@ from repro.strategies import (
     RingOSSCompression,
 )
 from repro.telemetry import telemetry_session
-from repro.training import make_plans, simulate_iteration
+from repro.training import simulate_iteration
 from repro.training.loop import _run_round
 from repro.training.trace import trace_hash, trace_iteration
 from tests.test_graph_equivalence import metrics_digest, span_digest
@@ -329,7 +329,6 @@ def test_retried_bulk_flushes_count_as_retries(bulk):
         for src in range(3) for dst in range(3) if src != dst))
     result = simulate_iteration(
         model, cluster, CaSyncPS(bulk=bulk), algorithm=algo,
-        plans=make_plans(model, cluster, algo, "ps_colocated"),
         fault_schedule=schedule, retry_policy=RetryPolicy())
     report = result.fault_report
     assert not report.aborted

@@ -42,9 +42,8 @@ def collection(enabled):
 
 def golden_round(name, driver=simulate_iteration):
     model, cluster = golden_model(), ec2_v100_cluster(4)
-    strategy, algorithm, plans = GOLDEN[name].inputs(model, cluster)
-    return lambda: driver(model, cluster, strategy, algorithm=algorithm,
-                          plans=plans)
+    strategy, algorithm = GOLDEN[name].inputs()
+    return lambda: driver(model, cluster, strategy, algorithm=algorithm)
 
 
 def repro_garbage(run):
@@ -102,12 +101,11 @@ def test_prior_state_restored_when_the_body_raises(error):
 
 def test_a_round_that_raises_restores_collection():
     model, cluster = golden_model(), ec2_v100_cluster(4)
-    strategy, algorithm, plans = GOLDEN["hipress-ps/onebit/n4"].inputs(
-        model, cluster)
+    strategy, algorithm = GOLDEN["hipress-ps/onebit/n4"].inputs()
     with collection(True):
         with pytest.raises(DeadlineExceeded):
             simulate_iteration(
-                model, cluster, strategy, algorithm=algorithm, plans=plans,
+                model, cluster, strategy, algorithm=algorithm,
                 fault_schedule=FaultSchedule.of(
                     TransientSendFailure(at=0.0, src=0, dst=1)),
                 sync_deadline_s=1e-4)
@@ -173,11 +171,10 @@ def test_bert_round_leaves_no_cycles():
 ], ids=["transient", "crash", "crash-restart"])
 def test_faulted_result_frees_its_graph_when_dropped(schedule):
     model, cluster = golden_model(), ec2_v100_cluster(4)
-    strategy, algorithm, plans = GOLDEN["hipress-ps/onebit/n4"].inputs(
-        model, cluster)
+    strategy, algorithm = GOLDEN["hipress-ps/onebit/n4"].inputs()
     with collection(False):
         result = simulate_iteration(
-            model, cluster, strategy, algorithm=algorithm, plans=plans,
+            model, cluster, strategy, algorithm=algorithm,
             fault_schedule=schedule, retry_policy=RetryPolicy.aggressive())
         graph = weakref.ref(result.fault_report.graph)
         assert result.fault_report.completions

@@ -78,9 +78,9 @@ def enumerate_cases():
 
     def make_runner(case):
         def run():
-            strategy, algorithm, plans = case.inputs(model, cluster)
+            strategy, algorithm = case.inputs()
             return trace_hash(trace_iteration(
-                model, cluster, strategy, algorithm=algorithm, plans=plans))
+                model, cluster, strategy, algorithm=algorithm))
         return run
 
     for case in golden_cases():

@@ -89,15 +89,13 @@ def run_case(cluster: ClusterSpec, system: str, algo):
     """(trace hash, planner verdicts) for one system on one cluster."""
     config = SYSTEMS[system]
     algorithm = default_algorithm(algo) if config.compression else None
-    plans = None
     verdicts = None
     if config.planner_kind is not None:
         plans = make_plans(MODEL, cluster, algorithm, config.planner_kind)
         verdicts = {name: (p.compress, p.partitions)
                     for name, p in sorted(plans.items())}
-    trace = trace_iteration(
-        MODEL, cluster, get_strategy(config.strategy),
-        algorithm=algorithm, plans=plans)
+    trace = trace_iteration(MODEL, cluster, get_strategy(config.strategy),
+                            algorithm=algorithm)
     return trace_hash(trace), verdicts
 
 
@@ -371,8 +369,7 @@ def test_mixed_fleet_encode_cost_is_slowest_gpu():
 def test_lowering_costs_each_op_on_its_own_nodes_gpu():
     mixed = hetero_mixed_cluster(8)
     algo = default_algorithm("dgc")
-    pctx = PassContext(num_nodes=8, cluster=mixed, algorithm=algo,
-                       plans=make_plans(MODEL, mixed, algo, "ps_colocated"))
+    pctx = PassContext(num_nodes=8, cluster=mixed, algorithm=algo)
     plan = build_plan(get_strategy("casync-ps"), pctx, MODEL)
     counter = repr(tasks._task_counter)
     recipe = lower_plan(plan, pctx)

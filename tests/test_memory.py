@@ -12,7 +12,6 @@ from repro.net import Fabric, NetworkSpec
 from repro.sim import Environment
 from repro.strategies import BytePSOSSCompression, CaSyncPS
 from repro.strategies.base import SyncContext
-from repro.training import make_plans
 from tests.taskgraph_rows import build, row
 
 MB = 1024 * 1024
@@ -65,7 +64,7 @@ def test_unexecuted_graph_rejected():
         buffer_lifetimes(graph)
 
 
-def _executed_graph(strategy, model, cluster, algo, plans=None):
+def _executed_graph(strategy, model, cluster, algo):
     env = Environment()
     fabric = Fabric(env, cluster.num_nodes, cluster.network)
     gpus = [Gpu(env, cluster.node_at(i).gpu, i)
@@ -74,8 +73,7 @@ def _executed_graph(strategy, model, cluster, algo, plans=None):
                for i in range(cluster.num_nodes)]
     ready = {(n, g.name): env.event() for n in range(cluster.num_nodes)
              for g in model.gradients}
-    ctx = SyncContext(env=env, cluster=cluster, ready=ready, algorithm=algo,
-                      plans=plans)
+    ctx = SyncContext(env=env, cluster=cluster, ready=ready, algorithm=algo)
     graph = strategy.build(ctx, model)
     for ev in ready.values():
         ev.succeed()
@@ -83,8 +81,8 @@ def _executed_graph(strategy, model, cluster, algo, plans=None):
     return graph
 
 
-def _strategy_peak(strategy, model, cluster, algo, plans=None):
-    graph = _executed_graph(strategy, model, cluster, algo, plans=plans)
+def _strategy_peak(strategy, model, cluster, algo):
+    graph = _executed_graph(strategy, model, cluster, algo)
     return max(peak_buffer_memory(graph).values())
 
 
@@ -131,9 +129,7 @@ def test_buffer_accounting_matches_all_edges_oracle(case):
         graph = _executed_graph(BytePSOSSCompression(), model, cluster, algo)
     else:
         cluster = hetero_mixed_cluster(8)
-        graph = _executed_graph(
-            CaSyncPS(), model, cluster, algo,
-            plans=make_plans(model, cluster, algo, "ps_colocated"))
+        graph = _executed_graph(CaSyncPS(), model, cluster, algo)
     producers = [t for t in graph.tasks if t.out_nbytes]
     assert len(producers) >= cluster.num_nodes
     assert any(t.kind == "copy" for t in producers) == (case == "byteps-oss")
@@ -154,8 +150,6 @@ def test_casync_uses_less_buffer_memory_than_oss():
                       batch_unit="images", v100_iteration_s=0.01)
     cluster = ec2_v100_cluster(4)
     algo = OneBit()
-    plans = make_plans(model, cluster, algo, "ps_colocated")
     oss_peak = _strategy_peak(BytePSOSSCompression(), model, cluster, algo)
-    casync_peak = _strategy_peak(CaSyncPS(), model, cluster, algo,
-                                 plans=plans)
+    casync_peak = _strategy_peak(CaSyncPS(), model, cluster, algo)
     assert casync_peak < oss_peak / 2

@@ -1,9 +1,11 @@
 """Tests for plan serialization and the Adam optimizer extension."""
 
+import json
+
 import numpy as np
 import pytest
 
-from repro.casync import plans_from_json, plans_to_json
+from repro.casync import plans_to_json
 from repro.cluster import ec2_v100_cluster
 from repro.hipress import TrainingJob
 from repro.minidnn import Adam, ClassificationData, Dense, Parameter, ReLU, \
@@ -13,37 +15,30 @@ from repro.minidnn.parallel import DataParallelTrainer
 
 # ---------------------------------------------------------------- plans
 
+def _table(plans):
+    return {name: {"nbytes": p.nbytes, "compress": p.compress,
+                   "partitions": p.partitions,
+                   "predicted_time": p.predicted_time}
+            for name, p in plans.items()}
+
+
 def test_plans_roundtrip_json():
     job = TrainingJob("resnet50", algorithm="onebit",
                       cluster=ec2_v100_cluster(2))
-    text = plans_to_json(job.plans)
-    restored = plans_from_json(text)
-    assert restored == job.plans
+    assert json.loads(plans_to_json(job.plans)) == _table(job.plans)
 
 
-def test_job_save_load_plans(tmp_path):
+def test_job_save_plans_exports_the_planner_table(tmp_path):
     cluster = ec2_v100_cluster(2)
     job = TrainingJob("resnet50", algorithm="onebit", cluster=cluster)
     path = tmp_path / "plans.json"
     job.save_plans(path)
-    assert path.exists()
-
+    saved = json.loads(path.read_text())
+    assert saved == _table(job.plans)
+    assert set(saved) == {g.name for g in job.model.gradients}
+    # The export is what a fresh job on the same inputs plans.
     fresh = TrainingJob("resnet50", algorithm="onebit", cluster=cluster)
-    fresh.load_plans(path)
-    assert fresh.plans == job.plans
-    # And the loaded plans actually drive a run.
-    assert fresh.run().iteration_time > 0
-
-
-def test_load_plans_rejects_incomplete(tmp_path):
-    cluster = ec2_v100_cluster(2)
-    job = TrainingJob("resnet50", algorithm="onebit", cluster=cluster)
-    partial = dict(list(job.plans.items())[:5])
-    path = tmp_path / "partial.json"
-    path.write_text(plans_to_json(partial))
-    other = TrainingJob("resnet50", algorithm="onebit", cluster=cluster)
-    with pytest.raises(ValueError, match="misses"):
-        other.load_plans(path)
+    assert _table(fresh.plans) == saved
 
 
 # ---------------------------------------------------------------- Adam

@@ -62,7 +62,7 @@ def pctx_for(n=3, algorithm="tbq"):
     return PassContext(
         num_nodes=n, cluster=ec2_v100_cluster(n),
         algorithm=default_algorithm(algorithm) if algorithm else None,
-        plans=None, config=DEFAULT_PASS_CONFIG)
+        config=DEFAULT_PASS_CONFIG)
 
 
 def built_plan(n=3, **flags):
@@ -324,7 +324,8 @@ def _pipeline_inputs(draw):
     kind = draw(st.sampled_from(("ps", "ring", "byteps")))
     pipelining = draw(st.booleans())
     bulk = draw(st.booleans())
-    return num_nodes, sizes, kind, pipelining, bulk
+    selective = draw(st.booleans())
+    return num_nodes, sizes, kind, pipelining, bulk, selective
 
 
 @settings(max_examples=20, deadline=None)
@@ -333,16 +334,17 @@ def test_pipeline_output_always_proves_clean(inputs):
     """Whatever the pass pipeline emits, PlanCheck proves clean --
     the mutants show the rules have teeth; this shows they are not
     over-eager on any valid (strategy, shape, flags) point."""
-    num_nodes, sizes, kind, pipelining, bulk = inputs
+    num_nodes, sizes, kind, pipelining, bulk, selective = inputs
     if kind == "byteps":
         strategy, algorithm = BytePS(), None
     else:
         cls = CaSyncPS if kind == "ps" else CaSyncRing
-        strategy = cls(selective=False, pipelining=pipelining, bulk=bulk)
+        strategy = cls(selective=selective, pipelining=pipelining,
+                       bulk=bulk)
         algorithm = default_algorithm("tbq")
     pctx = PassContext(
         num_nodes=num_nodes, cluster=ec2_v100_cluster(num_nodes),
-        algorithm=algorithm, plans=None, config=DEFAULT_PASS_CONFIG)
+        algorithm=algorithm, config=DEFAULT_PASS_CONFIG)
     plan = build_plan(strategy, pctx, small_model(sizes))
     recipe = lower_plan(plan, pctx)
     report = check_plan(plan, pctx=pctx, recipe=recipe)

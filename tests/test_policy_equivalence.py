@@ -21,7 +21,6 @@ from repro.adaptive import CompressionPolicy, run_policy
 from repro.analysis.plancheck import golden_cases, golden_model
 from repro.cluster import ec2_v100_cluster
 from repro.strategies import get_strategy
-from repro.training import make_plans
 from repro.training.trace import trace_hash, trace_iteration
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "trace_hashes.json"
@@ -40,10 +39,9 @@ def policy_cases():
 
     def make_runner(case):
         def run():
-            strategy, algorithm, plans = case.inputs(
-                model, cluster, _fixed_policy_algorithm)
+            strategy, algorithm = case.inputs(_fixed_policy_algorithm)
             return trace_hash(trace_iteration(
-                model, cluster, strategy, algorithm=algorithm, plans=plans))
+                model, cluster, strategy, algorithm=algorithm))
         return run
 
     for case in golden_cases():
@@ -76,10 +74,9 @@ def test_run_policy_fixed_matches_legacy_entry_point():
     run = run_policy(model, cluster, "fixed:algorithm=onebit",
                      iterations=2)
     algorithm = default_algorithm("onebit")
-    plans = make_plans(model, cluster, algorithm, "ps_colocated")
     strategy = get_strategy("casync-ps")
     legacy = [simulate_iteration(model, cluster, strategy,
-                                 algorithm=algorithm, plans=plans)
+                                 algorithm=algorithm)
               for _ in range(2)]
     assert run.iteration_times == [r.iteration_time for r in legacy]
     assert len(run.log) == 0      # fixed policies log no decisions

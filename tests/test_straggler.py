@@ -6,7 +6,7 @@ from repro.algorithms import OneBit
 from repro.cluster import ec2_v100_cluster
 from repro.models import GradientSpec, ModelSpec
 from repro.strategies import CaSyncPS, RingAllreduce
-from repro.training import make_plans, simulate_iteration
+from repro.training import simulate_iteration
 
 MB = 1024 * 1024
 
@@ -50,10 +50,8 @@ def test_compression_does_not_mask_stragglers():
     straggler's pace."""
     cluster = ec2_v100_cluster(4)
     algo = OneBit()
-    plans = make_plans(model(), cluster, algo, "ps_colocated")
     compressed = simulate_iteration(model(), cluster, CaSyncPS(),
-                                    algorithm=algo, plans=plans,
-                                    straggler=(0, 3.0))
+                                    algorithm=algo, straggler=(0, 3.0))
     raw = simulate_iteration(model(), cluster, RingAllreduce(),
                              straggler=(0, 3.0))
     # Both are dominated by the straggler's tripled compute.

@@ -8,6 +8,7 @@ import pytest
 
 from repro.algorithms import DGC, OneBit
 from repro.cluster import ec2_v100_cluster
+from repro.errors import ConfigError
 from repro.models import GradientSpec, ModelSpec, get_model
 from repro.strategies import (
     BytePS,
@@ -19,7 +20,7 @@ from repro.strategies import (
     bucketize,
     partition_sizes,
 )
-from repro.training import make_plans, simulate_iteration
+from repro.training import simulate_iteration
 
 MB = 1024 * 1024
 
@@ -63,6 +64,13 @@ def test_partition_sizes_even():
 
 def test_partition_sizes_small_gradient_single_part():
     assert len(partition_sizes(1024, 4 * MB)) == 1
+
+
+@pytest.mark.parametrize("part_bytes", [0, -1.0, 0.5, float("nan")])
+def test_byteps_rejects_part_bytes_below_one(part_bytes):
+    with pytest.raises(ValueError, match="part_bytes"):
+        simulate_iteration(tiny_model(), ec2_v100_cluster(2),
+                           BytePS(part_bytes=part_bytes))
 
 
 # ---------------------------------------------------------------- generic behaviour
@@ -116,9 +124,7 @@ def test_casync_beats_oss_on_comm_bound_model():
     algo = OneBit()
     oss = simulate_iteration(model, cluster, BytePSOSSCompression(),
                              algorithm=algo)
-    plans = make_plans(model, cluster, algo, "ps_colocated")
-    casync = simulate_iteration(model, cluster, CaSyncPS(), algorithm=algo,
-                                plans=plans)
+    casync = simulate_iteration(model, cluster, CaSyncPS(), algorithm=algo)
     assert casync.iteration_time < oss.iteration_time
 
 
@@ -127,9 +133,7 @@ def test_casync_beats_no_compression_on_comm_bound_model():
     cluster = ec2_v100_cluster(4)
     algo = OneBit()
     base = simulate_iteration(model, cluster, RingAllreduce())
-    plans = make_plans(model, cluster, algo, "ring")
-    casync = simulate_iteration(model, cluster, CaSyncRing(), algorithm=algo,
-                                plans=plans)
+    casync = simulate_iteration(model, cluster, CaSyncRing(), algorithm=algo)
     assert casync.iteration_time < base.iteration_time
 
 
@@ -142,12 +146,12 @@ def test_oss_requires_algorithm():
         simulate_iteration(model, cluster, CaSyncPS(selective=False))
 
 
-def test_casync_selective_requires_plans():
+def test_casync_selective_without_codec_raises_config_error():
     model = tiny_model()
     cluster = ec2_v100_cluster(2)
-    with pytest.raises(ValueError, match="plan"):
-        simulate_iteration(model, cluster, CaSyncPS(selective=True),
-                           algorithm=OneBit())
+    with pytest.raises(ConfigError) as err:
+        simulate_iteration(model, cluster, CaSyncPS(selective=True))
+    assert err.value.kind == "algorithm"
 
 
 def test_casync_pipelining_helps_large_gradients():
@@ -167,11 +171,10 @@ def test_casync_bulk_helps_many_small_gradients():
     model = tiny_model(sizes=tuple([64 * 1024] * 120), v100_s=0.005)
     cluster = ec2_v100_cluster(4)
     algo = OneBit()
-    plans = make_plans(model, cluster, algo, "ps_colocated")
     no_bulk = simulate_iteration(
-        model, cluster, CaSyncPS(bulk=False), algorithm=algo, plans=plans)
+        model, cluster, CaSyncPS(bulk=False), algorithm=algo)
     bulk = simulate_iteration(
-        model, cluster, CaSyncPS(bulk=True), algorithm=algo, plans=plans)
+        model, cluster, CaSyncPS(bulk=True), algorithm=algo)
     assert bulk.iteration_time <= no_bulk.iteration_time * 1.02
     # The plan alone decides whether the round runs the coordinator.
     assert bulk.coordinator_batches > 0
@@ -187,9 +190,7 @@ def test_ring_oss_coarse_slower_than_casync_ring():
     algo = DGC(rate=0.01)
     oss = simulate_iteration(model, cluster, RingOSSCompression(),
                              algorithm=algo)
-    plans = make_plans(model, cluster, algo, "ring")
-    casync = simulate_iteration(model, cluster, CaSyncRing(), algorithm=algo,
-                                plans=plans)
+    casync = simulate_iteration(model, cluster, CaSyncRing(), algorithm=algo)
     assert casync.iteration_time < oss.iteration_time
 
 
@@ -215,7 +216,5 @@ def test_real_model_zoo_integration():
     model = get_model("resnet50")
     cluster = ec2_v100_cluster(2)
     algo = OneBit()
-    plans = make_plans(model, cluster, algo, "ps_colocated")
-    result = simulate_iteration(model, cluster, CaSyncPS(), algorithm=algo,
-                                plans=plans)
+    result = simulate_iteration(model, cluster, CaSyncPS(), algorithm=algo)
     assert 0.1 < result.scaling_efficiency <= 1.05

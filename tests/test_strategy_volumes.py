@@ -9,6 +9,7 @@ fabric's accounting, catching any structural bug in graph construction
 import pytest
 
 from repro.algorithms import OneBit
+from repro.casync.decisions import DecisionMap, GradientDecision
 from repro.casync.tasks import NodeEngine, run_graph
 from repro.cluster import ec2_v100_cluster
 from repro.gpu import Gpu, V100
@@ -29,14 +30,11 @@ from repro.training import make_plans
 MB = 1024 * 1024
 
 
-def run_strategy(strategy, sizes, num_nodes, algo=None, plans_kind=None):
+def run_strategy(strategy, sizes, num_nodes, algo=None):
     grads = tuple(GradientSpec(f"v.g{i}", s) for i, s in enumerate(sizes))
     model = ModelSpec(name="v", gradients=grads, batch_size=4,
                       batch_unit="images", v100_iteration_s=0.001)
     cluster = ec2_v100_cluster(num_nodes)
-    plans = None
-    if plans_kind:
-        plans = make_plans(model, cluster, algo, plans_kind)
     env = Environment()
     fabric = Fabric(env, num_nodes, cluster.network)
     gpus = [Gpu(env, V100, i) for i in range(num_nodes)]
@@ -44,8 +42,7 @@ def run_strategy(strategy, sizes, num_nodes, algo=None, plans_kind=None):
                for i in range(num_nodes)]
     ready = {(n, g.name): env.event() for n in range(num_nodes)
              for g in model.gradients}
-    ctx = SyncContext(env=env, cluster=cluster, ready=ready, algorithm=algo,
-                      plans=plans)
+    ctx = SyncContext(env=env, cluster=cluster, ready=ready, algorithm=algo)
     graph = strategy.build(ctx, model)
     for ev in ready.values():
         ev.succeed()
@@ -97,8 +94,7 @@ def test_casync_ps_volume_matches_plan():
     n = 4
     algo = OneBit()
     strategy = CaSyncPS(bulk=False)
-    model, sent = run_strategy(strategy, [32 * MB], n, algo=algo,
-                               plans_kind="ps_colocated")
+    model, sent = run_strategy(strategy, [32 * MB], n, algo=algo)
     cluster = ec2_v100_cluster(n)
     plans = make_plans(model, cluster, algo, "ps_colocated")
     expected = 0.0
@@ -116,8 +112,7 @@ def test_casync_ring_volume_matches_plan():
     n = 4
     algo = OneBit()
     strategy = CaSyncRing(bulk=False)
-    model, sent = run_strategy(strategy, [32 * MB], n, algo=algo,
-                               plans_kind="ring")
+    model, sent = run_strategy(strategy, [32 * MB], n, algo=algo)
     cluster = ec2_v100_cluster(n)
     plans = make_plans(model, cluster, algo, "ring")
     expected = 0.0
@@ -143,7 +138,7 @@ def test_compression_shrinks_casync_wire_bytes():
     algo = OneBit()
     _, raw_sent = run_strategy(RingAllreduce(), [64 * MB], n)
     _, comp_sent = run_strategy(CaSyncRing(bulk=False), [64 * MB], n,
-                                algo=algo, plans_kind="ring")
+                                algo=algo)
     assert comp_sent < raw_sent / 10
 
 
@@ -340,7 +335,7 @@ def test_differential_uncompressed_plan_takes_raw_path():
                                            rtol=1e-5, atol=1e-6)
 
 
-def _build_graph(strategy, grads, num_nodes, algo=None, plans=None):
+def _build_graph(strategy, grads, num_nodes, algo=None, decisions=None):
     """Build (without running) a strategy's graph for task-count checks."""
     model = ModelSpec(name="v", gradients=grads, batch_size=4,
                       batch_unit="images", v100_iteration_s=0.001)
@@ -349,7 +344,7 @@ def _build_graph(strategy, grads, num_nodes, algo=None, plans=None):
     ready = {(n, g.name): env.event() for n in range(num_nodes)
              for g in model.gradients}
     ctx = SyncContext(env=env, cluster=cluster, ready=ready, algorithm=algo,
-                      plans=plans)
+                      decisions=decisions)
     return strategy.build(ctx, model)
 
 
@@ -369,12 +364,14 @@ def test_semantics_partitioning_matches_graph_structure():
                      for g in grads)
     assert pushes == expected_k * (n - 1)
 
-    # CaSync-PS with an explicit 3-way plan: per partition, n worker
+    # CaSync-PS with explicit 3-way decisions: per partition, n worker
     # encodes + 1 aggregate re-encode, and (n-1) pushes + (n-1) pulls.
-    plans = {g.name: GradientPlan(g.name, g.nbytes, True, 3, 0.0)
-             for g in grads}
-    graph = _build_graph(CaSyncPS(bulk=False), grads, n, algo=algo,
-                         plans=plans)
+    decisions = DecisionMap({g.name: GradientDecision(compress=True,
+                                                      partitions=3)
+                             for g in grads})
+    graph = _build_graph(CaSyncPS(bulk=False, selective=False,
+                                  adaptive=True),
+                         grads, n, algo=algo, decisions=decisions)
     k_total = 3 * len(grads)
     encodes = sum(1 for t in graph.tasks if t.kind == "encode")
     sends = sum(1 for t in graph.tasks if t.kind == "send")

@@ -20,6 +20,7 @@ from repro.casync.ir import (
 )
 from repro.casync.lower import (
     GraphCache,
+    build_graph,
     cache_key,
     default_graph_cache,
     lower_plan,
@@ -35,11 +36,14 @@ from repro.casync.passes import (
     verify_plan,
     wire_nbytes,
 )
+from repro.casync.planner import SelectivePlanner
 from repro.cluster import ec2_v100_cluster
 from repro.errors import ConfigError
 from repro.experiments.common import default_algorithm
 from repro.models import GradientSpec, ModelSpec
+from repro.sim import Environment
 from repro.strategies import BytePS, CaSyncPS, CaSyncRing
+from repro.strategies.base import SyncContext
 from repro.telemetry import TelemetryCollector
 from repro.training import make_plans, simulate_iteration
 
@@ -52,11 +56,10 @@ def small_model(sizes=(8 * MB, MB, 64 * 1024)):
                      batch_unit="images", v100_iteration_s=0.002)
 
 
-def pctx_for(n=3, algorithm="tbq", plans=None, config=None):
+def pctx_for(n=3, algorithm="tbq", config=None):
     return PassContext(
         num_nodes=n, cluster=ec2_v100_cluster(n),
         algorithm=default_algorithm(algorithm) if algorithm else None,
-        plans=plans,
         config=config if config is not None else DEFAULT_PASS_CONFIG)
 
 
@@ -173,19 +176,33 @@ def test_verifier_rejects_self_send_and_unconsumed_send():
 
 # -- passes ------------------------------------------------------------------
 
-def test_selective_pass_missing_plan_raises_config_error():
-    pctx = pctx_for(plans=None)
+def test_selective_pass_without_codec_raises_config_error():
     with pytest.raises(ConfigError) as err:
-        build_plan(CaSyncPS(selective=True), pctx, small_model())
-    assert "planner" in str(err.value)
+        build_plan(CaSyncPS(selective=True), pctx_for(algorithm=None),
+                   small_model())
+    assert err.value.kind == "algorithm"
+    assert "codec" in str(err.value)
 
-    # A plan set that misses one gradient is rejected too, naming choices.
+
+def test_selective_pass_on_unplanned_strategy_raises_config_error():
+    class RenamedPS(CaSyncPS):
+        name = "renamed-ps"
+
+    with pytest.raises(ConfigError) as err:
+        build_plan(RenamedPS(selective=True), pctx_for(), small_model())
+    assert err.value.kind == "strategy"
+    assert err.value.choices == ("casync-ps", "casync-ring")
+
+
+def test_selective_pass_applies_the_planners_verdicts():
     model = small_model()
-    plans = make_plans(model, pctx.cluster, pctx.algorithm, "ps_colocated")
-    del plans["m.g1"]
-    with pytest.raises(ConfigError, match="m.g1"):
-        build_plan(CaSyncPS(selective=True),
-                   pctx_for(plans=plans), model)
+    pctx = pctx_for()
+    plan = build_plan(CaSyncPS(selective=True), pctx, model)
+    verdicts = make_plans(model, pctx.cluster, pctx.algorithm,
+                          "ps_colocated")
+    assert {name: (d.compress, d.planned_partitions)
+            for name, d in plan.directives.items()} == {
+        name: (v.compress, v.partitions) for name, v in verdicts.items()}
 
 
 def test_partition_pass_uses_config_part_bytes():
@@ -203,6 +220,25 @@ def test_partition_pass_uses_config_part_bytes():
     unpartitioned = build_plan(
         CaSyncPS(selective=False, pipelining=False), pctx_for(), model)
     assert unpartitioned.directives["m.g0"].partitions == 1
+
+
+@pytest.mark.parametrize("field,value", [
+    ("default_part_bytes", 0), ("default_part_bytes", -1.0),
+    ("default_part_bytes", float("nan")), ("default_part_bytes", float("inf")),
+    ("bulk_eligible_bytes", -1.0), ("bulk_eligible_bytes", float("nan")),
+    ("coordinator_batch_bytes", 0.0), ("coordinator_timeout_s", 0.0),
+    ("coordinator_timeout_s", float("nan")),
+    ("fanin_collapse_threshold", -1), ("fanin_collapse_threshold", 2.5),
+    ("fanin_collapse_threshold", True),
+])
+def test_pass_config_rejects_values_that_mean_nothing(field, value):
+    with pytest.raises(ValueError, match=field):
+        PassConfig(**{field: value})
+
+
+def test_pass_config_accepts_its_boundaries():
+    PassConfig(bulk_eligible_bytes=0.0, fanin_collapse_threshold=0)
+    PassConfig(default_part_bytes=0.5, coordinator_timeout_s=1e-9)
 
 
 def test_bulk_route_pass_threshold_from_config():
@@ -317,6 +353,60 @@ def test_cache_key_sensitivity():
                              small_model(sizes=(MB,)), pctx)
 
 
+def _build_casync_ps(model, cluster, cache):
+    env = Environment()
+    ready = {(n, g.name): env.event() for n in range(cluster.num_nodes)
+             for g in model.gradients}
+    ctx = SyncContext(env=env, cluster=cluster, ready=ready,
+                      algorithm=default_algorithm("tbq"))
+    return build_graph(CaSyncPS(bulk=False), ctx, model, cache=cache)
+
+
+def test_warm_build_does_not_replan(monkeypatch):
+    model = small_model()
+    cluster = ec2_v100_cluster(3)
+    planned = []
+    plan_gradient = SelectivePlanner.plan_gradient
+
+    def counting(self, gradient):
+        planned.append(gradient.name)
+        return plan_gradient(self, gradient)
+
+    monkeypatch.setattr(SelectivePlanner, "plan_gradient", counting)
+    cache = GraphCache()
+    _build_casync_ps(model, cluster, cache)
+    assert planned == [g.name for g in model.gradients]
+    planned.clear()
+    _build_casync_ps(model, cluster, cache)
+    assert planned == []
+    assert (cache.hits, cache.misses) == (1, 1)
+
+
+def test_bandwidth_alone_keys_a_recipe_with_its_own_verdicts():
+    model = small_model()
+    fast = ec2_v100_cluster(3)
+    slow = fast.with_bandwidth(1.0)
+    algorithm = default_algorithm("tbq")
+    fast_plans = make_plans(model, fast, algorithm, "ps_colocated")
+    slow_plans = make_plans(model, slow, algorithm, "ps_colocated")
+    assert ({n: (p.compress, p.partitions) for n, p in fast_plans.items()}
+            != {n: (p.compress, p.partitions)
+                for n, p in slow_plans.items()})
+
+    def encodes_expected(plans):
+        return sum(p.partitions * (fast.num_nodes + 1)
+                   for p in plans.values() if p.compress)
+
+    cache = GraphCache()
+    for _ in range(2):                     # cold, then warm
+        for cluster, plans in ((fast, fast_plans), (slow, slow_plans)):
+            graph = _build_casync_ps(model, cluster, cache)
+            encodes = sum(1 for t in graph.tasks if t.kind == "encode")
+            assert encodes == encodes_expected(plans)
+    assert len(cache) == 2
+    assert (cache.hits, cache.misses) == (2, 2)
+
+
 def test_graph_cache_hit_miss_and_fifo_eviction():
     cache = GraphCache(maxsize=2)
     plan, pctx = casync_plan()
@@ -390,7 +480,7 @@ def test_cold_build_hashes_the_plan_only_to_name_a_dump(
     case = next(c for c in golden_cases()
                 if c.name == "hipress-ps/onebit/n4")
     model, cluster = golden_model(), ec2_v100_cluster(4)
-    strategy, algorithm, plans = case.inputs(model, cluster)
+    strategy, algorithm = case.inputs()
     digests = []
     digest = SyncPlan.digest
 
@@ -403,10 +493,9 @@ def test_cold_build_hashes_the_plan_only_to_name_a_dump(
     if dumped:
         with sync_plan_dump(tmp_path):
             simulate_iteration(model, cluster, strategy,
-                               algorithm=algorithm, plans=plans)
+                               algorithm=algorithm)
         assert digests
         assert (tmp_path / f"casync-ps-{digests[0][:12]}.json").is_file()
     else:
-        simulate_iteration(model, cluster, strategy, algorithm=algorithm,
-                           plans=plans)
+        simulate_iteration(model, cluster, strategy, algorithm=algorithm)
         assert digests == []

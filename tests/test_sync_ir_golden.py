@@ -33,24 +33,23 @@ from repro.strategies import (
     RingAllreduce,
     RingOSSCompression,
 )
-from repro.training import make_plans
 
 GOLDEN_DIR = Path(__file__).parent / "golden" / "sync_ir"
 REGEN = os.environ.get("REPRO_REGEN_GOLDEN") == "1"
 NUM_NODES = 4
 MB = 1024 * 1024
 
-#: (case name, strategy factory, algorithm name, planner preset)
+#: (case name, strategy factory, algorithm name)
 CASES = [
-    ("byteps", BytePS, None, None),
-    ("ring", RingAllreduce, None, None),
+    ("byteps", BytePS, None),
+    ("ring", RingAllreduce, None),
 ]
 for _algo in ("tbq", "dgc", "onebit"):
     CASES.extend([
-        (f"casync-ps-{_algo}", CaSyncPS, _algo, "ps_colocated"),
-        (f"casync-ring-{_algo}", CaSyncRing, _algo, "ring"),
-        (f"byteps-oss-{_algo}", BytePSOSSCompression, _algo, None),
-        (f"ring-oss-{_algo}", RingOSSCompression, _algo, None),
+        (f"casync-ps-{_algo}", CaSyncPS, _algo),
+        (f"casync-ring-{_algo}", CaSyncRing, _algo),
+        (f"byteps-oss-{_algo}", BytePSOSSCompression, _algo),
+        (f"ring-oss-{_algo}", RingOSSCompression, _algo),
     ])
 
 
@@ -64,22 +63,18 @@ def golden_model() -> ModelSpec:
                      batch_unit="images", v100_iteration_s=0.002)
 
 
-def build_case(strategy_cls, algo_name, preset):
+def build_case(strategy_cls, algo_name):
     cluster = ec2_v100_cluster(NUM_NODES)
     algorithm = default_algorithm(algo_name) if algo_name else None
-    model = golden_model()
-    plans = (make_plans(model, cluster, algorithm, preset)
-             if preset else None)
-    strategy = strategy_cls()
     pctx = PassContext(num_nodes=NUM_NODES, cluster=cluster,
-                       algorithm=algorithm, plans=plans)
-    return build_plan(strategy, pctx, model)
+                       algorithm=algorithm)
+    return build_plan(strategy_cls(), pctx, golden_model())
 
 
-@pytest.mark.parametrize("name,strategy_cls,algo,preset", CASES,
+@pytest.mark.parametrize("name,strategy_cls,algo", CASES,
                          ids=[c[0] for c in CASES])
-def test_ir_matches_golden(name, strategy_cls, algo, preset):
-    plan = build_case(strategy_cls, algo, preset)
+def test_ir_matches_golden(name, strategy_cls, algo):
+    plan = build_case(strategy_cls, algo)
     dumped = json.loads(plan.to_json())
     path = GOLDEN_DIR / f"{name}-n{NUM_NODES}.json"
     if REGEN:
@@ -109,6 +104,6 @@ def test_golden_dir_has_no_stale_files():
 
 
 def test_golden_plans_are_deterministic():
-    a = build_case(CaSyncPS, "tbq", "ps_colocated")
-    b = build_case(CaSyncPS, "tbq", "ps_colocated")
+    a = build_case(CaSyncPS, "tbq")
+    b = build_case(CaSyncPS, "tbq")
     assert a.digest() == b.digest()

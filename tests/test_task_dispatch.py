@@ -24,7 +24,7 @@ from repro.sim import Environment, Event, SimulationError
 from repro.strategies import get_strategy
 from repro.strategies.base import SyncContext
 from repro.telemetry import telemetry_session
-from repro.training import make_plans, simulate_iteration
+from repro.training import simulate_iteration
 from repro.training.trace import trace_hash, trace_iteration
 from tests.taskgraph_rows import build, row
 
@@ -68,8 +68,7 @@ def test_instantiate_and_arm_allocate_per_ready_ref_not_per_task(event_inits):
     env, engines = _world(cluster.num_nodes)
     ready = {(n, g.name): env.event() for n in range(cluster.num_nodes)
              for g in model.gradients}
-    ctx = SyncContext(env=env, cluster=cluster, ready=ready, algorithm=algo,
-                      plans=make_plans(model, cluster, algo, "ps_colocated"))
+    ctx = SyncContext(env=env, cluster=cluster, ready=ready, algorithm=algo)
     strategy = get_strategy("casync-ps")
 
     event_inits[0] = 0
@@ -125,12 +124,11 @@ def test_one_agenda_entry_per_completion(traced):
         steps[0] += 1
         original(self)
 
-    plans = make_plans(model, cluster, algo, "ps_colocated")
     session = telemetry_session() if traced else contextlib.nullcontext()
     with pytest.MonkeyPatch.context() as mp, session:
         mp.setattr(Environment, "step", counting)
         trace = trace_iteration(model, cluster, get_strategy("casync-ps"),
-                                algorithm=algo, plans=plans)
+                                algorithm=algo)
     assert trace_hash(trace).startswith("88c4e59099cd")
     assert steps[0] == 1380
 
@@ -222,8 +220,7 @@ def test_finished_graph_frees_without_a_collection():
                for i in range(cluster.num_nodes)]
     ready = {(n, g.name): env.event() for n in range(cluster.num_nodes)
              for g in model.gradients}
-    ctx = SyncContext(env=env, cluster=cluster, ready=ready, algorithm=algo,
-                      plans=make_plans(model, cluster, algo, "ps_colocated"))
+    ctx = SyncContext(env=env, cluster=cluster, ready=ready, algorithm=algo)
     graph = get_strategy("casync-ps", bulk=True).build(ctx, model)
     for ev in ready.values():
         ev.succeed()
@@ -250,11 +247,9 @@ def test_pristine_round_builds_only_ready_events_and_done(event_inits):
     24 kernel timeouts and the drain's ``AllOf``."""
     model = golden_model()
     cluster = ec2_v100_cluster(4)
-    plans = make_plans(model, cluster, OneBit(), "ps_colocated")
     event_inits[0] = 0
     result = simulate_iteration(
-        model, cluster, get_strategy("casync-ps"), algorithm=OneBit(),
-        plans=plans)
+        model, cluster, get_strategy("casync-ps"), algorithm=OneBit())
     assert result.coordinator_batches > 0
     ready = cluster.num_nodes * len(model.gradients)
     assert ready == 20

@@ -9,7 +9,6 @@ from repro.algorithms import OneBit
 from repro.cluster import ec2_v100_cluster
 from repro.models import GradientSpec, ModelSpec
 from repro.strategies import CaSyncPS, RingAllreduce
-from repro.training import make_plans
 from repro.training.loop import _run_round
 from repro.training.trace import trace_iteration
 
@@ -22,15 +21,10 @@ def tiny_model():
                      batch_unit="images", v100_iteration_s=0.01)
 
 
-def run_trace(strategy=None, algorithm=None, plans=False, **kw):
-    model = tiny_model()
-    cluster = ec2_v100_cluster(3)
-    strategy = strategy or RingAllreduce()
-    plan_map = None
-    if plans:
-        plan_map = make_plans(model, cluster, algorithm, "ps_colocated")
-    return trace_iteration(model, cluster, strategy, algorithm=algorithm,
-                           plans=plan_map, **kw)
+def run_trace(strategy=None, algorithm=None, **kw):
+    return trace_iteration(tiny_model(), ec2_v100_cluster(3),
+                           strategy or RingAllreduce(), algorithm=algorithm,
+                           **kw)
 
 
 def test_trace_contains_all_lanes():
