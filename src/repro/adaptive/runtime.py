@@ -28,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from ..casync.passes import PassConfig
 from ..casync.planner import PLANNER_KINDS
 from ..errors import ConfigError
 from ..models import MODEL_NAMES, get_model
@@ -91,7 +90,6 @@ def run_policy(model, cluster, policy,
                iterations: int = 8,
                pipelining: bool = True,
                bulk: bool = True,
-               pass_config: Optional[PassConfig] = None,
                telemetry: Optional[TelemetryCollector] = None,
                replay: Optional[DecisionLog] = None) -> PolicyRun:
     """Run ``iterations`` BSP iterations under a compression policy.
@@ -126,7 +124,7 @@ def run_policy(model, cluster, policy,
         for _ in range(iterations):
             results.append(simulate_iteration(
                 model, cluster, strat, algorithm=algorithm,
-                pass_config=pass_config, telemetry=telemetry))
+                telemetry=telemetry))
         return PolicyRun(policy=policy, strategy=strategy,
                          results=tuple(results), log=log)
 
@@ -160,8 +158,7 @@ def run_policy(model, cluster, policy,
             decisions = controller.decide(i)
         result = simulate_iteration(
             model, cluster, strat, algorithm=default_algorithm,
-            decisions=decisions,
-            pass_config=pass_config, telemetry=telemetry)
+            decisions=decisions, telemetry=telemetry)
         if replay_maps is None:
             controller.observe(i, result)
         results.append(result)

@@ -328,7 +328,7 @@ def recommend(model: str = "vgg19", cluster: str = "baseline",
             wins=base_tt / tt > 1.0,
             throughput_wins=base_cost / c > 1.0,
             job_id=spec.job_id,
-            digest=job_digest(spec, runner.pass_config),
+            digest=job_digest(spec),
             served_from=served.get(spec.job_id, "executed")))
     verdicts.sort(key=lambda v: (-v.utility, v.system, v.algorithm or ""))
     return Recommendation(

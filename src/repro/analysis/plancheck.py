@@ -67,7 +67,7 @@ from typing import (Any, Callable, Dict, Iterable, Iterator, List, Optional,
 from ..casync.index import (PlanIndex, _sizes_match, plan_file, plan_index,
                             region_pid as _region_pid)
 from ..casync.ir import Op, PlanVerificationError, SyncPlan
-from ..casync.passes import PassContext
+from ..casync.passes import BULK_ELIGIBLE_BYTES, PassContext
 from ..sim import gc_paused
 from .diagnostics import (Diagnostic, ERROR, count_by_severity, exit_code,
                           has_errors, render_text, sort_diagnostics)
@@ -767,13 +767,12 @@ class _PlanAnalyzer:
                          "coordinator (per-hop flush delays accumulate)")
             elif self.pctx is not None:
                 wire = self.wire_of(op)
-                threshold = self.pctx.config.bulk_eligible_bytes
-                if wire >= threshold:
+                if wire >= BULK_ELIGIBLE_BYTES:
                     self.emit(
                         "PC501",
                         f"{op!r} is bulk-routed but its wire size "
                         f"{wire:.0f} B is not below the coordinator "
-                        f"threshold {threshold:.0f} B",
+                        f"threshold {BULK_ELIGIBLE_BYTES} B",
                         uid=op.uid)
 
     def run(self) -> List[Diagnostic]:

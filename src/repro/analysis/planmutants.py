@@ -28,10 +28,11 @@ Run via ``python -m repro.analysis.plancheck --mutants`` (CI does) or
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from ..casync.ir import PlanVerificationError, ReadyRef, SizeExpr, SyncPlan
-from ..casync.passes import PassConfig, PassContext, build_plan, verify_plan
+from ..casync.passes import (CollapseFanInPass, PassContext, build_plan,
+                             verify_plan)
 from .plancheck import check_plan
 
 __all__ = ["MUTANTS", "MutantResult", "build_mutant", "run_corpus"]
@@ -60,8 +61,7 @@ class MutantResult:
 
 
 def _victim(strategy_name: str = "casync-ps", selective: bool = False,
-            adaptive: bool = False, config: Optional[PassConfig] = None,
-            ) -> Tuple[SyncPlan, PassContext]:
+            adaptive: bool = False) -> Tuple[SyncPlan, PassContext]:
     """A freshly-built, fully-verified plan for the mutators to corrupt."""
     from ..casync.planner import PLANNER_KINDS
     from ..cluster import ec2_v100_cluster
@@ -85,7 +85,7 @@ def _victim(strategy_name: str = "casync-ps", selective: bool = False,
                             adaptive=adaptive)
     pctx = PassContext(
         num_nodes=cluster.num_nodes, cluster=cluster, algorithm=algorithm,
-        config=config or PassConfig(), decisions=decisions)
+        decisions=decisions)
     plan = build_plan(strategy, pctx, model)
     return plan, pctx
 
@@ -159,7 +159,10 @@ def _mutate_fanin() -> Tuple[SyncPlan, PassContext]:
     drops one of the collapsed dependency edges.  Every remaining edge
     verifies; the orphaned aggregate simply becomes a sink, and the
     other nodes' results silently miss one node's contribution."""
-    plan, pctx = _victim(config=PassConfig(fanin_collapse_threshold=2))
+    plan, pctx = _victim()
+    # Only VerifyPass runs after the collapse in build_plan, so this is the
+    # op list a threshold-2 build produces.
+    CollapseFanInPass(threshold=2).run(plan, pctx)
     assert plan.meta.get("fanin_barriers"), "collapse never triggered"
     by_uid = plan.by_uid()
     consumers: Dict[int, int] = {}

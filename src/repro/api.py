@@ -51,11 +51,11 @@ See ``docs/TELEMETRY.md`` for the full tour.
 Sync-plan IR
 ------------
 Strategies lower through a declarative :class:`SyncPlan` IR and an
-optimization-pass pipeline before any tasks are instantiated; tuning
-constants live in :class:`PassConfig` (``simulate_iteration(...,
-pass_config=...)``), lowered graphs are memoized in
-:func:`default_graph_cache`, and :func:`sync_plan_dump` captures the IR
-of every graph built inside a ``with`` block.  See ``docs/SYNC_IR.md``.
+optimization-pass pipeline before any tasks are instantiated; the
+passes' tuning values are constants held by the passes themselves,
+lowered graphs are memoized in :func:`default_graph_cache`, and
+:func:`sync_plan_dump` captures the IR of every graph built inside a
+``with`` block.  See ``docs/SYNC_IR.md``.
 
 :func:`check_plan` proves whole-plan concurrency properties (deadlock
 freedom, buffer safety, byte-flow conservation, decision coverage) over
@@ -92,11 +92,9 @@ from .analysis.plancheck import (
     check_plan,
 )
 from .casync import (
-    DEFAULT_PASS_CONFIG,
     AdaptivePass,
     DecisionMap,
     GradientDecision,
-    PassConfig,
     SyncPlan,
     build_plan,
     get_pass,
@@ -195,9 +193,9 @@ __all__ = [
     "random_membership_schedule", "recommend", "run_elastic",
     "static_membership",
     # sync-plan IR (see docs/SYNC_IR.md)
-    "AdaptivePass", "DEFAULT_PASS_CONFIG", "GraphCache", "PassConfig",
-    "SyncPlan", "build_plan", "default_graph_cache", "get_pass",
-    "list_passes", "register_pass", "sync_plan_dump", "verify_plan",
+    "AdaptivePass", "GraphCache", "SyncPlan", "build_plan",
+    "default_graph_cache", "get_pass", "list_passes", "register_pass",
+    "sync_plan_dump", "verify_plan",
     # whole-plan analyzer (see docs/ANALYSIS.md)
     "PlanCheckError", "PlanReport", "check_plan",
     # adaptive control plane (see docs/ADAPTIVE.md)

@@ -14,7 +14,7 @@ into a live graph for one
 cost-model calls, no pass pipeline, no per-task dependency wiring) and is
 what makes the :class:`GraphCache` pay off: the
 multi-iteration experiment harness builds the plan -- §3.3 planning
-included -- once per (strategy, model, cluster, algorithm, pass-config)
+included -- once per (strategy, model, cluster, algorithm, decisions)
 key and replays the recipe every iteration.
 
 Instantiation is deterministic -- specs are emitted in plan-op order, so a
@@ -39,7 +39,7 @@ from typing import Dict, List, Optional, Tuple
 from ..algorithms.base import CompressionAlgorithm
 from .index import plan_index
 from .ir import Op, SyncPlan
-from .passes import DEFAULT_PASS_CONFIG, PassContext, build_plan, wire_nbytes
+from .passes import PassContext, build_plan, wire_nbytes
 from .tasks import SuccessorCSR, Task, TaskGraph
 
 __all__ = [
@@ -303,7 +303,6 @@ def cache_key(strategy, model, pctx: PassContext) -> Tuple:
         (model.name, tuple((g.name, g.nbytes) for g in model.gradients)),
         pctx.cluster.hardware_token(),
         _algorithm_token(pctx.algorithm),
-        pctx.config.token(),
         _decisions_token(pctx.decisions),
     )
 
@@ -416,10 +415,7 @@ def build_graph(strategy, ctx, model,
     """
     pctx = PassContext(
         num_nodes=ctx.cluster.num_nodes, cluster=ctx.cluster,
-        algorithm=ctx.algorithm,
-        config=(ctx.pass_config if ctx.pass_config is not None
-                else DEFAULT_PASS_CONFIG),
-        decisions=ctx.decisions)
+        algorithm=ctx.algorithm, decisions=ctx.decisions)
     tel = ctx.env.telemetry
     store = cache if cache is not None else _DEFAULT_CACHE
     key = cache_key(strategy, model, pctx)

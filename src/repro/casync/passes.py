@@ -8,7 +8,7 @@ independent passes over :class:`~repro.casync.ir.SyncPlan`:
   every gradient and apply its <compress?, K> verdicts; without it every
   gradient is compressed indiscriminately.
 * :class:`PartitionPass` (directive phase) -- enable pipelining by
-  promoting the planner's K (or the fixed ``default_part_bytes`` rule)
+  promoting the planner's K (or the fixed :data:`DEFAULT_PART_BYTES` rule)
   into the structural partition count; without it K = 1 (whole-gradient
   encode-then-transfer, the OSS co-design shape).
 * :class:`FuseDecodeMergePass` (op phase) -- fuse adjacent decode+merge
@@ -24,10 +24,12 @@ strategy's structure, runs op passes, and *always* finishes with
 :class:`VerifyPass`, which rejects malformed plans (unmatched receives,
 cycles, byte-conservation violations) before anything is lowered.
 
-:class:`PassConfig` is the single home of the tuning constants the
-strategies and the coordinator share (bulk eligibility, the fallback
-partition size, the coordinator's batching policy); override it per run
-via ``simulate_iteration(pass_config=...)``.
+The pipeline's tuning values are design constants, each held by its one
+reader: :data:`BULK_ELIGIBLE_BYTES` (:class:`BulkRoutePass`, and
+PlanCheck's PC501), :data:`DEFAULT_PART_BYTES` (:class:`PartitionPass`)
+and the fan-in threshold (:class:`CollapseFanInPass`'s constructor
+default).  The coordinator's batching policy lives in
+:class:`~repro.casync.tasks.Coordinator`'s constructor defaults.
 
 Passes are also a *registry* (:func:`register_pass` / :func:`get_pass` /
 :func:`list_passes`): strategies build their pipelines from pass names,
@@ -57,7 +59,8 @@ from .ir import Directive, Op, ReadyRef, SyncPlan
 from .planner import PLANNER_KINDS, CostModel, SelectivePlanner
 
 __all__ = [
-    "DEFAULT_PASS_CONFIG",
+    "BULK_ELIGIBLE_BYTES",
+    "DEFAULT_PART_BYTES",
     "AdaptivePass",
     "BulkRoutePass",
     "FuseDecodeMergePass",
@@ -65,7 +68,6 @@ __all__ = [
     "CollapseFanInPass",
     "MembershipPass",
     "Pass",
-    "PassConfig",
     "PassContext",
     "SelectivePass",
     "VerifyPass",
@@ -78,56 +80,11 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PassConfig:
-    """Shared tuning constants for the pass pipeline and the coordinator.
-
-    One source of truth: strategies (via :class:`BulkRoutePass`) and the
-    bulk-sync :class:`~repro.casync.tasks.Coordinator` read the same
-    values, so eligibility and batching policy cannot drift apart.
-    """
-
-    #: Transfers below this wire size route through the bulk coordinator.
-    bulk_eligible_bytes: float = 256 * 1024
-    #: Fallback partition size when selective planning is off.
-    default_part_bytes: float = 4 * 1024 * 1024
-    #: Coordinator flush threshold: batched bytes per link.
-    coordinator_batch_bytes: float = 4 * 1024 * 1024
-    #: Coordinator flush timeout for an aging batch.
-    coordinator_timeout_s: float = 0.0005
-    #: Ops whose op-dependency fan-in exceeds this share a barrier op
-    #: instead of carrying every edge (see :class:`CollapseFanInPass`).
-    #: 0 disables collapsing.  The default sits above any fan-in a
-    #: small-cluster plan produces, so plans for existing presets are
-    #: byte-identical with the pass on.
-    fanin_collapse_threshold: int = 96
-
-    def __post_init__(self) -> None:
-        # Sizes divide and the timeout schedules, so each must be positive
-        # and finite (NaN fails every comparison).  The bulk threshold may
-        # be 0, which routes nothing through the coordinator.
-        for name in ("bulk_eligible_bytes", "default_part_bytes",
-                     "coordinator_batch_bytes", "coordinator_timeout_s"):
-            value = getattr(self, name)
-            in_range = (value >= 0 if name == "bulk_eligible_bytes"
-                        else value > 0)
-            if not (in_range and math.isfinite(value)):
-                raise ValueError(f"PassConfig.{name} must be positive and "
-                                 f"finite, got {value!r}")
-        threshold = self.fanin_collapse_threshold
-        if (not isinstance(threshold, int) or isinstance(threshold, bool)
-                or threshold < 0):
-            raise ValueError(f"PassConfig.fanin_collapse_threshold must be "
-                             f"an int >= 0, got {threshold!r}")
-
-    def token(self) -> Tuple[float, float, float, float, int]:
-        """Hashable identity for cache keys."""
-        return (self.bulk_eligible_bytes, self.default_part_bytes,
-                self.coordinator_batch_bytes, self.coordinator_timeout_s,
-                self.fanin_collapse_threshold)
-
-
-DEFAULT_PASS_CONFIG = PassConfig()
+#: Bulk-eligible transfers below this wire size route through the bulk
+#: coordinator (§3.2).
+BULK_ELIGIBLE_BYTES = 256 * 1024
+#: Partition size of the fixed rule used when selective planning is off.
+DEFAULT_PART_BYTES = 4 * 1024 * 1024
 
 
 def wire_nbytes(algorithm: Any, nbytes: float) -> float:
@@ -153,7 +110,6 @@ class PassContext:
     num_nodes: int
     cluster: Any
     algorithm: Optional[Any] = None
-    config: PassConfig = DEFAULT_PASS_CONFIG
     #: Per-gradient adaptive decisions for this iteration (None = the
     #: static path; plans built with and without decisions lower through
     #: different graph-cache keys -- see ``lower.cache_key``).
@@ -298,16 +254,16 @@ class PartitionPass(Pass):
     """Pipelining: promote partition counts into the plan structure.
 
     Uses the planner's K when :class:`SelectivePass` recorded one,
-    otherwise the fixed ``default_part_bytes`` rule capped at N.  Without
-    this pass every gradient stays whole (K = 1): encode must finish
-    before any byte moves -- the coarse-grained co-design behaviour.
+    otherwise the fixed :data:`DEFAULT_PART_BYTES` rule capped at N.
+    Without this pass every gradient stays whole (K = 1): encode must
+    finish before any byte moves -- the coarse-grained co-design
+    behaviour.
     """
 
     name = "partition"
     phase = "directive"
 
     def run(self, plan: SyncPlan, pctx: PassContext) -> None:
-        part_bytes = pctx.config.default_part_bytes
         for name in plan.directives:
             directive = plan.directives[name]
             if directive.planned_partitions is not None:
@@ -315,7 +271,7 @@ class PartitionPass(Pass):
             else:
                 directive.partitions = min(
                     pctx.num_nodes,
-                    max(1, math.ceil(directive.nbytes / part_bytes)))
+                    max(1, math.ceil(directive.nbytes / DEFAULT_PART_BYTES)))
 
 
 class FuseDecodeMergePass(Pass):
@@ -374,7 +330,7 @@ class BulkRoutePass(Pass):
     Sends the frontend marked ``bulk_eligible`` (point-to-point pushes and
     pulls; never serial ring hops, where a per-hop flush delay would
     accumulate) become coordinator-batched when their wire size is below
-    ``bulk_eligible_bytes``.  The pass also marks the plan for GPU batch
+    :data:`BULK_ELIGIBLE_BYTES`.  The pass also marks the plan for GPU batch
     compression (one fused launch for simultaneously-ready small kernels).
     """
 
@@ -383,11 +339,10 @@ class BulkRoutePass(Pass):
 
     def run(self, plan: SyncPlan, pctx: PassContext) -> None:
         marked = 0
-        threshold = pctx.config.bulk_eligible_bytes
         for op in plan.ops:
             if op.kind != "send" or not op.attrs.get("bulk_eligible"):
                 continue
-            if pctx.wire_op(op) < threshold:
+            if pctx.wire_op(op) < BULK_ELIGIBLE_BYTES:
                 op.attrs["bulk"] = True
                 marked += 1
         plan.meta["batch_compression"] = True
@@ -401,34 +356,34 @@ class CollapseFanInPass(Pass):
     ``send`` living on a server node depends on all N aggregates on that
     node, so N nodes x N deps explodes to millions of edges by N = 256 --
     and arm()/lowering cost is linear in edges.  Whenever an op's op-uid
-    fan-in exceeds ``fanin_collapse_threshold``, this pass rewrites the op
-    to depend on a single ``barrier`` op carrying those deps; ops with the
-    *same* (node, deps) signature share one barrier, turning O(N^2) edges
-    into O(N).
+    fan-in exceeds ``threshold``, this pass rewrites the op to depend on a
+    single ``barrier`` op carrying those deps; ops with the *same* (node,
+    deps) signature share one barrier, turning O(N^2) edges into O(N).
 
     Correctness: the barrier lives on the consumer's node, so cross-node
     send/consume pairing still holds (the barrier consumes the sends on
     the destination node), and barriers carry no payload contract.
     Barriers lower to free ``notify`` tasks, which are excluded from
     trace events; dependents still become ready at the exact same
-    simulated time.  Below the threshold -- all small-cluster presets --
-    plans are byte-identical to the pass being off.
+    simulated time.  The default threshold sits above any fan-in a
+    small-cluster plan produces, so plans for every small-cluster preset
+    are byte-identical to the pass being off.
     """
 
     name = "collapse-fanin"
     phase = "op"
 
+    def __init__(self, threshold: int = 96) -> None:
+        self.threshold = threshold
+
     def run(self, plan: SyncPlan, pctx: PassContext) -> None:
-        threshold = pctx.config.fanin_collapse_threshold
-        if threshold <= 0:
-            return
         new_ops: List[Op] = []
         barriers: Dict[tuple, int] = {}
         collapsed = 0
         for op in plan.ops:
             uid_deps = tuple(d for d in op.deps
                              if not isinstance(d, ReadyRef))
-            if len(uid_deps) > threshold:
+            if len(uid_deps) > self.threshold:
                 key = (op.node, uid_deps)
                 buid = barriers.get(key)
                 if buid is None:

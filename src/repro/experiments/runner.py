@@ -12,8 +12,8 @@ on top of that protocol:
   takes the run down, it reports ``error``/``timeout``/``crash``.
 * :class:`ResultCache` memoizes each job's payload on disk under a
   content-addressed digest (:func:`job_digest`) covering the code
-  version, the job's parameters, the pass-pipeline configuration, and
-  the compression algorithm's identity -- the same keying discipline as
+  version, the job's parameters and the compression algorithm's
+  identity -- the same keying discipline as
   :func:`repro.casync.lower.cache_key`.  A warm cache re-run executes
   zero jobs.
 * :class:`RunJournal` records the run as append-only JSON lines, so an
@@ -49,7 +49,6 @@ from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
                     Tuple)
 
 from ..casync.lower import _algorithm_token
-from ..casync.passes import PassConfig
 from . import (adaptive, elastic, fig7, fig8, fig9, fig10, fig11, fig12,
                fig13, heterogeneous,
                kernel_speed, table1, table5, table6, table7)
@@ -115,16 +114,14 @@ def _spec_algorithm_token(spec: JobSpec) -> Optional[Tuple]:
     return _algorithm_token(algorithm)
 
 
-def job_digest(spec: JobSpec,
-               pass_config: Optional[PassConfig] = None) -> str:
+def job_digest(spec: JobSpec) -> str:
     """Content address of one job's payload.
 
     Follows the :func:`repro.casync.lower.cache_key` discipline: the
     digest covers everything the payload may depend on -- code version,
-    the callable's identity, all parameters, the pass-pipeline tuning
-    constants, and the (recursively tokenized) compression algorithm.
+    the callable's identity, all parameters, and the (recursively
+    tokenized) compression algorithm.
     """
-    config = pass_config if pass_config is not None else PassConfig()
     identity = {
         "version": DIGEST_VERSION,
         "code": code_token(),
@@ -133,7 +130,6 @@ def job_digest(spec: JobSpec,
         "module": spec.module,
         "call": spec.call,
         "params": dict(spec.params),
-        "pass_config": list(config.token()),
         "algorithm": _spec_algorithm_token(spec),
     }
     return hashlib.sha256(canonical_json(identity).encode()).hexdigest()
@@ -359,7 +355,6 @@ class ExperimentRunner:
                  journal: Optional[RunJournal] = None,
                  resume: bool = False,
                  timeout_s: Optional[float] = None,
-                 pass_config: Optional[PassConfig] = None,
                  mp_context: Optional[str] = None,
                  telemetry=None,
                  progress: Optional[Callable[[Dict[str, Any]], None]] = None):
@@ -373,7 +368,6 @@ class ExperimentRunner:
         self.journal = journal
         self.resume = resume
         self.timeout_s = timeout_s
-        self.pass_config = pass_config
         self.mp_context = mp_context
         self.telemetry = telemetry
         self.progress = progress
@@ -435,7 +429,7 @@ class ExperimentRunner:
         if self.telemetry is not None:
             self.telemetry.start_run("experiment-runner")
         report = RunReport()
-        digests = {s.job_id: job_digest(s, self.pass_config) for s in specs}
+        digests = {s.job_id: job_digest(s) for s in specs}
         total = len(specs)
         self._journal({"event": "run_start", "jobs": total,
                        "workers": self.max_workers,

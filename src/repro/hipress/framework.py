@@ -23,7 +23,6 @@ from ..adaptive.policy import CompressionPolicy, resolve_policy
 from ..adaptive.runtime import PolicyRun, run_policy
 from ..algorithms import available_algorithms
 from ..algorithms.base import CompressionAlgorithm
-from ..casync.passes import PassConfig
 from ..casync.planner import (PLANNER_KINDS, CostModel, GradientPlan,
                               plans_to_json)
 from ..cluster import (CLUSTER_PRESETS, ClusterSpec, ec2_v100_cluster,
@@ -143,7 +142,6 @@ class TrainingJob:
     def run(self, pipelining: bool = True, bulk: bool = True,
             selective: bool = True,
             telemetry: Optional[TelemetryCollector] = None,
-            pass_config: Optional[PassConfig] = None,
             policy: Union[CompressionPolicy, str, None] = None,
             iterations: int = 1
             ) -> IterationResult:
@@ -152,9 +150,6 @@ class TrainingJob:
         Pass ``telemetry=`` a :class:`~repro.telemetry.TelemetryCollector`
         to record spans and metrics for this run (the ambient collector
         from :func:`repro.telemetry.attach` is used otherwise).
-        ``pass_config=`` overrides the SyncPlan pass-pipeline tuning
-        constants (partition size, bulk-eligibility threshold, coordinator
-        batching) for this run; see :mod:`repro.casync.passes`.
 
         ``policy=`` (or a job-level policy from the constructor) routes the
         run through :func:`repro.adaptive.run_policy`: fixed policies take
@@ -169,8 +164,7 @@ class TrainingJob:
             run = run_policy(
                 self.model, self.cluster, policy,
                 strategy=self.strategy_name, iterations=iterations,
-                pipelining=pipelining, bulk=bulk,
-                pass_config=pass_config, telemetry=telemetry)
+                pipelining=pipelining, bulk=bulk, telemetry=telemetry)
             self.last_policy_run = run
             return run.results[-1]
         strategy: Strategy = get_strategy(
@@ -178,7 +172,7 @@ class TrainingJob:
             selective=selective)
         return simulate_iteration(
             self.model, self.cluster, strategy, algorithm=self.algorithm,
-            telemetry=telemetry, pass_config=pass_config)
+            telemetry=telemetry)
 
     def save_plans(self, path) -> None:
         """Export the planner's per-gradient decisions as JSON."""

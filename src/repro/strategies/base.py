@@ -19,7 +19,7 @@ from ..algorithms.base import CompressionAlgorithm
 from ..casync import lower
 from ..casync.decisions import DecisionMap
 from ..casync.ir import SyncPlan
-from ..casync.passes import MembershipPass, Pass, PassConfig, PassContext
+from ..casync.passes import MembershipPass, Pass, PassContext
 from ..casync.tasks import TaskGraph
 from ..cluster import ClusterSpec
 from ..models import ModelSpec
@@ -36,9 +36,6 @@ class SyncContext:
     cluster: ClusterSpec
     ready: Dict[Tuple[int, str], Event]  # (node, gradient name) -> event
     algorithm: Optional[CompressionAlgorithm] = None
-    #: Tuning constants for the SyncPlan pass pipeline; None means
-    #: :data:`~repro.casync.passes.DEFAULT_PASS_CONFIG`.
-    pass_config: Optional[PassConfig] = None
     #: This iteration's adaptive per-gradient decisions (None = static
     #: path); consumed by :class:`~repro.casync.passes.AdaptivePass` and
     #: content-keyed into the graph cache.
@@ -67,7 +64,7 @@ class Strategy(ABC):
                model: ModelSpec) -> None:
         """Emit this strategy's ops into ``plan`` (after directive passes).
 
-        Must only consult ``pctx`` (cluster/algorithm/config) and the
+        Must only consult ``pctx`` (cluster/algorithm/decisions) and the
         plan's directives -- never a live Environment -- so expansion stays
         deterministic and cacheable.
         """

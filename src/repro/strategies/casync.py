@@ -11,15 +11,17 @@ pass removed":
   overlaps the transfer of another; with the pass absent, a gradient is
   encoded whole before any byte moves and decoded whole after every byte
   arrives (the OSS co-design shape).
-* ``bulk`` -> :class:`~repro.casync.passes.BulkRoutePass` -- route small
-  eligible transfers through the global coordinator (message batching per
-  link) and mark the plan for GPU batch compression.  That mark is the
-  only switch: a round whose lowered graph carries it runs the
-  coordinator and batch-compressing engines, and no other round does.
+* ``bulk`` -> :class:`~repro.casync.passes.BulkRoutePass` -- route
+  eligible transfers below :data:`~repro.casync.passes.BULK_ELIGIBLE_BYTES`
+  through the global coordinator (message batching per link) and mark
+  the plan for GPU batch compression.  That mark is the only switch: a
+  round whose lowered graph carries it runs the coordinator and
+  batch-compressing engines, and no other round does.
 * ``selective`` -> :class:`~repro.casync.passes.SelectivePass` -- run
   the §3.3 planner and honor its per-gradient <compress?, K> verdicts;
   with the pass absent, everything is compressed and K falls back to the
-  fixed partitioning rule in :class:`~repro.casync.passes.PassConfig`.
+  fixed :data:`~repro.casync.passes.DEFAULT_PART_BYTES` partitioning
+  rule.
 
 Decode+merge fusion (:class:`~repro.casync.passes.FuseDecodeMergePass`)
 is part of the CaSync architecture itself (§5) and always on.

@@ -36,6 +36,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from ..algorithms.base import CompressionAlgorithm
+from ..casync.passes import DEFAULT_PART_BYTES
 from ..casync.planner import GradientPlan
 from ..casync.topology import ps_topology, ring_topology
 from .ps import partition_sizes
@@ -55,8 +56,6 @@ __all__ = [
 WorkerGrads = Dict[str, Sequence[np.ndarray]]
 #: name -> one float32 array per node (the node's post-sync value).
 NodeValues = Dict[str, List[np.ndarray]]
-
-_DEFAULT_PART_BYTES = 4 * 1024 * 1024
 
 
 def roundtrip(algo: Optional[CompressionAlgorithm],
@@ -86,7 +85,7 @@ def _partitions_for(name: str, nbytes: int, num_nodes: int,
         plan = plans[name]
         return max(1, plan.partitions), plan.compress
     k = min(num_nodes,
-            max(1, -(-nbytes // _DEFAULT_PART_BYTES)))  # ceil div
+            max(1, -(-nbytes // DEFAULT_PART_BYTES)))  # ceil div
     return k, True
 
 
@@ -111,7 +110,7 @@ def _ps_exchange(parts: List[np.ndarray],
 
 
 def byteps_values(worker_grads: WorkerGrads,
-                  part_bytes: float = _DEFAULT_PART_BYTES) -> NodeValues:
+                  part_bytes: float = DEFAULT_PART_BYTES) -> NodeValues:
     """Raw BytePS: per 4MB-capped slice, sum in worker order, pull to all."""
     out: NodeValues = {}
     for name, raw in worker_grads.items():
@@ -128,7 +127,7 @@ def byteps_values(worker_grads: WorkerGrads,
 
 def byteps_oss_values(worker_grads: WorkerGrads,
                       algo: CompressionAlgorithm,
-                      part_bytes: float = _DEFAULT_PART_BYTES) -> NodeValues:
+                      part_bytes: float = DEFAULT_PART_BYTES) -> NodeValues:
     """BytePS(OSS): compressed push, server decode+merge+re-encode, pull.
 
     Every node -- the server included (it round-trips its own re-encode

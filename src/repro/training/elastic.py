@@ -194,8 +194,7 @@ def run_elastic(model: ModelSpec, cluster: ClusterSpec,
                 heartbeat_timeout_s: float = 0.02,
                 epoch_horizon_s: Optional[float] = None,
                 min_roster: Optional[int] = None,
-                make_strategy=None,
-                pass_config=None) -> ElasticRunReport:
+                make_strategy=None) -> ElasticRunReport:
     """Run ``epochs`` training epochs under an elastic membership.
 
     One simulated BSP round stands in for each epoch (the simulator's
@@ -222,8 +221,7 @@ def run_elastic(model: ModelSpec, cluster: ClusterSpec,
             result = simulate_iteration(
                 model, sub, algorithm=algorithm,
                 sync_deadline_s=sync_deadline_s,
-                heartbeat_timeout_s=heartbeat_timeout_s,
-                pass_config=pass_config, **driver)
+                heartbeat_timeout_s=heartbeat_timeout_s, **driver)
         except SyncAborted as abort:
             elapsed = (sync_deadline_s if sync_deadline_s is not None
                        else 0.0)

@@ -16,11 +16,11 @@ step has been applied.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..algorithms.base import CompressionAlgorithm
-from ..casync.passes import DEFAULT_PASS_CONFIG, PassConfig
 from ..casync.planner import CostModel, GradientPlan, SelectivePlanner
 from ..casync.memory import peak_buffer_memory
 from ..casync.tasks import Coordinator, NodeEngine, TaskGraph, run_graph
@@ -46,6 +46,8 @@ __all__ = ["IterationResult", "simulate_iteration", "scaling_efficiency"]
 
 #: Optimizer (SGD update) cost as a fraction of compute time.
 OPTIMIZER_FRACTION = 0.02
+#: Bin width of :attr:`IterationResult.gpu_util_series` (Fig. 9).
+UTIL_BIN_S = 0.010
 
 
 @dataclass(frozen=True)
@@ -67,7 +69,7 @@ class IterationResult:
     exposed_sync_time: float
     #: Seconds the GPU comm stream spent on compression kernels.
     compression_time: float
-    #: Per-GPU utilization series (Fig. 9), 10 ms bins.
+    #: Per-GPU utilization series (Fig. 9), :data:`UTIL_BIN_S` bins.
     gpu_util_series: Tuple[float, ...] = ()
     coordinator_batches: int = 0
     #: Peak simultaneous communication-buffer bytes on the busiest node
@@ -136,7 +138,6 @@ def simulate_iteration(model: ModelSpec, cluster: ClusterSpec,
                        strategy: Strategy,
                        algorithm: Optional[CompressionAlgorithm] = None,
                        local_aggregation: bool = True,
-                       util_bin_s: float = 0.010,
                        straggler: Optional[Tuple[int, float]] = None,
                        fault_schedule: Optional[FaultSchedule] = None,
                        retry_policy: Optional[RetryPolicy] = None,
@@ -144,14 +145,8 @@ def simulate_iteration(model: ModelSpec, cluster: ClusterSpec,
                        sync_deadline_s: Optional[float] = None,
                        heartbeat_timeout_s: float = 0.02,
                        telemetry: Optional[TelemetryCollector] = None,
-                       pass_config: Optional[PassConfig] = None,
                        decisions=None) -> IterationResult:
     """Simulate one BSP iteration and return its metrics.
-
-    ``pass_config`` overrides the SyncPlan pass pipeline's tuning
-    constants (bulk eligibility, fallback partition size, and the
-    coordinator's batching policy) -- see
-    :class:`~repro.casync.passes.PassConfig`; None uses the defaults.
 
     ``decisions`` threads one iteration's adaptive per-gradient
     :class:`~repro.casync.decisions.DecisionMap` into the pass pipeline
@@ -188,15 +183,16 @@ def simulate_iteration(model: ModelSpec, cluster: ClusterSpec,
         node_idx, factor = straggler
         if not 0 <= node_idx < cluster.num_nodes:
             raise ValueError(f"straggler node {node_idx} out of range")
-        if factor < 1.0:
-            raise ValueError(f"straggler factor must be >= 1, got {factor}")
+        if not (math.isfinite(factor) and factor >= 1.0):
+            raise ValueError(f"straggler factor must be finite and >= 1, "
+                             f"got {factor}")
     rnd = _run_round(
         model, cluster, strategy, algorithm=algorithm,
         local_aggregation=local_aggregation, straggler=straggler,
         fault_schedule=fault_schedule, retry_policy=retry_policy,
         degradation=degradation, sync_deadline_s=sync_deadline_s,
         heartbeat_timeout_s=heartbeat_timeout_s, telemetry=telemetry,
-        pass_config=pass_config, decisions=decisions)
+        decisions=decisions)
     tel, gpus, fabric = rnd.tel, rnd.gpus, rnd.fabric
     compute_time = rnd.compute_time
     iteration_time = rnd.barrier + compute_time * OPTIMIZER_FRACTION
@@ -208,7 +204,7 @@ def simulate_iteration(model: ModelSpec, cluster: ClusterSpec,
                         / cluster.num_nodes)
     exposed = max(0.0, iteration_time - compute_time)
     util = tuple(gpus[0].log.utilization_series(
-        bin_width=util_bin_s, horizon=iteration_time, category="compute"))
+        bin_width=UTIL_BIN_S, horizon=iteration_time, category="compute"))
     peaks = peak_buffer_memory(rnd.graph)
     peak_memory = max(peaks.values()) if peaks else 0.0
 
@@ -260,7 +256,6 @@ def _run_round(model: ModelSpec, cluster: ClusterSpec, strategy: Strategy,
                sync_deadline_s: Optional[float] = None,
                heartbeat_timeout_s: float = 0.02,
                telemetry: Optional[TelemetryCollector] = None,
-               pass_config: Optional[PassConfig] = None,
                decisions=None,
                label_prefix: str = "") -> _Round:
     """Build and run one BSP round until it has settled.
@@ -285,21 +280,17 @@ def _run_round(model: ModelSpec, cluster: ClusterSpec, strategy: Strategy,
     fabric = Fabric(env, cluster.num_nodes, cluster.network)
     gpus = [Gpu(env, cluster.node_at(i).gpu, index=i)
             for i in range(cluster.num_nodes)]
-    pconf = pass_config if pass_config is not None else DEFAULT_PASS_CONFIG
     ready = {(node, grad.name): env.event()
              for node in range(cluster.num_nodes)
              for grad in model.gradients}
     ctx = SyncContext(env=env, cluster=cluster, ready=ready,
-                      algorithm=algorithm, pass_config=pconf,
-                      decisions=decisions)
+                      algorithm=algorithm, decisions=decisions)
     graph = strategy.build(ctx, model)
 
     # The plan decides bulk synchronization (§3.2): the global
     # coordinator and batch compression run exactly when it says so.
-    coordinator = (Coordinator(env, fabric,
-                               size_threshold=pconf.coordinator_batch_bytes,
-                               timeout_s=pconf.coordinator_timeout_s,
-                               retry_policy=policy, membership=membership,
+    coordinator = (Coordinator(env, fabric, retry_policy=policy,
+                               membership=membership,
                                degradation=degradation)
                    if graph.bulk else None)
     engines = [NodeEngine(env, i, gpus[i], fabric, coordinator=coordinator,

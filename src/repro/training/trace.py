@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from ..algorithms.base import CompressionAlgorithm
-from ..casync.passes import PassConfig
 from ..cluster import ClusterSpec
 from ..faults import FaultSchedule, RetryPolicy
 from ..models import ModelSpec
@@ -85,7 +84,6 @@ def trace_iteration(model: ModelSpec, cluster: ClusterSpec,
                     sync_deadline_s: Optional[float] = None,
                     heartbeat_timeout_s: float = 0.02,
                     telemetry: Optional[TelemetryCollector] = None,
-                    pass_config: Optional[PassConfig] = None,
                     decisions=None) -> IterationTrace:
     """Simulate one iteration, returning the full task timeline.
 
@@ -101,7 +99,7 @@ def trace_iteration(model: ModelSpec, cluster: ClusterSpec,
         retry_policy=retry_policy, degradation=degradation,
         sync_deadline_s=sync_deadline_s,
         heartbeat_timeout_s=heartbeat_timeout_s, telemetry=telemetry,
-        pass_config=pass_config, decisions=decisions, label_prefix="trace:")
+        decisions=decisions, label_prefix="trace:")
 
     events: List[TraceEvent] = []
     for task in rnd.graph.tasks:

@@ -40,8 +40,7 @@ from repro.casync.ir import (
     SyncPlan,
 )
 from repro.casync.lower import GraphCache, default_graph_cache, lower_plan
-from repro.casync.passes import (DEFAULT_PASS_CONFIG, PassContext, build_plan,
-                                 verify_plan)
+from repro.casync.passes import PassContext, build_plan, verify_plan
 from repro.cluster import ec2_v100_cluster
 from repro.experiments.common import default_algorithm
 from repro.models import GradientSpec, ModelSpec
@@ -61,8 +60,7 @@ def small_model(sizes=(8 * MB, MB, 64 * 1024), name="m"):
 def pctx_for(n=3, algorithm="tbq"):
     return PassContext(
         num_nodes=n, cluster=ec2_v100_cluster(n),
-        algorithm=default_algorithm(algorithm) if algorithm else None,
-        config=DEFAULT_PASS_CONFIG)
+        algorithm=default_algorithm(algorithm) if algorithm else None)
 
 
 def built_plan(n=3, **flags):
@@ -344,7 +342,7 @@ def test_pipeline_output_always_proves_clean(inputs):
         algorithm = default_algorithm("tbq")
     pctx = PassContext(
         num_nodes=num_nodes, cluster=ec2_v100_cluster(num_nodes),
-        algorithm=algorithm, config=DEFAULT_PASS_CONFIG)
+        algorithm=algorithm)
     plan = build_plan(strategy, pctx, small_model(sizes))
     recipe = lower_plan(plan, pctx)
     report = check_plan(plan, pctx=pctx, recipe=recipe)

@@ -12,7 +12,6 @@ import time
 
 import pytest
 
-from repro.casync.passes import PassConfig
 from repro.experiments.common import JobSpec, canonical_json, execute_serial
 from repro.experiments.runner import (
     ExperimentRunner,
@@ -58,13 +57,6 @@ def test_digest_covers_params_and_call():
     base = job_digest(spec_for("add_job", a=1, b=2))
     assert job_digest(spec_for("add_job", a=1, b=3)) != base
     assert job_digest(spec_for("failing_job", a=1, b=2)) != base
-
-
-def test_digest_covers_pass_config():
-    spec = spec_for("add_job", a=1, b=2)
-    assert job_digest(spec) == job_digest(spec, PassConfig())
-    tweaked = PassConfig(bulk_eligible_bytes=1)
-    assert job_digest(spec, tweaked) != job_digest(spec)
 
 
 def test_digest_covers_algorithm_identity():

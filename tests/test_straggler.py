@@ -26,6 +26,15 @@ def test_straggler_validation():
                            straggler=(0, 0.5))
 
 
+@pytest.mark.parametrize("factor", [float("nan"), float("inf")])
+def test_straggler_rejects_non_finite_factor(factor):
+    """A NaN or infinite slowdown is refused before the round starts,
+    with an error that names the argument."""
+    with pytest.raises(ValueError, match="straggler"):
+        simulate_iteration(model(), ec2_v100_cluster(2), RingAllreduce(),
+                           straggler=(0, factor))
+
+
 def test_one_slow_node_stalls_bsp():
     """A 2x straggler roughly doubles everyone's iteration (the §2.1
     'distributed barrier')."""

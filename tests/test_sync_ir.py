@@ -10,8 +10,9 @@ instantiation safe.
 
 import pytest
 
-from repro.analysis.plancheck import golden_cases, golden_model, iter_cases
-from repro.casync.index import plan_index
+from repro.analysis.plancheck import (check_plan, golden_cases, golden_model,
+                                     iter_cases)
+from repro.casync.index import invalidate, plan_index
 from repro.casync.ir import (
     PlanVerificationError,
     ReadyRef,
@@ -27,10 +28,10 @@ from repro.casync.lower import (
     sync_plan_dump,
 )
 from repro.casync.passes import (
-    DEFAULT_PASS_CONFIG,
+    BULK_ELIGIBLE_BYTES,
+    DEFAULT_PART_BYTES,
     BulkRoutePass,
     PartitionPass,
-    PassConfig,
     PassContext,
     build_plan,
     verify_plan,
@@ -56,11 +57,10 @@ def small_model(sizes=(8 * MB, MB, 64 * 1024)):
                      batch_unit="images", v100_iteration_s=0.002)
 
 
-def pctx_for(n=3, algorithm="tbq", config=None):
+def pctx_for(n=3, algorithm="tbq"):
     return PassContext(
         num_nodes=n, cluster=ec2_v100_cluster(n),
-        algorithm=default_algorithm(algorithm) if algorithm else None,
-        config=config if config is not None else DEFAULT_PASS_CONFIG)
+        algorithm=default_algorithm(algorithm) if algorithm else None)
 
 
 def casync_plan(n=3, **flags):
@@ -206,15 +206,14 @@ def test_selective_pass_applies_the_planners_verdicts():
 
 
 def test_partition_pass_uses_config_part_bytes():
+    assert DEFAULT_PART_BYTES == 4 * MB
     model = small_model(sizes=(8 * MB,))
-    coarse, _ = (build_plan(CaSyncPS(selective=False), pctx_for(), model),
-                 None)
-    assert coarse.directives["m.g0"].partitions == 2  # 8MB / 4MB default
+    coarse = build_plan(CaSyncPS(selective=False), pctx_for(), model)
+    assert coarse.directives["m.g0"].partitions == 2  # 8MB / 4MB
 
-    fine = build_plan(
-        CaSyncPS(selective=False),
-        pctx_for(config=PassConfig(default_part_bytes=float(MB))), model)
-    # ceil(8MB/1MB)=8 capped at num_nodes=3
+    fine = build_plan(CaSyncPS(selective=False), pctx_for(),
+                      small_model(sizes=(16 * MB,)))
+    # ceil(16MB/4MB)=4 capped at num_nodes=3
     assert fine.directives["m.g0"].partitions == 3
 
     unpartitioned = build_plan(
@@ -222,34 +221,44 @@ def test_partition_pass_uses_config_part_bytes():
     assert unpartitioned.directives["m.g0"].partitions == 1
 
 
-@pytest.mark.parametrize("field,value", [
-    ("default_part_bytes", 0), ("default_part_bytes", -1.0),
-    ("default_part_bytes", float("nan")), ("default_part_bytes", float("inf")),
-    ("bulk_eligible_bytes", -1.0), ("bulk_eligible_bytes", float("nan")),
-    ("coordinator_batch_bytes", 0.0), ("coordinator_timeout_s", 0.0),
-    ("coordinator_timeout_s", float("nan")),
-    ("fanin_collapse_threshold", -1), ("fanin_collapse_threshold", 2.5),
-    ("fanin_collapse_threshold", True),
-])
-def test_pass_config_rejects_values_that_mean_nothing(field, value):
-    with pytest.raises(ValueError, match=field):
-        PassConfig(**{field: value})
-
-
-def test_pass_config_accepts_its_boundaries():
-    PassConfig(bulk_eligible_bytes=0.0, fanin_collapse_threshold=0)
-    PassConfig(default_part_bytes=0.5, coordinator_timeout_s=1e-9)
-
-
 def test_bulk_route_pass_threshold_from_config():
-    plan, _ = casync_plan()
+    plan, pctx = casync_plan()
     assert plan.meta["bulk_sends"] > 0
+    eligible = [op for op in plan.ops
+                if op.kind == "send" and op.attrs.get("bulk_eligible")]
+    for op in eligible:
+        assert op.attrs.get("bulk", False) == (
+            pctx.wire_op(op) < BULK_ELIGIBLE_BYTES)
 
-    none_bulk = build_plan(
-        CaSyncPS(selective=False),
-        pctx_for(config=PassConfig(bulk_eligible_bytes=0.0)), small_model())
+    # A whole 64 MB gradient compresses to well above the threshold.
+    none_bulk = build_plan(CaSyncPS(selective=False, pipelining=False),
+                           pctx, small_model(sizes=(64 * MB,)))
     assert none_bulk.meta["bulk_sends"] == 0
     assert not any(op.attrs.get("bulk") for op in none_bulk.ops)
+
+
+@pytest.mark.parametrize("nbytes,routed", [
+    (BULK_ELIGIBLE_BYTES, False), (BULK_ELIGIBLE_BYTES - 1, True)])
+def test_bulk_route_boundary_is_strict(nbytes, routed):
+    """A send whose wire size equals the threshold stays off the
+    coordinator; one byte under, it rides it.  PC501 draws the same line."""
+    pctx = pctx_for(n=2, algorithm="onebit")
+    plan = build_plan(CaSyncPS(pipelining=False), pctx,
+                      small_model(sizes=(nbytes,)))
+    # The planner sends this gradient raw, so wire size == nbytes.
+    assert not plan.directives["m.g0"].compress
+    sends = [op for op in plan.ops if op.kind == "send"]
+    assert sends and all(op.attrs.get("bulk_eligible") for op in sends)
+    assert all(pctx.wire_op(op) == nbytes for op in sends)
+    assert [bool(op.attrs.get("bulk")) for op in sends] == [routed] * len(
+        sends)
+
+    for op in sends:
+        op.attrs["bulk"] = True
+    invalidate(plan)
+    pc501 = [d for d in check_plan(plan, pctx=pctx).diagnostics
+             if d.rule == "PC501"]
+    assert len(pc501) == (0 if routed else len(sends))
 
 
 def test_pass_pipeline_matches_strategy_flags():
@@ -279,29 +288,6 @@ def test_fuse_pass_collapses_decode_merge_pairs():
                 continue
             assert not (by_uid[dep].kind == "decode"
                         and by_uid[dep].attrs.get("fusable"))
-
-
-# -- pass_config through the public entry points -----------------------------
-
-def test_simulate_iteration_accepts_pass_config_override():
-    model = small_model(sizes=(16 * MB, 8 * MB))
-    cluster = ec2_v100_cluster(4)
-    algo = default_algorithm("tbq")
-    base = simulate_iteration(model, cluster, CaSyncPS(selective=False),
-                              algorithm=algo)
-    coarse = simulate_iteration(
-        model, cluster, CaSyncPS(selective=False), algorithm=algo,
-        pass_config=PassConfig(default_part_bytes=64.0 * MB))
-    # 64MB partitions collapse pipelining to whole-gradient transfers:
-    # the overlap is gone, so the timeline must actually change.
-    assert coarse.iteration_time != base.iteration_time
-
-
-def test_training_job_run_accepts_pass_config():
-    from repro import TrainingJob
-    job = TrainingJob("vgg19", algorithm="tbq")
-    result = job.run(pass_config=PassConfig(default_part_bytes=2.0 * MB))
-    assert result.iteration_time > 0
 
 
 # -- lowering and the graph cache --------------------------------------------
@@ -346,9 +332,6 @@ def test_cache_key_sensitivity():
     assert base != cache_key(CaSyncPS(selective=False), model, pctx_for(n=4))
     assert base != cache_key(CaSyncPS(selective=False), model,
                              pctx_for(algorithm="dgc"))
-    assert base != cache_key(
-        CaSyncPS(selective=False), model,
-        pctx_for(config=PassConfig(default_part_bytes=float(MB))))
     assert base != cache_key(CaSyncPS(selective=False),
                              small_model(sizes=(MB,)), pctx)
 
