@@ -36,8 +36,8 @@ index the plan dump (:meth:`~repro.casync.ir.SyncPlan.format_text`):
    intent (compress / partitions) always matches emitted structure.
 
 PC5xx checks pass policy (bulk routing eligibility and thresholds);
-PC605/PC606 check a lowered recipe's costs (no negative duration or
-size, send wire sizes through the shared size model).
+PC605/PC606 check a lowered recipe's costs (every duration and size
+finite and not negative, send wire sizes through the shared size model).
 
 Entry points:
 
@@ -59,6 +59,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from typing import (Any, Callable, Dict, Iterable, Iterator, List, Optional,
@@ -114,7 +115,7 @@ PLANCHECK_RULES: Dict[str, str] = {
     # pass policy
     "PC501": "bulk-routed send violates the bulk-eligibility policy",
     # lowered-recipe costs
-    "PC605": "lowered task has a negative duration or size",
+    "PC605": "lowered task has a negative or non-finite duration or size",
     "PC606": "lowered send wire size disagrees with the plan's size model",
 }
 
@@ -254,17 +255,20 @@ class _PlanAnalyzer:
                     uid=op.uid)
 
     def check_lowered_costs(self, specs: Sequence[Any]) -> None:
-        """PC605/PC606 over a lowered recipe's specs, spec *i* lowered
-        from op *i*: no negative cost, and (given a pass context) every
-        send's wire size agrees with the shared size model."""
+        """PC605/PC606 over a lowered recipe's specs (each from op
+        ``spec.row``): every cost finite and not negative, and (given a
+        pass context) every send's wire size agrees with the size model."""
         wire_of = None if self.pctx is None else self.wire_of
-        for spec, op in zip(specs, self.ops):
-            if spec.duration < 0 or spec.nbytes < 0:
-                self.emit(
-                    "PC605",
-                    f"lowered {op!r} has negative cost "
-                    f"(duration={spec.duration}, nbytes={spec.nbytes})",
-                    uid=op.uid)
+        inf, ops = math.inf, self.ops
+        for spec in specs:
+            op = ops[spec.row]
+            out = spec.out_nbytes or 0.0
+            if not (0 <= spec.duration < inf and 0 <= spec.nbytes < inf
+                    and 0 <= spec.launch_overhead < inf and 0 <= out < inf):
+                self.emit("PC605", f"lowered {op!r} has a negative or "
+                          f"non-finite cost (duration={spec.duration}, "
+                          f"launch overhead={spec.launch_overhead}, nbytes="
+                          f"{spec.nbytes}, out_nbytes={out})", uid=op.uid)
             if op.kind == "send" and wire_of is not None:
                 wire = wire_of(op)
                 if (spec.nbytes != wire
@@ -791,19 +795,21 @@ def check_plan(plan: SyncPlan, pctx: Optional[PassContext] = None,
     ``pctx`` enables the context-dependent rules (PC402/PC501 wire
     thresholds, PC606); ``recipe``, the plan's
     :func:`~repro.casync.lower.lower_plan` output, adds the PC605/PC606
-    cost checks of its specs.  Lowering builds spec *i* from op *i*
-    with the index's own dependency tuples, so a recipe needs no
-    structural cross-check; one of another length raises ``ValueError``.
+    cost checks of its specs.  Lowering keeps row *i* for op *i* with
+    the index's own dependency tuples, so a recipe needs no structural
+    cross-check; one with another row or spec count raises ``ValueError``.
     The PC1xx findings are those of the plan's cached
     :class:`~repro.casync.index.PlanIndex`.
 
     Deep analyses assume topological op order, so any structural error
     short-circuits the report to just the PC1xx findings.
     """
-    if recipe is not None and len(recipe.specs) != len(plan.ops):
-        raise ValueError(
-            f"recipe has {len(recipe.specs)} specs but the plan has "
-            f"{len(plan.ops)} ops; pass the plan's own lower_plan output")
+    if recipe is not None:
+        tasks = sum(op.kind != "barrier" for op in plan.ops)
+        if (len(recipe.specs), len(recipe.deps)) != (tasks, len(plan.ops)):
+            raise ValueError(f"recipe has {len(recipe.specs)} specs but the "
+                             f"plan has {tasks} non-barrier ops; pass the "
+                             f"plan's own lower_plan output")
     file = plan_file(plan, name)
     diagnostics = plan_index(plan).diagnostics(plan, file)
     if not diagnostics:

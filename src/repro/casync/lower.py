@@ -4,9 +4,10 @@ The backend of the SyncPlan pipeline, and the home of the cost model.
 :func:`lower_plan` resolves a verified plan against the concrete
 cluster/algorithm -- :func:`_spec_for` costs each op's duration, launch
 overhead, and wire size on *its own node's* GPU, under *its gradient's*
-codec -- and produces a :class:`LoweredRecipe`: a flat list of
-environment-free :class:`TaskSpec` rows, the plan's bulk decision, and
-(built on first use and cached with it) the rows'
+codec -- and produces a :class:`LoweredRecipe`: one dependency row per
+plan op, the environment-free :class:`TaskSpec` of every op but a
+barrier (whose row is a CSR *join*, no task), the plan's bulk decision,
+and (built on first use and cached with it) the rows'
 :class:`~repro.casync.tasks.SuccessorCSR`.  :func:`instantiate`, the one
 way a :class:`~repro.casync.tasks.TaskGraph` is built, turns a recipe
 into a live graph for one
@@ -59,9 +60,10 @@ __all__ = [
 class TaskSpec:
     """One fully-costed task, free of any Environment reference.
 
-    ``deps`` entries are ``("t", index)`` (an earlier spec in the same
-    recipe) or ``("r", node, gradient)`` (a backward-pass ready event,
-    resolved against ``ctx.ready`` at instantiation).
+    ``row`` is the plan op it was lowered from.  ``deps`` entries are
+    ``("t", row)`` (an earlier row, a task or a join) or ``("r", node,
+    gradient)`` (a backward-pass ready event, resolved against
+    ``ctx.ready`` at instantiation).
     """
 
     kind: str
@@ -74,24 +76,26 @@ class TaskSpec:
     dst: Optional[int]
     bulk: bool
     deps: Tuple[Tuple, ...]
+    row: int
 
 
 @dataclass
 class LoweredRecipe:
-    """A lowered SyncPlan, ready for per-environment instantiation: its
-    spec rows and the plan's bulk-synchronization decision."""
+    """A lowered SyncPlan, ready for per-environment instantiation: every
+    op's dependency row (``deps[i]`` is op ``i``'s), the task rows' specs
+    and the plan's bulk-synchronization decision."""
 
     specs: List[TaskSpec]
+    deps: List[Tuple[Tuple, ...]]
     bulk: bool
 
     @cached_property
     def csr(self) -> SuccessorCSR:
-        """The specs' successor CSR, built on first use and kept with the
+        """The rows' successor CSR, built on first use and kept with the
         recipe, so every warm instantiation shares one copy."""
         return SuccessorCSR(
-            [spec.deps for spec in self.specs],
-            [i for i, spec in enumerate(self.specs)
-             if spec.out_nbytes is not None and spec.out_nbytes > 0])
+            self.deps, [spec.row for spec in self.specs],
+            [spec.row for spec in self.specs if (spec.out_nbytes or 0) > 0])
 
     def __repr__(self) -> str:
         return f"<LoweredRecipe {len(self.specs)} tasks bulk={self.bulk}>"
@@ -103,7 +107,7 @@ CPU_FACTOR = 35.0
 
 
 def _spec_for(op: Op, pctx: PassContext, gpus: Tuple, launches: Tuple,
-              deps: Tuple[Tuple, ...]) -> TaskSpec:
+              deps: Tuple[Tuple, ...], row: int) -> TaskSpec:
     """Cost one IR op on its node's hardware and freeze it as a spec.
 
     Cost conventions (on node ``op.node``'s GPU unless stated):
@@ -124,7 +128,7 @@ def _spec_for(op: Op, pctx: PassContext, gpus: Tuple, launches: Tuple,
     * ``send`` carries its wire size under its gradient's codec.
 
     ``as_cpu`` executes GPU-costed work on the host CPU executor (the
-    BytePS-OSS pattern); IR barriers lower to ``notify`` tasks.
+    BytePS-OSS pattern).  IR barriers never get here: they are joins.
     """
     node = op.node
     nbytes = op.size.nbytes
@@ -186,16 +190,14 @@ def _spec_for(op: Op, pctx: PassContext, gpus: Tuple, launches: Tuple,
         nbytes = pctx.wire_op(op)
         dst = op.dst
         bulk = bool(op.attrs.get("bulk"))
-    elif kind == "barrier":
-        kind = "notify"
-        nbytes = 0.0
     else:  # unreachable: the verifier ran before lowering
         raise ValueError(f"cannot lower op kind {op.kind!r}")
     if op.attrs.get("as_cpu"):
         kind = "cpu"
     return TaskSpec(kind=kind, node=node, label=op.label, duration=duration,
                     launch_overhead=launch, nbytes=nbytes,
-                    out_nbytes=out_nbytes, dst=dst, bulk=bulk, deps=deps)
+                    out_nbytes=out_nbytes, dst=dst, bulk=bulk, deps=deps,
+                    row=row)
 
 
 def lower_plan(plan: SyncPlan, pctx: PassContext) -> LoweredRecipe:
@@ -214,14 +216,14 @@ def lower_plan(plan: SyncPlan, pctx: PassContext) -> LoweredRecipe:
     gpus = tuple(spec.gpu for spec in pctx.cluster.nodes)
     launches = tuple(gpu.kernel_launch_us * 1e-6 for gpu in gpus)
     # The dependency encodings come from the shared structural index
-    # (built by build_plan's verify stage); specs reference the index's
-    # tuples directly.
+    # (built by build_plan's verify stage); rows and specs reference the
+    # index's tuples directly.
     idx = plan_index(plan)
     idx.raise_if_invalid(plan)
     encodings = idx.dep_encodings
-    specs = [_spec_for(op, pctx, gpus, launches, encodings[i])
-             for i, op in enumerate(plan.ops)]
-    return LoweredRecipe(specs=specs,
+    specs = [_spec_for(op, pctx, gpus, launches, encodings[i], i)
+             for i, op in enumerate(plan.ops) if op.kind != "barrier"]
+    return LoweredRecipe(specs=specs, deps=encodings,
                          bulk=bool(plan.meta.get("batch_compression")))
 
 
@@ -236,10 +238,10 @@ def instantiate(recipe: LoweredRecipe, ctx) -> TaskGraph:
     graph carries the recipe's bulk decision.  This is the only place a
     :class:`TaskGraph` is built.
     """
-    tasks = [Task(i, spec.node, spec.kind, spec.label, spec.duration,
+    tasks = [Task(spec.row, spec.node, spec.kind, spec.label, spec.duration,
                   spec.launch_overhead, spec.nbytes, spec.dst, spec.bulk,
                   spec.out_nbytes)
-             for i, spec in enumerate(recipe.specs)]
+             for spec in recipe.specs]
     return TaskGraph(ctx.env, tasks, recipe.csr, ctx.ready, recipe.bulk)
 
 
@@ -434,7 +436,7 @@ def build_graph(strategy, ctx, model,
                              strategy=strategy.name, ops=len(plan.ops))
         recipe = lower_plan(plan, pctx)
         if span is not None:
-            tel.finish(span, ctx.env.now, tasks=len(recipe.specs))
+            tel.finish(span, ctx.env.now, tasks=len(recipe.deps))
         if store.strict_admission():
             # Strict admission: the plan (and its recipe) must prove the
             # whole-graph properties before it may serve warm iterations.

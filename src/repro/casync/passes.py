@@ -363,8 +363,8 @@ class CollapseFanInPass(Pass):
     Correctness: the barrier lives on the consumer's node, so cross-node
     send/consume pairing still holds (the barrier consumes the sends on
     the destination node), and barriers carry no payload contract.
-    Barriers lower to free ``notify`` tasks, which are excluded from
-    trace events; dependents still become ready at the exact same
+    A barrier lowers to a CSR join, not a task: it releases its
+    dependents in the step its last dependency completes, at the same
     simulated time.  The default threshold sits above any fan-in a
     small-cluster plan produces, so plans for every small-cluster preset
     are byte-identical to the pass being off.

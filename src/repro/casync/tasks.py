@@ -2,11 +2,11 @@
 
 This is the §3.1 architecture made executable.  Gradient synchronization is
 decomposed into the five primitives -- encode, decode, merge, send, recv --
-plus a couple of bookkeeping kinds.  A strategy's plan is lowered to a
-recipe, and :func:`repro.casync.lower.instantiate` turns the recipe into
-the static :class:`TaskGraph` of one training iteration (every message
-flow is known up front); each node's :class:`NodeEngine` then executes
-its tasks:
+plus host-side ``cpu`` work.  A strategy's plan is lowered to a recipe,
+and :func:`repro.casync.lower.instantiate` turns the recipe into the
+static :class:`TaskGraph` of one training iteration (every message flow
+is known up front); each node's :class:`NodeEngine` then executes its
+tasks:
 
 * computing tasks (encode/decode/merge/copy) queue into Q_comp and run on
   the GPU's communication stream, optionally *batch-compressed*: several
@@ -22,21 +22,24 @@ its tasks:
 
 Order constraints are enforced exactly as in the paper: the dependency
 graph drives asynchronous execution (Fig. 2 steps 1-3).  The graph's
-edges are a static :class:`SuccessorCSR`; executors report a finished
-task through :meth:`TaskGraph.complete`, whose one agenda entry
-releases the task's dependents, so a round allocates no event,
-dependency list or callback per task, and starts no process per task.
+edges are a static :class:`SuccessorCSR`, one row per plan op;
+executors report a finished task through :meth:`TaskGraph.complete`,
+whose one agenda entry releases the task's dependents, so a round
+allocates no event, dependency list or callback per task.  An IR barrier
+is a *join* row, not a task: it releases its dependents in the step its
+last dependency completes.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 from array import array
 from collections import deque
 from dataclasses import dataclass
-from typing import (Any, Callable, Deque, Dict, Iterable, List, Optional,
-                    Sequence, Tuple)
+from typing import (Any, Callable, Deque, Dict, Iterable, Iterator, List,
+                    Optional, Sequence, Tuple)
 
 from ..faults.errors import PeerDeadError
 from ..faults.membership import Membership
@@ -52,7 +55,7 @@ __all__ = ["Task", "TaskGraph", "SuccessorCSR", "NodeEngine", "Coordinator",
 COMPUTE_KINDS = ("encode", "decode", "merge", "copy")
 #: Host-side work (BytePS-style CPU aggregation) runs on a per-node CPU
 #: executor instead of the GPU stream.
-_ALL_KINDS = COMPUTE_KINDS + ("cpu", "send", "notify")
+_ALL_KINDS = COMPUTE_KINDS + ("cpu", "send")
 
 _task_counter = itertools.count()
 
@@ -78,11 +81,11 @@ class Task:
             raise ValueError(f"unknown task kind {kind!r}")
         if kind == "send" and dst is None:
             raise ValueError("send tasks need a destination node")
-        if duration < 0 or launch_overhead < 0:
-            raise ValueError(f"negative duration {duration} or launch "
-                             f"overhead {launch_overhead}")
+        if not (0 <= duration < math.inf and 0 <= launch_overhead < math.inf):
+            raise ValueError(f"negative or non-finite duration {duration} "
+                             f"or launch overhead {launch_overhead}")
         self.id = next(_task_counter)
-        #: Position in the owning graph's ``tasks`` (its CSR row).
+        #: Its CSR row: the index of the plan op it was lowered from.
         self.index = index
         self.node = node
         self.kind = kind
@@ -114,28 +117,31 @@ class SuccessorCSR:
     """A static task DAG's edges as compressed sparse rows of C ints.
 
     Built once per graph shape (a lowered recipe caches it), so arming an
-    iteration allocates nothing per task.  ``preds[i]`` is task ``i``'s
-    dependency row: ``("t", j)`` names an earlier task, ``("r", *key)``
-    an external event the graph resolves by ``key`` (a backward-pass
-    ready event).  Each list below keeps registration order -- ascending
-    dependent index, duplicate edges kept -- which is the order the
-    dependents are released in:
+    iteration allocates nothing per task.  Row ``i`` is plan op ``i``;
+    ``preds[i]`` is its dependency row: ``("t", j)`` names an earlier
+    row, ``("r", *key)`` an external event the graph resolves by ``key``
+    (a backward-pass ready event).  ``task_rows`` are tasks, every other
+    row is a *join* (a barrier).  Each list below keeps registration
+    order -- ascending dependent row, duplicate edges kept -- which is
+    the order the dependents are released in:
 
-    * task ``i``'s dependents: ``succ_idx[succ_ptr[i]:succ_ptr[i + 1]]``;
+    * row ``i``'s dependents: ``succ_idx[succ_ptr[i]:succ_ptr[i + 1]]``;
     * external key ``refs[r]``'s dependents:
       ``ref_idx[ref_ptr[r]:ref_ptr[r + 1]]`` (keys in first-use order);
-    * ``indegree[i]`` counts every dependency entry of task ``i``;
-      ``sources`` are the tasks without any;
-    * ``producers`` are the tasks that materialize a buffer, the only
+    * ``indegree[i]`` counts every dependency entry of row ``i``;
+      ``sources`` are the rows without any;
+    * ``slot[i]`` is task row ``i``'s position in the graph's ``tasks``,
+      -1 for a join;
+    * ``producers`` are the task rows that materialize a buffer, the only
       rows buffer accounting walks.
     """
 
     __slots__ = ("preds", "indegree", "sources", "succ_ptr", "succ_idx",
-                 "refs", "ref_ptr", "ref_idx", "producers")
+                 "refs", "ref_ptr", "ref_idx", "slot", "producers")
 
     def __init__(self, preds: Sequence[Tuple[Tuple, ...]],
-                 producers: Iterable[int]):
-        # A counting sort keyed by the depended-on task: no per-row
+                 task_rows: Iterable[int], producers: Iterable[int]):
+        # A counting sort keyed by the depended-on row: no per-row
         # containers, so building the CSR of a large recipe stays flat in
         # memory.  Filling in ascending dependent order keeps every row in
         # registration order.
@@ -157,6 +163,9 @@ class SuccessorCSR:
                     j = dep[1]
                     idx[fill[j]] = i
                     fill[j] += 1
+        self.slot = array("i", [-1]) * n
+        for k, i in enumerate(task_rows):
+            self.slot[i] = k
         self.preds = preds
         self.indegree = array("i", map(len, preds))
         self.sources = array("i", (i for i, row in enumerate(preds)
@@ -170,7 +179,7 @@ class SuccessorCSR:
         self.producers = array("i", producers)
 
     def successors(self, i: int) -> array:
-        """Task ``i``'s dependents, in registration order."""
+        """Row ``i``'s dependents, in registration order."""
         return self.succ_idx[self.succ_ptr[i]:self.succ_ptr[i + 1]]
 
 
@@ -178,9 +187,9 @@ class TaskGraph:
     """A static DAG of tasks spanning all nodes for one iteration.
 
     Every graph is a lowered recipe's instance
-    (:func:`repro.casync.lower.instantiate`): ``tasks`` in recipe order,
-    the recipe's cached :class:`SuccessorCSR`, and the ``ready`` events
-    its external keys name.
+    (:func:`repro.casync.lower.instantiate`): ``tasks`` in recipe order
+    (joins have none), the recipe's cached :class:`SuccessorCSR`, and
+    the ``ready`` events its external keys name.
 
     ``bulk`` is the plan's bulk-synchronization decision (§3.2): a round
     running this graph gets a :class:`Coordinator` and batch-compressing
@@ -189,8 +198,10 @@ class TaskGraph:
     Dispatch runs off the CSR.  :meth:`complete` schedules one agenda
     entry per task at ``(now, NORMAL)``; its callback releases the
     task's dependents in registration order, runs the ``observers``, and
-    counts toward the graph-level :attr:`done` event.  Only external
-    (ready) events carry a callback of the graph's.
+    counts toward the graph-level :attr:`done` event.  A join releases
+    its dependents in the same step instead, and only records the
+    instant in :attr:`joined_at`.  Only external (ready) events carry a
+    callback of the graph's.
     """
 
     def __init__(self, env: Environment, tasks: List[Task],
@@ -205,6 +216,8 @@ class TaskGraph:
         self.observers: List[Callable[[Task], None]] = []
         #: Fires when every task completed; fails on the first error.
         self.done: Optional[Event] = None
+        #: Release instant of each join row (by row), NaN until then.
+        self.joined_at = array("d", [math.nan]) * len(csr.preds)
         self._engines: Dict[int, "NodeEngine"] = {}
         self._pending: List[int] = []
         self._remaining = 0
@@ -212,17 +225,26 @@ class TaskGraph:
         self._waiting: List[Tuple[Event, Callable[[Event], None]]] = []
 
     def predecessors(self, task: Task) -> Tuple:
-        """``task``'s dependencies (tasks and raw events), in order."""
-        tasks, ready = self.tasks, self._ready
-        return tuple(tasks[dep[1]] if dep[0] == "t" else ready[dep[1:]]
-                     for dep in self.csr.preds[task.index])
+        """``task``'s distinct dependencies (tasks and raw events), in
+        order, with each join replaced by its own, transitively."""
+        return tuple(dict.fromkeys(self._deps(task.index)))
+
+    def _deps(self, i: int) -> Iterator[Any]:
+        slot = self.csr.slot
+        for dep in self.csr.preds[i]:
+            if dep[0] != "t":
+                yield self._ready[dep[1:]]
+            elif slot[dep[1]] >= 0:
+                yield self.tasks[slot[dep[1]]]
+            else:
+                yield from self._deps(dep[1])
 
     def arm(self, engines: List["NodeEngine"]) -> Event:
-        """Bind the engines, release source tasks, return :attr:`done`.
+        """Bind the engines, start source rows, return :attr:`done`.
 
         Pending counts start from the CSR's indegrees; a ready event that
         already fired counts as satisfied, and every other one gets one
-        callback releasing its dependents.  Sources dispatch in task order.
+        callback releasing its dependents.  Sources start in row order.
         """
         tel = self.env.telemetry
         if tel is not None:
@@ -253,26 +275,26 @@ class TaskGraph:
                 waiting.append((event, dependents))
         sources = (sorted(itertools.chain(csr.sources, released))
                    if released else csr.sources)
-        tasks = self.tasks
         for i in sources:
-            self._dispatch(tasks[i])
+            self._start(i)
         # No event fires while arm() runs, so attaching the ready-event
         # callbacks after the sources dispatched is safe.
-        self._waiting = [(event, self._fanout_callback(dependents))
+        self._waiting = [(event, functools.partial(self._release, dependents))
                          for event, dependents in waiting]
         for event, fanout in self._waiting:
             event.callbacks.append(fanout)
-        if not tasks:
+        if not self.tasks:
             self._finish()
         return done
 
-    def _fanout_callback(self, dependents: array):
-        """A ready event's callback, releasing all its dependents."""
-        def fanout(_event):
-            self._release(dependents)
-        return fanout
-
-    def _dispatch(self, task: Task) -> None:
+    def _start(self, i: int) -> None:
+        """Dispatch row ``i``'s task, or release a join's dependents."""
+        k = self.csr.slot[i]
+        if k < 0:
+            self.joined_at[i] = self.env.now
+            self._release(self.csr.successors(i))
+            return
+        task = self.tasks[k]
         # task.node is read at release time: the degradation controller
         # may have reassigned an undispatched task.
         engine = self._engines.get(task.node)
@@ -280,24 +302,21 @@ class TaskGraph:
             raise ValueError(f"no engine for node {task.node}")
         engine.dispatch(task)
 
-    def _release(self, dependents: array) -> None:
-        pending, tasks = self._pending, self.tasks
+    def _release(self, dependents: array, _event: Any = None) -> None:
+        """Count ``dependents`` down (also a pending ready event's
+        callback), starting each that reaches zero."""
+        pending = self._pending
         for j in dependents:
             left = pending[j] - 1
             pending[j] = left
             if not left:
-                self._dispatch(tasks[j])
+                self._start(j)
 
     def complete(self, task: Task,
                  error: Optional[BaseException] = None) -> None:
-        """Complete ``task`` now, failed with ``error`` if given.
-
-        One agenda entry per completion, scheduled at ``(now, NORMAL)``
-        as ``Event.succeed``/``fail`` schedules an event, so a completion
-        takes one agenda entry in the same (time, priority, seq) order.
-        Completing a task twice raises :class:`SimulationError`, as a
-        second ``Event.succeed`` does.
-        """
+        """Complete ``task`` now, failed with ``error`` if given: one
+        agenda entry at ``(now, NORMAL)``.  A second call raises
+        :class:`SimulationError`."""
         if task.triggered:
             raise SimulationError(f"{task!r} has already been completed")
         task.triggered = True
@@ -325,12 +344,11 @@ class TaskGraph:
     def _finish(self) -> None:
         """Fire :attr:`done` and unbind the engines and ready events.
 
-        Nothing completes a task after the last one did, so the engines'
-        back-references and the fanouts still attached to ready events
-        that never fired (a crashed node's gradients) are dead weight.
-        They are also the links that would put this graph in a reference
-        cycle: dropping them lets a finished round's tasks free by
-        reference counting instead of waiting for a full collection.
+        The engines' back-references and the callbacks still attached to
+        ready events that never fired (a crashed node's gradients) are
+        dead weight now, and the links that would put this graph in a
+        reference cycle: dropping them frees a finished round's tasks by
+        reference counting.
         """
         self.done.succeed()
         for engine in self._engines.values():
@@ -354,15 +372,13 @@ def robust_transfer(env: Environment, fabric: Fabric, src: int, dst: int,
                     task: Optional[Task] = None) -> None:
     """Move ``nbytes`` src->dst with timeout/backoff/retries.
 
-    The one retry loop: engine sends and coordinator flushes both run on
-    it, a callback state machine over :meth:`Fabric.issue` that starts no
-    process.  The robustness contract every fault-tolerant sender shares:
+    The one retry loop (engine sends and coordinator flushes), a callback
+    state machine over :meth:`Fabric.issue`.  The contract:
 
     * an attempt is one ``issue`` (from an URGENT agenda entry) plus one
       timeout entry scaled from the uncontended transfer time to its
-      current target (:meth:`Fabric.pair_transfer_time`; a re-routed
-      attempt is timed on the substitute's links), and whichever settles
-      first cancels the other: a timeout gives the attempt up
+      current target (:meth:`Fabric.pair_transfer_time`), and whichever
+      settles first cancels the other: a timeout gives the attempt up
       (:meth:`Fabric.abandon`; under faults its bytes log as dropped);
     * a failed attempt -- dropped (``TransferError``) or timed out --
       is retried after an exponential backoff entry;
@@ -388,12 +404,9 @@ def robust_transfer(env: Environment, fabric: Fabric, src: int, dst: int,
 
 @dataclass(eq=False)
 class _RetryLoop:
-    """The state of one :func:`robust_transfer` call.
-
-    An object, not closures calling each other: those would form a
-    reference cycle per message for the garbage collector, while this
-    holds its pending attempt and timer only until they settle and is
-    then freed by reference counting.
+    """The state of one :func:`robust_transfer` call: an object, freed
+    by reference counting once its attempt and timer settle, where
+    closures calling each other would form a reference cycle per message.
     """
 
     env: Environment
@@ -490,8 +503,7 @@ class Coordinator:
     (:meth:`_flush_keys`), which sends each batch as one message: through
     :meth:`Fabric.issue` without a ``retry_policy``, through its own
     :func:`robust_transfer` with one.  The timeout check is a ticker of
-    agenda entries (:meth:`_next_tick`), not a process.  A telemetry
-    collector only records.
+    agenda entries (:meth:`_next_tick`).
     """
 
     def __init__(self, env: Environment, fabric: Fabric,
@@ -569,12 +581,10 @@ class Coordinator:
         """Flush link queues from one URGENT *issue* entry.
 
         Queues are drained here, but NIC reservation waits for the issue
-        event to fire, as a flush process's initializer would: reserving
-        eagerly would jump ahead of any same-instant URGENT event already
-        in the agenda (an inline send's issue event), reordering
-        reservations.  Consecutive same-instant URGENT events run back to
-        back, so several keys flushed in one ticker tick can share one
-        issue event without anything interleaving.
+        entry: reserving eagerly would jump ahead of a same-instant
+        URGENT entry already in the agenda (an inline send's issue).
+        Same-instant URGENT entries run back to back, so the keys of one
+        tick share one issue entry without anything interleaving.
         """
         batches = [key + self._drain(key) for key in keys]
         self.env.call_later(0.0, self._issue_batches, batches, URGENT)
@@ -635,11 +645,9 @@ class Coordinator:
 
 class _TaskQueue:
     """One executor's FIFO: ``take(task)`` runs in an URGENT hop; the
-    executor calls :meth:`next` when done.
-
-    ``take`` is passed on every call, never stored: it is a bound method
-    of the engine that owns this queue, and keeping it would make the
-    pair a reference cycle that outlives the round.
+    executor calls :meth:`next` when done.  ``take``, the owning engine's
+    bound method, is passed on every call: storing it would make a
+    reference cycle that outlives the round.
     """
 
     __slots__ = ("env", "tasks", "idle")
@@ -649,10 +657,7 @@ class _TaskQueue:
         self.tasks: Deque[Task] = deque()
         #: Nothing queued, taken or running: the next put takes at once.
         self.idle = False
-        env.call_later(0.0, self._initialize, take, URGENT)
-
-    def _initialize(self, take: Callable[[Task], None]) -> None:
-        self.next(take)
+        env.call_later(0.0, self.next, take, URGENT)
 
     def put(self, task: Task, take: Callable[[Task], None]) -> None:
         if self.idle:
@@ -679,14 +684,12 @@ class NodeEngine:
     send to :meth:`Fabric.issue` directly or, under a ``retry_policy``,
     to :func:`robust_transfer`.
 
-    The compression and CPU executors start no process: each is a
-    callback state machine over a :class:`_TaskQueue`, one agenda entry
-    wherever a generator executor's event fired, at the same ``(time,
-    priority)`` (``docs/SIM_CORE.md``).  A construction-time URGENT hop
-    stands in for the process initializer; a *take* hop at ``(now,
-    URGENT)`` for a queue ``get`` -- it forms the batch, or orphans the
-    task if the engine halted meanwhile; compute work then runs through
-    :meth:`Gpu.run_kernel`, CPU work through one finish entry.
+    The compression and CPU executors are callback state machines over
+    a :class:`_TaskQueue` (``docs/SIM_CORE.md``): a construction-time
+    URGENT hop, then per task a *take* hop at ``(now, URGENT)`` that
+    forms the batch, or orphans the task if the engine halted meanwhile;
+    compute work runs through :meth:`Gpu.run_kernel`, CPU work through
+    one finish entry.
     """
 
     #: Upper bound on the bytes fused into one batched kernel.
@@ -765,16 +768,10 @@ class NodeEngine:
             self.q_comp.put(task, self._comp_take)
         elif task.kind == "cpu":
             self.q_cpu.put(task, self._cpu_take)
-        elif task.kind == "send":
-            if task.bulk and self.coordinator is not None:
-                self.coordinator.submit(task)
-            else:
-                self._send_inline(task)
-        elif task.kind == "notify":
-            task.finished_at = self.env.now
-            self.graph.complete(task)
-        else:  # pragma: no cover - guarded by Task.__init__
-            raise ValueError(f"cannot dispatch {task!r}")
+        elif task.bulk and self.coordinator is not None:  # a send
+            self.coordinator.submit(task)
+        else:
+            self._send_inline(task)
 
     def _task_span(self, task: Task, at: float):
         """Open a telemetry span for one task (None when disabled)."""
@@ -790,29 +787,19 @@ class NodeEngine:
             self.env.telemetry.finish(span, self.env.now, **attrs)
 
     def _send_inline(self, task: Task) -> None:
-        """A send in agenda entries, with no process.
+        """A send in two agenda entries (without retries):
 
-        A send process would cost an initializer event, a ``Timeout``,
-        the process-completion event, and two generator resumes.  Without
-        retries the same work is two agenda entries:
+        * an *issue* entry at ``(now, URGENT)`` opens the send's span and
+          hands it to :meth:`Fabric.issue`, which reserves the NIC then,
+          not at dispatch: a pending URGENT issue of an earlier flush or
+          send must reserve first;
+        * the fabric's delivery entry records the message and runs
+          :meth:`_finish_send`.
 
-        * an *issue* event at ``(now, URGENT)``, standing in for the
-          process initializer.  It opens the send's telemetry span and
-          hands the send to :meth:`Fabric.issue`, which reserves the NIC
-          then, NOT here at dispatch time: a pending URGENT issue event
-          of an earlier flush or send must reserve first, exactly as a
-          send process's initializer would let it.
-        * the fabric's delivery entry at the delivery instant, which
-          records the message (and closes its transfer span) and runs
-          :meth:`_finish_send`, the completion bookkeeping.
-
-        Under a ``retry_policy`` the issue event starts
-        :func:`robust_transfer` instead (more agenda entries), and
-        :meth:`_finish_robust` completes the task.
-
-        An attached collector records the same spans and metrics a send
-        process would and schedules nothing, so a traced round steps the
-        same events as a bare one.
+        Under a ``retry_policy`` the issue entry starts
+        :func:`robust_transfer` instead, and :meth:`_finish_robust`
+        completes the task.  A collector only records, so a traced round
+        steps the same entries as a bare one.
         """
         self.env.call_later(0.0, self._issue_send, task, URGENT)
 

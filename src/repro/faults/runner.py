@@ -79,11 +79,12 @@ class DegradationController:
     * compute/CPU tasks hosted on ``d`` whose inputs survived are
       *reassigned* to ``route(d)`` -- the dead aggregator's partitions are
       aggregated by its substitute over the surviving workers;
-    * sends from ``d``, notifies on ``d``, and tasks whose inputs died
-      with ``d`` (an unfired ready-event of a dead node, found through
-      :meth:`TaskGraph.predecessors`) are *dropped*: completed through
-      ``graph.complete`` so dependents unblock, with the task marked
-      ``dropped`` for the trace and the invariant checker;
+    * sends from ``d`` and tasks whose inputs died with ``d`` (an
+      unfired ready-event of a dead node, found through
+      :meth:`TaskGraph.predecessors`, which sees through joins) are
+      *dropped*: completed through ``graph.complete`` so dependents
+      unblock, with the task marked ``dropped`` for the trace and the
+      invariant checker;
     * in-flight sends *to* ``d`` re-route themselves (the engines consult
       ``membership.route`` on every attempt), so no action is needed here.
     """

@@ -198,7 +198,7 @@ def casync_ps_values(worker_grads: WorkerGrads,
 
     Per partition the aggregator decodes and merges every worker's encode
     and re-encodes the aggregate for the pulls.  The aggregator itself
-    keeps the dense merged value (its notify hangs off the re-encode, not
+    keeps the dense merged value (its barrier hangs off the re-encode, not
     a decode); every other node decodes the pulled buffer.
     """
     names = list(worker_grads)

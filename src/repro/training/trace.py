@@ -103,7 +103,7 @@ def trace_iteration(model: ModelSpec, cluster: ClusterSpec,
 
     events: List[TraceEvent] = []
     for task in rnd.graph.tasks:
-        if task.kind == "notify" or task.started_at is None:
+        if task.started_at is None:
             continue
         start = task.started_at
         end = task.finished_at if task.finished_at is not None else start

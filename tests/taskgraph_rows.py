@@ -1,15 +1,22 @@
 """Test helper: a task graph from rows, built through the production path.
 
-A row is a :class:`~repro.casync.lower.TaskSpec`; :func:`build` wraps the
-rows in a :class:`~repro.casync.lower.LoweredRecipe` and instantiates it
-with :func:`repro.casync.lower.instantiate`, so a test graph is a recipe
-instance like every other.
+A task row is a :class:`~repro.casync.lower.TaskSpec`, a join row (what
+lowering makes of an IR barrier) only a dependency tuple; :func:`build`
+wraps the rows in a :class:`~repro.casync.lower.LoweredRecipe` and
+instantiates it with :func:`repro.casync.lower.instantiate`, so a test
+graph is a recipe instance like every other.
 """
 
+import dataclasses
 from types import SimpleNamespace
 
 from repro.casync import lower
 from repro.casync.lower import LoweredRecipe, TaskSpec
+
+
+def _encode(deps):
+    return tuple(("t", dep) if isinstance(dep, int) else ("r", dep)
+                 for dep in deps)
 
 
 def row(node, kind, label="", *, duration=0.0, launch_overhead=0.0,
@@ -19,13 +26,20 @@ def row(node, kind, label="", *, duration=0.0, launch_overhead=0.0,
     return TaskSpec(kind=kind, node=node, label=label, duration=duration,
                     launch_overhead=launch_overhead, nbytes=nbytes,
                     out_nbytes=out_nbytes, dst=dst, bulk=bulk,
-                    deps=tuple(("t", dep) if isinstance(dep, int)
-                               else ("r", dep) for dep in deps))
+                    deps=_encode(deps), row=-1)
+
+
+def join(deps=()):
+    """One join row: no task, only ``deps`` (as for :func:`row`)."""
+    return _encode(deps)
 
 
 def build(env, rows, ready=None, bulk=False):
     """Instantiate ``rows`` as a graph in ``env``; ``ready`` maps the rows'
     ready keys to events, ``bulk`` is the plan's bulk decision."""
     ready = {(key,): event for key, event in (ready or {}).items()}
-    recipe = LoweredRecipe(specs=list(rows), bulk=bulk)
+    specs = [dataclasses.replace(spec, row=i) for i, spec in enumerate(rows)
+             if isinstance(spec, TaskSpec)]
+    deps = [r.deps if isinstance(r, TaskSpec) else r for r in rows]
+    recipe = LoweredRecipe(specs=specs, deps=deps, bulk=bulk)
     return lower.instantiate(recipe, SimpleNamespace(env=env, ready=ready))

@@ -12,7 +12,7 @@ from repro.gpu import Gpu, V100
 from repro.net import Fabric, NetworkSpec
 from repro.sim import Environment
 from repro.telemetry import TelemetryCollector
-from tests.taskgraph_rows import build, row
+from tests.taskgraph_rows import build, join, row
 
 
 def make_world(num_nodes=2, gbps=80.0, coordinator=False, spec=None,
@@ -39,6 +39,15 @@ def test_task_validation():
         with pytest.raises(ValueError, match="negative"):
             Task(index=0, node=0, kind=kind, duration=1.0,
                  launch_overhead=-1.0)
+
+
+@pytest.mark.parametrize("field", ["duration", "launch_overhead"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_task_rejects_non_finite_costs(field, value):
+    # NaN slips past a ``< 0`` test and would only fail later, inside
+    # call_later; infinity would never finish.
+    with pytest.raises(ValueError, match="non-finite"):
+        Task(index=0, node=0, kind="cpu", **{field: value})
 
 
 @pytest.mark.parametrize("kind", ["encode", "cpu"])
@@ -103,11 +112,11 @@ def test_diamond_dependencies():
     graph = build(env, [row(0, "encode", "a", duration=1.0),
                         row(0, "merge", "b", duration=1.0, deps=[0]),
                         row(0, "merge", "c", duration=2.0, deps=[0]),
-                        row(0, "notify", "d", deps=[1, 2])])
-    d = graph.tasks[3]
+                        join(deps=[1, 2])])
+    b, c = graph.tasks[1:]
     finish = run_graph(env, graph, engines)
     assert finish == pytest.approx(4.0)  # a, then b and c serialized
-    assert d.finished_at == finish
+    assert graph.joined_at[3] == max(b.finished_at, c.finished_at)
 
 
 def test_raw_event_dependency():
@@ -120,10 +129,56 @@ def test_raw_event_dependency():
     assert finish == pytest.approx(6.0)
 
 
-def test_notify_is_instant():
+def test_join_is_instant_and_not_a_task():
     env, fabric, gpus, engines, _ = make_world(1)
-    graph = build(env, [row(0, "notify", "n")])
+    graph = build(env, [join()])
+    assert graph.tasks == []
     assert run_graph(env, graph, engines) == 0.0
+    assert list(graph.joined_at) == [0.0]  # one row, a join
+
+
+def _stepped_run(rows):
+    """Run ``rows``; returns (graph, completions observed, steps)."""
+    env, fabric, gpus, engines, _ = make_world(2)
+    graph = build(env, rows)
+    seen = []
+    graph.observers.append(seen.append)
+    steps = [0]
+    step = env.step
+
+    def counting():
+        steps[0] += 1
+        step()
+    env.step = counting
+    run_graph(env, graph, engines)
+    return graph, seen, steps[0]
+
+
+def test_join_releases_its_dependents_in_the_same_step():
+    # A join is no task: it takes no agenda entry, runs no observer and
+    # does not count toward ``done``; its dependents see the predecessors
+    # it stands for.  The same graph with the joins' edges inlined steps
+    # exactly as many entries, at the same times.
+    work = [row(0, "encode", "a", duration=1.0),
+            row(1, "encode", "b", duration=0.5)]
+    graph, seen, steps = _stepped_run(work + [
+        join(deps=[0, 1]),
+        join(deps=[2]),
+        row(1, "decode", "c", duration=1.0, deps=[3]),
+        row(0, "decode", "d", duration=1.0, deps=[2, 0])])
+    a, b, c, d = graph.tasks
+    assert [t.index for t in graph.tasks] == [0, 1, 4, 5]
+    assert graph.predecessors(c) == (a, b)
+    assert graph.predecessors(d) == (a, b)
+    assert seen == [b, a, c, d]
+    assert graph.joined_at[2:4].tolist() == [1.0, 1.0]
+    assert c.started_at == d.started_at == 1.0
+    inlined, inlined_seen, inlined_steps = _stepped_run(work + [
+        row(1, "decode", "c", duration=1.0, deps=[0, 1]),
+        row(0, "decode", "d", duration=1.0, deps=[0, 1])])
+    assert steps == inlined_steps
+    assert ([(t.label, t.started_at, t.finished_at) for t in seen]
+            == [(t.label, t.started_at, t.finished_at) for t in inlined_seen])
 
 
 def test_cpu_tasks_run_off_gpu_stream():

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.algorithms import OneBit
-from repro.casync import Task, NodeEngine, run_graph
+from repro.analysis.plancheck import golden_cases, golden_model
+from repro.casync import NodeEngine, run_graph
 from repro.casync.memory import buffer_lifetimes, peak_buffer_memory
 from repro.cluster import ec2_v100_cluster, hetero_mixed_cluster
 from repro.gpu import Gpu, V100
@@ -12,7 +13,7 @@ from repro.net import Fabric, NetworkSpec
 from repro.sim import Environment
 from repro.strategies import BytePSOSSCompression, CaSyncPS
 from repro.strategies.base import SyncContext
-from tests.taskgraph_rows import build, row
+from tests.taskgraph_rows import build, join, row
 
 MB = 1024 * 1024
 
@@ -57,6 +58,43 @@ def test_non_overlapping_buffers_reuse():
     assert peak_buffer_memory(graph)[0] == pytest.approx(100)
 
 
+def test_join_consumer_frees_at_its_release():
+    # The producer's only consumer is a join, which also waits on a
+    # later task: the buffer lives until the join releases.
+    graph = run_simple_graph([
+        row(0, "encode", "p", duration=1.0, out_nbytes=100),
+        row(1, "encode", "slow", duration=3.0),
+        join(deps=[0, 1]),
+        row(0, "merge", "after", duration=1.0, deps=[2])])
+    assert graph.joined_at[2] == 3.0
+    assert buffer_lifetimes(graph) == [(0, 1.0, 3.0, 100.0)]
+    assert peak_buffer_memory(graph) == {0: 100.0}
+
+
+#: Per-node peak buffer bytes of the OSS golden cases, where a decode
+#: that allocates its output feeds a ``done:`` barrier (now a join).
+OSS_GOLDEN_PEAKS = {
+    "byteps-oss/onebit/n4": {0: 19005440.0, 1: 18907136.0,
+                             2: 11489280.0, 3: 11489280.0},
+    "byteps-oss/dgc/n4": {0: 17895424.0, 1: 17731584.0,
+                          2: 11489280.0, 3: 11489280.0},
+    "byteps-oss/tbq/n4": {0: 19005440.0, 1: 18907136.0,
+                          2: 11489280.0, 3: 11489280.0},
+}
+
+
+@pytest.mark.parametrize("case", sorted(OSS_GOLDEN_PEAKS))
+def test_oss_golden_peaks_are_pinned(case):
+    strategy, algo = {c.name: c for c in golden_cases()}[case].inputs()
+    graph = _executed_graph(strategy, golden_model(), ec2_v100_cluster(4),
+                            algo)
+    decodes = {t.index for t in graph.tasks
+               if t.kind == "decode" and t.out_nbytes}
+    assert any(graph.csr.slot[j] < 0 for i in decodes
+               for j in graph.csr.successors(i))
+    assert peak_buffer_memory(graph) == OSS_GOLDEN_PEAKS[case]
+
+
 def test_unexecuted_graph_rejected():
     env = Environment()
     graph = build(env, [row(0, "encode", "x", out_nbytes=10)])
@@ -88,20 +126,23 @@ def _strategy_peak(strategy, model, cluster, algo):
 
 def _all_edges_oracle(graph):
     """Lifetimes and per-node peaks from a sweep over every dependency
-    edge of every task, then the same alloc/free sweep."""
-    consumers = {}
-    for task in graph.tasks:
-        for dep in graph.predecessors(task):
-            if isinstance(dep, Task):
-                consumers.setdefault(dep.id, []).append(task)
+    edge of every row, then the same alloc/free sweep.  A join row
+    finishes at its release instant."""
+    slot, tasks = graph.csr.slot, graph.tasks
+    finished = [tasks[k].finished_at if k >= 0 else graph.joined_at[i]
+                for i, k in enumerate(slot)]
+    consumed = {}
+    for i, deps in enumerate(graph.csr.preds):
+        for dep in deps:
+            if dep[0] == "t":
+                consumed.setdefault(dep[1], []).append(finished[i])
     lifetimes = []
     events = {}
     for task in graph.tasks:
         if not task.out_nbytes or task.out_nbytes <= 0:
             continue
         free = max([task.finished_at] + [
-            c.finished_at for c in consumers.get(task.id, ())
-            if c.finished_at is not None])
+            at for at in consumed.get(task.index, ()) if at is not None])
         nbytes = float(task.out_nbytes)
         lifetimes.append((task.node, task.finished_at, free, nbytes))
         events.setdefault(task.node, []).extend(

@@ -257,6 +257,18 @@ def test_negative_cost_is_pc605():
     assert _recipe_rules(plan, bad, pctx) == {"PC605"}
 
 
+@pytest.mark.parametrize("field,value", [
+    ("duration", float("nan")), ("duration", float("inf")),
+    ("launch_overhead", float("nan")), ("nbytes", float("inf")),
+    ("nbytes", float("nan")), ("out_nbytes", float("inf"))])
+def test_non_finite_cost_is_pc605(field, value):
+    # ``nan < 0`` is False: a sign test alone lets NaN through.
+    plan, pctx, recipe = _lowered()
+    i = next(i for i, s in enumerate(recipe.specs) if s.kind != "send")
+    bad = _tampered(recipe, i, **{field: value})
+    assert _recipe_rules(plan, bad, pctx) == {"PC605"}
+
+
 def test_wire_size_drift_is_pc606():
     plan, pctx, recipe = _lowered()
     i = next(i for i, s in enumerate(recipe.specs) if s.kind == "send")
@@ -356,9 +368,11 @@ def test_lowering_reuses_index_encodings_by_identity():
     plan, pctx = built_plan()
     idx = plan_index(plan)
     recipe = lower_plan(plan, pctx)
-    assert len(recipe.specs) == idx.num_ops == len(plan.ops)
-    for i, spec in enumerate(recipe.specs):
-        assert spec.deps is idx.dep_encodings[i]
+    assert recipe.deps is idx.dep_encodings
+    assert len(recipe.deps) == idx.num_ops == len(plan.ops)
+    assert len(recipe.specs) == sum(op.kind != "barrier" for op in plan.ops)
+    for spec in recipe.specs:
+        assert spec.deps is idx.dep_encodings[spec.row]
 
 
 def test_index_structure_matches_plan():

@@ -1,5 +1,7 @@
 """Additional edge-case tests for the simulation kernel and OSS strategies."""
 
+import math
+
 import pytest
 
 from repro.algorithms import DGC, OneBit
@@ -95,10 +97,14 @@ def test_ring_oss_serializes_gradients():
     for ev in ctx.ready.values():
         ev.succeed()
     run_graph(ctx.env, graph, engines)
-    # First gradient's done tasks strictly precede the second's sends.
-    g0_done = [t for t in graph.tasks if t.label.startswith("done:x.g0")]
+    # First gradient's done barriers strictly precede the second's sends.
+    # Each node's ``done:x.g0`` barrier is a join on its last g0 merge,
+    # so it releases when that merge (the node's last g0 task) finishes.
+    assert not any(math.isnan(graph.joined_at[i])
+                   for i, k in enumerate(graph.csr.slot) if k < 0)
+    g0_aggs = [t for t in graph.tasks if t.label.startswith("agg:x.g0")]
     g1_sends = [t for t in graph.tasks if t.label.startswith("ag:x.g1")]
-    latest_done = max(t.finished_at for t in g0_done)
+    latest_done = max(t.finished_at for t in g0_aggs)
     earliest_send = min(t.finished_at for t in g1_sends)
     assert earliest_send >= latest_done - 1e-12
 

@@ -298,27 +298,33 @@ PLANCHECK_CASES = list(iter_cases())
 @pytest.mark.parametrize("case_name,build", PLANCHECK_CASES,
                          ids=[name for name, _ in PLANCHECK_CASES])
 def test_lowered_recipe_is_environment_free_and_ordered(case_name, build):
-    # Lowering is the only recipe source: spec i is op i, and its deps
-    # are the plan index's own encoding tuple, so no checker re-proves it.
+    # Lowering is the only recipe source: row i is op i, its deps are the
+    # plan index's own encoding tuple, and every op but a barrier (a
+    # join row) has a spec lowered from it, so no checker re-proves it.
     plan, _, recipe = build()
     encodings = plan_index(plan).dep_encodings
-    assert len(recipe.specs) == len(plan.ops)
-    for i, (spec, op) in enumerate(zip(recipe.specs, plan.ops)):
+    assert recipe.deps is encodings
+    assert [spec.row for spec in recipe.specs] == [
+        i for i, op in enumerate(plan.ops) if op.kind != "barrier"]
+    for spec in recipe.specs:
+        op = plan.ops[spec.row]
         assert spec.node == op.node
         assert spec.label == op.label
         if op.kind == "send":
             assert spec.dst == op.dst
-        if op.kind == "barrier":
-            assert spec.kind == "notify"   # barriers lower to notify
-        assert spec.deps is encodings[i]
+        assert spec.deps is encodings[spec.row]
 
 
 def test_send_specs_carry_wire_sizes():
     plan, pctx = casync_plan()
     recipe = lower_plan(plan, pctx)
-    for spec, op in zip(recipe.specs, plan.ops):
+    sends = 0
+    for spec in recipe.specs:
+        op = plan.ops[spec.row]
         if op.kind == "send":
+            sends += 1
             assert spec.nbytes == pytest.approx(pctx.wire(op.size))
+    assert sends
 
 
 def test_cache_key_sensitivity():

@@ -16,6 +16,7 @@ import pytest
 from repro.algorithms import OneBit
 from repro.analysis.plancheck import golden_model
 from repro.casync import Coordinator, NodeEngine, run_graph
+from repro.casync.passes import PassContext, build_plan
 from repro.cluster import ec2_v100_cluster
 from repro.gpu import Gpu, V100
 from repro.models import GradientSpec, ModelSpec
@@ -113,10 +114,19 @@ def test_one_agenda_entry_per_completion(traced):
       its completion event;
     - the drain's initializer and the ``AllOf`` firing it waited on.
     Every other entry a process pushed is still one entry at the same
-    (time, priority), pushed at the same point."""
+    (time, priority), pushed at the same point.
+
+    1,380 steps until barriers became CSR joins: each barrier was a
+    ``notify`` task whose completion took one entry, and a join takes
+    none, so the count dropped by exactly the plan's barrier count."""
     model = golden_model()
     cluster = ec2_v100_cluster(4)
     algo = OneBit()
+    plan = build_plan(get_strategy("casync-ps"),
+                      PassContext(num_nodes=4, cluster=cluster,
+                                  algorithm=algo), model)
+    barriers = sum(op.kind == "barrier" for op in plan.ops)
+    assert barriers == 272
     steps = [0]
     original = Environment.step
 
@@ -130,7 +140,7 @@ def test_one_agenda_entry_per_completion(traced):
         trace = trace_iteration(model, cluster, get_strategy("casync-ps"),
                                 algorithm=algo)
     assert trace_hash(trace).startswith("88c4e59099cd")
-    assert steps[0] == 1380
+    assert steps[0] == 1380 - barriers
 
 
 def test_completing_a_task_twice_raises():

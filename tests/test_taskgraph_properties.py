@@ -4,6 +4,8 @@ Random DAGs over random clusters must always complete, never violate
 dependency ordering, and never finish before their critical path.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,7 +14,7 @@ from repro.casync import Coordinator, NodeEngine, run_graph
 from repro.gpu import Gpu, V100
 from repro.net import Fabric, NetworkSpec
 from repro.sim import Environment
-from tests.taskgraph_rows import build, row
+from tests.taskgraph_rows import build, join, row
 
 
 def build_world(num_nodes, coordinator=False):
@@ -28,14 +30,15 @@ def build_world(num_nodes, coordinator=False):
 
 @st.composite
 def random_dag(draw):
-    """A random task DAG: each task depends on a subset of earlier tasks."""
+    """A random task DAG: each row (a task, or a join with no task)
+    depends on a subset of earlier rows."""
     num_nodes = draw(st.integers(1, 4))
     num_tasks = draw(st.integers(1, 25))
     specs = []
     for i in range(num_tasks):
         node = draw(st.integers(0, num_nodes - 1))
         kind = draw(st.sampled_from(
-            ["encode", "decode", "merge", "cpu", "send", "notify"]))
+            ["encode", "decode", "merge", "cpu", "send", "join"]))
         duration = draw(st.floats(0.0, 0.01))
         nbytes = draw(st.integers(0, 1 << 20))
         dst = None
@@ -51,12 +54,26 @@ def random_dag(draw):
 
 def materialize(env, specs, bulk=False):
     graph = build(env, [
+        join(deps) if kind == "join" else
         row(node, kind, f"t{i}", duration=duration,
             launch_overhead=min(duration, 1e-5), nbytes=nbytes, dst=dst,
             bulk=send_bulk, deps=deps)
         for i, (node, kind, duration, nbytes, dst, deps, send_bulk)
         in enumerate(specs)], bulk=bulk)
     return graph, graph.tasks
+
+
+def row_times(graph):
+    """(started_at, finished_at) of every row; a join does both at its
+    release instant."""
+    times = []
+    for i, k in enumerate(graph.csr.slot):
+        if k >= 0:
+            task = graph.tasks[k]
+            times.append((task.started_at, task.finished_at))
+        else:
+            times.append((graph.joined_at[i],) * 2)
+    return times
 
 
 @given(dag=random_dag(), coordinator=st.booleans(),
@@ -72,6 +89,8 @@ def test_random_dag_always_completes(dag, coordinator, batching):
     assert graph.done.processed and graph.done.ok
     for task in tasks:
         assert task.triggered and task.error is None, task
+    assert not any(math.isnan(start) for start, _ in row_times(graph))
+    assert len(tasks) + graph.csr.slot.count(-1) == len(specs)
 
 
 @given(dag=random_dag())
@@ -81,12 +100,13 @@ def test_dependencies_never_violated(dag):
     env, fabric, engines = build_world(num_nodes)
     graph, tasks = materialize(env, specs)
     run_graph(env, graph, engines)
+    times = row_times(graph)
     for i, (node, kind, duration, nbytes, dst, deps, bulk) in enumerate(specs):
+        started = times[i][0]
         for d in deps:
-            dep = tasks[d]
-            task = tasks[i]
-            if task.started_at is not None and dep.finished_at is not None:
-                assert task.started_at >= dep.finished_at - 1e-12
+            finished = times[d][1]
+            if started is not None and finished is not None:
+                assert started >= finished - 1e-12
 
 
 @given(dag=random_dag())
@@ -103,7 +123,7 @@ def test_finish_at_least_critical_path(dag):
     for i, (node, kind, duration, nbytes, dst, deps, bulk) in enumerate(specs):
         base = max((longest[d] for d in deps), default=0.0)
         # Only compute/cpu kinds consume their declared duration; sends are
-        # timed by the fabric and notify is instant.
+        # timed by the fabric and a join is instant.
         cost = duration if kind in ("encode", "decode", "merge", "copy",
                                     "cpu") else 0.0
         longest[i] = base + cost
