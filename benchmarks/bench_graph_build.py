@@ -47,13 +47,9 @@ COMMITTED = Path(__file__).resolve().parent.parent / "BENCH_graph_build.json"
 COUNTS = ("tasks", "joins", "cache")
 
 
-def make_ctx(model, cluster, algorithm):
+def make_ctx(cluster, algorithm):
     """A fresh per-"iteration" SyncContext, as the training loop makes one."""
-    env = Environment()
-    ready = {(node, grad.name): env.event()
-             for node in range(cluster.num_nodes)
-             for grad in model.gradients}
-    return SyncContext(env=env, cluster=cluster, ready=ready,
+    return SyncContext(env=Environment(), cluster=cluster,
                        algorithm=algorithm)
 
 
@@ -61,7 +57,7 @@ def bench_case(name, strategy, model, cluster, algorithm, reps):
     cache = GraphCache()
 
     def build():
-        return build_graph(strategy, make_ctx(model, cluster, algorithm),
+        return build_graph(strategy, make_ctx(cluster, algorithm),
                            model, cache=cache)
 
     cold, warm = [], []

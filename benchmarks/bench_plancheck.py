@@ -65,7 +65,7 @@ def bench_case(name, strategy, model, cluster, algorithm, reps):
     cold, check = [], []
     plan = report = None
     for _ in range(reps):
-        ctx = make_ctx(model, cluster, algorithm)
+        ctx = make_ctx(cluster, algorithm)
         pctx = PassContext(num_nodes=cluster.num_nodes, cluster=cluster,
                            algorithm=algorithm)
         gc.collect()

@@ -96,9 +96,9 @@ ZERO_SIZE = SizeExpr(0.0)
 class ReadyRef:
     """Dependency on a gradient becoming ready on a node.
 
-    Resolved at instantiation time against the simulation's per-(node,
-    gradient) ready events, which the backward pass fires.  Keeping the
-    reference symbolic is what makes lowered plans reusable across
+    Lowered to a ready ref of the task graph, which the simulated
+    backward pass fires (:meth:`~repro.casync.tasks.TaskGraph.make_ready`).
+    Keeping the reference symbolic is what makes lowered plans reusable across
     :class:`~repro.sim.Environment` instances (the graph cache).
     """
 

@@ -62,8 +62,8 @@ class TaskSpec:
 
     ``row`` is the plan op it was lowered from.  ``deps`` entries are
     ``("t", row)`` (an earlier row, a task or a join) or ``("r", node,
-    gradient)`` (a backward-pass ready event, resolved against
-    ``ctx.ready`` at instantiation).
+    gradient)`` (a ready ref, fired by the backward pass through
+    :meth:`~repro.casync.tasks.TaskGraph.make_ready`).
     """
 
     kind: str
@@ -232,8 +232,8 @@ def instantiate(recipe: LoweredRecipe, ctx) -> TaskGraph:
 
     One :class:`Task` per spec, in recipe order, and nothing else: the
     dependency wiring is the recipe's cached :attr:`LoweredRecipe.csr`,
-    whose ``("r", node, gradient)`` keys resolve against ``ctx.ready``
-    when the graph is armed.  Task creation/dispatch order (and therefore
+    whose ``("r", node, gradient)`` ready refs the graph fires itself
+    (:meth:`~repro.casync.tasks.TaskGraph.make_ready`).  Task creation/dispatch order (and therefore
     the executed timeline) is identical on every instantiation.  The
     graph carries the recipe's bulk decision.  This is the only place a
     :class:`TaskGraph` is built.
@@ -242,7 +242,7 @@ def instantiate(recipe: LoweredRecipe, ctx) -> TaskGraph:
                   spec.launch_overhead, spec.nbytes, spec.dst, spec.bulk,
                   spec.out_nbytes)
              for spec in recipe.specs]
-    return TaskGraph(ctx.env, tasks, recipe.csr, ctx.ready, recipe.bulk)
+    return TaskGraph(ctx.env, tasks, recipe.csr, recipe.bulk)
 
 
 # -- cache keys --------------------------------------------------------------

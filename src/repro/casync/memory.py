@@ -57,18 +57,18 @@ def buffer_lifetimes(graph: TaskGraph) -> List[Tuple[int, float, float, float]]:
 
 def peak_buffer_memory(graph: TaskGraph) -> Dict[int, float]:
     """Peak simultaneous communication-buffer bytes per node."""
-    events: Dict[int, List[Tuple[float, float]]] = {}
+    by_node: Dict[int, List[Tuple[float, float]]] = {}
     for node, alloc, free, nbytes in buffer_lifetimes(graph):
-        node_events = events.setdefault(node, [])
-        node_events.append((alloc, nbytes))
-        node_events.append((free, -nbytes))
+        deltas = by_node.setdefault(node, [])
+        deltas.append((alloc, nbytes))
+        deltas.append((free, -nbytes))
     peaks: Dict[int, float] = {}
-    for node, node_events in events.items():
+    for node, deltas in by_node.items():
         # Frees sort before allocations at the same instant (buffer reuse).
-        node_events.sort(key=lambda e: (e[0], e[1]))
+        deltas.sort(key=lambda e: (e[0], e[1]))
         current = 0.0
         peak = 0.0
-        for _, delta in node_events:
+        for _, delta in deltas:
             current += delta
             peak = max(peak, current)
         peaks[node] = peak

@@ -22,12 +22,13 @@ tasks:
 
 Order constraints are enforced exactly as in the paper: the dependency
 graph drives asynchronous execution (Fig. 2 steps 1-3).  The graph's
-edges are a static :class:`SuccessorCSR`, one row per plan op;
-executors report a finished task through :meth:`TaskGraph.complete`,
-whose one agenda entry releases the task's dependents, so a round
-allocates no event, dependency list or callback per task.  An IR barrier
-is a *join* row, not a task: it releases its dependents in the step its
-last dependency completes.
+edges are a static :class:`SuccessorCSR`, one row per plan op.  The
+backward pass fires each gradient's ready ref through
+:meth:`TaskGraph.make_ready` and executors report a finished task through
+:meth:`TaskGraph.complete`; either way one agenda entry releases the
+dependents, so a round allocates no event, dependency list or callback
+per task or per gradient.  An IR barrier is a *join* row, not a task: it
+releases its dependents in the step its last dependency completes.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from ..faults.membership import Membership
 from ..faults.retry import RetryPolicy
 from ..gpu import Gpu, GpuSpec
 from ..net import Fabric
-from ..sim import Environment, Event, SimulationError, URGENT
+from ..sim import Environment, SimulationError, URGENT
 
 __all__ = ["Task", "TaskGraph", "SuccessorCSR", "NodeEngine", "Coordinator",
            "run_graph", "robust_transfer", "COMPUTE_KINDS"]
@@ -97,7 +98,7 @@ class Task:
         self.out_nbytes = out_nbytes
         self.dst = dst
         self.bulk = bulk
-        #: True once the completion is scheduled (``Event.triggered``).
+        #: True once :meth:`TaskGraph.complete` scheduled the completion.
         self.triggered = False
         #: The exception a failed completion carries (None = success).
         self.error: Optional[BaseException] = None
@@ -119,15 +120,15 @@ class SuccessorCSR:
     Built once per graph shape (a lowered recipe caches it), so arming an
     iteration allocates nothing per task.  Row ``i`` is plan op ``i``;
     ``preds[i]`` is its dependency row: ``("t", j)`` names an earlier
-    row, ``("r", *key)`` an external event the graph resolves by ``key``
-    (a backward-pass ready event).  ``task_rows`` are tasks, every other
-    row is a *join* (a barrier).  Each list below keeps registration
-    order -- ascending dependent row, duplicate edges kept -- which is
-    the order the dependents are released in:
+    row, ``("r", *key)`` a *ready ref*, the backward pass's signal that
+    gradient ``key = (node, gradient)`` is ready.  ``task_rows`` are
+    tasks, every other row is a *join* (a barrier).  Each list below
+    keeps registration order -- ascending dependent row, duplicate edges
+    kept -- which is the order the dependents are released in:
 
     * row ``i``'s dependents: ``succ_idx[succ_ptr[i]:succ_ptr[i + 1]]``;
-    * external key ``refs[r]``'s dependents:
-      ``ref_idx[ref_ptr[r]:ref_ptr[r + 1]]`` (keys in first-use order);
+    * ready ref ``key``'s dependents, with ``r = refs[key]`` (keys in
+      first-use order): ``ref_idx[ref_ptr[r]:ref_ptr[r + 1]]``;
     * ``indegree[i]`` counts every dependency entry of row ``i``;
       ``sources`` are the rows without any;
     * ``slot[i]`` is task row ``i``'s position in the graph's ``tasks``,
@@ -171,7 +172,7 @@ class SuccessorCSR:
         self.sources = array("i", (i for i, row in enumerate(preds)
                                    if not row))
         self.succ_ptr, self.succ_idx = ptr, idx
-        self.refs = list(by_ref)
+        self.refs = {key: r for r, key in enumerate(by_ref)}
         self.ref_ptr = array("i", itertools.accumulate(
             map(len, by_ref.values()), initial=0))
         self.ref_idx = array("i", itertools.chain.from_iterable(
@@ -188,44 +189,51 @@ class TaskGraph:
 
     Every graph is a lowered recipe's instance
     (:func:`repro.casync.lower.instantiate`): ``tasks`` in recipe order
-    (joins have none), the recipe's cached :class:`SuccessorCSR`, and
-    the ``ready`` events its external keys name.
+    (joins have none) and the recipe's cached :class:`SuccessorCSR`.
 
     ``bulk`` is the plan's bulk-synchronization decision (§3.2): a round
     running this graph gets a :class:`Coordinator` and batch-compressing
     engines exactly when it is set.
 
-    Dispatch runs off the CSR.  :meth:`complete` schedules one agenda
-    entry per task at ``(now, NORMAL)``; its callback releases the
-    task's dependents in registration order, runs the ``observers``, and
-    counts toward the graph-level :attr:`done` event.  A join releases
-    its dependents in the same step instead, and only records the
-    instant in :attr:`joined_at`.  Only external (ready) events carry a
-    callback of the graph's.
+    Dispatch runs off the CSR, and every signal is state on the graph.
+    The backward pass fires each ready ref through :meth:`make_ready`,
+    and :meth:`complete` reports each finished task.  Either way one
+    agenda entry at ``(now, NORMAL)`` releases the dependents in
+    registration order; a completion's entry then runs the ``observers``
+    and counts toward :attr:`finished`.  The graph *settles* one entry
+    after it finished (:attr:`settled`, then ``on_settled``).  A join
+    releases its dependents in the step its last dependency does, and
+    only records the instant in :attr:`joined_at`.
     """
 
     def __init__(self, env: Environment, tasks: List[Task],
-                 csr: SuccessorCSR, ready: Dict[Tuple, Event], bulk: bool):
+                 csr: SuccessorCSR, bulk: bool):
         self.env = env
         self.tasks = tasks
         self.csr = csr
-        self._ready = ready
         self.bulk = bulk
         #: ``observer(task)`` callables run at each completion, after the
         #: task's dependents are released (the fault ledger).
         self.observers: List[Callable[[Task], None]] = []
-        #: Fires when every task completed; fails on the first error.
-        self.done: Optional[Event] = None
+        #: Fire instant of each ready ref ``(node, gradient)``, by key;
+        #: absent until :meth:`make_ready` fires it.
+        self.ready_at: Dict[Tuple, float] = {}
         #: Release instant of each join row (by row), NaN until then.
         self.joined_at = array("d", [math.nan]) * len(csr.preds)
+        #: Set when every task has completed, or at the first failure,
+        #: which :attr:`error` keeps.
+        self.finished = False
+        self.error: Optional[BaseException] = None
+        #: Set by the entry :attr:`finished` pushes, which then calls each
+        #: ``on_settled`` callable with the graph.
+        self.settled = False
+        self.on_settled: List[Callable[["TaskGraph"], None]] = []
         self._engines: Dict[int, "NodeEngine"] = {}
-        self._pending: List[int] = []
+        self._pending: Optional[List[int]] = None
         self._remaining = 0
-        #: (ready event, its fanout callback) pairs attached by arm().
-        self._waiting: List[Tuple[Event, Callable[[Event], None]]] = []
 
     def predecessors(self, task: Task) -> Tuple:
-        """``task``'s distinct dependencies (tasks and raw events), in
+        """``task``'s distinct dependencies (tasks and ready-ref keys), in
         order, with each join replaced by its own, transitively."""
         return tuple(dict.fromkeys(self._deps(task.index)))
 
@@ -233,59 +241,57 @@ class TaskGraph:
         slot = self.csr.slot
         for dep in self.csr.preds[i]:
             if dep[0] != "t":
-                yield self._ready[dep[1:]]
+                yield dep[1:]
             elif slot[dep[1]] >= 0:
                 yield self.tasks[slot[dep[1]]]
             else:
                 yield from self._deps(dep[1])
 
-    def arm(self, engines: List["NodeEngine"]) -> Event:
-        """Bind the engines, start source rows, return :attr:`done`.
+    def arm(self, engines: List["NodeEngine"]) -> None:
+        """Bind the engines and start the source rows, in row order.
 
-        Pending counts start from the CSR's indegrees; a ready event that
-        already fired counts as satisfied, and every other one gets one
-        callback releasing its dependents.  Sources start in row order.
+        Pending counts start from the CSR's indegrees, ready refs
+        included: a ref counts once its :meth:`make_ready` entry steps,
+        which must come after this call.
         """
         tel = self.env.telemetry
         if tel is not None:
             # Capture the DAG so exported timelines can be cross-checked
             # against the dependencies that produced them.
             tel.register_task_graph(self)
-        csr = self.csr
         self._engines = {e.node: e for e in engines}
         for engine in engines:
             engine.graph = self
             if engine.coordinator is not None:
                 engine.coordinator.graph = self
-        pending = self._pending = csr.indegree.tolist()
+        self._pending = self.csr.indegree.tolist()
         self._remaining = len(self.tasks)
-        self.done = done = self.env.event()
-        released: List[int] = []
-        waiting = []
-        ref_ptr, ref_idx = csr.ref_ptr, csr.ref_idx
-        for r, key in enumerate(csr.refs):
-            event = self._ready[key]
-            dependents = ref_idx[ref_ptr[r]:ref_ptr[r + 1]]
-            if event._processed:
-                for j in dependents:
-                    pending[j] -= 1
-                    if not pending[j]:
-                        released.append(j)
-            else:
-                waiting.append((event, dependents))
-        sources = (sorted(itertools.chain(csr.sources, released))
-                   if released else csr.sources)
-        for i in sources:
+        for i in self.csr.sources:
             self._start(i)
-        # No event fires while arm() runs, so attaching the ready-event
-        # callbacks after the sources dispatched is safe.
-        self._waiting = [(event, functools.partial(self._release, dependents))
-                         for event, dependents in waiting]
-        for event, fanout in self._waiting:
-            event.callbacks.append(fanout)
         if not self.tasks:
             self._finish()
-        return done
+
+    def make_ready(self, node: int, gradient: str) -> None:
+        """Fire the ready ref ``(node, gradient)`` now: one agenda entry at
+        ``(now, NORMAL)`` releases its dependents.  A second call, or a
+        key no row depends on, raises :class:`SimulationError`."""
+        key = (node, gradient)
+        if key not in self.csr.refs:
+            raise SimulationError(f"no row depends on ready ref {key}")
+        if key in self.ready_at:
+            raise SimulationError(f"ready ref {key} has already fired")
+        self.ready_at[key] = self.env.now
+        self.env.call_later(0.0, self._on_ready, key)
+
+    def _on_ready(self, key: Tuple) -> None:
+        if self._pending is None:
+            raise SimulationError(
+                f"ready ref {key} fired before the graph was armed")
+        if self.finished and self.error is None:
+            return  # unbound: nothing is left to release
+        csr = self.csr
+        r = csr.refs[key]
+        self._release(csr.ref_idx[csr.ref_ptr[r]:csr.ref_ptr[r + 1]])
 
     def _start(self, i: int) -> None:
         """Dispatch row ``i``'s task, or release a join's dependents."""
@@ -302,9 +308,8 @@ class TaskGraph:
             raise ValueError(f"no engine for node {task.node}")
         engine.dispatch(task)
 
-    def _release(self, dependents: array, _event: Any = None) -> None:
-        """Count ``dependents`` down (also a pending ready event's
-        callback), starting each that reaches zero."""
+    def _release(self, dependents: array) -> None:
+        """Count ``dependents`` down, starting each that reaches zero."""
         pending = self._pending
         for j in dependents:
             left = pending[j] - 1
@@ -331,36 +336,39 @@ class TaskGraph:
             self._release(csr.succ_idx[start:stop])
         for observer in self.observers:
             observer(task)
-        done = self.done
-        if done._scheduled:
+        if self.finished:
             return
         if task.error is not None:
-            done.fail(task.error)
+            self.error = task.error
+            self.finished = True
+            self.env.call_later(0.0, self._settle)
             return
         self._remaining -= 1
         if not self._remaining:
             self._finish()
 
     def _finish(self) -> None:
-        """Fire :attr:`done` and unbind the engines and ready events.
+        """Mark every task complete, push the settle entry, and unbind
+        the engines.
 
-        The engines' back-references and the callbacks still attached to
-        ready events that never fired (a crashed node's gradients) are
-        dead weight now, and the links that would put this graph in a
+        The engines' and the coordinator's back-references are dead
+        weight now, and the links that would put this graph in a
         reference cycle: dropping them frees a finished round's tasks by
         reference counting.
         """
-        self.done.succeed()
+        self.finished = True
+        self.env.call_later(0.0, self._settle)
         for engine in self._engines.values():
             if engine.graph is self:
                 engine.graph = None
             coordinator = engine.coordinator
             if coordinator is not None and coordinator.graph is self:
                 coordinator.graph = None
-        for event, fanout in self._waiting:
-            if event.callbacks is not None:
-                event.callbacks.remove(fanout)
-        self._waiting = []
+
+    def _settle(self, _value: None) -> None:
+        self.settled = True
+        for callback in self.on_settled:
+            callback(self)
 
 
 def robust_transfer(env: Environment, fabric: Fabric, src: int, dst: int,
@@ -882,9 +890,12 @@ class NodeEngine:
         if len(batch) == 1:
             duration = first.duration
         else:
-            # One fused launch: pay a single launch overhead.
-            duration = (sum(t.duration - t.launch_overhead for t in batch)
-                        + max(t.launch_overhead for t in batch))
+            # One fused launch: pay a single launch overhead.  A left
+            # fold, not ``sum``, which rounds differently from Python 3.12.
+            work = 0.0
+            for task in batch:
+                work += task.duration - task.launch_overhead
+            duration = work + max(t.launch_overhead for t in batch)
         start = self.env.now
         spans = []
         for task in batch:
@@ -915,6 +926,11 @@ class NodeEngine:
 
 def run_graph(env: Environment, graph: TaskGraph,
               engines: List[NodeEngine]) -> float:
-    """Arm and execute a task graph to completion; returns the finish time."""
-    env.run_until_complete(graph.arm(engines))
+    """Arm and execute a task graph until it settles; returns the finish
+    time, or raises the first task failure."""
+    graph.arm(engines)
+    while not graph.settled:
+        env.step()
+    if graph.error is not None:
+        raise graph.error
     return env.now

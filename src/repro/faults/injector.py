@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from ..sim import URGENT, Environment, Event
+from ..sim import URGENT, Environment
 from .schedule import (
     FaultEvent,
     FaultSchedule,
@@ -123,7 +123,8 @@ class FaultState:
         self.log = TransferLog()
         #: (time, event) pairs in application order, for invariant checks.
         self.applied: List[Tuple[float, FaultEvent]] = []
-        self._wait: Dict[Tuple[int, int], Event] = {}
+        #: The callbacks waiting for each blocked (src, dst) link.
+        self._wait: Dict[Tuple[int, int], List[Callable[[], None]]] = {}
 
     # -- queries (fabric-facing) ------------------------------------------
 
@@ -148,14 +149,15 @@ class FaultState:
             self.transient[(src, dst)] = remaining - 1
         return True
 
-    def wait_event(self, src: int, dst: int) -> Event:
-        """Event fired when (src, dst) might be unblocked; re-check after."""
-        key = (src, dst)
-        event = self._wait.get(key)
-        if event is None:
-            event = Event(self.env)
-            self._wait[key] = event
-        return event
+    def on_unblocked(self, src: int, dst: int,
+                     callback: Callable[[], None]) -> None:
+        """Call ``callback()`` once (src, dst) might be unblocked; re-check
+        then.  A restart or restore that may unblock the link pushes one
+        entry at ``(now, NORMAL)``, which runs its callbacks in order."""
+        self._wait.setdefault((src, dst), []).append(callback)
+
+    def _wake(self, key: Tuple[int, int]) -> None:
+        self.env.call_later(0.0, _run_all, self._wait.pop(key))
 
     # -- mutations (injector-facing) --------------------------------------
 
@@ -165,7 +167,7 @@ class FaultState:
     def restart(self, node: int) -> None:
         self.dead.discard(node)
         for key in [k for k in self._wait if k[1] == node]:
-            self._wait.pop(key).succeed()
+            self._wake(key)
 
     def degrade(self, src: int, dst: int, factor: float) -> None:
         if factor == 1.0:
@@ -179,12 +181,16 @@ class FaultState:
     def restore(self, src: int, dst: int) -> None:
         self.partitioned.discard((src, dst))
         self.degraded.pop((src, dst), None)
-        event = self._wait.pop((src, dst), None)
-        if event is not None:
-            event.succeed()
+        if (src, dst) in self._wait:
+            self._wake((src, dst))
 
     def add_transient(self, src: int, dst: int, count: int) -> None:
         self.transient[(src, dst)] = self.transient.get((src, dst), 0) + count
+
+
+def _run_all(callbacks: List[Callable[[], None]]) -> None:
+    for callback in callbacks:
+        callback()
 
 
 class FaultInjector:

@@ -23,9 +23,9 @@ This module deliberately duck-types the task graph (no import of
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
 
-from ..sim import URGENT, Environment, Event, SimulationError
+from ..sim import URGENT, Environment, SimulationError
 from .errors import DeadlineExceeded, FaultError, SyncAborted
 from .membership import Membership
 
@@ -80,7 +80,7 @@ class DegradationController:
       *reassigned* to ``route(d)`` -- the dead aggregator's partitions are
       aggregated by its substitute over the surviving workers;
     * sends from ``d`` and tasks whose inputs died with ``d`` (an
-      unfired ready-event of a dead node, found through
+      unfired ready ref of a dead node, found through
       :meth:`TaskGraph.predecessors`, which sees through joins) are
       *dropped*: completed through ``graph.complete`` so dependents
       unblock, with the task marked ``dropped`` for the trace and the
@@ -91,14 +91,11 @@ class DegradationController:
 
     def __init__(self, env: Environment, graph: Any,
                  engines: Sequence[Any], membership: Membership,
-                 node_events: Optional[Dict[int, Iterable[Event]]] = None,
                  enabled: bool = True):
         self.env = env
         self.graph = graph
         self.engines = {e.node: e for e in engines}
         self.membership = membership
-        self.node_events = {n: list(evs)
-                            for n, evs in (node_events or {}).items()}
         self.enabled = enabled
         self.reassigned = 0
         self.dropped = 0
@@ -112,7 +109,7 @@ class DegradationController:
             # Declared dead before (or without) a ground-truth crash: stop
             # executing on it anyway -- the cluster has excommunicated it.
             engine.halt()
-        dead_inputs = self._unfired_events_of_dead_nodes()
+        dead_inputs = self._unfired_refs_of_dead_nodes()
         graph = self.graph
         try:
             substitute = self.membership.route(node) if self.enabled else None
@@ -124,27 +121,20 @@ class DegradationController:
             salvageable = (
                 substitute is not None
                 and task.kind in _REASSIGNABLE_KINDS
-                and not self._needs_dead_input(graph.predecessors(task),
-                                               dead_inputs))
+                and dead_inputs.isdisjoint(graph.predecessors(task)))
             if salvageable:
                 self._reassign(task, substitute, engine)
             else:
                 self._drop(task)
 
-    def _unfired_events_of_dead_nodes(self) -> set:
-        dead = set()
-        for node in self.membership.dead():
-            for event in self.node_events.get(node, ()):
-                if not event.triggered:
-                    dead.add(id(event))
-        return dead
-
-    @staticmethod
-    def _needs_dead_input(deps: Iterable[Any], dead_inputs: set) -> bool:
-        # Only raw Events (a node's local gradient-ready signal) can die
-        # with their node; Task deps re-plan via their own _on_death pass.
-        return any(id(dep) in dead_inputs for dep in deps
-                   if isinstance(dep, Event))
+    def _unfired_refs_of_dead_nodes(self) -> set:
+        # Only a ready ref ``(node, gradient)`` (a node's local gradient
+        # signal) can die with its node; Task deps re-plan via their own
+        # _on_death pass.
+        dead = set(self.membership.dead())
+        ready_at = self.graph.ready_at
+        return {key for key in self.graph.csr.refs
+                if key[0] in dead and key not in ready_at}
 
     def _reassign(self, task: Any, substitute: int, engine: Any) -> None:
         task.node = substitute
@@ -168,8 +158,7 @@ def run_graph_robust(env: Environment, graph: Any, engines: Sequence[Any],
                      injector: Optional[Any] = None,
                      deadline_s: Optional[float] = None,
                      degradation: bool = True,
-                     heartbeat_timeout_s: float = 0.02,
-                     node_events: Optional[Dict[int, Iterable[Event]]] = None
+                     heartbeat_timeout_s: float = 0.02
                      ) -> RobustSyncReport:
     """Arm and execute ``graph`` under faults; completes or raises SyncAborted.
 
@@ -181,10 +170,9 @@ def run_graph_robust(env: Environment, graph: Any, engines: Sequence[Any],
     report = RobustSyncReport(
         graph=graph, state=injector.state if injector is not None else None)
     controller = DegradationController(env, graph, engines, membership,
-                                       node_events=node_events,
                                        enabled=degradation)
 
-    barrier = graph.arm(list(engines))
+    graph.arm(list(engines))
 
     # The ledger closes over the list, not the report: the report holds
     # the graph, whose observers hold this function, and that cycle would
@@ -198,7 +186,7 @@ def run_graph_robust(env: Environment, graph: Any, engines: Sequence[Any],
             dropped=bool(task.dropped)))
 
     # The ledger observes every completion after its dependents are
-    # released and before it counts toward the barrier.
+    # released and before it counts toward the graph finishing.
     graph.observers.append(_record)
 
     if injector is not None and heartbeat_timeout_s is not None:
@@ -226,37 +214,33 @@ def run_graph_robust(env: Environment, graph: Any, engines: Sequence[Any],
         return tuple(f"{t.kind}:{t.label}@{t.node}" for t in graph.tasks
                      if not t.triggered)
 
-    settled = barrier
+    # The round is judged when ``verdict`` settles: the graph itself, or,
+    # under a deadline, a verdict that settles one hop after the first of
+    # the graph and the deadline timer, so a task finishing at the
+    # deadline instant still counts as finished.
+    verdict: Any = graph
     if deadline_s is not None:
-        # The round settles one hop after the first of the barrier and the
-        # deadline timer fires, so a task finishing at the deadline
-        # instant still counts as finished.
-        settled = env.event()
-
-        def _settle(event: Optional[Event]) -> None:
-            if settled.triggered:
-                return
-            if event is barrier and not barrier.ok:
-                settled.fail(barrier.value)
-            else:
-                settled.succeed()
+        verdict = _Verdict(env)
+        graph.on_settled.append(verdict.graph_settled)
 
         def _start_deadline(_value: None) -> None:
-            env.call_later(deadline_s, _settle)
+            env.call_later(deadline_s, verdict.settle)
 
-        barrier.callbacks.append(_settle)
         env.call_later(0.0, _start_deadline, None, URGENT)
 
     try:
         try:
-            env.run_until_complete(settled)
-        except FaultError as exc:  # the barrier failed
+            while not verdict.settled:
+                env.step()
+            if verdict.error is not None:
+                raise verdict.error
+        except FaultError as exc:  # a task failed
             raise SyncAborted("a peer died and degradation is disabled"
                               if not degradation else
                               "unrecoverable fault during synchronization",
                               env.now, cause=exc,
                               unfinished=_unfinished()) from exc
-        if not (barrier.triggered and barrier.ok):
+        if not (graph.finished and graph.error is None):
             raise DeadlineExceeded(deadline_s, env.now,
                                    unfinished=_unfinished())
         finish = env.now
@@ -282,6 +266,33 @@ def run_graph_robust(env: Environment, graph: Any, engines: Sequence[Any],
     report.finish_time = finish
     _finalize(report, engines, membership, controller)
     return report
+
+
+class _Verdict:
+    """A deadline round's verdict: :meth:`settle`, from the deadline timer
+    (``error`` None) or the settled graph (its ``error``), pushes one
+    entry at ``(now, NORMAL)``; the first call wins, and ``settled`` is
+    set when its entry steps."""
+
+    __slots__ = ("env", "pushed", "settled", "error")
+
+    def __init__(self, env: Environment):
+        self.env = env
+        self.pushed = False
+        self.settled = False
+        self.error: Optional[BaseException] = None
+
+    def graph_settled(self, graph: Any) -> None:
+        self.settle(graph.error)
+
+    def settle(self, error: Optional[BaseException] = None) -> None:
+        if not self.pushed:
+            self.pushed = True
+            self.error = error
+            self.env.call_later(0.0, self._step)
+
+    def _step(self, _value: None) -> None:
+        self.settled = True
 
 
 def count_retries(engines: Sequence[Any]) -> int:

@@ -29,6 +29,7 @@ either endpoint, so back-to-back messages pipeline.
 
 from __future__ import annotations
 
+import functools
 import zlib
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Optional, Tuple
@@ -456,8 +457,8 @@ class Fabric:
         if faults is None:
             delay = self._reserve(src, dst, attempt.nbytes)
         elif faults.blocked(src, dst):
-            faults.wait_event(src, dst).callbacks.append(
-                lambda _event: self._advance(attempt))
+            faults.on_unblocked(src, dst,
+                                functools.partial(self._advance, attempt))
             return
         elif faults.is_dead(src):
             attempt.cause = "src-dead"

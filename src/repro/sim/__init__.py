@@ -2,13 +2,14 @@
 
 This package is the timing substrate for the whole reproduction: network
 transfers, GPU kernels, and synchronization protocols are all
-``callback(value)`` agenda entries (:meth:`Environment.call_later`),
-ordered by :class:`Environment` on one agenda.
+``callback(value)`` agenda entries (:meth:`Environment.call_later`, the
+kernel's only scheduling mechanism), ordered by :class:`Environment` on
+one agenda.  There are no event objects: a signal, such as a gradient
+becoming ready, is plain state on the object that owns it.
 """
 
 from .core import (
     Environment,
-    Event,
     SimulationError,
     NORMAL,
     URGENT,
@@ -18,7 +19,6 @@ from .queues import SlottedQueue
 
 __all__ = [
     "Environment",
-    "Event",
     "SimulationError",
     "SlottedQueue",
     "NORMAL",

@@ -4,9 +4,9 @@ A minimal, deterministic discrete-event simulator with one scheduling
 primitive: a timed behaviour is a ``callback(value)`` agenda entry
 (:meth:`Environment.call_later`), and a behaviour that spans several
 instants is a state machine whose callbacks schedule the next step.
-User-visible :class:`Event` objects (a gradient's ready signal, a task
-graph's ``done``) fire once, through one such entry, and run the
-callbacks attached to them.
+The kernel has no event objects: a signal (a gradient's ready ref, a
+task graph settling) is state on the object that owns it, set by one
+such entry, and whoever waits on it steps the agenda until it is set.
 
 Determinism matters for a systems simulator: two events scheduled for the
 same instant are ordered by (priority, insertion sequence), so repeated runs
@@ -25,7 +25,6 @@ from .queues import SlottedQueue
 
 __all__ = [
     "Environment",
-    "Event",
     "SimulationError",
     "NORMAL",
     "URGENT",
@@ -40,85 +39,6 @@ URGENT = 0
 
 class SimulationError(Exception):
     """Raised for structural misuse of the simulation kernel."""
-
-
-class Event:
-    """An occurrence at a point in simulated time.
-
-    Events start *pending*; :meth:`succeed` or :meth:`fail` schedules them on
-    the environment's agenda.  Once processed, their callbacks run.  A
-    failed event that nothing observes raises out of
-    :meth:`Environment.step`.
-    """
-
-    __slots__ = ("env", "callbacks", "_value", "_ok", "_scheduled", "_processed")
-
-    #: Sentinel meaning "no value yet".
-    PENDING = object()
-
-    def __init__(self, env: "Environment"):
-        self.env = env
-        self.callbacks: Optional[List[Callable[["Event"], None]]] = []
-        self._value: Any = Event.PENDING
-        self._ok: Optional[bool] = None
-        self._scheduled = False
-        self._processed = False
-
-    @property
-    def triggered(self) -> bool:
-        """True once the event has been scheduled to fire."""
-        return self._scheduled
-
-    @property
-    def processed(self) -> bool:
-        """True once callbacks have run."""
-        return self._processed
-
-    @property
-    def ok(self) -> Optional[bool]:
-        return self._ok
-
-    @property
-    def value(self) -> Any:
-        if self._value is Event.PENDING:
-            raise SimulationError("event value is not yet available")
-        return self._value
-
-    def succeed(self, value: Any = None, priority: int = NORMAL) -> "Event":
-        """Schedule this event to fire successfully with ``value``."""
-        if self._scheduled:
-            raise SimulationError(f"{self!r} has already been triggered")
-        self._ok = True
-        self._value = value
-        self.env.schedule(self, priority=priority)
-        return self
-
-    def fail(self, exception: BaseException, priority: int = NORMAL) -> "Event":
-        """Schedule this event to fire with an exception."""
-        if self._scheduled:
-            raise SimulationError(f"{self!r} has already been triggered")
-        if not isinstance(exception, BaseException):
-            raise TypeError("fail() requires an exception instance")
-        self._ok = False
-        self._value = exception
-        self.env.schedule(self, priority=priority)
-        return self
-
-    def __repr__(self) -> str:
-        state = "processed" if self._processed else (
-            "triggered" if self._scheduled else "pending")
-        return f"<{type(self).__name__} {state} at {id(self):#x}>"
-
-
-def _process(event: Event) -> None:
-    """The agenda callback of a fired :class:`Event`: run its callbacks,
-    and raise its exception if it failed with none attached."""
-    callbacks, event.callbacks = event.callbacks, None
-    event._processed = True
-    for callback in callbacks:
-        callback(event)
-    if not event._ok and not callbacks:
-        raise event._value
 
 
 class Environment:
@@ -150,17 +70,12 @@ class Environment:
 
     # -- scheduling -------------------------------------------------------
 
-    def schedule(self, event: Event, priority: int = NORMAL) -> None:
-        """Push ``event``'s firing onto the agenda at ``(now, priority)``."""
-        event._scheduled = True
-        self._queue.push(self._now, priority, [_process, event])
-
     def call_later(self, delay: float, callback: Callable[[Any], None],
                    value: Any = None, priority: int = NORMAL) -> List[Any]:
         """Run ``callback(value)`` ``delay`` from now, at ``priority``.
 
-        The entry is ordered as ``schedule`` orders an event pushed now,
-        and returned as the handle for :meth:`cancel`.
+        Entries are ordered by ``(time, priority, insertion sequence)``.
+        The entry is returned as the handle for :meth:`cancel`.
         """
         if not delay >= 0:  # also rejects NaN
             raise ValueError(f"delay must be non-negative, got {delay}")
@@ -221,19 +136,6 @@ class Environment:
             self.step()
         self._now = until
 
-    def run_until_complete(self, event: Event) -> Any:
-        """Step until ``event`` is processed; return its value or raise its
-        exception."""
-        queue = self._queue
-        while not event._processed:
-            if not queue._live:
-                raise SimulationError(
-                    f"deadlock: {event!r} is pending but no events remain")
-            self.step()
-        if event._ok:
-            return event._value
-        raise event._value
-
     def discard(self) -> None:
         """Drop every pending entry, unfired.
 
@@ -246,8 +148,3 @@ class Environment:
         stays usable, with an empty agenda.
         """
         self._queue.clear()
-
-    # -- factories --------------------------------------------------------
-
-    def event(self) -> Event:
-        return Event(self)

@@ -4,16 +4,17 @@ A :class:`Strategy` turns (model, cluster, algorithm) into a
 :class:`~repro.casync.tasks.TaskGraph` for one training iteration by
 emitting a :class:`~repro.casync.ir.SyncPlan` that the pass pipeline
 rewrites and :mod:`repro.casync.lower` costs and instantiates.  The
-graph's sources are per-(node, gradient) *ready events* fired by the
-simulated backward pass; its sinks mark each node's view of "all gradients
-synchronized".
+graph's sources are per-(node, gradient) *ready refs*, which the
+simulated backward pass fires on the graph
+(:meth:`~repro.casync.tasks.TaskGraph.make_ready`); its sinks mark each
+node's view of "all gradients synchronized".
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from ..algorithms.base import CompressionAlgorithm
 from ..casync import lower
@@ -23,7 +24,7 @@ from ..casync.passes import MembershipPass, Pass, PassContext
 from ..casync.tasks import TaskGraph
 from ..cluster import ClusterSpec
 from ..models import ModelSpec
-from ..sim import Environment, Event
+from ..sim import Environment
 
 __all__ = ["MembershipBound", "SyncContext", "Strategy", "bind_roster"]
 
@@ -34,7 +35,6 @@ class SyncContext:
 
     env: Environment
     cluster: ClusterSpec
-    ready: Dict[Tuple[int, str], Event]  # (node, gradient name) -> event
     algorithm: Optional[CompressionAlgorithm] = None
     #: This iteration's adaptive per-gradient decisions (None = static
     #: path); consumed by :class:`~repro.casync.passes.AdaptivePass` and

@@ -38,7 +38,7 @@ from ..faults.runner import count_retries
 from ..gpu import Gpu
 from ..models import ModelSpec
 from ..net import Fabric
-from ..sim import URGENT, Environment, Event, gc_paused
+from ..sim import URGENT, Environment, gc_paused
 from ..strategies.base import Strategy, SyncContext
 from ..telemetry import TelemetryCollector, current_collector
 
@@ -196,12 +196,18 @@ def simulate_iteration(model: ModelSpec, cluster: ClusterSpec,
     tel, gpus, fabric = rnd.tel, rnd.gpus, rnd.fabric
     compute_time = rnd.compute_time
     iteration_time = rnd.barrier + compute_time * OPTIMIZER_FRACTION
-    comm_busy = sum(nic.up_busy for nic in fabric.nics)
+    # Explicit left folds: from Python 3.12, ``sum`` of floats rounds
+    # differently, and a round's numbers must not depend on the version.
+    comm_busy = 0.0
+    for nic in fabric.nics:
+        comm_busy += nic.up_busy
     comm_ratio = (comm_busy / cluster.num_nodes) / iteration_time
     measured_bw = (fabric.stats.bytes_sent / comm_busy
                    if comm_busy > 0 else 0.0)
-    compression_time = (sum(g.log.busy_time("compression") for g in gpus)
-                        / cluster.num_nodes)
+    compression_time = 0.0
+    for gpu in gpus:
+        compression_time += gpu.log.busy_time("compression")
+    compression_time /= cluster.num_nodes
     exposed = max(0.0, iteration_time - compute_time)
     util = tuple(gpus[0].log.utilization_series(
         bin_width=UTIL_BIN_S, horizon=iteration_time, category="compute"))
@@ -264,6 +270,10 @@ def _run_round(model: ModelSpec, cluster: ClusterSpec, strategy: Strategy,
     into metrics, :func:`repro.training.trace.trace_iteration` into a
     task timeline.  ``label_prefix`` prefixes the telemetry run label.
     """
+    for name, seconds in (("sync_deadline_s", sync_deadline_s),
+                          ("heartbeat_timeout_s", heartbeat_timeout_s)):
+        if seconds is not None and not seconds >= 0:  # also rejects NaN
+            raise ValueError(f"{name} must be non-negative, got {seconds}")
     schedule = fault_schedule if fault_schedule is not None else cluster.faults
     faulty = schedule is not None and len(schedule) > 0
     robust = faulty or retry_policy is not None
@@ -280,11 +290,8 @@ def _run_round(model: ModelSpec, cluster: ClusterSpec, strategy: Strategy,
     fabric = Fabric(env, cluster.num_nodes, cluster.network)
     gpus = [Gpu(env, cluster.node_at(i).gpu, index=i)
             for i in range(cluster.num_nodes)]
-    ready = {(node, grad.name): env.event()
-             for node in range(cluster.num_nodes)
-             for grad in model.gradients}
-    ctx = SyncContext(env=env, cluster=cluster, ready=ready,
-                      algorithm=algorithm, decisions=decisions)
+    ctx = SyncContext(env=env, cluster=cluster, algorithm=algorithm,
+                      decisions=decisions)
     graph = strategy.build(ctx, model)
 
     # The plan decides bulk synchronization (§3.2): the global
@@ -331,7 +338,7 @@ def _run_round(model: ModelSpec, cluster: ClusterSpec, strategy: Strategy,
             ev.at for ev in schedule
             if isinstance(ev, NodeRestart) and ev.node == node)
         passes.append(_NodePass(
-            gpus[node], node, segments[node_spec.gpu], slowdown, ready,
+            gpus[node], node, segments[node_spec.gpu], slowdown, graph,
             node_spec if local_aggregation else None, restarts))
     # Each pass starts from its URGENT initializer hop.
     for node_pass in passes:
@@ -342,13 +349,10 @@ def _run_round(model: ModelSpec, cluster: ClusterSpec, strategy: Strategy,
         if injector is not None:
             for node_pass in passes:
                 injector.on_crash(node_pass.on_crash)
-        node_events = {n: [ready[(n, grad.name)] for grad in model.gradients]
-                       for n in range(cluster.num_nodes)}
         report = run_graph_robust(
             env, graph, engines, membership, injector=injector,
             deadline_s=sync_deadline_s, degradation=degradation,
-            heartbeat_timeout_s=heartbeat_timeout_s,
-            node_events=node_events)
+            heartbeat_timeout_s=heartbeat_timeout_s)
         finish = report.finish_time
     else:
         finish = run_graph(env, graph, engines)
@@ -379,7 +383,8 @@ class _NodePass:
 
     Each of ``segments`` (forward, then one per backward layer) is one
     compute kernel (:meth:`Gpu.run_compute`); a backward kernel's end
-    makes its gradient ready, through intra-node aggregation when
+    fires its gradient's ready ref on ``graph``
+    (:meth:`TaskGraph.make_ready`), through intra-node aggregation when
     ``agg_node`` is given.  A crash reaches the pass through an URGENT
     hop (:meth:`on_crash`): the kernel in flight is abandoned, and the
     pass ends, or, if the schedule restarts the node later, redoes the
@@ -388,16 +393,16 @@ class _NodePass:
     superseded does nothing.
     """
 
-    __slots__ = ("gpu", "node", "segments", "slowdown", "ready", "agg_node",
+    __slots__ = ("gpu", "node", "segments", "slowdown", "graph", "agg_node",
                  "restarts", "running", "epoch", "segment", "span")
 
     def __init__(self, gpu: Gpu, node: int, segments: list, slowdown: float,
-                 ready: Dict, agg_node, restarts: tuple):
+                 graph: TaskGraph, agg_node, restarts: tuple):
         self.gpu = gpu
         self.node = node
         self.segments = segments
         self.slowdown = slowdown
-        self.ready = ready
+        self.graph = graph
         self.agg_node = agg_node
         self.restarts = restarts
         self.running = True
@@ -430,15 +435,15 @@ class _NodePass:
             env.telemetry.finish(self.span, env.now)
         grad = self.segments[self.segment][2]
         if grad is not None:
-            event = self.ready[(self.node, grad.name)]
-            if not event.triggered:  # else produced before a crash
+            graph, key = self.graph, (self.node, grad.name)
+            if key not in graph.ready_at:  # else made ready before a crash
                 delay = (self.agg_node.local_aggregation_time(grad.nbytes)
                          if self.agg_node is not None else 0.0)
                 if delay > 0:
                     env.call_later(0.0, _start_local_agg,
-                                   (env, event, delay), URGENT)
+                                   (graph, key, delay), URGENT)
                 else:
-                    event.succeed()
+                    graph.make_ready(*key)
         self.segment += 1
         if self.segment == len(self.segments):
             self.running = False
@@ -468,16 +473,17 @@ class _NodePass:
             self._launch()
 
 
-def _start_local_agg(hop: Tuple[Environment, Event, float]) -> None:
-    """The URGENT hop of a gradient's intra-node aggregation: its ready
-    event fires ``delay`` later."""
-    env, event, delay = hop
-    env.call_later(delay, _finish_local_agg, event)
+def _start_local_agg(hop: Tuple[TaskGraph, Tuple[int, str], float]) -> None:
+    """The URGENT hop of a gradient's intra-node aggregation: the ready
+    ref ``key`` of ``graph`` fires ``delay`` later."""
+    graph, key, delay = hop
+    graph.env.call_later(delay, _finish_local_agg, (graph, key))
 
 
-def _finish_local_agg(event: Event) -> None:
-    if not event.triggered:  # a pre-crash aggregation may have beaten us
-        event.succeed()
+def _finish_local_agg(ref: Tuple[TaskGraph, Tuple[int, str]]) -> None:
+    graph, key = ref
+    if key not in graph.ready_at:  # a pre-crash aggregation may have won
+        graph.make_ready(*key)
 
 
 def scaling_efficiency(result: IterationResult) -> float:

@@ -1,13 +1,18 @@
-"""Test helper: one fabric message as an event a test can wait on."""
+"""Test helper: one fabric message, issued now."""
+
+
+def _delivered(_token):
+    pass
+
+
+def _dropped(_token, error):
+    raise error
 
 
 def send(fabric, src, dst, nbytes):
     """Issue ``nbytes`` src->dst now through :meth:`Fabric.issue`.
 
-    The returned event fires at the delivery instant, or fails with the
-    :class:`~repro.faults.errors.TransferError` of a dropped message.
+    A dropped message's :class:`~repro.faults.errors.TransferError`
+    raises out of the step that drops it.
     """
-    done = fabric.env.event()
-    fabric.issue(src, dst, nbytes, done.succeed, None,
-                 on_fail=lambda _token, error: done.fail(error))
-    return done
+    fabric.issue(src, dst, nbytes, _delivered, None, on_fail=_dropped)

@@ -120,11 +120,11 @@ def test_diamond_dependencies():
 
 
 def test_raw_event_dependency():
+    """A task waits on an external signal: a ready ref fired at t=5."""
     env, fabric, gpus, engines, _ = make_world(1)
-    ready = env.event()
     graph = build(env, [row(0, "encode", "a", duration=1.0,
-                            deps=["ready"])], ready={"ready": ready})
-    env.call_later(5, lambda _value: ready.succeed())
+                            deps=[(0, "g")])])
+    env.call_later(5, lambda _value: graph.make_ready(0, "g"))
     finish = run_graph(env, graph, engines)
     assert finish == pytest.approx(6.0)
 
@@ -156,9 +156,9 @@ def _stepped_run(rows):
 
 def test_join_releases_its_dependents_in_the_same_step():
     # A join is no task: it takes no agenda entry, runs no observer and
-    # does not count toward ``done``; its dependents see the predecessors
-    # it stands for.  The same graph with the joins' edges inlined steps
-    # exactly as many entries, at the same times.
+    # does not count toward ``finished``; its dependents see the
+    # predecessors it stands for.  The same graph with the joins' edges
+    # inlined steps exactly as many entries, at the same times.
     work = [row(0, "encode", "a", duration=1.0),
             row(1, "encode", "b", duration=0.5)]
     graph, seen, steps = _stepped_run(work + [
@@ -406,13 +406,13 @@ def _halt_world():
 
 def test_halt_strands_queued_tasks_and_lets_running_ones_finish():
     env, graph, engine = _halt_world()
-    done = graph.arm([engine])
+    graph.arm([engine])
     env.run(until=0.5)  # e0 on the GPU stream, c0 on the CPU
     stranded = engine.halt()
     env.run()
     assert _labels(stranded) == ["e1", "e2", "c1"]
     assert _labels(engine.orphans) == ["e1", "e2", "c1"]
-    assert not done.triggered
+    assert not graph.finished
     assert _timeline(graph) == [("e0", 0.0, 1.0), ("e1", None, None),
                                 ("e2", None, None), ("c0", 0.0, 1.0),
                                 ("c1", None, None)]
@@ -421,14 +421,14 @@ def test_halt_strands_queued_tasks_and_lets_running_ones_finish():
 
 def test_resume_redispatches_orphans_in_stranding_order():
     env, graph, engine = _halt_world()
-    done = graph.arm([engine])
+    graph.arm([engine])
     env.run(until=0.5)
     engine.halt()
     env.run()
     engine.resume()
     assert engine.orphans == []
     env.run()
-    assert done.processed and done.ok and env.now == 3.0
+    assert graph.settled and graph.error is None and env.now == 3.0
     assert _timeline(graph) == [("e0", 0.0, 1.0), ("e1", 1.0, 2.0),
                                 ("e2", 2.0, 3.0), ("c0", 0.0, 1.0),
                                 ("c1", 1.0, 2.0)]
@@ -436,7 +436,7 @@ def test_resume_redispatches_orphans_in_stranding_order():
 
 def test_halt_while_a_take_is_pending_orphans_the_taken_task_last():
     env, graph, engine = _halt_world()
-    done = graph.arm([engine])
+    graph.arm([engine])
     env.step()  # the compute executor starts and takes e0
     stranded = engine.halt()
     env.run()
@@ -446,7 +446,7 @@ def test_halt_while_a_take_is_pending_orphans_the_taken_task_last():
     assert env.now == 0.0
     engine.resume()
     env.run()
-    assert done.processed and env.now == 3.0
+    assert graph.settled and env.now == 3.0
     assert _timeline(graph) == [("e0", 2.0, 3.0), ("e1", 0.0, 1.0),
                                 ("e2", 1.0, 2.0), ("c0", 0.0, 1.0),
                                 ("c1", 1.0, 2.0)]
@@ -457,11 +457,11 @@ def test_halt_mid_fused_kernel_finishes_the_batch():
     graph = build(env, [row(0, "encode", f"k{i}", duration=0.5,
                             launch_overhead=0.25, nbytes=100)
                         for i in range(3)], bulk=True)
-    done = graph.arm(engines)
+    graph.arm(engines)
     env.run(until=0.25)
     assert engines[0].halt() == []
     env.run()
-    assert done.processed and env.now == 1.0
+    assert graph.settled and env.now == 1.0
     assert _timeline(graph) == [("k0", 0.0, 1.0), ("k1", 0.0, 1.0),
                                 ("k2", 0.0, 1.0)]
     assert gpus[0].log.intervals == ((0.0, 1.0, "compression"),)
@@ -496,6 +496,22 @@ def test_fusion_stops_at_the_batch_byte_limit():
                        (2.0, 2.6875, spans["k3"].id)]
 
 
+def test_fused_duration_is_a_left_fold():
+    """A fused launch lasts the left fold of its tasks' work plus one
+    launch overhead, on every Python: from 3.12, ``sum`` of floats rounds
+    differently (``sum([0.1] * 10)`` is 1.0 there)."""
+    env, fabric, gpus, engines, _ = make_world(1)
+    graph = build(env, [row(0, "encode", f"k{i}", duration=0.1, nbytes=100)
+                        for i in range(10)], bulk=True)
+    run_graph(env, graph, engines)
+    work = 0.0
+    for task in graph.tasks:
+        work += task.duration
+    assert work == 0.9999999999999999  # the durations do not sum exactly
+    assert {t.finished_at for t in graph.tasks} == {work}
+    assert gpus[0].log.intervals == ((0.0, work, "compression"),)
+
+
 @pytest.mark.parametrize("at,timeline", [
     # Applied at t=0 after the dispatch, before the first grant: both
     # kernels run slowed.
@@ -508,9 +524,9 @@ def test_gpu_slowdown_between_dispatch_and_grant(at, timeline):
     env, fabric, gpus, engines, _ = make_world(1)
     graph = build(env, [row(0, "encode", "a", duration=1.0),
                         row(0, "encode", "b", duration=1.0)])
-    done = graph.arm(engines)
+    graph.arm(engines)
     FaultInjector(env, FaultSchedule.of(
         GpuSlowdown(at=at, node=0, factor=2.0)), gpus=gpus, engines=engines)
     env.run()
-    assert done.processed
+    assert graph.settled
     assert _timeline(graph) == timeline

@@ -14,6 +14,7 @@ from unittest import mock
 import pytest
 
 from repro.algorithms import OneBit
+from repro.casync import NodeEngine
 from repro.casync.lower import default_graph_cache
 from repro.cluster import ec2_v100_cluster
 from repro.faults import (
@@ -39,8 +40,11 @@ from repro.faults import (
     random_schedule,
 )
 from repro.faults.injector import TransferLog
-from repro.faults.runner import CompletionRecord
+from repro.faults.runner import CompletionRecord, run_graph_robust
+from repro.gpu import Gpu, V100
 from repro.models import GradientSpec, ModelSpec
+from repro.net import Fabric, NetworkSpec
+from repro.sim import Environment
 from repro.strategies import (
     BytePS,
     BytePSOSSCompression,
@@ -53,6 +57,7 @@ from repro.telemetry import telemetry_session
 from repro.training import simulate_iteration
 from repro.training.loop import _run_round
 from repro.training.trace import trace_hash, trace_iteration
+from tests.taskgraph_rows import build, row
 from tests.test_graph_equivalence import metrics_digest, span_digest
 
 MB = 1024 * 1024
@@ -572,6 +577,25 @@ def test_same_instant_faults_keep_their_order():
     assert (report.declared_dead, report.retries, report.reassigned_tasks,
             report.dropped_tasks) == ((), 2, 0, 0)
     check_all(report)
+
+
+def test_round_finishing_between_the_deadline_and_its_verdict_counts():
+    """The deadline timer fires, then the last task completes at the same
+    instant, before the verdict one hop later: the round finished.  Two
+    chained loopback sends, which complete inside their issue hops, put
+    the last completion between the timer and the verdict."""
+    env = Environment()
+    membership = Membership(1)
+    engine = NodeEngine(env, 0, Gpu(env, V100, 0),
+                        Fabric(env, 1, NetworkSpec(bandwidth_gbps=100)),
+                        retry_policy=RetryPolicy.aggressive(),
+                        membership=membership)
+    graph = build(env, [row(0, "send", "a", nbytes=1.0, dst=0),
+                        row(0, "send", "b", nbytes=1.0, dst=0, deps=[0])])
+    report = run_graph_robust(env, graph, [engine], membership,
+                              deadline_s=0.0)
+    assert report.finish_time == 0.0 and not report.aborted
+    assert [rec.label for rec in report.completions] == ["a", "b"]
 
 
 def test_deadline_on_a_delivery_instant_counts_the_delivery_finished():

@@ -13,7 +13,7 @@ from repro.net import Fabric, NetworkSpec
 from repro.sim import Environment
 from repro.strategies import BytePSOSSCompression, CaSyncPS
 from repro.strategies.base import SyncContext
-from tests.taskgraph_rows import build, join, row
+from tests.taskgraph_rows import build, join, make_all_ready, row
 
 MB = 1024 * 1024
 
@@ -109,12 +109,9 @@ def _executed_graph(strategy, model, cluster, algo):
             for i in range(cluster.num_nodes)]
     engines = [NodeEngine(env, i, gpus[i], fabric)
                for i in range(cluster.num_nodes)]
-    ready = {(n, g.name): env.event() for n in range(cluster.num_nodes)
-             for g in model.gradients}
-    ctx = SyncContext(env=env, cluster=cluster, ready=ready, algorithm=algo)
+    ctx = SyncContext(env=env, cluster=cluster, algorithm=algo)
     graph = strategy.build(ctx, model)
-    for ev in ready.values():
-        ev.succeed()
+    make_all_ready(graph, model, cluster.num_nodes)
     run_graph(env, graph, engines)
     return graph
 

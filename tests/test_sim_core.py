@@ -50,56 +50,21 @@ def test_carrier_carries_its_value():
     assert entry[0] is None  # stepped: the callback slot is cleared
 
 
-def test_event_succeed_value_passed_to_waiter():
-    env = Environment()
-    gate = env.event()
-    seen = []
-    gate.callbacks.append(lambda event: seen.append((env.now, event.value)))
-    env.call_later(4, lambda _value: gate.succeed("open"))
-    env.run()
-    assert seen == [(4, "open")]
-    assert gate.processed and gate.ok
-
-
-def test_event_double_trigger_rejected():
-    env = Environment()
-    ev = env.event()
-    ev.succeed(1)
-    with pytest.raises(SimulationError):
-        ev.succeed(2)
-    with pytest.raises(SimulationError):
-        ev.fail(RuntimeError("late"))
-
-
-def test_event_value_before_fire_rejected():
-    env = Environment()
-    ev = env.event()
-    with pytest.raises(SimulationError):
-        _ = ev.value
-
-
-def test_event_failure_reaches_its_callbacks():
-    env = Environment()
-    ev = env.event()
-    seen = []
-    ev.callbacks.append(lambda event: seen.append((event.ok, event.value)))
-    boom = RuntimeError("boom")
-    ev.fail(boom)
-    env.run()  # observed, so nothing raises
-    assert seen == [(False, boom)]
-
-
 def test_unobserved_failure_raises_from_step():
+    """An exception in an entry's callback raises out of the step that
+    runs it; the entry counts as fired."""
     env = Environment()
-    env.event().fail(ValueError("bad"))
+
+    def fail(_value):
+        raise ValueError("bad")
+
+    entry = env.call_later(2, fail)
+    env.call_later(3, lambda _value: None)
     with pytest.raises(ValueError, match="bad"):
         env.run()
-
-
-def test_fail_requires_an_exception():
-    env = Environment()
-    with pytest.raises(TypeError):
-        env.event().fail("not an exception")
+    assert env.now == 2 and entry[0] is None
+    env.run()
+    assert env.now == 3
 
 
 def test_run_until_time_boundary():
@@ -131,34 +96,6 @@ def test_deterministic_same_time_ordering():
         env.call_later(1, order.append, tag)
     env.run()
     assert order == list("abcde")
-
-
-def test_run_until_complete_returns_value():
-    env = Environment()
-    done = env.event()
-    env.call_later(3, lambda _value: done.succeed("x"))
-    env.call_later(9, lambda _value: None)
-    assert env.run_until_complete(done) == "x"
-    assert env.now == 3  # stops at the step that processed ``done``
-
-
-def test_run_until_complete_raises_the_failure():
-    env = Environment()
-    done = env.event()
-    done.callbacks.append(lambda event: None)  # observed: step won't raise
-    env.call_later(2, lambda _value: done.fail(KeyError("lost")))
-    with pytest.raises(KeyError, match="lost"):
-        env.run_until_complete(done)
-    assert env.now == 2
-
-
-def test_run_until_complete_detects_deadlock():
-    env = Environment()
-    never = env.event()
-    env.call_later(1, lambda _value: None)
-    with pytest.raises(SimulationError, match="deadlock"):
-        env.run_until_complete(never)
-    assert env.now == 1
 
 
 def test_peek_reports_next_event_time():
@@ -199,32 +136,29 @@ def test_cancelling_a_fired_entry_is_a_noop():
 def test_discard_drops_pending_events_unprocessed():
     env = Environment()
     fired = []
-    done = env.event()
-    env.call_later(1, lambda _value: done.succeed("done"))
+    env.call_later(1, fired.append, "first")
     env.call_later(5.0, fired.append, "late")
-    env.run_until_complete(done)  # the t=5 entry is still pending
+    env.step()  # the t=5 entry is still pending
     env.discard()
     assert env.peek() == float("inf")
     env.run()
-    assert fired == [] and env.now == 1
+    assert fired == ["first"] and env.now == 1
     # Still usable, with an empty agenda.
     env.call_later(2.0, fired.append, "new")
     env.run()
-    assert fired == ["new"] and env.now == 3
+    assert fired == ["first", "new"] and env.now == 3
 
 
 def test_discard_drops_pending_entries_unfired():
-    """Every pending entry -- timers, URGENT hops, a triggered event --
-    is dropped unfired, and cancelling one afterwards is a no-op that
-    leaves the emptied agenda's accounting alone."""
+    """Every pending entry -- timers, URGENT hops, a same-instant
+    signal -- is dropped unfired, and cancelling one afterwards is a
+    no-op that leaves the emptied agenda's accounting alone."""
     env = Environment()
     fired = []
-    gate = env.event()
-    gate.callbacks.append(lambda event: fired.append("gate"))
     timers = [env.call_later(delay, fired.append, delay)
               for delay in (0.0, 1.0, 1.0, 2.0)]
     env.call_later(0.0, fired.append, "urgent", URGENT)
-    gate.succeed()
+    signal = env.call_later(0.0, fired.append, "signal")
     env.discard()
     assert env.peek() == float("inf")
     for timer in timers:
@@ -232,26 +166,10 @@ def test_discard_drops_pending_entries_unfired():
     assert env.cancellations == 0
     env.run()
     assert fired == [] and env.now == 0
-    assert not gate.processed
+    assert signal[0] is None
     env.call_later(1.0, fired.append, "new")
     env.run()
     assert fired == ["new"] and env.now == 1
-
-
-def test_schedule_has_no_delay():
-    """An event fires at ``now``: ``schedule`` takes no delay, so a
-    negative one cannot fire it before the clock, ahead of a t=1 entry."""
-    env = Environment()
-    order = []
-    env.call_later(1.0, order.append, "timer")
-    ev = env.event()
-    ev.callbacks.append(lambda event: order.append(env.now))
-    with pytest.raises(TypeError):
-        env.schedule(ev, delay=-5.0)
-    assert not ev.triggered
-    env.schedule(ev)
-    env.run()
-    assert order == [0.0, "timer"] and env.now == 1.0
 
 
 def test_run_until_nan_rejected():

@@ -13,6 +13,7 @@ from repro.strategies.base import SyncContext
 from repro.casync.tasks import NodeEngine, run_graph
 from repro.gpu import Gpu, V100
 from repro.net import Fabric
+from tests.taskgraph_rows import make_all_ready
 
 MB = 1024 * 1024
 
@@ -22,12 +23,8 @@ MB = 1024 * 1024
 def test_urgent_events_fire_before_normal_at_same_time():
     env = Environment()
     order = []
-    normal = env.event()
-    urgent = env.event()
-    normal.callbacks.append(lambda ev: order.append("normal"))
-    urgent.callbacks.append(lambda ev: order.append("urgent"))
-    normal.succeed()                      # scheduled first...
-    urgent.succeed(priority=URGENT)       # ...but urgent jumps the queue
+    env.call_later(0, order.append, "normal")  # scheduled first...
+    env.call_later(0, order.append, "urgent", URGENT)  # ...but jumps it
     env.run()
     assert order == ["urgent", "normal"]
 
@@ -48,9 +45,7 @@ def _build_graph(strategy, model, cluster, algo):
     gpus = [Gpu(env, V100, i) for i in range(cluster.num_nodes)]
     engines = [NodeEngine(env, i, gpus[i], fabric)
                for i in range(cluster.num_nodes)]
-    ready = {(n, g.name): env.event() for n in range(cluster.num_nodes)
-             for g in model.gradients}
-    ctx = SyncContext(env=env, cluster=cluster, ready=ready, algorithm=algo)
+    ctx = SyncContext(env=env, cluster=cluster, algorithm=algo)
     return ctx, strategy.build(ctx, model), engines
 
 
@@ -94,8 +89,7 @@ def test_ring_oss_serializes_gradients():
     cluster = ec2_v100_cluster(3)
     ctx, graph, engines = _build_graph(RingOSSCompression(), model,
                                        cluster, DGC(rate=0.01))
-    for ev in ctx.ready.values():
-        ev.succeed()
+    make_all_ready(graph, model, cluster.num_nodes)
     run_graph(ctx.env, graph, engines)
     # First gradient's done barriers strictly precede the second's sends.
     # Each node's ``done:x.g0`` barrier is a join on its last g0 merge,
@@ -114,6 +108,5 @@ def test_ring_oss_single_node_noop():
     cluster = ec2_v100_cluster(1)
     ctx, graph, engines = _build_graph(RingOSSCompression(), model,
                                        cluster, DGC(rate=0.01))
-    for ev in ctx.ready.values():
-        ev.succeed()
+    make_all_ready(graph, model, cluster.num_nodes)
     assert run_graph(ctx.env, graph, engines) == 0.0

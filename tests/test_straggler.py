@@ -4,9 +4,11 @@ import pytest
 
 from repro.algorithms import OneBit
 from repro.cluster import ec2_v100_cluster
+from repro.faults import static_membership
 from repro.models import GradientSpec, ModelSpec
 from repro.strategies import CaSyncPS, RingAllreduce
-from repro.training import simulate_iteration
+from repro.training import run_elastic, simulate_iteration
+from repro.training.trace import trace_iteration
 
 MB = 1024 * 1024
 
@@ -33,6 +35,24 @@ def test_straggler_rejects_non_finite_factor(factor):
     with pytest.raises(ValueError, match="straggler"):
         simulate_iteration(model(), ec2_v100_cluster(2), RingAllreduce(),
                            straggler=(0, factor))
+
+
+def _elastic_round(model, cluster, strategy, **timers):
+    run_elastic(model, cluster, strategy,
+                static_membership(cluster.num_nodes), epochs=1, **timers)
+
+
+@pytest.mark.parametrize("value", [-1.0, float("nan")])
+@pytest.mark.parametrize("name", ["sync_deadline_s", "heartbeat_timeout_s"])
+@pytest.mark.parametrize("run", [simulate_iteration, trace_iteration,
+                                 _elastic_round],
+                         ids=["simulate", "trace", "elastic"])
+def test_round_rejects_bad_timers(run, name, value):
+    """A negative or NaN round timer is refused before the round starts,
+    with an error that names the argument -- not mid-round, from inside
+    the agenda (for the heartbeat, only once a node crashed)."""
+    with pytest.raises(ValueError, match=name):
+        run(model(), ec2_v100_cluster(2), RingAllreduce(), **{name: value})
 
 
 def test_one_slow_node_stalls_bsp():

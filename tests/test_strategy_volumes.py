@@ -26,6 +26,7 @@ from repro.strategies import (
 )
 from repro.strategies.base import SyncContext
 from repro.training import make_plans
+from tests.taskgraph_rows import make_all_ready
 
 MB = 1024 * 1024
 
@@ -40,12 +41,9 @@ def run_strategy(strategy, sizes, num_nodes, algo=None):
     gpus = [Gpu(env, V100, i) for i in range(num_nodes)]
     engines = [NodeEngine(env, i, gpus[i], fabric)
                for i in range(num_nodes)]
-    ready = {(n, g.name): env.event() for n in range(num_nodes)
-             for g in model.gradients}
-    ctx = SyncContext(env=env, cluster=cluster, ready=ready, algorithm=algo)
+    ctx = SyncContext(env=env, cluster=cluster, algorithm=algo)
     graph = strategy.build(ctx, model)
-    for ev in ready.values():
-        ev.succeed()
+    make_all_ready(graph, model, num_nodes)
     run_graph(env, graph, engines)
     return model, fabric.stats.bytes_sent
 
@@ -340,10 +338,7 @@ def _build_graph(strategy, grads, num_nodes, algo=None, decisions=None):
     model = ModelSpec(name="v", gradients=grads, batch_size=4,
                       batch_unit="images", v100_iteration_s=0.001)
     cluster = ec2_v100_cluster(num_nodes)
-    env = Environment()
-    ready = {(n, g.name): env.event() for n in range(num_nodes)
-             for g in model.gradients}
-    ctx = SyncContext(env=env, cluster=cluster, ready=ready, algorithm=algo,
+    ctx = SyncContext(env=Environment(), cluster=cluster, algorithm=algo,
                       decisions=decisions)
     return strategy.build(ctx, model)
 

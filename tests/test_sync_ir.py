@@ -343,10 +343,7 @@ def test_cache_key_sensitivity():
 
 
 def _build_casync_ps(model, cluster, cache):
-    env = Environment()
-    ready = {(n, g.name): env.event() for n in range(cluster.num_nodes)
-             for g in model.gradients}
-    ctx = SyncContext(env=env, cluster=cluster, ready=ready,
+    ctx = SyncContext(env=Environment(), cluster=cluster,
                       algorithm=default_algorithm("tbq"))
     return build_graph(CaSyncPS(bulk=False), ctx, model, cache=cache)
 

@@ -1,33 +1,47 @@
 """CSR dispatch: task graphs run off their successor CSR.
 
-A task's completion is per-task state plus one agenda entry
-(:meth:`TaskGraph.complete`); only the backward-pass ready events and the
-graph-level ``done`` event are real :class:`~repro.sim.Event` objects.
-These tests pin the allocation profile, the one-agenda-entry-per-
-completion contract, and the CSR's release order.
+Every signal of a round is graph state plus one agenda entry: a task's
+completion (:meth:`TaskGraph.complete`), a gradient's ready ref
+(:meth:`TaskGraph.make_ready`) and the graph settling.  These tests pin
+the allocation profile, the one-agenda-entry-per-signal contract, and
+the CSR's release order.
 """
 
+import collections
 import contextlib
 import gc
+import math
 import weakref
 
 import pytest
 
+import repro.sim
 from repro.algorithms import OneBit
 from repro.analysis.plancheck import golden_model
 from repro.casync import Coordinator, NodeEngine, run_graph
 from repro.casync.passes import PassContext, build_plan
 from repro.cluster import ec2_v100_cluster
+from repro.faults import (
+    DeadlineExceeded,
+    FaultSchedule,
+    LinkPartition,
+    LinkRestore,
+    NodeCrash,
+    NodeRestart,
+    RetryPolicy,
+    random_schedule,
+)
 from repro.gpu import Gpu, V100
 from repro.models import GradientSpec, ModelSpec
 from repro.net import Fabric, NetworkSpec
-from repro.sim import Environment, Event, SimulationError
-from repro.strategies import get_strategy
+from repro.sim import NORMAL, Environment, SimulationError
+from repro.strategies import CaSyncPS, CaSyncRing, get_strategy
 from repro.strategies.base import SyncContext
 from repro.telemetry import telemetry_session
 from repro.training import simulate_iteration
 from repro.training.trace import trace_hash, trace_iteration
-from tests.taskgraph_rows import build, row
+from tests.taskgraph_rows import build, join, row
+from tests.test_faults import small_model as fault_model
 
 KB = 1024
 MB = 1024 * 1024
@@ -48,56 +62,91 @@ def _world(num_nodes):
     return env, engines
 
 
-@pytest.fixture
-def event_inits(monkeypatch):
-    """Count every Event constructed (subclasses too)."""
-    counter = [0]
-    original = Event.__init__
-
-    def counting(self, env):
-        counter[0] += 1
-        original(self, env)
-
-    monkeypatch.setattr(Event, "__init__", counting)
-    return counter
-
-
-def test_instantiate_and_arm_allocate_per_ready_ref_not_per_task(event_inits):
+def test_instantiate_and_arm_allocate_per_ready_ref_not_per_task():
+    """Ready state is one fire instant per ready ref, recorded when the
+    ref fires; arming records none."""
     model = small_model()
     cluster = ec2_v100_cluster(4)
-    algo = OneBit()
     env, engines = _world(cluster.num_nodes)
-    ready = {(n, g.name): env.event() for n in range(cluster.num_nodes)
-             for g in model.gradients}
-    ctx = SyncContext(env=env, cluster=cluster, ready=ready, algorithm=algo)
-    strategy = get_strategy("casync-ps")
-
-    event_inits[0] = 0
-    graph = strategy.build(ctx, model)
-    assert event_inits[0] == 0, "instantiate must create no Event"
+    ctx = SyncContext(env=env, cluster=cluster, algorithm=OneBit())
+    graph = get_strategy("casync-ps").build(ctx, model)
 
     csr = graph.csr
-    assert len(graph.tasks) > 10 * len(ready)
-    event_inits[0] = 0
-    done = graph.arm(engines)
-    # Only the graph-level ``done`` event: the source tasks dispatched at
-    # arm are plain agenda entries, and no task gets an event.
-    assert event_inits[0] == 1
-    # One graph callback per ready event that something depends on.
-    hooked = [ev for ev in ready.values() if ev.callbacks]
-    assert len(hooked) == len(csr.refs) == len(ready)
-    assert all(len(ev.callbacks) == 1 for ev in hooked)
-
-    for ev in ready.values():
-        ev.succeed()
-    env.run()
-    assert done.processed and done.ok
+    assert len(csr.refs) == cluster.num_nodes * len(model.gradients)
+    assert len(graph.tasks) > 10 * len(csr.refs)
+    graph.arm(engines)
+    assert graph.ready_at == {}
+    for node, gradient in csr.refs:
+        graph.make_ready(node, gradient)
+    assert graph.ready_at == dict.fromkeys(csr.refs, 0.0)
+    while not graph.settled:
+        env.step()
+    assert graph.finished and graph.error is None
     assert all(task.triggered and task.error is None for task in graph.tasks)
 
 
-@pytest.mark.parametrize("traced", [False, True],
-                         ids=["bare", "telemetry"])
-def test_one_agenda_entry_per_completion(traced):
+def _golden_round(traced):
+    model = golden_model()
+    cluster = ec2_v100_cluster(4)
+    algo = OneBit()
+    plan = build_plan(get_strategy("casync-ps"),
+                      PassContext(num_nodes=4, cluster=cluster,
+                                  algorithm=algo), model)
+    barriers = sum(op.kind == "barrier" for op in plan.ops)
+    assert barriers == 272
+    session = telemetry_session() if traced else contextlib.nullcontext()
+    with session:
+        trace = trace_iteration(model, cluster, get_strategy("casync-ps"),
+                                algorithm=algo)
+    assert trace_hash(trace).startswith("88c4e59099cd")
+    return 1380 - barriers
+
+
+def _faulted_round(make_strategy, schedule, steps, **limits):
+    """A round of ``tests.test_faults``' small model on 3 nodes under
+    ``schedule``, as a callable returning its pinned step count."""
+    def run():
+        trace_iteration(fault_model(), ec2_v100_cluster(3), make_strategy(),
+                        algorithm=OneBit(), fault_schedule=schedule,
+                        retry_policy=RetryPolicy.aggressive(), **limits)
+        return steps
+    return run
+
+
+def _deadline_exceeded_round():
+    run = _faulted_round(lambda: CaSyncPS(bulk=False, selective=False),
+                         FaultSchedule.of(NodeCrash(at=1e-4, node=1)), 72,
+                         sync_deadline_s=2e-3, heartbeat_timeout_s=10)
+    with pytest.raises(DeadlineExceeded) as excinfo:
+        run()
+    assert excinfo.value.at == pytest.approx(2e-3)
+    return 72
+
+
+#: Rounds whose ``Environment.step`` count is pinned, by test id.
+STEP_PINNED_ROUNDS = {
+    "bare": lambda: _golden_round(traced=False),
+    "telemetry": lambda: _golden_round(traced=True),
+    "ps-seed11": _faulted_round(
+        lambda: CaSyncPS(bulk=False, selective=False),
+        random_schedule(seed=11, num_nodes=3, horizon=2e-3), 137,
+        sync_deadline_s=0.5),
+    "ps-partition": _faulted_round(
+        lambda: CaSyncPS(bulk=False, selective=False),
+        FaultSchedule.of(LinkPartition(at=1e-4, src=0, dst=1),
+                         LinkRestore(at=3e-3, src=0, dst=1)), 149,
+        sync_deadline_s=0.5),
+    "ring-crash-restart": _faulted_round(
+        lambda: CaSyncRing(bulk=False, selective=False),
+        FaultSchedule.of(NodeCrash(at=1e-4, node=2),
+                         NodeRestart(at=2e-3, node=2)), 141,
+        sync_deadline_s=0.5),
+    "ps-deadline-exceeded": _deadline_exceeded_round,
+}
+
+
+@pytest.mark.parametrize("case", list(STEP_PINNED_ROUNDS))
+def test_one_agenda_entry_per_completion(case):
     """The Environment.step count of one golden case, pinned from the
     design that gave every task its own completion Event: a completion
     still takes exactly one agenda entry per task.  An attached
@@ -118,15 +167,14 @@ def test_one_agenda_entry_per_completion(traced):
 
     1,380 steps until barriers became CSR joins: each barrier was a
     ``notify`` task whose completion took one entry, and a join takes
-    none, so the count dropped by exactly the plan's barrier count."""
-    model = golden_model()
-    cluster = ec2_v100_cluster(4)
-    algo = OneBit()
-    plan = build_plan(get_strategy("casync-ps"),
-                      PassContext(num_nodes=4, cluster=cluster,
-                                  algorithm=algo), model)
-    barriers = sum(op.kind == "barrier" for op in plan.ops)
-    assert barriers == 272
+    none, so the count dropped by exactly the plan's barrier count.
+
+    The faulted rounds pin the retry loop, the link waits of a partition
+    and of a crashed destination (4 each), the heartbeat detector and
+    the deadline the same way; their counts were taken from the design
+    in which ready signals, the graph's ``done``, the deadline's verdict
+    and link waits were ``Event`` objects, each firing through one
+    entry."""
     steps = [0]
     original = Environment.step
 
@@ -134,13 +182,10 @@ def test_one_agenda_entry_per_completion(traced):
         steps[0] += 1
         original(self)
 
-    session = telemetry_session() if traced else contextlib.nullcontext()
-    with pytest.MonkeyPatch.context() as mp, session:
+    with pytest.MonkeyPatch.context() as mp:
         mp.setattr(Environment, "step", counting)
-        trace = trace_iteration(model, cluster, get_strategy("casync-ps"),
-                                algorithm=algo)
-    assert trace_hash(trace).startswith("88c4e59099cd")
-    assert steps[0] == 1380 - barriers
+        pinned = STEP_PINNED_ROUNDS[case]()
+    assert steps[0] == pinned
 
 
 def test_completing_a_task_twice_raises():
@@ -160,13 +205,15 @@ def test_failed_completion_fails_done_after_observers():
     a = graph.tasks[0]
     seen = []
     graph.observers.append(lambda task: seen.append((task.label, task.error)))
-    done = graph.arm(engines)
+    graph.on_settled.append(lambda g: seen.append(("settled", g.error)))
     boom = RuntimeError("boom")
-    graph.complete(a, boom)  # force-fail ``a`` while its kernel runs
+    # Force-fail ``a`` while its kernel runs.
+    env.call_later(0.5, lambda _value: graph.complete(a, boom))
     with pytest.raises(RuntimeError, match="boom"):
-        env.run_until_complete(done)
-    assert seen == [("a", boom)]
-    assert done.processed and not done.ok
+        run_graph(env, graph, engines)
+    assert seen == [("a", boom), ("settled", boom)]
+    assert graph.finished and graph.settled and graph.error is boom
+    assert env.now == 0.5
 
 
 def test_dependents_release_in_registration_order():
@@ -194,25 +241,73 @@ def test_dependents_release_in_registration_order():
     assert order == ["root", "other", "x", "y", "z"]
 
 
-def test_processed_ready_event_counts_as_satisfied():
+def test_ready_refs_are_graph_state():
+    """A ready ref fires through the graph: its fire instant is recorded
+    and one entry at ``(now, NORMAL)`` releases its dependents."""
     env, engines = _world(1)
-    early, late = env.event(), env.event()
-    early.succeed()
-    env.run()  # ``early`` is processed before the graph is armed
-    graph = build(env, [row(0, "encode", "a", duration=1.0, deps=["late"]),
-                        row(0, "encode", "b", duration=1.0, deps=["early"]),
+    graph = build(env, [row(0, "encode", "a", duration=1.0,
+                            deps=[(0, "late")]),
+                        row(0, "encode", "b", duration=1.0,
+                            deps=[(0, "early")]),
                         row(0, "merge", "c", duration=1.0,
-                            deps=["early", 0])],
-                  ready={"early": early, "late": late})
+                            deps=[(0, "early"), 0])])
     a, b, c = graph.tasks
     graph.arm(engines)
-    assert early.callbacks is None and len(late.callbacks) == 1
-    late.succeed()
-    env.run()
+    graph.make_ready(0, "early")
+    graph.make_ready(0, "late")
+    with pytest.raises(SimulationError, match="already fired"):
+        graph.make_ready(0, "late")
+    with pytest.raises(SimulationError, match="no row depends"):
+        graph.make_ready(1, "early")
+    assert graph.ready_at == {(0, "early"): 0.0, (0, "late"): 0.0}
+    while not graph.settled:
+        env.step()
     assert b.finished_at == pytest.approx(1.0)
     assert a.finished_at == pytest.approx(2.0)
     assert c.finished_at == pytest.approx(3.0)
-    assert graph.predecessors(c) == (early, a)
+    assert graph.predecessors(c) == ((0, "early"), a)
+
+
+def test_ready_ref_firing_after_the_graph_finished_releases_nothing():
+    """A node that restarts after its death was declared fires its ready
+    refs after the round finished; they release nothing, so no join
+    records an instant past the round's end."""
+    env, engines = _world(1)
+    graph = build(env, [row(0, "encode", "a", duration=1.0),
+                        join(deps=[(1, "g")]),
+                        row(0, "merge", "b", duration=1.0, deps=[1])])
+    a, b = graph.tasks
+    graph.arm(engines)
+    b.dropped = True
+    graph.complete(b)  # as the degradation controller drops it
+    while not graph.settled:
+        env.step()
+    assert env.now == 1.0
+    graph.make_ready(1, "g")
+    env.run()
+    assert graph.ready_at == {(1, "g"): 1.0}
+    assert math.isnan(graph.joined_at[1])
+
+
+def test_ready_entry_stepping_before_arm_raises():
+    env, engines = _world(1)
+    graph = build(env, [row(0, "encode", "a", duration=1.0,
+                            deps=[(0, "g")])])
+    graph.make_ready(0, "g")
+    with pytest.raises(SimulationError, match="before the graph was armed"):
+        env.run()
+
+
+def test_run_graph_detects_deadlock():
+    """A graph waiting on a ready ref that never fires cannot settle:
+    ``run_graph`` raises once the agenda empties."""
+    env, engines = _world(1)
+    graph = build(env, [row(0, "encode", "a", duration=1.0),
+                        row(0, "merge", "b", duration=1.0,
+                            deps=[0, (0, "never")])])
+    with pytest.raises(SimulationError, match="no more events"):
+        run_graph(env, graph, engines)
+    assert env.now == 1.0 and not graph.settled
 
 
 def test_finished_graph_frees_without_a_collection():
@@ -228,12 +323,10 @@ def test_finished_graph_frees_without_a_collection():
     engines = [NodeEngine(env, i, Gpu(env, V100, i), fabric,
                           coordinator=coordinator)
                for i in range(cluster.num_nodes)]
-    ready = {(n, g.name): env.event() for n in range(cluster.num_nodes)
-             for g in model.gradients}
-    ctx = SyncContext(env=env, cluster=cluster, ready=ready, algorithm=algo)
+    ctx = SyncContext(env=env, cluster=cluster, algorithm=algo)
     graph = get_strategy("casync-ps", bulk=True).build(ctx, model)
-    for ev in ready.values():
-        ev.succeed()
+    for node, gradient in graph.csr.refs:
+        graph.make_ready(node, gradient)
     was_enabled = gc.isenabled()
     gc.disable()
     try:
@@ -248,19 +341,29 @@ def test_finished_graph_frees_without_a_collection():
             gc.enable()
 
 
-def test_pristine_round_builds_only_ready_events_and_done(event_inits):
+def test_pristine_round_builds_only_ready_events_and_done(monkeypatch):
     """Every timed behaviour of a round is a plain ``[callback, value]``
-    agenda entry: a pristine golden round builds one ``Event`` per
-    (node, gradient) ready signal and the graph's ``done``, nothing else.
-    The pooled-carrier design also built the 97 carriers its pool grew
-    to; the generator design before it, 6 processes, 24 stream requests,
-    24 kernel timeouts and the drain's ``AllOf``."""
+    agenda entry, and the kernel has no event objects: the only signal
+    events of a pristine golden round are its (node, gradient) ready
+    signals and the graph's ``done`` (it settling), one entry each.  The
+    design before this one built an ``Event`` object for each of these
+    21 signals; the pooled-carrier design also built the 97 carriers its
+    pool grew to; the generator design before it, 6 processes, 24
+    stream requests, 24 kernel timeouts and the drain's ``AllOf``."""
+    assert not hasattr(repro.sim, "Event")
+    pushed = collections.Counter()
+    original = Environment.call_later
+
+    def counting(self, delay, callback, value=None, priority=NORMAL):
+        pushed[getattr(callback, "__name__", None)] += 1
+        return original(self, delay, callback, value, priority)
+
+    monkeypatch.setattr(Environment, "call_later", counting)
     model = golden_model()
     cluster = ec2_v100_cluster(4)
-    event_inits[0] = 0
     result = simulate_iteration(
         model, cluster, get_strategy("casync-ps"), algorithm=OneBit())
     assert result.coordinator_batches > 0
-    ready = cluster.num_nodes * len(model.gradients)
-    assert ready == 20
-    assert event_inits[0] == ready + 1
+    assert cluster.num_nodes * len(model.gradients) == 20
+    assert pushed["_on_ready"] == 20
+    assert pushed["_settle"] == 1
