@@ -65,9 +65,11 @@ from dataclasses import dataclass
 from typing import (Any, Callable, Dict, Iterable, Iterator, List, Optional,
                     Sequence, Set, Tuple)
 
+import numpy as np
+
 from ..casync.index import (PlanIndex, _sizes_match, plan_file, plan_index,
                             region_pid as _region_pid)
-from ..casync.ir import Op, PlanVerificationError, SyncPlan
+from ..casync.ir import PlanVerificationError, SyncPlan
 from ..casync.passes import BULK_ELIGIBLE_BYTES, PassContext
 from ..sim import gc_paused
 from .diagnostics import (Diagnostic, ERROR, count_by_severity, exit_code,
@@ -178,6 +180,9 @@ class PlanReport:
 _PAYLOAD_CONSUMERS = ("send", "decode", "decode_merge", "copy", "merge")
 _PAYLOAD_CONSUMERS_SET = frozenset(_PAYLOAD_CONSUMERS)
 
+#: Op kinds that only a compressed gradient has (PC403).
+_CODEC_KINDS = frozenset(("encode", "decode", "decode_merge"))
+
 #: Fan-in at which backward searches stop expanding an op's deps and
 #: consult its memoized ancestor set instead (see ``_ancestors``).
 _WIDE_JOIN = 8
@@ -205,7 +210,7 @@ class _PlanAnalyzer:
         self._op_lines: Optional[Dict[int, int]] = None
         self._dir_lines: Optional[Dict[str, int]] = None
         self._anc_memo: Dict[int, frozenset] = {}
-        self._wire_memo: Dict[Tuple[Optional[str], float, bool], float] = {}
+        self._send_wires: Optional[np.ndarray] = None
         self.findings: List[Diagnostic] = []
         idx = plan_index(plan)
         self.index_of = idx.index_of
@@ -219,8 +224,8 @@ class _PlanAnalyzer:
         # regions the index builder did not classify, and later
         # analyzer runs over the same plan reuse them.
         self._pids = idx.region_pids
-        ops = self.ops
-        self.bulk_sends = [ops[i] for i in idx.bulk_sends]
+        self.bulk_sends = idx.bulk_sends
+        self.sends = idx.sends
         self._check_encode_edges(idx)
 
     def _check_encode_edges(self, idx: PlanIndex) -> None:
@@ -254,39 +259,57 @@ class _PlanAnalyzer:
                     f"{pbytes} != {nbytes}",
                     uid=op.uid)
 
-    def check_lowered_costs(self, specs: Sequence[Any]) -> None:
-        """PC605/PC606 over a lowered recipe's specs (each from op
-        ``spec.row``): every cost finite and not negative, and (given a
-        pass context) every send's wire size agrees with the size model."""
-        wire_of = None if self.pctx is None else self.wire_of
-        inf, ops = math.inf, self.ops
-        for spec in specs:
-            op = ops[spec.row]
-            out = spec.out_nbytes or 0.0
-            if not (0 <= spec.duration < inf and 0 <= spec.nbytes < inf
-                    and 0 <= spec.launch_overhead < inf and 0 <= out < inf):
-                self.emit("PC605", f"lowered {op!r} has a negative or "
-                          f"non-finite cost (duration={spec.duration}, "
-                          f"launch overhead={spec.launch_overhead}, nbytes="
-                          f"{spec.nbytes}, out_nbytes={out})", uid=op.uid)
-            if op.kind == "send" and wire_of is not None:
-                wire = wire_of(op)
-                if (spec.nbytes != wire
-                        and not _sizes_match(spec.nbytes, wire)):
-                    self.emit(
-                        "PC606",
-                        f"lowered {op!r} wire size {spec.nbytes} "
-                        f"disagrees with the size model's {wire}",
-                        uid=op.uid)
+    def check_lowered_costs(self, recipe: Any) -> None:
+        """PC605/PC606 over a lowered recipe's cost columns (entry ``k``
+        lowered from op ``recipe.rows[k]``): every cost finite and not
+        negative, and (given a pass context) every send's wire size
+        agrees with the size model."""
+        ops = self.ops
+        out = recipe.out_nbytes
+        costs = np.array((recipe.durations, recipe.launch_overheads,
+                          recipe.nbytes, [o or 0.0 for o in out]),
+                         dtype=float)
+        bad = ~((costs >= 0) & (costs < math.inf)).all(axis=0)
+        for k in np.flatnonzero(bad).tolist():
+            op = ops[recipe.rows[k]]
+            self.emit("PC605", f"lowered {op!r} has a negative or "
+                      f"non-finite cost (duration={recipe.durations[k]}, "
+                      f"launch overhead={recipe.launch_overheads[k]}, "
+                      f"nbytes={recipe.nbytes[k]}, "
+                      f"out_nbytes={out[k] or 0.0})", uid=op.uid)
+        sends = self.sends
+        if self.pctx is None or not sends:
+            return
+        want = self.send_wires()
+        slot = np.frombuffer(recipe.csr.slot, dtype=np.intc)[
+            np.frombuffer(sends, dtype=np.intc)]
+        # Only an unequal pair can be a mismatch; _sizes_match decides.
+        for s in np.flatnonzero(costs[2, slot] != want).tolist():
+            got, wire = recipe.nbytes[slot[s]], float(want[s])
+            if not _sizes_match(got, wire):
+                op = ops[sends[s]]
+                self.emit("PC606", f"lowered {op!r} wire size {got} "
+                          f"disagrees with the size model's {wire}",
+                          uid=op.uid)
 
-    def wire_of(self, op: Op) -> float:
-        """Memoized size-model wire size (pure in gradient and size)."""
-        key = (op.grad, op.size.nbytes, op.size.compressed)
-        wire = self._wire_memo.get(key)
-        if wire is None:
+    def send_wires(self) -> np.ndarray:
+        """The size model's wire size of each of :attr:`sends`, evaluated
+        once per distinct ``(gradient, nbytes, compressed)``: the wire
+        depends on nothing else."""
+        wires = self._send_wires
+        if wires is None:
             assert self.pctx is not None
-            wire = self._wire_memo[key] = self.pctx.wire_op(op)
-        return wire
+            wire_op = self.pctx.wire_op
+            memo: Dict[Tuple[Optional[str], float, bool], float] = {}
+            column = []
+            for op in map(self.ops.__getitem__, self.sends):
+                key = (op.grad, op.size.nbytes, op.size.compressed)
+                wire = memo.get(key)
+                if wire is None:
+                    wire = memo[key] = wire_op(op)
+                column.append(wire)
+            wires = self._send_wires = np.array(column, dtype=float)
+        return wires
 
     def pid(self, i: int) -> Optional[int]:
         """Cached :func:`_region_pid` of the op at index ``i``."""
@@ -460,7 +483,6 @@ class _PlanAnalyzer:
         """
         n = self.n
         ops = self.ops
-        num_ops = len(ops)
         preds = self.preds
         consumed = self.consumed
         #: flow key -> [(seeding op index, origin node), ...]; the
@@ -488,14 +510,16 @@ class _PlanAnalyzer:
                     targets.add(i)
 
         # Backward pass: rev[i] = nodes owning a sink reachable from i.
-        rev = [0] * num_ops
-        for i in range(num_ops - 1, -1, -1):
-            r = rev[i]
-            if not consumed[i]:  # sink: no later op includes it
-                r |= 1 << ops[i].node
-                rev[i] = r
+        # A sink (no later op includes it) starts with its own node; the
+        # reversed iterator reads each entry once every later op has
+        # propagated into it.
+        rev = [0] * len(ops)
+        sinks = np.flatnonzero(np.frombuffer(consumed, dtype=np.uint8) == 0)
+        for i in sinks.tolist():
+            rev[i] = 1 << ops[i].node
+        for r, deps in zip(reversed(rev), reversed(preds)):
             if r:
-                for j in preds[i]:
+                for j in deps:
                     rev[j] |= r
 
         full = (1 << n) - 1
@@ -673,24 +697,24 @@ class _PlanAnalyzer:
         """PC403/PC404/PC405: directive intent matches emitted structure."""
         if self.n == 1:
             return  # single-node plans synchronize nothing
-        index_of = self.index_of
+        # Each gradient's encode regions, from the index's encode groups.
+        encode_pids: Dict[str, Set[Optional[int]]] = {}
+        for grad, pid in self.encodes:
+            encode_pids.setdefault(grad, set()).add(pid)
         for name in sorted(self.plan.directives):
             directive = self.plan.directives[name]
             ops = self.by_grad.get(name, [])
             if directive.compress:
                 if not ops:
                     continue  # bucketed elsewhere; PC303 covers absence
-                encodes = [op for op in ops if op.kind == "encode"]
-                if not encodes:
+                if name not in encode_pids:
                     self.emit(
                         "PC404",
                         f"directive marks {name} compressed but no "
                         f"encode op realizes it",
                         directive=name)
                     continue
-                pids = {pid for pid in (self.pid(index_of[op.uid])
-                                        for op in encodes)
-                        if pid is not None}
+                pids = encode_pids[name] - {None}
                 if pids and directive.partitions > len(pids):
                     self.emit(
                         "PC405",
@@ -702,8 +726,7 @@ class _PlanAnalyzer:
                              "on the partition count")
             else:
                 bad = [op for op in ops
-                       if op.kind in ("encode", "decode", "decode_merge")
-                       or op.size.compressed]
+                       if op.kind in _CODEC_KINDS or op.size.compressed]
                 if bad:
                     self.emit(
                         "PC403",
@@ -760,7 +783,16 @@ class _PlanAnalyzer:
 
     def check_bulk_policy(self) -> None:
         """PC501: every bulk-routed send was eligible and under threshold."""
-        for op in self.bulk_sends:
+        ops, sends = self.ops, self.sends
+        # Sends at or over the threshold, with their wire sizes; without
+        # a pass context no wire size is known.
+        over: Dict[int, float] = {}
+        if self.pctx is not None and self.bulk_sends:
+            wires = self.send_wires()
+            over = {sends[s]: float(wires[s]) for s in np.flatnonzero(
+                wires >= BULK_ELIGIBLE_BYTES).tolist()}
+        for i in self.bulk_sends:
+            op = ops[i]
             if not op.attrs.get("bulk_eligible"):
                 self.emit(
                     "PC501",
@@ -769,15 +801,13 @@ class _PlanAnalyzer:
                     uid=op.uid,
                     hint="serial ring hops must never ride the "
                          "coordinator (per-hop flush delays accumulate)")
-            elif self.pctx is not None:
-                wire = self.wire_of(op)
-                if wire >= BULK_ELIGIBLE_BYTES:
-                    self.emit(
-                        "PC501",
-                        f"{op!r} is bulk-routed but its wire size "
-                        f"{wire:.0f} B is not below the coordinator "
-                        f"threshold {BULK_ELIGIBLE_BYTES} B",
-                        uid=op.uid)
+            elif i in over:
+                self.emit(
+                    "PC501",
+                    f"{op!r} is bulk-routed but its wire size "
+                    f"{over[i]:.0f} B is not below the coordinator "
+                    f"threshold {BULK_ELIGIBLE_BYTES} B",
+                    uid=op.uid)
 
     def run(self) -> List[Diagnostic]:
         self.check_byte_flow()
@@ -795,23 +825,25 @@ def check_plan(plan: SyncPlan, pctx: Optional[PassContext] = None,
     ``pctx`` enables the context-dependent rules (PC402/PC501 wire
     thresholds, PC606); ``recipe``, the plan's
     :func:`~repro.casync.lower.lower_plan` output, adds the PC605/PC606
-    cost checks of its specs.  Lowering keeps row *i* for op *i* with
-    the index's own dependency tuples, so a recipe needs no structural
-    cross-check; one with another row or spec count raises ``ValueError``.
-    The PC1xx findings are those of the plan's cached
+    cost checks of its columns.  Lowering costs the index's own task
+    rows and builds the CSR from the index's own dependency rows, so a
+    recipe needs no structural cross-check; one with another row or task
+    count than the index records raises ``ValueError``.  The PC1xx
+    findings are those of the plan's cached
     :class:`~repro.casync.index.PlanIndex`.
 
     Deep analyses assume topological op order, so any structural error
     short-circuits the report to just the PC1xx findings.
     """
+    idx = plan_index(plan)
     if recipe is not None:
-        tasks = sum(op.kind != "barrier" for op in plan.ops)
-        if (len(recipe.specs), len(recipe.deps)) != (tasks, len(plan.ops)):
-            raise ValueError(f"recipe has {len(recipe.specs)} specs but the "
+        tasks = len(idx.task_rows)
+        if (len(recipe.rows), len(recipe.csr)) != (tasks, idx.num_ops):
+            raise ValueError(f"recipe has {len(recipe.rows)} tasks but the "
                              f"plan has {tasks} non-barrier ops; pass the "
                              f"plan's own lower_plan output")
     file = plan_file(plan, name)
-    diagnostics = plan_index(plan).diagnostics(plan, file)
+    diagnostics = idx.diagnostics(plan, file)
     if not diagnostics:
         # The analyzer's transient index structures (one preds list per
         # op) are exactly the allocation pattern that trips generational
@@ -821,7 +853,7 @@ def check_plan(plan: SyncPlan, pctx: Optional[PassContext] = None,
         with gc_paused():
             analyzer = _PlanAnalyzer(plan, pctx, file)
             if recipe is not None:
-                analyzer.check_lowered_costs(recipe.specs)
+                analyzer.check_lowered_costs(recipe)
             diagnostics.extend(analyzer.run())
     return PlanReport(
         name=file, strategy=plan.strategy, num_nodes=plan.num_nodes,

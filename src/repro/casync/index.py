@@ -3,8 +3,9 @@
 In the CaSync design (§3.1) the whole synchronization task graph is
 known before the iteration starts, so its structure is checked
 statically, once.  :meth:`PlanIndex.build` is that single walk: one loop
-over ``plan.ops`` derives the uid -> position map and dependency
-encodings :func:`repro.casync.lower.lower_plan` lowers, the predecessor
+over ``plan.ops`` derives the uid -> position map, the flat integer
+dependency rows and task rows :func:`repro.casync.lower.lower_plan`
+lowers, the predecessor
 lists, ready seeds, gradient groups and buffer regions
 :mod:`repro.analysis.plancheck` evaluates its rules over, and the
 structural findings PC100-PC110 (unique uids, known kinds, nodes in
@@ -16,10 +17,11 @@ each send -> consumer flow).
 :func:`plan_index` caches the index per plan object; ``build_plan``'s
 :class:`~repro.casync.passes.VerifyPass` builds it and rejects a plan
 with findings, and lowering and the analyzer reuse it.  An index with
-findings is partial (a dangling dep has no encoding), so ``lower_plan``
-refuses it; ``check_plan`` reports it.  Lowering builds spec *i* from
-op *i* and hands it ``dep_encodings[i]`` itself, so a recipe agrees with
-its plan by construction and nothing re-checks it.  Beyond
+findings is partial (a dangling dep has no row), so ``lower_plan``
+refuses it; ``check_plan`` reports it.  Lowering costs exactly the
+index's ``task_rows`` and builds the recipe's successor CSR from the
+index's own ``dep_ptr``/``dep_rows``/``ref_keys``, so a recipe agrees
+with its plan by construction and nothing re-checks it.  Beyond
 those shape findings the index evaluates nothing: an analyzer reading
 ``preds`` sees exactly the edges a buggy optimization pass left.
 """
@@ -27,6 +29,7 @@ those shape findings the index evaluates nothing: an analyzer reading
 from __future__ import annotations
 
 import weakref
+from array import array
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, Union
 
@@ -131,10 +134,17 @@ class PlanIndex:
     index_of: Dict[int, int]
     #: Position-indexed predecessor lists (ReadyRefs excluded).
     preds: List[List[int]]
-    #: Per-op dependency encodings, one entry per dep in dep order:
-    #: ``("t", position)`` or ``("r", node, gradient)`` -- the exact
-    #: shape :class:`~repro.casync.lower.TaskSpec` records.
-    dep_encodings: List[Tuple[Tuple[object, ...], ...]]
+    #: Every op's dependencies as flat ints, in dep order: op ``i``'s are
+    #: ``dep_rows[dep_ptr[i]:dep_ptr[i + 1]]``, each an earlier position
+    #: ``j >= 0`` or ``-1 - r`` for ready ref ``ref_keys[r]``.
+    dep_ptr: array
+    dep_rows: array
+    #: The ``(node, gradient)`` keys of the ReadyRefs, in first-use order.
+    ref_keys: List[Tuple[int, str]]
+    #: Positions of the ops that lower to a task (every op but a barrier).
+    task_rows: array
+    #: Positions of the in-range sends.
+    sends: array
     #: consumed[i] == 1 when some later op depends on op i (non-sink).
     consumed: bytearray
     #: gradient -> [(op position, ready node), ...] per ReadyRef use.
@@ -171,7 +181,11 @@ class PlanIndex:
                     f"got {partitions}", dname))
         index_of: Dict[int, int] = {}
         preds: List[List[int]] = []
-        dep_encodings: List[Tuple[Tuple[object, ...], ...]] = []
+        # Lists while walking (appends are cheaper), C-int arrays after.
+        dep_ptr = [0]
+        dep_rows: List[int] = []
+        ref_ids: Dict[Tuple[int, str], int] = {}
+        task_rows: List[int] = []
         consumed = bytearray(n_ops)
         ready_seeds: Dict[str, List[Tuple[int, int]]] = {}
         by_grad: Dict[str, List[Op]] = {}
@@ -186,7 +200,9 @@ class PlanIndex:
         sends: List[int] = []
         delivered = bytearray(n_ops)
         preds_append = preds.append
-        enc_append = dep_encodings.append
+        ptr_append = dep_ptr.append
+        rows_append = dep_rows.append
+        tasks_append = task_rows.append
         edges_append = encode_out_edges.append
         ready_get = ready_seeds.get
         by_grad_get = by_grad.get
@@ -204,6 +220,8 @@ class PlanIndex:
             node_ok = 0 <= node < n
             if not node_ok:
                 findings.append(("PC103", f"{op!r}: node out of range", uid))
+            if kind != "barrier":
+                tasks_append(i)
             if kind == "send":
                 dst = op.dst
                 if dst is None or not 0 <= dst < n:
@@ -239,7 +257,6 @@ class PlanIndex:
                     plain_decodes.append(i)
                     region_pids[i] = region_pid(op)
             uid_deps: List[int] = []
-            enc_row: List[Tuple[object, ...]] = []
             for dep in op.deps:
                 if type(dep) is ReadyRef:
                     rnode = dep.node
@@ -258,7 +275,11 @@ class PlanIndex:
                         ready_seeds[g] = [(i, rnode)]
                     else:
                         seeds.append((i, rnode))
-                    enc_row.append(("r", rnode, g))
+                    rkey = (rnode, g)
+                    r = ref_ids.get(rkey)
+                    if r is None:
+                        r = ref_ids[rkey] = len(ref_ids)
+                    rows_append(-1 - r)
                     continue
                 # index_of only holds earlier ops (this op's own uid is
                 # recorded after its deps), so a self-, forward or
@@ -273,7 +294,7 @@ class PlanIndex:
                 consumed[j] = 1
                 if is_enc[j]:
                     edges_append((j, i))
-                enc_row.append(("t", j))
+                rows_append(j)
                 dop = ops[j]
                 if dop.dst == node and dop.kind == "send":  # delivered here
                     delivered[j] = 1
@@ -286,7 +307,7 @@ class PlanIndex:
                         f"but dependency {dop!r} is not a send targeting "
                         f"node {node}", uid))
             preds_append(uid_deps)
-            enc_append(tuple(enc_row))
+            ptr_append(len(dep_rows))
             index_of[uid] = i
         for j in sends:
             if not delivered[j]:
@@ -295,7 +316,9 @@ class PlanIndex:
                                  f"destination node {op.dst}", op.uid))
         return cls(
             num_ops=n_ops, index_of=index_of, preds=preds,
-            dep_encodings=dep_encodings, consumed=consumed,
+            dep_ptr=array("i", dep_ptr), dep_rows=array("i", dep_rows),
+            ref_keys=list(ref_ids), task_rows=array("i", task_rows),
+            sends=array("i", sends), consumed=consumed,
             ready_seeds=ready_seeds, by_grad=by_grad, encodes=encodes,
             region_pids=region_pids, plain_decodes=plain_decodes,
             bulk_sends=bulk_sends, is_enc=is_enc, findings=findings,

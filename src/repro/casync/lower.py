@@ -2,23 +2,29 @@
 
 The backend of the SyncPlan pipeline, and the home of the cost model.
 :func:`lower_plan` resolves a verified plan against the concrete
-cluster/algorithm -- :func:`_spec_for` costs each op's duration, launch
+cluster/algorithm -- :func:`_cost` costs each op's duration, launch
 overhead, and wire size on *its own node's* GPU, under *its gradient's*
-codec -- and produces a :class:`LoweredRecipe`: one dependency row per
-plan op, the environment-free :class:`TaskSpec` of every op but a
-barrier (whose row is a CSR *join*, no task), the plan's bulk decision,
-and (built on first use and cached with it) the rows'
-:class:`~repro.casync.tasks.SuccessorCSR`.  :func:`instantiate`, the one
-way a :class:`~repro.casync.tasks.TaskGraph` is built, turns a recipe
-into a live graph for one
-:class:`~repro.sim.Environment`, which is cheap (one ``Task`` per spec: no
-cost-model calls, no pass pipeline, no per-task dependency wiring) and is
-what makes the :class:`GraphCache` pay off: the
-multi-iteration experiment harness builds the plan -- §3.3 planning
-included -- once per (strategy, model, cluster, algorithm, decisions)
-key and replays the recipe every iteration.
+codec -- and produces a columnar :class:`LoweredRecipe`: one column per
+task field over every op but a barrier (whose row is a CSR *join*, no
+task), the plan's bulk decision, and the rows'
+:class:`~repro.casync.tasks.SuccessorCSR`, built once from the
+:class:`~repro.casync.index.PlanIndex`'s integer dependency rows.
+Costing is memoised per call: :func:`_cost` is a pure function of an
+op's kind, hardware class, codec, size and cost attrs, and ops that
+agree on all of them share one evaluation, so a BERT-large plan of
+53,854 tasks costs under a thousand distinct ops, each with the
+unchanged scalar formulas.
 
-Instantiation is deterministic -- specs are emitted in plan-op order, so a
+:func:`instantiate`, the one way a
+:class:`~repro.casync.tasks.TaskGraph` is built, turns a recipe into a
+live graph for one :class:`~repro.sim.Environment`, which is cheap (one
+``Task`` per column entry: no cost-model calls, no pass pipeline, no
+per-task dependency wiring) and is what makes the :class:`GraphCache`
+pay off: the multi-iteration experiment harness builds the plan --
+§3.3 planning included -- once per (strategy, model, cluster,
+algorithm, decisions) key and replays the recipe every iteration.
+
+Instantiation is deterministic -- columns are in plan-op order, so a
 warm-cache graph is *bit-identical* (same task order, labels, durations,
 and dependency wiring, hence the same trace hash) to a cold-built one.
 
@@ -31,22 +37,22 @@ hash nothing.
 
 from __future__ import annotations
 
+import functools
 import os
+from array import array
+from collections import namedtuple
 from contextlib import contextmanager
-from dataclasses import dataclass
-from functools import cached_property
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..algorithms.base import CompressionAlgorithm
 from .index import plan_index
-from .ir import Op, SyncPlan
-from .passes import PassContext, build_plan, wire_nbytes
+from .ir import SyncPlan
+from .passes import PassContext, build_plan, wire_nbytes, wire_size
 from .tasks import SuccessorCSR, Task, TaskGraph
 
 __all__ = [
     "GraphCache",
     "LoweredRecipe",
-    "TaskSpec",
     "build_graph",
     "cache_key",
     "default_graph_cache",
@@ -55,62 +61,85 @@ __all__ = [
     "sync_plan_dump",
 ]
 
+#: One task row of :attr:`LoweredRecipe.specs`.
+_TaskRow = namedtuple("_TaskRow", (
+    "row", "node", "kind", "label", "duration", "launch_overhead",
+    "nbytes", "dst", "bulk", "out_nbytes", "deps"))
 
-@dataclass(frozen=True)
-class TaskSpec:
-    """One fully-costed task, free of any Environment reference.
 
-    ``row`` is the plan op it was lowered from.  ``deps`` entries are
-    ``("t", row)`` (an earlier row, a task or a join) or ``("r", node,
-    gradient)`` (a ready ref, fired by the backward pass through
-    :meth:`~repro.casync.tasks.TaskGraph.make_ready`).
+class LoweredRecipe:
+    """A lowered SyncPlan, ready for per-environment instantiation.
+
+    One list per task field, in :class:`~repro.casync.tasks.Task`'s
+    argument order (:meth:`columns`): entry ``k`` of every column is the
+    task lowered from plan op ``rows[k]``.  ``csr`` is the successor CSR
+    of every op's dependency row (barriers are its joins), built here,
+    once, from ``dep_ptr``/``dep_rows``/``ref_keys`` (see
+    :class:`~repro.casync.tasks.SuccessorCSR`); ``bulk`` is the plan's
+    bulk-synchronization decision.
     """
 
-    kind: str
-    node: int
-    label: str
-    duration: float
-    launch_overhead: float
-    nbytes: float
-    out_nbytes: Optional[float]
-    dst: Optional[int]
-    bulk: bool
-    deps: Tuple[Tuple, ...]
-    row: int
+    def __init__(self, columns: Sequence[list], dep_ptr: array,
+                 dep_rows: array, ref_keys: Sequence[Tuple], bulk: bool):
+        (self.rows, self.nodes, self.kinds, self.labels, self.durations,
+         self.launch_overheads, self.nbytes, self.dsts, self.bulks,
+         self.out_nbytes) = columns
+        if len({len(column) for column in columns}) > 1:
+            raise ValueError("recipe columns differ in length")
+        self.bulk = bulk
+        self.csr = SuccessorCSR(
+            dep_ptr, dep_rows, ref_keys, self.rows,
+            [row for row, out in zip(self.rows, self.out_nbytes)
+             if (out or 0) > 0])
 
+    def columns(self) -> Tuple[list, ...]:
+        """The columns, in :class:`~repro.casync.tasks.Task`'s argument
+        order."""
+        return (self.rows, self.nodes, self.kinds, self.labels,
+                self.durations, self.launch_overheads, self.nbytes,
+                self.dsts, self.bulks, self.out_nbytes)
 
-@dataclass
-class LoweredRecipe:
-    """A lowered SyncPlan, ready for per-environment instantiation: every
-    op's dependency row (``deps[i]`` is op ``i``'s), the task rows' specs
-    and the plan's bulk-synchronization decision."""
-
-    specs: List[TaskSpec]
-    deps: List[Tuple[Tuple, ...]]
-    bulk: bool
-
-    @cached_property
-    def csr(self) -> SuccessorCSR:
-        """The rows' successor CSR, built on first use and kept with the
-        recipe, so every warm instantiation shares one copy."""
-        return SuccessorCSR(
-            self.deps, [spec.row for spec in self.specs],
-            [spec.row for spec in self.specs if (spec.out_nbytes or 0) > 0])
+    @property
+    def specs(self) -> List[_TaskRow]:
+        """A row-wise copy of the task columns, each row with its
+        dependencies (earlier rows and ``(node, gradient)`` ready refs),
+        for the end-to-end benchmark's counting hooks; nothing in the
+        package reads it."""
+        ptr, dep_rows = self.csr.dep_ptr, self.csr.dep_rows
+        refs = self.csr.ref_keys
+        specs = []
+        for fields in zip(*self.columns()):
+            row = fields[0]
+            deps = tuple(j if j >= 0 else refs[-1 - j]
+                         for j in dep_rows[ptr[row]:ptr[row + 1]])
+            specs.append(_TaskRow(*fields, deps))
+        return specs
 
     def __repr__(self) -> str:
-        return f"<LoweredRecipe {len(self.specs)} tasks bulk={self.bulk}>"
+        return f"<LoweredRecipe {len(self.rows)} tasks bulk={self.bulk}>"
 
 
 #: Host-side (CPU) throughput penalty per byte relative to the GPU,
 #: calibrated to the paper's 35.6x on-CPU vs on-GPU compression gap.
 CPU_FACTOR = 35.0
 
+#: The op attrs that enter the costing, in :func:`_cost`'s ``attrs``
+#: order.
+_COST_ATTRS = ("on_cpu", "allocates_output", "duration_s", "bulk", "as_cpu")
 
-def _spec_for(op: Op, pctx: PassContext, gpus: Tuple, launches: Tuple,
-              deps: Tuple[Tuple, ...], row: int) -> TaskSpec:
-    """Cost one IR op on its node's hardware and freeze it as a spec.
 
-    Cost conventions (on node ``op.node``'s GPU unless stated):
+def _cost(kind: str, gpu: Any, cpu_rate: float, algo: Any, nbytes: float,
+          compressed: bool, attrs: Tuple) -> Tuple:
+    """Cost one IR op from exactly its costing inputs.
+
+    ``gpu`` and ``cpu_rate`` are the op's node's ``GpuSpec`` and
+    ``cpu_agg_bytes_per_s``, ``algo`` its gradient's codec, ``nbytes``
+    and ``compressed`` its :class:`~repro.casync.ir.SizeExpr`, and
+    ``attrs`` its values of :data:`_COST_ATTRS`.  A pure function of its
+    arguments, so :func:`lower_plan` memoises it on them.
+
+    Returns ``(kind, duration, launch_overhead, nbytes, out_nbytes,
+    bulk)``.  Cost conventions (on the node's GPU unless stated):
 
     * encode/decode durations come from the codec's
       :class:`~repro.algorithms.base.KernelProfile`, with one launch per
@@ -124,80 +153,70 @@ def _spec_for(op: Op, pctx: PassContext, gpus: Tuple, launches: Tuple,
     * ``copy`` is an extra device-to-device copy (2 m bytes) -- the OSS
       integrations' overhead;
     * ``cpu`` ops take a fixed ``duration_s`` or aggregate at the node's
-      ``cpu_agg_bytes_per_s``;
+      ``cpu_rate``;
     * ``send`` carries its wire size under its gradient's codec.
 
     ``as_cpu`` executes GPU-costed work on the host CPU executor (the
     BytePS-OSS pattern).  IR barriers never get here: they are joins.
     """
-    node = op.node
-    nbytes = op.size.nbytes
-    on_cpu = bool(op.attrs.get("on_cpu"))
-    algo = pctx.algorithm_for(op.grad)
-    kind = op.kind
+    on_cpu, allocates_output, duration_s, bulk, as_cpu = attrs
+    launch_s = gpu.kernel_launch_us * 1e-6
     duration = 0.0
     launch = 0.0
     out_nbytes: Optional[float] = None
-    dst: Optional[int] = None
-    bulk = False
+    lowered = kind
     if kind == "encode":
-        duration = algo.encode_time(nbytes, gpus[node])
+        duration = algo.encode_time(nbytes, gpu)
         if on_cpu:
             duration *= CPU_FACTOR
-        launch = launches[node] * algo.profile.encode_kernels
+        launch = launch_s * algo.profile.encode_kernels
         out_nbytes = wire_nbytes(algo, nbytes)
     elif kind == "decode":
         # CaSync decodes into the existing gradient tensor (§5), so only
         # OSS-style integrations allocate a separate output buffer.
-        duration = algo.decode_time(nbytes, gpus[node])
+        duration = algo.decode_time(nbytes, gpu)
         if on_cpu:
             duration *= CPU_FACTOR
-        launch = launches[node] * algo.profile.decode_kernels
-        if op.attrs.get("allocates_output"):
+        launch = launch_s * algo.profile.decode_kernels
+        if allocates_output:
             out_nbytes = nbytes
     elif kind == "decode_merge":
-        gpu = gpus[node]
         if algo is not None and algo.category == "sparsification":
-            kind = "merge"
+            lowered = "merge"
             nbytes = wire_nbytes(algo, nbytes)
             duration = gpu.kernel_time(3 * nbytes, kernels=1)
             if on_cpu:
                 duration *= CPU_FACTOR
-            launch = launches[node]
+            launch = launch_s
         else:
-            kind = "decode"
+            lowered = "decode"
             duration = (algo.decode_time(nbytes, gpu)
                         + gpu.kernel_time(nbytes, kernels=1)
-                        - launches[node])
-            launch = launches[node] * algo.profile.decode_kernels
+                        - launch_s)
+            launch = launch_s * algo.profile.decode_kernels
     elif kind == "merge":
-        duration = gpus[node].kernel_time(3 * nbytes, kernels=1)
+        duration = gpu.kernel_time(3 * nbytes, kernels=1)
         if on_cpu:
             duration *= 6
-        launch = launches[node]
+        launch = launch_s
     elif kind == "copy":
-        duration = gpus[node].kernel_time(2 * nbytes, kernels=1)
-        launch = launches[node]
+        duration = gpu.kernel_time(2 * nbytes, kernels=1)
+        launch = launch_s
         out_nbytes = nbytes
     elif kind == "cpu":
-        duration_s = op.attrs.get("duration_s")
         if duration_s is not None:
             duration = float(duration_s)
             nbytes = 0.0
         else:
-            duration = nbytes / pctx.cluster.node_at(node).cpu_agg_bytes_per_s
+            duration = nbytes / cpu_rate
     elif kind == "send":
-        nbytes = pctx.wire_op(op)
-        dst = op.dst
-        bulk = bool(op.attrs.get("bulk"))
+        nbytes = wire_size(algo, nbytes, compressed)
     else:  # unreachable: the verifier ran before lowering
-        raise ValueError(f"cannot lower op kind {op.kind!r}")
-    if op.attrs.get("as_cpu"):
-        kind = "cpu"
-    return TaskSpec(kind=kind, node=node, label=op.label, duration=duration,
-                    launch_overhead=launch, nbytes=nbytes,
-                    out_nbytes=out_nbytes, dst=dst, bulk=bulk, deps=deps,
-                    row=row)
+        raise ValueError(f"cannot lower op kind {kind!r}")
+    if as_cpu:
+        lowered = "cpu"
+    return (lowered, duration, launch, nbytes, out_nbytes,
+            kind == "send" and bool(bulk))
 
 
 def lower_plan(plan: SyncPlan, pctx: PassContext) -> LoweredRecipe:
@@ -206,42 +225,69 @@ def lower_plan(plan: SyncPlan, pctx: PassContext) -> LoweredRecipe:
     Raises :class:`~repro.casync.ir.PlanVerificationError` when the plan
     has structural findings (see :mod:`repro.casync.index`).
 
-    Each op is costed on its own node's GPU and under its gradient's
-    codec (:meth:`PassContext.algorithm_for`: an adaptive decision's
-    palette entry, else the plan-wide default).  The recipe keeps the
-    plan's bulk decision, which
+    Each op is costed on its own node's hardware and under its
+    gradient's codec (:meth:`PassContext.algorithm_for`: an adaptive
+    decision's palette entry, else the plan-wide default).  The costing
+    is :func:`_cost`, memoised per call on its own arguments (types
+    included: an int size stays an int in pass-through columns), with
+    the node's hardware passed as the index of its distinct
+    ``(GpuSpec, cpu_agg_bytes_per_s)``; ops with equal inputs share one
+    evaluation, so the columns are exactly the per-op costs.  The recipe
+    keeps the plan's bulk decision, which
     :class:`~repro.casync.passes.BulkRoutePass` records as
     ``meta["batch_compression"]``; nothing else of the plan.
     """
-    gpus = tuple(spec.gpu for spec in pctx.cluster.nodes)
-    launches = tuple(gpu.kernel_launch_us * 1e-6 for gpu in gpus)
-    # The dependency encodings come from the shared structural index
-    # (built by build_plan's verify stage); rows and specs reference the
-    # index's tuples directly.
+    # The structural index (built by build_plan's verify stage) supplies
+    # the task rows and the integer dependency rows the CSR is built from.
     idx = plan_index(plan)
     idx.raise_if_invalid(plan)
-    encodings = idx.dep_encodings
-    specs = [_spec_for(op, pctx, gpus, launches, encodings[i], i)
-             for i, op in enumerate(plan.ops) if op.kind != "barrier"]
-    return LoweredRecipe(specs=specs, deps=encodings,
-                         bulk=bool(plan.meta.get("batch_compression")))
+    classes: Dict[Tuple, int] = {}
+    hw_class = [classes.setdefault((spec.gpu, spec.cpu_agg_bytes_per_s),
+                                   len(classes))
+                for spec in pctx.cluster.nodes]
+    hardware = tuple(classes)
+
+    @functools.lru_cache(maxsize=None, typed=True)
+    def cost(kind, hw, algo, nbytes, compressed, attrs):
+        return _cost(kind, *hardware[hw], algo, nbytes, compressed, attrs)
+
+    algorithm_for = pctx.algorithm_for
+    no_attrs = (None,) * len(_COST_ATTRS)
+    ops = plan.ops
+    rows = idx.task_rows.tolist()
+    task_ops = [ops[i] for i in rows]
+    costs = []
+    for op in task_ops:
+        size = op.size
+        attrs = op.attrs
+        costs.append(cost(
+            op.kind, hw_class[op.node], algorithm_for(op.grad), size.nbytes,
+            size.compressed,
+            tuple(map(attrs.get, _COST_ATTRS)) if attrs else no_attrs))
+    kinds, durations, launch_overheads, nbytes, out_nbytes, bulks = (
+        map(list, zip(*costs)) if costs else ([] for _ in range(6)))
+    nodes = [op.node for op in task_ops]
+    labels = [op.label for op in task_ops]
+    dsts = [op.dst if op.kind == "send" else None for op in task_ops]
+    return LoweredRecipe(
+        (rows, nodes, kinds, labels, durations, launch_overheads, nbytes,
+         dsts, bulks, out_nbytes),
+        idx.dep_ptr, idx.dep_rows, idx.ref_keys,
+        bulk=bool(plan.meta.get("batch_compression")))
 
 
 def instantiate(recipe: LoweredRecipe, ctx) -> TaskGraph:
     """Cheaply materialize a recipe as a TaskGraph for ``ctx``'s env.
 
-    One :class:`Task` per spec, in recipe order, and nothing else: the
-    dependency wiring is the recipe's cached :attr:`LoweredRecipe.csr`,
-    whose ``("r", node, gradient)`` ready refs the graph fires itself
-    (:meth:`~repro.casync.tasks.TaskGraph.make_ready`).  Task creation/dispatch order (and therefore
-    the executed timeline) is identical on every instantiation.  The
-    graph carries the recipe's bulk decision.  This is the only place a
-    :class:`TaskGraph` is built.
+    One :class:`Task` per column entry, in recipe order, and nothing
+    else: the dependency wiring is the recipe's :attr:`LoweredRecipe.csr`,
+    whose ready refs the graph fires itself
+    (:meth:`~repro.casync.tasks.TaskGraph.make_ready`).  Task
+    creation/dispatch order (and therefore the executed timeline) is
+    identical on every instantiation.  The graph carries the recipe's
+    bulk decision.  This is the only place a :class:`TaskGraph` is built.
     """
-    tasks = [Task(spec.row, spec.node, spec.kind, spec.label, spec.duration,
-                  spec.launch_overhead, spec.nbytes, spec.dst, spec.bulk,
-                  spec.out_nbytes)
-             for spec in recipe.specs]
+    tasks = list(map(Task, *recipe.columns()))
     return TaskGraph(ctx.env, tasks, recipe.csr, recipe.bulk)
 
 
@@ -436,7 +482,7 @@ def build_graph(strategy, ctx, model,
                              strategy=strategy.name, ops=len(plan.ops))
         recipe = lower_plan(plan, pctx)
         if span is not None:
-            tel.finish(span, ctx.env.now, tasks=len(recipe.deps))
+            tel.finish(span, ctx.env.now, tasks=len(recipe.csr))
         if store.strict_admission():
             # Strict admission: the plan (and its recipe) must prove the
             # whole-graph properties before it may serve warm iterations.

@@ -77,6 +77,7 @@ __all__ = [
     "register_pass",
     "verify_plan",
     "wire_nbytes",
+    "wire_size",
 ]
 
 
@@ -96,6 +97,12 @@ def wire_nbytes(algorithm: Any, nbytes: float) -> float:
     if algorithm is None:
         return nbytes
     return float(algorithm.compressed_nbytes(max(1, int(nbytes) // 4)))
+
+
+def wire_size(algorithm: Any, nbytes: float, compressed: bool) -> float:
+    """Wire bytes of a payload of ``nbytes`` raw bytes: its size under
+    ``algorithm`` when ``compressed``, else the raw bytes."""
+    return float(wire_nbytes(algorithm, nbytes) if compressed else nbytes)
 
 
 @dataclass
@@ -132,8 +139,9 @@ class PassContext:
 
     def wire_op(self, op: Op) -> float:
         """Wire bytes of an op's payload under its *own* gradient's codec."""
-        return float(op.size.wire(
-            lambda raw: wire_nbytes(self.algorithm_for(op.grad), raw)))
+        size = op.size
+        return wire_size(self.algorithm_for(op.grad), size.nbytes,
+                         size.compressed)
 
 
 class Pass:

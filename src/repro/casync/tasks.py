@@ -42,6 +42,8 @@ from dataclasses import dataclass
 from typing import (Any, Callable, Deque, Dict, Iterable, Iterator, List,
                     Optional, Sequence, Tuple)
 
+import numpy as np
+
 from ..faults.errors import PeerDeadError
 from ..faults.membership import Membership
 from ..faults.retry import RetryPolicy
@@ -114,17 +116,25 @@ class Task:
         return f"<Task {self.kind} {self.label!r} @node{self.node}>"
 
 
+def _int_array(values: np.ndarray) -> array:
+    """A NumPy int vector as a C-int ``array``, whose items index Python
+    lists at full speed in the event loop."""
+    return array("i", values.astype(np.intc).tobytes())
+
+
 class SuccessorCSR:
     """A static task DAG's edges as compressed sparse rows of C ints.
 
-    Built once per graph shape (a lowered recipe caches it), so arming an
-    iteration allocates nothing per task.  Row ``i`` is plan op ``i``;
-    ``preds[i]`` is its dependency row: ``("t", j)`` names an earlier
-    row, ``("r", *key)`` a *ready ref*, the backward pass's signal that
-    gradient ``key = (node, gradient)`` is ready.  ``task_rows`` are
-    tasks, every other row is a *join* (a barrier).  Each list below
-    keeps registration order -- ascending dependent row, duplicate edges
-    kept -- which is the order the dependents are released in:
+    Built once per graph shape, eagerly, with its lowered recipe, so
+    arming an iteration allocates nothing per task.  Row ``i`` is plan
+    op ``i``; its dependencies are ``dep_rows[dep_ptr[i]:dep_ptr[i + 1]]``
+    (the :class:`~repro.casync.index.PlanIndex`'s own arrays), each an
+    earlier row ``j >= 0`` or ``-1 - r`` for *ready ref* ``ref_keys[r]``,
+    the backward pass's signal that gradient ``(node, gradient)`` is
+    ready.  ``task_rows`` are tasks, every other row is a *join* (a
+    barrier).  Each list below keeps registration order -- ascending
+    dependent row, duplicate edges kept -- which is the order the
+    dependents are released in:
 
     * row ``i``'s dependents: ``succ_idx[succ_ptr[i]:succ_ptr[i + 1]]``;
     * ready ref ``key``'s dependents, with ``r = refs[key]`` (keys in
@@ -137,47 +147,48 @@ class SuccessorCSR:
       rows buffer accounting walks.
     """
 
-    __slots__ = ("preds", "indegree", "sources", "succ_ptr", "succ_idx",
-                 "refs", "ref_ptr", "ref_idx", "slot", "producers")
+    __slots__ = ("dep_ptr", "dep_rows", "ref_keys", "indegree", "sources",
+                 "succ_ptr", "succ_idx", "refs", "ref_ptr", "ref_idx",
+                 "slot", "producers")
 
-    def __init__(self, preds: Sequence[Tuple[Tuple, ...]],
-                 task_rows: Iterable[int], producers: Iterable[int]):
-        # A counting sort keyed by the depended-on row: no per-row
-        # containers, so building the CSR of a large recipe stays flat in
-        # memory.  Filling in ascending dependent order keeps every row in
-        # registration order.
-        n = len(preds)
-        counts = array("i", [0]) * (n + 1)
-        by_ref: Dict[Tuple, List[int]] = {}
-        for i, row in enumerate(preds):
-            for dep in row:
-                if dep[0] == "t":
-                    counts[dep[1] + 1] += 1
-                else:
-                    by_ref.setdefault(dep[1:], []).append(i)
-        ptr = array("i", itertools.accumulate(counts))
-        fill = ptr[:-1]
-        idx = array("i", [0]) * ptr[-1]
-        for i, row in enumerate(preds):
-            for dep in row:
-                if dep[0] == "t":
-                    j = dep[1]
-                    idx[fill[j]] = i
-                    fill[j] += 1
-        self.slot = array("i", [-1]) * n
-        for k, i in enumerate(task_rows):
-            self.slot[i] = k
-        self.preds = preds
-        self.indegree = array("i", map(len, preds))
-        self.sources = array("i", (i for i, row in enumerate(preds)
-                                   if not row))
-        self.succ_ptr, self.succ_idx = ptr, idx
-        self.refs = {key: r for r, key in enumerate(by_ref)}
-        self.ref_ptr = array("i", itertools.accumulate(
-            map(len, by_ref.values()), initial=0))
-        self.ref_idx = array("i", itertools.chain.from_iterable(
-            by_ref.values()))
+    def __init__(self, dep_ptr: array, dep_rows: array,
+                 ref_keys: Sequence[Tuple], task_rows: Sequence[int],
+                 producers: Iterable[int]):
+        # One stable sort of the edges by the depended-on row (or ref)
+        # groups each row's dependents in ascending dependent order.
+        ptr = np.asarray(dep_ptr, dtype=np.intp)
+        deps = np.asarray(dep_rows, dtype=np.intp)
+        n = len(ptr) - 1
+        indegree = np.diff(ptr)
+        dependent = np.repeat(np.arange(n, dtype=np.intp), indegree)
+        on_task = deps >= 0
+        self.succ_ptr, self.succ_idx = self._group(
+            deps[on_task], dependent[on_task], n)
+        self.ref_ptr, self.ref_idx = self._group(
+            -1 - deps[~on_task], dependent[~on_task], len(ref_keys))
+        slot = np.full(n, -1, dtype=np.intp)
+        slot[np.asarray(task_rows, dtype=np.intp)] = np.arange(len(task_rows))
+        self.slot = _int_array(slot)
+        self.dep_ptr, self.dep_rows = dep_ptr, dep_rows
+        self.ref_keys = ref_keys
+        self.refs = {key: r for r, key in enumerate(ref_keys)}
+        self.indegree = _int_array(indegree)
+        self.sources = _int_array(np.flatnonzero(indegree == 0))
         self.producers = array("i", producers)
+
+    @staticmethod
+    def _group(keys: np.ndarray, values: np.ndarray,
+               size: int) -> Tuple[array, array]:
+        """CSR ``(ptr, idx)`` of ``values`` grouped by ``keys`` in
+        ``range(size)``, each group in its original order."""
+        ptr = np.zeros(size + 1, dtype=np.intp)
+        np.cumsum(np.bincount(keys, minlength=size), out=ptr[1:])
+        idx = values[np.argsort(keys, kind="stable")]
+        return _int_array(ptr), _int_array(idx)
+
+    def __len__(self) -> int:
+        """The number of rows."""
+        return len(self.dep_ptr) - 1
 
     def successors(self, i: int) -> array:
         """Row ``i``'s dependents, in registration order."""
@@ -189,7 +200,7 @@ class TaskGraph:
 
     Every graph is a lowered recipe's instance
     (:func:`repro.casync.lower.instantiate`): ``tasks`` in recipe order
-    (joins have none) and the recipe's cached :class:`SuccessorCSR`.
+    (joins have none) and the recipe's shared :class:`SuccessorCSR`.
 
     ``bulk`` is the plan's bulk-synchronization decision (§3.2): a round
     running this graph gets a :class:`Coordinator` and batch-compressing
@@ -219,7 +230,7 @@ class TaskGraph:
         #: absent until :meth:`make_ready` fires it.
         self.ready_at: Dict[Tuple, float] = {}
         #: Release instant of each join row (by row), NaN until then.
-        self.joined_at = array("d", [math.nan]) * len(csr.preds)
+        self.joined_at = array("d", [math.nan]) * len(csr)
         #: Set when every task has completed, or at the first failure,
         #: which :attr:`error` keeps.
         self.finished = False
@@ -238,14 +249,15 @@ class TaskGraph:
         return tuple(dict.fromkeys(self._deps(task.index)))
 
     def _deps(self, i: int) -> Iterator[Any]:
-        slot = self.csr.slot
-        for dep in self.csr.preds[i]:
-            if dep[0] != "t":
-                yield dep[1:]
-            elif slot[dep[1]] >= 0:
-                yield self.tasks[slot[dep[1]]]
+        csr = self.csr
+        slot = csr.slot
+        for j in csr.dep_rows[csr.dep_ptr[i]:csr.dep_ptr[i + 1]]:
+            if j < 0:
+                yield csr.ref_keys[-1 - j]
+            elif slot[j] >= 0:
+                yield self.tasks[slot[j]]
             else:
-                yield from self._deps(dep[1])
+                yield from self._deps(j)
 
     def arm(self, engines: List["NodeEngine"]) -> None:
         """Bind the engines and start the source rows, in row order.

@@ -133,7 +133,7 @@ class DegradationController:
         # _on_death pass.
         dead = set(self.membership.dead())
         ready_at = self.graph.ready_at
-        return {key for key in self.graph.csr.refs
+        return {key for key in self.graph.csr.ref_keys
                 if key[0] in dead and key not in ready_at}
 
     def _reassign(self, task: Any, substitute: int, engine: Any) -> None:

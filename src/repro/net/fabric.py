@@ -588,5 +588,9 @@ class Fabric:
         horizon = self.env.now if horizon is None else horizon
         if horizon <= 0:
             return 0.0
-        busy = sum(n.up_busy + n.down_busy for n in self.nics)
+        # A left fold, not ``sum``, which rounds differently from
+        # Python 3.12.
+        busy = 0.0
+        for nic in self.nics:
+            busy += nic.up_busy + nic.down_busy
         return busy / (2 * self.num_nodes * horizon)

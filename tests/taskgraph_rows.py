@@ -1,22 +1,19 @@
 """Test helper: a task graph from rows, built through the production path.
 
-A task row is a :class:`~repro.casync.lower.TaskSpec`, a join row (what
-lowering makes of an IR barrier) only a dependency tuple; :func:`build`
-wraps the rows in a :class:`~repro.casync.lower.LoweredRecipe` and
-instantiates it with :func:`repro.casync.lower.instantiate`, so a test
-graph is a recipe instance like every other.
+A task row carries one task's fields and its dependencies, a join row
+(what lowering makes of an IR barrier) only its dependencies.
+:func:`build` turns the rows into the task columns and the flat integer
+dependency rows of a :class:`~repro.casync.lower.LoweredRecipe`, through
+the constructor lowering uses, and instantiates it with
+:func:`repro.casync.lower.instantiate`, so a test graph is a recipe
+instance like every other.
 """
 
-import dataclasses
+from array import array
 from types import SimpleNamespace
 
 from repro.casync import lower
-from repro.casync.lower import LoweredRecipe, TaskSpec
-
-
-def _encode(deps):
-    return tuple(("t", dep) if isinstance(dep, int) else ("r", *dep)
-                 for dep in deps)
+from repro.casync.lower import LoweredRecipe
 
 
 def row(node, kind, label="", *, duration=0.0, launch_overhead=0.0,
@@ -24,24 +21,31 @@ def row(node, kind, label="", *, duration=0.0, launch_overhead=0.0,
     """One task row.  A ``deps`` entry is an earlier row's position (an
     int) or a ready ref ``(node, gradient)``, which the test fires with
     ``graph.make_ready(node, gradient)``."""
-    return TaskSpec(kind=kind, node=node, label=label, duration=duration,
-                    launch_overhead=launch_overhead, nbytes=nbytes,
-                    out_nbytes=out_nbytes, dst=dst, bulk=bulk,
-                    deps=_encode(deps), row=-1)
+    # The task fields after the row, in Task's argument order.
+    fields = (node, kind, label, duration, launch_overhead, nbytes, dst,
+              bulk, out_nbytes)
+    return SimpleNamespace(fields=fields, deps=tuple(deps))
 
 
 def join(deps=()):
     """One join row: no task, only ``deps`` (as for :func:`row`)."""
-    return _encode(deps)
+    return SimpleNamespace(fields=None, deps=tuple(deps))
 
 
 def build(env, rows, bulk=False):
     """Instantiate ``rows`` as a graph in ``env``; ``bulk`` is the plan's
     bulk decision."""
-    specs = [dataclasses.replace(spec, row=i) for i, spec in enumerate(rows)
-             if isinstance(spec, TaskSpec)]
-    deps = [r.deps if isinstance(r, TaskSpec) else r for r in rows]
-    recipe = LoweredRecipe(specs=specs, deps=deps, bulk=bulk)
+    tasks = [(i, *r.fields) for i, r in enumerate(rows)
+             if r.fields is not None]
+    # Ten columns: the row, then the task fields.
+    columns = [[task[f] for task in tasks] for f in range(10)]
+    dep_ptr, dep_rows, refs = array("i", [0]), array("i"), {}
+    for r in rows:
+        for dep in r.deps:
+            dep_rows.append(dep if isinstance(dep, int)
+                            else -1 - refs.setdefault(tuple(dep), len(refs)))
+        dep_ptr.append(len(dep_rows))
+    recipe = LoweredRecipe(columns, dep_ptr, dep_rows, list(refs), bulk)
     return lower.instantiate(recipe, SimpleNamespace(env=env))
 
 

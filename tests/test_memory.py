@@ -129,10 +129,11 @@ def _all_edges_oracle(graph):
     finished = [tasks[k].finished_at if k >= 0 else graph.joined_at[i]
                 for i, k in enumerate(slot)]
     consumed = {}
-    for i, deps in enumerate(graph.csr.preds):
-        for dep in deps:
-            if dep[0] == "t":
-                consumed.setdefault(dep[1], []).append(finished[i])
+    csr = graph.csr
+    for i in range(len(csr)):
+        for j in csr.dep_rows[csr.dep_ptr[i]:csr.dep_ptr[i + 1]]:
+            if j >= 0:  # a row, not a ready ref
+                consumed.setdefault(j, []).append(finished[i])
     lifetimes = []
     events = {}
     for task in graph.tasks:

@@ -135,3 +135,17 @@ def test_utilization():
     env.run()
     # Sender uplink + receiver downlink: 2 of 4 directions busy the whole second.
     assert fabric.utilization() == pytest.approx(0.5, rel=0.05)
+
+
+def test_utilization_is_a_left_fold():
+    """Busy time adds up as a left fold over the NICs on every Python:
+    from 3.12, ``sum`` of floats rounds differently (``sum([0.1] * 10)``
+    is 1.0 there)."""
+    env, fabric = make_fabric(num_nodes=10)
+    for nic in fabric.nics:
+        nic.up_busy = 0.1
+    busy = 0.0
+    for nic in fabric.nics:
+        busy += nic.up_busy + nic.down_busy
+    assert busy == 0.9999999999999999  # the busy times do not sum exactly
+    assert fabric.utilization(horizon=1.0) == busy / 20

@@ -16,7 +16,7 @@ Four layers:
   op-count change, and ``invalidate`` makes in-place mutation visible.
 """
 
-import dataclasses
+import copy
 import json
 from unittest import mock
 
@@ -240,10 +240,19 @@ def _lowered():
     return plan, pctx, lower_plan(plan, pctx)
 
 
-def _tampered(recipe, i, **changes):
-    specs = list(recipe.specs)
-    specs[i] = dataclasses.replace(specs[i], **changes)
-    return dataclasses.replace(recipe, specs=specs)
+#: The recipe column of each task cost field.
+_COLUMNS = {"duration": "durations", "launch_overhead": "launch_overheads",
+            "nbytes": "nbytes", "out_nbytes": "out_nbytes"}
+
+
+def _tampered(recipe, k, **changes):
+    """A copy of ``recipe`` with task ``k``'s cost fields replaced."""
+    bad = copy.copy(recipe)
+    for field, value in changes.items():
+        column = list(getattr(recipe, _COLUMNS[field]))
+        column[k] = value
+        setattr(bad, _COLUMNS[field], column)
+    return bad
 
 
 def _recipe_rules(plan, recipe, pctx):
@@ -264,22 +273,23 @@ def test_negative_cost_is_pc605():
 def test_non_finite_cost_is_pc605(field, value):
     # ``nan < 0`` is False: a sign test alone lets NaN through.
     plan, pctx, recipe = _lowered()
-    i = next(i for i, s in enumerate(recipe.specs) if s.kind != "send")
-    bad = _tampered(recipe, i, **{field: value})
+    k = next(k for k, kind in enumerate(recipe.kinds) if kind != "send")
+    bad = _tampered(recipe, k, **{field: value})
     assert _recipe_rules(plan, bad, pctx) == {"PC605"}
 
 
 def test_wire_size_drift_is_pc606():
     plan, pctx, recipe = _lowered()
-    i = next(i for i, s in enumerate(recipe.specs) if s.kind == "send")
-    bad = _tampered(recipe, i, nbytes=recipe.specs[i].nbytes * 3 + 7)
+    k = recipe.kinds.index("send")
+    bad = _tampered(recipe, k, nbytes=recipe.nbytes[k] * 3 + 7)
     assert _recipe_rules(plan, bad, pctx) == {"PC606"}
 
 
 def test_recipe_of_another_plan_is_a_caller_error():
     plan, pctx, recipe = _lowered()
-    short = dataclasses.replace(recipe, specs=list(recipe.specs)[:-1])
-    with pytest.raises(ValueError, match="specs but the plan has"):
+    short = copy.copy(recipe)
+    short.rows = recipe.rows[:-1]
+    with pytest.raises(ValueError, match="tasks but the plan has"):
         check_plan(plan, pctx=pctx, recipe=short)
 
 
@@ -368,11 +378,12 @@ def test_lowering_reuses_index_encodings_by_identity():
     plan, pctx = built_plan()
     idx = plan_index(plan)
     recipe = lower_plan(plan, pctx)
-    assert recipe.deps is idx.dep_encodings
-    assert len(recipe.deps) == idx.num_ops == len(plan.ops)
-    assert len(recipe.specs) == sum(op.kind != "barrier" for op in plan.ops)
-    for spec in recipe.specs:
-        assert spec.deps is idx.dep_encodings[spec.row]
+    csr = recipe.csr
+    assert csr.dep_ptr is idx.dep_ptr and csr.dep_rows is idx.dep_rows
+    assert csr.ref_keys is idx.ref_keys
+    assert len(csr) == idx.num_ops == len(plan.ops)
+    assert recipe.rows == idx.task_rows.tolist()
+    assert len(recipe.rows) == sum(op.kind != "barrier" for op in plan.ops)
 
 
 def test_index_structure_matches_plan():
@@ -388,11 +399,14 @@ def test_index_structure_matches_plan():
         encoded = []
         for dep in op.deps:
             if isinstance(dep, ReadyRef):
-                encoded.append(("r", dep.node, dep.gradient))
+                key = (dep.node, dep.gradient)
+                encoded.append(-1 - idx.ref_keys.index(key))
             else:
-                encoded.append(("t", idx.index_of[dep]))
+                encoded.append(idx.index_of[dep])
                 consumed.add(idx.index_of[dep])
-        assert list(idx.dep_encodings[i]) == encoded
+        deps = idx.dep_rows[idx.dep_ptr[i]:idx.dep_ptr[i + 1]]
+        assert deps.tolist() == encoded
+        assert (i in idx.task_rows) == (op.kind != "barrier")
     assert {i for i in range(len(plan.ops)) if idx.consumed[i]} == consumed
 
 

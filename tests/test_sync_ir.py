@@ -298,32 +298,35 @@ PLANCHECK_CASES = list(iter_cases())
 @pytest.mark.parametrize("case_name,build", PLANCHECK_CASES,
                          ids=[name for name, _ in PLANCHECK_CASES])
 def test_lowered_recipe_is_environment_free_and_ordered(case_name, build):
-    # Lowering is the only recipe source: row i is op i, its deps are the
-    # plan index's own encoding tuple, and every op but a barrier (a
-    # join row) has a spec lowered from it, so no checker re-proves it.
+    # Lowering is the only recipe source: its task rows are every op but
+    # a barrier (a join row), in op order, each column entry lowered from
+    # its row's op, and its CSR reads the plan index's own dependency
+    # arrays, so no checker re-proves it.
     plan, _, recipe = build()
-    encodings = plan_index(plan).dep_encodings
-    assert recipe.deps is encodings
-    assert [spec.row for spec in recipe.specs] == [
+    idx = plan_index(plan)
+    assert recipe.csr.dep_ptr is idx.dep_ptr
+    assert recipe.csr.dep_rows is idx.dep_rows
+    assert recipe.csr.ref_keys is idx.ref_keys
+    assert len(recipe.csr) == len(plan.ops)
+    assert recipe.rows == [
         i for i, op in enumerate(plan.ops) if op.kind != "barrier"]
-    for spec in recipe.specs:
-        op = plan.ops[spec.row]
-        assert spec.node == op.node
-        assert spec.label == op.label
+    for k, i in enumerate(recipe.rows):
+        op = plan.ops[i]
+        assert recipe.nodes[k] == op.node
+        assert recipe.labels[k] == op.label
         if op.kind == "send":
-            assert spec.dst == op.dst
-        assert spec.deps is encodings[spec.row]
+            assert recipe.dsts[k] == op.dst
 
 
 def test_send_specs_carry_wire_sizes():
     plan, pctx = casync_plan()
     recipe = lower_plan(plan, pctx)
     sends = 0
-    for spec in recipe.specs:
-        op = plan.ops[spec.row]
+    for i, nbytes in zip(recipe.rows, recipe.nbytes):
+        op = plan.ops[i]
         if op.kind == "send":
             sends += 1
-            assert spec.nbytes == pytest.approx(pctx.wire(op.size))
+            assert nbytes == pytest.approx(pctx.wire(op.size))
     assert sends
 
 
