@@ -8,10 +8,11 @@ the graph.  A *warm* build finds the lowered recipe in the
 refactor's acceptance bar is warm >= 2x faster than cold; multi-iteration
 experiments hit the warm path on every iteration after the first.
 
-Each case also records its task count, its join count (the plan's
-barrier rows, which lowering makes CSR joins instead of tasks) and the
-cache's hits and misses after one cold and one warm build.  Neither depends on the host, so every
-run must reproduce the committed ``BENCH_graph_build.json`` (a full run's
+Each case also records its plan's op count after the passes
+(``plan_ops``, the recipe's CSR rows), its task count, its join count
+(the plan's barrier rows, which lowering makes CSR joins instead of
+tasks) and the cache's hits and misses after one cold and one warm
+build.  None of these depends on the host, so every run must reproduce the committed ``BENCH_graph_build.json`` (a full run's
 output, read before the new results are written) exactly; timings are
 not compared.
 
@@ -44,7 +45,7 @@ from repro.strategies.base import SyncContext
 
 #: The committed full run, whose counts every run must reproduce.
 COMMITTED = Path(__file__).resolve().parent.parent / "BENCH_graph_build.json"
-COUNTS = ("tasks", "joins", "cache")
+COUNTS = ("plan_ops", "tasks", "joins", "cache")
 
 
 def make_ctx(cluster, algorithm):
@@ -66,6 +67,7 @@ def bench_case(name, strategy, model, cluster, algorithm, reps):
         start = time.perf_counter()
         graph = build()
         cold.append(time.perf_counter() - start)
+    plan_ops = len(graph.csr)
     num_tasks = len(graph.tasks)
     num_joins = graph.csr.slot.count(-1)
     build()                                   # prime
@@ -82,6 +84,7 @@ def bench_case(name, strategy, model, cluster, algorithm, reps):
         "strategy": strategy.name,
         "model": model.name,
         "num_nodes": cluster.num_nodes,
+        "plan_ops": plan_ops,
         "tasks": num_tasks,
         "joins": num_joins,
         "cold_ms": round(cold_ms, 4),
@@ -152,7 +155,8 @@ def main(argv=None) -> int:
         results.append(row)
         print(f"{row['case']:38s} cold {row['cold_ms']:9.3f} ms   "
               f"warm {row['warm_ms']:8.3f} ms   {row['speedup']:6.1f}x   "
-              f"({row['tasks']} tasks, {row['joins']} joins)")
+              f"({row['plan_ops']} plan ops, {row['tasks']} tasks, "
+              f"{row['joins']} joins)")
 
     payload = {"benchmark": "graph_build", "reps": reps,
                "smoke": args.smoke, "results": results}
@@ -170,8 +174,8 @@ def main(argv=None) -> int:
             print("FAIL: " + "; ".join(failures))
             return 1
         print("OK: warm-cache instantiation >= 2x faster than cold "
-              "in every case; tasks, joins and cache counts match the "
-              "committed run")
+              "in every case; plan ops, tasks, joins and cache counts "
+              "match the committed run")
     return 0
 
 

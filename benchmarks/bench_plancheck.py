@@ -3,11 +3,11 @@
 ``GraphCache(admission="strict")`` runs :func:`repro.analysis.plancheck.
 check_plan` over every cold-built plan (and its lowered recipe) before
 the recipe may serve warm iterations.  The acceptance bar is that this
-proof adds **< 10%** to the cold build it gates -- the analyzer consumes
-the shared :class:`~repro.casync.index.PlanIndex` that the build
-pipeline's verify stage already built (the plan's one structural walk,
-which also records the PC1xx findings), so it pays only for rule
-evaluation.
+proof adds **< 10%** to the cold build it gates.  The analyzer reads the
+plan's :class:`~repro.casync.index.PlanIndex`, which the build
+pipeline's verify stage already built (its PC1xx findings and the
+checked columns as arrays), and derives its own groupings from the
+plan's columns.
 
 Each rep times the two sides of the admission decision back to back
 (same process, interleaved, so machine drift cancels out of the ratio):

@@ -27,9 +27,11 @@ Run via ``python -m repro.analysis.plancheck --mutants`` (CI does) or
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Tuple
 
+from ..casync.index import region_pid
 from ..casync.ir import PlanVerificationError, ReadyRef, SizeExpr, SyncPlan
 from ..casync.passes import (CollapseFanInPass, PassContext, build_plan,
                              verify_plan)
@@ -108,10 +110,9 @@ def _mutate_partition() -> Tuple[SyncPlan, PassContext]:
     """PartitionPass bug: the directive's K drifts above the partition
     count the expansion actually emitted (a lost pipeline stage)."""
     plan, pctx = _victim()
-    from .plancheck import _region_pid
     for name in sorted(plan.directives):
         directive = plan.directives[name]
-        pids = {_region_pid(op) for op in plan.ops_for(name)
+        pids = {region_pid(op.label, op.grad) for op in plan.ops_for(name)
                 if op.kind == "encode"}
         pids.discard(None)
         if directive.compress and pids:
@@ -126,17 +127,16 @@ def _mutate_fuse() -> Tuple[SyncPlan, PassContext]:
     cross-node (send) edges, so a local encode -> decode_merge edge --
     the aggregator consuming its own contribution -- hides the leak."""
     plan, pctx = _victim()
-    by_uid = plan.by_uid()
-    for op in plan.ops:
+    for i, op in enumerate(plan.ops):
         if op.kind != "decode_merge":
             continue
-        producers = [by_uid[d] for d in op.deps
+        producers = [plan.op(plan.row_of(d)) for d in op.deps
                      if not isinstance(d, ReadyRef)]
         if any(p.node != op.node for p in producers):
             continue  # a cross-node edge would trip the local verifier
         if any(p.kind == "encode" and p.size.nbytes for p in producers):
-            op.size = SizeExpr(op.size.nbytes * 0.5,
-                               compressed=op.size.compressed)
+            plan.update(i, size=SizeExpr(op.size.nbytes * 0.5,
+                                         compressed=op.size.compressed))
             return plan, pctx
     raise AssertionError("victim plan had no locally-fed decode_merge")
 
@@ -146,10 +146,10 @@ def _mutate_bulk() -> Tuple[SyncPlan, PassContext]:
     deliberately never marks bulk_eligible, because per-hop coordinator
     flush delays accumulate around the ring -- gets bulk-routed anyway."""
     plan, pctx = _victim(strategy_name="casync-ring")
-    for op in plan.ops:
+    for i, op in enumerate(plan.ops):
         if (op.kind == "send" and not op.attrs.get("bulk_eligible")
                 and not op.attrs.get("bulk")):
-            op.attrs["bulk"] = True
+            plan.set_attr(i, "bulk", True)
             return plan, pctx
     raise AssertionError("victim plan had no ineligible send")
 
@@ -164,26 +164,22 @@ def _mutate_fanin() -> Tuple[SyncPlan, PassContext]:
     # op list a threshold-2 build produces.
     CollapseFanInPass(threshold=2).run(plan, pctx)
     assert plan.meta.get("fanin_barriers"), "collapse never triggered"
-    by_uid = plan.by_uid()
-    consumers: Dict[int, int] = {}
-    for op in plan.ops:
-        for dep in op.deps:
-            if not isinstance(dep, ReadyRef):
-                consumers[dep] = consumers.get(dep, 0) + 1
-    for op in plan.ops:
+    ptr, rows = plan.dep_ptr, plan.dep_rows
+    consumers = Counter(j for j in rows if j >= 0)
+    for i, op in enumerate(plan.ops):
         if not (op.kind == "barrier" and op.label.startswith("fanin")):
             continue
-        for dep in reversed(op.deps):
-            if isinstance(dep, ReadyRef):
-                continue
+        deps = list(rows[ptr[i]:ptr[i + 1]])
+        for dep in reversed(deps):
             # Drop an aggregation contribution (not a send, whose lost-send
             # check verify_plan would trip; not a node-local decode, whose
             # orphan would still cover its own node's sinks): the barrier
             # feeds a re-encode whose consumers live on *other* nodes, so
             # their results silently miss this contribution.
-            if (by_uid[dep].kind in ("merge", "decode_merge")
+            if (dep >= 0 and plan.kind(dep) in ("merge", "decode_merge")
                     and consumers[dep] == 1):
-                op.deps = tuple(d for d in op.deps if d != dep)
+                plan.set_deps({i: [d if d >= 0 else ReadyRef(
+                    *plan.ref_keys[-1 - d]) for d in deps if d != dep]})
                 return plan, pctx
     raise AssertionError("no droppable fan-in edge found")
 
@@ -228,16 +224,14 @@ _BUILDERS: Dict[str, Callable[[], Tuple[SyncPlan, PassContext]]] = {
 
 
 def build_mutant(name: str) -> Tuple[SyncPlan, PassContext]:
-    """Build (and corrupt) the named mutant's plan."""
-    from ..casync.index import invalidate
+    """Build (and corrupt) the named mutant's plan.
 
-    plan, pctx = _BUILDERS[name]()
-    # The mutators corrupt the plan in place *after* build_plan already
-    # derived its shared PlanIndex; a real buggy pass corrupts before
-    # that final indexing, so drop the now-stale index to keep the
-    # simulation faithful (the analyzer must see the mutated structure).
-    invalidate(plan)
-    return plan, pctx
+    The mutators corrupt the plan *after* build_plan verified it,
+    through the plan's mutation methods, which drop the verified index:
+    the analyzer sees the mutated structure, as it would after a real
+    buggy pass.
+    """
+    return _BUILDERS[name]()
 
 
 def run_corpus() -> List[MutantResult]:

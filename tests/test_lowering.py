@@ -16,7 +16,6 @@ import pytest
 
 from repro.analysis.plancheck import golden_cases, golden_model
 from repro.casync.decisions import DecisionMap, GradientDecision
-from repro.casync.index import plan_index
 from repro.casync.ir import ReadyRef, SizeExpr, SyncPlan
 from repro.casync.lower import _COST_ATTRS, _cost, lower_plan
 from repro.casync.passes import PassContext, build_plan
@@ -176,10 +175,9 @@ def test_specs_view_counts_tasks_and_dependency_edges():
     first = recipe.specs[0]
     assert (first.row, first.node, first.label) == (
         recipe.rows[0], tasks[0].node, tasks[0].label)
-    index_of = plan_index(plan).index_of
     assert first.deps == tuple(
         (dep.node, dep.gradient) if isinstance(dep, ReadyRef)
-        else index_of[dep] for dep in tasks[0].deps)
+        else plan.row_of(dep) for dep in tasks[0].deps)
 
 
 @pytest.mark.parametrize("case", GOLDEN[::5],
@@ -189,7 +187,6 @@ def test_successor_csr_matches_a_loop_reference(case):
     # dependents in registration order: ascending dependent row,
     # duplicate edges kept.
     plan, pctx = _golden_pctx(case, ec2_v100_cluster(4))
-    idx = plan_index(plan)
     csr = lower_plan(plan, pctx).csr
     succ = [[] for _ in plan.ops]
     by_ref = {}
@@ -198,7 +195,7 @@ def test_successor_csr_matches_a_loop_reference(case):
             if isinstance(dep, ReadyRef):
                 by_ref.setdefault((dep.node, dep.gradient), []).append(i)
             else:
-                succ[idx.index_of[dep]].append(i)
+                succ[plan.row_of(dep)].append(i)
     assert [list(csr.successors(i)) for i in range(len(plan.ops))] == succ
     assert list(csr.refs) == list(by_ref)
     assert [list(csr.ref_idx[csr.ref_ptr[r]:csr.ref_ptr[r + 1]])
