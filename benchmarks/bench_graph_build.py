@@ -68,7 +68,7 @@ def bench_case(name, strategy, model, cluster, algorithm, reps):
         graph = build()
         cold.append(time.perf_counter() - start)
     plan_ops = len(graph.csr)
-    num_tasks = len(graph.tasks)
+    num_tasks = graph.num_tasks
     num_joins = graph.csr.slot.count(-1)
     build()                                   # prime
     # One cold miss, then one warm hit: independent of ``reps``.

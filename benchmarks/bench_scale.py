@@ -97,7 +97,7 @@ def counted_call(run):
         step(self)
 
     def counting_arm(self, engines):
-        counts["tasks"] += len(self.tasks)
+        counts["tasks"] += self.num_tasks
         return arm(self, engines)
 
     Environment.step, TaskGraph.arm = counting_step, counting_arm

@@ -1,7 +1,6 @@
 """SyncPlan IR: the declarative form of one iteration's synchronization.
 
-Strategies no longer hand-assemble executable
-:class:`~repro.casync.tasks.Task` objects.  Instead they *emit* a
+Strategies do not hand-assemble executable tasks.  Instead they *emit* a
 :class:`SyncPlan` -- per-gradient lists of abstract operations
 (``encode`` / ``decode`` / ``merge`` / ``copy`` / ``cpu`` / ``send`` /
 ``barrier``) over symbolic sizes and explicit dependency edges -- and the

@@ -37,21 +37,22 @@ def buffer_lifetimes(graph: TaskGraph) -> List[Tuple[int, float, float, float]]:
     join consumer finishes when it releases (``graph.joined_at``).
     """
     csr = graph.csr
-    slot, tasks = csr.slot, graph.tasks
+    slot, finished_at, joined_at = csr.slot, graph.finished_at, graph.joined_at
+    nodes, out_nbytes = graph.nodes, graph.recipe.out_nbytes
     lifetimes = []
     for i in csr.producers:
-        task = tasks[slot[i]]
-        if task.finished_at is None:
-            raise ValueError(
-                f"{task!r} has no timestamps; run the graph first")
-        alloc = free = task.finished_at
+        k = slot[i]
+        alloc = free = finished_at[k]
+        if alloc != alloc:
+            raise ValueError(f"task {k} ({graph.recipe.labels[k]!r}) has no "
+                             f"timestamps; run the graph first")
         for j in csr.successors(i):
-            k = slot[j]
-            # An unreleased join's NaN compares False, like a None.
-            finished = tasks[k].finished_at if k >= 0 else graph.joined_at[j]
-            if finished is not None and finished > free:
+            c = slot[j]
+            # An unfinished task's or unreleased join's NaN compares False.
+            finished = finished_at[c] if c >= 0 else joined_at[j]
+            if finished > free:
                 free = finished
-        lifetimes.append((task.node, alloc, free, float(task.out_nbytes)))
+        lifetimes.append((nodes[k], alloc, free, float(out_nbytes[k])))
     return lifetimes
 
 

@@ -69,7 +69,7 @@ def check_exactly_once(report: Any, graph: Any) -> None:
         raise InvariantViolation(
             f"tasks completed more than once: {sorted(duplicated)[:10]}")
     if not report.aborted:
-        graph_ids = {t.id for t in graph.tasks}
+        graph_ids = set(range(graph.num_tasks))
         missing = graph_ids - set(counts)
         if missing:
             raise InvariantViolation(

@@ -115,42 +115,45 @@ class DegradationController:
             substitute = self.membership.route(node) if self.enabled else None
         except RuntimeError:
             substitute = None  # everyone is dead; just drop
-        for task in graph.tasks:
-            if task.triggered or task.node != node:
+        triggered, kinds = graph.triggered, graph.recipe.kinds
+        for k in range(graph.num_tasks):
+            # ``graph.nodes`` is re-read: a reassignment may copy it.
+            if triggered[k] or graph.nodes[k] != node:
                 continue
             salvageable = (
                 substitute is not None
-                and task.kind in _REASSIGNABLE_KINDS
-                and dead_inputs.isdisjoint(graph.predecessors(task)))
+                and kinds[k] in _REASSIGNABLE_KINDS
+                and dead_inputs.isdisjoint(graph.predecessors(k)))
             if salvageable:
-                self._reassign(task, substitute, engine)
+                self._reassign(k, substitute, engine)
             else:
-                self._drop(task)
+                self._drop(k)
 
     def _unfired_refs_of_dead_nodes(self) -> set:
         # Only a ready ref ``(node, gradient)`` (a node's local gradient
-        # signal) can die with its node; Task deps re-plan via their own
+        # signal) can die with its node; task deps re-plan via their own
         # _on_death pass.
         dead = set(self.membership.dead())
         ready_at = self.graph.ready_at
         return {key for key in self.graph.csr.ref_keys
                 if key[0] in dead and key not in ready_at}
 
-    def _reassign(self, task: Any, substitute: int, engine: Any) -> None:
-        task.node = substitute
+    def _reassign(self, k: int, substitute: int, engine: Any) -> None:
+        self.graph.reassign(k, substitute)
         self.reassigned += 1
-        if engine is not None and task in engine.orphans:
+        if engine is not None and k in engine.orphans:
             # Already dispatched to the dead engine: hand it straight to
             # the substitute.  Undispatched tasks re-route on their own
-            # (the graph's dispatch reads task.node at release time).
-            engine.orphans.remove(task)
-            self.engines[substitute].dispatch(task)
+            # (the graph's dispatch reads the node at release time).
+            engine.orphans.remove(k)
+            self.engines[substitute].dispatch(k)
 
-    def _drop(self, task: Any) -> None:
-        task.dropped = True
-        task.finished_at = self.env.now
+    def _drop(self, k: int) -> None:
+        graph = self.graph
+        graph.dropped.add(k)
+        graph.finished_at[k] = self.env.now
         self.dropped += 1
-        self.graph.complete(task)
+        graph.complete(k)
 
 
 def run_graph_robust(env: Environment, graph: Any, engines: Sequence[Any],
@@ -179,11 +182,12 @@ def run_graph_robust(env: Environment, graph: Any, engines: Sequence[Any],
     # keep a dropped result's whole task graph alive until a collection.
     completions = report.completions
 
-    def _record(task) -> None:
+    def _record(graph: Any, k: int) -> None:
+        recipe = graph.recipe
         completions.append(CompletionRecord(
-            task_id=task.id, at=env.now, node=task.node, kind=task.kind,
-            label=task.label, ok=task.error is None,
-            dropped=bool(task.dropped)))
+            task_id=k, at=env.now, node=graph.nodes[k], kind=recipe.kinds[k],
+            label=recipe.labels[k], ok=k not in graph.errors,
+            dropped=k in graph.dropped))
 
     # The ledger observes every completion after its dependents are
     # released and before it counts toward the graph finishing.
@@ -211,8 +215,9 @@ def run_graph_robust(env: Environment, graph: Any, engines: Sequence[Any],
             _detect(node)
 
     def _unfinished() -> Tuple[str, ...]:
-        return tuple(f"{t.kind}:{t.label}@{t.node}" for t in graph.tasks
-                     if not t.triggered)
+        kinds, labels = graph.recipe.kinds, graph.recipe.labels
+        return tuple(f"{kinds[k]}:{labels[k]}@{graph.nodes[k]}"
+                     for k in range(graph.num_tasks) if not graph.triggered[k])
 
     # The round is judged when ``verdict`` settles: the graph itself, or,
     # under a deadline, a verdict that settles one hop after the first of

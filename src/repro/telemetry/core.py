@@ -246,9 +246,10 @@ class TelemetryCollector:
         self.instants: List[Dict[str, Any]] = []
         self.metrics = MetricsRegistry()
         self.runs: List[RunInfo] = []
-        #: Task-graph structure captured at arm time: task id -> dep ids.
+        #: Task-graph structure captured at arm time: task index -> the
+        #: indices of the tasks it depends on.
         self.task_deps: Dict[int, Tuple[int, ...]] = {}
-        #: Task id -> {"kind", "label", "node"}.
+        #: Task index -> {"kind", "label", "node"}.
         self.task_meta: Dict[int, Dict[str, Any]] = {}
         self._next_id = 0
         self._offset = 0.0
@@ -325,13 +326,15 @@ class TelemetryCollector:
         Called by ``TaskGraph.arm`` when telemetry is enabled, so exported
         timelines can be cross-checked against the dependency DAG that
         produced them (span ordering must respect task dependencies).
+        A task is keyed by its index in the graph, the ``task`` attr of
+        its span.
         """
-        for task in graph.tasks:
-            self.task_deps[task.id] = tuple(
-                d.id for d in graph.predecessors(task)
-                if getattr(d, "kind", None) is not None)
-            self.task_meta[task.id] = {"kind": task.kind, "label": task.label,
-                                       "node": task.node}
+        for k in range(graph.num_tasks):
+            self.task_deps[k] = tuple(
+                d for d in graph.predecessors(k) if isinstance(d, int))
+            self.task_meta[k] = {"kind": graph.recipe.kinds[k],
+                                 "label": graph.recipe.labels[k],
+                                 "node": graph.nodes[k]}
 
     # -- queries -----------------------------------------------------------
 

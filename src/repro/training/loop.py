@@ -372,6 +372,7 @@ def _run_round(model: ModelSpec, cluster: ClusterSpec, strategy: Strategy,
         report.declared_dead = membership.dead()
         report.retries = count_retries(engines)
         membership.clear_callbacks()
+    graph.disarm()  # after the retries above, which record on the graph
     env.discard()  # settled: what is left would never fire
     return _Round(tel=tel, graph=graph, gpus=gpus, fabric=fabric,
                   coordinator=coordinator, finish=finish,

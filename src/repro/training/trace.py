@@ -102,14 +102,17 @@ def trace_iteration(model: ModelSpec, cluster: ClusterSpec,
         decisions=decisions, label_prefix="trace:")
 
     events: List[TraceEvent] = []
-    for task in rnd.graph.tasks:
-        if task.started_at is None:
+    graph = rnd.graph
+    for k, (start, end) in enumerate(zip(graph.started_at,
+                                         graph.finished_at)):
+        if start != start:  # never started
             continue
-        start = task.started_at
-        end = task.finished_at if task.finished_at is not None else start
+        if end != end:
+            end = start
+        kind = graph.recipe.kinds[k]
         events.append(TraceEvent(
-            name=task.label or task.kind, node=task.node,
-            lane=_LANES.get(task.kind, task.kind),
+            name=graph.recipe.labels[k] or kind, node=graph.nodes[k],
+            lane=_LANES.get(kind, kind),
             start=start, duration=max(0.0, end - start)))
     # GPU compute intervals come from the interval log.
     for node, gpu in enumerate(rnd.gpus):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.casync import Coordinator, NodeEngine, Task, run_graph
+from repro.casync import Coordinator, NodeEngine, run_graph
 from repro.casync.tasks import robust_transfer
 from repro.cluster.spec import wan_edge_cluster
 from repro.faults import (FaultInjector, FaultSchedule, GpuSlowdown,
@@ -12,7 +12,7 @@ from repro.gpu import Gpu, V100
 from repro.net import Fabric, NetworkSpec
 from repro.sim import Environment
 from repro.telemetry import TelemetryCollector
-from tests.taskgraph_rows import build, join, row
+from tests.taskgraph_rows import build, join, recipe, row, task, tasks
 
 
 def make_world(num_nodes=2, gbps=80.0, coordinator=False, spec=None,
@@ -29,16 +29,20 @@ def make_world(num_nodes=2, gbps=80.0, coordinator=False, spec=None,
 
 
 def test_task_validation():
-    with pytest.raises(ValueError):
-        Task(index=0, node=0, kind="explode")
-    with pytest.raises(ValueError):
-        Task(index=0, node=0, kind="send")  # missing dst
+    # A recipe is validated once, when it is built; the error names the
+    # bad row (its plan row, here after one good row and a join).
+    good = [row(0, "encode", "ok", duration=1.0), join(deps=[0])]
+    bad_rows = [row(0, "explode", "bad"),
+                row(0, "send", "bad"),  # missing dst
+                row(0, "encode", "bad", duration=float("nan"))]
     for kind in ("encode", "cpu"):
-        with pytest.raises(ValueError, match="negative"):
-            Task(index=0, node=0, kind=kind, duration=-1.0)
-        with pytest.raises(ValueError, match="negative"):
-            Task(index=0, node=0, kind=kind, duration=1.0,
-                 launch_overhead=-1.0)
+        bad_rows += [row(0, kind, "bad", duration=-1.0),
+                     row(0, kind, "bad", duration=1.0, launch_overhead=-1.0)]
+    for bad in bad_rows:
+        with pytest.raises(ValueError, match=r"^recipe row 2 \('bad'\): "
+                           r"unknown kind.*negative or non-finite"):
+            recipe(good + [bad, row(0, "explode", "later")])
+    assert recipe(good).routes == bytes([0])
 
 
 @pytest.mark.parametrize("field", ["duration", "launch_overhead"])
@@ -47,7 +51,7 @@ def test_task_rejects_non_finite_costs(field, value):
     # NaN slips past a ``< 0`` test and would only fail later, inside
     # call_later; infinity would never finish.
     with pytest.raises(ValueError, match="non-finite"):
-        Task(index=0, node=0, kind="cpu", **{field: value})
+        recipe([row(0, "cpu", **{field: value})])
 
 
 @pytest.mark.parametrize("kind", ["encode", "cpu"])
@@ -56,7 +60,7 @@ def test_executor_errors_propagate_out_of_run_graph(kind):
     # as itself, not as a deadlock of the round.
     env, fabric, gpus, engines, _ = make_world(1)
     graph = build(env, [row(0, kind, "bad", duration=1.0)])
-    graph.tasks[0].duration = -1.0  # corrupted after validation
+    graph.recipe.durations[0] = -1.0  # corrupted after validation
     with pytest.raises(ValueError, match="negative"):
         run_graph(env, graph, engines)
 
@@ -65,8 +69,8 @@ def test_linear_chain_executes_in_order():
     env, fabric, gpus, engines, _ = make_world(1)
     graph = build(env, [row(0, "encode", "a", duration=0.5),
                         row(0, "decode", "b", duration=0.25, deps=[0])])
-    a, b = graph.tasks
     finish = run_graph(env, graph, engines)
+    a, b = tasks(graph)
     assert finish == pytest.approx(0.75)
     assert a.finished_at <= b.started_at
 
@@ -101,10 +105,9 @@ def test_cross_node_dependency_via_send():
     graph = build(env, [row(0, "encode", "enc", duration=0.5),
                         row(0, "send", "snd", nbytes=1e9, dst=1, deps=[0]),
                         row(1, "decode", "dec", duration=0.25, deps=[1])])
-    dec = graph.tasks[2]
     finish = run_graph(env, graph, engines)
     assert finish == pytest.approx(1.75)
-    assert dec.started_at == pytest.approx(1.5)
+    assert graph.started_at[2] == pytest.approx(1.5)
 
 
 def test_diamond_dependencies():
@@ -113,10 +116,9 @@ def test_diamond_dependencies():
                         row(0, "merge", "b", duration=1.0, deps=[0]),
                         row(0, "merge", "c", duration=2.0, deps=[0]),
                         join(deps=[1, 2])])
-    b, c = graph.tasks[1:]
     finish = run_graph(env, graph, engines)
     assert finish == pytest.approx(4.0)  # a, then b and c serialized
-    assert graph.joined_at[3] == max(b.finished_at, c.finished_at)
+    assert graph.joined_at[3] == max(graph.finished_at[1:3])
 
 
 def test_raw_event_dependency():
@@ -132,7 +134,7 @@ def test_raw_event_dependency():
 def test_join_is_instant_and_not_a_task():
     env, fabric, gpus, engines, _ = make_world(1)
     graph = build(env, [join()])
-    assert graph.tasks == []
+    assert graph.num_tasks == 0 and list(tasks(graph)) == []
     assert run_graph(env, graph, engines) == 0.0
     assert list(graph.joined_at) == [0.0]  # one row, a join
 
@@ -142,7 +144,7 @@ def _stepped_run(rows):
     env, fabric, gpus, engines, _ = make_world(2)
     graph = build(env, rows)
     seen = []
-    graph.observers.append(seen.append)
+    graph.observers.append(lambda graph, k: seen.append(task(graph, k)))
     steps = [0]
     step = env.step
 
@@ -166,11 +168,11 @@ def test_join_releases_its_dependents_in_the_same_step():
         join(deps=[2]),
         row(1, "decode", "c", duration=1.0, deps=[3]),
         row(0, "decode", "d", duration=1.0, deps=[2, 0])])
-    a, b, c, d = graph.tasks
-    assert [t.index for t in graph.tasks] == [0, 1, 4, 5]
-    assert graph.predecessors(c) == (a, b)
-    assert graph.predecessors(d) == (a, b)
-    assert seen == [b, a, c, d]
+    a, b, c, d = tasks(graph)
+    assert [t.row for t in tasks(graph)] == [0, 1, 4, 5]
+    assert graph.predecessors(c.index) == (a.index, b.index)
+    assert graph.predecessors(d.index) == (a.index, b.index)
+    assert [t.index for t in seen] == [1, 0, 2, 3]
     assert graph.joined_at[2:4].tolist() == [1.0, 1.0]
     assert c.started_at == d.started_at == 1.0
     inlined, inlined_seen, inlined_steps = _stepped_run(work + [
@@ -250,8 +252,8 @@ def test_one_tick_flushes_keys_in_order_through_a_shared_uplink():
         timeout_s=0.01)
     graph = build(env, [row(0, "send", "a", nbytes=1000, dst=1, bulk=True),
                         row(0, "send", "b", nbytes=3000, dst=2, bulk=True)])
-    first, second = graph.tasks
     run_graph(env, graph, engines)
+    first, second = tasks(graph)
     assert coord.batches_flushed == 2
     assert fabric.stats.messages == 2
     flush = 0.01
@@ -274,8 +276,8 @@ def test_retried_flush_over_wan_link_delivers_on_first_attempt():
     dst = (src + 1) % 4
     graph = build(env, [row(src, "send", "s", nbytes=1e6, dst=dst,
                             bulk=True)])
-    task, = graph.tasks
     finish = run_graph(env, graph, engines)
+    task, = tasks(graph)
     assert task.triggered and task.error is None
     assert fabric.stats.messages == 1
     assert finish == pytest.approx(
@@ -290,18 +292,18 @@ def test_retry_loop_counts_task_attempts_and_stops_once_forced():
     fabric = Fabric(env, 2, NetworkSpec(bandwidth_gbps=10))
     FaultInjector(env, FaultSchedule.of(LinkPartition(at=0.0, src=0, dst=1)),
                   fabric=fabric)
-    task = Task(index=0, node=0, kind="send", nbytes=1e6, dst=1)
+    graph = build(env, [row(0, "send", nbytes=1e6, dst=1)])
 
     def force_complete():
-        task.triggered = True
+        graph.triggered[0] = 1
 
     outcomes = []
     robust_transfer(env, fabric, 0, 1, 1e6, RetryPolicy(max_attempts=4),
                     lambda *outcome: outcomes.append(outcome),
-                    on_retry=force_complete, task=task)
+                    on_retry=force_complete, graph=graph, task=0)
     env.run()
     assert outcomes == [("forced", 1)]
-    assert task.attempts == 1
+    assert graph.attempts == {0: 1}
 
 
 def test_rerouted_send_is_timed_on_the_substitute_link():
@@ -388,11 +390,11 @@ def test_coordinator_validation():
 # their exact timelines under halt, resume, fusion limits and slowdowns.
 
 def _timeline(graph):
-    return [(t.label, t.started_at, t.finished_at) for t in graph.tasks]
+    return [(t.label, t.started_at, t.finished_at) for t in tasks(graph)]
 
 
-def _labels(tasks):
-    return [t.label for t in tasks]
+def _labels(graph, tasks):
+    return [graph.recipe.labels[k] for k in tasks]
 
 
 def _halt_world():
@@ -410,8 +412,8 @@ def test_halt_strands_queued_tasks_and_lets_running_ones_finish():
     env.run(until=0.5)  # e0 on the GPU stream, c0 on the CPU
     stranded = engine.halt()
     env.run()
-    assert _labels(stranded) == ["e1", "e2", "c1"]
-    assert _labels(engine.orphans) == ["e1", "e2", "c1"]
+    assert _labels(graph, stranded) == ["e1", "e2", "c1"]
+    assert _labels(graph, engine.orphans) == ["e1", "e2", "c1"]
     assert not graph.finished
     assert _timeline(graph) == [("e0", 0.0, 1.0), ("e1", None, None),
                                 ("e2", None, None), ("c0", 0.0, 1.0),
@@ -440,9 +442,9 @@ def test_halt_while_a_take_is_pending_orphans_the_taken_task_last():
     env.step()  # the compute executor starts and takes e0
     stranded = engine.halt()
     env.run()
-    assert _labels(stranded) == ["e1", "e2", "c0", "c1"]
-    assert _labels(engine.orphans) == ["e1", "e2", "c0", "c1", "e0"]
-    assert all(t.started_at is None for t in graph.tasks)
+    assert _labels(graph, stranded) == ["e1", "e2", "c0", "c1"]
+    assert _labels(graph, engine.orphans) == ["e1", "e2", "c0", "c1", "e0"]
+    assert all(t.started_at is None for t in tasks(graph))
     assert env.now == 0.0
     engine.resume()
     env.run()
@@ -505,10 +507,10 @@ def test_fused_duration_is_a_left_fold():
                         for i in range(10)], bulk=True)
     run_graph(env, graph, engines)
     work = 0.0
-    for task in graph.tasks:
+    for task in tasks(graph):
         work += task.duration
     assert work == 0.9999999999999999  # the durations do not sum exactly
-    assert {t.finished_at for t in graph.tasks} == {work}
+    assert {t.finished_at for t in tasks(graph)} == {work}
     assert gpus[0].log.intervals == ((0.0, work, "compression"),)
 
 

@@ -252,16 +252,18 @@ def test_byte_conservation_accepts_balanced_ledger():
 
 
 def test_exactly_once_rejects_duplicates_and_missing_tasks():
-    graph = SimpleNamespace(tasks=[SimpleNamespace(id=1),
-                                   SimpleNamespace(id=2)])
+    graph = SimpleNamespace(num_tasks=2)  # task ids 0 and 1
     with pytest.raises(InvariantViolation, match="more than once"):
-        check_exactly_once(_report([_rec(1, 0.1), _rec(1, 0.2)]), graph)
+        check_exactly_once(_report([_rec(0, 0.1), _rec(0, 0.2)]), graph)
     with pytest.raises(InvariantViolation, match="never completed"):
-        check_exactly_once(_report([_rec(1, 0.1)]), graph)
+        check_exactly_once(_report([_rec(0, 0.1)]), graph)
+    with pytest.raises(InvariantViolation, match="not in the graph"):
+        check_exactly_once(_report([_rec(0, 0.1), _rec(1, 0.2),
+                                    _rec(2, 0.3)]), graph)
     # an aborted round may legitimately leave tasks unfinished
-    check_exactly_once(_report([_rec(1, 0.1)], aborted=True,
+    check_exactly_once(_report([_rec(0, 0.1)], aborted=True,
                                abort_reason="x"), graph)
-    check_exactly_once(_report([_rec(1, 0.1), _rec(2, 0.2)]), graph)
+    check_exactly_once(_report([_rec(0, 0.1), _rec(1, 0.2)]), graph)
 
 
 def test_monotone_clocks_rejects_backwards_ledger():

@@ -13,7 +13,7 @@ from repro.net import Fabric, NetworkSpec
 from repro.sim import Environment
 from repro.strategies import BytePSOSSCompression, CaSyncPS
 from repro.strategies.base import SyncContext
-from tests.taskgraph_rows import build, join, make_all_ready, row
+from tests.taskgraph_rows import build, join, make_all_ready, row, tasks
 
 MB = 1024 * 1024
 
@@ -88,7 +88,7 @@ def test_oss_golden_peaks_are_pinned(case):
     strategy, algo = {c.name: c for c in golden_cases()}[case].inputs()
     graph = _executed_graph(strategy, golden_model(), ec2_v100_cluster(4),
                             algo)
-    decodes = {t.index for t in graph.tasks
+    decodes = {t.row for t in tasks(graph)
                if t.kind == "decode" and t.out_nbytes}
     assert any(graph.csr.slot[j] < 0 for i in decodes
                for j in graph.csr.successors(i))
@@ -125,8 +125,8 @@ def _all_edges_oracle(graph):
     """Lifetimes and per-node peaks from a sweep over every dependency
     edge of every row, then the same alloc/free sweep.  A join row
     finishes at its release instant."""
-    slot, tasks = graph.csr.slot, graph.tasks
-    finished = [tasks[k].finished_at if k >= 0 else graph.joined_at[i]
+    slot, records = graph.csr.slot, tasks(graph)
+    finished = [records[k].finished_at if k >= 0 else graph.joined_at[i]
                 for i, k in enumerate(slot)]
     consumed = {}
     csr = graph.csr
@@ -136,11 +136,11 @@ def _all_edges_oracle(graph):
                 consumed.setdefault(j, []).append(finished[i])
     lifetimes = []
     events = {}
-    for task in graph.tasks:
+    for task in tasks(graph):
         if not task.out_nbytes or task.out_nbytes <= 0:
             continue
         free = max([task.finished_at] + [
-            at for at in consumed.get(task.index, ()) if at is not None])
+            at for at in consumed.get(task.row, ()) if at is not None])
         nbytes = float(task.out_nbytes)
         lifetimes.append((task.node, task.finished_at, free, nbytes))
         events.setdefault(task.node, []).extend(
@@ -169,7 +169,7 @@ def test_buffer_accounting_matches_all_edges_oracle(case):
     else:
         cluster = hetero_mixed_cluster(8)
         graph = _executed_graph(CaSyncPS(), model, cluster, algo)
-    producers = [t for t in graph.tasks if t.out_nbytes]
+    producers = [t for t in tasks(graph) if t.out_nbytes]
     assert len(producers) >= cluster.num_nodes
     assert any(t.kind == "copy" for t in producers) == (case == "byteps-oss")
     lifetimes, peaks = _all_edges_oracle(graph)

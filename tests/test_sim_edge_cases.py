@@ -13,7 +13,7 @@ from repro.strategies.base import SyncContext
 from repro.casync.tasks import NodeEngine, run_graph
 from repro.gpu import Gpu, V100
 from repro.net import Fabric
-from tests.taskgraph_rows import make_all_ready
+from tests.taskgraph_rows import make_all_ready, tasks
 
 MB = 1024 * 1024
 
@@ -61,7 +61,7 @@ def test_byteps_oss_server_work_is_on_cpu():
     ctx, graph, engines = _build_graph(BytePSOSSCompression(), model,
                                        cluster, OneBit())
     kinds = {}
-    for task in graph.tasks:
+    for task in tasks(graph):
         kinds.setdefault(task.kind, 0)
         kinds[task.kind] += 1
     # Server-side decode/merge/encode run as host-CPU tasks.
@@ -77,8 +77,8 @@ def test_byteps_oss_worker_on_cpu_moves_encodes_to_cpu():
                                          cluster, OneBit())
     cpu_ctx, cpu_graph, _ = _build_graph(
         BytePSOSSCompression(worker_on_cpu=True), model, cluster, OneBit())
-    gpu_encodes = sum(1 for t in gpu_graph.tasks if t.kind == "encode")
-    cpu_encodes = sum(1 for t in cpu_graph.tasks if t.kind == "encode")
+    gpu_encodes = sum(1 for t in tasks(gpu_graph) if t.kind == "encode")
+    cpu_encodes = sum(1 for t in tasks(cpu_graph) if t.kind == "encode")
     assert cpu_encodes < gpu_encodes  # they became 'cpu' tasks
 
 
@@ -96,8 +96,8 @@ def test_ring_oss_serializes_gradients():
     # so it releases when that merge (the node's last g0 task) finishes.
     assert not any(math.isnan(graph.joined_at[i])
                    for i, k in enumerate(graph.csr.slot) if k < 0)
-    g0_aggs = [t for t in graph.tasks if t.label.startswith("agg:x.g0")]
-    g1_sends = [t for t in graph.tasks if t.label.startswith("ag:x.g1")]
+    g0_aggs = [t for t in tasks(graph) if t.label.startswith("agg:x.g0")]
+    g1_sends = [t for t in tasks(graph) if t.label.startswith("ag:x.g1")]
     latest_done = max(t.finished_at for t in g0_aggs)
     earliest_send = min(t.finished_at for t in g1_sends)
     assert earliest_send >= latest_done - 1e-12

@@ -26,7 +26,7 @@ from repro.strategies import (
 )
 from repro.strategies.base import SyncContext
 from repro.training import make_plans
-from tests.taskgraph_rows import make_all_ready
+from tests.taskgraph_rows import make_all_ready, tasks
 
 MB = 1024 * 1024
 
@@ -353,7 +353,7 @@ def test_semantics_partitioning_matches_graph_structure():
     part_bytes = 1024.0
     graph = _build_graph(BytePSOSSCompression(part_bytes=part_bytes),
                          grads, n, algo=algo)
-    pushes = sum(1 for t in graph.tasks
+    pushes = sum(1 for t in tasks(graph)
                  if t.kind == "send" and t.label.startswith("push:"))
     expected_k = sum(max(1, math.ceil(g.nbytes / part_bytes))
                      for g in grads)
@@ -368,7 +368,7 @@ def test_semantics_partitioning_matches_graph_structure():
                                   adaptive=True),
                          grads, n, algo=algo, decisions=decisions)
     k_total = 3 * len(grads)
-    encodes = sum(1 for t in graph.tasks if t.kind == "encode")
-    sends = sum(1 for t in graph.tasks if t.kind == "send")
+    encodes = sum(1 for t in tasks(graph) if t.kind == "encode")
+    sends = sum(1 for t in tasks(graph) if t.kind == "send")
     assert encodes == k_total * (n + 1)
     assert sends == k_total * 2 * (n - 1)

@@ -47,6 +47,7 @@ from repro.strategies import BytePS, CaSyncPS, CaSyncRing
 from repro.strategies.base import SyncContext
 from repro.telemetry import TelemetryCollector
 from repro.training import make_plans, simulate_iteration
+from tests.taskgraph_rows import tasks
 
 MB = 1024 * 1024
 
@@ -404,7 +405,7 @@ def test_bandwidth_alone_keys_a_recipe_with_its_own_verdicts():
     for _ in range(2):                     # cold, then warm
         for cluster, plans in ((fast, fast_plans), (slow, slow_plans)):
             graph = _build_casync_ps(model, cluster, cache)
-            encodes = sum(1 for t in graph.tasks if t.kind == "encode")
+            encodes = sum(1 for t in tasks(graph) if t.kind == "encode")
             assert encodes == encodes_expected(plans)
     assert len(cache) == 2
     assert (cache.hits, cache.misses) == (2, 2)

@@ -14,7 +14,7 @@ from repro.casync import Coordinator, NodeEngine, run_graph
 from repro.gpu import Gpu, V100
 from repro.net import Fabric, NetworkSpec
 from repro.sim import Environment
-from tests.taskgraph_rows import build, join, row
+from tests.taskgraph_rows import build, join, row, tasks
 
 
 def build_world(num_nodes, coordinator=False):
@@ -60,17 +60,17 @@ def materialize(env, specs, bulk=False):
             bulk=send_bulk, deps=deps)
         for i, (node, kind, duration, nbytes, dst, deps, send_bulk)
         in enumerate(specs)], bulk=bulk)
-    return graph, graph.tasks
+    return graph
 
 
 def row_times(graph):
     """(started_at, finished_at) of every row; a join does both at its
     release instant."""
     times = []
+    records = tasks(graph)
     for i, k in enumerate(graph.csr.slot):
         if k >= 0:
-            task = graph.tasks[k]
-            times.append((task.started_at, task.finished_at))
+            times.append((records[k].started_at, records[k].finished_at))
         else:
             times.append((graph.joined_at[i],) * 2)
     return times
@@ -82,15 +82,15 @@ def row_times(graph):
 def test_random_dag_always_completes(dag, coordinator, batching):
     num_nodes, specs = dag
     env, fabric, engines = build_world(num_nodes, coordinator)
-    graph, tasks = materialize(env, specs, bulk=batching)
+    graph = materialize(env, specs, bulk=batching)
     finish = run_graph(env, graph, engines)
     assert finish >= 0
     # The graph settles only once every task's completion entry has run.
     assert graph.settled and graph.error is None
-    for task in tasks:
+    for task in tasks(graph):
         assert task.triggered and task.error is None, task
     assert not any(math.isnan(start) for start, _ in row_times(graph))
-    assert len(tasks) + graph.csr.slot.count(-1) == len(specs)
+    assert graph.num_tasks + graph.csr.slot.count(-1) == len(specs)
 
 
 @given(dag=random_dag())
@@ -98,7 +98,7 @@ def test_random_dag_always_completes(dag, coordinator, batching):
 def test_dependencies_never_violated(dag):
     num_nodes, specs = dag
     env, fabric, engines = build_world(num_nodes)
-    graph, tasks = materialize(env, specs)
+    graph = materialize(env, specs)
     run_graph(env, graph, engines)
     times = row_times(graph)
     for i, (node, kind, duration, nbytes, dst, deps, bulk) in enumerate(specs):
@@ -116,7 +116,7 @@ def test_finish_at_least_critical_path(dag):
     critical path (transfers only add to it)."""
     num_nodes, specs = dag
     env, fabric, engines = build_world(num_nodes)
-    graph, tasks = materialize(env, specs)
+    graph = materialize(env, specs)
     finish = run_graph(env, graph, engines)
 
     longest = [0.0] * len(specs)
@@ -136,7 +136,7 @@ def test_fabric_accounting_conserves_bytes(dag):
     """Every non-loopback send's bytes appear exactly once in the stats."""
     num_nodes, specs = dag
     env, fabric, engines = build_world(num_nodes)
-    graph, tasks = materialize(env, specs)
+    graph = materialize(env, specs)
     run_graph(env, graph, engines)
     expected = sum(nbytes for (node, kind, dur, nbytes, dst, deps, bulk)
                    in specs

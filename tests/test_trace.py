@@ -11,6 +11,7 @@ from repro.models import GradientSpec, ModelSpec
 from repro.strategies import CaSyncPS, RingAllreduce
 from repro.training.loop import _run_round
 from repro.training.trace import trace_iteration
+from tests.taskgraph_rows import tasks
 
 MB = 1024 * 1024
 
@@ -41,7 +42,7 @@ def test_trace_contains_all_lanes():
     assert "gpu-compute" in lanes
     assert "gpu-compression" in lanes
     # One network event per executed send, coordinator-batched ones too.
-    sends = [t for t in rounds[0].graph.tasks if t.kind == "send"]
+    sends = [t for t in tasks(rounds[0].graph) if t.kind == "send"]
     assert any(t.bulk for t in sends)
     assert len([e for e in trace.events if e.lane == "network"]) == len(sends)
 
