@@ -35,6 +35,14 @@ Python AST of ``src/repro`` and enforces the determinism contract:
   Dict order is insertion order, which varies across code paths that
   populate the dict differently, so two equal-content inputs can hash
   to different keys; wrap the iterable in ``sorted(...)``.
+* ``SIM107`` (warning): a builtin ``sum(...)`` call in simulated-value
+  code (``repro/sim``, ``repro/casync``, ``repro/net``, ``repro/gpu``
+  and ``repro/training``).  From Python 3.12 ``sum`` of floats uses
+  compensated summation, so a float sum there rounds differently across
+  interpreters and silently moves simulated results; write a left fold
+  (``total = 0.0; for x in xs: total += x``).  Integer counts, whose
+  sums are exact everywhere, are exempt: ``sum(1 for ...)`` and
+  ``sum(len(x) for ...)``.
 * ``SIM900`` (info): an allowlist entry matched nothing -- stale
   suppressions rot.
 * ``SIM000`` (error): a file simlint could not parse.
@@ -104,6 +112,10 @@ _SEEDABLE_CONSTRUCTORS = {
     "numpy.random.default_rng", "numpy.random.RandomState",
     "random.Random",
 }
+
+#: Packages whose values are simulated results (SIM107), as path parts.
+_SUM_CHECKED = ("/repro/sim/", "/repro/casync/", "/repro/net/",
+                "/repro/gpu/", "/repro/training/")
 
 #: Function names that build an identity: a cache key, plan digest,
 #: content token, fingerprint.  Iteration order inside these functions
@@ -195,9 +207,11 @@ def discover_allowlist(paths: Sequence[Path]) -> Optional[Path]:
 
 
 class _FileLinter(ast.NodeVisitor):
-    def __init__(self, path: str, telemetry_exempt: bool):
+    def __init__(self, path: str, telemetry_exempt: bool,
+                 sum_checked: bool = False):
         self.path = path
         self.telemetry_exempt = telemetry_exempt
+        self.sum_checked = sum_checked
         self.diagnostics: List[Diagnostic] = []
         #: local name -> canonical dotted module path
         self.aliases: Dict[str, str] = {}
@@ -402,7 +416,7 @@ class _FileLinter(ast.NodeVisitor):
         for child in node.orelse:
             self.visit(child)
 
-    # -- calls: SIM101 / SIM102 / SIM105 ---------------------------------------
+    # -- calls: SIM101 / SIM102 / SIM105 / SIM107 ------------------------------
 
     def visit_Call(self, node: ast.Call) -> None:
         canonical = self._canonical(node.func)
@@ -416,7 +430,28 @@ class _FileLinter(ast.NodeVisitor):
         elif canonical is not None:
             self._check_rng(node, canonical)
         self._check_telemetry(node)
+        if self.sum_checked:
+            self._check_sum(node)
         self.generic_visit(node)
+
+    def _check_sum(self, node: ast.Call) -> None:
+        func = node.func
+        if not (isinstance(func, ast.Name) and func.id == "sum"
+                and "sum" not in self.aliases):
+            return
+        first = node.args[0] if len(node.args) == 1 else None
+        if isinstance(first, (ast.GeneratorExp, ast.ListComp)):
+            elt = first.elt
+            if isinstance(elt, ast.Constant) and type(elt.value) is int:
+                return  # sum(1 for ...): a count
+            if (isinstance(elt, ast.Call) and isinstance(elt.func, ast.Name)
+                    and elt.func.id == "len" and "len" not in self.aliases):
+                return  # sum(len(x) for ...): a count of items
+        self._emit(
+            "SIM107", WARNING, node,
+            "builtin sum() in simulated-value code: float sums round "
+            "differently from Python 3.12 (compensated summation)",
+            hint="write a left fold (total += x in a loop)")
 
     def _check_rng(self, node: ast.Call, canonical: str) -> None:
         if canonical in _SEEDABLE_CONSTRUCTORS:
@@ -479,6 +514,7 @@ def lint_file(path: Path, root: Optional[Path] = None) -> List[Diagnostic]:
     posix = path.resolve().as_posix()
     telemetry_exempt = "/telemetry/" in posix or posix.endswith(
         "/telemetry.py")
+    sum_checked = any(part in posix for part in _SUM_CHECKED)
     try:
         source = path.read_text(encoding="utf-8")
         tree = ast.parse(source, filename=display)
@@ -487,7 +523,7 @@ def lint_file(path: Path, root: Optional[Path] = None) -> List[Diagnostic]:
             rule="SIM000", severity=ERROR, file=display,
             line=getattr(exc, "lineno", 0) or 0,
             message=f"cannot lint: {exc}")]
-    linter = _FileLinter(display, telemetry_exempt)
+    linter = _FileLinter(display, telemetry_exempt, sum_checked)
     linter.visit(tree)
     return linter.diagnostics
 
@@ -529,7 +565,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         prog="python -m repro.analysis.simlint",
         description="Determinism linter for the simulator sources: "
                     "wall-clock reads, unseeded RNG, mutable defaults, "
-                    "unordered-set iteration, unguarded telemetry.")
+                    "unordered-set iteration, unguarded telemetry, float "
+                    "sums in simulated values.")
     parser.add_argument("paths", nargs="+",
                         help="Python files or directories to lint")
     parser.add_argument("--allowlist", type=Path, default=None,

@@ -182,6 +182,57 @@ def test_sim105_telemetry_package_exempt(tmp_path):
     assert lint_file(target) == []
 
 
+# -- SIM107: builtin sum over simulated values ---------------------------------
+
+def _lint_in(tmp_path, package, source):
+    """Lint ``source`` as a module of ``repro/<package>``."""
+    directory = tmp_path / "src" / "repro" / package
+    directory.mkdir(parents=True)
+    return lint_snippet(directory, source)
+
+
+def test_sim107_float_sum_in_simulation_code(tmp_path):
+    for package in ("sim", "casync", "net", "gpu", "training"):
+        diags = _lint_in(tmp_path, package, """
+def busy(intervals):
+    return sum(end - start for start, end in intervals)
+
+total = sum([0.1] * 10, 0.0)
+""")
+        assert rules_of(diags) == ["SIM107", "SIM107"], package
+        assert diags[0].severity == "warning" and diags[0].line == 3
+
+
+def test_sim107_counts_and_other_packages_are_clean(tmp_path):
+    assert _lint_in(tmp_path, "casync", """
+done = sum(1 for task in range(8) if task % 2)
+items = sum(len(batch) for batch in [[1], [2, 3]])
+total = 0.0
+for x in [0.1] * 10:
+    total += x
+""") == []
+    # Outside the simulated-value packages a sum is not flagged.
+    assert _lint_in(tmp_path, "experiments", "m = sum([0.5, 0.25])\n") == []
+    # A shadowing import is not the builtin.
+    assert _lint_in(tmp_path, "net", "from math import fsum as sum\n"
+                    "t = sum([0.1] * 10)\n") == []
+
+
+def test_sim107_allowlist_entry_is_honoured(tmp_path):
+    pkg = tmp_path / "repro" / "training"
+    pkg.mkdir(parents=True)
+    (pkg / "stats.py").write_text("mean = sum([0.1, 0.2]) / 2\n",
+                                  encoding="utf-8")
+    allow = tmp_path / ".simlint-allow"
+    allow.write_text("repro/training/stats.py SIM107 a reported "
+                     "statistic, never fed back into the event loop\n",
+                     encoding="utf-8")
+    findings, suppressed = lint_paths([tmp_path / "repro"],
+                                      allowlist=load_allowlist(allow))
+    assert rules_of(suppressed) == ["SIM107"]
+    assert findings == []
+
+
 # -- allowlist ----------------------------------------------------------------
 
 def test_allowlist_suppresses_and_reports_unused(tmp_path):
