@@ -27,8 +27,9 @@ backward pass fires each gradient's ready ref through
 :meth:`TaskGraph.make_ready` and executors report a finished task through
 :meth:`TaskGraph.complete`; either way one agenda entry releases the
 dependents, so a round allocates no event, dependency list or callback
-per task or per gradient.  An IR barrier is a *join* row, not a task: it
-releases its dependents in the step its last dependency completes.
+per task or per gradient; a batch's tasks share one
+(:meth:`TaskGraph.complete_many`).  An IR barrier is a *join* row, not a
+task: it releases its dependents in the step its last dependency completes.
 """
 
 from __future__ import annotations
@@ -163,12 +164,12 @@ class TaskGraph:
 
     Dispatch runs off the CSR, and every signal is state on the graph.
     The backward pass fires each ready ref through :meth:`make_ready`,
-    and :meth:`complete` reports each finished task.  Either way one
-    agenda entry at ``(now, NORMAL)`` releases the dependents in
-    registration order; a completion's entry then runs the ``observers``
-    and counts toward :attr:`finished`.  The graph *settles* one entry
-    after it finished (:attr:`settled`, then ``on_settled``).  A join
-    releases its dependents in the step its last dependency does, and
+    :meth:`complete` reports a finished task and :meth:`complete_many` a
+    batch.  One agenda entry at ``(now, NORMAL)`` (one per batch) releases
+    the dependents in registration order, runs the ``observers`` for a
+    completion and counts it toward :attr:`finished`.  The graph *settles*
+    one entry after it finished (:attr:`settled`, then ``on_settled``).  A
+    join releases its dependents in the step its last dependency does, and
     only records the instant in :attr:`joined_at`.
     """
 
@@ -320,6 +321,27 @@ class TaskGraph:
         if error is not None:
             self.errors[k] = error
         self.env.call_later(0.0, self._on_complete, k)
+
+    def complete_many(self, batch: List[int]) -> None:
+        """:meth:`complete` for each task of ``batch``, in order, from one
+        entry; the rest of the batch yields to any entry a completion
+        pushes ahead of it (:meth:`Environment.yield_front`), so the order
+        is the per-task one.  A completed task raises."""
+        triggered = self.triggered
+        for k in batch:
+            if triggered[k]:
+                raise SimulationError(
+                    f"task {k} ({self.recipe.labels[k]!r}) has already "
+                    "been completed")
+            triggered[k] = 1
+        if batch:  # an empty batch pushes nothing, like no complete() call
+            self.env.call_later(0.0, self._on_batch, deque(batch))
+
+    def _on_batch(self, tasks: Deque[int]) -> None:
+        while tasks:
+            self._on_complete(tasks.popleft())
+            if tasks and self.env.yield_front(self._on_batch, tasks):
+                return
 
     def _on_complete(self, k: int) -> None:
         csr = self.csr
@@ -638,18 +660,18 @@ class Coordinator:
             tel.finish(span, now, outcome=outcome)
         graph = self.graph
         triggered, finished = graph.triggered, graph.finished_at
+        tasks = [k for k in tasks if not triggered[k]]
         for k in tasks:
-            if triggered[k]:
-                continue
             finished[k] = now
             if outcome == "dead":
                 graph.complete(k, PeerDeadError(
                     src, dst, graph.recipe.nbytes[k],
                     self.retry_policy.max_attempts))
-            else:
-                if outcome == "local":
-                    graph.dropped.add(k)
+            elif outcome == "local":
+                graph.dropped.add(k)
                 graph.complete(k)
+        if outcome == "delivered":
+            graph.complete_many(tasks)
 
     def _next_tick(self, _value: None = None) -> None:
         """Schedule the next tick while any queue waits, else retire."""
@@ -956,8 +978,10 @@ class NodeEngine:
         finished, triggered = graph.finished_at, graph.triggered
         for k in batch:
             finished[k] = now
-            if not triggered[k]:
-                graph.complete(k)
+        if len(batch) > 1:
+            graph.complete_many([k for k in batch if not triggered[k]])
+        elif not triggered[batch[0]]:
+            graph.complete(batch[0])
         self.q_comp.next(self._comp_take)
 
 

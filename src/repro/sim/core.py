@@ -83,6 +83,20 @@ class Environment:
         self._queue.push(self._now + delay, priority, entry)
         return entry
 
+    def yield_front(self, callback: Callable[[Any], None],
+                    value: Any) -> bool:
+        """If a live entry is queued ahead of ``(now, NORMAL)``, push
+        ``[callback, value]`` at the front of that slot; returns whether
+        it did (how a batch entry yields, see ``docs/SIM_CORE.md``)."""
+        key = (self._now, NORMAL)
+        keys = self._queue._keys
+        if keys and keys[0] < key:
+            self._queue.peek_time()  # drops cancelled entries at the head
+            if keys and keys[0] < key:
+                self._queue.push_front(self._now, NORMAL, [callback, value])
+                return True
+        return False
+
     def cancel(self, entry: List[Any]) -> None:
         """Remove a pending :meth:`call_later` entry from the agenda.
 

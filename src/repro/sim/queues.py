@@ -71,6 +71,17 @@ class SlottedQueue:
             slot.append(entry)
         self._live += 1
 
+    def push_front(self, time: float, priority: int, entry: list) -> None:
+        """:meth:`push`, but ahead of every entry already in the slot."""
+        key = (time, priority)
+        slot = self._slots.get(key)
+        if slot is None:
+            self._slots[key] = deque((entry,))
+            heapq.heappush(self._keys, key)
+        else:
+            slot.appendleft(entry)
+        self._live += 1
+
     def pop(self) -> Tuple[float, list]:
         keys, slots = self._keys, self._slots
         while True:

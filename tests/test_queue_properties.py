@@ -1,12 +1,13 @@
 """Property tests for the agenda queue behind the simulator core.
 
-Hypothesis drives arbitrary push/pop/cancel interleavings of the slotted
-calendar queue against a sorted-list reference model enforcing the exact
-``(time, priority, seq)`` total order, including FIFO tie-breaks among
-events sharing an instant and priority.  A second property checks
-crash delivery end-to-end (a compute kernel abandoned mid-run, whose
-pending finish must then do nothing) against a closed-form model of any
-schedule of kernels and crashes.
+Hypothesis drives arbitrary push/push-front/pop/cancel/compact
+interleavings of the slotted calendar queue against a sorted-list
+reference model enforcing the exact ``(time, priority, seq)`` total
+order, including FIFO tie-breaks among events sharing an instant and
+priority; a front push takes the lowest sequence number of its slot.
+A second property checks crash delivery end-to-end (a compute kernel
+abandoned mid-run, whose pending finish must then do nothing) against a
+closed-form model of any schedule of kernels and crashes.
 
 The cancel-churn regression pins the tombstone bound: a workload that
 cancels almost everything it schedules must not grow the agenda beyond
@@ -18,7 +19,7 @@ import bisect
 from hypothesis import given, settings, strategies as st
 
 from repro.gpu import Gpu, V100
-from repro.sim import Environment, SlottedQueue
+from repro.sim import URGENT, Environment, SlottedQueue
 from repro.sim.queues import COMPACT_MIN_TOMBSTONES
 
 #: A small time domain so same-instant collisions are common.
@@ -26,8 +27,10 @@ TIMES = (0.0, 0.125, 0.25, 0.5, 1.0, 1.5, 2.0)
 
 OPS = st.lists(st.one_of(
     st.tuples(st.just("push"), st.sampled_from(TIMES), st.integers(0, 1)),
+    st.tuples(st.just("front"), st.sampled_from(TIMES), st.integers(0, 1)),
     st.tuples(st.just("pop")),
     st.tuples(st.just("cancel"), st.integers(0, 2 ** 32)),
+    st.tuples(st.just("compact")),
 ), max_size=200)
 
 
@@ -43,13 +46,20 @@ def _apply(ops):
     """Run ops against the queue and the sorted-list model in lockstep."""
     queue = SlottedQueue()
     model = []  # sorted (time, priority, seq, entry); seq makes keys unique
-    seq = 0
+    seq = front = 0  # a front push's seq decreases below every other
     for op in ops:
         if op[0] == "push":
             seq += 1
             entry = _entry(seq)
             queue.push(op[1], op[2], entry)
             bisect.insort(model, (op[1], op[2], seq, entry))
+        elif op[0] == "front":
+            front -= 1
+            entry = _entry(front)
+            queue.push_front(op[1], op[2], entry)
+            bisect.insort(model, (op[1], op[2], front, entry))
+        elif op[0] == "compact":
+            queue.compact()
         elif op[0] == "pop":
             if not model:
                 continue
@@ -91,6 +101,21 @@ def test_same_instant_fifo_within_priority():
         queue.push(1.0, 0, u)
     popped = [queue.pop()[1][1] for _ in range(100)]
     assert popped == [e[1] for e in urgent] + [e[1] for e in normal]
+
+
+def test_yield_front_sees_only_live_entries_ahead_of_now_normal():
+    """``yield_front`` queues its entry only behind a live entry ahead of
+    ``(now, NORMAL)``, and then ahead of that slot's earlier entries."""
+    env = Environment()
+    order = []
+    env.call_later(0.0, order.append, "normal")
+    assert not env.yield_front(order.append, "not queued")
+    env.cancel(env.call_later(0.0, order.append, "cancelled", URGENT))
+    assert not env.yield_front(order.append, "not queued")
+    env.call_later(0.0, order.append, "urgent", URGENT)
+    assert env.yield_front(order.append, "front")
+    env.run()
+    assert order == ["urgent", "front", "normal"]
 
 
 @st.composite

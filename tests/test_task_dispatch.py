@@ -2,9 +2,11 @@
 
 Every signal of a round is graph state plus one agenda entry: a task's
 completion (:meth:`TaskGraph.complete`), a gradient's ready ref
-(:meth:`TaskGraph.make_ready`) and the graph settling.  These tests pin
-the allocation profile, the one-agenda-entry-per-signal contract, and
-the CSR's release order.
+(:meth:`TaskGraph.make_ready`) and the graph settling; a finished
+batch's completions share one (:meth:`TaskGraph.complete_many`).  These
+tests pin the allocation profile, the one-agenda-entry-per-signal
+contract, the per-task order of batch completions, and the CSR's
+release order.
 """
 
 import collections
@@ -19,10 +21,10 @@ import pytest
 
 import repro.sim
 from repro.algorithms import OneBit
-from repro.analysis.plancheck import golden_model
+from repro.analysis.plancheck import golden_cases, golden_model
 from repro.casync import Coordinator, NodeEngine, run_graph
 from repro.casync.passes import PassContext, build_plan
-from repro.casync.tasks import SuccessorCSR
+from repro.casync.tasks import SuccessorCSR, TaskGraph
 from repro.cluster import ec2_v100_cluster
 from repro.faults import (
     DeadlineExceeded,
@@ -102,7 +104,7 @@ def _golden_round(traced):
         trace = trace_iteration(model, cluster, get_strategy("casync-ps"),
                                 algorithm=algo)
     assert trace_hash(trace).startswith("88c4e59099cd")
-    return 1380 - barriers
+    return 555  # 1,380 - barriers before batches shared an entry
 
 
 def _faulted_round(make_strategy, schedule, steps, **limits):
@@ -152,8 +154,9 @@ STEP_PINNED_ROUNDS = {
 def test_one_agenda_entry_per_completion(case):
     """The Environment.step count of one golden case, pinned from the
     design that gave every task its own completion Event: a completion
-    still takes exactly one agenda entry per task.  An attached
-    collector only records, so a traced round steps the same events.
+    takes one agenda entry, and a batch's completions share one.  An
+    attached collector only records, so a traced round steps the same
+    events.
 
     1,393 steps until the coordinator's ticker became agenda callbacks:
     a retiring ticker process also stepped its completion event, and
@@ -171,6 +174,13 @@ def test_one_agenda_entry_per_completion(case):
     1,380 steps until barriers became CSR joins: each barrier was a
     ``notify`` task whose completion took one entry, and a join takes
     none, so the count dropped by exactly the plan's barrier count.
+
+    1,108 steps until a fused Q_comp launch and a delivered coordinator
+    batch completed their tasks through ``complete_many``: the batch now
+    takes one entry unless a same-instant URGENT entry, pushed by one
+    of its completions, splits it, and each split costs one more entry.
+    Their plans are not bulk, so the faulted rounds below fuse no
+    launch, batch no send and did not move.
 
     The faulted rounds pin the retry loop, the link waits of a partition
     and of a crashed destination (4 each), the heartbeat detector and
@@ -198,6 +208,106 @@ def test_completing_a_task_twice_raises():
     assert graph.triggered[0]
     with pytest.raises(SimulationError, match="already been completed"):
         graph.complete(0)
+
+
+def test_completing_a_completed_task_in_a_batch_raises():
+    env, engines = _world(1)
+    graph = build(env, [row(0, "encode", "a", duration=0.5),
+                        row(0, "encode", "b", duration=0.5)])
+    graph.arm(engines)
+    graph.complete(0)
+    with pytest.raises(SimulationError, match="already been completed"):
+        graph.complete_many([1, 0])
+    with pytest.raises(SimulationError, match="already been completed"):
+        graph.complete_many([1])
+
+
+def _per_task(graph, batch):
+    """``TaskGraph.complete_many`` as the design before it: one
+    ``complete`` per task, back to back."""
+    for k in batch:
+        graph.complete(k)
+
+
+#: The golden cases whose plan is bulk: fused Q_comp launches and
+#: coordinator batches complete their tasks through ``complete_many``.
+BULK_CASES = {case.name: case for case in golden_cases()
+              if getattr(case.inputs()[0], "bulk", False)}
+
+
+def _completion_order(case, per_task):
+    """Each completion of a golden round as ``(k, now)``, in the order
+    the observers saw them, and the sizes of the batches passed to
+    ``complete_many``."""
+    seen, sizes = [], []
+    arm, many = TaskGraph.arm, TaskGraph.complete_many
+
+    def observed_arm(graph, engines):
+        assert graph.bulk
+        graph.observers.append(lambda g, k: seen.append((k, g.env.now)))
+        arm(graph, engines)
+
+    def spied_many(graph, batch):
+        sizes.append(len(batch))
+        (_per_task if per_task else many)(graph, batch)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(TaskGraph, "arm", observed_arm)
+        mp.setattr(TaskGraph, "complete_many", spied_many)
+        strategy, algorithm = case.inputs()
+        trace_iteration(golden_model(), ec2_v100_cluster(4), strategy,
+                        algorithm=algorithm)
+    return seen, sizes
+
+
+@pytest.mark.parametrize("case", sorted(BULK_CASES))
+def test_batch_completions_keep_the_per_task_order(case):
+    """A batch completed from one entry releases, observes and finishes
+    its tasks in exactly the order and at the instants one entry per
+    task did, on every bulk golden case."""
+    assert len(BULK_CASES) == 10
+    shipped, sizes = _completion_order(BULK_CASES[case], per_task=False)
+    oracle, oracle_sizes = _completion_order(BULK_CASES[case], per_task=True)
+    assert sizes == oracle_sizes
+    # A ring plan of this model fuses no launch and batches no send.
+    assert (max(sizes, default=0) > 1) == ("ring" not in case)
+    assert len(shipped) == len(set(shipped))
+    assert shipped == oracle
+
+
+def _wake_round(per_task):
+    """One node, bulk: ``a`` and ``b`` fuse into one launch, and ``a``'s
+    completion wakes the idle Q_comp for ``c`` mid-batch.  Returns the
+    start instants and how many times the batch yielded."""
+    env, engines = _world(1)
+    graph = build(env, [row(0, "encode", "a", duration=1.0),
+                        row(0, "encode", "b", duration=1.0),
+                        row(0, "decode", "c", duration=1.0, deps=[0]),
+                        row(0, "decode", "d", duration=1.0, deps=[1])],
+                  bulk=True)
+    yields = [0]
+    yield_front = Environment.yield_front
+
+    def counted(self, callback, value):
+        queued = yield_front(self, callback, value)
+        yields[0] += queued
+        return queued
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Environment, "yield_front", counted)
+        if per_task:
+            mp.setattr(TaskGraph, "complete_many", _per_task)
+        run_graph(env, graph, engines)
+    return list(graph.started_at), yields[0]
+
+
+def test_a_batch_yields_to_the_take_hop_its_completion_pushed():
+    """``c``'s take hop must run before ``b`` completes, or ``d`` would
+    already wait in Q_comp and fuse with ``c``: launches ``[a, b]``,
+    ``[c]``, ``[d]``, as with one completion entry per task."""
+    started, yields = _wake_round(per_task=False)
+    assert (started, yields) == ([0.0, 0.0, 2.0, 3.0], 1)
+    assert _wake_round(per_task=True) == (started, 0)
 
 
 def test_failed_completion_fails_done_after_observers():
