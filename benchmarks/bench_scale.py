@@ -12,7 +12,8 @@ lowered recipe is replayed).  For each call it records:
 * the interpreter's peak RSS so far;
 
 and, from a third, untimed call that counts them, the round's tasks and
-simulated events.  Cold and warm ``iteration_time`` must be bit-identical.
+simulated events.  Cold and warm ``iteration_time`` must be bit-identical,
+and equal to the committed run's.
 Every timed call starts from empty collector generations
 (``gc.collect()`` first), so the pass counts belong to the call alone.
 
@@ -23,11 +24,12 @@ Usage::
 
 Writes ``BENCH_scale.json`` (override with ``--output``) and exits
 non-zero if a cold call runs any gen2 pass, cold and warm disagree, or a
-node count's ``tasks`` or ``sim_events`` differ from the committed
-``BENCH_scale.json`` (``--no-check`` to report only).  The counts are
-integers, so they must match exactly; ``iteration_time`` is not
-compared, since float sums differ across Python versions.  ``--smoke``
-runs 8 nodes only.  The committed ``BENCH_scale.json`` is a full run's
+node count's ``tasks``, ``sim_events`` or ``iteration_time`` differ from
+the committed ``BENCH_scale.json`` (``--no-check`` to report only).  All
+three must match exactly: the counts are integers, and every simulated
+float sum is a left fold, which rounds alike on every Python version
+(``iteration_time`` is compared as its ``repr``).  ``--smoke`` runs 8
+nodes only.  The committed ``BENCH_scale.json`` is a full run's
 output; it is read before the new results are written.
 """
 
@@ -48,7 +50,8 @@ FULL_NODES = (8, 16, 32)
 SMOKE_NODES = (8,)
 #: The committed full run, whose counts every run must reproduce.
 COMMITTED = Path(__file__).resolve().parent.parent / "BENCH_scale.json"
-COUNTS = ("tasks", "sim_events")
+#: The values every run must reproduce exactly.
+EXACT = ("tasks", "sim_events", "iteration_time")
 CALL = ('run_system("hipress-ps", "bert-large", ec2_v100_cluster(n), '
         'algorithm="onebit")')
 
@@ -131,9 +134,10 @@ def child(nodes: int) -> dict:
 
 
 def committed_counts() -> dict:
-    """``{nodes: {count: value}}`` from the committed full run."""
+    """``{nodes: {key: value}}`` of the :data:`EXACT` values from the
+    committed full run."""
     rows = json.loads(COMMITTED.read_text())["results"]
-    return {row["nodes"]: {key: row[key] for key in COUNTS} for row in rows}
+    return {row["nodes"]: {key: row[key] for key in EXACT} for row in rows}
 
 
 def run_fresh(nodes: int) -> dict:
@@ -186,13 +190,13 @@ def main(argv=None) -> int:
         failures += [f"n={r['nodes']}: {key} {r[key]} != committed "
                      f"{committed[r['nodes']][key]}"
                      for r in results if r["nodes"] in committed
-                     for key in COUNTS if r[key] != committed[r["nodes"]][key]]
+                     for key in EXACT if r[key] != committed[r["nodes"]][key]]
         if failures:
             print("FAIL: " + "; ".join(failures))
             return 1
         print("OK: no cold round ran a gen2 pass; cold and warm "
-              "iteration_time are bit-identical; tasks and sim_events "
-              "match the committed run")
+              "iteration_time are bit-identical; tasks, sim_events and "
+              "iteration_time match the committed run")
     return 0
 
 
