@@ -133,13 +133,6 @@ class CompressionAlgorithm(ABC):
         return f"<{type(self).__name__} {self.name!r}>"
 
 
-def _as_float32_1d(gradient: np.ndarray) -> np.ndarray:
-    arr = np.ascontiguousarray(gradient, dtype=np.float32).ravel()
-    if arr.size == 0:
-        raise ValueError("cannot compress an empty gradient")
-    return arr
-
-
 # Registry ----------------------------------------------------------------
 
 _REGISTRY: Dict[str, Callable[..., CompressionAlgorithm]] = {}

@@ -5,8 +5,9 @@ synchronization strategy (CaSync-PS or CaSync-Ring), and a compression
 algorithm (by name, from the registry that CompLL auto-populates).  The
 job then performs the steps §5 describes:
 
-1. *profiling pass* -- measure T_enc/T_dec on the GPU model and T_send on
-   the network (the "first training iteration" measurement);
+1. *profiling pass* -- evaluate the §3.3 formulas of the analytic
+   :class:`~repro.casync.planner.CostModel` for T_enc/T_dec and T_send at
+   probe sizes (the paper measures these in the first training iteration);
 2. *planning* -- the selective compression & partitioning planner, which
    runs inside the plan build (:class:`~repro.casync.passes.SelectivePass`;
    :attr:`TrainingJob.plans` reports its verdicts);
@@ -107,7 +108,7 @@ class TrainingJob:
 
     def profile(self, probe_sizes=(64 * 1024, 1 << 20, 16 << 20, 128 << 20)
                 ) -> Profile:
-        """Measure the cost-model primitives (the first-iteration pass).
+        """Evaluate the cost-model primitives at ``probe_sizes``.
 
         Probes go through the bottleneck-aware :class:`CostModel`, so on a
         heterogeneous cluster the profile reflects the slowest GPU and the

@@ -5,6 +5,10 @@ every name in ``repro.api.__all__`` resolves, and unknown configuration
 strings raise a typed :class:`ConfigError` that names the valid choices.
 """
 
+import pkgutil
+import re
+from pathlib import Path
+
 import pytest
 
 import repro
@@ -177,3 +181,30 @@ def test_quickstart_flow_through_facade():
     baseline = run_system("ring", "resnet50", ec2_v100_cluster(num_nodes=2))
     assert result.iteration_time > 0
     assert baseline.iteration_time > 0
+
+
+# -- docs -------------------------------------------------------------------
+
+ROOT = Path(__file__).resolve().parent.parent
+DOC_FILES = ([ROOT / name for name in ("README.md", "DESIGN.md",
+                                       "EXPERIMENTS.md")]
+             + sorted((ROOT / "docs").glob("*.md")))
+CODE_SPAN = re.compile(r"`([^`\n]+)`")
+MODULE_REF = re.compile(r"(?<![\w.])repro(?:\.\w+)+")
+
+
+def _resolves(dotted):
+    try:
+        pkgutil.resolve_name(dotted)
+    except (ImportError, AttributeError):
+        return False
+    return True
+
+
+def test_module_references_in_docs_resolve():
+    refs = {(path.relative_to(ROOT).as_posix(), name)
+            for path in DOC_FILES
+            for span in CODE_SPAN.findall(path.read_text(encoding="utf-8"))
+            for name in MODULE_REF.findall(span)}
+    assert refs
+    assert sorted(ref for ref in refs if not _resolves(ref[1])) == []

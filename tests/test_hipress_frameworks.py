@@ -1,12 +1,8 @@
-"""Tests for the HiPress facade and the framework adapters."""
+"""Tests for the ``TrainingJob`` facade (``repro.hipress.framework``)."""
 
 import pytest
 
 from repro.cluster import ec2_v100_cluster, local_1080ti_cluster
-from repro.frameworks import (
-    FrameworkAdapter,
-    get_adapter,
-)
 from repro.hipress import TrainingJob
 
 
@@ -74,50 +70,3 @@ def test_job_compll_generated_algorithm():
     job = small_job(algorithm=build("onebit"))
     result = job.run()
     assert result.iteration_time > 0
-
-
-# ---------------------------------------------------------------- adapters
-
-def test_get_adapter_known_and_unknown():
-    assert get_adapter("mxnet").name == "mxnet"
-    assert get_adapter("pytorch").has_execution_engine is False
-    assert get_adapter("tensorflow").has_execution_engine is True
-    with pytest.raises(KeyError):
-        get_adapter("jax")
-
-
-def test_adapter_session_runs_iterations():
-    handle = get_adapter("mxnet").wrap(small_job())
-    first = handle.run_iteration()
-    second = handle.run_iteration()
-    assert handle.iterations_run == 2
-    assert first.iteration_time == pytest.approx(second.iteration_time)
-
-
-def test_adapter_engine_queue_tracks_compressed_gradients():
-    job = small_job()
-    handle = get_adapter("tensorflow").wrap(job)
-    handle.run_iteration()
-    compressed = sum(1 for p in job.plans.values() if p.compress)
-    encodes = [op for op in handle.engine_queue if op.startswith("encode:")]
-    assert len(encodes) == compressed
-
-
-def test_adapter_instrumentation_rewrites_sync_calls():
-    mxnet = get_adapter("mxnet")
-    script = "kvstore.push_pull(grads)\nother()"
-    out = mxnet.instrument(script)
-    assert "casync.synchronize(grads, compression=True)" in out
-    assert "other()" in out
-
-    torch = get_adapter("pytorch")
-    out = torch.instrument("dist.all_reduce(t)")
-    assert "casync.synchronize(t, compression=True)" in out
-
-
-def test_adapter_instrumentation_leaves_other_code():
-    adapter = get_adapter("tensorflow")
-    script = "x = hvd.allreduce(grad)\ny = compute(x)"
-    out = adapter.instrument(script)
-    assert "y = compute(x)" in out
-    assert "hvd.allreduce" not in out
