@@ -23,7 +23,8 @@ The IR deliberately separates two layers:
 The ops are a column store: one column per op field, and the
 dependencies as compressed rows of integers (``dep_ptr``/``dep_rows``,
 each an earlier row or ``-1 - r`` for ready ref ``ref_keys[r]``),
-resolved when :meth:`SyncPlan.add` appends the op.  Passes edit the
+resolved when :meth:`SyncPlan.add` appends the op (or given as rows to
+:meth:`SyncPlan.extend`, which appends a block).  Passes edit the
 columns through the plan's mutation methods; :class:`Op` is only the
 read-only row record :meth:`SyncPlan.op` builds for dumps and
 diagnostics.
@@ -254,9 +255,10 @@ class SyncPlan:
     dependencies are ``dep_rows[dep_ptr[i]:dep_ptr[i + 1]]``, each an
     earlier row ``j >= 0`` or ``-1 - r`` for ready ref ``ref_keys[r]``
     (keys in first-use order).  Read the columns freely; change them only
-    through :meth:`add` and the mutation methods (:meth:`update`,
-    :meth:`set_attr`, :meth:`pop_attr`, :meth:`set_deps`, :meth:`drop`,
-    :meth:`reorder`), each of which drops the plan's verified index.
+    through :meth:`add`, :meth:`extend` and the mutation methods
+    (:meth:`update`, :meth:`set_attr`, :meth:`pop_attr`,
+    :meth:`set_deps`, :meth:`drop`, :meth:`reorder`), each of which
+    drops the plan's verified index.
     """
 
     def __init__(self, strategy: str, num_nodes: int,
@@ -345,6 +347,64 @@ class SyncPlan:
         add_grad(grad)
         add_attrs(attrs or None)
         add_ptr(len(dep_rows))
+        self._index = None
+        return uid
+
+    def extend(self, kinds: Rows, nodes: Rows, labels: Sequence[str],
+               nbytes: Sequence[float], compressed: Rows, dsts: Rows,
+               grads: Sequence[Optional[str]],
+               attrs: Sequence[Optional[Dict[str, object]]],
+               dep_counts: Rows, deps: Rows) -> int:
+        """Append a block of op rows, one call per column; returns the
+        uid of its first row (the block's uids are consecutive).
+
+        Each argument holds one entry per row, as the columns store it:
+        ``kinds`` are codes into :data:`OP_KINDS`, ``dsts`` are -1 for
+        none, and ``nbytes``, ``grads`` and ``attrs`` (a dict of its own
+        per row, or None) are stored as given.  Row ``i``'s dependencies
+        are the next ``dep_counts[i]`` entries of ``deps``, each an
+        earlier row of the plan or ``-1 - r`` for ready ref ``r`` (an id
+        :meth:`_ref_id` gave).  A dependency on the row itself or a later
+        one raises ``ValueError`` before any column changes, as do an
+        unknown kind and a send without a destination.  The uid -> row
+        map is rebuilt on demand afterwards, as after a renumbering.
+        """
+        kinds = np.asarray(kinds, dtype=np.intp)
+        dsts = np.asarray(dsts, dtype=np.intp)
+        counts = np.asarray(dep_counts, dtype=np.intp)
+        deps = np.asarray(deps, dtype=np.intp)
+        m = len(kinds)
+        if not (len(nodes) == len(labels) == len(nbytes) == len(compressed)
+                == len(dsts) == len(grads) == len(attrs) == len(counts) == m
+                and counts.sum() == len(deps)):
+            raise ValueError("the block's columns differ in length")
+        base = len(self.uids)
+        owner = np.repeat(np.arange(base, base + m), counts)
+        bad = (deps >= owner) | (deps < -len(self.ref_keys))
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ValueError(f"block row {owner[i]} depends on {deps[i]}, "
+                             "which is neither an earlier row nor a "
+                             "ready ref")
+        if ((kinds < 0) | (kinds >= len(OP_KINDS))).any():
+            raise ValueError("unknown op kind code in the block")
+        if ((kinds == SEND) & (dsts < 0)).any():
+            raise ValueError("send ops need a destination node")
+        uid = self._next_uid
+        self._next_uid = uid + m
+        self._row_of = None
+        self.uids.frombytes(np.arange(uid, uid + m, dtype=np.intc).tobytes())
+        self.kinds.frombytes(kinds.astype(np.int8).tobytes())
+        self.nodes.frombytes(np.asarray(nodes, dtype=np.intc).tobytes())
+        self.labels.extend(labels)
+        self.nbytes.extend(nbytes)
+        self.compressed.extend(np.asarray(compressed, dtype=bool).tobytes())
+        self.dsts.frombytes(dsts.astype(np.intc).tobytes())
+        self.grads.extend(grads)
+        self.attrs.extend(attrs)
+        ptr = np.cumsum(counts) + self.dep_ptr[-1]
+        self.dep_ptr.frombytes(ptr.astype(np.intc).tobytes())
+        self.dep_rows.frombytes(deps.astype(np.intc).tobytes())
         self._index = None
         return uid
 
@@ -530,6 +590,18 @@ class SyncPlan:
             self.labels.append, self.nbytes.append, self.compressed.append,
             self.dsts.append, self.grads.append, self.attrs.append,
             self.dep_ptr.append)
+
+    def __getstate__(self) -> Dict[str, Any]:
+        # The cached appends are builtin methods, which ``copy.deepcopy``
+        # would share with the original instead of copying: a copy
+        # rebinds them to its own columns.
+        state = self.__dict__.copy()
+        del state["_appends"]
+        return state
+
+    def __setstate__(self, state: Dict[str, Any]) -> None:
+        self.__dict__.update(state)
+        self._bind()
 
     def _ref_id(self, key: Tuple[int, str]) -> int:
         r = self._ref_ids.get(key)

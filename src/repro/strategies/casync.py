@@ -1,7 +1,8 @@
 """CaSync synchronization strategies: CaSync-PS and CaSync-Ring (§3).
 
 Both strategies are SyncPlan IR frontends: :meth:`expand` emits the
-structural op stream (the five primitives composed per topology), and the
+structural op stream (the five primitives composed per topology) as one
+template block per partition (:mod:`repro.strategies.blocks`), and the
 three CaSync optimizations are independent passes selected by
 :meth:`passes` -- the Fig. 11 ablation ladder is literally "run with a
 pass removed":
@@ -39,6 +40,7 @@ from ..casync.passes import Pass, PassContext, get_pass
 from ..casync.topology import ps_topology, ring_topology
 from ..models import GradientSpec, ModelSpec
 from .base import Strategy
+from .blocks import Blocks, Template
 
 __all__ = ["CaSyncPS", "CaSyncRing"]
 
@@ -94,68 +96,53 @@ class CaSyncPS(_CaSyncBase):
         # aggregator set for load balance.
         topology = ps_topology(n, colocated=True)
         aggregator_pool = topology.aggregators()
+        blocks = Blocks(plan, lambda key: _ps_partition(n, *key))
         agg_rr = 0
         for grad in model.gradients:
             directive = plan.directive(grad.name)
             k = directive.partitions
-            part = grad.nbytes / k
-            wire = SizeExpr(part, compressed=directive.compress)
-            for p in range(k):
-                aggregator = aggregator_pool[agg_rr % len(aggregator_pool)]
-                agg_rr += 1
-                label = f"{grad.name}.p{p}"
+            keys = [(aggregator_pool[(agg_rr + p) % len(aggregator_pool)],
+                     directive.compress) for p in range(k)]
+            agg_rr += k
+            blocks.place(grad.name, grad.nbytes / k, keys,
+                         [f"{grad.name}.p{p}" for p in range(k)])
+        blocks.extend()
 
-                merges = []
-                for w in range(n):
-                    src_dep = ReadyRef(w, grad.name)
-                    if directive.compress:
-                        src_dep = plan.add(
-                            "encode", w, f"enc:{label}@{w}", SizeExpr(part),
-                            deps=[src_dep], grad=grad.name)
-                    if w != aggregator:
-                        src_dep = plan.add(
-                            "send", w, f"push:{label}@{w}", wire,
-                            deps=[src_dep], dst=aggregator, grad=grad.name,
-                            bulk_eligible=True)
-                    # GPU-side aggregation; the fusion pass collapses the
-                    # decode+merge pair into the §5 fused kernel.
-                    if directive.compress:
-                        dec = plan.add(
-                            "decode", aggregator, f"agg:{label}@{w}",
-                            SizeExpr(part), deps=[src_dep], grad=grad.name,
-                            fusable=True)
-                        agg = plan.add(
-                            "merge", aggregator, f"agg:{label}@{w}",
-                            SizeExpr(part), deps=[dec], grad=grad.name,
-                            fusable=True)
-                    else:
-                        agg = plan.add(
-                            "merge", aggregator, f"agg:{label}@{w}",
-                            SizeExpr(part), deps=[src_dep], grad=grad.name)
-                    merges.append(agg)
 
-                tail = merges
-                if directive.compress:
-                    tail = [plan.add(
-                        "encode", aggregator, f"enc-out:{label}",
-                        SizeExpr(part), deps=merges, grad=grad.name)]
-                for w in range(n):
-                    if w == aggregator:
-                        plan.add("barrier", w, f"done:{label}@{w}",
-                                 deps=tail, grad=grad.name)
-                        continue
-                    pull = plan.add(
-                        "send", aggregator, f"pull:{label}@{w}", wire,
-                        deps=tail, dst=w, grad=grad.name, bulk_eligible=True)
-                    if directive.compress:
-                        dec = plan.add(
-                            "decode", w, f"dec:{label}@{w}", SizeExpr(part),
-                            deps=[pull], grad=grad.name)
-                        plan.add("barrier", w, f"done:{label}@{w}",
-                                 deps=[dec], grad=grad.name)
-                    else:
-                        plan.add("barrier", w, f"done:{label}@{w}",
-                                 deps=[pull], grad=grad.name)
+def _ps_partition(n: int, aggregator: int, compress: bool) -> Template:
+    """One CaSync-PS partition: each worker pushes to ``aggregator``,
+    which merges and sends the result back to every worker."""
+    t = Template()
+    merges = []
+    for w in range(n):
+        src = -1 - w  # worker w's ready ref
+        if compress:
+            src = t.row("encode", w, "enc:", f"@{w}", [src])
+        if w != aggregator:
+            src = t.row("send", w, "push:", f"@{w}", [src], dst=aggregator,
+                        compressed=compress, flag="bulk_eligible")
+        # GPU-side aggregation; the fusion pass collapses the
+        # decode+merge pair into the §5 fused kernel.
+        if compress:
+            dec = t.row("decode", aggregator, "agg:", f"@{w}", [src],
+                        flag="fusable")
+            merges.append(t.row("merge", aggregator, "agg:", f"@{w}",
+                                [dec], flag="fusable"))
+        else:
+            merges.append(t.row("merge", aggregator, "agg:", f"@{w}",
+                                [src]))
+    tail = merges
+    if compress:
+        tail = [t.row("encode", aggregator, "enc-out:", "", merges)]
+    for w in range(n):
+        done = tail
+        if w != aggregator:
+            done = [t.row("send", aggregator, "pull:", f"@{w}", tail, dst=w,
+                          compressed=compress, flag="bulk_eligible")]
+            if compress:
+                done = [t.row("decode", w, "dec:", f"@{w}", done)]
+        t.row("barrier", w, "done:", f"@{w}", done, sized=False)
+    return t
 
 
 class CaSyncRing(_CaSyncBase):
@@ -175,6 +162,8 @@ class CaSyncRing(_CaSyncBase):
             return
         # §3.1: clockwise ring edges come from the topology graph.
         topology = ring_topology(n)
+        successor = [topology.successor(i) for i in range(n)]
+        blocks = Blocks(plan, lambda start: _ring_chunk(successor, start))
 
         # Bulk communication on a ring topology: gradients the planner left
         # uncompressed are fused into buckets and allreduced raw, instead of
@@ -186,62 +175,10 @@ class CaSyncRing(_CaSyncBase):
                 raw.append(grad)
                 continue
             k = directive.partitions
-            part = grad.nbytes / k
-            wire = SizeExpr(part, compressed=True)
-            for c in range(k):
-                start = c % n
-                label = f"{grad.name}.c{c}"
-                # Aggregation: n-1 hops; each hop encodes its partial,
-                # sends, and the receiver decode+merges (fused by the
-                # fusion pass).
-                prev = None
-                for step in range(n - 1):
-                    holder = (start + step) % n
-                    nxt = topology.successor(holder)
-                    deps = [ReadyRef(holder, grad.name)]
-                    if prev is not None:
-                        deps.append(prev)
-                    enc = plan.add(
-                        "encode", holder, f"enc:{label}.{step}",
-                        SizeExpr(part), deps=deps, grad=grad.name)
-                    # Ring hops are serial chains: routing them through the
-                    # coordinator would add a flush delay per hop, so they
-                    # are never bulk-eligible; CaSync-Ring's bulk benefits
-                    # come from batch compression and raw-bucket fusion.
-                    send = plan.add(
-                        "send", holder, f"hop:{label}.{step}", wire,
-                        deps=[enc], dst=nxt, grad=grad.name)
-                    dec = plan.add(
-                        "decode", nxt, f"agg:{label}.{step}", SizeExpr(part),
-                        deps=[send, ReadyRef(nxt, grad.name)],
-                        grad=grad.name, fusable=True)
-                    prev = plan.add(
-                        "merge", nxt, f"agg:{label}.{step}", SizeExpr(part),
-                        deps=[dec], grad=grad.name, fusable=True)
-
-                # Dissemination: encode the final value once, then forward
-                # the compressed buffer n-1 hops; receivers decode locally
-                # (overlapping the next hop's transfer).
-                final_holder = (start + n - 1) % n
-                head = plan.add(
-                    "encode", final_holder, f"enc-final:{label}",
-                    SizeExpr(part), deps=[prev], grad=grad.name)
-                plan.add("barrier", final_holder, f"done:{label}",
-                         deps=[prev], grad=grad.name)
-                hop_dep = head
-                for step in range(n - 1):
-                    holder = (final_holder + step) % n
-                    nxt = topology.successor(holder)
-                    send = plan.add(
-                        "send", holder, f"bcast:{label}.{step}", wire,
-                        deps=[hop_dep], dst=nxt, grad=grad.name)
-                    hop_dep = send
-                    dec = plan.add(
-                        "decode", nxt, f"dec:{label}.{step}", SizeExpr(part),
-                        deps=[send], grad=grad.name)
-                    plan.add("barrier", nxt, f"done:{label}@{nxt}",
-                             deps=[dec], grad=grad.name)
-
+            blocks.place(grad.name, grad.nbytes / k,
+                         [c % n for c in range(k)],
+                         [f"{grad.name}.c{c}" for c in range(k)])
+        blocks.extend()
         self._raw_ring(plan, raw)
 
     def _raw_ring(self, plan: SyncPlan, raw: List[GradientSpec],
@@ -280,3 +217,42 @@ class CaSyncRing(_CaSyncBase):
                 deps = [merges[(i, n - 2)]] + [
                     ag[((i - 1) % n, step)] for step in range(n - 1)]
                 plan.add("barrier", i, f"raw-done{b}@{i}", deps=deps)
+
+
+def _ring_chunk(successor: List[int], start: int) -> Template:
+    """One compressed CaSync-ring chunk starting at node ``start``, on a
+    ring where node ``i`` sends to ``successor[i]``."""
+    n = len(successor)
+    t = Template()
+    # Aggregation: n-1 hops; each hop encodes its partial, sends, and
+    # the receiver decode+merges (fused by the fusion pass).
+    prev: List[int] = []
+    for step in range(n - 1):
+        holder = (start + step) % n
+        nxt = successor[holder]
+        enc = t.row("encode", holder, "enc:", f".{step}", [-1 - holder] + prev)
+        # Ring hops are serial chains: routing them through the
+        # coordinator would add a flush delay per hop, so they are never
+        # bulk-eligible; CaSync-Ring's bulk benefits come from batch
+        # compression and raw-bucket fusion.
+        send = t.row("send", holder, "hop:", f".{step}", [enc], dst=nxt,
+                     compressed=True)
+        dec = t.row("decode", nxt, "agg:", f".{step}", [send, -1 - nxt],
+                    flag="fusable")
+        prev = [t.row("merge", nxt, "agg:", f".{step}", [dec],
+                      flag="fusable")]
+
+    # Dissemination: encode the final value once, then forward the
+    # compressed buffer n-1 hops; receivers decode locally (overlapping
+    # the next hop's transfer).
+    final_holder = (start + n - 1) % n
+    hop = t.row("encode", final_holder, "enc-final:", "", prev)
+    t.row("barrier", final_holder, "done:", "", prev, sized=False)
+    for step in range(n - 1):
+        holder = (final_holder + step) % n
+        nxt = successor[holder]
+        hop = t.row("send", holder, "bcast:", f".{step}", [hop], dst=nxt,
+                    compressed=True)
+        dec = t.row("decode", nxt, "dec:", f".{step}", [hop])
+        t.row("barrier", nxt, "done:", f"@{nxt}", [dec], sized=False)
+    return t

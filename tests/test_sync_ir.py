@@ -8,6 +8,9 @@ pin the hit/miss discipline and warm-build determinism that make cached
 instantiation safe.
 """
 
+import copy
+import pickle
+
 import pytest
 
 from repro.analysis.plancheck import (check_plan, golden_cases, golden_model,
@@ -91,6 +94,21 @@ def test_plan_construction_and_introspection():
     obj = plan.to_json_obj()
     assert obj["ops"][1]["dst"] == 1
     assert obj["ops"][2]["deps"] == [["op", snd]]
+
+
+def test_a_deep_copy_appends_to_its_own_columns():
+    plan = SyncPlan("test", 2)
+    plan.add("encode", 0, "enc", SizeExpr(8), deps=[ReadyRef(0, "g")])
+    copied = copy.deepcopy(plan)
+    copied.add("barrier", 0, "done", deps=[0])
+    assert (len(plan), len(copied)) == (1, 2)
+    assert plan.labels == ["enc"] and list(plan.dep_ptr) == [0, 1]
+    assert copied.labels == ["enc", "done"]
+    assert list(copied.dep_rows) == [-1, 0]
+    restored = pickle.loads(pickle.dumps(plan))
+    restored.add("barrier", 0, "done", deps=[0])
+    assert restored.to_json_obj() == copied.to_json_obj()
+    assert len(plan) == 1
 
 
 def test_op_kind_and_send_dst_validated_at_construction():
