@@ -57,8 +57,12 @@ class KernelProfile:
 
     def encode_time(self, nbytes: float, gpu: GpuSpec,
                     output_nbytes: Optional[float] = None) -> float:
-        """Seconds to compress an ``nbytes`` gradient on ``gpu``."""
-        touched = self.encode_passes * nbytes + (output_nbytes or 0.0)
+        """Seconds to compress an ``nbytes`` gradient on ``gpu``.
+
+        Sizes may be arrays, as for :meth:`GpuSpec.kernel_time`.
+        """
+        touched = self.encode_passes * nbytes + (
+            0.0 if output_nbytes is None else output_nbytes)
         return gpu.kernel_time(touched, kernels=self.encode_kernels)
 
     def decode_time(self, compressed_nbytes: float, gpu: GpuSpec,

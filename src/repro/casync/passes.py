@@ -213,9 +213,10 @@ class Pass:
 class SelectivePass(Pass):
     """Run the §3.3 planner and apply its per-gradient <compress?, K>.
 
-    The planner costs each gradient with the step counts of the plan's
-    strategy (:data:`~repro.casync.planner.PLANNER_KINDS`) on the
-    context's cluster and codec.  Its verdicts are a pure function of the
+    One :meth:`~repro.casync.planner.SelectivePlanner.plan_model` call
+    costs every directive with the step counts of the plan's strategy
+    (:data:`~repro.casync.planner.PLANNER_KINDS`) on the context's
+    cluster and codec.  Its verdicts are a pure function of the
     graph-cache key's inputs, so a warm build never re-plans.
     """
 
@@ -236,9 +237,11 @@ class SelectivePass(Pass):
                      "a codec; pass algorithm= to simulate_iteration")
         planner = SelectivePlanner(
             CostModel(pctx.cluster, pctx.algorithm, strategy=kind))
+        verdicts = planner.plan_model(
+            GradientSpec(name=name, nbytes=directive.nbytes)
+            for name, directive in plan.directives.items())
         for name, directive in plan.directives.items():
-            verdict = planner.plan_gradient(
-                GradientSpec(name=name, nbytes=directive.nbytes))
+            verdict = verdicts[name]
             directive.compress = verdict.compress
             directive.planned_partitions = verdict.partitions
 

@@ -20,12 +20,23 @@ Step-count presets:
 * ``ps``:           alpha = 2N,     beta = K + 1, gamma = N + 1    (Table 3)
 * ``ps_colocated``: alpha = 2(N-1), beta = K,     gamma = N        (§6.1's
   deployment, where a worker never talks to its co-located aggregator)
+
+Eqs. (1)-(2) have one implementation, the array form on
+:class:`CostModel` (``t_sync_orig_array`` / ``t_sync_compressed_array``),
+which costs every gradient at one K in one NumPy pass.
+:meth:`SelectivePlanner.plan_model` is the one costing path: it fills a
+(gradients, 2 * max K) table one K at a time and picks each gradient's
+cheapest cell with one ``argmin``.  ``plan_gradient`` and
+``compression_threshold`` are one ``plan_model`` call each, and the
+scalar ``t_sync_*`` calls one-element calls of the array form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, Optional, Tuple
+
+import numpy as np
 
 from ..algorithms.base import CompressionAlgorithm, FLOAT_BYTES
 from ..cluster import ClusterSpec
@@ -151,19 +162,48 @@ class CostModel:
 
     # -- Eq. (1) and Eq. (2) ----------------------------------------------------
 
-    def t_sync_orig(self, nbytes: float, partitions: int) -> float:
+    def t_sync_orig_array(self, nbytes: np.ndarray,
+                          partitions: int) -> np.ndarray:
+        """Eq. (1) at K = ``partitions`` for every size in ``nbytes``."""
         counts = self._counts(self.cluster.num_nodes, partitions)
         return counts.alpha * self.t_send(nbytes / partitions)
 
-    def t_sync_compressed(self, nbytes: float, partitions: int) -> float:
+    def t_sync_compressed_array(self, nbytes: np.ndarray,
+                                partitions: int) -> np.ndarray:
+        """Eq. (2) at K = ``partitions`` for every size in ``nbytes``.
+
+        One element count per partition serves r, T_enc and T_dec, and the
+        codec sizes each distinct count once.
+        """
         counts = self._counts(self.cluster.num_nodes, partitions)
         part = nbytes / partitions
-        rate = self.compression_rate(part)
+        elements = np.maximum(np.floor(part / FLOAT_BYTES), 1)
+        distinct, inverse = np.unique(elements, return_inverse=True)
+        compressed = np.array(
+            [self.algorithm.compressed_nbytes(e)
+             for e in distinct.astype(np.int64).tolist()],
+            dtype=np.float64)[inverse]
+        rate = compressed / (elements * FLOAT_BYTES)
+        profile = self.algorithm.profile
+        t_enc = np.maximum.reduce([
+            profile.encode_time(part, gpu, output_nbytes=compressed)
+            for gpu in self._distinct_gpus])
+        t_dec = np.maximum.reduce([
+            profile.decode_time(compressed, gpu, output_nbytes=part)
+            for gpu in self._distinct_gpus])
         # K beyond N is grouped into ceil(K/N) pipelined batches (§3.3).
         groups = -(-partitions // self.cluster.num_nodes)
         return groups * (counts.alpha * self.t_send(rate * part)
-                         + counts.beta * self.t_enc(part)
-                         + counts.gamma * self.t_dec(part))
+                         + counts.beta * t_enc
+                         + counts.gamma * t_dec)
+
+    def t_sync_orig(self, nbytes: float, partitions: int) -> float:
+        return self.t_sync_orig_array(
+            np.array([nbytes], dtype=np.float64), partitions).item()
+
+    def t_sync_compressed(self, nbytes: float, partitions: int) -> float:
+        return self.t_sync_compressed_array(
+            np.array([nbytes], dtype=np.float64), partitions).item()
 
 
 @dataclass(frozen=True)
@@ -196,27 +236,33 @@ class SelectivePlanner:
         # pipelined batches, so the search space extends past N.
         self.max_partitions = max_partitions if max_partitions else max(n, 16)
 
-    def plan_gradient(self, gradient: GradientSpec) -> GradientPlan:
-        best: Optional[Tuple[float, bool, int]] = None
-        for k in range(1, self.max_partitions + 1):
-            for compress in (False, True):
-                if compress:
-                    cost = self.cost_model.t_sync_compressed(
-                        gradient.nbytes, k)
-                else:
-                    cost = self.cost_model.t_sync_orig(gradient.nbytes, k)
-                key = (cost, compress, k)
-                if best is None or cost < best[0]:
-                    best = key
-        assert best is not None  # the K >= 1 loop always runs
-        cost, compress, k = best
-        return GradientPlan(name=gradient.name, nbytes=gradient.nbytes,
-                            compress=compress, partitions=k,
-                            predicted_time=cost)
-
     def plan_model(self, gradients: Iterable[GradientSpec]
                    ) -> Dict[str, GradientPlan]:
-        return {g.name: self.plan_gradient(g) for g in gradients}
+        """Every gradient's cheapest <compress?, K>, in one table.
+
+        Column ``2(K-1)`` holds Eq. (1) at K and the next column Eq. (2),
+        so ``argmin``'s first minimum is the smallest K, uncompressed
+        before compressed, on a tie.
+        """
+        gradients = list(gradients)
+        if not gradients:
+            return {}
+        sizes = np.array([g.nbytes for g in gradients], dtype=np.float64)
+        table = np.empty((len(gradients), 2 * self.max_partitions))
+        for k in range(1, self.max_partitions + 1):
+            table[:, 2 * k - 2] = self.cost_model.t_sync_orig_array(sizes, k)
+            table[:, 2 * k - 1] = self.cost_model.t_sync_compressed_array(
+                sizes, k)
+        best = table.argmin(axis=1)
+        costs = table[np.arange(len(gradients)), best].tolist()
+        return {g.name: GradientPlan(name=g.name, nbytes=g.nbytes,
+                                     compress=bool(cell % 2),
+                                     partitions=cell // 2 + 1,
+                                     predicted_time=cost)
+                for g, cell, cost in zip(gradients, best.tolist(), costs)}
+
+    def plan_gradient(self, gradient: GradientSpec) -> GradientPlan:
+        return self.plan_model([gradient])[gradient.name]
 
     def compression_threshold(self, probe_sizes: Iterable[int] = ()
                               ) -> Optional[int]:
@@ -227,12 +273,11 @@ class SelectivePlanner:
         """
         sizes = sorted(probe_sizes) or [
             1 << s for s in range(10, 31)]  # 1KB .. 1GB
-        for nbytes in sizes:
-            plan = self.plan_gradient(
-                GradientSpec(name="probe", nbytes=int(nbytes)))
-            if plan.compress:
-                return int(nbytes)
-        return None
+        plans = self.plan_model(
+            GradientSpec(name=str(i), nbytes=int(nbytes))
+            for i, nbytes in enumerate(sizes))
+        return next((plan.nbytes for plan in plans.values() if plan.compress),
+                    None)
 
 
 # -- plan persistence ---------------------------------------------------------

@@ -25,6 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, List, Optional, Tuple
 
+import numpy as np
+
 from ..sim import URGENT, Environment, SimulationError
 
 __all__ = ["GpuSpec", "Gpu", "IntervalLog", "V100", "GTX1080TI"]
@@ -62,8 +64,14 @@ class GpuSpec:
         """Seconds to run a scan kernel touching ``bytes_touched`` bytes.
 
         ``kernels`` counts distinct launches (a fused operator is 1).
+        ``bytes_touched`` may be an array, costed element by element.
         """
-        if bytes_touched < 0:
+        negative = bytes_touched < 0
+        # A Python number compares to a bool; an array to an array, whose
+        # first negative entry the error names.  Scalars pay no type test.
+        if negative is not False and (negative is True or negative.any()):
+            if isinstance(bytes_touched, np.ndarray):
+                bytes_touched = bytes_touched[negative][0]
             raise ValueError(f"negative bytes_touched {bytes_touched}")
         if kernels < 1:
             raise ValueError(f"kernels must be >= 1, got {kernels}")

@@ -124,8 +124,7 @@ class TrainingJob:
                 t_dec=tuple(cost.t_dec(s) for s in probe_sizes),
                 t_send=tuple(cost.t_send(s) for s in probe_sizes),
                 compression_rate=tuple(
-                    self.algorithm.compression_rate(s // 4)
-                    for s in probe_sizes))
+                    cost.compression_rate(s) for s in probe_sizes))
         return self._profile
 
     # -- step 2: planning ----------------------------------------------------

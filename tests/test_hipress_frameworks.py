@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.casync import CostModel
 from repro.cluster import ec2_v100_cluster, local_1080ti_cluster
 from repro.hipress import TrainingJob
 
@@ -28,6 +29,15 @@ def test_job_profile_monotone():
     assert list(profile.t_enc) == sorted(profile.t_enc)
     assert list(profile.t_send) == sorted(profile.t_send)
     assert all(0 < r < 1 for r in profile.compression_rate)
+
+
+def test_job_profile_rate_clamps_a_sub_element_probe():
+    job = small_job()
+    cost = CostModel(job.cluster, job.algorithm, strategy="ps_colocated")
+    profile = job.profile(probe_sizes=(2, 1 << 20))
+    assert profile.compression_rate == (cost.compression_rate(2),
+                                        cost.compression_rate(1 << 20))
+    assert profile.compression_rate[0] == job.algorithm.compression_rate(1)
 
 
 def test_job_profile_cached():

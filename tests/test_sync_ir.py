@@ -388,13 +388,14 @@ def test_warm_build_does_not_replan(monkeypatch):
     model = small_model()
     cluster = ec2_v100_cluster(3)
     planned = []
-    plan_gradient = SelectivePlanner.plan_gradient
+    plan_model = SelectivePlanner.plan_model
 
-    def counting(self, gradient):
-        planned.append(gradient.name)
-        return plan_gradient(self, gradient)
+    def recording(self, gradients):
+        gradients = list(gradients)
+        planned.extend(g.name for g in gradients)
+        return plan_model(self, gradients)
 
-    monkeypatch.setattr(SelectivePlanner, "plan_gradient", counting)
+    monkeypatch.setattr(SelectivePlanner, "plan_model", recording)
     cache = GraphCache()
     _build_casync_ps(model, cluster, cache)
     assert planned == [g.name for g in model.gradients]
