@@ -68,7 +68,8 @@ from typing import (Any, Callable, Dict, Iterator, List, Optional, Sequence,
 import numpy as np
 
 from ..casync.index import plan_file, plan_index, region_pids, sizes_match
-from ..casync.ir import (DECODE, DECODE_MERGE, ENCODE, COPY, MERGE, OP_KINDS,
+from ..casync.ir import (ALLOCATES_OUTPUT, BULK, BULK_ELIGIBLE, DECODE,
+                         DECODE_MERGE, ENCODE, COPY, FUSED, MERGE, OP_KINDS,
                          SEND, PlanVerificationError, Rows, SyncPlan,
                          gather_rows)
 from ..casync.passes import BULK_ELIGIBLE_BYTES, PassContext
@@ -242,13 +243,11 @@ class _PlanAnalyzer:
                 map(plan.labels.__getitem__, encodes), encode_grads)):
             self.encodes.setdefault((grad, pid), []).append(i)
         #: Plain gradient-buffer decodes (not fused, not allocating).
-        self.plain_decodes: List[int] = []
-        for i in np.flatnonzero(kinds == DECODE).tolist():
-            attrs = plan.attrs[i]
-            if grads[i] is not None and not (
-                    attrs and (attrs.get("fused")
-                               or attrs.get("allocates_output"))):
-                self.plain_decodes.append(i)
+        flags = plan.arrays("flags")[0]
+        self.plain_decodes: List[int] = [
+            i for i in np.flatnonzero(
+                (kinds == DECODE) & (flags & (FUSED | ALLOCATES_OUTPUT) == 0)
+            ).tolist() if grads[i] is not None]
         #: The gradients some op belongs to.
         self.present = set(grads)
         self.send_rows = np.flatnonzero(kinds == SEND)
@@ -788,10 +787,9 @@ class _PlanAnalyzer:
         ops, sends = self.ops, self.sends
         # Per send: 0 not bulk-routed, 1 routed and eligible, 2 routed
         # but never marked eligible.
-        routed = np.array([
-            0 if not (a and a.get("bulk"))
-            else 1 if a.get("bulk_eligible") else 2
-            for a in map(self.plan.attrs.__getitem__, sends)], dtype=np.int8)
+        flags = self.plan.arrays("flags")[0][self.send_rows]
+        routed = np.where((flags & BULK) == 0, 0,
+                          np.where((flags & BULK_ELIGIBLE) == 0, 2, 1))
         # Without a pass context no wire size is known.
         over = np.zeros(len(sends), dtype=bool)
         if self.pctx is not None and (routed == 1).any():

@@ -31,8 +31,11 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Tuple
 
+import numpy as np
+
 from ..casync.index import region_pid
-from ..casync.ir import PlanVerificationError, ReadyRef, SizeExpr, SyncPlan
+from ..casync.ir import (BULK, BULK_ELIGIBLE, SEND, PlanVerificationError,
+                         ReadyRef, SizeExpr, SyncPlan)
 from ..casync.passes import (CollapseFanInPass, PassContext, build_plan,
                              verify_plan)
 from .plancheck import check_plan
@@ -146,11 +149,12 @@ def _mutate_bulk() -> Tuple[SyncPlan, PassContext]:
     deliberately never marks bulk_eligible, because per-hop coordinator
     flush delays accumulate around the ring -- gets bulk-routed anyway."""
     plan, pctx = _victim(strategy_name="casync-ring")
-    for i, op in enumerate(plan.ops):
-        if (op.kind == "send" and not op.attrs.get("bulk_eligible")
-                and not op.attrs.get("bulk")):
-            plan.set_attr(i, "bulk", True)
-            return plan, pctx
+    kinds, flags = plan.arrays("kinds", "flags")
+    ineligible = np.flatnonzero(
+        (kinds == SEND) & (flags & (BULK_ELIGIBLE | BULK) == 0))
+    if len(ineligible):
+        plan.set_attr(int(ineligible[0]), "bulk", True)
+        return plan, pctx
     raise AssertionError("victim plan had no ineligible send")
 
 

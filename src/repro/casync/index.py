@@ -198,6 +198,7 @@ class PlanIndex:
             flag(i, 5, "PC106", f"{op(i)} depends on unknown or later op "
                  f"#{dep} (cycle or dangling edge)", int(ptr[i + 1]))
         edges = on_op[~later]
+        del on_op, later
         j, i = rows[edges], owner[edges]
         delivered = send[j] & (dsts[j] == nodes[i])
         cross = nodes[j] != nodes[i]

@@ -27,7 +27,9 @@ resolved when :meth:`SyncPlan.add` appends the op (or given as rows to
 :meth:`SyncPlan.extend`, which appends a block).  Passes edit the
 columns through the plan's mutation methods; :class:`Op` is only the
 read-only row record :meth:`SyncPlan.op` builds for dumps and
-diagnostics.
+diagnostics.  An op's boolean attributes (:data:`FLAGS`) are bits of
+one typed column, ``flags``; only attributes that carry another value
+(a cpu op's ``duration_s``) are kept in a per-row dict.
 
 Sizes are symbolic: a :class:`SizeExpr` names the *raw* byte count plus a
 ``compressed`` flag; only lowering resolves the wire size through the
@@ -47,12 +49,15 @@ import json
 from array import array
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import (Any, Callable, Dict, Iterable, List, Mapping, Optional,
                     Sequence, Tuple, Union)
 
 import numpy as np
 
 __all__ = [
+    "FLAGS",
+    "FLAG_BIT",
     "OP_KINDS",
     "Directive",
     "Op",
@@ -74,6 +79,34 @@ OP_KINDS = ("encode", "decode", "merge", "decode_merge", "copy", "cpu",
 (ENCODE, DECODE, MERGE, DECODE_MERGE, COPY, CPU, SEND,
  BARRIER) = range(len(OP_KINDS))
 _KIND_CODE = {kind: code for code, kind in enumerate(OP_KINDS)}
+
+#: The boolean op attributes stored as bits of :attr:`SyncPlan.flags`:
+#: bit ``1 << b`` set means attribute ``FLAGS[b]`` is present and True.
+FLAGS = ("fusable", "bulk_eligible", "fused", "bulk", "on_cpu", "as_cpu",
+         "allocates_output")
+FLAG_BIT = {name: 1 << b for b, name in enumerate(FLAGS)}
+(FUSABLE, BULK_ELIGIBLE, FUSED, BULK, ON_CPU, AS_CPU,
+ ALLOCATES_OUTPUT) = FLAG_BIT.values()
+#: The names of each flag byte's set bits, in :data:`FLAGS` order.
+_FLAG_NAMES = tuple(tuple(name for name, bit in FLAG_BIT.items()
+                          if bits & bit) for bits in range(1 << len(FLAGS)))
+
+
+def _split_attrs(attrs: Mapping[str, object]
+                ) -> Tuple[int, Optional[Dict[str, object]]]:
+    """An op's attributes as its flag bits and a dict of the rest (None
+    when every attribute is a flag)."""
+    bits = 0
+    rest: Optional[Dict[str, object]] = None
+    for key, value in attrs.items():
+        bit = FLAG_BIT.get(key)
+        if bit is not None and value is True:
+            bits |= bit
+        elif rest is None:
+            rest = {key: value}
+        else:
+            rest[key] = value
+    return bits, rest
 
 
 class PlanVerificationError(ValueError):
@@ -223,7 +256,18 @@ def _rows(rows: Union[int, Iterable[int]]) -> Iterable[int]:
 
 def _ints(values: np.ndarray) -> array:
     """A NumPy int vector as a C-int ``array``."""
-    return array("i", values.astype(np.intc).tobytes())
+    return array("i", values.astype(np.intc, copy=False).tobytes())
+
+
+def _take(column: Any, order: np.ndarray, pick: List[int]) -> Any:
+    """Entries ``order`` (``pick`` as a list) of a column, in a new
+    column of its own type."""
+    if isinstance(column, list):
+        return list(map(column.__getitem__, pick))
+    dtype = np.uint8 if isinstance(column, bytearray) else column.typecode
+    taken = np.frombuffer(column, dtype=dtype)[order].tobytes()
+    return (bytearray(taken) if isinstance(column, bytearray)
+            else array(column.typecode, taken))
 
 
 def gather_rows(ptr: np.ndarray, rows: np.ndarray
@@ -241,7 +285,7 @@ def gather_rows(ptr: np.ndarray, rows: np.ndarray
 
 #: The NumPy dtype :meth:`SyncPlan.arrays` gives a column that is not
 #: stored as a typed array.
-_ARRAY_DTYPES = {"nbytes": float, "compressed": bool}
+_ARRAY_DTYPES = {"nbytes": float, "compressed": bool, "flags": np.uint8}
 
 
 class SyncPlan:
@@ -250,13 +294,15 @@ class SyncPlan:
     Op row ``i`` is entry ``i`` of every column: ``uids``, ``kinds``
     (codes into :data:`OP_KINDS`), ``nodes``, ``labels``, ``nbytes`` (as
     given: an int stays an int), ``compressed``, ``dsts`` (-1 for none),
-    ``grads`` and ``attrs`` (a dict, or None for an op without
-    attributes).  Row ``i``'s
+    ``grads``, ``flags`` (a byte of :data:`FLAG_BIT` bits: the
+    attributes that are True) and ``attrs`` (a dict of the attributes
+    with any other value, or None; :meth:`attrs_of` merges the two).
+    Row ``i``'s
     dependencies are ``dep_rows[dep_ptr[i]:dep_ptr[i + 1]]``, each an
     earlier row ``j >= 0`` or ``-1 - r`` for ready ref ``ref_keys[r]``
     (keys in first-use order).  Read the columns freely; change them only
     through :meth:`add`, :meth:`extend` and the mutation methods
-    (:meth:`update`, :meth:`set_attr`, :meth:`pop_attr`,
+    (:meth:`update`, :meth:`retype`, :meth:`set_attr`, :meth:`pop_attr`,
     :meth:`set_deps`, :meth:`drop`, :meth:`reorder`), each of which
     drops the plan's verified index.
     """
@@ -278,6 +324,7 @@ class SyncPlan:
         self.compressed = bytearray()
         self.dsts = array("i")
         self.grads: List[Optional[str]] = []
+        self.flags = bytearray()
         self.attrs: List[Optional[Dict[str, object]]] = []
         self.dep_ptr = array("i", [0])
         self.dep_rows = array("i")
@@ -336,7 +383,7 @@ class SyncPlan:
                     dep_rows.append(j)
         row_of[uid] = len(self.labels)
         (add_uid, add_kind, add_node, add_label, add_nbytes, add_compressed,
-         add_dst, add_grad, add_attrs, add_ptr) = self._appends
+         add_dst, add_grad, add_flags, add_attrs, add_ptr) = self._appends
         add_uid(uid)
         add_kind(code)
         add_node(node)
@@ -345,7 +392,13 @@ class SyncPlan:
         add_compressed(size.compressed)
         add_dst(dst)
         add_grad(grad)
-        add_attrs(attrs or None)
+        if attrs:
+            bits, rest = _split_attrs(attrs)
+            add_flags(bits)
+            add_attrs(rest)
+        else:
+            add_flags(0)
+            add_attrs(None)
         add_ptr(len(dep_rows))
         self._index = None
         return uid
@@ -353,15 +406,19 @@ class SyncPlan:
     def extend(self, kinds: Rows, nodes: Rows, labels: Sequence[str],
                nbytes: Sequence[float], compressed: Rows, dsts: Rows,
                grads: Sequence[Optional[str]],
-               attrs: Sequence[Optional[Dict[str, object]]],
-               dep_counts: Rows, deps: Rows) -> int:
+               attrs: Optional[Sequence[Optional[Dict[str, object]]]],
+               dep_counts: Rows, deps: Rows,
+               flags: Optional[Rows] = None) -> int:
         """Append a block of op rows, one call per column; returns the
         uid of its first row (the block's uids are consecutive).
 
         Each argument holds one entry per row, as the columns store it:
         ``kinds`` are codes into :data:`OP_KINDS`, ``dsts`` are -1 for
-        none, and ``nbytes``, ``grads`` and ``attrs`` (a dict of its own
-        per row, or None) are stored as given.  Row ``i``'s dependencies
+        none, ``flags`` are :data:`FLAG_BIT` bits (None: none set), and
+        ``nbytes`` and ``grads`` are stored as given.  ``attrs`` holds a
+        dict of its own per row, or None (a None ``attrs``: no row has
+        one); a dict's True flags move into the row's flag bits, as in
+        :meth:`add`.  Row ``i``'s dependencies
         are the next ``dep_counts[i]`` entries of ``deps``, each an
         earlier row of the plan or ``-1 - r`` for ready ref ``r`` (an id
         :meth:`_ref_id` gave).  A dependency on the row itself or a later
@@ -374,8 +431,11 @@ class SyncPlan:
         counts = np.asarray(dep_counts, dtype=np.intp)
         deps = np.asarray(deps, dtype=np.intp)
         m = len(kinds)
+        bits = (np.zeros(m, dtype=np.uint8) if flags is None
+                else np.array(flags, dtype=np.uint8))
         if not (len(nodes) == len(labels) == len(nbytes) == len(compressed)
-                == len(dsts) == len(grads) == len(attrs) == len(counts) == m
+                == len(dsts) == len(grads) == len(bits) == len(counts) == m
+                and (attrs is None or len(attrs) == m)
                 and counts.sum() == len(deps)):
             raise ValueError("the block's columns differ in length")
         base = len(self.uids)
@@ -401,7 +461,14 @@ class SyncPlan:
         self.compressed.extend(np.asarray(compressed, dtype=bool).tobytes())
         self.dsts.frombytes(dsts.astype(np.intc).tobytes())
         self.grads.extend(grads)
-        self.attrs.extend(attrs)
+        rest: List[Optional[Dict[str, object]]] = [None] * m
+        if attrs is not None and any(attrs):
+            for i, row_attrs in enumerate(attrs):
+                if row_attrs:
+                    more, rest[i] = _split_attrs(row_attrs)
+                    bits[i] |= more
+        self.flags.extend(bits.tobytes())
+        self.attrs.extend(rest)
         ptr = np.cumsum(counts) + self.dep_ptr[-1]
         self.dep_ptr.frombytes(ptr.astype(np.intc).tobytes())
         self.dep_rows.frombytes(deps.astype(np.intc).tobytes())
@@ -438,30 +505,68 @@ class SyncPlan:
                 raise TypeError(f"update() got an unknown field {name!r}")
         self._index = None
 
+    def retype(self, rows: Rows, kind: str, labels: Sequence[str]) -> None:
+        """Give every row in ``rows`` the kind ``kind`` and row
+        ``rows[i]`` the label ``labels[i]``: one write per column."""
+        code = _KIND_CODE.get(kind)
+        if code is None:
+            raise ValueError(f"unknown op kind {kind!r}")
+        rows = np.asarray(rows, dtype=np.intp)
+        np.frombuffer(self.kinds, dtype=np.int8)[rows] = code
+        column = self.labels
+        for row, label in zip(rows.tolist(), labels):
+            column[row] = label
+        self._index = None
+
     def set_attr(self, rows: Union[int, Iterable[int]], key: str,
                  value: object) -> None:
         """Set attribute ``key`` to ``value`` on op row ``rows`` (an int)
-        or on each of the rows ``rows`` iterates."""
-        column = self.attrs
-        for row in _rows(rows):
-            attrs = column[row]
-            if attrs is None:
-                column[row] = {key: value}
-            else:
-                attrs[key] = value
+        or on each of the rows ``rows`` iterates.  A flag set to True is
+        one vector write of its bit."""
+        rows = list(_rows(rows))
+        bit = FLAG_BIT.get(key, 0)
+        if bit and value is True:
+            self._pop_valued(rows, key)
+            self._write_bit(rows, bit, True)
+        else:
+            if bit:
+                self._write_bit(rows, bit, False)
+            column = self.attrs
+            for row in rows:
+                attrs = column[row]
+                if attrs is None:
+                    column[row] = {key: value}
+                else:
+                    attrs[key] = value
         self._index = None
 
     def pop_attr(self, rows: Union[int, Iterable[int]], key: str) -> None:
         """Remove attribute ``key`` from op row ``rows`` (an int) or from
         each of the rows ``rows`` iterates."""
-        column = self.attrs
-        for row in _rows(rows):
-            attrs = column[row]
-            if attrs is not None:
-                attrs.pop(key, None)
-                if not attrs:
-                    column[row] = None
+        rows = list(_rows(rows))
+        bit = FLAG_BIT.get(key, 0)
+        if bit:
+            self._write_bit(rows, bit, False)
+        self._pop_valued(rows, key)
         self._index = None
+
+    def _write_bit(self, rows: List[int], bit: int, on: bool) -> None:
+        """Set (``on``) or clear flag ``bit`` on every row in ``rows``."""
+        flags = np.frombuffer(self.flags, dtype=np.uint8)
+        at = np.array(rows, dtype=np.intp)
+        if on:
+            flags[at] |= bit
+        else:
+            flags[at] &= ~bit & 0xFF
+
+    def _pop_valued(self, rows: List[int], key: str) -> None:
+        """Remove ``key`` from the valued attributes of ``rows``."""
+        column = self.attrs
+        for row in compress(rows, map(column.__getitem__, rows)):
+            attrs = column[row]
+            attrs.pop(key, None)
+            if not attrs:
+                column[row] = None
 
     def set_deps(self, changes: Mapping[int, Iterable[Union[int, ReadyRef]]]
                  ) -> None:
@@ -527,19 +632,22 @@ class SyncPlan:
 
     def _renumber(self, order: np.ndarray, target: np.ndarray) -> None:
         """New row ``k`` is old row ``order[k]``; an edge on old row ``j``
-        lands on ``target[j]`` (-1: it dangles)."""
-        ptr, rows, uids, kinds, nodes, dsts, compressed = self.arrays(
-            "dep_ptr", "dep_rows", "uids", "kinds", "nodes", "dsts",
-            "compressed")
-        edges, lens = gather_rows(ptr, order)
-        deps = rows[edges]
+        lands on ``target[j]`` (-1: it dangles).
+
+        The columns are replaced one at a time, each old one freed
+        before the next is built, so the plan is never held twice."""
+        edges, lens = gather_rows(np.frombuffer(self.dep_ptr, dtype=np.intc),
+                                  order)
+        deps = np.frombuffer(self.dep_rows, dtype=np.intc)[edges]
         owner = np.repeat(np.arange(len(order)), lens)
+        del edges, lens
         # One slot past the rows holds the -1 a dangling target reads.
         inv = np.full(len(target) + 1, -1, dtype=np.intp)
         inv[order] = np.arange(len(order))
         on_op = deps >= 0
         new_deps = deps.copy()
         new_deps[on_op] = inv[target[deps[on_op]]]
+        del inv
         lost = on_op & (new_deps < 0)
         pick = order.tolist()
         old_uids = self.uids
@@ -548,23 +656,23 @@ class SyncPlan:
         if self.dangling:
             alive = set(map(old_uids.__getitem__, pick))
             self.dangling = [(u, d) for u, d in self.dangling if u in alive]
+        del old_uids, deps, on_op
         new_ptr = np.zeros(len(order) + 1, dtype=np.intp)
         np.cumsum(np.bincount(owner[~lost], minlength=len(order)),
                   out=new_ptr[1:])
-        self.uids = _ints(uids[order])
-        self.kinds = array("b", kinds[order].tobytes())
-        self.nodes = _ints(nodes[order])
-        self.dsts = _ints(dsts[order])
-        self.compressed = bytearray(compressed[order])
-        self.labels = [self.labels[i] for i in pick]
-        self.nbytes = [self.nbytes[i] for i in pick]
-        self.grads = [self.grads[i] for i in pick]
-        self.attrs = [self.attrs[i] for i in pick]
-        self._set_deps(new_ptr, new_deps[~lost])
+        new_deps = new_deps[~lost]
+        del owner, lost
+        # The old dependency rows go first; _set_deps installs the new.
+        self.dep_ptr = self.dep_rows = array("i")
+        for name in ("uids", "kinds", "nodes", "dsts", "compressed", "flags",
+                     "labels", "nbytes", "grads", "attrs"):
+            setattr(self, name, _take(getattr(self, name), order, pick))
+        self._set_deps(new_ptr, new_deps)
 
     def _set_deps(self, ptr: np.ndarray, rows: np.ndarray) -> None:
-        """Install new dependency rows, renumbering the ready refs in
-        first-use order (refs no row uses any more are dropped)."""
+        """Install new dependency rows (``rows`` is rewritten in place),
+        renumbering the ready refs in first-use order (refs no row uses
+        any more are dropped)."""
         refs = rows < 0
         used = -1 - rows[refs]
         first = np.full(len(self.ref_keys), len(used))
@@ -573,7 +681,6 @@ class SyncPlan:
             :np.count_nonzero(first < len(used))]
         remap = np.empty(len(self.ref_keys), dtype=np.intp)
         remap[keep] = np.arange(len(keep))
-        rows = rows.copy()
         rows[refs] = -1 - remap[used]
         self.ref_keys = [self.ref_keys[r] for r in keep.tolist()]
         self._ref_ids = {key: r for r, key in enumerate(self.ref_keys)}
@@ -588,8 +695,8 @@ class SyncPlan:
         self._appends = (
             self.uids.append, self.kinds.append, self.nodes.append,
             self.labels.append, self.nbytes.append, self.compressed.append,
-            self.dsts.append, self.grads.append, self.attrs.append,
-            self.dep_ptr.append)
+            self.dsts.append, self.grads.append, self.flags.append,
+            self.attrs.append, self.dep_ptr.append)
 
     def __getstate__(self) -> Dict[str, Any]:
         # The cached appends are builtin methods, which ``copy.deepcopy``
@@ -653,12 +760,20 @@ class SyncPlan:
         uid = uids[row]
         deps += [dep for owner, dep in self.dangling if owner == uid]
         dst = self.dsts[row]
-        attrs = self.attrs[row]
         return Op(uid=uid, kind=self.kind(row),
                   node=self.nodes[row], label=self.labels[row],
                   size=SizeExpr(self.nbytes[row], bool(self.compressed[row])),
                   deps=tuple(deps), dst=None if dst < 0 else dst,
-                  grad=self.grads[row], attrs=dict(attrs) if attrs else {})
+                  grad=self.grads[row], attrs=self.attrs_of(row))
+
+    def attrs_of(self, row: int) -> Dict[str, object]:
+        """Op ``row``'s attributes as one new dict: its flags (True)
+        and its valued attributes."""
+        attrs = dict.fromkeys(_FLAG_NAMES[self.flags[row]], True)
+        valued = self.attrs[row]
+        if valued:
+            attrs.update(valued)
+        return attrs
 
     @property
     def ops(self) -> "_OpRows":
@@ -694,9 +809,10 @@ class SyncPlan:
         """Content hash of the plan; it names ``sync_plan_dump`` files.
 
         Hashes the columns as they are stored (typed columns as raw
-        bytes) instead of JSON-encoding each op.  Digests are only ever
-        compared to other digests computed by this same function, never
-        pinned.
+        bytes) instead of JSON-encoding each op; each row's attributes
+        enter as :meth:`attrs_of` reads them, so a flag bit and a True
+        entry hash alike.  Digests are only ever compared to other
+        digests computed by this same function, never pinned.
         """
         h = hashlib.sha256()
         h.update(repr((self.strategy, self.num_nodes, self.algorithm,
@@ -715,8 +831,9 @@ class SyncPlan:
             h.update(bytes(column))
         h.update(repr((self.labels, self.nbytes,
                        self.grads, self.ref_keys, self.dangling)).encode())
-        h.update(repr([(i, sorted(attrs.items()))
-                       for i, attrs in enumerate(self.attrs) if attrs]
+        h.update(repr([(i, sorted(self.attrs_of(i).items()))
+                       for i, (bits, valued) in enumerate(
+                           zip(self.flags, self.attrs)) if bits or valued]
                       ).encode())
         return h.hexdigest()
 

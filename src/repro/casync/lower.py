@@ -11,10 +11,12 @@ task), the plan's bulk decision, and the rows'
 integer dependency rows (the copy its
 :class:`~repro.casync.index.PlanIndex` froze).  Lowering reads the
 plan's columns directly.
-Costing is memoised per call: :func:`_cost` is a pure function of an
-op's kind, hardware class, codec, size and cost attrs, and ops that
-agree on all of them share one evaluation, so a BERT-large plan of
-53,854 tasks costs under a thousand distinct ops, each with the
+Costing is grouped: :func:`_cost` is a pure function of an op's kind,
+hardware class, codec, size and cost attrs (flag bits included), so
+:func:`lower_plan` packs them into integer keys, groups the task rows
+by key with one NumPy sort, calls :func:`_cost` once per group and
+scatters each result back to the group's rows; a BERT-large plan of
+53,854 tasks is costed in under a thousand calls, each with the
 unchanged scalar formulas.
 
 :func:`instantiate`, the one way a
@@ -40,7 +42,6 @@ hash nothing.
 
 from __future__ import annotations
 
-import functools
 import math
 import os
 from array import array
@@ -53,7 +54,8 @@ import numpy as np
 
 from ..algorithms.base import CompressionAlgorithm
 from .index import plan_index
-from .ir import OP_KINDS, SyncPlan
+from .ir import ALLOCATES_OUTPUT, AS_CPU, BULK, ON_CPU, OP_KINDS, SyncPlan
+from .ir import SEND as SEND_OP
 from .passes import PassContext, build_plan, wire_nbytes, wire_size
 from .tasks import BULK_SEND, ROUTES, SEND, SuccessorCSR, TaskGraph
 
@@ -158,8 +160,9 @@ class LoweredRecipe:
 CPU_FACTOR = 35.0
 
 #: The op attrs that enter the costing, in :func:`_cost`'s ``attrs``
-#: order.
+#: order, and the flag bits among them.
 _COST_ATTRS = ("on_cpu", "allocates_output", "duration_s", "bulk", "as_cpu")
+_COST_FLAGS = ON_CPU | ALLOCATES_OUTPUT | BULK | AS_CPU
 
 
 def _cost(kind: str, gpu: Any, cpu_rate: float, algo: Any, nbytes: float,
@@ -170,7 +173,8 @@ def _cost(kind: str, gpu: Any, cpu_rate: float, algo: Any, nbytes: float,
     ``cpu_agg_bytes_per_s``, ``algo`` its gradient's codec, ``nbytes``
     and ``compressed`` its :class:`~repro.casync.ir.SizeExpr`, and
     ``attrs`` its values of :data:`_COST_ATTRS`.  A pure function of its
-    arguments, so :func:`lower_plan` memoises it on them.
+    arguments, so :func:`lower_plan` calls it once per group of ops
+    that agree on all of them.
 
     Returns ``(kind, duration, launch_overhead, nbytes, out_nbytes,
     bulk)``.  Cost conventions (on the node's GPU unless stated):
@@ -253,6 +257,14 @@ def _cost(kind: str, gpu: Any, cpu_rate: float, algo: Any, nbytes: float,
             kind == "send" and bool(bulk))
 
 
+class _Ids(dict):
+    """Interns keys as dense ids, in first-use order."""
+
+    def __missing__(self, key: Any) -> int:
+        self[key] = len(self)
+        return self[key]
+
+
 def lower_plan(plan: SyncPlan, pctx: PassContext) -> LoweredRecipe:
     """Resolve a (verified) plan into an environment-free recipe.
 
@@ -261,54 +273,85 @@ def lower_plan(plan: SyncPlan, pctx: PassContext) -> LoweredRecipe:
 
     Each op is costed on its own node's hardware and under its
     gradient's codec (:meth:`PassContext.algorithm_for`: an adaptive
-    decision's palette entry, else the plan-wide default).  The costing
-    is :func:`_cost`, memoised per call on its own arguments (types
-    included: an int size stays an int in pass-through columns), with
-    the node's hardware passed as the index of its distinct
-    ``(GpuSpec, cpu_agg_bytes_per_s)``; ops with equal inputs share one
-    evaluation, so the columns are exactly the per-op costs.  The recipe
-    keeps the plan's bulk decision, which
-    :class:`~repro.casync.passes.BulkRoutePass` records as
+    decision's palette entry, else the plan-wide default) by
+    :func:`_cost`, called once per group of task rows with equal
+    costing inputs.  A row's group key packs the integer codes of its
+    kind, hardware class (distinct ``(GpuSpec, cpu_agg_bytes_per_s)``),
+    codec (by identity), ``compressed`` flag, cost flag bits and valued
+    cost attrs; its size enters as the float's bits, or, when some size
+    is not a float, as the id of its ``(type, value)``.  Each group's
+    results are scattered back as the same Python objects, so every
+    column entry is exactly its op's own cost, type included (an int
+    size stays an int).  The recipe keeps the plan's bulk decision,
+    which :class:`~repro.casync.passes.BulkRoutePass` records as
     ``meta["batch_compression"]``; nothing else of the plan.
     """
     # The structural index (built by build_plan's verify stage) supplies
     # the task rows and the frozen dependency rows the CSR is built from.
     idx = plan_index(plan)
     idx.raise_if_invalid(plan)
-    classes: Dict[Tuple, int] = {}
-    hw_class = [classes.setdefault((spec.gpu, spec.cpu_agg_bytes_per_s),
-                                   len(classes))
-                for spec in pctx.cluster.nodes]
-    hardware = tuple(classes)
-
-    @functools.lru_cache(maxsize=None, typed=True)
-    def cost(kind, hw, algo, nbytes, compressed, attrs):
-        return _cost(kind, *hardware[hw], algo, nbytes, compressed, attrs)
-
-    rows = idx.task_rows.tolist()
-    plan_kinds = plan.kinds
-    kinds = [OP_KINDS[plan_kinds[i]] for i in rows]
-    plan_nodes = plan.nodes
-    nodes = [plan_nodes[i] for i in rows]
-    plan_attrs = plan.attrs
-    no_attrs = (None,) * len(_COST_ATTRS)
-    attrs = (tuple(map(a.get, _COST_ATTRS)) if a else no_attrs
-             for a in map(plan_attrs.__getitem__, rows))
-    algorithms = (map(pctx.algorithm_for, map(plan.grads.__getitem__, rows))
-                  if pctx.decisions is not None
-                  else [pctx.algorithm] * len(rows))
-    costs = list(map(
-        cost, kinds, map(hw_class.__getitem__, nodes), algorithms,
-        map(plan.nbytes.__getitem__, rows),
-        map(plan.compressed.__getitem__, rows), attrs))
+    rows = np.frombuffer(idx.task_rows, dtype=np.intc)
+    row_list = rows.tolist()
+    n = len(row_list)
+    kinds, nodes, compressed, flags, dsts = (
+        column[rows] for column in plan.arrays(
+            "kinds", "nodes", "compressed", "flags", "dsts"))
+    hardware = _Ids()
+    hw = np.array([hardware[spec.gpu, spec.cpu_agg_bytes_per_s]
+                   for spec in pctx.cluster.nodes], dtype=np.int64)[nodes]
+    algorithms = [pctx.algorithm]
+    codec = np.zeros(n, dtype=np.int64)
+    if pctx.decisions is not None:
+        algorithms, codecs, of_grad = [], _Ids(), {}
+        for grad in dict.fromkeys(plan.grads):
+            algorithm = pctx.algorithm_for(grad)
+            of_grad[grad] = codecs[id(algorithm)]
+            if of_grad[grad] == len(algorithms):
+                algorithms.append(algorithm)
+        codec = np.fromiter(map(of_grad.__getitem__,
+                                map(plan.grads.__getitem__, row_list)),
+                            np.int64, n)
+    # A row with valued attrs (rare: a cpu op's fixed duration) keys on
+    # the id of its cost attrs' values.
+    valued = _Ids({None: 0})
+    valued_id = np.zeros(n, dtype=np.int64)
+    if plan.attrs.count(None) < len(plan):
+        has_valued = np.fromiter(map(bool, plan.attrs), bool, len(plan))
+        for k in np.flatnonzero(has_valued[rows]).tolist():
+            attrs = plan.attrs_of(row_list[k])
+            valued_id[k] = valued[tuple(map(attrs.get, _COST_ATTRS))]
+    sizes = plan.nbytes
+    if set(map(type, sizes)) <= {float}:
+        size_key = np.array(sizes, dtype=np.float64).view(np.int64)[rows]
+    else:
+        size_key = np.fromiter(map(_Ids().__getitem__,
+                                   zip(map(type, sizes), sizes)),
+                               np.int64, len(sizes))[rows]
+    # Mixed radix; the product of the radices is far below 2**63.
+    key = kinds.astype(np.int64)
+    for column, radix in ((hw, len(hardware)), (codec, len(algorithms)),
+                          (compressed, 2), (flags & _COST_FLAGS, 256),
+                          (valued_id, len(valued))):
+        key = key * radix + column
+    order = np.lexsort((size_key, key))
+    new = np.ones(n, dtype=bool)
+    new[1:] = ((key[order[1:]] != key[order[:-1]])
+               | (size_key[order[1:]] != size_key[order[:-1]]))
+    group = np.empty(n, dtype=np.intp)
+    group[order] = np.cumsum(new) - 1
+    specs = list(hardware)
+    costs = np.array([
+        _cost(OP_KINDS[kinds[k]], *specs[hw[k]], algorithms[codec[k]],
+              sizes[row_list[k]], bool(compressed[k]),
+              tuple(map(plan.attrs_of(row_list[k]).get, _COST_ATTRS)))
+        for k in order[new].tolist()], dtype=object).reshape(-1, 6)
     (lowered, durations, launch_overheads, nbytes, out_nbytes,
-     bulks) = (map(list, zip(*costs)) if costs else ([] for _ in range(6)))
-    plan_dsts = plan.dsts
-    dsts = [plan_dsts[i] if kind == "send" else None
-            for i, kind in zip(rows, kinds)]
+     bulks) = (column[group].tolist() for column in costs.T)
     return LoweredRecipe(
-        (rows, nodes, lowered, list(map(plan.labels.__getitem__, rows)),
-         durations, launch_overheads, nbytes, dsts, bulks, out_nbytes),
+        (row_list, nodes.tolist(), lowered,
+         list(map(plan.labels.__getitem__, row_list)), durations,
+         launch_overheads, nbytes,
+         np.where(kinds == SEND_OP, dsts, None).tolist(), bulks, out_nbytes),
         idx.dep_ptr, idx.dep_rows, idx.ref_keys,
         bulk=bool(plan.meta.get("batch_compression")))
 

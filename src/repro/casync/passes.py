@@ -57,7 +57,8 @@ from ..errors import ConfigError
 from ..models import GradientSpec
 from .decisions import DecisionMap
 from .index import plan_index
-from .ir import DECODE, MERGE, SEND, Directive, Op, ReadyRef, SyncPlan
+from .ir import (BULK_ELIGIBLE, DECODE, FUSABLE, MERGE, SEND, Directive, Op,
+                 ReadyRef, SyncPlan)
 from .planner import PLANNER_KINDS, CostModel, SelectivePlanner
 
 __all__ = [
@@ -334,29 +335,28 @@ class FuseDecodeMergePass(Pass):
     def run(self, plan: SyncPlan, pctx: PassContext) -> None:
         # Candidates: merges whose one dependency is an op row (a
         # decode, on the merge's node, consumed by nothing else).
-        kinds, nodes, ptr, rows = plan.arrays("kinds", "nodes", "dep_ptr",
-                                              "dep_rows")
-        merges = np.flatnonzero(kinds == MERGE)
+        kinds, nodes, ptr, rows, flags = plan.arrays(
+            "kinds", "nodes", "dep_ptr", "dep_rows", "flags")
+        fusable = (flags & FUSABLE) != 0
+        merges = np.flatnonzero((kinds == MERGE) & fusable)
         merges = merges[ptr[merges + 1] - ptr[merges] == 1]
         decs = rows[ptr[merges]]
         merges, decs = merges[decs >= 0], decs[decs >= 0]
         consumers = np.bincount(rows[rows >= 0], minlength=len(kinds))
-        ok = ((kinds[decs] == DECODE) & (consumers[decs] == 1)
+        del ptr, rows
+        ok = ((kinds[decs] == DECODE) & fusable[decs] & (consumers[decs] == 1)
               & (nodes[decs] == nodes[merges]))
-        attrs = plan.attrs
-        fused: Dict[int, int] = {}  # dropped merge row -> fused op row
-        for m, d in zip(merges[ok].tolist(), decs[ok].tolist()):
-            m_attrs, d_attrs = attrs[m], attrs[d]
-            if (m_attrs and m_attrs.get("fusable")
-                    and d_attrs and d_attrs.get("fusable")):
-                plan.update(d, kind="decode_merge", label=plan.labels[m])
-                fused[m] = d
-        if not fused:
+        del kinds, nodes, flags, fusable, consumers
+        merges, decs = merges[ok].tolist(), decs[ok].tolist()
+        if not merges:
             return
-        plan.pop_attr(fused.values(), "fusable")
-        plan.set_attr(fused.values(), "fused", True)
-        plan.drop(fused)
-        plan.meta["fused_decode_merge"] = len(fused)
+        plan.retype(decs, "decode_merge",
+                    list(map(plan.labels.__getitem__, merges)))
+        plan.pop_attr(decs, "fusable")
+        plan.set_attr(decs, "fused", True)
+        # Dropped merge row -> fused op row.
+        plan.drop(dict(zip(merges, decs)))
+        plan.meta["fused_decode_merge"] = len(merges)
 
 
 class BulkRoutePass(Pass):
@@ -373,14 +373,13 @@ class BulkRoutePass(Pass):
     phase = "op"
 
     def run(self, plan: SyncPlan, pctx: PassContext) -> None:
-        attrs = plan.attrs
-        kinds, compressed = plan.arrays("kinds", "compressed")
-        sends = [i for i in np.flatnonzero(kinds == SEND).tolist()
-                 if attrs[i] and attrs[i].get("bulk_eligible")]
+        kinds, compressed, flags = plan.arrays("kinds", "compressed", "flags")
+        sends = np.flatnonzero((kinds == SEND) & (flags & BULK_ELIGIBLE != 0))
+        rows = sends.tolist()
         wires = pctx.wires(
-            plan, sends, np.array([plan.nbytes[i] for i in sends], dtype=float),
-            compressed[sends])
-        routed = np.array(sends, dtype=np.intp)[wires < BULK_ELIGIBLE_BYTES]
+            plan, rows, np.array(list(map(plan.nbytes.__getitem__, rows)),
+                                 dtype=float), compressed[sends])
+        routed = sends[wires < BULK_ELIGIBLE_BYTES]
         plan.set_attr(routed.tolist(), "bulk", True)
         plan.meta["batch_compression"] = True
         plan.meta["bulk_sends"] = len(routed)

@@ -67,7 +67,7 @@ ROUTES = {**dict.fromkeys(COMPUTE_KINDS, COMP), "cpu": CPU, "send": SEND}
 def _int_array(values: np.ndarray) -> array:
     """A NumPy int vector as a C-int ``array``, whose items index Python
     lists at full speed in the event loop."""
-    return array("i", values.astype(np.intc).tobytes())
+    return array("i", values.astype(np.intc, copy=False).tobytes())
 
 
 class SuccessorCSR:
@@ -102,16 +102,19 @@ class SuccessorCSR:
     def __init__(self, dep_ptr: array, dep_rows: array,
                  ref_keys: Sequence[Tuple], task_rows: Sequence[int],
                  producers: Sequence[int]):
-        ptr = np.asarray(dep_ptr, dtype=np.intp)
-        deps = np.asarray(dep_rows, dtype=np.intp)
+        # C-int views of the rows (no copy of the index's arrays).
+        ptr = np.asarray(dep_ptr, dtype=np.intc)
+        deps = np.asarray(dep_rows, dtype=np.intc)
         n = len(ptr) - 1
         indegree = np.diff(ptr)
-        dependent = np.repeat(np.arange(n, dtype=np.intp), indegree)
+        dependent = np.repeat(np.arange(n, dtype=np.intc), indegree)
         on_task = deps >= 0
         self.succ_ptr, self.succ_idx = self._group(
             deps[on_task], dependent[on_task], n)
+        on_task ^= True
         self.ref_ptr, self.ref_idx = self._group(
-            -1 - deps[~on_task], dependent[~on_task], len(ref_keys))
+            -1 - deps[on_task], dependent[on_task], len(ref_keys))
+        del dependent, on_task
         slot = np.full(n, -1, dtype=np.intp)
         slot[np.asarray(task_rows, dtype=np.intp)] = np.arange(len(task_rows))
         self.slot = _int_array(slot)

@@ -19,7 +19,7 @@ from typing import (Any, Callable, Dict, Hashable, List, Optional, Sequence,
 
 import numpy as np
 
-from ..casync.ir import OP_KINDS, SyncPlan, gather_rows
+from ..casync.ir import FLAG_BIT, OP_KINDS, SyncPlan, gather_rows
 
 __all__ = ["Blocks", "Template"]
 
@@ -30,8 +30,8 @@ class Template:
     A row's dependencies are earlier rows of the template or ``-1 - w``
     for worker ``w``'s ready ref of the partition's gradient.  Its label
     is ``prefix + partition label + suffix``; its size is the
-    partition's (``sized``) or 0.0; ``flag`` names its one attribute
-    (set to True), if any.
+    partition's (``sized``) or 0.0; ``flag`` names its one flag
+    (:data:`~repro.casync.ir.FLAGS`), if any.
     """
 
     def __init__(self) -> None:
@@ -40,7 +40,7 @@ class Template:
         self.dsts: List[int] = []
         self.sized: List[bool] = []
         self.compressed: List[bool] = []
-        self.flags: List[Optional[str]] = []
+        self.flags: List[int] = []
         self.affixes: List[Tuple[str, str]] = []
         self.dep_counts: List[int] = []
         self.deps: List[int] = []
@@ -54,7 +54,7 @@ class Template:
         self.dsts.append(dst)
         self.sized.append(sized)
         self.compressed.append(compressed)
-        self.flags.append(flag)
+        self.flags.append(0 if flag is None else FLAG_BIT[flag])
         self.affixes.append((prefix, suffix))
         self.dep_counts.append(len(deps))
         self.deps.extend(deps)
@@ -149,14 +149,12 @@ class Blocks:
         del inst
         labels: List[str] = []
         grads: List[str] = []
-        attrs: List[Optional[Dict[str, object]]] = []
         for t, label, grad in zip(self._of, self._labels, self._grads):
             template = templates[t]
             # ``label.join((prefix, suffix))`` is prefix + label + suffix.
             labels += map(label.join, template.affixes)
             grads += [grad] * len(template.kinds)
-            attrs += [None if flag is None else {flag: True}
-                      for flag in template.flags]
         plan.extend(column("kinds")[rows], column("nodes")[rows], labels,
                     nbytes, column("compressed", bool)[rows],
-                    column("dsts")[rows], grads, attrs, dep_counts, deps)
+                    column("dsts")[rows], grads, None, dep_counts, deps,
+                    flags=column("flags", np.uint8)[rows])

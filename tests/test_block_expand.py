@@ -35,6 +35,8 @@ def assert_same_plan(block, rowwise):
     assert block.dep_rows == rowwise.dep_rows
     assert block.ref_keys == rowwise.ref_keys
     assert block.uids == rowwise.uids
+    assert block.flags == rowwise.flags
+    assert block.attrs == rowwise.attrs
     assert block._next_uid == rowwise._next_uid
     assert list(map(type, block.nbytes)) == list(map(type, rowwise.nbytes))
 
@@ -164,7 +166,8 @@ def _extend(plan, block):
 def _columns(plan):
     return (list(plan.uids), list(plan.kinds), list(plan.nodes),
             plan.labels, plan.nbytes, list(map(type, plan.nbytes)),
-            list(plan.compressed), list(plan.dsts), plan.grads, plan.attrs,
+            list(plan.compressed), list(plan.dsts), plan.grads,
+            list(plan.flags), plan.attrs,
             list(plan.dep_ptr), list(plan.dep_rows), plan.ref_keys,
             plan.dangling, plan._next_uid,
             {uid: plan.row_of(uid) for uid in plan.uids})
