@@ -22,9 +22,10 @@ The IR deliberately separates two layers:
 
 The ops are a column store: one column per op field, and the
 dependencies as compressed rows of integers (``dep_ptr``/``dep_rows``,
-each an earlier row or ``-1 - r`` for ready ref ``ref_keys[r]``),
-resolved when :meth:`SyncPlan.add` appends the op (or given as rows to
-:meth:`SyncPlan.extend`, which appends a block).  Passes edit the
+each an earlier row or ``-1 - r`` for ready ref ``ref_keys[r]``).
+Rows are appended only in blocks, by :meth:`SyncPlan.extend`, one call
+per column (strategies lay theirs out with
+:mod:`repro.strategies.blocks`).  Passes edit the
 columns through the plan's mutation methods; :class:`Op` is only the
 read-only row record :meth:`SyncPlan.op` builds for dumps and
 diagnostics.  An op's boolean attributes (:data:`FLAGS`) are bits of
@@ -301,7 +302,7 @@ class SyncPlan:
     dependencies are ``dep_rows[dep_ptr[i]:dep_ptr[i + 1]]``, each an
     earlier row ``j >= 0`` or ``-1 - r`` for ready ref ``ref_keys[r]``
     (keys in first-use order).  Read the columns freely; change them only
-    through :meth:`add`, :meth:`extend` and the mutation methods
+    through :meth:`extend`, the one append method, and the mutation methods
     (:meth:`update`, :meth:`retype`, :meth:`set_attr`, :meth:`pop_attr`,
     :meth:`set_deps`, :meth:`drop`, :meth:`reorder`), each of which
     drops the plan's verified index.
@@ -330,78 +331,21 @@ class SyncPlan:
         self.dep_rows = array("i")
         self.ref_keys: List[Tuple[int, str]] = []
         self._ref_ids: Dict[Tuple[int, str], int] = {}
-        #: uid -> row, rebuilt on demand after a renumbering.
-        self._row_of: Optional[Dict[int, int]] = {}
-        #: (op uid, dep uid) of every dependency that named no earlier op
-        #: when it was added (or whose op a :meth:`drop` removed).
+        #: uid -> row, built by :meth:`row_of` and dropped by every
+        #: append and renumbering.
+        self._row_of: Optional[Dict[int, int]] = None
+        #: (op uid, dep uid) of every dependency whose op a :meth:`drop`
+        #: removed.
         self.dangling: List[Tuple[int, int]] = []
         self._next_uid = 0
         #: The verified :class:`~repro.casync.index.PlanIndex`, owned
         #: here and dropped by every mutation.
         self._index: Any = None
-        self._bind()
 
     # -- construction -------------------------------------------------------
 
     def directive(self, gradient: str) -> Directive:
         return self.directives[gradient]
-
-    def add(self, kind: str, node: int, label: str,
-            size: SizeExpr = ZERO_SIZE, deps: Iterable[Dep] = (),
-            dst: Optional[int] = None, grad: Optional[str] = None,
-            **attrs: object) -> int:
-        """Append an op; returns its uid (usable as a dependency).
-
-        Each uid dependency is resolved to its row here; one that names
-        no earlier op is recorded in :attr:`dangling` (a PC106 finding of
-        the verifier), not raised.
-        """
-        code = _KIND_CODE.get(kind)
-        if code is None:
-            raise ValueError(f"unknown op kind {kind!r}")
-        if dst is None:
-            if code == SEND:
-                raise ValueError("send ops need a destination node")
-            dst = -1
-        uid = self._next_uid
-        self._next_uid = uid + 1
-        row_of = self._row_of
-        if row_of is None:
-            row_of = self._rows_by_uid()
-        dep_rows = self.dep_rows
-        for dep in deps:
-            if type(dep) is ReadyRef:
-                r = self._ref_ids.get((dep.node, dep.gradient))
-                if r is None:
-                    r = self._ref_id((dep.node, dep.gradient))
-                dep_rows.append(-1 - r)
-            else:
-                j = row_of.get(dep)  # type: ignore[arg-type]
-                if j is None:
-                    self.dangling.append((uid, dep))  # type: ignore
-                else:
-                    dep_rows.append(j)
-        row_of[uid] = len(self.labels)
-        (add_uid, add_kind, add_node, add_label, add_nbytes, add_compressed,
-         add_dst, add_grad, add_flags, add_attrs, add_ptr) = self._appends
-        add_uid(uid)
-        add_kind(code)
-        add_node(node)
-        add_label(label)
-        add_nbytes(size.nbytes)
-        add_compressed(size.compressed)
-        add_dst(dst)
-        add_grad(grad)
-        if attrs:
-            bits, rest = _split_attrs(attrs)
-            add_flags(bits)
-            add_attrs(rest)
-        else:
-            add_flags(0)
-            add_attrs(None)
-        add_ptr(len(dep_rows))
-        self._index = None
-        return uid
 
     def extend(self, kinds: Rows, nodes: Rows, labels: Sequence[str],
                nbytes: Sequence[float], compressed: Rows, dsts: Rows,
@@ -416,9 +360,9 @@ class SyncPlan:
         ``kinds`` are codes into :data:`OP_KINDS`, ``dsts`` are -1 for
         none, ``flags`` are :data:`FLAG_BIT` bits (None: none set), and
         ``nbytes`` and ``grads`` are stored as given.  ``attrs`` holds a
-        dict of its own per row, or None (a None ``attrs``: no row has
-        one); a dict's True flags move into the row's flag bits, as in
-        :meth:`add`.  Row ``i``'s dependencies
+        dict per row, or None (a None ``attrs``: no row has one); a
+        dict's True flags move into the row's flag bits and the rest into
+        a new dict of the row's own.  Row ``i``'s dependencies
         are the next ``dep_counts[i]`` entries of ``deps``, each an
         earlier row of the plan or ``-1 - r`` for ready ref ``r`` (an id
         :meth:`_ref_id` gave).  A dependency on the row itself or a later
@@ -482,7 +426,7 @@ class SyncPlan:
     def update(self, row: int, **fields: Any) -> None:
         """Overwrite fields of op ``row``: any of ``kind``, ``node``,
         ``label``, ``size`` (a :class:`SizeExpr`), ``dst`` and ``grad``.
-        Only the kind is validated, as :meth:`add` does; the verifier
+        Only the kind is validated (an unknown one raises); the verifier
         reports any other bad value."""
         for name, value in fields.items():
             if name == "kind":
@@ -688,27 +632,6 @@ class SyncPlan:
         self.dep_rows = _ints(rows)
         self._row_of = None
         self._index = None
-        self._bind()
-
-    def _bind(self) -> None:
-        """Cache the column appends :meth:`add` calls, in its order."""
-        self._appends = (
-            self.uids.append, self.kinds.append, self.nodes.append,
-            self.labels.append, self.nbytes.append, self.compressed.append,
-            self.dsts.append, self.grads.append, self.flags.append,
-            self.attrs.append, self.dep_ptr.append)
-
-    def __getstate__(self) -> Dict[str, Any]:
-        # The cached appends are builtin methods, which ``copy.deepcopy``
-        # would share with the original instead of copying: a copy
-        # rebinds them to its own columns.
-        state = self.__dict__.copy()
-        del state["_appends"]
-        return state
-
-    def __setstate__(self, state: Dict[str, Any]) -> None:
-        self.__dict__.update(state)
-        self._bind()
 
     def _ref_id(self, key: Tuple[int, str]) -> int:
         r = self._ref_ids.get(key)
@@ -716,10 +639,6 @@ class SyncPlan:
             r = self._ref_ids[key] = len(self.ref_keys)
             self.ref_keys.append(key)
         return r
-
-    def _rows_by_uid(self) -> Dict[int, int]:
-        row_of = self._row_of = dict(zip(self.uids, range(len(self.uids))))
-        return row_of
 
     # -- introspection -------------------------------------------------------
 
@@ -737,10 +656,9 @@ class SyncPlan:
 
     def row_of(self, uid: int) -> int:
         """The row of the op with ``uid`` (KeyError when there is none)."""
-        row_of = self._row_of
-        if row_of is None:
-            row_of = self._rows_by_uid()
-        return row_of[uid]
+        if self._row_of is None:
+            self._row_of = dict(zip(self.uids, range(len(self.uids))))
+        return self._row_of[uid]
 
     def kind(self, row: int) -> str:
         """The kind name of op ``row`` (a placeholder for a code outside

@@ -57,8 +57,8 @@ from ..errors import ConfigError
 from ..models import GradientSpec
 from .decisions import DecisionMap
 from .index import plan_index
-from .ir import (BULK_ELIGIBLE, DECODE, FUSABLE, MERGE, SEND, Directive, Op,
-                 ReadyRef, SyncPlan)
+from .ir import (BARRIER, BULK_ELIGIBLE, DECODE, FUSABLE, MERGE, SEND,
+                 Directive, Op, ReadyRef, SyncPlan)
 from .planner import PLANNER_KINDS, CostModel, SelectivePlanner
 
 __all__ = [
@@ -424,6 +424,9 @@ class CollapseFanInPass(Pass):
         n_rows = len(plan)
         barriers: Dict[tuple, int] = {}  # (node, op deps) -> barrier row
         first_use: List[int] = []        # barrier -> its first consumer
+        nodes: List[int] = []            # barrier -> its node
+        fan_ins: List[int] = []          # barrier -> its dependency count
+        entries: List[int] = []          # the barriers' dependency rows
         rewired: Dict[int, List[Any]] = {}
         for r in wide.tolist():
             deps = rows[ptr[r]:ptr[r + 1]]
@@ -432,12 +435,18 @@ class CollapseFanInPass(Pass):
             key = (node, op_deps)
             b = barriers.get(key)
             if b is None:
-                plan.add("barrier", node, f"fanin{len(op_deps)}@n{node}",
-                         deps=[plan.uids[j] for j in op_deps])
                 b = barriers[key] = n_rows + len(first_use)
                 first_use.append(r)
+                nodes.append(node)
+                fan_ins.append(len(op_deps))
+                entries += op_deps
             rewired[r] = [b] + [ReadyRef(*plan.ref_keys[-1 - x])
                                 for x in deps[deps < 0].tolist()]
+        m = len(first_use)
+        plan.extend([BARRIER] * m, nodes,
+                     [f"fanin{k}@n{node}" for k, node in zip(fan_ins, nodes)],
+                     [0.0] * m, [False] * m, [-1] * m, [None] * m, None,
+                     fan_ins, entries)
         plan.set_deps(rewired)
         # Each barrier moves to just before its first consumer.
         plan.reorder(np.insert(np.arange(n_rows), first_use,

@@ -1,14 +1,16 @@
-"""Block expand: a frontend's partition template, laid out over a model.
+"""Block expand: a frontend's instance template, laid out over a model.
 
-A CaSync partition is the same few primitives at every gradient: its
-ops' kinds, nodes, destinations, sizes and dependency rows depend only
-on a small key (the aggregator and codec choice for CaSync-PS, the
-chunk's starting node for CaSync-ring), and its labels only on the
-partition's own label.  A frontend describes each key's rows once as a
-:class:`Template`, :meth:`Blocks.place` lays out one instance per
-partition in plan order, and :meth:`Blocks.extend` appends every
-instance's rows to the plan in one :meth:`~repro.casync.ir.SyncPlan.extend`
-call, offsetting each instance's rows by its first row.
+Every strategy is the same few primitives at every partition, bucket or
+gradient: an instance's ops' kinds, nodes, destinations, sizes and
+dependency rows depend only on a small key (the aggregator and codec
+choice for CaSync-PS, the chunk's starting node for CaSync-ring, the
+server for BytePS, a bucket's gradient count for a ring bucket), and its
+labels only on the instance's own label.  A frontend describes each
+key's rows once as a :class:`Template`, :meth:`Blocks.place` lays out
+one instance per partition in plan order, and :meth:`Blocks.extend`
+appends every instance's rows to the plan in one
+:meth:`~repro.casync.ir.SyncPlan.extend` call, offsetting each
+instance's rows by its first row.
 """
 
 from __future__ import annotations
@@ -20,18 +22,22 @@ from typing import (Any, Callable, Dict, Hashable, List, Optional, Sequence,
 import numpy as np
 
 from ..casync.ir import FLAG_BIT, OP_KINDS, SyncPlan, gather_rows
+from ..models import GradientSpec
 
-__all__ = ["Blocks", "Template"]
+__all__ = ["Blocks", "Template", "one_node_barriers"]
 
 
 class Template:
-    """The op rows of one partition, numbered from 0.
+    """The op rows of one instance, numbered from 0.
 
-    A row's dependencies are earlier rows of the template or ``-1 - w``
-    for worker ``w``'s ready ref of the partition's gradient.  Its label
-    is ``prefix + partition label + suffix``; its size is the
-    partition's (``sized``) or 0.0; ``flag`` names its one flag
-    (:data:`~repro.casync.ir.FLAGS`), if any.
+    A row's dependencies are earlier rows of the template or ``-1 - s``
+    for ready slot ``s``: with ``G`` ready gradients (:meth:`Blocks.place`),
+    slot ``w * G + g`` is worker ``w``'s ready ref of gradient ``g`` (so
+    slot ``w`` when there is one), and after them the rows of the
+    previous instance :meth:`chain` adds.  Its label is ``prefix +
+    instance label + suffix``; its size is the instance's (``sized``) or
+    0.0; ``flags`` name its flags (:data:`~repro.casync.ir.FLAGS`) and
+    ``attrs`` holds its other attributes, if any.
     """
 
     def __init__(self) -> None:
@@ -41,36 +47,48 @@ class Template:
         self.sized: List[bool] = []
         self.compressed: List[bool] = []
         self.flags: List[int] = []
+        self.attrs: List[Optional[Dict[str, object]]] = []
         self.affixes: List[Tuple[str, str]] = []
-        self.dep_counts: List[int] = []
-        self.deps: List[int] = []
+        self.deps: List[List[int]] = []
+        #: Per row: the rows of the previous instance it also waits on.
+        self.chained: List[List[int]] = []
 
     def row(self, kind: str, node: int, prefix: str, suffix: str,
             deps: Sequence[int], dst: int = -1, sized: bool = True,
-            compressed: bool = False, flag: Optional[str] = None) -> int:
+            compressed: bool = False, flags: Sequence[str] = (),
+            attrs: Optional[Dict[str, object]] = None) -> int:
         """Append a row; returns its number (usable as a dependency)."""
+        bits = 0
+        for flag in flags:
+            bits |= FLAG_BIT[flag]
         self.kinds.append(OP_KINDS.index(kind))
         self.nodes.append(node)
         self.dsts.append(dst)
         self.sized.append(sized)
         self.compressed.append(compressed)
-        self.flags.append(0 if flag is None else FLAG_BIT[flag])
+        self.flags.append(bits)
+        self.attrs.append(attrs)
         self.affixes.append((prefix, suffix))
-        self.dep_counts.append(len(deps))
-        self.deps.extend(deps)
+        self.deps.append(list(deps))
+        self.chained.append([])
         return len(self.kinds) - 1
 
+    def chain(self, row: int, prev: int) -> None:
+        """Make ``row`` also wait on row ``prev`` of the previous instance
+        (which must exist), after its other dependencies."""
+        self.chained[row].append(prev)
+
     def ready_order(self) -> List[int]:
-        """The workers whose ready refs the rows use, in first-use order."""
-        return list(dict.fromkeys(-1 - d for d in self.deps if d < 0))
+        """The ready slots the rows use, in first-use order."""
+        return list(dict.fromkeys(-1 - d for deps in self.deps for d in deps
+                                  if d < 0))
 
 
 class Blocks:
     """Template instances, in plan order, for one :meth:`extend`.
 
     ``template(key)`` builds the template of a key, once per key.
-    Every template must use the ready ref of each of the plan's
-    workers.
+    Every template must use each of its ready slots.
     """
 
     def __init__(self, plan: SyncPlan,
@@ -79,21 +97,24 @@ class Blocks:
         self._template = template
         self._ids: Dict[Hashable, int] = {}
         self.templates: List[Template] = []
-        # Per instance: its template, its row of ``_refs``, label,
-        # gradient and partition size.
+        # Per instance: its template, the position of its slot 0 in
+        # ``_refs``, label, gradient and size.
         self._of = array("i")
-        self._refs_of = array("i")
+        self._ref_at = array("i")
         self._labels: List[str] = []
-        self._grads: List[str] = []
+        self._grads: List[Optional[str]] = []
         self._sizes: List[float] = []
-        #: Per :meth:`place` call: the ready-ref id of each worker.
-        self._refs: List[List[int]] = []
+        #: Per :meth:`place` call: the ready-ref id of each slot.
+        self._refs = array("i")
 
-    def place(self, grad: str, size: float, keys: Sequence[Hashable],
-              labels: Sequence[str]) -> None:
-        """Lay out gradient ``grad``'s next partitions, each of ``size``
-        raw bytes: one instance of ``keys[i]``'s template per label
-        ``labels[i]``."""
+    def place(self, grad: Optional[str], size: float,
+              keys: Sequence[Hashable], labels: Sequence[str],
+              ready: Optional[Sequence[str]] = None) -> None:
+        """Lay out the next instances, each of ``size`` bytes (an int
+        stays an int while every placed size is one): one of
+        ``keys[i]``'s template per label ``labels[i]``, their rows owned
+        by gradient ``grad`` (None: no gradient).  Their ready slots are
+        the ready refs of the gradients ``ready`` (default: ``[grad]``)."""
         ids = self._ids
         for key in keys:
             if key not in ids:
@@ -102,18 +123,20 @@ class Blocks:
         of = [ids[key] for key in keys]
         if not of:
             return
-        # The first partition registers the gradient's ready refs, in
-        # the order its rows first use them.
+        if ready is None:
+            ready = [grad]  # type: ignore[list-item]
+        # The first instance registers the ready refs, in the order its
+        # rows first use them.
+        g = len(ready)
         ref_id = self.plan._ref_id
-        refs = {w: ref_id((w, grad))
-                for w in self.templates[of[0]].ready_order()}
-        n = self.plan.num_nodes
-        if sorted(refs) != list(range(n)):
-            raise ValueError("a template must use every worker's ready ref")
-        self._refs.append([refs[w] for w in range(n)])
+        refs = {s: ref_id((s // g, ready[s % g]))
+                for s in self.templates[of[0]].ready_order()}
+        if sorted(refs) != list(range(self.plan.num_nodes * g)):
+            raise ValueError("a template must use every ready slot")
         k = len(of)
         self._of.extend(of)
-        self._refs_of.extend([len(self._refs) - 1] * k)
+        self._ref_at.extend([len(self._refs)] * k)
+        self._refs.extend(refs[s] for s in range(len(refs)))
         self._labels.extend(labels)
         self._grads.extend([grad] * k)
         self._sizes.extend([size] * k)
@@ -129,26 +152,44 @@ class Blocks:
             return np.array([v for t in templates for v in getattr(t, name)],
                             dtype=dtype)
 
+        row_deps = [d + c for t in templates
+                    for d, c in zip(t.deps, t.chained)]
+        lens = list(map(len, row_deps))
         row_ptr = np.cumsum([0] + [len(t.kinds) for t in templates])
-        dep_ptr = np.concatenate(([0], np.cumsum(column("dep_counts"))))
+        dep_ptr = np.cumsum([0] + lens)
         of = np.frombuffer(self._of, dtype=np.intc)
         rows, counts = gather_rows(row_ptr, of)
         inst = np.repeat(np.arange(len(of)), counts)
         base = np.cumsum(counts) - counts + len(plan)
         entries, dep_counts = gather_rows(dep_ptr, rows)
-        rel = column("deps")[entries]
+        rel = np.array([v for d in row_deps for v in d],
+                       dtype=np.intp)[entries]
         owner = np.repeat(inst, dep_counts)
-        deps = rel + base[owner]
+        # An entry past its row's own dependencies is chained: a row of
+        # the owner's previous instance.
+        own = np.repeat([len(d) for t in templates for d in t.deps], lens)
+        prev = (np.arange(dep_ptr[-1]) - np.repeat(dep_ptr[:-1], lens)
+                >= own)[entries]
+        if (prev & (owner == 0)).any():
+            raise ValueError("the first instance has no previous instance")
+        deps = rel + base[owner - prev]
         ready = rel < 0
-        refs_of = np.frombuffer(self._refs_of, dtype=np.intc)
-        deps[ready] = -1 - np.array(self._refs)[refs_of[owner[ready]],
-                                                -1 - rel[ready]]
-        del entries, rel, owner, ready, base
-        nbytes = np.where(column("sized", bool)[rows],
-                          np.array(self._sizes)[inst], 0.0).tolist()
+        ref_at = np.frombuffer(self._ref_at, dtype=np.intc)
+        deps[ready] = -1 - np.frombuffer(self._refs, dtype=np.intc)[
+            ref_at[owner[ready]] - 1 - rel[ready]]
+        del entries, rel, owner, prev, ready, base
+        # Each row gets a size object of its own, as an op-by-op append
+        # gave it; warm rounds read the columns measurably faster so.
+        sizes = np.array(self._sizes)[inst]
+        if sizes.dtype != float:  # int sizes stay ints
+            sizes = sizes.astype(object)
+        nbytes = np.where(column("sized", bool)[rows], sizes, 0.0).tolist()
         del inst
+        attrs = None
+        if any(any(t.attrs) for t in templates):
+            attrs = column("attrs", object)[rows].tolist()
         labels: List[str] = []
-        grads: List[str] = []
+        grads: List[Optional[str]] = []
         for t, label, grad in zip(self._of, self._labels, self._grads):
             template = templates[t]
             # ``label.join((prefix, suffix))`` is prefix + label + suffix.
@@ -156,5 +197,17 @@ class Blocks:
             grads += [grad] * len(template.kinds)
         plan.extend(column("kinds")[rows], column("nodes")[rows], labels,
                     nbytes, column("compressed", bool)[rows],
-                    column("dsts")[rows], grads, None, dep_counts, deps,
+                    column("dsts")[rows], grads, attrs, dep_counts, deps,
                     flags=column("flags", np.uint8)[rows])
+
+
+def one_node_barriers(plan: SyncPlan,
+                      gradients: Sequence[GradientSpec]) -> None:
+    """A one-node plan's rows: each gradient's ``done:`` barrier, which
+    waits only for the gradient to be ready."""
+    t = Template()
+    t.row("barrier", 0, "done:", "", [-1], sized=False)
+    blocks = Blocks(plan, lambda key: t)
+    for grad in gradients:
+        blocks.place(grad.name, 0.0, [None], [grad.name])
+    blocks.extend()

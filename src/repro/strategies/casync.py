@@ -35,14 +35,18 @@ from __future__ import annotations
 
 from typing import List
 
-from ..casync.ir import ReadyRef, SizeExpr, SyncPlan
+from ..casync.ir import SyncPlan
 from ..casync.passes import Pass, PassContext, get_pass
 from ..casync.topology import ps_topology, ring_topology
 from ..models import GradientSpec, ModelSpec
 from .base import Strategy
-from .blocks import Blocks, Template
+from .blocks import Blocks, Template, one_node_barriers
+from .ring import bucketize, ring_buckets
 
 __all__ = ["CaSyncPS", "CaSyncRing"]
+
+#: The fusion bucket size of CaSync-ring's uncompressed gradients.
+RAW_BUCKET_BYTES = 4 * 1024 * 1024
 
 
 class _CaSyncBase(Strategy):
@@ -120,14 +124,14 @@ def _ps_partition(n: int, aggregator: int, compress: bool) -> Template:
             src = t.row("encode", w, "enc:", f"@{w}", [src])
         if w != aggregator:
             src = t.row("send", w, "push:", f"@{w}", [src], dst=aggregator,
-                        compressed=compress, flag="bulk_eligible")
+                        compressed=compress, flags=("bulk_eligible",))
         # GPU-side aggregation; the fusion pass collapses the
         # decode+merge pair into the §5 fused kernel.
         if compress:
             dec = t.row("decode", aggregator, "agg:", f"@{w}", [src],
-                        flag="fusable")
+                        flags=("fusable",))
             merges.append(t.row("merge", aggregator, "agg:", f"@{w}",
-                                [dec], flag="fusable"))
+                                [dec], flags=("fusable",)))
         else:
             merges.append(t.row("merge", aggregator, "agg:", f"@{w}",
                                 [src]))
@@ -138,7 +142,7 @@ def _ps_partition(n: int, aggregator: int, compress: bool) -> Template:
         done = tail
         if w != aggregator:
             done = [t.row("send", aggregator, "pull:", f"@{w}", tail, dst=w,
-                          compressed=compress, flag="bulk_eligible")]
+                          compressed=compress, flags=("bulk_eligible",))]
             if compress:
                 done = [t.row("decode", w, "dec:", f"@{w}", done)]
         t.row("barrier", w, "done:", f"@{w}", done, sized=False)
@@ -156,9 +160,7 @@ class CaSyncRing(_CaSyncBase):
             raise ValueError(f"{self.name} requires a compression algorithm")
         n = plan.num_nodes
         if n == 1:
-            for grad in model.gradients:
-                plan.add("barrier", 0, f"done:{grad.name}",
-                         deps=[ReadyRef(0, grad.name)], grad=grad.name)
+            one_node_barriers(plan, model.gradients)
             return
         # §3.1: clockwise ring edges come from the topology graph.
         topology = ring_topology(n)
@@ -179,44 +181,8 @@ class CaSyncRing(_CaSyncBase):
                          [c % n for c in range(k)],
                          [f"{grad.name}.c{c}" for c in range(k)])
         blocks.extend()
-        self._raw_ring(plan, raw)
-
-    def _raw_ring(self, plan: SyncPlan, raw: List[GradientSpec],
-                  bucket_bytes: float = 4 * 1024 * 1024) -> None:
-        """Fused raw allreduce of the planner's uncompressed gradients."""
-        from .ring import bucketize  # local import avoids a cycle
-
-        n = plan.num_nodes
-        for b, bucket in enumerate(bucketize(raw, bucket_bytes)):
-            size = sum(g.nbytes for g in bucket)
-            chunk = SizeExpr(size / n)
-            ready = [[ReadyRef(i, g.name) for g in bucket]
-                     for i in range(n)]
-            sends = {}
-            merges = {}
-            for step in range(n - 1):
-                for i in range(n):
-                    deps = (list(ready[i]) if step == 0
-                            else [merges[(i, step - 1)]])
-                    sends[(i, step)] = plan.add(
-                        "send", i, f"raw-rs{b}.{step}@{i}", chunk,
-                        deps=deps, dst=(i + 1) % n)
-                for i in range(n):
-                    merges[(i, step)] = plan.add(
-                        "merge", i, f"raw-mrg{b}.{step}@{i}", chunk,
-                        deps=[sends[((i - 1) % n, step)]] + list(ready[i]))
-            ag = {}
-            for step in range(n - 1):
-                for i in range(n):
-                    deps = ([merges[(i, n - 2)]] if step == 0
-                            else [ag[((i - 1) % n, step - 1)]])
-                    ag[(i, step)] = plan.add(
-                        "send", i, f"raw-ag{b}.{step}@{i}", chunk,
-                        deps=deps, dst=(i + 1) % n)
-            for i in range(n):
-                deps = [merges[(i, n - 2)]] + [
-                    ag[((i - 1) % n, step)] for step in range(n - 1)]
-                plan.add("barrier", i, f"raw-done{b}@{i}", deps=deps)
+        ring_buckets(plan, bucketize(raw, RAW_BUCKET_BYTES),
+                     ("raw-rs", "raw-mrg", "raw-ag", "raw-done", ""))
 
 
 def _ring_chunk(successor: List[int], start: int) -> Template:
@@ -238,9 +204,9 @@ def _ring_chunk(successor: List[int], start: int) -> Template:
         send = t.row("send", holder, "hop:", f".{step}", [enc], dst=nxt,
                      compressed=True)
         dec = t.row("decode", nxt, "agg:", f".{step}", [send, -1 - nxt],
-                    flag="fusable")
+                    flags=("fusable",))
         prev = [t.row("merge", nxt, "agg:", f".{step}", [dec],
-                      flag="fusable")]
+                      flags=("fusable",))]
 
     # Dissemination: encode the final value once, then forward the
     # compressed buffer n-1 hops; receivers decode locally (overlapping

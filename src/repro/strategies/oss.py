@@ -27,13 +27,14 @@ sums in separate host-CPU steps, so nothing is fusable there.
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Tuple
 
-from ..casync.ir import ReadyRef, SizeExpr, SyncPlan
+from ..casync.ir import SyncPlan
 from ..casync.passes import FuseDecodeMergePass, Pass, PassContext
 from ..models import ModelSpec
 from .base import Strategy
-from .ps import partition_sizes
+from .blocks import Blocks, Template, one_node_barriers
+from .ps import place_slices
 
 __all__ = ["BytePSOSSCompression", "RingOSSCompression"]
 
@@ -61,64 +62,43 @@ class BytePSOSSCompression(Strategy):
         n = plan.num_nodes
         # ``as_cpu``: costed as its GPU kind but executed on the host-CPU
         # executor (the OSS on-CPU codec path).
-        worker_cpu = ({"on_cpu": True, "as_cpu": True}
-                      if self.worker_on_cpu else {})
-        server_rr = 0
-        for grad in model.gradients:
-            parts = partition_sizes(grad.nbytes, self.part_bytes)
-            for p, part in enumerate(parts):
-                server = server_rr % n
-                server_rr += 1
-                label = f"{grad.name}.p{p}"
-                size = SizeExpr(part)
-                wire = SizeExpr(part, compressed=True)
+        worker = ("on_cpu", "as_cpu") if self.worker_on_cpu else ()
+        place_slices(plan, model, self.part_bytes,
+                     lambda server: _oss_partition(n, server, worker))
 
-                merges = []
-                for w in range(n):
-                    # Worker: staging copy + encode of this slice.
-                    stage = plan.add(
-                        "copy", w, f"stage:{label}@{w}", size,
-                        deps=[ReadyRef(w, grad.name)], grad=grad.name)
-                    enc = plan.add(
-                        "encode", w, f"enc:{label}@{w}", size, deps=[stage],
-                        grad=grad.name, **worker_cpu)
-                    if w == server:
-                        arrived = enc
-                    else:
-                        arrived = plan.add(
-                            "send", w, f"push:{label}@{w}", wire,
-                            deps=[enc], dst=server, grad=grad.name)
-                    # Server (host CPU): decode then accumulate -- two
-                    # separate steps, never fused (no ``fusable`` marks).
-                    dec = plan.add(
-                        "decode", server, f"srv-dec:{label}@{w}", size,
-                        deps=[arrived], grad=grad.name, on_cpu=True,
-                        allocates_output=True, as_cpu=True)
-                    agg = plan.add(
-                        "cpu", server, f"srv-agg:{label}@{w}", size,
-                        deps=[dec], grad=grad.name)
-                    merges.append(agg)
 
-                # Server re-encodes the aggregate on the CPU, then pulls.
-                srv_enc = plan.add(
-                    "encode", server, f"srv-enc:{label}", size, deps=merges,
-                    grad=grad.name, on_cpu=True, as_cpu=True)
-                for w in range(n):
-                    if w == server:
-                        arrived = srv_enc
-                    else:
-                        arrived = plan.add(
-                            "send", server, f"pull:{label}@{w}", wire,
-                            deps=[srv_enc], dst=w, grad=grad.name)
-                    unstage = plan.add(
-                        "copy", w, f"unstage:{label}@{w}", size,
-                        deps=[arrived], grad=grad.name)
-                    dec = plan.add(
-                        "decode", w, f"dec:{label}@{w}", size,
-                        deps=[unstage], grad=grad.name,
-                        allocates_output=True, **worker_cpu)
-                    plan.add("barrier", w, f"done:{label}@{w}", deps=[dec],
-                             grad=grad.name)
+def _oss_partition(n: int, server: int, worker: Tuple[str, ...]) -> Template:
+    """One BytePS(OSS) slice: workers encode it (with ``worker`` flags)
+    and push it to ``server``, whose host CPU decodes, sums and re-encodes
+    it for the pull."""
+    t = Template()
+    on_cpu = ("on_cpu", "as_cpu")
+    merges = []
+    for w in range(n):
+        # Worker: staging copy + encode of this slice.
+        stage = t.row("copy", w, "stage:", f"@{w}", [-1 - w])
+        arrived = t.row("encode", w, "enc:", f"@{w}", [stage], flags=worker)
+        if w != server:
+            arrived = t.row("send", w, "push:", f"@{w}", [arrived],
+                            dst=server, compressed=True)
+        # Server (host CPU): decode then accumulate -- two separate
+        # steps, never fused (no ``fusable`` marks).
+        dec = t.row("decode", server, "srv-dec:", f"@{w}", [arrived],
+                    flags=on_cpu + ("allocates_output",))
+        merges.append(t.row("cpu", server, "srv-agg:", f"@{w}", [dec]))
+
+    # Server re-encodes the aggregate on the CPU, then pulls.
+    srv_enc = t.row("encode", server, "srv-enc:", "", merges, flags=on_cpu)
+    for w in range(n):
+        arrived = srv_enc
+        if w != server:
+            arrived = t.row("send", server, "pull:", f"@{w}", [srv_enc],
+                            dst=w, compressed=True)
+        unstage = t.row("copy", w, "unstage:", f"@{w}", [arrived])
+        dec = t.row("decode", w, "dec:", f"@{w}", [unstage],
+                    flags=("allocates_output",) + worker)
+        t.row("barrier", w, "done:", f"@{w}", [dec], sized=False)
+    return t
 
 
 class RingOSSCompression(Strategy):
@@ -138,52 +118,43 @@ class RingOSSCompression(Strategy):
             raise ValueError(f"{self.name} requires a compression algorithm")
         n = plan.num_nodes
         if n == 1:
-            for grad in model.gradients:
-                plan.add("barrier", 0, f"done:{grad.name}",
-                         deps=[ReadyRef(0, grad.name)], grad=grad.name)
+            one_node_barriers(plan, model.gradients)
             return
+        # Allreduce ops serialize, as in Horovod: a gradient's encodes
+        # wait for the previous gradient to be done on their node.
+        blocks = Blocks(plan, lambda chained: _allgather(n, chained))
+        for g, grad in enumerate(model.gradients):
+            blocks.place(grad.name, grad.nbytes, [g > 0], [grad.name])
+        blocks.extend()
 
-        prev_done = [None] * n  # allreduce ops serialize, as in Horovod
-        for grad in model.gradients:
-            size = SizeExpr(grad.nbytes)
-            wire = SizeExpr(grad.nbytes, compressed=True)
-            encodes = []
-            for i in range(n):
-                deps = [ReadyRef(i, grad.name)]
-                if prev_done[i] is not None:
-                    deps.append(prev_done[i])
-                encodes.append(plan.add(
-                    "encode", i, f"enc:{grad.name}@{i}", size, deps=deps,
-                    grad=grad.name))
 
-            # Allgather: at step s, node i forwards the buffer that
-            # originated at node (i - s) mod n to its successor.
-            sends = {}
-            for step in range(n - 1):
-                for i in range(n):
-                    if step == 0:
-                        deps = [encodes[i]]
-                    else:
-                        deps = [sends[((i - 1) % n, step - 1)]]
-                    sends[(i, step)] = plan.add(
-                        "send", i, f"ag:{grad.name}.{step}@{i}", wire,
-                        deps=deps, dst=(i + 1) % n, grad=grad.name)
+def _allgather(n: int, chained: bool) -> Template:
+    """One gradient's compressed allgather over the ring ``i -> i + 1``,
+    then every node's decode + merge of all n buffers."""
+    t = Template()
+    encodes = [t.row("encode", i, "enc:", f"@{i}", [-1 - i]) for i in range(n)]
 
-            # Coarse-grained: every node decodes + merges all n buffers
-            # only after its whole allgather completed (no pipelining).
-            for i in range(n):
-                all_received = [sends[((i - 1) % n, step)]
-                                for step in range(n - 1)] + [encodes[i]]
-                last = plan.add(
-                    "barrier", i, f"ag-done:{grad.name}@{i}",
-                    deps=all_received, grad=grad.name)
-                for buf in range(n):
-                    dec = plan.add(
-                        "decode", i, f"agg:{grad.name}.{buf}@{i}", size,
-                        deps=[last], grad=grad.name, fusable=True)
-                    last = plan.add(
-                        "merge", i, f"agg:{grad.name}.{buf}@{i}", size,
-                        deps=[dec], grad=grad.name, fusable=True)
-                prev_done[i] = plan.add(
-                    "barrier", i, f"done:{grad.name}@{i}", deps=[last],
-                    grad=grad.name)
+    # Allgather: at step s, node i forwards the buffer that originated at
+    # node (i - s) mod n to its successor.
+    steps: List[List[int]] = []
+    for step in range(n - 1):
+        steps.append([t.row("send", i, "ag:", f".{step}@{i}",
+                            [encodes[i] if step == 0 else steps[-1][i - 1]],
+                            dst=(i + 1) % n, compressed=True)
+                      for i in range(n)])
+
+    # Coarse-grained: every node decodes + merges all n buffers only
+    # after its whole allgather completed (no pipelining).
+    for i in range(n):
+        last = t.row("barrier", i, "ag-done:", f"@{i}",
+                     [sends[i - 1] for sends in steps] + [encodes[i]],
+                     sized=False)
+        for buf in range(n):
+            dec = t.row("decode", i, "agg:", f".{buf}@{i}", [last],
+                        flags=("fusable",))
+            last = t.row("merge", i, "agg:", f".{buf}@{i}", [dec],
+                         flags=("fusable",))
+        done = t.row("barrier", i, "done:", f"@{i}", [last], sized=False)
+        if chained:
+            t.chain(encodes[i], done)
+    return t

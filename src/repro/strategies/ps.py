@@ -11,12 +11,13 @@ the result back to every worker.
 
 from __future__ import annotations
 
-from typing import List
+from typing import Callable, List
 
-from ..casync.ir import ReadyRef, SizeExpr, SyncPlan
+from ..casync.ir import SyncPlan
 from ..casync.passes import PassContext
 from ..models import ModelSpec
 from .base import Strategy
+from .blocks import Blocks, Template
 
 __all__ = ["BytePS", "partition_sizes"]
 
@@ -42,39 +43,43 @@ class BytePS(Strategy):
     def expand(self, plan: SyncPlan, pctx: PassContext,
                model: ModelSpec) -> None:
         n = plan.num_nodes
-        server_rr = 0
-        for grad in model.gradients:
-            parts = partition_sizes(grad.nbytes, self.part_bytes)
-            for p, part in enumerate(parts):
-                server = server_rr % n
-                server_rr += 1
-                label = f"{grad.name}.p{p}"
-                size = SizeExpr(part)
-                # Push: every worker sends its slice to the server.
-                aggregates = []
-                for w in range(n):
-                    if w == server:
-                        # Local slice still crosses PCIe into host memory.
-                        agg = plan.add(
-                            "cpu", server, f"agg:{label}@{w}", size,
-                            deps=[ReadyRef(w, grad.name)], grad=grad.name)
-                    else:
-                        push = plan.add(
-                            "send", w, f"push:{label}@{w}", size,
-                            deps=[ReadyRef(w, grad.name)], dst=server,
-                            grad=grad.name)
-                        agg = plan.add(
-                            "cpu", server, f"agg:{label}@{w}", size,
-                            deps=[push], grad=grad.name)
-                    aggregates.append(agg)
-                # Pull: server returns the aggregate to every worker.
-                for w in range(n):
-                    if w == server:
-                        plan.add("barrier", w, f"pulled:{label}@{w}",
-                                 deps=aggregates, grad=grad.name)
-                    else:
-                        pull = plan.add(
-                            "send", server, f"pull:{label}@{w}", size,
-                            deps=aggregates, dst=w, grad=grad.name)
-                        plan.add("barrier", w, f"pulled:{label}@{w}",
-                                 deps=[pull], grad=grad.name)
+        place_slices(plan, model, self.part_bytes,
+                     lambda server: _partition(n, server))
+
+
+def place_slices(plan: SyncPlan, model: ModelSpec, part_bytes: float,
+                 template: Callable[[int], Template]) -> None:
+    """Lay out every gradient's :func:`partition_sizes` slices, each one
+    instance of ``template(server)``, the servers taken round-robin."""
+    n = plan.num_nodes
+    blocks = Blocks(plan, template)
+    server_rr = 0
+    for grad in model.gradients:
+        parts = partition_sizes(grad.nbytes, part_bytes)
+        k = len(parts)
+        blocks.place(grad.name, parts[0],
+                     [(server_rr + p) % n for p in range(k)],
+                     [f"{grad.name}.p{p}" for p in range(k)])
+        server_rr += k
+    blocks.extend()
+
+
+def _partition(n: int, server: int) -> Template:
+    """One BytePS slice: every worker pushes it to ``server``, which sums
+    on the host CPU and returns the result to every worker."""
+    t = Template()
+    aggregates = []
+    for w in range(n):
+        src = -1 - w  # worker w's ready ref
+        if w != server:
+            src = t.row("send", w, "push:", f"@{w}", [src], dst=server)
+        # The local slice still crosses PCIe into host memory.
+        aggregates.append(t.row("cpu", server, "agg:", f"@{w}", [src]))
+    # Pull: the server returns the aggregate to every worker.
+    for w in range(n):
+        done = aggregates
+        if w != server:
+            done = [t.row("send", server, "pull:", f"@{w}", aggregates,
+                          dst=w)]
+        t.row("barrier", w, "pulled:", f"@{w}", done, sized=False)
+    return t

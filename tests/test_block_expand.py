@@ -1,12 +1,13 @@
 """Block expand against its row-wise oracle, and ``extend`` against ``add``.
 
-CaSync-PS and CaSync-ring append their ops as template blocks through
+Every strategy appends its ops as template blocks through
 ``SyncPlan.extend``.  ``tests/rowwise_expand.py`` keeps the expands as
-they were written, one ``SyncPlan.add`` per op; both must leave the
+they were written, one test-side ``add`` per op; both must leave the
 same post-expand plan (JSON form, digest, dependency rows, ready-ref
-order, uids and the Python type of every size) on every golden case,
-on a heterogeneous cluster, on the adaptive palette plans, on one node,
-on the pipelining-off and selective-off ablations and on BERT-large.
+order, uids, flags, attrs and the Python type of every size) on every
+golden case, on a heterogeneous cluster, on the adaptive palette plans,
+on one node, on the pipelining-off and selective-off ablations and on
+BERT-large.
 """
 
 import numpy as np
@@ -19,9 +20,11 @@ from repro.casync.passes import PassContext
 from repro.cluster import ec2_v100_cluster, get_cluster
 from repro.experiments.common import default_algorithm
 from repro.models import get_model
-from repro.strategies import CaSyncPS, CaSyncRing, get_strategy
+from repro.strategies import (BytePS, BytePSOSSCompression, CaSyncPS,
+                              CaSyncRing, RingAllreduce, RingOSSCompression,
+                              get_strategy)
 
-from tests.rowwise_expand import expanded
+from tests.rowwise_expand import add, expanded
 
 GOLDEN = golden_cases()
 ADAPTIVE = [(name, build) for name, build in iter_cases()
@@ -95,15 +98,52 @@ def test_block_expand_matches_rowwise_bert_large_n4(strategy):
              get_model("bert-large"))
 
 
-@pytest.mark.slow
-@pytest.mark.parametrize("strategy", [CaSyncPS, CaSyncRing],
-                         ids=lambda s: s.name)
-def test_block_expand_matches_rowwise_bert_large_n16(strategy):
-    _compare(strategy(), ec2_v100_cluster(16), default_algorithm("onebit"),
+#: The baselines, by name; Fig. 11 runs BytePS-OSS with on-CPU workers.
+BASELINES = {
+    "byteps": BytePS,
+    "ring": RingAllreduce,
+    "byteps-oss": BytePSOSSCompression,
+    "byteps-oss-on-cpu": lambda: BytePSOSSCompression(worker_on_cpu=True),
+    "ring-oss": RingOSSCompression,
+}
+
+
+def _algorithm(strategy):
+    return default_algorithm("onebit") if strategy.compression else None
+
+
+@pytest.mark.parametrize("num_nodes", [1, 2, 5])
+@pytest.mark.parametrize("make", list(BASELINES.values()), ids=list(BASELINES))
+def test_baseline_expand_matches_rowwise(make, num_nodes):
+    strategy = make()
+    _compare(strategy, ec2_v100_cluster(num_nodes), _algorithm(strategy))
+
+
+@pytest.mark.parametrize("make", list(BASELINES.values()), ids=list(BASELINES))
+def test_baseline_expand_matches_rowwise_bert_large_n4(make):
+    strategy = make()
+    _compare(strategy, ec2_v100_cluster(4), _algorithm(strategy),
              get_model("bert-large"))
 
 
-# -- SyncPlan.extend against SyncPlan.add ------------------------------------
+@pytest.mark.parametrize("cluster", ["ec2-v100", "hetero-mixed"])
+@pytest.mark.parametrize("algorithm", ["onebit", "dgc", "tbq"])
+def test_byteps_oss_on_cpu_expand_matches_rowwise_golden(algorithm, cluster):
+    # The golden cases' BytePS-OSS inputs, with Fig. 11's on-CPU workers.
+    _compare(BytePSOSSCompression(worker_on_cpu=True),
+             get_cluster(cluster, num_nodes=4), default_algorithm(algorithm))
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("make", [CaSyncPS, CaSyncRing, *BASELINES.values()],
+                         ids=["casync-ps", "casync-ring", *BASELINES])
+def test_block_expand_matches_rowwise_bert_large_n16(make):
+    strategy = make()
+    _compare(strategy, ec2_v100_cluster(16), _algorithm(strategy),
+             get_model("bert-large"))
+
+
+# -- SyncPlan.extend against the test-side add -------------------------------
 
 GRADS = ("g", "h")
 
@@ -129,8 +169,8 @@ def _dst(row):
 def _add(plan, row, deps):
     kind, node, label, nbytes, compressed, _, grad, flag, _ = row
     attrs = {flag: True} if flag else {}
-    return plan.add(kind, node, label, SizeExpr(nbytes, compressed),
-                    deps=deps, dst=_dst(row), grad=grad, **attrs)
+    return add(plan, kind, node, label, SizeExpr(nbytes, compressed),
+               deps=deps, dst=_dst(row), grad=grad, **attrs)
 
 
 def _row_deps(row, earlier):
@@ -200,16 +240,16 @@ def test_extend_appends_what_add_appends(prefix, drop, block):
     assert _columns(plans[1]) == _columns(plans[0])
     # An add with uid deps after the block resolves them the same way.
     for plan in plans:
-        plan.add("barrier", 0, "after", deps=[plan.uids[-1],
-                                              plan.uids[base],
-                                              ReadyRef(3, "late")])
+        add(plan, "barrier", 0, "after", deps=[plan.uids[-1],
+                                               plan.uids[base],
+                                               ReadyRef(3, "late")])
     assert _columns(plans[1]) == _columns(plans[0])
 
 
 def _two_rows():
     plan = SyncPlan("p", num_nodes=2)
-    plan.add("encode", 0, "a", SizeExpr(8), deps=[ReadyRef(0, "g")])
-    plan.add("send", 0, "b", SizeExpr(8), deps=[0], dst=1)
+    add(plan, "encode", 0, "a", SizeExpr(8), deps=[ReadyRef(0, "g")])
+    add(plan, "send", 0, "b", SizeExpr(8), deps=[0], dst=1)
     return plan
 
 

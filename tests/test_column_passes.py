@@ -20,6 +20,7 @@ from repro.cluster import ec2_v100_cluster, get_cluster
 from repro.experiments.common import default_algorithm
 
 from tests.op_list_passes import list_passes, oracle_plan_json
+from tests.rowwise_expand import add
 
 GOLDEN = golden_cases()
 ADAPTIVE = [(name, build) for name, build in iter_cases()
@@ -82,23 +83,23 @@ def _edge_plan():
     plan = SyncPlan("hand", num_nodes=2)
     size = SizeExpr(4096, compressed=True)
     ready = ReadyRef(0, "g")
-    shared = plan.add("decode", 0, "g.shared", size, [ready], grad="g",
-                      fusable=True)
-    m0 = plan.add("merge", 0, "g.m0", size, [shared], grad="g",
-                  fusable=True)
-    plan.add("barrier", 0, "g.also", deps=[shared], grad="g")
-    split = plan.add("decode", 0, "g.split", size, [ready], grad="g",
-                     fusable=True)
-    m1 = plan.add("merge", 1, "g.m1", size, [split], grad="g", fusable=True)
-    pair = plan.add("decode", 1, "g.pair", size, [ReadyRef(1, "g")],
-                    grad="g", fusable=True)
-    m2 = plan.add("merge", 1, "g.m2", size, [pair], grad="g", fusable=True)
-    plan.add("send", 1, "g.push", size, [m2], dst=0, grad="g",
-             bulk_eligible=True)
+    shared = add(plan, "decode", 0, "g.shared", size, [ready], grad="g",
+                 fusable=True)
+    m0 = add(plan, "merge", 0, "g.m0", size, [shared], grad="g",
+             fusable=True)
+    add(plan, "barrier", 0, "g.also", deps=[shared], grad="g")
+    split = add(plan, "decode", 0, "g.split", size, [ready], grad="g",
+                fusable=True)
+    m1 = add(plan, "merge", 1, "g.m1", size, [split], grad="g", fusable=True)
+    pair = add(plan, "decode", 1, "g.pair", size, [ReadyRef(1, "g")],
+               grad="g", fusable=True)
+    m2 = add(plan, "merge", 1, "g.m2", size, [pair], grad="g", fusable=True)
+    add(plan, "send", 1, "g.push", size, [m2], dst=0, grad="g",
+        bulk_eligible=True)
     fan_in = [m0, m1, m2]
-    plan.add("barrier", 0, "g.x", deps=fan_in)
-    plan.add("barrier", 1, "g.y", deps=fan_in)
-    plan.add("barrier", 0, "g.z", deps=fan_in + [ready])
+    add(plan, "barrier", 0, "g.x", deps=fan_in)
+    add(plan, "barrier", 1, "g.y", deps=fan_in)
+    add(plan, "barrier", 0, "g.z", deps=fan_in + [ready])
     return plan
 
 

@@ -21,6 +21,7 @@ from repro.cluster import ec2_v100_cluster
 from repro.experiments.common import default_algorithm
 from repro.models import get_model
 from repro.strategies import get_strategy
+from tests.rowwise_expand import add
 
 KEYS = FLAGS + ("duration_s", "note")
 VALUES = st.one_of(st.just(True), st.just(False), st.none(), st.just(1),
@@ -59,8 +60,9 @@ def _add(data, plan, model):
     deps = [ReadyRef(0, "g")]
     if len(plan):
         deps.append(plan.uids[data.draw(st.integers(0, len(plan) - 1))])
-    uid = plan.add(kind, 0, f"op{plan._next_uid}", SizeExpr(8.0), deps=deps,
-                   dst=1 if kind == "send" else None, grad="g", **attrs)
+    uid = add(plan, kind, 0, f"op{plan._next_uid}", SizeExpr(8.0),
+              deps=deps, dst=1 if kind == "send" else None, grad="g",
+              **attrs)
     model[uid] = dict(attrs)
 
 

@@ -23,6 +23,7 @@ from repro.cluster import ClusterSpec, ec2_v100_cluster, get_cluster
 from repro.experiments.common import default_algorithm
 from repro.models import GradientSpec, ModelSpec
 from repro.strategies import get_strategy
+from tests.rowwise_expand import add
 
 GOLDEN = golden_cases()
 
@@ -134,14 +135,14 @@ def _attrs_plan():
                     size = SizeExpr(65536.0, compressed=kind == "send")
                     label = f"{grad}.{kind}.{n}@{node}"
                     if kind == "send":
-                        send = plan.add(kind, node, label, size,
-                                        deps=[ready], dst=1 - node,
-                                        grad=grad, **attrs)
-                        plan.add("barrier", 1 - node, label + ".recv",
-                                 deps=[send])
+                        send = add(plan, kind, node, label, size,
+                                   deps=[ready], dst=1 - node,
+                                   grad=grad, **attrs)
+                        add(plan, "barrier", 1 - node, label + ".recv",
+                            deps=[send])
                     else:
-                        plan.add(kind, node, label, size, deps=[ready],
-                                 grad=grad, **attrs)
+                        add(plan, kind, node, label, size, deps=[ready],
+                            grad=grad, **attrs)
     return plan
 
 

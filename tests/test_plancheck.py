@@ -46,6 +46,7 @@ from repro.experiments.common import default_algorithm
 from repro.models import GradientSpec, ModelSpec
 from repro.strategies import BytePS, CaSyncPS, CaSyncRing
 from repro.training import simulate_iteration
+from tests.rowwise_expand import add
 
 MB = 1024 * 1024
 
@@ -132,20 +133,20 @@ def _rules(plan, pctx=None):
 def test_unordered_read_write_pair_is_pc202():
     plan = _race_plan()
     size = SizeExpr(1024, compressed=True)
-    plan.add("encode", 0, "m.g0.enc", size=size,
-             deps=(ReadyRef(0, "m.g0"),), grad="m.g0")
-    plan.add("decode", 0, "m.g0.dec", size=size,
-             deps=(ReadyRef(0, "m.g0"),), grad="m.g0")
+    add(plan, "encode", 0, "m.g0.enc", size=size,
+        deps=(ReadyRef(0, "m.g0"),), grad="m.g0")
+    add(plan, "decode", 0, "m.g0.dec", size=size,
+        deps=(ReadyRef(0, "m.g0"),), grad="m.g0")
     assert _rules(plan) == {"PC202"}
 
 
 def test_ordered_read_write_pair_is_clean():
     plan = _race_plan()
     size = SizeExpr(1024, compressed=True)
-    enc = plan.add("encode", 0, "m.g0.enc", size=size,
-                   deps=(ReadyRef(0, "m.g0"),), grad="m.g0")
-    plan.add("decode", 0, "m.g0.dec", size=size, deps=(enc,),
-             grad="m.g0")
+    enc = add(plan, "encode", 0, "m.g0.enc", size=size,
+              deps=(ReadyRef(0, "m.g0"),), grad="m.g0")
+    add(plan, "decode", 0, "m.g0.dec", size=size, deps=(enc,),
+        grad="m.g0")
     assert _rules(plan) == set()
 
 
@@ -153,8 +154,8 @@ def test_unordered_write_write_pair_is_pc201():
     plan = _race_plan()
     size = SizeExpr(1024, compressed=True)
     for copy in range(2):
-        plan.add("decode", 0, f"m.g0.dec{copy}", size=size,
-                 deps=(ReadyRef(0, "m.g0"),), grad="m.g0")
+        add(plan, "decode", 0, f"m.g0.dec{copy}", size=size,
+            deps=(ReadyRef(0, "m.g0"),), grad="m.g0")
     assert _rules(plan) == {"PC201"}
 
 
@@ -163,8 +164,8 @@ def test_disjoint_partition_writes_do_not_alias():
     plan = _race_plan()
     size = SizeExpr(512, compressed=True)
     for part in range(2):
-        plan.add("decode", 0, f"m.g0.p{part}", size=size,
-                 deps=(ReadyRef(0, "m.g0"),), grad="m.g0")
+        add(plan, "decode", 0, f"m.g0.p{part}", size=size,
+            deps=(ReadyRef(0, "m.g0"),), grad="m.g0")
     assert _rules(plan) == set()
 
 
@@ -190,11 +191,11 @@ def _structural_plan():
     plan = SyncPlan("hand", num_nodes=2)
     plan.directives["g"] = Directive("g", nbytes=64, compress=True)
     size = SizeExpr(64, compressed=True)
-    enc = plan.add("encode", 0, "g.enc", size=size,
-                   deps=(ReadyRef(0, "g"),), grad="g")
-    snd = plan.add("send", 0, "g.push", size=size, deps=(enc,), dst=1,
-                   grad="g")
-    plan.add("decode", 1, "g.dec", size=size, deps=(snd,), grad="g")
+    enc = add(plan, "encode", 0, "g.enc", size=size,
+              deps=(ReadyRef(0, "g"),), grad="g")
+    snd = add(plan, "send", 0, "g.push", size=size, deps=(enc,), dst=1,
+              grad="g")
+    add(plan, "decode", 1, "g.dec", size=size, deps=(snd,), grad="g")
     return plan
 
 
@@ -212,22 +213,22 @@ STRUCTURAL_BREAKS = [
      lambda p: setattr(p.directives["g"], "partitions", 0)),
     ("PC101", "duplicate op uid", lambda p: _corrupt(p, "uids", 2, 0)),
     ("PC102", "unknown op kind", lambda p: _corrupt(p, "kinds", 2, 99)),
-    ("PC103", "node out of range", lambda p: p.add("barrier", 2, "far")),
+    ("PC103", "node out of range", lambda p: add(p, "barrier", 2, "far")),
     ("PC104", "self-send",  # consumed on its own node: no PC108/PC109
-     lambda p: p.add("barrier", 0, "after", deps=(
-         p.add("send", 0, "loop", size=SizeExpr(8), dst=0),))),
+     lambda p: add(p, "barrier", 0, "after", deps=(
+         add(p, "send", 0, "loop", size=SizeExpr(8), dst=0),))),
     ("PC105", "negative or non-finite size",
-     lambda p: p.add("copy", 0, "neg", size=SizeExpr(-1))),
+     lambda p: add(p, "copy", 0, "neg", size=SizeExpr(-1))),
     ("PC106", "unknown or later op",
-     lambda p: p.add("barrier", 1, "dangling", deps=(17,))),
+     lambda p: add(p, "barrier", 1, "dangling", deps=(17,))),
     ("PC106-self-dependency", "unknown or later op",
-     lambda p: p.add("barrier", 0, "self", deps=(3,))),  # its own uid
+     lambda p: add(p, "barrier", 0, "self", deps=(3,))),  # its own uid
     ("PC107", "node-local",
-     lambda p: p.add("barrier", 1, "remote", deps=(ReadyRef(0, "g"),))),
+     lambda p: add(p, "barrier", 1, "remote", deps=(ReadyRef(0, "g"),))),
     ("PC108", "not a send targeting",
-     lambda p: p.add("barrier", 1, "cross", deps=(0,))),
+     lambda p: add(p, "barrier", 1, "cross", deps=(0,))),
     ("PC109", "never consumed",
-     lambda p: p.add("send", 0, "orphan", size=SizeExpr(8), dst=1)),
+     lambda p: add(p, "send", 0, "orphan", size=SizeExpr(8), dst=1)),
     ("PC110", "not compressed",
      lambda p: p.update(1, size=SizeExpr(64))),
 ]
@@ -264,7 +265,7 @@ def test_non_finite_or_negative_size_is_pc105(nbytes, where):
 
 def test_dangling_dep_is_a_typed_pc106_error():
     plan = _structural_plan()
-    plan.add("barrier", 1, "dangling", deps=(17,))
+    add(plan, "barrier", 1, "dangling", deps=(17,))
     with pytest.raises(PlanVerificationError) as excinfo:
         lower_plan(plan, pctx_for(2))
     assert [d.rule for d in excinfo.value.diagnostics] == ["PC106"]
@@ -453,7 +454,7 @@ def test_index_cached_per_plan_and_rebuilt_on_growth():
     plan, _ = built_plan()
     idx = plan_index(plan)
     assert plan_index(plan) is idx
-    plan.add("barrier", 0, "late.barrier")
+    add(plan, "barrier", 0, "late.barrier")
     rebuilt = plan_index(plan)
     assert rebuilt is not idx
     assert rebuilt.num_ops == idx.num_ops + 1

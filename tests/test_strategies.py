@@ -7,7 +7,8 @@ fast while still exercising the full task pipeline end to end.
 import pytest
 
 from repro.algorithms import DGC, OneBit
-from repro.cluster import ec2_v100_cluster
+from repro.casync.passes import PassContext
+from repro.cluster import CLUSTER_PRESETS, ec2_v100_cluster, get_cluster
 from repro.errors import ConfigError
 from repro.models import GradientSpec, ModelSpec, get_model
 from repro.strategies import (
@@ -52,8 +53,18 @@ def test_bucketize_groups_in_order():
 
 
 def test_bucketize_validation():
-    with pytest.raises(ValueError):
-        bucketize([], 0)
+    for bucket_bytes in (0, -1.0, float("nan")):
+        with pytest.raises(ValueError, match="bucket_bytes"):
+            bucketize([], bucket_bytes)
+
+
+@pytest.mark.parametrize("preset", sorted(CLUSTER_PRESETS))
+def test_ring_step_overhead_is_at_least_the_nccl_overhead(preset):
+    # Ring buckets always lay out their per-step pause rows on this.
+    for n in (2, 4, 8, 16):
+        pctx = PassContext(num_nodes=n, cluster=get_cluster(preset, n))
+        assert (RingAllreduce()._step_overhead(pctx)
+                >= RingAllreduce.NCCL_STEP_OVERHEAD_S)
 
 
 def test_partition_sizes_even():

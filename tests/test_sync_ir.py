@@ -50,6 +50,7 @@ from repro.strategies import BytePS, CaSyncPS, CaSyncRing
 from repro.strategies.base import SyncContext
 from repro.telemetry import TelemetryCollector
 from repro.training import make_plans, simulate_iteration
+from tests.rowwise_expand import add
 from tests.taskgraph_rows import tasks
 
 MB = 1024 * 1024
@@ -78,13 +79,13 @@ def casync_plan(n=3, **flags):
 
 def test_plan_construction_and_introspection():
     plan = SyncPlan("test", 2, algorithm="tbq")
-    enc = plan.add("encode", 0, "enc", size=SizeExpr(1024, compressed=True),
-                   deps=(ReadyRef(0, "g"),), grad="g")
-    snd = plan.add("send", 0, "push", size=SizeExpr(1024, compressed=True),
-                   deps=(enc,), dst=1, grad="g")
-    dec = plan.add("decode", 1, "dec", size=SizeExpr(1024, compressed=True),
-                   deps=(snd,), grad="g")
-    plan.add("barrier", 1, "done", deps=(dec,), grad="g")
+    enc = add(plan, "encode", 0, "enc", size=SizeExpr(1024, compressed=True),
+              deps=(ReadyRef(0, "g"),), grad="g")
+    snd = add(plan, "send", 0, "push", size=SizeExpr(1024, compressed=True),
+              deps=(enc,), dst=1, grad="g")
+    dec = add(plan, "decode", 1, "dec", size=SizeExpr(1024, compressed=True),
+              deps=(snd,), grad="g")
+    add(plan, "barrier", 1, "done", deps=(dec,), grad="g")
     assert plan.counts() == {"encode": 1, "send": 1, "decode": 1,
                              "barrier": 1}
     assert [op.uid for op in plan.ops_for("g")] == [enc, snd, dec, 3]
@@ -98,15 +99,15 @@ def test_plan_construction_and_introspection():
 
 def test_a_deep_copy_appends_to_its_own_columns():
     plan = SyncPlan("test", 2)
-    plan.add("encode", 0, "enc", SizeExpr(8), deps=[ReadyRef(0, "g")])
+    add(plan, "encode", 0, "enc", SizeExpr(8), deps=[ReadyRef(0, "g")])
     copied = copy.deepcopy(plan)
-    copied.add("barrier", 0, "done", deps=[0])
+    add(copied, "barrier", 0, "done", deps=[0])
     assert (len(plan), len(copied)) == (1, 2)
     assert plan.labels == ["enc"] and list(plan.dep_ptr) == [0, 1]
     assert copied.labels == ["enc", "done"]
     assert list(copied.dep_rows) == [-1, 0]
     restored = pickle.loads(pickle.dumps(plan))
-    restored.add("barrier", 0, "done", deps=[0])
+    add(restored, "barrier", 0, "done", deps=[0])
     assert restored.to_json_obj() == copied.to_json_obj()
     assert len(plan) == 1
 
@@ -114,14 +115,14 @@ def test_a_deep_copy_appends_to_its_own_columns():
 def test_op_kind_and_send_dst_validated_at_construction():
     plan = SyncPlan("test", 2)
     with pytest.raises(ValueError, match="unknown op kind"):
-        plan.add("teleport", 0, "x")
+        add(plan, "teleport", 0, "x")
     with pytest.raises(ValueError, match="destination"):
-        plan.add("send", 0, "x")
+        add(plan, "send", 0, "x")
 
 
 def test_update_rejects_unknown_kinds_and_uids():
     plan = SyncPlan("test", 2)
-    plan.add("copy", 0, "x")
+    add(plan, "copy", 0, "x")
     with pytest.raises(ValueError, match="unknown op kind"):
         plan.update(0, kind="teleport")
     with pytest.raises(TypeError, match="uid"):
@@ -203,7 +204,7 @@ def test_verifier_rejects_self_send_and_unconsumed_send():
         verify_plan(plan)
     plan.update(send, dst=original_dst)
     # An orphan send that nothing on the destination ever consumes.
-    plan.add("send", 0, "orphan", size=SizeExpr(64), dst=1)
+    add(plan, "send", 0, "orphan", size=SizeExpr(64), dst=1)
     with pytest.raises(PlanVerificationError, match="never consumed"):
         verify_plan(plan)
 
