@@ -43,6 +43,10 @@ Python AST of ``src/repro`` and enforces the determinism contract:
   (``total = 0.0; for x in xs: total += x``).  Integer counts, whose
   sums are exact everywhere, are exempt: ``sum(1 for ...)`` and
   ``sum(len(x) for ...)``.
+* ``SIM108`` (error): an assignment to an attribute named ``now``
+  outside ``repro/sim/core.py``.  ``Environment.now`` is a plain
+  attribute, and only the kernel's ``step`` and ``run`` may move the
+  clock; a write anywhere else silently reorders simulated time.
 * ``SIM900`` (info): an allowlist entry matched nothing -- stale
   suppressions rot.
 * ``SIM000`` (error): a file simlint could not parse.
@@ -116,6 +120,9 @@ _SEEDABLE_CONSTRUCTORS = {
 #: Packages whose values are simulated results (SIM107), as path parts.
 _SUM_CHECKED = ("/repro/sim/", "/repro/casync/", "/repro/net/",
                 "/repro/gpu/", "/repro/training/")
+
+#: The one module that may write a ``now`` attribute (SIM108).
+_CLOCK_OWNER = "/repro/sim/core.py"
 
 #: Function names that build an identity: a cache key, plan digest,
 #: content token, fingerprint.  Iteration order inside these functions
@@ -208,10 +215,11 @@ def discover_allowlist(paths: Sequence[Path]) -> Optional[Path]:
 
 class _FileLinter(ast.NodeVisitor):
     def __init__(self, path: str, telemetry_exempt: bool,
-                 sum_checked: bool = False):
+                 sum_checked: bool = False, clock_owner: bool = False):
         self.path = path
         self.telemetry_exempt = telemetry_exempt
         self.sum_checked = sum_checked
+        self.clock_owner = clock_owner
         self.diagnostics: List[Diagnostic] = []
         #: local name -> canonical dotted module path
         self.aliases: Dict[str, str] = {}
@@ -387,6 +395,19 @@ class _FileLinter(ast.NodeVisitor):
         self._visit_comprehension_generators(node)
         self.generic_visit(node)
 
+    # -- SIM108: writes to the simulated clock --------------------------------
+
+    def visit_Attribute(self, node: ast.Attribute) -> None:
+        # Store context: an assignment, augmented or unpacking target.
+        if (node.attr == "now" and isinstance(node.ctx, ast.Store)
+                and not self.clock_owner):
+            self._emit(
+                "SIM108", ERROR, node,
+                "assignment to a `now` attribute: only the simulation "
+                "kernel moves the clock",
+                hint="schedule the work with env.call_later(delay, ...)")
+        self.generic_visit(node)
+
     # -- guards (for SIM105) ---------------------------------------------------
 
     @staticmethod
@@ -515,6 +536,7 @@ def lint_file(path: Path, root: Optional[Path] = None) -> List[Diagnostic]:
     telemetry_exempt = "/telemetry/" in posix or posix.endswith(
         "/telemetry.py")
     sum_checked = any(part in posix for part in _SUM_CHECKED)
+    clock_owner = posix.endswith(_CLOCK_OWNER)
     try:
         source = path.read_text(encoding="utf-8")
         tree = ast.parse(source, filename=display)
@@ -523,7 +545,8 @@ def lint_file(path: Path, root: Optional[Path] = None) -> List[Diagnostic]:
             rule="SIM000", severity=ERROR, file=display,
             line=getattr(exc, "lineno", 0) or 0,
             message=f"cannot lint: {exc}")]
-    linter = _FileLinter(display, telemetry_exempt, sum_checked)
+    linter = _FileLinter(display, telemetry_exempt, sum_checked,
+                         clock_owner)
     linter.visit(tree)
     return linter.diagnostics
 
@@ -566,7 +589,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         description="Determinism linter for the simulator sources: "
                     "wall-clock reads, unseeded RNG, mutable defaults, "
                     "unordered-set iteration, unguarded telemetry, float "
-                    "sums in simulated values.")
+                    "sums in simulated values, writes to the clock.")
     parser.add_argument("paths", nargs="+",
                         help="Python files or directories to lint")
     parser.add_argument("--allowlist", type=Path, default=None,

@@ -28,7 +28,8 @@ backward pass fires each gradient's ready ref through
 :meth:`TaskGraph.complete`; either way one agenda entry releases the
 dependents, so a round allocates no event, dependency list or callback
 per task or per gradient; a batch's tasks share one
-(:meth:`TaskGraph.complete_many`).  An IR barrier is a *join* row, not a
+(:meth:`TaskGraph.complete_many`), and a release hands each ready task
+to its executor in one pass.  An IR barrier is a *join* row, not a
 task: it releases its dependents in the step its last dependency completes.
 """
 
@@ -50,7 +51,7 @@ from ..faults.membership import Membership
 from ..faults.retry import RetryPolicy
 from ..gpu import Gpu, GpuSpec
 from ..net import Fabric
-from ..sim import Environment, SimulationError, URGENT
+from ..sim import NORMAL, Environment, SimulationError, URGENT
 
 __all__ = ["TaskGraph", "SuccessorCSR", "NodeEngine", "Coordinator",
            "run_graph", "robust_transfer", "COMPUTE_KINDS", "ROUTES"]
@@ -258,8 +259,7 @@ class TaskGraph:
         self._pending = self.csr.indegree.tolist()
         self.joined_at = array("d", [math.nan]) * len(self.csr)
         self._remaining = self.num_tasks
-        for i in self.csr.sources:
-            self._start(i)
+        self._start_rows(self.csr.sources)
         if not self.num_tasks:
             self._finish()
 
@@ -285,32 +285,52 @@ class TaskGraph:
         r = csr.refs[key]
         self._release(csr.ref_idx[csr.ref_ptr[r]:csr.ref_ptr[r + 1]])
 
-    def _start(self, i: int) -> None:
-        """Dispatch row ``i``'s task, or release a join's dependents."""
-        k = self.csr.slot[i]
-        if k < 0:
-            self.joined_at[i] = self.env.now
-            self._release(self.csr.successors(i))
-            return
-        # The node is read at release time: the degradation controller
-        # may have reassigned an undispatched task.
-        node = self.nodes[k]
-        try:
-            engine = self._engines[node]
-        except IndexError:
-            engine = None
-        if engine is None:
-            raise ValueError(f"no engine for node {node}")
-        engine.dispatch(k)
+    def _start_rows(self, rows: Sequence[int]) -> None:
+        """Start ``rows``, which wait on nothing, in order: each is
+        re-armed at one pending dependency and released."""
+        pending = self._pending
+        for i in rows:
+            pending[i] = 1
+        self._release(rows)
 
-    def _release(self, dependents: array) -> None:
-        """Count ``dependents`` down, starting each that reaches zero."""
+    def _release(self, dependents: Sequence[int]) -> None:
+        """Count ``dependents`` down, starting each that reaches zero in
+        order: a join releases its own dependents here, a task goes to
+        its executor by route code (through :meth:`NodeEngine.dispatch`
+        if force-completed or its engine is halted).  The node is read
+        now: the degradation controller may have reassigned the task."""
         pending = self._pending
         for j in dependents:
             left = pending[j] - 1
             pending[j] = left
-            if not left:
-                self._start(j)
+            if left:
+                continue
+            csr = self.csr
+            k = csr.slot[j]
+            if k < 0:
+                self.joined_at[j] = self.env.now
+                start, stop = csr.succ_ptr[j], csr.succ_ptr[j + 1]
+                self._release(csr.succ_idx[start:stop])
+                continue
+            node = self.nodes[k]
+            try:
+                engine = self._engines[node]
+            except IndexError:
+                engine = None
+            if engine is None:
+                raise ValueError(f"no engine for node {node}")
+            if engine.halted or self.triggered[k]:
+                engine.dispatch(k)
+                continue
+            route = self.recipe.routes[k]
+            if route == COMP:
+                engine.q_comp.put(k, engine._comp_take)
+            elif route == CPU:
+                engine.q_cpu.put(k, engine._cpu_take)
+            elif route == BULK_SEND and engine.coordinator is not None:
+                engine.coordinator.submit(k)
+            else:
+                engine._send_inline(k)
 
     def complete(self, k: int, error: Optional[BaseException] = None) -> None:
         """Complete task ``k`` now, failed with ``error`` if given: one
@@ -323,7 +343,7 @@ class TaskGraph:
         self.triggered[k] = 1
         if error is not None:
             self.errors[k] = error
-        self.env.call_later(0.0, self._on_complete, k)
+        self.env.call_later(0.0, self._on_complete, (k,))
 
     def complete_many(self, batch: List[int]) -> None:
         """:meth:`complete` for each task of ``batch``, in order, from one
@@ -338,32 +358,37 @@ class TaskGraph:
                     "been completed")
             triggered[k] = 1
         if batch:  # an empty batch pushes nothing, like no complete() call
-            self.env.call_later(0.0, self._on_batch, deque(batch))
+            self.env.call_later(0.0, self._on_complete, batch)
 
-    def _on_batch(self, tasks: Deque[int]) -> None:
-        while tasks:
-            self._on_complete(tasks.popleft())
-            if tasks and self.env.yield_front(self._on_batch, tasks):
+    def _on_complete(self, batch: Sequence[int]) -> None:
+        """The completion entry of a batch (of one, for :meth:`complete`):
+        per task, release its dependents, run the observers and count it
+        toward :attr:`finished`; the rest yields to any entry a completion
+        pushed ahead of ``(now, NORMAL)``."""
+        csr, rows = self.csr, self.recipe.rows
+        succ_ptr, succ_idx = csr.succ_ptr, csr.succ_idx
+        env = self.env
+        keys = env._keys  # the agenda's key heap: its head is next
+        front = (env.now, NORMAL)
+        last = len(batch) - 1
+        for pos, k in enumerate(batch):
+            i = rows[k]
+            start, stop = succ_ptr[i], succ_ptr[i + 1]
+            if start != stop:
+                self._release(succ_idx[start:stop])
+            for observer in self.observers:
+                observer(self, k)
+            if not self.finished:
+                if self.errors and k in self.errors:
+                    self.error = self.errors[k]
+                    self._finish()
+                else:
+                    self._remaining -= 1
+                    if not self._remaining:
+                        self._finish()
+            if (pos < last and keys and keys[0] < front
+                    and env.yield_front(self._on_complete, batch[pos + 1:])):
                 return
-
-    def _on_complete(self, k: int) -> None:
-        csr = self.csr
-        i = self.recipe.rows[k]
-        start, stop = csr.succ_ptr[i], csr.succ_ptr[i + 1]
-        if start != stop:
-            self._release(csr.succ_idx[start:stop])
-        for observer in self.observers:
-            observer(self, k)
-        if self.finished:
-            return
-        if self.errors and k in self.errors:
-            self.error = self.errors[k]
-            self.finished = True
-            self.env.call_later(0.0, self._settle)
-            return
-        self._remaining -= 1
-        if not self._remaining:
-            self._finish()
 
     def _finish(self) -> None:
         """Mark every task complete and push the settle entry."""
@@ -549,10 +574,10 @@ class Coordinator:
                  retry_policy: Optional[RetryPolicy] = None,
                  membership: Optional[Membership] = None,
                  degradation: bool = True):
-        if size_threshold <= 0:
+        if not size_threshold > 0:  # also rejects NaN
             raise ValueError("size_threshold must be positive")
-        if timeout_s <= 0:
-            raise ValueError("timeout must be positive")
+        if not 0 < timeout_s < math.inf:  # also rejects NaN
+            raise ValueError("timeout must be positive and finite")
         self.env = env
         self.fabric = fabric
         self.retry_policy = retry_policy
@@ -801,7 +826,9 @@ class NodeEngine:
             self.dispatch(k)
 
     def dispatch(self, k: int) -> None:
-        """Route the armed graph's ready task ``k`` to its executor."""
+        """Route the armed graph's ready task ``k`` to its executor: the
+        entry for a resumed or reassigned orphan, and for a release that
+        found ``k`` force-completed or this engine halted."""
         graph = self.graph
         if graph.triggered[k]:
             return  # already force-completed by the fault machinery
@@ -816,15 +843,7 @@ class NodeEngine:
             else:
                 self.orphans.append(k)
             return
-        route = graph.recipe.routes[k]
-        if route == COMP:
-            self.q_comp.put(k, self._comp_take)
-        elif route == CPU:
-            self.q_cpu.put(k, self._cpu_take)
-        elif route == BULK_SEND and self.coordinator is not None:
-            self.coordinator.submit(k)
-        else:
-            self._send_inline(k)
+        graph._start_rows((graph.recipe.rows[k],))
 
     def _task_span(self, k: int, at: float):
         """Open a telemetry span for task ``k`` (None when disabled)."""

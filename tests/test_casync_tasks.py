@@ -1,5 +1,7 @@
 """Unit tests for the CaSync task system: graph, engines, coordinator."""
 
+import math
+
 import pytest
 
 from repro.casync import Coordinator, NodeEngine, run_graph
@@ -382,6 +384,34 @@ def test_coordinator_validation():
         Coordinator(env, fabric, size_threshold=0)
     with pytest.raises(ValueError):
         Coordinator(env, fabric, timeout_s=0)
+
+
+@pytest.mark.parametrize("value", [math.nan, 0.0, -1.0])
+def test_coordinator_rejects_a_size_threshold_that_never_flushes(value):
+    """A NaN threshold compares false to every queue total, so it would
+    never flush by size; zero or less would flush every send alone."""
+    env = Environment()
+    fabric = Fabric(env, 2, NetworkSpec(bandwidth_gbps=10))
+    with pytest.raises(ValueError, match="size_threshold"):
+        Coordinator(env, fabric, size_threshold=value)
+
+
+def test_coordinator_accepts_an_infinite_size_threshold():
+    """``inf`` is a policy: batches flush on the timeout alone."""
+    env = Environment()
+    fabric = Fabric(env, 2, NetworkSpec(bandwidth_gbps=10))
+    coordinator = Coordinator(env, fabric, size_threshold=math.inf)
+    assert coordinator.size_threshold == math.inf
+
+
+@pytest.mark.parametrize("value", [math.nan, 0.0, -1.0, math.inf])
+def test_coordinator_rejects_a_timeout_that_is_not_a_finite_delay(value):
+    """A NaN timeout would raise from ``call_later`` at the first tick,
+    mid-round; an infinite one would tick at ``inf``."""
+    env = Environment()
+    fabric = Fabric(env, 2, NetworkSpec(bandwidth_gbps=10))
+    with pytest.raises(ValueError, match="timeout"):
+        Coordinator(env, fabric, timeout_s=value)
 
 
 # ------------------------------------------------------- executors: oracles

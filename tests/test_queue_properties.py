@@ -1,13 +1,14 @@
-"""Property tests for the agenda queue behind the simulator core.
+"""Property tests for the agenda behind the simulator core.
 
-Hypothesis drives arbitrary push/push-front/pop/cancel/compact
-interleavings of the slotted calendar queue against a sorted-list
+Hypothesis drives arbitrary interleavings of the agenda's API --
+``call_later``, ``yield_front``, ``step``, ``cancel`` (single, and in
+bursts that compact the agenda) and ``discard`` -- against a sorted-list
 reference model enforcing the exact ``(time, priority, seq)`` total
 order, including FIFO tie-breaks among events sharing an instant and
-priority; a front push takes the lowest sequence number of its slot.
-A second property checks crash delivery end-to-end (a compute kernel
-abandoned mid-run, whose pending finish must then do nothing) against a
-closed-form model of any schedule of kernels and crashes.
+priority; a ``yield_front`` push takes the lowest sequence number of its
+slot.  A second property checks crash delivery end-to-end (a compute
+kernel abandoned mid-run, whose pending finish must then do nothing)
+against a closed-form model of any schedule of kernels and crashes.
 
 The cancel-churn regression pins the tombstone bound: a workload that
 cancels almost everything it schedules must not grow the agenda beyond
@@ -15,74 +16,91 @@ live events plus the compaction threshold.
 """
 
 import bisect
+import math
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.gpu import Gpu, V100
-from repro.sim import URGENT, Environment, SlottedQueue
-from repro.sim.queues import COMPACT_MIN_TOMBSTONES
+from repro.sim import NORMAL, URGENT, Environment, SimulationError
+from repro.sim.core import COMPACT_MIN_TOMBSTONES
 
 #: A small time domain so same-instant collisions are common.
 TIMES = (0.0, 0.125, 0.25, 0.5, 1.0, 1.5, 2.0)
+#: Push delays, zero-heavy: a front push only lands ahead of entries
+#: queued at the current instant.
+DELAYS = (0.0,) * len(TIMES) + TIMES
 
 OPS = st.lists(st.one_of(
-    st.tuples(st.just("push"), st.sampled_from(TIMES), st.integers(0, 1)),
-    st.tuples(st.just("front"), st.sampled_from(TIMES), st.integers(0, 1)),
-    st.tuples(st.just("pop")),
+    st.tuples(st.just("push"), st.sampled_from(DELAYS), st.integers(0, 1)),
+    st.tuples(st.just("front"), st.booleans()),
+    st.tuples(st.just("step")),
     st.tuples(st.just("cancel"), st.integers(0, 2 ** 32)),
-    st.tuples(st.just("compact")),
+    st.tuples(st.just("churn"), st.sampled_from(TIMES)),
+    st.tuples(st.just("discard")),
 ), max_size=200)
 
 
-def _entry(ident: int) -> list:
-    """An agenda entry ``[callback, value]`` whose value is ``ident``.
-
-    The queue only reads the callback slot: None is the tombstone.
-    """
-    return [_never, ident]
-
-
 def _apply(ops):
-    """Run ops against the queue and the sorted-list model in lockstep."""
-    queue = SlottedQueue()
+    """Run ops against the agenda and the sorted-list model in lockstep.
+
+    A push is ``call_later(delay, ...)``, at ``now + delay``; a front push
+    is ``yield_front`` (optionally after a zero-delay URGENT push), which
+    the model expects to queue only behind a live entry ahead of
+    ``(now, NORMAL)``.  Each entry's value is its sequence number, which
+    its callback records when it steps.
+    """
+    env = Environment()
+    stepped = []
     model = []  # sorted (time, priority, seq, entry); seq makes keys unique
     seq = front = 0  # a front push's seq decreases below every other
     for op in ops:
         if op[0] == "push":
             seq += 1
-            entry = _entry(seq)
-            queue.push(op[1], op[2], entry)
-            bisect.insort(model, (op[1], op[2], seq, entry))
+            entry = env.call_later(op[1], stepped.append, seq, op[2])
+            bisect.insort(model, (env.now + op[1], op[2], seq, entry))
         elif op[0] == "front":
+            if op[1]:  # first queue an entry ahead of (now, NORMAL)
+                seq += 1
+                entry = env.call_later(0.0, stepped.append, seq, URGENT)
+                bisect.insort(model, (env.now, URGENT, seq, entry))
+            key = (env.now, NORMAL)
+            ahead = bool(model) and model[0][:2] < key
             front -= 1
-            entry = _entry(front)
-            queue.push_front(op[1], op[2], entry)
-            bisect.insort(model, (op[1], op[2], front, entry))
-        elif op[0] == "compact":
-            queue.compact()
-        elif op[0] == "pop":
+            assert env.yield_front(stepped.append, front) == ahead
+            if ahead:
+                bisect.insort(model, (*key, front, None))
+        elif op[0] == "step":
             if not model:
+                with pytest.raises(SimulationError, match="no more events"):
+                    env.step()
                 continue
-            t, _p, _s, entry = model.pop(0)
-            qt, qentry = queue.pop()
-            assert qt == t, f"popped time {qt} != model time {t}"
-            assert qentry is entry, (
-                f"popped #{qentry[1]}, model expected #{entry[1]}")
-        else:  # cancel an arbitrary still-queued entry
-            if not model:
+            t, _p, ident, _entry = model.pop(0)
+            env.step()
+            assert env.now == t, f"stepped at {env.now}, model says {t}"
+            assert stepped[-1] == ident, (
+                f"stepped #{stepped[-1]}, model expected #{ident}")
+        elif op[0] == "cancel":  # an arbitrary still-queued entry
+            live = [i for i, item in enumerate(model) if item[3] is not None]
+            if not live:
                 continue
-            _t, _p, _s, entry = model.pop(op[1] % len(model))
-            entry[0] = None
-            queue.note_cancel()
-        assert len(queue) == len(model)
-        expected = model[0][0] if model else float("inf")
-        assert queue.peek_time() == expected
-    while model:  # drain: total order must survive to the end
-        t, _p, _s, entry = model.pop(0)
-        qt, qentry = queue.pop()
-        assert qt == t and qentry is entry
-    assert len(queue) == 0
-    assert queue.peek_time() == float("inf")
+            _t, _p, _s, entry = model.pop(live[op[1] % len(live)])
+            env.cancel(entry)
+            env.cancel(entry)  # a second cancel is a no-op
+        elif op[0] == "churn":  # a compaction, unless 65+ entries are live
+            timers = [env.call_later(op[1], stepped.append, None)
+                      for _ in range(COMPACT_MIN_TOMBSTONES + 1)]
+            for timer in timers:
+                env.cancel(timer)
+        else:
+            env.discard()
+            model.clear()
+        expected = model[0][0] if model else math.inf
+        assert env.peek() == expected
+    before = len(stepped)
+    env.run()  # drain: the total order must survive to the end
+    assert stepped[before:] == [ident for _t, _p, ident, _e in model]
+    assert env.peek() == math.inf
 
 
 @given(ops=OPS)
@@ -91,16 +109,34 @@ def test_queue_matches_sorted_model(ops):
     _apply(ops)
 
 
+def test_churn_compacts():
+    """The model's churn op forces a compaction: the cancel that makes
+    tombstones reach the threshold and outnumber live entries removes
+    them all."""
+    env = Environment()
+    timers = [env.call_later(1.0, _never)
+              for _ in range(COMPACT_MIN_TOMBSTONES + 1)]
+
+    def physical():
+        return sum(len(slot) for slot in env._slots.values())
+
+    for timer in timers[:COMPACT_MIN_TOMBSTONES - 1]:
+        env.cancel(timer)
+    assert physical() == len(timers)
+    env.cancel(timers[COMPACT_MIN_TOMBSTONES - 1])
+    assert physical() == 1 and env.peek() == 1.0
+
+
 def test_same_instant_fifo_within_priority():
-    """Ties at one (time, priority) slot pop in push order; urgent first."""
-    queue = SlottedQueue()
-    normal = [_entry(i) for i in range(50)]
-    urgent = [_entry(100 + i) for i in range(50)]
-    for n, u in zip(normal, urgent):
-        queue.push(1.0, 1, n)
-        queue.push(1.0, 0, u)
-    popped = [queue.pop()[1][1] for _ in range(100)]
-    assert popped == [e[1] for e in urgent] + [e[1] for e in normal]
+    """Ties at one (time, priority) slot step in push order; urgent
+    first."""
+    env = Environment()
+    stepped = []
+    for i in range(50):
+        env.call_later(1.0, stepped.append, i)
+        env.call_later(1.0, stepped.append, 100 + i, URGENT)
+    env.run()
+    assert stepped == [*range(100, 150), *range(50)]
 
 
 def test_yield_front_sees_only_live_entries_ahead_of_now_normal():
@@ -206,8 +242,8 @@ def test_cancel_churn_keeps_queue_bounded():
     arm(0)
     while env.peek() < 1000.0:
         env.step()
-        queue = env._queue
-        high_water = max(high_water, len(queue) + queue.tombstones)
+        physical = sum(len(slot) for slot in env._slots.values())
+        high_water = max(high_water, physical)
     assert env.cancellations == 40 * 50
     live_peak = 50 + 1  # one round's timers + the churn entry
     assert high_water <= live_peak + COMPACT_MIN_TOMBSTONES * 2, (

@@ -183,3 +183,22 @@ def test_run_until_nan_rejected():
     assert fired == [] and env.now == 0.0
     env.run()
     assert fired == ["timer"] and env.now == 1.0
+
+
+@pytest.mark.parametrize("start", [float("nan"), float("inf"),
+                                   float("-inf")])
+def test_non_finite_start_time_rejected(start):
+    """A NaN clock compares false to every entry's time, so entries would
+    run out of order, each reporting ``now == nan``; an infinite one
+    would put every entry at the same instant."""
+    with pytest.raises(ValueError, match="initial_time"):
+        Environment(start)
+
+
+def test_finite_start_time_offsets_the_clock():
+    env = Environment(2.0)
+    seen = []
+    env.call_later(1.0, lambda _value: seen.append(env.now))
+    env.call_later(0.5, lambda _value: seen.append(env.now))
+    env.run()
+    assert seen == [2.5, 3.0]

@@ -233,6 +233,34 @@ def test_sim107_allowlist_entry_is_honoured(tmp_path):
     assert findings == []
 
 
+# -- SIM108: writes to the simulated clock -----------------------------------
+
+def test_sim108_clock_write_outside_the_kernel(tmp_path):
+    diags = _lint_in(tmp_path, "casync", """
+def skip_ahead(env, graph):
+    env.now = 3.0
+    graph.env.now += 1.0
+    env.now, graph.started = 0.0, True
+    now = env.now  # a read, and a plain name: fine
+""")
+    assert rules_of(diags) == ["SIM108"] * 3
+    assert diags[0].severity == "error" and diags[0].line == 3
+
+
+def test_sim108_the_kernel_may_set_its_clock(tmp_path):
+    directory = tmp_path / "src" / "repro" / "sim"
+    directory.mkdir(parents=True)
+    source = """
+class Environment:
+    def step(self, key):
+        self.now = key[0]
+"""
+    assert lint_snippet(directory, source, "core.py") == []
+    # Elsewhere in the kernel's own package it is a finding.
+    assert rules_of(lint_snippet(directory, source, "gcpause.py")) == [
+        "SIM108"]
+
+
 # -- allowlist ----------------------------------------------------------------
 
 def test_allowlist_suppresses_and_reports_unused(tmp_path):

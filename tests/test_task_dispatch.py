@@ -24,7 +24,7 @@ from repro.algorithms import OneBit
 from repro.analysis.plancheck import golden_cases, golden_model
 from repro.casync import Coordinator, NodeEngine, run_graph
 from repro.casync.passes import PassContext, build_plan
-from repro.casync.tasks import SuccessorCSR, TaskGraph
+from repro.casync.tasks import SuccessorCSR, TaskGraph, _TaskQueue
 from repro.cluster import ec2_v100_cluster
 from repro.faults import (
     DeadlineExceeded,
@@ -328,19 +328,20 @@ def test_failed_completion_fails_done_after_observers():
     assert env.now == 0.5
 
 
-def test_dependents_release_in_registration_order():
-    """Dependents of one task dispatch in ascending index order, and a
-    duplicated edge counts twice (as it did with per-edge callbacks)."""
+def test_dependents_release_in_registration_order(monkeypatch):
+    """Dependents of one task reach their executor in ascending index
+    order, and a duplicated edge counts twice (as it did with per-edge
+    callbacks).  The order is observed where Q_comp receives each task:
+    a release routes its tasks itself, without ``NodeEngine.dispatch``."""
     env, engines = _world(1)
     order = []
-    engine = engines[0]
-    real_dispatch = engine.dispatch
+    put = _TaskQueue.put
 
-    def recording(k):
-        order.append(engine.graph.recipe.labels[k])
-        real_dispatch(k)
+    def recording(queue, k, take):
+        order.append(engines[0].graph.recipe.labels[k])
+        put(queue, k, take)
 
-    engine.dispatch = recording
+    monkeypatch.setattr(_TaskQueue, "put", recording)
     graph = build(env, [row(0, "encode", "root", duration=1.0),
                         row(0, "encode", "other", duration=2.0),
                         row(0, "merge", "x", duration=1.0, deps=[0, 0]),
