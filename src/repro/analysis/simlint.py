@@ -47,6 +47,11 @@ Python AST of ``src/repro`` and enforces the determinism contract:
   outside ``repro/sim/core.py``.  ``Environment.now`` is a plain
   attribute, and only the kernel's ``step`` and ``run`` may move the
   clock; a write anywhere else silently reorders simulated time.
+* ``SIM109`` (error): a reference to one of the agenda's private
+  attributes (``_lanes``, ``_future``, ``_times``) outside
+  ``repro/sim/core.py``.  The agenda's total order rests on invariants
+  only the kernel keeps; a reader of the current instant's lanes uses the
+  read-only ``Environment.lanes``.
 * ``SIM900`` (info): an allowlist entry matched nothing -- stale
   suppressions rot.
 * ``SIM000`` (error): a file simlint could not parse.
@@ -121,8 +126,12 @@ _SEEDABLE_CONSTRUCTORS = {
 _SUM_CHECKED = ("/repro/sim/", "/repro/casync/", "/repro/net/",
                 "/repro/gpu/", "/repro/training/")
 
-#: The one module that may write a ``now`` attribute (SIM108).
-_CLOCK_OWNER = "/repro/sim/core.py"
+#: The simulation kernel: the one module that may write a ``now``
+#: attribute (SIM108) or touch the agenda's private attributes (SIM109).
+_KERNEL = "/repro/sim/core.py"
+
+#: The agenda's private attributes (SIM109).
+_AGENDA_PRIVATE = frozenset({"_lanes", "_future", "_times"})
 
 #: Function names that build an identity: a cache key, plan digest,
 #: content token, fingerprint.  Iteration order inside these functions
@@ -215,11 +224,11 @@ def discover_allowlist(paths: Sequence[Path]) -> Optional[Path]:
 
 class _FileLinter(ast.NodeVisitor):
     def __init__(self, path: str, telemetry_exempt: bool,
-                 sum_checked: bool = False, clock_owner: bool = False):
+                 sum_checked: bool = False, kernel: bool = False):
         self.path = path
         self.telemetry_exempt = telemetry_exempt
         self.sum_checked = sum_checked
-        self.clock_owner = clock_owner
+        self.kernel = kernel
         self.diagnostics: List[Diagnostic] = []
         #: local name -> canonical dotted module path
         self.aliases: Dict[str, str] = {}
@@ -395,17 +404,24 @@ class _FileLinter(ast.NodeVisitor):
         self._visit_comprehension_generators(node)
         self.generic_visit(node)
 
-    # -- SIM108: writes to the simulated clock --------------------------------
+    # -- SIM108 / SIM109: the kernel's clock and agenda ----------------------
 
     def visit_Attribute(self, node: ast.Attribute) -> None:
         # Store context: an assignment, augmented or unpacking target.
         if (node.attr == "now" and isinstance(node.ctx, ast.Store)
-                and not self.clock_owner):
+                and not self.kernel):
             self._emit(
                 "SIM108", ERROR, node,
                 "assignment to a `now` attribute: only the simulation "
                 "kernel moves the clock",
                 hint="schedule the work with env.call_later(delay, ...)")
+        if node.attr in _AGENDA_PRIVATE and not self.kernel:
+            self._emit(
+                "SIM109", ERROR, node,
+                f"reference to the agenda's private `{node.attr}`: only "
+                f"the simulation kernel reads or writes it",
+                hint="read the current instant's lanes through the "
+                     "read-only env.lanes")
         self.generic_visit(node)
 
     # -- guards (for SIM105) ---------------------------------------------------
@@ -536,7 +552,7 @@ def lint_file(path: Path, root: Optional[Path] = None) -> List[Diagnostic]:
     telemetry_exempt = "/telemetry/" in posix or posix.endswith(
         "/telemetry.py")
     sum_checked = any(part in posix for part in _SUM_CHECKED)
-    clock_owner = posix.endswith(_CLOCK_OWNER)
+    kernel = posix.endswith(_KERNEL)
     try:
         source = path.read_text(encoding="utf-8")
         tree = ast.parse(source, filename=display)
@@ -545,8 +561,7 @@ def lint_file(path: Path, root: Optional[Path] = None) -> List[Diagnostic]:
             rule="SIM000", severity=ERROR, file=display,
             line=getattr(exc, "lineno", 0) or 0,
             message=f"cannot lint: {exc}")]
-    linter = _FileLinter(display, telemetry_exempt, sum_checked,
-                         clock_owner)
+    linter = _FileLinter(display, telemetry_exempt, sum_checked, kernel)
     linter.visit(tree)
     return linter.diagnostics
 

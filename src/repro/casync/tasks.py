@@ -51,7 +51,7 @@ from ..faults.membership import Membership
 from ..faults.retry import RetryPolicy
 from ..gpu import Gpu, GpuSpec
 from ..net import Fabric
-from ..sim import NORMAL, Environment, SimulationError, URGENT
+from ..sim import Environment, SimulationError, URGENT
 
 __all__ = ["TaskGraph", "SuccessorCSR", "NodeEngine", "Coordinator",
            "run_graph", "robust_transfer", "COMPUTE_KINDS", "ROUTES"]
@@ -368,8 +368,7 @@ class TaskGraph:
         csr, rows = self.csr, self.recipe.rows
         succ_ptr, succ_idx = csr.succ_ptr, csr.succ_idx
         env = self.env
-        keys = env._keys  # the agenda's key heap: its head is next
-        front = (env.now, NORMAL)
+        lanes = env.lanes  # an entry in lanes[URGENT] steps before ours
         last = len(batch) - 1
         for pos, k in enumerate(batch):
             i = rows[k]
@@ -386,7 +385,7 @@ class TaskGraph:
                     self._remaining -= 1
                     if not self._remaining:
                         self._finish()
-            if (pos < last and keys and keys[0] < front
+            if (pos < last and lanes[URGENT]
                     and env.yield_front(self._on_complete, batch[pos + 1:])):
                 return
 

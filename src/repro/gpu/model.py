@@ -22,6 +22,7 @@ the compression executor on the communication stream
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, List, Optional, Tuple
 
@@ -220,8 +221,10 @@ class Gpu:
     def _request(self, stream: _Stream, seconds: float,
                  handler: Callable[[Any], None], token: Any, category: str,
                  span_parent) -> None:
-        if seconds < 0:
-            raise ValueError(f"negative duration {seconds}")
+        if not 0 <= seconds < math.inf:  # also rejects NaN
+            problem = "negative" if seconds < 0 else "non-finite"
+            raise ValueError(f"gpu{self.index} {stream.track}: {problem} "
+                             f"duration {seconds}")
         tel = self.env.telemetry
         if tel is not None:
             tel.metrics.counter("sim.resource.requests").inc()

@@ -109,6 +109,23 @@ def test_gpu_negative_duration_rejected():
         gpu.run_kernel(-1, lambda _token: None)
 
 
+@pytest.mark.parametrize("seconds", [float("nan"), float("inf")])
+@pytest.mark.parametrize("stream", ["compute", "comm"])
+def test_gpu_non_finite_duration_rejected_at_the_request(seconds, stream):
+    """A NaN duration would pass a negative test and fail later, in the
+    grant hop, with no kernel named and the stream reserved until nan; an
+    infinite one would drive the clock to inf.  Both are refused at the
+    request, naming the stream, and schedule nothing."""
+    env = Environment()
+    gpu = Gpu(env, V100)
+    run = gpu.run_compute if stream == "compute" else gpu.run_kernel
+    with pytest.raises(ValueError,
+                       match=f"gpu-{stream}: non-finite duration {seconds}"):
+        run(seconds, lambda _token: None)
+    assert env.peek() == float("inf")
+    assert getattr(gpu, stream).free_at == 0.0
+
+
 # ---------------------------------------------------------------- IntervalLog
 
 def test_interval_log_utilization_series():

@@ -1,14 +1,15 @@
 """Property tests for the agenda behind the simulator core.
 
 Hypothesis drives arbitrary interleavings of the agenda's API --
-``call_later``, ``yield_front``, ``step``, ``cancel`` (single, and in
-bursts that compact the agenda) and ``discard`` -- against a sorted-list
-reference model enforcing the exact ``(time, priority, seq)`` total
-order, including FIFO tie-breaks among events sharing an instant and
-priority; a ``yield_front`` push takes the lowest sequence number of its
-slot.  A second property checks crash delivery end-to-end (a compute
-kernel abandoned mid-run, whose pending finish must then do nothing)
-against a closed-form model of any schedule of kernels and crashes.
+``call_later`` (with zero, sub-ulp and positive delays), ``yield_front``,
+``step``, ``run(until)``, ``cancel`` (single, and in bursts that compact
+the agenda) and ``discard`` -- against a sorted-list reference model
+enforcing the exact ``(time, priority, seq)`` total order, including
+FIFO tie-breaks among events sharing an instant and priority; a
+``yield_front`` push takes the lowest sequence number of its lane.  A
+second property checks crash delivery end-to-end (a compute kernel
+abandoned mid-run, whose pending finish must then do nothing) against a
+closed-form model of any schedule of kernels and crashes.
 
 The cancel-churn regression pins the tombstone bound: a workload that
 cancels almost everything it schedules must not grow the agenda beyond
@@ -27,30 +28,40 @@ from repro.sim.core import COMPACT_MIN_TOMBSTONES
 
 #: A small time domain so same-instant collisions are common.
 TIMES = (0.0, 0.125, 0.25, 0.5, 1.0, 1.5, 2.0)
+#: Positive delays below the last bit of every positive clock reading in
+#: ``TIMES`` (``now + delay == now``), which are distinct instants only at
+#: time zero.
+SUB_ULP = (math.ulp(0.0), 1e-18)
+#: Start times: a run starting at 1.0 makes every sub-ulp push land at
+#: ``now`` from its first op.
+STARTS = (0.0, 1.0)
 #: Push delays, zero-heavy: a front push only lands ahead of entries
 #: queued at the current instant.
-DELAYS = (0.0,) * len(TIMES) + TIMES
+DELAYS = (0.0,) * len(TIMES) + TIMES + SUB_ULP
 
 OPS = st.lists(st.one_of(
     st.tuples(st.just("push"), st.sampled_from(DELAYS), st.integers(0, 1)),
     st.tuples(st.just("front"), st.booleans()),
     st.tuples(st.just("step")),
+    st.tuples(st.just("run"), st.sampled_from(DELAYS)),
     st.tuples(st.just("cancel"), st.integers(0, 2 ** 32)),
     st.tuples(st.just("churn"), st.sampled_from(TIMES)),
     st.tuples(st.just("discard")),
 ), max_size=200)
 
 
-def _apply(ops):
+def _apply(ops, start=0.0):
     """Run ops against the agenda and the sorted-list model in lockstep.
 
     A push is ``call_later(delay, ...)``, at ``now + delay``; a front push
     is ``yield_front`` (optionally after a zero-delay URGENT push), which
     the model expects to queue only behind a live entry ahead of
-    ``(now, NORMAL)``.  Each entry's value is its sequence number, which
-    its callback records when it steps.
+    ``(now, NORMAL)``; ``run`` is ``run(until=now + delay)``, which steps
+    every entry at or before ``until`` and leaves the clock there.  Each
+    entry's value is its sequence number, which its callback records when
+    it steps.
     """
-    env = Environment()
+    env = Environment(start)
     stepped = []
     model = []  # sorted (time, priority, seq, entry); seq makes keys unique
     seq = front = 0  # a front push's seq decreases below every other
@@ -80,6 +91,14 @@ def _apply(ops):
             assert env.now == t, f"stepped at {env.now}, model says {t}"
             assert stepped[-1] == ident, (
                 f"stepped #{stepped[-1]}, model expected #{ident}")
+        elif op[0] == "run":
+            until = env.now + op[1]
+            due = bisect.bisect_right(model, (until, math.inf))
+            before = len(stepped)
+            env.run(until)
+            assert env.now == until
+            assert stepped[before:] == [item[2] for item in model[:due]]
+            del model[:due]
         elif op[0] == "cancel":  # an arbitrary still-queued entry
             live = [i for i, item in enumerate(model) if item[3] is not None]
             if not live:
@@ -103,10 +122,10 @@ def _apply(ops):
     assert env.peek() == math.inf
 
 
-@given(ops=OPS)
+@given(start=st.sampled_from(STARTS), ops=OPS)
 @settings(max_examples=120, deadline=None)
-def test_queue_matches_sorted_model(ops):
-    _apply(ops)
+def test_queue_matches_sorted_model(start, ops):
+    _apply(ops, start)
 
 
 def test_churn_compacts():
@@ -117,14 +136,11 @@ def test_churn_compacts():
     timers = [env.call_later(1.0, _never)
               for _ in range(COMPACT_MIN_TOMBSTONES + 1)]
 
-    def physical():
-        return sum(len(slot) for slot in env._slots.values())
-
     for timer in timers[:COMPACT_MIN_TOMBSTONES - 1]:
         env.cancel(timer)
-    assert physical() == len(timers)
+    assert _physical(env) == len(timers)
     env.cancel(timers[COMPACT_MIN_TOMBSTONES - 1])
-    assert physical() == 1 and env.peek() == 1.0
+    assert _physical(env) == 1 and env.peek() == 1.0
 
 
 def test_same_instant_fifo_within_priority():
@@ -240,14 +256,25 @@ def test_cancel_churn_keeps_queue_bounded():
             arm(round_ + 1)
 
     arm(0)
+    instants = 0
     while env.peek() < 1000.0:
         env.step()
-        physical = sum(len(slot) for slot in env._slots.values())
-        high_water = max(high_water, physical)
+        high_water = max(high_water, _physical(env))
+        instants = max(instants, len(env._future))
     assert env.cancellations == 40 * 50
     live_peak = 50 + 1  # one round's timers + the churn entry
     assert high_water <= live_peak + COMPACT_MIN_TOMBSTONES * 2, (
         f"agenda grew to {high_water} physical entries under cancel churn")
+    # Each timer has an instant of its own: compaction must drop them too.
+    assert instants <= live_peak + COMPACT_MIN_TOMBSTONES * 2, (
+        f"agenda kept {instants} instants under cancel churn")
+
+
+def _physical(env):
+    """Entries the agenda holds, live or cancelled: the current lanes
+    plus every later instant's lanes."""
+    return sum(len(lane) for pair in (env._lanes, *env._future.values())
+               for lane in pair if lane is not None)
 
 
 def _never(_value):

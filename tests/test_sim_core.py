@@ -202,3 +202,30 @@ def test_finite_start_time_offsets_the_clock():
     env.call_later(0.5, lambda _value: seen.append(env.now))
     env.run()
     assert seen == [2.5, 3.0]
+
+
+@pytest.mark.parametrize("priority", [2, -1, None])
+def test_priority_other_than_urgent_or_normal_rejected(priority):
+    """The agenda has an URGENT and a NORMAL lane and nothing else: any
+    other priority is refused by name and queues nothing."""
+    env = Environment()
+    with pytest.raises(ValueError, match=f"got {priority!r}"):
+        env.call_later(0.0, lambda _value: None, None, priority)
+    with pytest.raises(ValueError, match=f"got {priority!r}"):
+        env.call_later(1.0, lambda _value: None, None, priority)
+    assert env.peek() == float("inf")
+
+
+def test_sub_ulp_delay_joins_the_current_instant():
+    """A positive delay below the clock's last bit lands at ``now``: it
+    queues behind the entries already there, in its own priority's lane,
+    and steps without moving the clock."""
+    env = Environment(1.0)
+    order = []
+    env.call_later(0.0, order.append, "zero")
+    env.call_later(1e-20, order.append, "sub-ulp")
+    env.call_later(1e-20, order.append, "urgent", URGENT)
+    env.call_later(1e-15, order.append, "later")
+    env.run()
+    assert order == ["urgent", "zero", "sub-ulp", "later"]
+    assert env.now == 1.0 + 1e-15

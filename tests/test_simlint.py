@@ -261,6 +261,36 @@ class Environment:
         "SIM108"]
 
 
+# -- SIM109: the agenda's private attributes ---------------------------------
+
+def test_sim109_agenda_internals_outside_the_kernel(tmp_path):
+    diags = _lint_in(tmp_path, "casync", """
+def peek_ahead(env, graph):
+    urgent = env._lanes[0]
+    graph.env._future.clear()
+    env._times = []
+    lanes = env.lanes  # the documented read-only view: fine
+    return graph._lanes_seen, graph.times  # other names: fine
+""")
+    assert rules_of(diags) == ["SIM109"] * 3
+    assert diags[0].severity == "error" and diags[0].line == 3
+    assert "`_lanes`" in diags[0].message
+
+
+def test_sim109_the_kernel_may_touch_its_agenda(tmp_path):
+    directory = tmp_path / "src" / "repro" / "sim"
+    directory.mkdir(parents=True)
+    source = """
+class Environment:
+    def __init__(self):
+        self._lanes, self._future, self._times = [[], []], {}, []
+"""
+    assert lint_snippet(directory, source, "core.py") == []
+    # Elsewhere in the kernel's own package it is a finding.
+    assert rules_of(lint_snippet(directory, source, "gcpause.py")) == [
+        "SIM109"] * 3
+
+
 # -- allowlist ----------------------------------------------------------------
 
 def test_allowlist_suppresses_and_reports_unused(tmp_path):
