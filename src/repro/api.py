@@ -9,10 +9,15 @@ common import is simply::
 
 (``repro/__init__.py`` lazily re-exports every name below.)
 
-Importing :mod:`repro.api` pulls only the simulation core; optional
-heavyweight dependencies (numpy-accelerated kernels load lazily inside
-the algorithms, matplotlib only inside plotting helpers) stay out of the
-import graph.
+Importing :mod:`repro.api` loads 76 ``repro`` modules: the simulation
+core plus :mod:`repro.adaptive`, :mod:`repro.advisor` (and through it
+the experiment runner and the heterogeneous and elastic drivers) and
+:mod:`repro.hipress`.  It loads neither :mod:`repro.compll` nor
+:mod:`repro.minidnn`.  A process that only simulates should import
+:mod:`repro.experiments.common` instead, which loads the 62 modules
+``run_system`` needs.  Optional heavyweight dependencies
+(numpy-accelerated kernels load lazily inside the algorithms,
+matplotlib only inside plotting helpers) stay out of the import graph.
 
 Registries
 ----------

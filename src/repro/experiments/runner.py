@@ -36,6 +36,7 @@ still come exclusively from the event loop; see ``.simlint-allow``.
 from __future__ import annotations
 
 import hashlib
+import importlib
 import json
 import os
 import signal
@@ -49,9 +50,6 @@ from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
                     Tuple)
 
 from ..casync.lower import _algorithm_token
-from . import (adaptive, elastic, fig7, fig8, fig9, fig10, fig11, fig12,
-               fig13, heterogeneous,
-               kernel_speed, table1, table5, table6, table7)
 from .common import JobSpec, canonical_json, default_algorithm, execute_job
 
 __all__ = [
@@ -552,26 +550,33 @@ class ExperimentRunner:
 
 @dataclass(frozen=True)
 class ArtifactPlan:
-    """One artifact's decomposition: manifest + reassembly + rendering."""
+    """One artifact's decomposition: manifest + reassembly + rendering.
+
+    The driver is the module ``repro.experiments.<name>``, imported on
+    first use, so building the registry loads no driver.
+    """
 
     name: str
-    module: Any
     kwargs: Mapping[str, Any] = field(default_factory=dict)
     #: ``assemble`` returns a tuple whose items are separate ``render``
     #: arguments (fig12's two panels).
     render_star: bool = False
 
+    @property
+    def driver(self) -> Any:
+        return importlib.import_module(f"repro.experiments.{self.name}")
+
     def specs(self) -> List[JobSpec]:
-        return list(self.module.jobs(**dict(self.kwargs)))
+        return list(self.driver.jobs(**dict(self.kwargs)))
 
     def assemble(self, payloads: Mapping[str, Any]) -> Any:
         own = {job.job_id: payloads[job.job_id] for job in self.specs()}
-        return self.module.assemble(own, **dict(self.kwargs))
+        return self.driver.assemble(own, **dict(self.kwargs))
 
     def render(self, assembled: Any) -> str:
         if self.render_star:
-            return self.module.render(*assembled)
-        return self.module.render(assembled)
+            return self.driver.render(*assembled)
+        return self.driver.render(assembled)
 
 
 def artifact_plans(quick: bool = False,
@@ -587,34 +592,34 @@ def artifact_plans(quick: bool = False,
     sweep_nodes = (4, 8) if quick else (4, 16)
     plans = {
         "adaptive": ArtifactPlan(
-            "adaptive", adaptive,
+            "adaptive",
             # quick shrinks the 256-node preset profile to 32 nodes; the
             # full run keeps the preset's native scale (expensive).
             {"num_nodes": nodes, "large_nodes": 32 if quick else None,
              "iterations": 2 if quick else 4, "large_iterations": 2}),
-        "table1": ArtifactPlan("table1", table1, {"num_nodes": nodes}),
-        "table5": ArtifactPlan("table5", table5),
-        "table6": ArtifactPlan("table6", table6),
-        "table7": ArtifactPlan("table7", table7),
-        "fig7": ArtifactPlan("fig7", fig7, {"node_counts": sweep_nodes}),
-        "fig8": ArtifactPlan("fig8", fig8, {"node_counts": sweep_nodes}),
-        "fig9": ArtifactPlan("fig9", fig9, {"num_nodes": nodes}),
-        "fig10": ArtifactPlan("fig10", fig10, {"num_nodes": nodes}),
-        "fig11": ArtifactPlan("fig11", fig11, {"num_nodes": nodes}),
-        "fig12": ArtifactPlan("fig12", fig12, {"num_nodes": nodes},
+        "table1": ArtifactPlan("table1", {"num_nodes": nodes}),
+        "table5": ArtifactPlan("table5"),
+        "table6": ArtifactPlan("table6"),
+        "table7": ArtifactPlan("table7"),
+        "fig7": ArtifactPlan("fig7", {"node_counts": sweep_nodes}),
+        "fig8": ArtifactPlan("fig8", {"node_counts": sweep_nodes}),
+        "fig9": ArtifactPlan("fig9", {"num_nodes": nodes}),
+        "fig10": ArtifactPlan("fig10", {"num_nodes": nodes}),
+        "fig11": ArtifactPlan("fig11", {"num_nodes": nodes}),
+        "fig12": ArtifactPlan("fig12", {"num_nodes": nodes},
                               render_star=True),
-        "fig13": ArtifactPlan("fig13", fig13),
+        "fig13": ArtifactPlan("fig13"),
         "heterogeneous": ArtifactPlan(
-            "heterogeneous", heterogeneous,
+            "heterogeneous",
             {"num_nodes": nodes,
              "severities": (4.0,) if quick else (2.0, 4.0, 8.0),
              "wan_up_gbps": (1.0,) if quick else (0.5, 1.0, 4.0)}),
         "elastic": ArtifactPlan(
-            "elastic", elastic,
+            "elastic",
             {"num_nodes": nodes, "epochs": 2 if quick else 3,
              "churns": ("static", "light") if quick
              else ("static", "light", "heavy")}),
-        "kernel_speed": ArtifactPlan("kernel_speed", kernel_speed),
+        "kernel_speed": ArtifactPlan("kernel_speed"),
     }
     for name, extra in (overrides or {}).items():
         if name not in plans:
