@@ -34,7 +34,7 @@ _API_NAMES = frozenset({
     "local_1080ti_cluster",
     "IterationResult", "Profile", "SYSTEMS", "SystemConfig", "TrainingJob",
     "run_system", "simulate_iteration",
-    "ExperimentRunner", "JobSpec", "ResultCache", "RunJournal", "RunReport",
+    "ExperimentRunner", "JobSpec", "ResultCache", "RunReport",
     "artifact_plans", "job_digest", "run_artifacts",
     "ConfigError",
     "CandidateVerdict", "ElasticRunReport", "EpochOutcome",

@@ -12,8 +12,7 @@ outside.
 :class:`AdaptiveAlgorithm` is the older *codec-level* form of the same
 idea -- two codecs behind one :class:`~repro.algorithms.base.
 CompressionAlgorithm` API with a one-byte mode header -- retained because
-it drops into the planner and the data-parallel trainer unchanged, and
-because the accordion policy plans wire sizes through it.
+it drops into the planner and the data-parallel trainer unchanged.
 """
 
 from __future__ import annotations

@@ -239,8 +239,7 @@ def _candidate_specs(source: str, cluster: str,
             spec = JobSpec(
                 artifact=template.artifact,
                 job_id=f"{template.artifact}/{cluster}-{suffix}+advisor",
-                module=template.module, params=params,
-                algorithm=algorithm)
+                module=template.module, params=params)
         out.append(((system, algorithm), spec))
     return out
 
@@ -296,8 +295,7 @@ def recommend(model: str = "vgg19", cluster: str = "baseline",
                                   artifact_kwargs)
     report = runner.run([spec for _, spec in candidates])
     report.raise_on_failure()
-    served = {o.job_id: ("cache" if o.status in ("cached", "resumed")
-                         else "executed")
+    served = {o.job_id: "cache" if o.status == "cached" else "executed"
               for o in report.outcomes}
 
     def cost(payload: Mapping[str, Any]) -> float:

@@ -132,7 +132,6 @@ from .experiments.common import SYSTEMS, JobSpec, SystemConfig, run_system
 from .experiments.runner import (
     ExperimentRunner,
     ResultCache,
-    RunJournal,
     RunReport,
     artifact_plans,
     job_digest,
@@ -187,7 +186,7 @@ __all__ = [
     "IterationResult", "Profile", "SYSTEMS", "SystemConfig", "TrainingJob",
     "run_system", "simulate_iteration",
     # experiment runner (see EXPERIMENTS.md)
-    "ExperimentRunner", "JobSpec", "ResultCache", "RunJournal", "RunReport",
+    "ExperimentRunner", "JobSpec", "ResultCache", "RunReport",
     "artifact_plans", "job_digest", "run_artifacts",
     # errors
     "ConfigError",

@@ -23,7 +23,7 @@ from .common import (JobSpec, SYSTEMS, default_algorithm, execute_job,
 #: Names resolved on first access (PEP 562), by their defining submodule.
 _LAZY_NAMES = {
     **dict.fromkeys(("ArtifactPlan", "ExperimentRunner", "JobFailure",
-                     "ResultCache", "RunJournal", "RunReport",
+                     "ResultCache", "RunReport",
                      "artifact_plans", "job_digest", "run_artifacts"),
                     "runner"),
     **dict.fromkeys(("ThroughputSweep", "render_sweep", "sweep"),
@@ -43,7 +43,6 @@ __all__ = [
     "JobFailure",
     "JobSpec",
     "ResultCache",
-    "RunJournal",
     "RunReport",
     "SYSTEMS",
     "ThroughputSweep",

@@ -7,7 +7,6 @@ Usage::
     python -m repro.experiments --list
     python -m repro.experiments --quick       # smaller clusters, faster
     python -m repro.experiments --jobs 8      # parallel across processes
-    python -m repro.experiments --resume      # continue an interrupted run
     python -m repro.experiments fig9 --trace trace.json --metrics metrics.csv
     python -m repro.experiments fig11 --dump-sync-plan plans/
 
@@ -17,9 +16,11 @@ Every invocation routes through :mod:`repro.experiments.runner`: each
 artifact's jobs manifest is executed (in-process by default, across
 ``--jobs N`` worker processes otherwise) with results memoized in a
 content-addressed cache (``--cache-dir``, default ``<output-dir>/.cache``;
-``--no-cache`` disables).  A run journal makes interrupted regenerations
-resumable with ``--resume``.  Parallel, cached, and serial runs are
-bit-identical -- see ``tests/test_runner_conformance.py``.
+``--no-cache`` disables).  The cache is the only record of finished
+work: to continue an interrupted regeneration, rerun the same command,
+and only the jobs whose payloads are missing execute.  Parallel, cached,
+and serial runs are bit-identical -- see
+``tests/test_runner_conformance.py``.
 
 ``--trace`` attaches a telemetry collector and writes a
 Chrome-tracing/Perfetto JSON timeline (with ``--jobs N`` the simulations
@@ -34,11 +35,12 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import math
 import sys
 import time
 from pathlib import Path
 
-from .runner import ExperimentRunner, ResultCache, RunJournal, artifact_plans
+from .runner import ExperimentRunner, ResultCache, artifact_plans
 
 
 def main(argv=None) -> int:
@@ -55,9 +57,6 @@ def main(argv=None) -> int:
                         help="directory for rendered text outputs")
     parser.add_argument("--jobs", type=int, default=0, metavar="N",
                         help="worker processes (0 = in-process serial)")
-    parser.add_argument("--resume", action="store_true",
-                        help="skip jobs already completed by an "
-                             "interrupted run (needs the cache)")
     parser.add_argument("--cache-dir", metavar="DIR",
                         help="content-addressed result cache "
                              "(default: <output-dir>/.cache)")
@@ -84,8 +83,8 @@ def main(argv=None) -> int:
 
     if args.jobs < 0:
         parser.error("--jobs must be >= 0")
-    if args.resume and args.no_cache:
-        parser.error("--resume needs the cache; drop --no-cache")
+    if args.timeout is not None and not 0 < args.timeout < math.inf:
+        parser.error(f"--timeout must be finite and > 0, got {args.timeout}")
     if args.dump_sync_plan and args.jobs:
         parser.error("--dump-sync-plan requires an in-process run; "
                      "drop --jobs")
@@ -99,12 +98,10 @@ def main(argv=None) -> int:
     out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    cache = journal = None
+    cache = None
     if not args.no_cache:
-        cache_dir = Path(args.cache_dir) if args.cache_dir \
-            else out_dir / ".cache"
-        cache = ResultCache(cache_dir)
-        journal = RunJournal(cache_dir / "journal.jsonl")
+        cache = ResultCache(Path(args.cache_dir) if args.cache_dir
+                            else out_dir / ".cache")
 
     collector = None
     if args.trace or args.metrics:
@@ -123,9 +120,8 @@ def main(argv=None) -> int:
               file=sys.stderr)
 
     runner = ExperimentRunner(
-        max_workers=args.jobs, cache=cache, journal=journal,
-        resume=args.resume, timeout_s=args.timeout, telemetry=collector,
-        progress=progress)
+        max_workers=args.jobs, cache=cache, timeout_s=args.timeout,
+        telemetry=collector, progress=progress)
 
     specs = []
     for name in selected:
@@ -146,7 +142,7 @@ def main(argv=None) -> int:
                 print(text)
                 print(f"[{name} -> {out_dir / (name + '.txt')}]\n")
     except KeyboardInterrupt:
-        print("\n[interrupted -- rerun with --resume to continue]",
+        print("\n[interrupted -- rerun the same command to continue]",
               file=sys.stderr)
         return 130
     finally:
@@ -154,9 +150,8 @@ def main(argv=None) -> int:
             from ..telemetry import detach
             detach(collector)
     elapsed = time.time() - start
-    print(f"[{report.executed} executed, {report.cache_hits} cached"
-          f"{f', {report.resumed} resumed' if report.resumed else ''}"
-          f", {len(report.failures)} failed in {elapsed:.1f}s]")
+    print(f"[{report.executed} executed, {report.cache_hits} cached, "
+          f"{len(report.failures)} failed in {elapsed:.1f}s]")
     for failure in report.failures:
         print(f"  FAILED {failure.job_id}: [{failure.kind}] "
               f"{failure.error_type}: {failure.message.splitlines()[0]}",

@@ -189,7 +189,9 @@ def run_system(system: str, model, cluster: ClusterSpec,
 # ``assemble(execute_serial(jobs(...)), ...)``, so the serial path and the
 # process-parallel :mod:`repro.experiments.runner` execute the *same*
 # decomposition; the conformance suite then proves the outputs are
-# bit-identical across serial / parallel / cached / resumed runs.
+# bit-identical across serial, parallel, cached and interrupted-then-rerun
+# runs.  A job's cache key is its code and its params, so a codec is
+# named in ``params`` (or fixed in the job's code), never beside them.
 
 #: Cluster presets jobs may reference by name (factories are not JSON).
 CLUSTER_FACTORIES = {
@@ -204,10 +206,7 @@ class JobSpec:
 
     ``params`` must contain only JSON values (numbers, strings, bools,
     lists, dicts, None) so the spec can cross a process boundary and be
-    digested into a stable cache key.  ``algorithm``/``algorithm_params``
-    duplicate any compression settings from ``params`` so the runner can
-    fold the *instantiated* algorithm's identity token (the GraphCache
-    keying discipline from :mod:`repro.casync.lower`) into the job digest.
+    digested into a stable cache key.
     """
 
     artifact: str                 # e.g. "fig7"
@@ -215,8 +214,6 @@ class JobSpec:
     module: str                   # dotted module, e.g. "repro.experiments.fig7"
     params: Mapping[str, Any] = field(default_factory=dict)
     call: str = "run_job"
-    algorithm: Optional[str] = None
-    algorithm_params: Optional[Mapping[str, Any]] = None
     timeout_s: Optional[float] = None
 
     def resolve(self):

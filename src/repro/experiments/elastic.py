@@ -103,8 +103,7 @@ def jobs(num_nodes: int = 16, epochs: int = 3, model: str = "vgg19",
                         "num_nodes": num_nodes,
                         "epochs": epochs,
                         "schedule": schedule.to_json_obj(),
-                    },
-                    algorithm=algorithm))
+                    }))
     return specs
 
 

@@ -47,8 +47,7 @@ def jobs(models: Sequence[str] = ("bert-base", "vgg19"),
                 job_id=f"fig10/{model}-{system}-n{num_nodes}",
                 module=__name__,
                 params={"model": model, "system": system, "algorithm": algo,
-                        "num_nodes": num_nodes},
-                algorithm=algo))
+                        "num_nodes": num_nodes}))
     return specs
 
 

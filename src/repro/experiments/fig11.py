@@ -111,8 +111,7 @@ def jobs(num_nodes: int = 16,
                 job_id=f"fig11/{model}-{stage}-n{num_nodes}",
                 module=__name__,
                 params={"model": model, "stage": stage,
-                        "num_nodes": num_nodes},
-                algorithm=None if stage == "default" else "onebit")
+                        "num_nodes": num_nodes})
         for model in models
         for stage in _stage_names(model)
     ]

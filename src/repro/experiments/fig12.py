@@ -57,8 +57,7 @@ def _bandwidth_jobs(num_nodes: int) -> List[JobSpec]:
                     module=__name__,
                     params={"kind": "bandwidth", "cluster": cluster_name,
                             "gbps": gbps, "system": system,
-                            "algorithm": algo, "num_nodes": num_nodes},
-                    algorithm=algo))
+                            "algorithm": algo, "num_nodes": num_nodes}))
     return specs
 
 
@@ -71,8 +70,7 @@ def _rate_jobs(num_nodes: int) -> List[JobSpec]:
             module=__name__,
             params={"kind": "rate", "algorithm": "terngrad",
                     "algorithm_params": {"bitwidth": bitwidth},
-                    "num_nodes": num_nodes},
-            algorithm="terngrad", algorithm_params={"bitwidth": bitwidth}))
+                    "num_nodes": num_nodes}))
     for rate in DGC_RATES:
         specs.append(JobSpec(
             artifact="fig12",
@@ -80,8 +78,7 @@ def _rate_jobs(num_nodes: int) -> List[JobSpec]:
             module=__name__,
             params={"kind": "rate", "algorithm": "dgc",
                     "algorithm_params": {"rate": rate},
-                    "num_nodes": num_nodes},
-            algorithm="dgc", algorithm_params={"rate": rate}))
+                    "num_nodes": num_nodes}))
     return specs
 
 

@@ -141,8 +141,7 @@ def jobs(steps: int = 300, eval_every: int = 15, workers: int = 4,
             job_id=f"fig13/sim-{task}-{role}-n{num_nodes}",
             module=__name__,
             params={"kind": "sim", "system": system, "model": model,
-                    "algorithm": algo, "num_nodes": num_nodes},
-            algorithm=algo))
+                    "algorithm": algo, "num_nodes": num_nodes}))
     for task in ("lm", "cls"):
         for role in ("baseline", "hipress"):
             specs.append(JobSpec(

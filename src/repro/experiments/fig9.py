@@ -65,8 +65,7 @@ def jobs(num_nodes: int = 16, bin_s: float = 0.02) -> List[JobSpec]:
                 job_id=f"fig9/{model}-{system}-n{num_nodes}",
                 module=__name__,
                 params={"model": model, "system": system, "algorithm": algo,
-                        "num_nodes": num_nodes, "bin_s": bin_s},
-                algorithm=algo))
+                        "num_nodes": num_nodes, "bin_s": bin_s}))
     return specs
 
 

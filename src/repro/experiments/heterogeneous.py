@@ -104,8 +104,7 @@ def jobs(num_nodes: int = 16,
                     "num_nodes": scenario["num_nodes"],
                     "severity": scenario["severity"],
                     "wan_up_gbps": scenario["wan_up_gbps"],
-                },
-                algorithm=algorithm))
+                }))
     return specs
 
 

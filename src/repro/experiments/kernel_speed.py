@@ -73,8 +73,7 @@ def jobs(nbytes: int = 256 * MB) -> List[JobSpec]:
         JobSpec(artifact="kernel-speed",
                 job_id=f"kernel-speed/{algorithm}-{nbytes}b",
                 module=__name__,
-                params={"algorithm": algorithm, "nbytes": nbytes},
-                algorithm=algorithm)
+                params={"algorithm": algorithm, "nbytes": nbytes})
         for algorithm, _, _ in COMPARISONS
     ]
 

@@ -1,4 +1,4 @@
-"""Parallel, resumable experiment runner with content-addressed caching.
+"""Parallel experiment runner with content-addressed caching.
 
 Every figure/table module decomposes its work into independent jobs (a
 ``jobs()`` manifest of :class:`~repro.experiments.common.JobSpec`), runs
@@ -12,13 +12,10 @@ on top of that protocol:
   takes the run down, it reports ``error``/``timeout``/``crash``.
 * :class:`ResultCache` memoizes each job's payload on disk under a
   content-addressed digest (:func:`job_digest`) covering the code
-  version, the job's parameters and the compression algorithm's
-  identity -- the same keying discipline as
-  :func:`repro.casync.lower.cache_key`.  A warm cache re-run executes
-  zero jobs.
-* :class:`RunJournal` records the run as append-only JSON lines, so an
-  interrupted regeneration is *resumable*: ``--resume`` replays
-  completed jobs from the cache and only executes the remainder.
+  version and the job's call and parameters.  It is the run's only
+  record of finished work: a warm cache re-run executes zero jobs, and
+  rerunning an interrupted regeneration executes only the jobs whose
+  payloads it had not yet written.
 
 Bit-identity is by construction, not luck: the serial path
 (``module.run()``) is itself ``assemble(execute_serial(jobs()))``, and
@@ -38,6 +35,7 @@ from __future__ import annotations
 import hashlib
 import importlib
 import json
+import math
 import os
 import signal
 import time
@@ -49,8 +47,7 @@ from pathlib import Path
 from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
                     Tuple)
 
-from ..casync.lower import _algorithm_token
-from .common import JobSpec, canonical_json, default_algorithm, execute_job
+from .common import JobSpec, canonical_json, execute_job
 
 __all__ = [
     "ArtifactPlan",
@@ -58,7 +55,6 @@ __all__ = [
     "JobFailure",
     "JobOutcome",
     "ResultCache",
-    "RunJournal",
     "RunReport",
     "artifact_plans",
     "code_token",
@@ -104,21 +100,14 @@ def code_token() -> str:
     return _CODE_TOKEN
 
 
-def _spec_algorithm_token(spec: JobSpec) -> Optional[Tuple]:
-    if spec.algorithm is None:
-        return None
-    algorithm = default_algorithm(spec.algorithm,
-                                  **dict(spec.algorithm_params or {}))
-    return _algorithm_token(algorithm)
-
-
 def job_digest(spec: JobSpec) -> str:
     """Content address of one job's payload.
 
-    Follows the :func:`repro.casync.lower.cache_key` discipline: the
-    digest covers everything the payload may depend on -- code version,
-    the callable's identity, all parameters, and the (recursively
-    tokenized) compression algorithm.
+    The payload is ``<module>.<call>(**params)`` run by the code under
+    ``repro``, so the digest covers exactly that: the code version, the
+    callable's identity and all parameters.  A codec is either named in
+    ``params`` or fixed in the callable's code, and every codec's source
+    is part of :func:`code_token`.
     """
     identity = {
         "version": DIGEST_VERSION,
@@ -128,7 +117,6 @@ def job_digest(spec: JobSpec) -> str:
         "module": spec.module,
         "call": spec.call,
         "params": dict(spec.params),
-        "algorithm": _spec_algorithm_token(spec),
     }
     return hashlib.sha256(canonical_json(identity).encode()).hexdigest()
 
@@ -177,55 +165,6 @@ class ResultCache:
 
 
 # ---------------------------------------------------------------------------
-# Run journal (resumability)
-
-
-class RunJournal:
-    """Append-only JSONL record of a run's progress.
-
-    One line per event: ``run_start``, ``job_done`` (with the job's
-    digest and status), ``interrupted``, ``run_complete``.  A resumed
-    run reads the journal to learn which jobs already finished and
-    fetches their payloads from the cache by digest.
-    """
-
-    def __init__(self, path: os.PathLike):
-        self.path = Path(path)
-
-    def append(self, event: Dict[str, Any]) -> None:
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        with self.path.open("a") as fh:
-            fh.write(canonical_json(event) + "\n")
-            fh.flush()
-            os.fsync(fh.fileno())
-
-    def events(self) -> List[Dict[str, Any]]:
-        try:
-            text = self.path.read_text()
-        except OSError:
-            return []
-        events = []
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                events.append(json.loads(line))
-            except ValueError:
-                continue  # torn final line from a crash
-        return events
-
-    def completed(self) -> Dict[str, str]:
-        """job_id -> digest for every successfully finished job."""
-        done = {}
-        for event in self.events():
-            if event.get("event") == "job_done" and \
-                    event.get("status") == "ok":
-                done[event["job_id"]] = event["digest"]
-        return done
-
-
-# ---------------------------------------------------------------------------
 # Typed outcomes
 
 
@@ -243,7 +182,7 @@ class JobFailure:
 class JobOutcome:
     job_id: str
     digest: str
-    status: str                 # "ok" | "cached" | "resumed" | failure kind
+    status: str                 # "ok" | "cached" | failure kind
     duration_s: float = 0.0
 
 
@@ -256,7 +195,6 @@ class RunReport:
     failures: List[JobFailure] = field(default_factory=list)
     executed: int = 0
     cache_hits: int = 0
-    resumed: int = 0
     duration_s: float = 0.0
 
     @property
@@ -278,14 +216,18 @@ class RunReport:
 def _spec_to_wire(spec: JobSpec) -> Dict[str, Any]:
     return {"artifact": spec.artifact, "job_id": spec.job_id,
             "module": spec.module, "params": dict(spec.params),
-            "call": spec.call, "algorithm": spec.algorithm,
-            "algorithm_params": (None if spec.algorithm_params is None
-                                 else dict(spec.algorithm_params)),
-            "timeout_s": spec.timeout_s}
+            "call": spec.call, "timeout_s": spec.timeout_s}
 
 
 def _spec_from_wire(wire: Mapping[str, Any]) -> JobSpec:
     return JobSpec(**wire)
+
+
+def _timeout_error(timeout_s: Optional[float]) -> Optional[str]:
+    """Why ``timeout_s`` is not a usable job timeout; None if it is."""
+    if timeout_s is None or 0 < timeout_s < math.inf:  # also rejects NaN
+        return None
+    return f"timeout_s must be None or finite and > 0, got {timeout_s!r}"
 
 
 class _JobTimeout(Exception):
@@ -303,12 +245,18 @@ def _execute_wire(wire: Dict[str, Any],
     The per-job timeout uses ``SIGALRM``/``setitimer`` (POSIX only; on
     platforms without it the timeout is best-effort skipped).  Raising
     out of here would poison the whole pool, so every exception becomes
-    a typed record instead.
+    a typed record instead.  A timeout outside ``(0, inf)`` fails the
+    job before ``SIGALRM`` is touched.
     """
     spec = _spec_from_wire(wire)
     effective = spec.timeout_s if spec.timeout_s is not None else timeout_s
+    bad_timeout = _timeout_error(effective)
+    if bad_timeout is not None:
+        return {"status": "failed", "job_id": spec.job_id,
+                "error_type": "ValueError", "message": bad_timeout,
+                "duration_s": 0.0}
     armed = False
-    if effective and hasattr(signal, "setitimer"):
+    if effective is not None and hasattr(signal, "setitimer"):
         previous = signal.signal(signal.SIGALRM, _raise_timeout)
         signal.setitimer(signal.ITIMER_REAL, effective)
         armed = True
@@ -323,7 +271,7 @@ def _execute_wire(wire: Dict[str, Any],
                 "message": f"exceeded {effective:g}s",
                 "duration_s": time.perf_counter() - t0}
     except KeyboardInterrupt:
-        raise  # in-process Ctrl-C must reach the journal
+        raise  # in-process Ctrl-C stops the run, not just this job
     except BaseException as exc:  # typed capture, never propagate
         return {"status": "failed", "job_id": spec.job_id,
                 "error_type": type(exc).__name__,
@@ -345,26 +293,22 @@ class ExperimentRunner:
     ``max_workers=0`` runs everything in-process (serial); ``>= 1``
     fans out across a ``ProcessPoolExecutor``.  ``progress`` is called
     after every settled job with a small event dict -- the CLI uses it
-    for live output, the crash-resume tests use it as a kill point.
+    for live output, the interrupted-rerun tests use it as a kill point.
     """
 
     def __init__(self, max_workers: int = 0,
                  cache: Optional[ResultCache] = None,
-                 journal: Optional[RunJournal] = None,
-                 resume: bool = False,
                  timeout_s: Optional[float] = None,
                  mp_context: Optional[str] = None,
                  telemetry=None,
                  progress: Optional[Callable[[Dict[str, Any]], None]] = None):
-        if resume and cache is None:
-            raise ValueError("--resume needs the cache: completed jobs are "
-                             "reloaded by digest (pass a ResultCache)")
         if max_workers < 0:
             raise ValueError(f"max_workers must be >= 0, got {max_workers}")
+        bad_timeout = _timeout_error(timeout_s)
+        if bad_timeout is not None:
+            raise ValueError(bad_timeout)
         self.max_workers = max_workers
         self.cache = cache
-        self.journal = journal
-        self.resume = resume
         self.timeout_s = timeout_s
         self.mp_context = mp_context
         self.telemetry = telemetry
@@ -380,15 +324,11 @@ class ExperimentRunner:
         if self.telemetry is not None:
             self.telemetry.counter(name).inc()
 
-    def _journal(self, event: Dict[str, Any]) -> None:
-        if self.journal is not None:
-            self.journal.append(event)
-
     def _settle(self, report: RunReport, spec: JobSpec, digest: str,
                 status: str, payload: Any, duration_s: float,
                 started_at: float, total: int,
                 failure: Optional[JobFailure] = None) -> None:
-        """Fold one finished job into the report, journal, telemetry."""
+        """Fold one finished job into the report, cache, telemetry."""
         if failure is None:
             report.payloads[spec.job_id] = payload
             if status == "ok" and self.cache is not None:
@@ -398,9 +338,6 @@ class ExperimentRunner:
         report.outcomes.append(JobOutcome(
             job_id=spec.job_id, digest=digest, status=status,
             duration_s=duration_s))
-        self._journal({"event": "job_done", "job_id": spec.job_id,
-                       "digest": digest, "status": status,
-                       "duration_s": duration_s})
         if self.telemetry is not None:
             at = time.perf_counter() - started_at
             span = self.telemetry.begin(
@@ -408,7 +345,7 @@ class ExperimentRunner:
                 at=max(0.0, at - duration_s), status=status)
             self.telemetry.finish(span, at)
         self._count(f"runner.jobs.{status}"
-                    if status in ("ok", "cached", "resumed") else
+                    if status in ("ok", "cached") else
                     "runner.jobs.failed")
         self._emit({"event": "job", "job_id": spec.job_id, "status": status,
                     "done": len(report.outcomes), "total": total,
@@ -429,26 +366,10 @@ class ExperimentRunner:
         report = RunReport()
         digests = {s.job_id: job_digest(s) for s in specs}
         total = len(specs)
-        self._journal({"event": "run_start", "jobs": total,
-                       "workers": self.max_workers,
-                       "resume": self.resume})
 
         pending: List[JobSpec] = []
-        journal_done = self.journal.completed() if (
-            self.resume and self.journal is not None) else {}
         for spec in specs:
             digest = digests[spec.job_id]
-            # Resume: trust the journal only if the digest still matches
-            # (an edit between runs invalidates the completed record).
-            if self.resume and journal_done.get(spec.job_id) == digest:
-                payload = self.cache.get(digest)
-                if payload is not None:
-                    report.resumed += 1
-                    report.cache_hits += 1
-                    self._count("runner.cache.hit")
-                    self._settle(report, spec, digest, "resumed", payload,
-                                 0.0, started, total)
-                    continue
             if self.cache is not None:
                 payload = self.cache.get(digest)
                 if payload is not None:
@@ -460,24 +381,11 @@ class ExperimentRunner:
                 self._count("runner.cache.miss")
             pending.append(spec)
 
-        try:
-            if self.max_workers == 0:
-                self._run_serial(report, pending, digests, started, total)
-            else:
-                self._run_pool(report, pending, digests, started, total)
-        except KeyboardInterrupt:
-            self._journal({"event": "interrupted",
-                           "completed": len(report.outcomes),
-                           "jobs": total})
-            raise
-
+        if self.max_workers == 0:
+            self._run_serial(report, pending, digests, started, total)
+        else:
+            self._run_pool(report, pending, digests, started, total)
         report.duration_s = time.perf_counter() - started
-        self._journal({"event": "run_complete", "jobs": total,
-                       "executed": report.executed,
-                       "cache_hits": report.cache_hits,
-                       "resumed": report.resumed,
-                       "failed": len(report.failures),
-                       "duration_s": report.duration_s})
         return report
 
     def _run_serial(self, report: RunReport, pending: Sequence[JobSpec],
@@ -527,13 +435,12 @@ class ExperimentRunner:
     def _finish_result(self, report: RunReport, spec: JobSpec, digest: str,
                        result: Mapping[str, Any], duration_s: float,
                        started: float, total: int) -> None:
+        report.executed += 1
         status = result["status"]
         if status == "ok":
-            report.executed += 1
             self._settle(report, spec, digest, "ok", result["payload"],
                          duration_s, started, total)
         else:
-            report.executed += 1
             failure = JobFailure(
                 job_id=spec.job_id,
                 kind="timeout" if status == "timeout"
@@ -640,8 +547,8 @@ def run_artifacts(names: Optional[Sequence[str]] = None,
     Jobs from all selected artifacts execute as a single batch, so
     parallelism crosses artifact boundaries.  Returns
     ``({name: {"result", "text"}}, report)``; raises if any job failed
-    (the journal and cache still hold the completed work, so a re-run
-    with ``resume`` picks up where it left off).
+    (the cache still holds the completed work, so a re-run executes
+    only what is missing).
     """
     plans = artifact_plans(quick=quick, overrides=overrides)
     selected = list(names) if names else sorted(plans)

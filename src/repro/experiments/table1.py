@@ -49,8 +49,7 @@ def jobs(num_nodes: int = 16) -> List[JobSpec]:
                 job_id=f"table1/{model}-{system}-n{num_nodes}",
                 module=__name__,
                 params={"model": model, "system": system,
-                        "algorithm": algorithm, "num_nodes": num_nodes},
-                algorithm=algorithm)
+                        "algorithm": algorithm, "num_nodes": num_nodes})
         for model, system, algorithm in ROWS
     ]
 

@@ -53,8 +53,7 @@ def jobs() -> List[JobSpec]:
                 job_id=f"table7/{strategy}-n{nodes}-{size_mb}mb",
                 module=__name__,
                 params={"strategy": strategy, "nodes": nodes,
-                        "size_mb": size_mb},
-                algorithm="onebit")
+                        "size_mb": size_mb})
         for strategy in PRESETS
         for nodes in NODE_COUNTS
         for size_mb in SIZES_MB

@@ -68,8 +68,7 @@ def sweep_jobs(artifact: str, model: str, systems: Sequence[str],
                 module=__name__, call="run_sweep_job",
                 params={"model": model, "system": system,
                         "algorithm": algo, "nodes": nodes,
-                        "cluster": cluster, "on_ec2": on_ec2},
-                algorithm=algo))
+                        "cluster": cluster, "on_ec2": on_ec2}))
     return specs
 
 

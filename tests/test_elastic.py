@@ -365,8 +365,7 @@ def test_result_cache_mutant_one_event_changes_the_digest():
                                        for e in flipped])
     from repro.experiments.common import JobSpec
     mutant = JobSpec(artifact=spec.artifact, job_id=spec.job_id,
-                     module=spec.module, params=mutated,
-                     algorithm=spec.algorithm)
+                     module=spec.module, params=mutated)
     assert job_digest(mutant) != baseline
 
 

@@ -96,6 +96,26 @@ def test_cli_runs_one_artifact(tmp_path, capsys):
     assert "Table 6" in out
 
 
+def test_cli_rerun_is_served_from_the_cache(tmp_path, capsys):
+    from repro.experiments.__main__ import main
+    argv = ["table6", "--quick", "--output-dir", str(tmp_path)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert main(argv) == 0
+    summary = capsys.readouterr().out.strip().splitlines()[-1]
+    assert summary.startswith("[0 executed, 8 cached, 0 failed")
+
+
+@pytest.mark.parametrize("flag", [["--resume"], ["--timeout", "-1"],
+                                  ["--timeout", "0"], ["--timeout", "nan"],
+                                  ["--timeout", "inf"]])
+def test_cli_rejects_removed_and_bad_flags(flag, tmp_path):
+    from repro.experiments.__main__ import main
+    with pytest.raises(SystemExit) as exc:
+        main(["table6", "--output-dir", str(tmp_path), *flag])
+    assert exc.value.code == 2
+
+
 def test_cli_quick_registry_differs():
     from repro.experiments.runner import artifact_plans
     assert set(artifact_plans(quick=True)) == set(artifact_plans())

@@ -1,13 +1,16 @@
 """Unit tests for the experiment runner's building blocks.
 
-Covers the content-addressed digest, the on-disk cache, the run
-journal, and the runner's typed failure capture (error / timeout /
-duplicate ids), using tiny synthetic jobs defined in this module so no
-simulator work is involved.  End-to-end bit-identity lives in
-``test_runner_conformance.py``; crash/resume in ``test_runner_resume``.
+Covers the content-addressed digest, the on-disk cache, and the
+runner's typed failure capture (error / timeout / duplicate ids), using
+tiny synthetic jobs defined in this module so no simulator work is
+involved.  End-to-end bit-identity lives in
+``test_runner_conformance.py``; crash-then-rerun in
+``test_runner_resume``.
 """
 
 import json
+import math
+import signal
 import time
 
 import pytest
@@ -16,7 +19,6 @@ from repro.experiments.common import JobSpec, canonical_json, execute_serial
 from repro.experiments.runner import (
     ExperimentRunner,
     ResultCache,
-    RunJournal,
     code_token,
     job_digest,
 )
@@ -60,13 +62,11 @@ def test_digest_covers_params_and_call():
 
 
 def test_digest_covers_algorithm_identity():
+    """A job names its codec in ``params``, so the codec keys the digest."""
     plain = spec_for("add_job", a=1, b=2)
-    with_algo = JobSpec(artifact="t", job_id="t/0", module=__name__,
-                        params={"a": 1, "b": 2}, call="add_job",
-                        algorithm="dgc")
-    reparam = JobSpec(artifact="t", job_id="t/0", module=__name__,
-                      params={"a": 1, "b": 2}, call="add_job",
-                      algorithm="dgc", algorithm_params={"rate": 0.05})
+    with_algo = spec_for("add_job", a=1, b=2, algorithm="dgc")
+    reparam = spec_for("add_job", a=1, b=2, algorithm="dgc",
+                       algorithm_params={"rate": 0.05})
     digests = {job_digest(plain), job_digest(with_algo),
                job_digest(reparam)}
     assert len(digests) == 3
@@ -105,33 +105,6 @@ def test_cache_write_is_atomic_no_temp_left(tmp_path):
     cache.put("ef" * 32, "t/0", {"big": "x" * 4096})
     leftovers = [p for p in tmp_path.rglob("*") if p.name.endswith(".tmp")]
     assert leftovers == []
-
-
-# ----------------------------------------------------------------- journal
-
-
-def test_journal_appends_and_replays(tmp_path):
-    journal = RunJournal(tmp_path / "j.jsonl")
-    assert journal.events() == []
-    journal.append({"event": "run_start", "jobs": 2})
-    journal.append({"event": "job_done", "job_id": "t/0",
-                    "digest": "d0", "status": "ok"})
-    journal.append({"event": "job_done", "job_id": "t/1",
-                    "digest": "d1", "status": "error"})
-    assert [e["event"] for e in journal.events()] == \
-        ["run_start", "job_done", "job_done"]
-    # only ok jobs count as completed
-    assert journal.completed() == {"t/0": "d0"}
-
-
-def test_journal_tolerates_torn_tail(tmp_path):
-    path = tmp_path / "j.jsonl"
-    journal = RunJournal(path)
-    journal.append({"event": "job_done", "job_id": "t/0",
-                    "digest": "d0", "status": "ok"})
-    with path.open("a") as fh:
-        fh.write('{"event": "job_done", "job_id": "t/1", "dig')  # crash
-    assert journal.completed() == {"t/0": "d0"}
 
 
 # ------------------------------------------------------------------ runner
@@ -196,14 +169,34 @@ def test_pool_failure_capture(tmp_path):
     assert report.payloads["t/good"] == {"sum": 2}
 
 
-def test_resume_requires_cache():
-    with pytest.raises(ValueError, match="resume"):
-        ExperimentRunner(resume=True)
-
-
 def test_negative_workers_rejected():
     with pytest.raises(ValueError, match="max_workers"):
         ExperimentRunner(max_workers=-1)
+
+
+BAD_TIMEOUTS = [-1.0, 0, math.nan, math.inf]
+
+
+@pytest.mark.parametrize("timeout_s", BAD_TIMEOUTS)
+def test_bad_runner_timeout_rejected(timeout_s):
+    with pytest.raises(ValueError, match="timeout_s"):
+        ExperimentRunner(timeout_s=timeout_s)
+
+
+@pytest.mark.parametrize("timeout_s", BAD_TIMEOUTS)
+def test_bad_job_timeout_is_a_typed_error_and_leaves_sigalrm(timeout_s):
+    before = signal.getsignal(signal.SIGALRM)
+    spec = JobSpec(artifact="t", job_id="t/bad", module=__name__,
+                   params={"a": 1, "b": 1}, call="add_job",
+                   timeout_s=timeout_s)
+    report = ExperimentRunner().run([spec, spec_for("add_job", "t/ok",
+                                                     a=1, b=2)])
+    (failure,) = report.failures
+    assert failure.job_id == "t/bad" and failure.kind == "error"
+    assert failure.error_type == "ValueError"
+    assert "timeout_s" in failure.message
+    assert report.payloads["t/ok"] == {"sum": 3}
+    assert signal.getsignal(signal.SIGALRM) is before
 
 
 def test_progress_events_stream(tmp_path):
@@ -228,17 +221,6 @@ def test_telemetry_counters_and_spans(tmp_path):
     assert snap[("runner.jobs.cached",)] == 2
     job_spans = [s for s in tel.spans if s.category == "job"]
     assert len(job_spans) == 4 and all(s.finished for s in job_spans)
-
-
-def test_journal_records_full_run(tmp_path):
-    journal = RunJournal(tmp_path / "j.jsonl")
-    cache = ResultCache(tmp_path / "c")
-    specs = [spec_for("add_job", "t/0", a=1, b=1)]
-    ExperimentRunner(cache=cache, journal=journal).run(specs)
-    events = [e["event"] for e in journal.events()]
-    assert events == ["run_start", "job_done", "run_complete"]
-    done = journal.completed()
-    assert done["t/0"] == job_digest(specs[0])
 
 
 def test_cached_payload_json_identical_to_fresh(tmp_path):

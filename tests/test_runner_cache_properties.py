@@ -4,7 +4,8 @@ The cache key must be *sound* (identical inputs always produce the
 identical digest -- else warm caches miss) and *sensitive* (any
 perturbation of the job's parameters, the cluster point, or the
 compression algorithm's parameters produces a different digest -- else
-stale payloads get served for changed configurations).
+stale payloads get served for changed configurations).  Like every
+experiment driver, a spec here names its codec in ``params``.
 """
 
 from hypothesis import assume, given, settings, strategies as st
@@ -38,9 +39,11 @@ algorithms = st.one_of(
 
 def spec_from(params, algorithm=None, algorithm_params=None,
               job_id="p/0", call="run_job"):
+    if algorithm is not None:
+        params = {**params, "algorithm": algorithm,
+                  "algorithm_params": algorithm_params}
     return JobSpec(artifact="p", job_id=job_id,
-                   module="tests.test_runner", params=params, call=call,
-                   algorithm=algorithm, algorithm_params=algorithm_params)
+                   module="tests.test_runner", params=params, call=call)
 
 
 @given(params=param_dicts, algo=st.none() | algorithms)

@@ -108,10 +108,10 @@ def test_runner_matches_serial_under_spawn(name, baselines):
 
 
 def test_crash_resume_mid_churn_sweep(baselines, tmp_path):
-    """Kill the harness halfway through the elastic churn sweep; the
-    resumed run replays the finished churn points from the cache and
+    """Kill the harness halfway through the elastic churn sweep; a
+    rerun serves the finished churn points from the cache and
     recomputes only the remainder, byte-identically."""
-    from repro.experiments.runner import ResultCache, RunJournal
+    from repro.experiments.runner import ResultCache
     from tests.test_runner_resume import HarnessKiller
     from repro.faults import FaultSchedule, NodeCrash
 
@@ -121,21 +121,18 @@ def test_crash_resume_mid_churn_sweep(baselines, tmp_path):
     kill_after = len(specs) // 2
     serial_payloads, serial_text = baselines["elastic"]
     cache = ResultCache(tmp_path / "cache")
-    journal = RunJournal(tmp_path / "journal.jsonl")
     killer = HarnessKiller(FaultSchedule((NodeCrash(at=float(kill_after)),)))
 
     with pytest.raises(KeyboardInterrupt):
-        ExperimentRunner(cache=cache, journal=journal,
-                         progress=killer).run(specs)
-    assert len(journal.completed()) == kill_after
+        ExperimentRunner(cache=cache, progress=killer).run(specs)
+    assert len(cache) == kill_after
 
-    resumed = ExperimentRunner(cache=cache, journal=journal,
-                               resume=True).run(specs)
-    assert resumed.ok
-    assert resumed.resumed == kill_after
-    assert resumed.executed == len(specs) - kill_after
-    assert canonical_json(resumed.payloads) == canonical_json(serial_payloads)
-    assert plan.render(plan.assemble(resumed.payloads)) == serial_text
+    rerun = ExperimentRunner(cache=cache).run(specs)
+    assert rerun.ok
+    assert rerun.cache_hits == kill_after
+    assert rerun.executed == len(specs) - kill_after
+    assert canonical_json(rerun.payloads) == canonical_json(serial_payloads)
+    assert plan.render(plan.assemble(rerun.payloads)) == serial_text
 
 
 def test_row_ordering_stable_across_reruns(baselines):

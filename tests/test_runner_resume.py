@@ -1,12 +1,13 @@
-"""Crash/resume: an interrupted run continues without recomputation.
+"""Crash, then rerun: an interrupted run continues without recomputation.
 
 The kill point comes from a :class:`repro.faults.FaultSchedule`: a
 ``NodeCrash(at=N)`` is interpreted as "the host running the harness
 dies after N completed jobs" and delivered through the runner's
 progress callback as a ``KeyboardInterrupt`` -- the same path a real
-Ctrl-C or SIGINT takes.  After the crash, a ``resume=True`` run must
+Ctrl-C or SIGINT takes.  The result cache is the only record of
+finished work, so after the crash a plain rerun over the same cache must
 
-* replay every completed job from the cache (cache-hit counters prove
+* serve every completed job from the cache (cache-hit counters prove
   no recomputation),
 * execute only the remainder, and
 * produce payloads byte-identical to an uninterrupted run.
@@ -19,7 +20,6 @@ from repro.experiments.common import canonical_json
 from repro.experiments.runner import (
     ExperimentRunner,
     ResultCache,
-    RunJournal,
     job_digest,
 )
 from repro.faults import FaultSchedule, NodeCrash
@@ -58,95 +58,77 @@ def test_crash_then_resume_matches_uninterrupted(kill_after, tmp_path,
                                                  uninterrupted):
     specs = batch_specs()
     cache = ResultCache(tmp_path / "cache")
-    journal = RunJournal(tmp_path / "journal.jsonl")
     schedule = FaultSchedule((NodeCrash(at=float(kill_after)),))
     killer = HarnessKiller(schedule)
 
     with pytest.raises(KeyboardInterrupt):
-        ExperimentRunner(cache=cache, journal=journal,
-                         progress=killer).run(specs)
-
-    events = journal.events()
-    assert events[-1]["event"] == "interrupted"
-    assert events[-1]["completed"] == kill_after
-    completed = journal.completed()
-    assert len(completed) == kill_after
+        ExperimentRunner(cache=cache, progress=killer).run(specs)
+    assert len(cache) == kill_after
 
     tel = TelemetryCollector()
-    resumed = ExperimentRunner(cache=cache, journal=journal, resume=True,
-                               telemetry=tel).run(specs)
-    assert resumed.ok
-    assert resumed.resumed == kill_after
-    assert resumed.executed == len(specs) - kill_after
+    rerun = ExperimentRunner(cache=cache, telemetry=tel).run(specs)
+    assert rerun.ok
+    assert rerun.cache_hits == kill_after
+    assert rerun.executed == len(specs) - kill_after
     hits = [m for m in tel.metrics.snapshot()
             if m["name"] == "runner.cache.hit"]
     assert hits and hits[0]["value"] == kill_after
-    assert canonical_json(resumed.payloads) == uninterrupted
+    assert canonical_json(rerun.payloads) == uninterrupted
 
 
 def test_resume_after_clean_run_executes_nothing(tmp_path, uninterrupted):
     specs = batch_specs()
     cache = ResultCache(tmp_path / "cache")
-    journal = RunJournal(tmp_path / "journal.jsonl")
-    first = ExperimentRunner(cache=cache, journal=journal).run(specs)
+    first = ExperimentRunner(cache=cache).run(specs)
     assert first.ok
-    again = ExperimentRunner(cache=cache, journal=journal,
-                             resume=True).run(specs)
+    again = ExperimentRunner(cache=cache).run(specs)
     assert again.executed == 0
-    assert again.resumed == len(specs)
+    assert again.cache_hits == len(specs)
     assert canonical_json(again.payloads) == uninterrupted
 
 
 def test_resume_distrusts_stale_journal_digests(tmp_path, uninterrupted):
-    """A journal entry whose digest no longer matches is recomputed."""
+    """A payload stored under an outdated digest is never served."""
     specs = batch_specs()
     cache = ResultCache(tmp_path / "cache")
-    journal = RunJournal(tmp_path / "journal.jsonl")
-    # Forge a completed record under an outdated digest (as if the code
-    # or config changed between the crash and the resume).
-    journal.append({"event": "job_done", "job_id": specs[0].job_id,
-                    "digest": "0" * 64, "status": "ok"})
-    report = ExperimentRunner(cache=cache, journal=journal,
-                              resume=True).run(specs)
+    # Forge a finished payload under an outdated digest (as if the code
+    # or config changed between the crash and the rerun).
+    cache.put("0" * 64, specs[0].job_id, {"forged": True})
+    report = ExperimentRunner(cache=cache).run(specs)
     assert report.ok
-    assert report.resumed == 0          # forged entry was not trusted
+    assert report.cache_hits == 0       # the forged entry was not served
     assert report.executed == len(specs)
     assert canonical_json(report.payloads) == uninterrupted
 
 
 def test_resume_survives_missing_cache_entry(tmp_path, uninterrupted):
-    """Journal says done but the cache entry is gone -> recompute."""
+    """A finished job whose cache entry is gone is recomputed."""
     specs = batch_specs()
     cache = ResultCache(tmp_path / "cache")
-    journal = RunJournal(tmp_path / "journal.jsonl")
     killer = HarnessKiller(FaultSchedule((NodeCrash(at=4.0),)))
     with pytest.raises(KeyboardInterrupt):
-        ExperimentRunner(cache=cache, journal=journal,
-                         progress=killer).run(specs)
+        ExperimentRunner(cache=cache, progress=killer).run(specs)
     victim = specs[0]
     cache.path(job_digest(victim)).unlink()
-    resumed = ExperimentRunner(cache=cache, journal=journal,
-                               resume=True).run(specs)
-    assert resumed.ok
-    assert resumed.resumed == 3         # 4 journaled, 1 evicted
-    assert resumed.executed == len(specs) - 3
-    assert canonical_json(resumed.payloads) == uninterrupted
+    rerun = ExperimentRunner(cache=cache).run(specs)
+    assert rerun.ok
+    assert rerun.cache_hits == 3        # 4 finished, 1 evicted
+    assert rerun.executed == len(specs) - 3
+    assert canonical_json(rerun.payloads) == uninterrupted
 
 
 def test_interrupt_mid_pool_run_is_resumable(tmp_path, uninterrupted):
-    """The pool path persists the journal on interrupt too."""
+    """The pool path leaves every settled job in the cache too."""
     specs = batch_specs()
     cache = ResultCache(tmp_path / "cache")
-    journal = RunJournal(tmp_path / "journal.jsonl")
     killer = HarnessKiller(FaultSchedule((NodeCrash(at=6.0),)))
     with pytest.raises(KeyboardInterrupt):
-        ExperimentRunner(max_workers=2, cache=cache, journal=journal,
+        ExperimentRunner(max_workers=2, cache=cache,
                          progress=killer).run(specs)
-    assert journal.events()[-1]["event"] == "interrupted"
-    done_before = len(journal.completed())
+    done_before = len(cache)
     assert done_before >= 6
-    resumed = ExperimentRunner(cache=cache, journal=journal,
-                               resume=True).run(specs)
-    assert resumed.ok
-    assert resumed.resumed == done_before
-    assert canonical_json(resumed.payloads) == uninterrupted
+    rerun = ExperimentRunner(cache=cache).run(specs)
+    assert rerun.ok
+    assert rerun.cache_hits == done_before
+    assert rerun.executed == len(specs) - done_before
+    assert canonical_json(rerun.payloads) == uninterrupted
