@@ -34,7 +34,7 @@ def test_partition_granularity(benchmark, report):
     cluster = ec2_v100_cluster(8)
     algo = OneBit()
 
-    strategy = CaSyncPS(selective=False, adaptive=True)
+    strategy = CaSyncPS()
     name = model.gradients[0].name
 
     def run_sweep():

@@ -43,8 +43,7 @@ _API_NAMES = frozenset({
     "random_membership_schedule", "recommend", "run_elastic",
     "static_membership",
     "AdaptivePass", "GraphCache", "SyncPlan", "build_plan",
-    "default_graph_cache", "get_pass", "list_passes", "register_pass",
-    "sync_plan_dump", "verify_plan",
+    "default_graph_cache", "sync_plan_dump", "verify_plan",
     "PlanCheckError", "PlanReport", "check_plan",
     "CompressionPolicy", "DecisionLog", "DecisionMap", "GradientDecision",
     "PolicyController", "PolicyRun", "parse_policy", "run_policy",

@@ -6,7 +6,7 @@ norm/sparsity regime, and layer size -- behind the typed
 :class:`CompressionPolicy` surface.  See ``docs/ADAPTIVE.md``.
 """
 
-from .accordion import AccordionController, AdaptiveAlgorithm
+from .accordion import AccordionController
 from .controller import DecisionLog, PolicyController
 from .policy import POLICY_KINDS, AlgoSpec, CompressionPolicy, parse_policy
 from .runtime import PLANNER_KINDS, PolicyRun, run_policy
@@ -14,7 +14,6 @@ from .signals import BandwidthTracker, GradientSignal, SyntheticGradientStream
 
 __all__ = [
     "AccordionController",
-    "AdaptiveAlgorithm",
     "AlgoSpec",
     "BandwidthTracker",
     "CompressionPolicy",

@@ -30,6 +30,7 @@ from ..cluster import CLUSTER_PRESETS, get_cluster
 from ..errors import ConfigError
 from ..experiments.common import format_table
 from .controller import DecisionLog
+from .policy import parse_policy
 from .runtime import PLANNER_KINDS, run_policy
 
 
@@ -61,20 +62,31 @@ def main(argv=None) -> int:
                              "(single policy only)")
     args = parser.parse_args(argv)
 
-    policies = args.policy or ["fixed:algorithm=onebit"]
-    if (args.save_log or args.replay) and len(policies) != 1:
+    specs = args.policy or ["fixed:algorithm=onebit"]
+    if (args.save_log or args.replay) and len(specs) != 1:
         parser.error("--save-log/--replay take exactly one --policy")
+    if args.nodes is not None and args.nodes < 1:
+        parser.error(f"--nodes must be at least 1, got {args.nodes}")
+    try:
+        policies = [parse_policy(spec) for spec in specs]
+    except ConfigError as exc:
+        parser.error(str(exc))
 
     cluster = get_cluster(args.cluster, num_nodes=args.nodes)
     replay = None
     if args.replay:
-        replay = DecisionLog.from_json(Path(args.replay).read_text())
+        try:
+            replay = DecisionLog.from_json(Path(args.replay).read_text())
+        except (OSError, ValueError, LookupError, TypeError,
+                AttributeError) as exc:
+            parser.error(f"--replay {args.replay}: cannot read a decision "
+                         f"log ({type(exc).__name__}: {exc})")
 
     runs = []
-    for spec in policies:
+    for policy in policies:
         try:
             runs.append(run_policy(
-                args.model, cluster, spec, strategy=args.strategy,
+                args.model, cluster, policy, strategy=args.strategy,
                 iterations=args.iterations, replay=replay))
         except ConfigError as exc:
             parser.error(str(exc))

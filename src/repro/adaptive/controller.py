@@ -107,6 +107,9 @@ class DecisionLog:
              "decisions": e["decisions"],
              "bandwidth_gbps": e.get("bandwidth_gbps")}
             for e in obj.get("entries", [])]
+        for entry in log.entries:  # a malformed decision fails the load
+            for decision in entry["decisions"].values():
+                GradientDecision.from_json_obj(decision)
         return log
 
     def __len__(self) -> int:

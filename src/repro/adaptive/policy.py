@@ -2,17 +2,17 @@
 
 A :class:`CompressionPolicy` is a frozen, hashable *description* of how
 compression should be chosen -- which codecs are on the palette, which
-signals drive the choice, and the knobs of the chooser.  It replaces the
-ad-hoc ``algorithm=`` / ``algorithm_params=`` kwargs of ``run_system`` /
-``TrainingJob`` (kept as deprecation shims) and is accepted by all three
-entry points plus the CLI (:func:`parse_policy`).
+signals drive the choice, and the knobs of the chooser.  A policy enters
+a run through :func:`repro.adaptive.run_policy` (or its CLI, which reads
+:func:`parse_policy`'s grammar); ``run_system`` and ``TrainingJob`` take
+one codec through ``algorithm=`` / ``algorithm_params=``.
 
 Four constructors:
 
 * :meth:`CompressionPolicy.fixed` -- one codec, statically, for every
   gradient: *exactly* the pre-adaptive behaviour.  A fixed policy runs
   the original static pipeline (no AdaptivePass, no DecisionMap), so its
-  plans and trace hashes are bit-identical to the legacy kwargs.
+  plans and trace hashes are bit-identical to ``algorithm=``.
 * :meth:`CompressionPolicy.size_adaptive` -- Hivemind-style
   ``SizeAdaptiveCompression`` switching (SNIPPETS.md §1): gradients at or
   above ``threshold_bytes`` use the ``large`` codec, the rest use
@@ -27,11 +27,15 @@ Four constructors:
   critical regimes (rapid norm change), the aggressive one outside.
 
 Policies are pure data: instantiating codecs, planners, and trackers is
-:class:`repro.adaptive.controller.PolicyController`'s job.
+:class:`repro.adaptive.controller.PolicyController`'s job.  Each
+constructor checks its knobs: thresholds and the bandwidth quantum must
+be finite and positive, smoothing factors finite and in [0, 1).
 """
 
 from __future__ import annotations
 
+import inspect
+import math
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
@@ -45,6 +49,23 @@ POLICY_KINDS = ("fixed", "size", "bandwidth", "accordion")
 #: Policy kind -> its primary palette key (see CompressionPolicy.primary_key).
 _PRIMARY_KEYS = {"fixed": "algorithm", "size": "large",
                  "bandwidth": "algorithm", "accordion": "conservative"}
+
+
+def _knob(name: str, value, smoothing: bool = False) -> float:
+    """``value`` as a float, or a typed error: finite and > 0, or, for a
+    ``smoothing`` factor, finite and in [0, 1)."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        number = math.nan
+    if smoothing:
+        valid, bound = 0 <= number < 1, "a number in [0, 1)"
+    else:
+        valid, bound = math.isfinite(number) and number > 0, \
+            "a finite number > 0"
+    if not valid:
+        raise ConfigError(name, value, [], hint=f"{name} must be {bound}")
+    return number
 
 
 def _params_tuple(params: Optional[Dict]) -> Tuple:
@@ -140,10 +161,7 @@ class CompressionPolicy:
                       large_params: Optional[Dict] = None,
                       seed: str = "adaptive") -> "CompressionPolicy":
         """Hivemind-style switching on layer size (SNIPPETS.md §1)."""
-        if threshold_bytes <= 0:
-            raise ConfigError(
-                "threshold_bytes", threshold_bytes, [],
-                hint="the size threshold must be positive")
+        threshold_bytes = _knob("threshold_bytes", threshold_bytes)
         large_spec = AlgoSpec.of(large, large_params)
         if large_spec.name is None:
             raise ConfigError(
@@ -153,7 +171,7 @@ class CompressionPolicy:
             kind="size",
             palette=(("large", large_spec),
                      ("small", AlgoSpec.of(small, small_params))),
-            knobs=(("threshold_bytes", float(threshold_bytes)),),
+            knobs=(("threshold_bytes", threshold_bytes),),
             seed=seed)
 
     @classmethod
@@ -163,6 +181,8 @@ class CompressionPolicy:
                            quantum_gbps: float = 2.0,
                            seed: str = "adaptive") -> "CompressionPolicy":
         """Re-plan <compress?, K> under the measured link bandwidth."""
+        smoothing = _knob("smoothing", smoothing, smoothing=True)
+        quantum_gbps = _knob("quantum_gbps", quantum_gbps)
         spec = AlgoSpec.of(algorithm, params)
         if spec.name is None:
             raise ConfigError(
@@ -172,8 +192,7 @@ class CompressionPolicy:
         return cls(
             kind="bandwidth",
             palette=(("algorithm", spec),),
-            knobs=(("smoothing", float(smoothing)),
-                   ("quantum_gbps", float(quantum_gbps))),
+            knobs=(("smoothing", smoothing), ("quantum_gbps", quantum_gbps)),
             seed=seed)
 
     @classmethod
@@ -184,6 +203,8 @@ class CompressionPolicy:
                   threshold: float = 0.5, smoothing: float = 0.8,
                   seed: str = "adaptive") -> "CompressionPolicy":
         """Accordion regime switching (conservative codec when critical)."""
+        threshold = _knob("threshold", threshold)
+        smoothing = _knob("smoothing", smoothing, smoothing=True)
         cons = AlgoSpec.of(conservative, conservative_params)
         aggr = AlgoSpec.of(aggressive, aggressive_params)
         if cons.name is None or aggr.name is None:
@@ -194,8 +215,7 @@ class CompressionPolicy:
         return cls(
             kind="accordion",
             palette=(("conservative", cons), ("aggressive", aggr)),
-            knobs=(("threshold", float(threshold)),
-                   ("smoothing", float(smoothing))),
+            knobs=(("threshold", threshold), ("smoothing", smoothing)),
             seed=seed)
 
     # -- accessors ----------------------------------------------------------
@@ -293,27 +313,22 @@ def parse_policy(text: str) -> CompressionPolicy:
                 hint="fixed needs an algorithm, e.g. fixed:onebit")
         params = {k: coerce(v) for k, v in named.items()}
         return CompressionPolicy.fixed(algorithm, params or None)
-    if kind == "bandwidth":
-        if bare:
-            named.setdefault("algorithm", bare[0])
-        kwargs = {k: coerce(v) for k, v in named.items()}
-        return CompressionPolicy.bandwidth_adaptive(**kwargs)
-    if kind == "size":
-        if bare:
-            named.setdefault("large", bare[0])
-        kwargs = {k: coerce(v) for k, v in named.items()}
-        return CompressionPolicy.size_adaptive(**kwargs)
     if bare:
-        named.setdefault("conservative", bare[0])
-    kwargs = {k: coerce(v) for k, v in named.items()}
-    return CompressionPolicy.accordion(**kwargs)
+        named.setdefault(_PRIMARY_KEYS[kind], bare[0])
+    build = {"size": CompressionPolicy.size_adaptive,
+             "bandwidth": CompressionPolicy.bandwidth_adaptive,
+             "accordion": CompressionPolicy.accordion}[kind]
+    known = inspect.signature(build).parameters
+    for key in named:
+        if key not in known:
+            raise ConfigError(f"{kind} policy knob", key, known,
+                              hint=f"in policy {text!r}")
+    return build(**{k: coerce(v) for k, v in named.items()})
 
 
-def resolve_policy(policy, algorithm=None,
-                   algorithm_params=None) -> CompressionPolicy:
+def resolve_policy(policy) -> CompressionPolicy:
     """``policy`` (a :class:`CompressionPolicy` or policy string) as a
-    policy, refusing the legacy ``algorithm=``/``algorithm_params=``
-    kwargs alongside it -- mixing the two surfaces is ambiguous."""
+    policy; anything else is a typed error."""
     if isinstance(policy, str):
         policy = parse_policy(policy)
     if not isinstance(policy, CompressionPolicy):
@@ -321,9 +336,4 @@ def resolve_policy(policy, algorithm=None,
             "policy", policy, ["CompressionPolicy", "policy string"],
             hint="build one via CompressionPolicy.fixed/size_adaptive/"
                  "bandwidth_adaptive/accordion")
-    if algorithm is not None or algorithm_params is not None:
-        raise ConfigError(
-            "algorithm", algorithm, [],
-            hint="pass policy= or the legacy algorithm=/"
-                 "algorithm_params= kwargs, not both")
     return policy

@@ -8,13 +8,13 @@ BSP iterations of one (model, cluster, strategy) under a
 controller.observe`` -- each iteration.
 
 * A **fixed** policy takes the original static path (no AdaptivePass, no
-  DecisionMap): plans, graphs, and trace hashes are bit-identical to the
-  legacy ``algorithm=`` kwargs.
-* An **adaptive** policy runs the strategy with
-  :class:`~repro.casync.passes.AdaptivePass`
-  (``get_strategy(name, selective=False, adaptive=True)``): the
-  controller's DecisionMap replaces the static §3.3 pass, and each
-  distinct map is content-keyed into the graph cache (identical maps
+  DecisionMap): plans, graphs, and trace hashes are bit-identical to
+  ``algorithm=``.
+* An **adaptive** policy passes each iteration's DecisionMap to
+  ``simulate_iteration(decisions=...)``, which runs
+  :class:`~repro.casync.passes.AdaptivePass` in the static §3.3
+  SelectivePass's place (:func:`~repro.casync.passes.strategy_pipeline`).
+  Each distinct map is content-keyed into the graph cache (identical maps
   replay warm; see ``docs/ADAPTIVE.md``).
 
 Replay: pass ``replay=DecisionLog`` (e.g. parsed from a previous run's
@@ -115,11 +115,11 @@ def run_policy(model, cluster, policy,
                  "CaSync strategy")
 
     results = []
+    strat = get_strategy(strategy, pipelining=pipelining, bulk=bulk)
     if policy.is_fixed:
-        # The static path, untouched: same strategy flags and
-        # (decisions-free) graph-cache keys as the legacy kwargs.
+        # The static path, untouched: the same (decisions-free)
+        # graph-cache keys as algorithm=.
         algorithm = policy.fixed_algorithm().instantiate()
-        strat = get_strategy(strategy, pipelining=pipelining, bulk=bulk)
         log = DecisionLog(policy)
         for _ in range(iterations):
             results.append(simulate_iteration(
@@ -130,10 +130,6 @@ def run_policy(model, cluster, policy,
 
     controller = PolicyController(policy, model, cluster,
                                   planner_kind=PLANNER_KINDS[strategy])
-    # Adaptive decisions supersede the static SelectivePass, whose §3.3
-    # verdicts the controller already folds in.
-    strat = get_strategy(strategy, pipelining=pipelining, bulk=bulk,
-                         selective=False, adaptive=True)
     # The plan-wide default codec: only consulted for ops outside any
     # gradient's decision (e.g. ring raw buckets); decisions always name
     # their palette entry explicitly.

@@ -43,11 +43,7 @@ class ErrorFeedback:
                     f"tensor {name!r} changed size: "
                     f"{residual.size} -> {grad.size}")
             grad = grad + residual
-        encode_named = getattr(self.algorithm, "encode_named", None)
-        if encode_named is not None:
-            buffer = encode_named(name, grad)  # adaptive codecs track by name
-        else:
-            buffer = self.algorithm.encode(grad)
+        buffer = self.algorithm.encode(grad)
         self._residuals[name] = grad - self.algorithm.decode(buffer)
         return buffer
 

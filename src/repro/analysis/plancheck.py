@@ -975,8 +975,7 @@ def iter_cases() -> Iterator[Tuple[str, Callable[[], Tuple[SyncPlan,
                 policy, model, cluster,
                 planner_kind=PLANNER_KINDS[strategy_name])
             decisions = controller.decide(0)
-            strategy = get_strategy(strategy_name, selective=False,
-                                    adaptive=True)
+            strategy = get_strategy(strategy_name)
             pctx = PassContext(
                 num_nodes=cluster.num_nodes, cluster=cluster,
                 algorithm=controller.palette[policy.primary_key],
@@ -1001,7 +1000,7 @@ def _run_mutants(out: Any) -> int:
         if status == "MISSED":
             failed += 1
         rules = ",".join(sorted(result.rules)) or "-"
-        print(f"{status:>7} {result.name:<26} pass={result.target_pass:<18}"
+        print(f"{status:>7} {result.name:<26} pass={result.broken_pass:<18}"
               f" expected={result.expected_rule} got={rules}"
               f" verify_missed={result.verify_missed}", file=out)
     print(f"{len(results) - failed}/{len(results)} mutants caught with "

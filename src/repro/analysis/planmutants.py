@@ -48,7 +48,7 @@ class MutantSpec:
     """One seeded defect: which pass broke, and the finding that proves it."""
 
     name: str
-    target_pass: str
+    broken_pass: str
     expected_rule: str
     description: str
 
@@ -58,7 +58,7 @@ class MutantResult:
     """The corpus verdict for one mutant."""
 
     name: str
-    target_pass: str
+    broken_pass: str
     expected_rule: str
     rules: Tuple[str, ...]        # every rule PlanCheck reported
     caught: bool                  # expected_rule in rules
@@ -66,7 +66,7 @@ class MutantResult:
 
 
 def _victim(strategy_name: str = "casync-ps", selective: bool = False,
-            adaptive: bool = False) -> Tuple[SyncPlan, PassContext]:
+            with_decisions: bool = False) -> Tuple[SyncPlan, PassContext]:
     """A freshly-built, fully-verified plan for the mutators to corrupt."""
     from ..casync.planner import PLANNER_KINDS
     from ..cluster import ec2_v100_cluster
@@ -78,7 +78,7 @@ def _victim(strategy_name: str = "casync-ps", selective: bool = False,
     cluster = ec2_v100_cluster(4)
     algorithm = default_algorithm("onebit")
     decisions = None
-    if adaptive:
+    if with_decisions:
         from ..adaptive.controller import PolicyController
         from ..adaptive.policy import CompressionPolicy
         controller = PolicyController(
@@ -86,8 +86,7 @@ def _victim(strategy_name: str = "casync-ps", selective: bool = False,
             planner_kind=PLANNER_KINDS[strategy_name])
         decisions = controller.decide(0)
         algorithm = controller.palette["large"]
-    strategy = get_strategy(strategy_name, selective=selective,
-                            adaptive=adaptive)
+    strategy = get_strategy(strategy_name, selective=selective)
     pctx = PassContext(
         num_nodes=cluster.num_nodes, cluster=cluster, algorithm=algorithm,
         decisions=decisions)
@@ -192,7 +191,7 @@ def _mutate_adaptive() -> Tuple[SyncPlan, PassContext]:
     """AdaptivePass bug: a palette override recorded in the DecisionMap
     never lands on the directive (so lowering would cost the wrong
     codec, and replay diverges from the log)."""
-    plan, pctx = _victim(adaptive=True)
+    plan, pctx = _victim(with_decisions=True)
     assert pctx.decisions is not None
     for name in sorted(plan.directives):
         dec = pctx.decisions.get(name)
@@ -252,7 +251,7 @@ def run_corpus() -> List[MutantResult]:
         report = check_plan(plan, pctx=pctx)
         rules = tuple(sorted({d.rule for d in report.diagnostics}))
         results.append(MutantResult(
-            name=spec.name, target_pass=spec.target_pass,
+            name=spec.name, broken_pass=spec.broken_pass,
             expected_rule=spec.expected_rule, rules=rules,
             caught=spec.expected_rule in rules,
             verify_missed=verify_missed))

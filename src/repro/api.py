@@ -102,9 +102,6 @@ from .casync import (
     GradientDecision,
     SyncPlan,
     build_plan,
-    get_pass,
-    list_passes,
-    register_pass,
     verify_plan,
 )
 from .casync.lower import (
@@ -198,8 +195,7 @@ __all__ = [
     "static_membership",
     # sync-plan IR (see docs/SYNC_IR.md)
     "AdaptivePass", "GraphCache", "SyncPlan", "build_plan",
-    "default_graph_cache", "get_pass", "list_passes", "register_pass",
-    "sync_plan_dump", "verify_plan",
+    "default_graph_cache", "sync_plan_dump", "verify_plan",
     # whole-plan analyzer (see docs/ANALYSIS.md)
     "PlanCheckError", "PlanReport", "check_plan",
     # adaptive control plane (see docs/ADAPTIVE.md)

@@ -21,9 +21,6 @@ from .passes import (
     SelectivePass,
     VerifyPass,
     build_plan,
-    get_pass,
-    list_passes,
-    register_pass,
     verify_plan,
 )
 from .planner import (
@@ -66,10 +63,7 @@ __all__ = [
     "SyncPlan",
     "VerifyPass",
     "build_plan",
-    "get_pass",
     "plan_index",
-    "list_passes",
-    "register_pass",
     "verify_plan",
     "Role",
     "buffer_lifetimes",

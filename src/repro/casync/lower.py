@@ -52,11 +52,11 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..algorithms.base import CompressionAlgorithm
 from .index import plan_index
 from .ir import ALLOCATES_OUTPUT, AS_CPU, BULK, ON_CPU, OP_KINDS, SyncPlan
 from .ir import SEND as SEND_OP
-from .passes import PassContext, build_plan, wire_nbytes, wire_size
+from .passes import (PassContext, build_plan, strategy_pipeline, wire_nbytes,
+                     wire_size)
 from .tasks import BULK_SEND, ROUTES, SEND, SuccessorCSR, TaskGraph
 
 __all__ = [
@@ -373,12 +373,11 @@ def instantiate(recipe: LoweredRecipe, ctx) -> TaskGraph:
 # -- cache keys --------------------------------------------------------------
 
 def _algorithm_token(algorithm) -> Optional[Tuple]:
-    """Recursive identity of a compression algorithm (nested codecs too,
-    e.g. AdaptiveAlgorithm's conservative/aggressive pair)."""
+    """Identity of a compression algorithm: class, name, scalar
+    attributes and size-model probes."""
     if algorithm is None:
         return None
     scalars: List[Tuple] = []
-    nested: List[Tuple] = []
     try:
         attrs = vars(algorithm)
     except TypeError:
@@ -387,13 +386,11 @@ def _algorithm_token(algorithm) -> Optional[Tuple]:
         value = attrs[key]
         if isinstance(value, (bool, int, float, str)):
             scalars.append((key, value))
-        elif isinstance(value, CompressionAlgorithm):
-            nested.append((key, _algorithm_token(value)))
     # Size-model probes catch parameterizations the attribute scan missed
     # (slotted classes, derived state).
     probes = tuple(algorithm.compressed_nbytes(s) for s in (64, 4096, 262144))
     return (type(algorithm).__name__, getattr(algorithm, "name", ""),
-            tuple(scalars), tuple(nested), probes)
+            tuple(scalars), probes)
 
 
 def _decisions_token(decisions) -> Optional[Tuple]:
@@ -414,7 +411,8 @@ def _decisions_token(decisions) -> Optional[Tuple]:
 def cache_key(strategy, model, pctx: PassContext) -> Tuple:
     """Identity of a lowered graph: everything the recipe depends on.
 
-    Passes contribute their *name and parameter token* (a name alone
+    The passes :func:`~repro.casync.passes.strategy_pipeline` picks for
+    ``pctx`` contribute their *name and parameter token* (a name alone
     would alias two differently-tuned instances of the same pass), and
     adaptive decision maps are content-keyed via :func:`_decisions_token`.
     Hardware identity comes from :meth:`ClusterSpec.hardware_token`,
@@ -425,7 +423,8 @@ def cache_key(strategy, model, pctx: PassContext) -> Tuple:
     """
     return (
         (strategy.name,
-         tuple((p.name, p.cache_token()) for p in strategy.passes()),
+         tuple((p.name, p.cache_token())
+               for p in strategy_pipeline(strategy, pctx)),
          strategy.cache_token()),
         (model.name, tuple((g.name, g.nbytes) for g in model.gradients)),
         pctx.cluster.hardware_token(),

@@ -31,15 +31,14 @@ and the fan-in threshold (:class:`CollapseFanInPass`'s constructor
 default).  The coordinator's batching policy lives in
 :class:`~repro.casync.tasks.Coordinator`'s constructor defaults.
 
-Passes are also a *registry* (:func:`register_pass` / :func:`get_pass` /
-:func:`list_passes`): strategies build their pipelines from pass names,
-and third-party passes plug in without editing this module.  The adaptive
-control plane's decision point is :class:`AdaptivePass` (directive
-phase): it applies a per-gradient
+The passes that run are a function of the strategy's flags and of
+whether the run carries decisions (:func:`strategy_pipeline`).  The
+adaptive control plane's decision point is :class:`AdaptivePass`
+(directive phase): it applies a per-gradient
 :class:`~repro.casync.decisions.DecisionMap` -- computed by a
 :class:`~repro.adaptive.controller.PolicyController` from observed
 bandwidth / gradient-regime / size signals -- onto the plan's directives,
-overriding the static §3.3 verdicts.  Decisions are content-keyed into
+in place of the static §3.3 verdicts.  Decisions are content-keyed into
 the graph-cache token by :func:`repro.casync.lower.cache_key`.
 """
 
@@ -47,8 +46,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import (Any, Callable, Dict, List, Optional, Sequence, Tuple,
-                    Type)
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -75,9 +73,7 @@ __all__ = [
     "SelectivePass",
     "VerifyPass",
     "build_plan",
-    "get_pass",
-    "list_passes",
-    "register_pass",
+    "strategy_pipeline",
     "verify_plan",
     "wire_nbytes",
     "wire_size",
@@ -258,31 +254,26 @@ class AdaptivePass(Pass):
     (``Directive.algorithm``), and propose a partition count that
     :class:`PartitionPass` later promotes into structure.
 
-    Runs after :class:`SelectivePass` (adaptive verdicts override the
-    static §3.3 planner where both are present) and before
-    :class:`PartitionPass`.  Raises a typed
-    :class:`~repro.errors.ConfigError` when no decisions were supplied or
-    a gradient has none: silent partial coverage would make replay
-    ambiguous.
+    Replaces :class:`SelectivePass` whenever the run carries decisions
+    (:func:`strategy_pipeline`; the controller already folds the §3.3
+    verdicts in) and runs before :class:`PartitionPass`.  Raises a typed
+    :class:`~repro.errors.ConfigError` when a gradient has no decision:
+    silent partial coverage would make replay ambiguous.
     """
 
     name = "adaptive"
     phase = "directive"
 
     def run(self, plan: SyncPlan, pctx: PassContext) -> None:
-        if pctx.decisions is None:
-            raise ConfigError(
-                "decisions", None, [],
-                hint="AdaptivePass needs a DecisionMap: run through a "
-                     "CompressionPolicy (repro.adaptive) or pass "
-                     "decisions= to simulate_iteration")
+        decisions = pctx.decisions  # strategy_pipeline's condition
+        assert decisions is not None
         overridden = 0
         for name in plan.directives:
             directive = plan.directives[name]
-            dec = pctx.decisions.get(name)
+            dec = decisions.get(name)
             if dec is None:
                 raise ConfigError(
-                    "decision", name, sorted(pctx.decisions.decisions),
+                    "decision", name, sorted(decisions.decisions),
                     hint="the DecisionMap must cover every gradient in "
                          "the model")
             directive.compress = dec.compress
@@ -515,61 +506,6 @@ class MembershipPass(Pass):
         plan.meta["epoch"] = self.epoch
 
 
-# -- pass registry -----------------------------------------------------------
-#
-# Strategies assemble their pipelines from pass *names*, and third-party
-# passes register here (via repro.api.register_pass) instead of editing
-# this module.  Names must be unique; lookup failures raise a typed
-# ConfigError carrying the valid choices.
-
-_PASS_REGISTRY: Dict[str, Type[Pass]] = {}
-
-
-def register_pass(cls: Type[Pass]) -> Type[Pass]:
-    """Register a :class:`Pass` subclass under its ``name``.
-
-    Usable as a decorator.  Re-registering a name is rejected unless it
-    is the same class (idempotent re-imports are fine); shadowing a
-    built-in pass silently would make strategy pipelines ambiguous.
-    """
-    if not (isinstance(cls, type) and issubclass(cls, Pass)):
-        raise TypeError(f"register_pass expects a Pass subclass, got {cls!r}")
-    name = cls.name
-    if not name or name == Pass.name:
-        raise ValueError(
-            f"{cls.__name__} must define a unique 'name' class attribute")
-    existing = _PASS_REGISTRY.get(name)
-    if existing is not None and existing is not cls:
-        raise ValueError(
-            f"pass name {name!r} is already registered to "
-            f"{existing.__name__}")
-    _PASS_REGISTRY[name] = cls
-    return cls
-
-
-def get_pass(name: str) -> Type[Pass]:
-    """Look up a registered pass class by name (typed error on miss)."""
-    try:
-        return _PASS_REGISTRY[name]
-    except KeyError:
-        raise ConfigError(
-            "pass", name, sorted(_PASS_REGISTRY),
-            hint="register custom passes via repro.api.register_pass"
-        ) from None
-
-
-def list_passes() -> List[str]:
-    """Names of all registered passes, sorted."""
-    return sorted(_PASS_REGISTRY)
-
-
-for _cls in (SelectivePass, AdaptivePass, PartitionPass,
-             FuseDecodeMergePass, BulkRoutePass, CollapseFanInPass,
-             VerifyPass, MembershipPass):
-    register_pass(_cls)
-del _cls
-
-
 def verify_plan(plan: SyncPlan, name: Optional[str] = None) -> None:
     """Structural verification of a SyncPlan (PC100-PC110).
 
@@ -581,13 +517,27 @@ def verify_plan(plan: SyncPlan, name: Optional[str] = None) -> None:
     plan_index(plan).raise_if_invalid(plan, name)
 
 
+def strategy_pipeline(strategy: Any, pctx: PassContext) -> List[Pass]:
+    """The passes a build of ``strategy`` runs under ``pctx``.
+
+    The strategy's own passes, unless the run carries decisions: then
+    :class:`AdaptivePass` comes first and takes :class:`SelectivePass`'s
+    place.  :func:`build_plan` and :func:`repro.casync.lower.cache_key`
+    both read this list, so a key names exactly the passes its plan ran.
+    """
+    passes: List[Pass] = strategy.passes()
+    if pctx.decisions is None:
+        return passes
+    kept = [p for p in passes if not isinstance(p, SelectivePass)]
+    return [AdaptivePass(), *kept]
+
+
 def build_plan(strategy: Any, pctx: PassContext, model: Any,
                telemetry: Any = None, now: float = 0.0) -> SyncPlan:
     """Run the full frontend pipeline: directives -> expand -> op passes.
 
     ``strategy`` supplies :meth:`~repro.strategies.base.Strategy.expand`
-    (structure) and :meth:`~repro.strategies.base.Strategy.passes` (the
-    optimization list).  :class:`VerifyPass` always runs last, whether or
+    (structure), and :func:`strategy_pipeline` the optimization list.  :class:`VerifyPass` always runs last, whether or
     not the strategy requested it.  ``telemetry`` records one span per
     pass (category ``syncplan``) at simulated time ``now``.
     """
@@ -613,7 +563,8 @@ def build_plan(strategy: Any, pctx: PassContext, model: Any,
             telemetry.finish(span, now, ops=len(plan))
         applied.append(name)
 
-    pipeline = [p for p in strategy.passes() if not isinstance(p, VerifyPass)]
+    pipeline = [p for p in strategy_pipeline(strategy, pctx)
+                if not isinstance(p, VerifyPass)]
     for p in pipeline:
         if p.phase == "directive":
             run_stage(p.name, lambda p=p: p.run(plan, pctx))

@@ -107,8 +107,7 @@ def run_system(system: str, model, cluster: ClusterSpec,
                algorithm: Optional[str] = None,
                algorithm_params: Optional[Dict] = None,
                on_ec2: bool = True,
-               telemetry: Optional[TelemetryCollector] = None,
-               policy=None
+               telemetry: Optional[TelemetryCollector] = None
                ) -> IterationResult:
     """Simulate one iteration of ``model`` under a named system.
 
@@ -116,15 +115,8 @@ def run_system(system: str, model, cluster: ClusterSpec,
     for compression-enabled systems.  Unknown system/model/algorithm names
     raise :class:`~repro.errors.ConfigError` listing the valid choices.
     ``telemetry`` attaches a collector for this run (see
-    :mod:`repro.telemetry`).
-
-    ``policy=`` accepts a :class:`~repro.adaptive.CompressionPolicy` (or
-    policy string) instead of the ``algorithm``/``algorithm_params`` pair.
-    A fixed policy maps onto the identical static path; an adaptive one
-    requires a CaSync system (the AdaptivePass is a SyncPlan-pipeline
-    stage) and returns iteration 0 of
-    :func:`repro.adaptive.run_policy` -- call that directly for the full
-    multi-iteration control loop.
+    :mod:`repro.telemetry`).  A compression policy runs through
+    :func:`repro.adaptive.run_policy` instead.
     """
     try:
         config = SYSTEMS[system]
@@ -137,30 +129,6 @@ def run_system(system: str, model, cluster: ClusterSpec,
             raise ConfigError("model", model, MODEL_NAMES) from None
     if config.tcp_on_ec2 and on_ec2:
         cluster = ec2_tcp_network(cluster)
-    if policy is not None:
-        from ..adaptive.policy import resolve_policy
-        from ..adaptive.runtime import run_policy
-        policy = resolve_policy(policy, algorithm, algorithm_params)
-        if not config.compression:
-            raise ConfigError(
-                "system", system,
-                [k for k, c in SYSTEMS.items() if c.compression],
-                hint="policies pick compression codecs; this system "
-                     "does not compress")
-        if not policy.is_fixed:
-            if config.strategy not in PLANNER_KINDS:
-                raise ConfigError(
-                    "system", system,
-                    [c.key for c in SYSTEMS.values()
-                     if c.strategy in PLANNER_KINDS],
-                    hint="adaptive policies run through the SyncPlan "
-                         "pipeline; use a CaSync-based system")
-            return run_policy(
-                model, cluster, policy, strategy=config.strategy,
-                iterations=1, telemetry=telemetry).results[0]
-        spec = policy.fixed_algorithm()
-        algorithm = spec.name
-        algorithm_params = dict(spec.params)
     algo = None
     if config.compression:
         if algorithm is None:

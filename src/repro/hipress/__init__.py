@@ -1,7 +1,6 @@
 """HiPress: the top-level compression-aware training framework facade."""
 
-from ..adaptive.accordion import AccordionController, AdaptiveAlgorithm
+from ..adaptive.accordion import AccordionController
 from .framework import Profile, TrainingJob
 
-__all__ = ["AccordionController", "AdaptiveAlgorithm", "Profile",
-           "TrainingJob"]
+__all__ = ["AccordionController", "Profile", "TrainingJob"]

@@ -17,11 +17,9 @@ job then performs the steps §5 describes:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Union
+from dataclasses import dataclass
+from typing import Dict, Optional, Union
 
-from ..adaptive.policy import CompressionPolicy, resolve_policy
-from ..adaptive.runtime import PolicyRun, run_policy
 from ..algorithms import available_algorithms
 from ..algorithms.base import CompressionAlgorithm
 from ..casync.planner import (PLANNER_KINDS, CostModel, GradientPlan,
@@ -63,8 +61,7 @@ class TrainingJob:
     def __init__(self, model, algorithm=None,
                  strategy: str = "casync-ps",
                  cluster: Union[ClusterSpec, str, None] = None,
-                 algorithm_params: Optional[Dict] = None,
-                 policy: Union[CompressionPolicy, str, None] = None):
+                 algorithm_params: Optional[Dict] = None):
         if strategy not in PLANNER_KINDS:
             raise ConfigError("strategy", strategy, PLANNER_KINDS)
         if isinstance(model, str):
@@ -74,12 +71,7 @@ class TrainingJob:
                 raise ConfigError("model", model, MODEL_NAMES) from None
         else:
             self.model = model
-        if policy is not None:
-            policy = resolve_policy(policy, algorithm, algorithm_params)
-            # Planning/profiling accessors (.plans, .profile) need one
-            # concrete codec: the policy's primary palette entry.
-            algorithm = policy.instantiate_palette()[policy.primary_key]
-        elif algorithm is None:
+        if algorithm is None:
             algorithm = "onebit"                 # the historical default
         if isinstance(algorithm, str):
             try:
@@ -91,8 +83,6 @@ class TrainingJob:
         else:
             self.algorithm = algorithm
         self.strategy_name = strategy
-        self.policy: Optional[CompressionPolicy] = policy
-        self.last_policy_run: Optional[PolicyRun] = None
         if isinstance(cluster, str):
             try:
                 cluster = get_cluster(cluster)
@@ -141,32 +131,15 @@ class TrainingJob:
 
     def run(self, pipelining: bool = True, bulk: bool = True,
             selective: bool = True,
-            telemetry: Optional[TelemetryCollector] = None,
-            policy: Union[CompressionPolicy, str, None] = None,
-            iterations: int = 1
+            telemetry: Optional[TelemetryCollector] = None
             ) -> IterationResult:
-        """Simulate steady-state iteration(s); returns the last's metrics.
+        """Simulate one steady-state iteration and return its metrics.
 
         Pass ``telemetry=`` a :class:`~repro.telemetry.TelemetryCollector`
         to record spans and metrics for this run (the ambient collector
-        from :func:`repro.telemetry.attach` is used otherwise).
-
-        ``policy=`` (or a job-level policy from the constructor) routes the
-        run through :func:`repro.adaptive.run_policy`: fixed policies take
-        the identical static path; adaptive ones close the decide ->
-        simulate -> observe loop for ``iterations`` iterations (policy runs
-        always plan selectively, so ``selective=False`` has no effect).
-        The full :class:`~repro.adaptive.runtime.PolicyRun` is kept on
-        ``self.last_policy_run``.
+        from :func:`repro.telemetry.attach` is used otherwise).  A
+        compression policy runs through :func:`repro.adaptive.run_policy`.
         """
-        policy = policy if policy is not None else self.policy
-        if policy is not None:
-            run = run_policy(
-                self.model, self.cluster, policy,
-                strategy=self.strategy_name, iterations=iterations,
-                pipelining=pipelining, bulk=bulk, telemetry=telemetry)
-            self.last_policy_run = run
-            return run.results[-1]
         strategy: Strategy = get_strategy(
             self.strategy_name, pipelining=pipelining, bulk=bulk,
             selective=selective)

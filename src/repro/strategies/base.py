@@ -76,9 +76,9 @@ class Strategy(ABC):
     def cache_token(self) -> tuple:
         """Hashable configuration identity for the graph cache.
 
-        The default captures every scalar (or scalar-tuple, e.g.
-        ``extra_passes`` name lists) constructor attribute, which covers
-        all built-in strategies; override for exotic state.
+        The default captures every scalar (or scalar-tuple) constructor
+        attribute, which covers all built-in strategies; override for
+        exotic state.
         """
         try:
             attrs = vars(self)

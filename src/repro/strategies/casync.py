@@ -22,7 +22,9 @@ pass removed":
   the §3.3 planner and honor its per-gradient <compress?, K> verdicts;
   with the pass absent, everything is compressed and K falls back to the
   fixed :data:`~repro.casync.passes.DEFAULT_PART_BYTES` partitioning
-  rule.
+  rule.  A run that carries adaptive decisions applies them with
+  :class:`~repro.casync.passes.AdaptivePass` in this pass's place
+  (:func:`~repro.casync.passes.strategy_pipeline`).
 
 Decode+merge fusion (:class:`~repro.casync.passes.FuseDecodeMergePass`)
 is part of the CaSync architecture itself (§5) and always on.
@@ -36,7 +38,8 @@ from __future__ import annotations
 from typing import List
 
 from ..casync.ir import SyncPlan
-from ..casync.passes import Pass, PassContext, get_pass
+from ..casync.passes import (BulkRoutePass, FuseDecodeMergePass,
+                             PartitionPass, Pass, PassContext, SelectivePass)
 from ..casync.topology import ps_topology, ring_topology
 from ..models import GradientSpec, ModelSpec
 from .base import Strategy
@@ -53,36 +56,21 @@ class _CaSyncBase(Strategy):
     compression = True
 
     def __init__(self, pipelining: bool = True, bulk: bool = True,
-                 selective: bool = True, adaptive: bool = False,
-                 extra_passes=()):
+                 selective: bool = True):
         self.pipelining = pipelining
         self.bulk = bulk
         self.selective = selective
-        #: Insert AdaptivePass (after selective, before partition) so a
-        #: DecisionMap threaded through the SyncContext lands on the
-        #: directives; requires decisions= at simulate time.
-        self.adaptive = adaptive
-        #: Registry names of additional passes appended after the
-        #: built-ins -- the plug-in point for third-party passes
-        #: (repro.api.register_pass).  Unknown names raise ConfigError.
-        self.extra_passes = tuple(extra_passes)
-
-    def pass_names(self) -> List[str]:
-        names: List[str] = []
-        if self.selective:
-            names.append("selective")
-        if self.adaptive:
-            names.append("adaptive")
-        if self.pipelining:
-            names.append("partition")
-        names.append("fuse-decode-merge")
-        if self.bulk:
-            names.append("bulk-route")
-        names.extend(self.extra_passes)
-        return names
 
     def passes(self) -> List[Pass]:
-        return [get_pass(name)() for name in self.pass_names()]
+        passes: List[Pass] = []
+        if self.selective:
+            passes.append(SelectivePass())
+        if self.pipelining:
+            passes.append(PartitionPass())
+        passes.append(FuseDecodeMergePass())
+        if self.bulk:
+            passes.append(BulkRoutePass())
+        return passes
 
 
 class CaSyncPS(_CaSyncBase):

@@ -149,9 +149,10 @@ def simulate_iteration(model: ModelSpec, cluster: ClusterSpec,
     """Simulate one BSP iteration and return its metrics.
 
     ``decisions`` threads one iteration's adaptive per-gradient
-    :class:`~repro.casync.decisions.DecisionMap` into the pass pipeline
-    (the strategy must carry :class:`~repro.casync.passes.AdaptivePass`,
-    e.g. ``get_strategy("casync-ps", adaptive=True)``); decisions are
+    :class:`~repro.casync.decisions.DecisionMap` into the pass pipeline:
+    :class:`~repro.casync.passes.AdaptivePass` then runs in the
+    strategy's SelectivePass's place
+    (:func:`~repro.casync.passes.strategy_pipeline`).  Decisions are
     content-keyed into the graph cache, so changed decisions rebuild the
     plan and identical ones replay warm.
 

@@ -14,7 +14,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.casync.ir import Directive, Op, ReadyRef, SizeExpr, SyncPlan
 from repro.casync.passes import (BULK_ELIGIBLE_BYTES, BulkRoutePass,
                                  CollapseFanInPass, FuseDecodeMergePass,
-                                 VerifyPass)
+                                 VerifyPass, strategy_pipeline)
 
 
 @dataclass
@@ -146,7 +146,8 @@ def oracle_plan_json(strategy, pctx, model, threshold=None):
         plan.directives[grad.name] = Directive(
             gradient=grad.name, nbytes=grad.nbytes,
             compress=strategy.compression)
-    pipeline = [p for p in strategy.passes() if not isinstance(p, VerifyPass)]
+    pipeline = [p for p in strategy_pipeline(strategy, pctx)
+                if not isinstance(p, VerifyPass)]
     applied = []
     for p in pipeline:
         if p.phase == "directive":

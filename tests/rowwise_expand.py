@@ -10,7 +10,7 @@ expand) either way, for the tests to compare column by column.
 
 from repro.casync.ir import (OP_KINDS, SEND, Directive, ReadyRef, SizeExpr,
                              SyncPlan, ZERO_SIZE, _split_attrs)
-from repro.casync.passes import VerifyPass
+from repro.casync.passes import VerifyPass, strategy_pipeline
 from repro.casync.topology import ps_topology, ring_topology
 from repro.strategies import (BytePS, BytePSOSSCompression, CaSyncPS,
                               CaSyncRing, RingAllreduce, RingOSSCompression,
@@ -481,7 +481,7 @@ def expanded(strategy, pctx, model, rowwise=False):
         plan.directives[grad.name] = Directive(
             gradient=grad.name, nbytes=grad.nbytes,
             compress=strategy.compression)
-    for p in strategy.passes():
+    for p in strategy_pipeline(strategy, pctx):
         if p.phase == "directive" and not isinstance(p, VerifyPass):
             p.run(plan, pctx)
     expand = rowwise_expand if rowwise else type(strategy).expand

@@ -1,145 +1,47 @@
-"""Tests for the Accordion-style adaptive compression feature."""
+"""Tests for the Accordion-style critical-regime detector."""
 
 import numpy as np
 import pytest
 
-from repro.algorithms import DGC, TernGrad
-from repro.hipress import AccordionController, AdaptiveAlgorithm
+from repro.hipress import AccordionController
 
 
-def make_adaptive(threshold=0.5):
-    return AdaptiveAlgorithm(
-        conservative=TernGrad(bitwidth=8, seed=0),
-        aggressive=DGC(rate=0.01),
-        controller=AccordionController(threshold=threshold))
+def observe(ctrl, name, gradient):
+    return ctrl.observe_norm(name, float(np.linalg.norm(gradient)))
 
 
 # ---------------------------------------------------------------- controller
 
 def test_first_observation_is_critical():
     ctrl = AccordionController()
-    assert ctrl.is_critical("t", np.ones(10, dtype=np.float32))
+    assert observe(ctrl, "t", np.ones(10, dtype=np.float32))
 
 
 def test_stable_norms_relax():
     ctrl = AccordionController(threshold=0.5)
     g = np.ones(10, dtype=np.float32)
-    ctrl.is_critical("t", g)
-    assert not ctrl.is_critical("t", g * 1.01)
-    assert not ctrl.is_critical("t", g * 0.99)
+    observe(ctrl, "t", g)
+    assert not observe(ctrl, "t", g * 1.01)
+    assert not observe(ctrl, "t", g * 0.99)
 
 
 def test_norm_jump_is_critical():
     ctrl = AccordionController(threshold=0.5)
     g = np.ones(10, dtype=np.float32)
-    ctrl.is_critical("t", g)
-    assert ctrl.is_critical("t", g * 3.0)
-    assert ctrl.is_critical("t", g * 0.1)
+    observe(ctrl, "t", g)
+    assert observe(ctrl, "t", g * 3.0)
+    assert observe(ctrl, "t", g * 0.1)
 
 
 def test_tensors_tracked_independently():
     ctrl = AccordionController(threshold=0.5)
     g = np.ones(10, dtype=np.float32)
-    ctrl.is_critical("a", g)
-    ctrl.is_critical("b", g)
-    assert not ctrl.is_critical("a", g)
-    assert ctrl.is_critical("b", g * 10)
-
-
-def test_controller_counts_and_reset():
-    ctrl = AccordionController()
-    g = np.ones(4, dtype=np.float32)
-    ctrl.is_critical("t", g)
-    ctrl.is_critical("t", g)
-    assert ctrl.critical_calls == 1
-    assert ctrl.relaxed_calls == 1
-    ctrl.reset()
-    assert ctrl.critical_calls == 0
+    observe(ctrl, "a", g)
+    observe(ctrl, "b", g)
+    assert not observe(ctrl, "a", g)
+    assert observe(ctrl, "b", g * 10)
 
 
 def test_controller_validation():
     with pytest.raises(ValueError):
         AccordionController(threshold=0)
-
-
-# ---------------------------------------------------------------- adaptive codec
-
-def test_adaptive_roundtrip_both_modes():
-    algo = make_adaptive()
-    grad = (np.random.default_rng(0).standard_normal(500) * 0.1
-            ).astype(np.float32)
-    # First call: critical -> conservative (dense 8-bit; small error
-    # everywhere).
-    out1 = algo.decode(algo.encode_named("t", grad))
-    assert np.count_nonzero(out1) > grad.size * 0.9
-    # Second call, same norm: relaxed -> aggressive (sparse).
-    out2 = algo.decode(algo.encode_named("t", grad))
-    assert np.count_nonzero(out2) <= max(1, int(grad.size * 0.01)) + 1
-
-
-def test_adaptive_buffer_sizes_differ_by_mode():
-    algo = make_adaptive()
-    grad = (np.random.default_rng(1).standard_normal(4000) * 0.1
-            ).astype(np.float32)
-    critical_buf = algo.encode_named("t", grad)
-    relaxed_buf = algo.encode_named("t", grad)
-    assert relaxed_buf.size < critical_buf.size
-
-
-def test_adaptive_anonymous_encode_uses_size_identity():
-    algo = make_adaptive()
-    grad = (np.random.default_rng(2).standard_normal(100) * 0.1
-            ).astype(np.float32)
-    algo.encode(grad)
-    algo.encode(grad)
-    assert algo.controller.relaxed_calls >= 1
-
-
-def test_adaptive_compressed_nbytes_plans_worst_case():
-    algo = make_adaptive()
-    expected = 1 + max(algo.conservative.compressed_nbytes(10_000),
-                       algo.aggressive.compressed_nbytes(10_000))
-    assert algo.compressed_nbytes(10_000) == expected
-
-
-def test_adaptive_critical_fraction():
-    algo = make_adaptive()
-    grad = np.ones(50, dtype=np.float32)
-    algo.encode_named("t", grad)
-    algo.encode_named("t", grad)
-    algo.encode_named("t", grad * 100)
-    assert algo.critical_fraction == pytest.approx(2 / 3)
-
-
-def test_adaptive_in_data_parallel_training():
-    """The adaptive codec plugs into the trainer and keeps accuracy."""
-    from repro.minidnn import (ClassificationData, DataParallelTrainer,
-                               Dense, ReLU, Sequential)
-    data = ClassificationData(train_size=600, seed=5)
-    rng = np.random.default_rng(7)
-
-    def build():
-        return Sequential(Dense(data.dim, 48, rng=rng), ReLU(),
-                          Dense(48, data.num_classes, rng=rng))
-
-    trainer = DataParallelTrainer(build, num_workers=2, lr=0.15,
-                                  momentum=0.9, algorithm=make_adaptive(),
-                                  feedback="error", seed=3)
-    shards = [data.shard(w, 2) for w in range(2)]
-    rng2 = np.random.default_rng(11)
-    for _ in range(120):
-        batch = []
-        for x, y in shards:
-            idx = rng2.integers(0, len(x), size=16)
-            batch.append((x[idx], y[idx]))
-        trainer.step(batch)
-    assert trainer.accuracy(data.test_x, data.test_y) > 0.75
-
-
-def test_adaptive_in_hipress_job():
-    from repro.cluster import ec2_v100_cluster
-    from repro.hipress import TrainingJob
-    job = TrainingJob(model="resnet50", algorithm=make_adaptive(),
-                      cluster=ec2_v100_cluster(2))
-    result = job.run()
-    assert result.iteration_time > 0

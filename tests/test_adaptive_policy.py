@@ -13,8 +13,11 @@ Contracts under test (see ``docs/ADAPTIVE.md``):
   cache *miss* (the bugfix this PR pins down: decision inputs that change
   the plan's shape must invalidate the cached graph); identical decision
   maps stay warm.
-* **Pass registry** -- ``register_pass``/``get_pass``/``list_passes``
-  with typed :class:`ConfigError` on unknown names.
+* **Decisions pick the pipeline** -- a run that carries decisions runs
+  AdaptivePass in SelectivePass's place whatever the strategy's flags,
+  and the graph-cache key names the passes the build ran.
+* **Policy knobs** -- every constructor rejects non-finite or
+  out-of-range knobs with a typed :class:`ConfigError`.
 * **The point of it all** -- on a bandwidth-constrained profile an
   adaptive policy strictly beats every fixed single-codec policy.
 """
@@ -31,9 +34,8 @@ from repro.adaptive import (
     run_policy,
 )
 from repro.casync.decisions import DecisionMap, GradientDecision
-from repro.casync.lower import default_graph_cache
-from repro.casync.passes import (AdaptivePass, Pass, _PASS_REGISTRY,
-                                 get_pass, list_passes, register_pass)
+from repro.casync.lower import cache_key, default_graph_cache
+from repro.casync.passes import PassContext, build_plan
 from repro.cluster import ec2_v100_cluster
 from repro.errors import ConfigError
 from repro.faults import FaultSchedule, GpuSlowdown, LinkDegrade
@@ -175,7 +177,7 @@ def test_flipped_decision_is_a_graph_cache_miss():
     cluster = ec2_v100_cluster(3)
     policy = CompressionPolicy.bandwidth_adaptive(algorithm="dgc")
     palette = policy.instantiate_palette()
-    strategy = get_strategy("casync-ps", selective=False, adaptive=True)
+    strategy = get_strategy("casync-ps")
     cache = default_graph_cache()
 
     def run(decisions):
@@ -209,79 +211,99 @@ def test_decision_map_content_tracks_decisions():
     assert base != flipped and base.content() != flipped.content()
 
 
-# -- pass registry -----------------------------------------------------------
+# -- decisions pick the pipeline --------------------------------------------
 
 
-def test_unknown_pass_name_raises_typed_config_error():
-    with pytest.raises(ConfigError) as exc:
-        get_pass("no-such-pass")
-    message = str(exc.value)
-    for expected in ("adaptive", "selective", "partition", "bulk-route"):
-        assert expected in message
-    assert "register_pass" in message
+def _uniform_decisions(model, palette, compress):
+    return DecisionMap(
+        {g.name: GradientDecision(compress=compress,
+                                  algorithm="onebit" if compress else None)
+         for g in model.gradients}, palette)
 
 
-def test_list_passes_covers_the_pipeline():
-    names = list_passes()
-    assert names == sorted(names)
-    for expected in ("adaptive", "selective", "partition",
-                     "fuse-decode-merge", "bulk-route", "verify"):
-        assert expected in names
-
-
-def test_register_pass_round_trip_and_shadowing():
-    class ProbePass(Pass):
-        name = "test-probe"
-        phase = "directive"
-
-        def run(self, plan, pctx):
-            pass
-
-    try:
-        register_pass(ProbePass)
-        assert get_pass("test-probe") is ProbePass
-        assert "test-probe" in list_passes()
-        register_pass(ProbePass)          # same class: idempotent
-
-        class Impostor(Pass):
-            name = "test-probe"
-            phase = "directive"
-
-            def run(self, plan, pctx):
-                pass
-
-        with pytest.raises(ValueError, match="already registered"):
-            register_pass(Impostor)
-    finally:
-        _PASS_REGISTRY.pop("test-probe", None)
+def test_decisions_reach_the_plan_of_a_default_strategy():
+    """A strategy built with no flags applies a run's decisions: they
+    change the simulated time, AdaptivePass replaces SelectivePass, and
+    the cache key names exactly the passes the build ran."""
+    from repro.experiments.common import default_algorithm
+    from repro.models import get_model
+    model, cluster = get_model("resnet50"), ec2_v100_cluster(4)
+    algorithm = default_algorithm("onebit")
+    palette = {"onebit": algorithm}
+    strategy = get_strategy("casync-ps")
+    static = simulate_iteration(model, cluster, strategy,
+                                algorithm=algorithm).iteration_time
+    for compress in (False, True):
+        decisions = _uniform_decisions(model, palette, compress)
+        decided = simulate_iteration(model, cluster, strategy,
+                                     algorithm=algorithm,
+                                     decisions=decisions).iteration_time
+        assert decided != static
+        pctx = PassContext(num_nodes=cluster.num_nodes, cluster=cluster,
+                           algorithm=algorithm, decisions=decisions)
+        ran = build_plan(strategy, pctx, model).meta["passes"]
+        assert ran[0] == "adaptive" and "selective" not in ran
+        keyed = [name for name, _ in cache_key(strategy, model, pctx)[0][1]]
+        assert keyed == [name for name in ran
+                         if name not in ("expand", "verify")]
 
 
 def test_adaptive_pass_requires_decisions():
-    strategy = get_strategy("casync-ps", selective=False, adaptive=True)
-    with pytest.raises(ConfigError, match="decisions"):
-        simulate_iteration(tiny_model(), ec2_v100_cluster(2), strategy,
-                           algorithm=CompressionPolicy.fixed("dgc")
-                           .fixed_algorithm().instantiate())
+    """Every gradient needs a decision: a gap is a typed error."""
+    model = tiny_model()
+    policy = CompressionPolicy.fixed("dgc")
+    palette = {"algorithm": policy.fixed_algorithm().instantiate()}
+    decisions = _decisions(model, palette)
+    del decisions.decisions["t.g3"]
+    with pytest.raises(ConfigError, match="decision"):
+        simulate_iteration(model, ec2_v100_cluster(2),
+                           get_strategy("casync-ps"),
+                           algorithm=palette["algorithm"],
+                           decisions=decisions)
 
 
 # -- API surface -------------------------------------------------------------
 
 
-def test_policy_kwargs_conflict_with_legacy_kwargs():
+def test_codec_entry_points_take_no_policy():
+    """A policy enters through run_policy only."""
+    import inspect
     from repro import TrainingJob, run_system
-    with pytest.raises(ConfigError, match="not both"):
-        TrainingJob(tiny_model(), algorithm="dgc",
-                    policy="bandwidth:algorithm=dgc")
-    with pytest.raises(ConfigError, match="not both"):
-        run_system("hipress-ps", tiny_model(), ec2_v100_cluster(2),
-                   algorithm="dgc", policy="bandwidth:algorithm=dgc")
+    for entry in (run_system, TrainingJob.__init__, TrainingJob.run):
+        assert "policy" not in inspect.signature(entry).parameters
 
 
-def test_run_system_rejects_policy_on_uncompressed_system():
-    from repro import run_system
-    with pytest.raises(ConfigError, match="does not compress"):
-        run_system("byteps", tiny_model(), ec2_v100_cluster(2),
-                   policy="fixed:algorithm=dgc")
+#: (kind, knob, value): each must be refused when the policy is built.
+BAD_KNOBS = (
+    ("accordion", "threshold", "nan"),
+    ("accordion", "threshold", "inf"),
+    ("accordion", "threshold", "0"),
+    ("accordion", "smoothing", "nan"),
+    ("accordion", "smoothing", "1"),
+    ("bandwidth", "quantum_gbps", "inf"),
+    ("bandwidth", "quantum_gbps", "nan"),
+    ("bandwidth", "smoothing", "1.5"),
+    ("bandwidth", "smoothing", "-0.1"),
+    ("size", "threshold_bytes", "nan"),
+    ("size", "threshold_bytes", "-1"),
+)
+CONSTRUCTORS = {"accordion": CompressionPolicy.accordion,
+                "bandwidth": CompressionPolicy.bandwidth_adaptive,
+                "size": CompressionPolicy.size_adaptive}
+
+
+@pytest.mark.parametrize("kind,knob,value", BAD_KNOBS,
+                         ids=[f"{k}:{n}={v}" for k, n, v in BAD_KNOBS])
+def test_policy_constructors_reject_bad_knobs(kind, knob, value):
+    with pytest.raises(ConfigError, match=knob):
+        parse_policy(f"{kind}:{knob}={value}")
+    with pytest.raises(ConfigError, match=knob):
+        CONSTRUCTORS[kind](**{knob: float(value)})
+
+
+def test_parse_policy_rejects_unknown_knob():
+    with pytest.raises(ConfigError, match="threshold"):
+        parse_policy("accordion:treshold=0.5")
 
 
 def test_run_policy_rejects_non_casync_strategy():
@@ -294,19 +316,6 @@ def test_parse_policy_rejects_unknown_kind():
     with pytest.raises(ConfigError) as exc:
         parse_policy("psychic:algorithm=dgc")
     assert "accordion" in str(exc.value)
-
-
-def test_training_job_policy_routes_through_controller():
-    from repro import TrainingJob
-    job = TrainingJob(tiny_model(), cluster=ec2_v100_cluster(2),
-                      policy="accordion:conservative=terngrad,"
-                             "aggressive=dgc")
-    result = job.run(iterations=3)
-    assert job.last_policy_run is not None
-    assert len(job.last_policy_run.results) == 3
-    assert result.iteration_time == job.last_policy_run.results[-1] \
-        .iteration_time
-    assert len(job.last_policy_run.log) == 3
 
 
 # -- the payoff --------------------------------------------------------------

@@ -68,7 +68,7 @@ def test_block_expand_matches_rowwise_hetero_mixed(case):
                          ids=[name for name, _ in ADAPTIVE])
 def test_block_expand_matches_rowwise_adaptive(name, build):
     plan, pctx, _ = build()
-    strategy = get_strategy(plan.strategy, selective=False, adaptive=True)
+    strategy = get_strategy(plan.strategy)
     model = golden_model()
     assert_same_plan(expanded(strategy, pctx, model),
                      expanded(strategy, pctx, model, rowwise=True))

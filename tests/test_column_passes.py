@@ -71,7 +71,7 @@ def test_a_threshold_of_two_collapses_every_strategy_with_fan_in():
 def test_column_passes_match_the_list_oracle_adaptive(name, build):
     from repro.strategies import get_strategy
     plan, pctx, _ = build()
-    strategy = get_strategy(plan.strategy, selective=False, adaptive=True)
+    strategy = get_strategy(plan.strategy)
     assert plan.to_json_obj() == oracle_plan_json(strategy, pctx,
                                                   golden_model())
 

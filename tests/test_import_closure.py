@@ -51,18 +51,17 @@ from repro.training import make_plans
 REGISTRY_PROBE = SIMULATOR_IMPORTS + """
 import json, sys
 from repro.algorithms import available_algorithms
-from repro.casync.passes import list_passes
 from repro.experiments.common import SYSTEMS
 from repro.models import MODEL_NAMES
 from repro.strategies import available_strategies
 
-minimal = {"algorithms": available_algorithms(), "passes": list_passes(),
+minimal = {"algorithms": available_algorithms(),
            "strategies": available_strategies(), "systems": sorted(SYSTEMS),
            "models": sorted(MODEL_NAMES)}
 loaded = sorted(sys.modules)
 
 import repro.api as api, repro.advisor, repro.experiments.runner
-full = {"algorithms": api.list_algorithms(), "passes": api.list_passes(),
+full = {"algorithms": api.list_algorithms(),
         "strategies": api.list_strategies(), "systems": sorted(api.SYSTEMS),
         "models": api.list_models()}
 print(json.dumps({"loaded": loaded, "minimal": minimal, "full": full}))
@@ -99,7 +98,7 @@ def test_simulator_imports_load_no_driver(registry_probe):
 
 def test_registries_complete_after_simulator_imports(registry_probe):
     # Registration happens at import; the minimal closure must already
-    # hold every strategy, algorithm, pass, system and model.
+    # hold every strategy, algorithm, system and model.
     assert registry_probe["minimal"] == registry_probe["full"]
     assert all(registry_probe["minimal"].values())
 

@@ -104,7 +104,7 @@ def test_memoised_costs_equal_scalar_costs_palette_codecs(strategy_name):
     cluster = ec2_v100_cluster(4)
     pctx = PassContext(num_nodes=4, cluster=cluster,
                        algorithm=palette["quant"], decisions=decisions)
-    strategy = get_strategy(strategy_name, selective=False, adaptive=True)
+    strategy = get_strategy(strategy_name)
     plan = build_plan(strategy, pctx, model)
     codecs = {id(pctx.algorithm_for(op.grad)) for op in plan.ops
               if op.kind == "encode"}

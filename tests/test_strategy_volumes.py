@@ -364,8 +364,7 @@ def test_semantics_partitioning_matches_graph_structure():
     decisions = DecisionMap({g.name: GradientDecision(compress=True,
                                                       partitions=3)
                              for g in grads})
-    graph = _build_graph(CaSyncPS(bulk=False, selective=False,
-                                  adaptive=True),
+    graph = _build_graph(CaSyncPS(bulk=False),
                          grads, n, algo=algo, decisions=decisions)
     k_total = 3 * len(grads)
     encodes = sum(1 for t in tasks(graph) if t.kind == "encode")

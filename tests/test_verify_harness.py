@@ -16,7 +16,6 @@ from repro.algorithms import (
 )
 from repro.compll import build
 from repro.compll.verify import validate_algorithm
-from repro.hipress import AdaptiveAlgorithm
 
 
 ALL = [OneBit(), TBQ(threshold=0.25), TernGrad(seed=0), DGC(),
@@ -33,13 +32,6 @@ def test_handwritten_algorithms_validate(algo):
                                   "terngrad", "adacomp", "threelc"])
 def test_dsl_generated_algorithms_validate(name):
     report = validate_algorithm(build(name))
-    assert report.ok, report.render()
-
-
-def test_adaptive_algorithm_validates():
-    adaptive = AdaptiveAlgorithm(conservative=TernGrad(bitwidth=8, seed=0),
-                                 aggressive=DGC(rate=0.01))
-    report = validate_algorithm(adaptive)
     assert report.ok, report.render()
 
 
