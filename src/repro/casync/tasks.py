@@ -21,16 +21,12 @@ tasks:
   completes when the bytes have arrived.
 
 Order constraints are enforced exactly as in the paper: the dependency
-graph drives asynchronous execution (Fig. 2 steps 1-3).  The graph's
-edges are a static :class:`SuccessorCSR`, one row per plan op.  The
-backward pass fires each gradient's ready ref through
-:meth:`TaskGraph.make_ready` and executors report a finished task through
-:meth:`TaskGraph.complete`; either way one agenda entry releases the
-dependents, so a round allocates no event, dependency list or callback
-per task or per gradient; a batch's tasks share one
-(:meth:`TaskGraph.complete_many`), and a release hands each ready task
-to its executor in one pass.  An IR barrier is a *join* row, not a
-task: it releases its dependents in the step its last dependency completes.
+graph drives asynchronous execution (Fig. 2 steps 1-3) off a static
+:class:`SuccessorCSR`, one row per plan op.  A gradient's ready ref
+(:meth:`TaskGraph.make_ready`) and a finished task or batch
+(:meth:`TaskGraph.complete`, :meth:`TaskGraph.complete_many`) each take
+one agenda entry, whose one loop releases the dependents and hands each
+ready task to its executor.  An IR barrier is a *join* row, not a task.
 """
 
 from __future__ import annotations
@@ -166,15 +162,15 @@ class TaskGraph:
     running this graph gets a :class:`Coordinator` and batch-compressing
     engines exactly when it is set.
 
-    Dispatch runs off the CSR, and every signal is state on the graph.
-    The backward pass fires each ready ref through :meth:`make_ready`,
-    :meth:`complete` reports a finished task and :meth:`complete_many` a
-    batch.  One agenda entry at ``(now, NORMAL)`` (one per batch) releases
-    the dependents in registration order, runs the ``observers`` for a
-    completion and counts it toward :attr:`finished`.  The graph *settles*
-    one entry after it finished (:attr:`settled`, then ``on_settled``).  A
-    join releases its dependents in the step its last dependency does, and
-    only records the instant in :attr:`joined_at`.
+    Every signal is state on the graph plus one agenda entry at ``(now,
+    NORMAL)``: a ready ref (:meth:`make_ready`), a finished task
+    (:meth:`complete`) or batch (:meth:`complete_many`).  The entry
+    releases the dependents in registration order (:meth:`_release`); a
+    completion's also runs the ``observers`` and counts toward
+    :attr:`finished`.  The graph *settles* one entry after it finished
+    (:attr:`settled`, then ``on_settled``).  A join stamps
+    :attr:`joined_at` and releases its dependents, if any, in the step
+    its last dependency completes.
     """
 
     def __init__(self, env: Environment, recipe: Any):
@@ -210,6 +206,7 @@ class TaskGraph:
         self.settled = False
         self.on_settled: List[Callable[["TaskGraph"], None]] = []
         self._engines: List[Optional["NodeEngine"]] = []  # by node
+        self._agenda_lanes = env.lanes  # never rebound (Environment.lanes)
         self._pending: Optional[List[int]] = None
         self._remaining = 0
 
@@ -293,44 +290,70 @@ class TaskGraph:
             pending[i] = 1
         self._release(rows)
 
-    def _release(self, dependents: Sequence[int]) -> None:
-        """Count ``dependents`` down, starting each that reaches zero in
-        order: a join releases its own dependents here, a task goes to
-        its executor by route code (through :meth:`NodeEngine.dispatch`
-        if force-completed or its engine is halted).  The node is read
-        now: the degradation controller may have reassigned the task."""
-        pending = self._pending
-        for j in dependents:
-            left = pending[j] - 1
-            pending[j] = left
-            if left:
-                continue
-            csr = self.csr
-            k = csr.slot[j]
-            if k < 0:
-                self.joined_at[j] = self.env.now
-                start, stop = csr.succ_ptr[j], csr.succ_ptr[j + 1]
-                self._release(csr.succ_idx[start:stop])
-                continue
-            node = self.nodes[k]
-            try:
-                engine = self._engines[node]
-            except IndexError:
-                engine = None
-            if engine is None:
-                raise ValueError(f"no engine for node {node}")
-            if engine.halted or self.triggered[k]:
-                engine.dispatch(k)
-                continue
-            route = self.recipe.routes[k]
-            if route == COMP:
-                engine.q_comp.put(k, engine._comp_take)
-            elif route == CPU:
-                engine.q_cpu.put(k, engine._cpu_take)
-            elif route == BULK_SEND and engine.coordinator is not None:
-                engine.coordinator.submit(k)
-            else:
-                engine._send_inline(k)
+    def _release(self, dependents: Sequence[int],
+                 batch: Optional[Sequence[int]] = None) -> None:
+        """Count ``dependents`` down and start each row that reaches zero,
+        in order: a join records the instant and releases its own
+        dependents, if it has any; a task goes to its executor by route
+        code, or through :meth:`NodeEngine.dispatch` if force-completed
+        or its engine is halted.  Given a completion entry's ``batch``,
+        release each task's dependents instead, then run the observers,
+        count it toward :attr:`finished` and yield the rest of the batch
+        to any entry pushed ahead of ``(now, NORMAL)``."""
+        csr, recipe, env = self.csr, self.recipe, self.env
+        succ_ptr, succ_idx, slot = csr.succ_ptr, csr.succ_idx, csr.slot
+        rows, routes = recipe.rows, recipe.routes
+        pending, joined_at = self._pending, self.joined_at
+        engines, triggered = self._engines, self.triggered
+        now, lanes = env.now, self._agenda_lanes
+        last = -1 if batch is None else len(batch) - 1
+        for pos, k in enumerate((None,) if batch is None else batch):
+            if batch is not None:
+                dependents = succ_idx[succ_ptr[rows[k]]:succ_ptr[rows[k] + 1]]
+            nodes = self.nodes  # read now: a task may have been reassigned
+            for j in dependents:
+                left = pending[j] - 1
+                pending[j] = left
+                if left:
+                    continue
+                t = slot[j]
+                if t < 0:
+                    joined_at[j] = now
+                    if succ_ptr[j] != succ_ptr[j + 1]:
+                        self._release(succ_idx[succ_ptr[j]:succ_ptr[j + 1]])
+                    continue
+                try:
+                    engine = engines[nodes[t]]
+                except IndexError:
+                    engine = None
+                if engine is None:
+                    raise ValueError(f"no engine for node {nodes[t]}")
+                if engine.halted or triggered[t]:
+                    engine.dispatch(t)
+                    continue
+                route = routes[t]
+                if route == COMP:
+                    engine.q_comp.put(t, engine._comp_take)
+                elif route == CPU:
+                    engine.q_cpu.put(t, engine._cpu_take)
+                elif route == BULK_SEND and engine.coordinator is not None:
+                    engine.coordinator.submit(t)
+                else:
+                    engine._send_inline(t)
+            if batch is None:
+                return
+            for observer in self.observers:
+                observer(self, k)
+            if not self.finished:
+                self._remaining -= 1
+                if self.errors and k in self.errors:
+                    self.error = self.errors[k]
+                    self._finish()
+                elif not self._remaining:
+                    self._finish()
+            if (pos < last and lanes[URGENT]
+                    and env.yield_front(self._on_complete, batch[pos + 1:])):
+                return
 
     def complete(self, k: int, error: Optional[BaseException] = None) -> None:
         """Complete task ``k`` now, failed with ``error`` if given: one
@@ -361,33 +384,8 @@ class TaskGraph:
             self.env.call_later(0.0, self._on_complete, batch)
 
     def _on_complete(self, batch: Sequence[int]) -> None:
-        """The completion entry of a batch (of one, for :meth:`complete`):
-        per task, release its dependents, run the observers and count it
-        toward :attr:`finished`; the rest yields to any entry a completion
-        pushed ahead of ``(now, NORMAL)``."""
-        csr, rows = self.csr, self.recipe.rows
-        succ_ptr, succ_idx = csr.succ_ptr, csr.succ_idx
-        env = self.env
-        lanes = env.lanes  # an entry in lanes[URGENT] steps before ours
-        last = len(batch) - 1
-        for pos, k in enumerate(batch):
-            i = rows[k]
-            start, stop = succ_ptr[i], succ_ptr[i + 1]
-            if start != stop:
-                self._release(succ_idx[start:stop])
-            for observer in self.observers:
-                observer(self, k)
-            if not self.finished:
-                if self.errors and k in self.errors:
-                    self.error = self.errors[k]
-                    self._finish()
-                else:
-                    self._remaining -= 1
-                    if not self._remaining:
-                        self._finish()
-            if (pos < last and lanes[URGENT]
-                    and env.yield_front(self._on_complete, batch[pos + 1:])):
-                return
+        """A batch's completion entry: one :meth:`_release` loop."""
+        self._release((), batch)
 
     def _finish(self) -> None:
         """Mark every task complete and push the settle entry."""
@@ -549,6 +547,17 @@ class _RetryLoop:
         self.done("dead", self.target)
 
 
+class _Link:
+    """A :class:`Coordinator` link's queue: tasks, bytes, oldest arrival."""
+
+    __slots__ = ("tasks", "nbytes", "since")
+
+    def __init__(self, since: float):
+        self.tasks: List[int] = []
+        self.nbytes = 0
+        self.since = since
+
+
 class Coordinator:
     """Global bulk-synchronization coordinator (§3.2).
 
@@ -559,7 +568,7 @@ class Coordinator:
     a size threshold, whichever is met first".
 
     A link ``src -> dst`` is keyed ``src * num_nodes + dst`` (the
-    fabric's node count), so queueing a send builds no tuple.  Every
+    fabric's node count) and has one :class:`_Link` while it waits.  Every
     flush issues from one URGENT agenda entry (:meth:`_flush_keys`),
     which sends each batch as one message: through :meth:`Fabric.issue`
     without a ``retry_policy``, through its own :func:`robust_transfer`
@@ -584,12 +593,9 @@ class Coordinator:
         self.degradation = degradation
         self.size_threshold = size_threshold
         self.timeout_s = timeout_s
-        #: Each link's queued task indices, in arrival order.
-        self._queues: Dict[int, List[int]] = {}
-        #: Arrival instant of each link queue's oldest task.
-        self._queued_at: Dict[int, float] = {}
-        #: Running byte total of each link queue, summed in arrival order.
-        self._queue_bytes: Dict[int, float] = {}
+        self._num_nodes = fabric.num_nodes
+        #: Each waiting link's queue, by key, in the order it opened.
+        self._links: Dict[int, _Link] = {}
         #: The armed graph whose tasks this coordinator completes.
         self.graph: Optional[TaskGraph] = None
         self._ticker_running = False
@@ -602,14 +608,12 @@ class Coordinator:
         """Queue the graph's bulk send ``k`` on its link."""
         graph = self.graph
         recipe = graph.recipe
-        key = graph.nodes[k] * self.fabric.num_nodes + recipe.dsts[k]
-        queue = self._queues.get(key)
-        if queue is None:
-            queue = self._queues[key] = []
-            self._queued_at[key] = self.env.now
-        queue.append(k)
-        total = self._queue_bytes.get(key, 0) + recipe.nbytes[k]
-        self._queue_bytes[key] = total
+        key = graph.nodes[k] * self._num_nodes + recipe.dsts[k]
+        link = self._links.get(key)
+        if link is None:
+            link = self._links[key] = _Link(self.env.now)
+        link.tasks.append(k)
+        link.nbytes = total = link.nbytes + recipe.nbytes[k]  # in order
         if total >= self.size_threshold:
             self._flush_keys([key])
         elif not self._ticker_running:
@@ -622,16 +626,15 @@ class Coordinator:
         Returns ``(src, dst, tasks, nbytes, span)``; ``span`` is the
         batch's telemetry span, None without a collector.
         """
-        tasks = self._queues.pop(key)
-        del self._queued_at[key]
+        link = self._links.pop(key)
+        tasks, nbytes = link.tasks, link.nbytes
         now = self.env.now
         started = self.graph.started_at
         for k in tasks:
             started[k] = now
-        nbytes = self._queue_bytes.pop(key)
         self.batches_flushed += 1
         self.tasks_batched += len(tasks)
-        src, dst = divmod(key, self.fabric.num_nodes)
+        src, dst = divmod(key, self._num_nodes)
         tel = self.env.telemetry
         span = None
         if tel is not None:
@@ -665,7 +668,7 @@ class Coordinator:
         for batch in batches:
             src, dst, _, nbytes, span = batch
             if policy is None:
-                self.fabric.issue(src, dst, nbytes, self._delivered, batch,
+                self.fabric.issue(src, dst, nbytes, self._settle, batch,
                                   span_parent=span)
             else:
                 robust_transfer(self.env, self.fabric, src, dst, nbytes,
@@ -674,10 +677,7 @@ class Coordinator:
                                 self.membership, self.degradation,
                                 on_retry=self._count_retry)
 
-    def _delivered(self, batch: Tuple) -> None:
-        self._settle(batch, "delivered")
-
-    def _settle(self, batch: Tuple, outcome: str,
+    def _settle(self, batch: Tuple, outcome: str = "delivered",
                 _final_dst: Optional[int] = None) -> None:
         """Complete a flushed batch's tasks with its transfer's outcome."""
         src, dst, tasks, _, span = batch
@@ -702,7 +702,7 @@ class Coordinator:
 
     def _next_tick(self, _value: None = None) -> None:
         """Schedule the next tick while any queue waits, else retire."""
-        if self._queues:
+        if self._links:
             self.env.call_later(self.timeout_s / 2, self._tick)
         else:
             self._ticker_running = False
@@ -710,8 +710,8 @@ class Coordinator:
     def _tick(self, _value: None) -> None:
         """Flush queues whose oldest entry exceeded the timeout."""
         now = self.env.now
-        due = [key for key, since in self._queued_at.items()
-               if now - since >= self.timeout_s]
+        due = [key for key, link in self._links.items()
+               if now - link.since >= self.timeout_s]
         if due:
             self._flush_keys(due)
         self._next_tick()
@@ -965,13 +965,16 @@ class NodeEngine:
         if len(batch) == 1:
             duration = durations[first]
         else:
-            # One fused launch: pay a single launch overhead.  A left
-            # fold, not ``sum``, which rounds differently from Python 3.12.
+            # One fused launch pays the largest launch overhead once.  A
+            # left fold, not ``sum``, which rounds differently from 3.12.
             launches = recipe.launch_overheads
-            work = 0.0
+            work, launch = 0.0, launches[first]
             for k in batch:
-                work += durations[k] - launches[k]
-            duration = work + max(launches[k] for k in batch)
+                overhead = launches[k]
+                work += durations[k] - overhead
+                if overhead > launch:
+                    launch = overhead
+            duration = work + launch
         start = self.env.now
         started = graph.started_at
         for k in batch:
@@ -999,10 +1002,7 @@ class NodeEngine:
         finished, triggered = graph.finished_at, graph.triggered
         for k in batch:
             finished[k] = now
-        if len(batch) > 1:
-            graph.complete_many([k for k in batch if not triggered[k]])
-        elif not triggered[batch[0]]:
-            graph.complete(batch[0])
+        graph.complete_many([k for k in batch if not triggered[k]])
         self.q_comp.next(self._comp_take)
 
 

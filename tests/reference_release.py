@@ -5,7 +5,10 @@ released task -- ``_on_complete`` -> ``_release`` -> ``_start`` ->
 ``NodeEngine.dispatch`` -- and a batch entry called ``_on_complete``
 once per task and ``Environment.yield_front`` after every task but the
 last.  The methods below are that code, unchanged, with the two push
-sites that scheduled it (``complete`` and ``complete_many``).
+sites that scheduled it (``complete`` and ``complete_many``) and the two
+other callers of ``_release`` (``_on_ready``, the ready-ref entry, and
+``_start_rows``, which ``arm`` calls), so a run with the reference
+installed releases through the reference ``_release`` alone.
 :func:`install` monkeypatches them onto the shipped classes, and
 ``tests/test_release_oracle.py`` checks that both push the same agenda
 entries in the same order and time every task the same.
@@ -15,7 +18,7 @@ name: a pushed callback is recorded by ``__qualname__``.
 """
 
 from collections import deque
-from typing import Deque, List, Optional
+from typing import Deque, List, Optional, Sequence, Tuple
 
 from repro.casync.tasks import (BULK_SEND, COMP, CPU, NodeEngine as _Engine,
                                 TaskGraph as _Graph)
@@ -75,6 +78,24 @@ class TaskGraph:
         self._remaining -= 1
         if not self._remaining:
             self._finish()
+
+    def _on_ready(self, key: Tuple) -> None:
+        if self._pending is None:
+            raise SimulationError(
+                f"ready ref {key} fired before the graph was armed")
+        if self.finished and self.error is None:
+            return  # unbound: nothing is left to release
+        csr = self.csr
+        r = csr.refs[key]
+        self._release(csr.ref_idx[csr.ref_ptr[r]:csr.ref_ptr[r + 1]])
+
+    def _start_rows(self, rows: Sequence[int]) -> None:
+        """Start ``rows``, which wait on nothing, in order: each is
+        re-armed at one pending dependency and released."""
+        pending = self._pending
+        for i in rows:
+            pending[i] = 1
+        self._release(rows)
 
     def _start(self, i: int) -> None:
         """Dispatch row ``i``'s task, or release a join's dependents."""

@@ -310,6 +310,54 @@ def test_a_batch_yields_to_the_take_hop_its_completion_pushed():
     assert _wake_round(per_task=True) == (started, 0)
 
 
+def test_release_loop_runs_once_per_entry_and_not_for_sink_joins():
+    """The frame budget of the release path on a bulk golden round: the
+    release loop (``TaskGraph._release``) is entered at most once per
+    completion entry, ready-ref entry, ``arm`` and
+    ``NodeEngine.dispatch``.  A batch's tasks release their dependents
+    inside their entry's one loop, and a join without dependents is
+    stamped in ``joined_at`` without a call of its own."""
+    calls = collections.Counter()
+    depth = [0]
+    graphs = []
+
+    def counted(name, method):
+        def wrapper(self, *args):
+            calls[name] += 1
+            if name == "_release":
+                calls["nested"] += depth[0] > 0
+                depth[0] += 1
+                try:
+                    return method(self, *args)
+                finally:
+                    depth[0] -= 1
+            if name == "arm":
+                graphs.append(self)
+            return method(self, *args)
+        return wrapper
+
+    with pytest.MonkeyPatch.context() as mp:
+        for cls, name in ((TaskGraph, "_release"), (TaskGraph, "_on_complete"),
+                          (TaskGraph, "_on_ready"), (TaskGraph, "arm"),
+                          (NodeEngine, "dispatch")):
+            mp.setattr(cls, name, counted(name, getattr(cls, name)))
+        strategy, algorithm = BULK_CASES["hipress-ps/onebit/n4"].inputs()
+        trace_iteration(golden_model(), ec2_v100_cluster(4), strategy,
+                        algorithm=algorithm)
+    (graph,) = graphs
+    csr = graph.csr
+    sink_joins = [j for j in range(len(csr)) if csr.slot[j] < 0
+                  and csr.succ_ptr[j] == csr.succ_ptr[j + 1]]
+    assert sink_joins and len(sink_joins) == sum(
+        not math.isnan(graph.joined_at[j]) for j in range(len(csr))
+        if csr.slot[j] < 0)
+    # Batches make the entries fewer than the completed tasks.
+    assert calls["_on_complete"] < graph.num_tasks
+    assert calls["nested"] == 0
+    assert calls["_release"] <= (calls["_on_complete"] + calls["_on_ready"]
+                                 + calls["arm"] + calls["dispatch"])
+
+
 def test_failed_completion_fails_done_after_observers():
     env, engines = _world(1)
     graph = build(env, [row(0, "encode", "a", duration=1.0),
@@ -326,6 +374,60 @@ def test_failed_completion_fails_done_after_observers():
     assert seen == [("a", boom), ("settled", boom)]
     assert graph.finished and graph.settled and graph.error is boom
     assert env.now == 0.5
+
+
+#: Executor -> its task's row on node 0.  Every send moves 64 MB to node
+#: 1, over the 4 MB coordinator threshold, so a bulk send flushes at once.
+FORCED_EXECUTORS = {
+    "comp": row(0, "encode", "t", duration=1.0),
+    "cpu": row(0, "cpu", "t", duration=1.0),
+    "send": row(0, "send", "t", nbytes=64 * MB, dst=1),
+    "robust-send": row(0, "send", "t", nbytes=64 * MB, dst=1),
+    "coordinator": row(0, "send", "t", nbytes=64 * MB, dst=1, bulk=True),
+}
+
+
+def _forced_round(executor, force_at):
+    """Task 0 of ``executor`` runs beside a longer task on node 1, so the
+    round outlives it; at ``force_at`` (if given) the fault machinery's
+    way of dropping a task force-completes it: its finish instant is
+    stamped and it completes.  Returns task 0's start and finish."""
+    env = Environment()
+    fabric = Fabric(env, 2, NetworkSpec(bandwidth_gbps=100))
+    coordinator = (Coordinator(env, fabric) if executor == "coordinator"
+                   else None)
+    retry_policy = (RetryPolicy.aggressive() if executor == "robust-send"
+                    else None)
+    engines = [NodeEngine(env, i, Gpu(env, V100, i), fabric,
+                          coordinator=coordinator, retry_policy=retry_policy)
+               for i in range(2)]
+    graph = build(env, [FORCED_EXECUTORS[executor],
+                        row(1, "encode", "long", duration=10.0)])
+
+    def force(_value):
+        graph.dropped.add(0)
+        graph.finished_at[0] = env.now
+        graph.complete(0)
+
+    if force_at is not None:
+        env.call_later(force_at, force)
+    run_graph(env, graph, engines)
+    return graph.started_at[0], graph.finished_at[0]
+
+
+@pytest.mark.parametrize("executor", list(FORCED_EXECUTORS))
+def test_a_force_completed_task_keeps_its_executors_finish(executor):
+    """A task the fault machinery completes while its executor runs it:
+    the executor still finishes it, and every executor of one task
+    (Q_comp, the CPU queue, an inline send with or without retries)
+    restamps ``finished_at`` with its own finish instant.  A coordinator
+    batch stamps only the tasks still live, so a force-completed bulk
+    send keeps the instant it was forced at."""
+    started, natural = _forced_round(executor, None)
+    force_at = (started + natural) / 2
+    assert started < force_at < natural
+    assert _forced_round(executor, force_at) == (
+        started, force_at if executor == "coordinator" else natural)
 
 
 def test_dependents_release_in_registration_order(monkeypatch):
