@@ -21,9 +21,10 @@ index the plan dump (:meth:`~repro.casync.ir.SyncPlan.format_text`):
    and no send is lost (the index's structural findings).
 2. **Buffer safety** (PC2xx) -- no unordered read/write or write/write
    pair touches the same gradient-buffer region, where a region is
-   ``(node, gradient, partition)`` and an op with no partition token
-   aliases the whole buffer.  This is the static counterpart of the
-   dynamic :func:`repro.casync.memory.buffer_lifetimes` analysis.
+   ``(node, gradient, partition)`` (the plan's ``regions`` column) and
+   an op of region -1 aliases the whole buffer.  This is the static
+   counterpart of the dynamic :func:`repro.casync.memory.buffer_lifetimes`
+   analysis.
 3. **Byte-flow conservation** (PC3xx) -- a whole-graph symbolic proof
    over :class:`~repro.casync.ir.SizeExpr`: every node's final value
    observes every declared contribution of every gradient (the
@@ -63,11 +64,11 @@ import math
 import sys
 from dataclasses import dataclass
 from typing import (Any, Callable, Dict, Iterator, List, Optional, Sequence,
-                    Set, Tuple, cast)
+                    Set, Tuple)
 
 import numpy as np
 
-from ..casync.index import plan_file, plan_index, region_pids, sizes_match
+from ..casync.index import plan_file, plan_index, sizes_match
 from ..casync.ir import (ALLOCATES_OUTPUT, BULK, BULK_ELIGIBLE, DECODE,
                          DECODE_MERGE, ENCODE, COPY, FUSED, MERGE, OP_KINDS,
                          SEND, PlanVerificationError, Rows, SyncPlan,
@@ -234,14 +235,14 @@ class _PlanAnalyzer:
         self.seed_rows = idx.owner[~on_op]
         self.seed_refs = (-1 - rows[~on_op]).astype(np.intp)
         grads = plan.grads
-        #: (gradient, region pid) -> encode rows, in plan order.
-        self.encodes: Dict[Tuple[str, Optional[int]], List[int]] = {}
-        encodes = [i for i in np.flatnonzero(kinds == ENCODE).tolist()
-                   if grads[i] is not None]
-        encode_grads = cast(List[str], [grads[i] for i in encodes])
-        for i, grad, pid in zip(encodes, encode_grads, region_pids(
-                map(plan.labels.__getitem__, encodes), encode_grads)):
-            self.encodes.setdefault((grad, pid), []).append(i)
+        #: Each row's buffer region (-1: the whole buffer).
+        self.regions = plan.arrays("regions")[0]
+        #: (gradient, region) -> encode rows, in plan order.
+        self.encodes: Dict[Tuple[str, int], List[int]] = {}
+        encodes = np.flatnonzero(kinds == ENCODE)
+        for i, pid in zip(encodes.tolist(), self.regions[encodes].tolist()):
+            if grads[i] is not None:
+                self.encodes.setdefault((grads[i], pid), []).append(i)
         #: Plain gradient-buffer decodes (not fused, not allocating).
         flags = plan.arrays("flags")[0]
         self.plain_decodes: List[int] = [
@@ -484,8 +485,10 @@ class _PlanAnalyzer:
             origin_cover = dict(zip(node_of[group[at]].tolist(),
                                     map(int, cover[at])))
             grad = key[1]
-            what = (f"gradient {grad!r}" if key[0] == "r" else
-                    f"gradient {grad!r} (encoded partition {key[2]})")
+            what = f"gradient {grad!r}"
+            if key[0] == "e":
+                what += (f" (encoded partition {key[2]})" if key[2] >= 0
+                         else " (encoded whole)")
             for node in range(n):
                 missing = [b for b in sorted(origin_cover)
                            if not (origin_cover[b] >> node) & 1]
@@ -567,15 +570,12 @@ class _PlanAnalyzer:
                           if grad is not None})
         # Every access: the writes, then the reads of written gradients.
         rows = list(writes)
-        pids = region_pids(map(self.plan.labels.__getitem__, writes),
-                           map(grads.__getitem__, writes))
-        for (grad, pid), idxs in self.encodes.items():
+        for (grad, _), idxs in self.encodes.items():
             if grad in written:
                 rows += idxs
-                pids += [pid] * len(idxs)
         row = np.array(rows, dtype=np.intp)
         write = np.arange(len(rows)) < len(writes)
-        pid = np.array([-1 if p is None else p for p in pids], dtype=np.intp)
+        pid = self.regions[row].astype(np.intp)
         # A region is (node, gradient); its partition classes are the
         # pids, and a whole-buffer access (pid -1) of a region that also
         # has partition accesses aliases, so joins, every class.
@@ -688,7 +688,7 @@ class _PlanAnalyzer:
         if self.n == 1:
             return  # single-node plans synchronize nothing
         # Each gradient's encode regions, from the encode groups.
-        encode_pids: Dict[str, Set[Optional[int]]] = {}
+        encode_pids: Dict[str, Set[int]] = {}
         for grad, pid in self.encodes:
             encode_pids.setdefault(grad, set()).add(pid)
         plan = self.plan
@@ -715,7 +715,7 @@ class _PlanAnalyzer:
                         f"encode op realizes it",
                         directive=name)
                     continue
-                pids = encode_pids[name] - {None}
+                pids = encode_pids[name] - {-1}
                 if pids and directive.partitions > len(pids):
                     self.emit(
                         "PC405",

@@ -33,9 +33,8 @@ from typing import Callable, Dict, List, Tuple
 
 import numpy as np
 
-from ..casync.index import region_pid
-from ..casync.ir import (BULK, BULK_ELIGIBLE, SEND, PlanVerificationError,
-                         ReadyRef, SizeExpr, SyncPlan)
+from ..casync.ir import (BULK, BULK_ELIGIBLE, ENCODE, SEND,
+                         PlanVerificationError, ReadyRef, SizeExpr, SyncPlan)
 from ..casync.passes import (CollapseFanInPass, PassContext, build_plan,
                              verify_plan)
 from .plancheck import check_plan
@@ -114,9 +113,9 @@ def _mutate_partition() -> Tuple[SyncPlan, PassContext]:
     plan, pctx = _victim()
     for name in sorted(plan.directives):
         directive = plan.directives[name]
-        pids = {region_pid(op.label, op.grad) for op in plan.ops_for(name)
-                if op.kind == "encode"}
-        pids.discard(None)
+        pids = {plan.regions[i] for i, grad in enumerate(plan.grads)
+                if grad == name and plan.kinds[i] == ENCODE}
+        pids.discard(-1)
         if directive.compress and pids:
             directive.partitions = len(pids) + 1
             return plan, pctx

@@ -27,10 +27,9 @@ exactly the edges a buggy optimization pass left.
 
 from __future__ import annotations
 
-import re
 from array import array
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -38,49 +37,12 @@ from ..analysis.diagnostics import Diagnostic, ERROR, render_text
 from .ir import (BARRIER, COPY, CPU, DECODE, DECODE_MERGE, MERGE, OP_KINDS,
                  SEND, PlanVerificationError, SyncPlan)
 
-__all__ = ["PlanIndex", "plan_file", "plan_index", "region_pid",
-           "region_pids"]
+__all__ = ["PlanIndex", "plan_file", "plan_index"]
 
-
-#: The region tag grammar: ``.p3`` / ``.c3`` name partition (or chunk)
-#: regions of a gradient's buffer; anything else aliases whole-buffer.
-REGION_PATTERN = r"\.[pc](\d+)(?![A-Za-z0-9_])"
-
-#: The last :data:`REGION_PATTERN` match of a label (greedy prefix).
-_LAST_REGION = re.compile(".*" + REGION_PATTERN, re.S)
 
 #: One structural finding: (rule, message, location), where the
 #: location is an op uid or a directive name.
 _Finding = Tuple[str, str, Union[int, str]]
-
-
-def region_pids(labels: Iterable[str], grads: Iterable[Optional[str]]
-                ) -> List[Optional[int]]:
-    """The partition id each op with ``labels[k]`` and gradient
-    ``grads[k]`` touches: the last :data:`REGION_PATTERN` match outside
-    the gradient's own name, or None for whole-buffer aliasing.
-
-    Labels that agree outside their gradient's name (the same op on
-    another gradient) are parsed once.
-    """
-    memo: Dict[str, Any] = {}
-    pids = []
-    for label, grad in zip(labels, grads):
-        if grad:
-            # Frontends label region ops "<grad>.p3..." or "enc:<grad>...".
-            label = (label[len(grad):] if label.startswith(grad)
-                     else label.replace(grad, ""))
-        pid = memo.get(label, memo)  # the memo itself marks a miss
-        if pid is memo:
-            match = _LAST_REGION.match(label)
-            pid = memo[label] = int(match.group(1)) if match else None
-        pids.append(pid)
-    return pids
-
-
-def region_pid(label: str, grad: Optional[str]) -> Optional[int]:
-    """:func:`region_pids` of one op."""
-    return region_pids((label,), (grad,))[0]
 
 
 def sizes_match(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -295,10 +295,11 @@ class SyncPlan:
     Op row ``i`` is entry ``i`` of every column: ``uids``, ``kinds``
     (codes into :data:`OP_KINDS`), ``nodes``, ``labels``, ``nbytes`` (as
     given: an int stays an int), ``compressed``, ``dsts`` (-1 for none),
-    ``grads``, ``flags`` (a byte of :data:`FLAG_BIT` bits: the
-    attributes that are True) and ``attrs`` (a dict of the attributes
-    with any other value, or None; :meth:`attrs_of` merges the two).
-    Row ``i``'s
+    ``grads``, ``regions`` (the partition or chunk id of the gradient
+    buffer the op touches, -1 for the whole buffer), ``flags`` (a byte
+    of :data:`FLAG_BIT` bits: the attributes that are True) and
+    ``attrs`` (a dict of the attributes with any other value, or None;
+    :meth:`attrs_of` merges the two).  Row ``i``'s
     dependencies are ``dep_rows[dep_ptr[i]:dep_ptr[i + 1]]``, each an
     earlier row ``j >= 0`` or ``-1 - r`` for ready ref ``ref_keys[r]``
     (keys in first-use order).  Read the columns freely; change them only
@@ -325,6 +326,7 @@ class SyncPlan:
         self.compressed = bytearray()
         self.dsts = array("i")
         self.grads: List[Optional[str]] = []
+        self.regions = array("i")
         self.flags = bytearray()
         self.attrs: List[Optional[Dict[str, object]]] = []
         self.dep_ptr = array("i", [0])
@@ -352,17 +354,19 @@ class SyncPlan:
                grads: Sequence[Optional[str]],
                attrs: Optional[Sequence[Optional[Dict[str, object]]]],
                dep_counts: Rows, deps: Rows,
-               flags: Optional[Rows] = None) -> int:
+               flags: Optional[Rows] = None,
+               regions: Optional[Rows] = None) -> int:
         """Append a block of op rows, one call per column; returns the
         uid of its first row (the block's uids are consecutive).
 
         Each argument holds one entry per row, as the columns store it:
         ``kinds`` are codes into :data:`OP_KINDS`, ``dsts`` are -1 for
-        none, ``flags`` are :data:`FLAG_BIT` bits (None: none set), and
-        ``nbytes`` and ``grads`` are stored as given.  ``attrs`` holds a
-        dict per row, or None (a None ``attrs``: no row has one); a
-        dict's True flags move into the row's flag bits and the rest into
-        a new dict of the row's own.  Row ``i``'s dependencies
+        none, ``flags`` are :data:`FLAG_BIT` bits (None: none set),
+        ``regions`` are partition ids (None: every row -1, the whole
+        buffer), and ``nbytes`` and ``grads`` are stored as given.
+        ``attrs`` holds a dict per row, or None (a None ``attrs``: no row
+        has one); a dict's True flags move into the row's flag bits and
+        the rest into a new dict of the row's own.  Row ``i``'s dependencies
         are the next ``dep_counts[i]`` entries of ``deps``, each an
         earlier row of the plan or ``-1 - r`` for ready ref ``r`` (an id
         :meth:`_ref_id` gave).  A dependency on the row itself or a later
@@ -377,8 +381,11 @@ class SyncPlan:
         m = len(kinds)
         bits = (np.zeros(m, dtype=np.uint8) if flags is None
                 else np.array(flags, dtype=np.uint8))
+        parts = (np.full(m, -1, dtype=np.intc) if regions is None
+                 else np.asarray(regions, dtype=np.intc))
         if not (len(nodes) == len(labels) == len(nbytes) == len(compressed)
-                == len(dsts) == len(grads) == len(bits) == len(counts) == m
+                == len(dsts) == len(grads) == len(bits) == len(parts)
+                == len(counts) == m
                 and (attrs is None or len(attrs) == m)
                 and counts.sum() == len(deps)):
             raise ValueError("the block's columns differ in length")
@@ -405,6 +412,7 @@ class SyncPlan:
         self.compressed.extend(np.asarray(compressed, dtype=bool).tobytes())
         self.dsts.frombytes(dsts.astype(np.intc).tobytes())
         self.grads.extend(grads)
+        self.regions.frombytes(parts.tobytes())
         rest: List[Optional[Dict[str, object]]] = [None] * m
         if attrs is not None and any(attrs):
             for i, row_attrs in enumerate(attrs):
@@ -608,8 +616,9 @@ class SyncPlan:
         del owner, lost
         # The old dependency rows go first; _set_deps installs the new.
         self.dep_ptr = self.dep_rows = array("i")
-        for name in ("uids", "kinds", "nodes", "dsts", "compressed", "flags",
-                     "labels", "nbytes", "grads", "attrs"):
+        for name in ("uids", "kinds", "nodes", "dsts", "regions",
+                     "compressed", "flags", "labels", "nbytes", "grads",
+                     "attrs"):
             setattr(self, name, _take(getattr(self, name), order, pick))
         self._set_deps(new_ptr, new_deps)
 
@@ -745,7 +754,7 @@ class SyncPlan:
                 row = row + (d.algorithm,)
             h.update(repr(row).encode())
         for column in (self.uids, self.kinds, self.nodes, self.compressed,
-                       self.dsts, self.dep_ptr, self.dep_rows):
+                       self.dsts, self.regions, self.dep_ptr, self.dep_rows):
             h.update(bytes(column))
         h.update(repr((self.labels, self.nbytes,
                        self.grads, self.ref_keys, self.dangling)).encode())

@@ -4,8 +4,9 @@ Every strategy is the same few primitives at every partition, bucket or
 gradient: an instance's ops' kinds, nodes, destinations, sizes and
 dependency rows depend only on a small key (the aggregator and codec
 choice for CaSync-PS, the chunk's starting node for CaSync-ring, the
-server for BytePS, a bucket's gradient count for a ring bucket), and its
-labels only on the instance's own label.  A frontend describes each
+server for BytePS, a bucket's gradient count for a ring bucket), its
+labels only on the instance's own label, and every row of an instance
+touches the instance's buffer region.  A frontend describes each
 key's rows once as a :class:`Template`, :meth:`Blocks.place` lays out
 one instance per partition in plan order, and :meth:`Blocks.extend`
 appends every instance's rows to the plan in one
@@ -98,9 +99,10 @@ class Blocks:
         self._ids: Dict[Hashable, int] = {}
         self.templates: List[Template] = []
         # Per instance: its template, the position of its slot 0 in
-        # ``_refs``, label, gradient and size.
+        # ``_refs``, region, label, gradient and size.
         self._of = array("i")
         self._ref_at = array("i")
+        self._regions = array("i")
         self._labels: List[str] = []
         self._grads: List[Optional[str]] = []
         self._sizes: List[float] = []
@@ -109,12 +111,15 @@ class Blocks:
 
     def place(self, grad: Optional[str], size: float,
               keys: Sequence[Hashable], labels: Sequence[str],
+              regions: Optional[Sequence[int]] = None,
               ready: Optional[Sequence[str]] = None) -> None:
         """Lay out the next instances, each of ``size`` bytes (an int
         stays an int while every placed size is one): one of
         ``keys[i]``'s template per label ``labels[i]``, their rows owned
-        by gradient ``grad`` (None: no gradient).  Their ready slots are
-        the ready refs of the gradients ``ready`` (default: ``[grad]``)."""
+        by gradient ``grad`` (None: no gradient) and touching its buffer
+        region ``regions[i]`` (None: the whole buffer, -1).  Their ready
+        slots are the ready refs of the gradients ``ready`` (default:
+        ``[grad]``)."""
         ids = self._ids
         for key in keys:
             if key not in ids:
@@ -136,6 +141,7 @@ class Blocks:
         k = len(of)
         self._of.extend(of)
         self._ref_at.extend([len(self._refs)] * k)
+        self._regions.extend([-1] * k if regions is None else regions)
         self._refs.extend(refs[s] for s in range(len(refs)))
         self._labels.extend(labels)
         self._grads.extend([grad] * k)
@@ -184,6 +190,7 @@ class Blocks:
         if sizes.dtype != float:  # int sizes stay ints
             sizes = sizes.astype(object)
         nbytes = np.where(column("sized", bool)[rows], sizes, 0.0).tolist()
+        regions = np.frombuffer(self._regions, dtype=np.intc)[inst]
         del inst
         attrs = None
         if any(any(t.attrs) for t in templates):
@@ -198,7 +205,7 @@ class Blocks:
         plan.extend(column("kinds")[rows], column("nodes")[rows], labels,
                     nbytes, column("compressed", bool)[rows],
                     column("dsts")[rows], grads, attrs, dep_counts, deps,
-                    flags=column("flags", np.uint8)[rows])
+                    flags=column("flags", np.uint8)[rows], regions=regions)
 
 
 def one_node_barriers(plan: SyncPlan,

@@ -92,12 +92,12 @@ class CaSyncPS(_CaSyncBase):
         agg_rr = 0
         for grad in model.gradients:
             directive = plan.directive(grad.name)
-            k = directive.partitions
+            parts = range(directive.partitions)
             keys = [(aggregator_pool[(agg_rr + p) % len(aggregator_pool)],
-                     directive.compress) for p in range(k)]
-            agg_rr += k
-            blocks.place(grad.name, grad.nbytes / k, keys,
-                         [f"{grad.name}.p{p}" for p in range(k)])
+                     directive.compress) for p in parts]
+            agg_rr += len(parts)
+            blocks.place(grad.name, grad.nbytes / len(parts), keys,
+                         [f"{grad.name}.p{p}" for p in parts], parts)
         blocks.extend()
 
 
@@ -164,10 +164,10 @@ class CaSyncRing(_CaSyncBase):
             if not directive.compress:
                 raw.append(grad)
                 continue
-            k = directive.partitions
-            blocks.place(grad.name, grad.nbytes / k,
-                         [c % n for c in range(k)],
-                         [f"{grad.name}.c{c}" for c in range(k)])
+            chunks = range(directive.partitions)
+            blocks.place(grad.name, grad.nbytes / len(chunks),
+                         [c % n for c in chunks],
+                         [f"{grad.name}.c{c}" for c in chunks], chunks)
         blocks.extend()
         ring_buckets(plan, bucketize(raw, RAW_BUCKET_BYTES),
                      ("raw-rs", "raw-mrg", "raw-ag", "raw-done", ""))

@@ -55,12 +55,12 @@ def place_slices(plan: SyncPlan, model: ModelSpec, part_bytes: float,
     blocks = Blocks(plan, template)
     server_rr = 0
     for grad in model.gradients:
-        parts = partition_sizes(grad.nbytes, part_bytes)
-        k = len(parts)
-        blocks.place(grad.name, parts[0],
-                     [(server_rr + p) % n for p in range(k)],
-                     [f"{grad.name}.p{p}" for p in range(k)])
-        server_rr += k
+        sizes = partition_sizes(grad.nbytes, part_bytes)
+        parts = range(len(sizes))
+        blocks.place(grad.name, sizes[0],
+                     [(server_rr + p) % n for p in parts],
+                     [f"{grad.name}.p{p}" for p in parts], parts)
+        server_rr += len(parts)
     blocks.extend()
 
 

@@ -42,7 +42,7 @@ from ..sim import URGENT, Environment, gc_paused
 from ..strategies.base import Strategy, SyncContext
 from ..telemetry import TelemetryCollector, current_collector
 
-__all__ = ["IterationResult", "simulate_iteration", "scaling_efficiency"]
+__all__ = ["IterationResult", "simulate_iteration"]
 
 #: Optimizer (SGD update) cost as a fraction of compute time.
 OPTIMIZER_FRACTION = 0.02
@@ -486,7 +486,3 @@ def _finish_local_agg(ref: Tuple[TaskGraph, Tuple[int, str]]) -> None:
     graph, key = ref
     if key not in graph.ready_at:  # a pre-crash aggregation may have won
         graph.make_ready(*key)
-
-
-def scaling_efficiency(result: IterationResult) -> float:
-    return result.scaling_efficiency

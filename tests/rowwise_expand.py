@@ -18,8 +18,9 @@ from repro.strategies import (BytePS, BytePSOSSCompression, CaSyncPS,
 
 
 def add(plan, kind, node, label, size=ZERO_SIZE, deps=(), dst=None,
-        grad=None, **attrs):
-    """Append an op to ``plan``; returns its uid (usable as a dependency).
+        grad=None, region=-1, **attrs):
+    """Append an op to ``plan`` touching buffer region ``region`` (-1:
+    the whole buffer); returns its uid (usable as a dependency).
 
     Each uid dependency is resolved to its row here; one that names no
     earlier op is recorded in ``plan.dangling`` (a PC106 finding of the
@@ -55,6 +56,7 @@ def add(plan, kind, node, label, size=ZERO_SIZE, deps=(), dst=None,
     plan.compressed.append(size.compressed)
     plan.dsts.append(dst)
     plan.grads.append(grad)
+    plan.regions.append(region)
     bits, rest = _split_attrs(attrs)
     plan.flags.append(bits)
     plan.attrs.append(rest)
@@ -83,49 +85,52 @@ def rowwise_ps(plan, model):
                 if directive.compress:
                     src_dep = add(
                         plan, "encode", w, f"enc:{label}@{w}",
-                        SizeExpr(part), deps=[src_dep], grad=grad.name)
+                        SizeExpr(part), deps=[src_dep], grad=grad.name,
+                        region=p)
                 if w != aggregator:
                     src_dep = add(
                         plan, "send", w, f"push:{label}@{w}", wire,
                         deps=[src_dep], dst=aggregator, grad=grad.name,
-                        bulk_eligible=True)
+                        region=p, bulk_eligible=True)
                 if directive.compress:
                     dec = add(
                         plan, "decode", aggregator, f"agg:{label}@{w}",
                         SizeExpr(part), deps=[src_dep], grad=grad.name,
-                        fusable=True)
+                        region=p, fusable=True)
                     agg = add(
                         plan, "merge", aggregator, f"agg:{label}@{w}",
-                        SizeExpr(part), deps=[dec], grad=grad.name,
+                        SizeExpr(part), deps=[dec], grad=grad.name, region=p,
                         fusable=True)
                 else:
                     agg = add(
                         plan, "merge", aggregator, f"agg:{label}@{w}",
-                        SizeExpr(part), deps=[src_dep], grad=grad.name)
+                        SizeExpr(part), deps=[src_dep], grad=grad.name,
+                        region=p)
                 merges.append(agg)
 
             tail = merges
             if directive.compress:
                 tail = [add(
                     plan, "encode", aggregator, f"enc-out:{label}",
-                    SizeExpr(part), deps=merges, grad=grad.name)]
+                    SizeExpr(part), deps=merges, grad=grad.name, region=p)]
             for w in range(n):
                 if w == aggregator:
                     add(plan, "barrier", w, f"done:{label}@{w}",
-                        deps=tail, grad=grad.name)
+                        deps=tail, grad=grad.name, region=p)
                     continue
                 pull = add(
                     plan, "send", aggregator, f"pull:{label}@{w}", wire,
-                    deps=tail, dst=w, grad=grad.name, bulk_eligible=True)
+                    deps=tail, dst=w, grad=grad.name, region=p,
+                    bulk_eligible=True)
                 if directive.compress:
                     dec = add(
                         plan, "decode", w, f"dec:{label}@{w}",
-                        SizeExpr(part), deps=[pull], grad=grad.name)
+                        SizeExpr(part), deps=[pull], grad=grad.name, region=p)
                     add(plan, "barrier", w, f"done:{label}@{w}",
-                        deps=[dec], grad=grad.name)
+                        deps=[dec], grad=grad.name, region=p)
                 else:
                     add(plan, "barrier", w, f"done:{label}@{w}",
-                        deps=[pull], grad=grad.name)
+                        deps=[pull], grad=grad.name, region=p)
 
 
 def rowwise_ring(plan, model):
@@ -157,38 +162,38 @@ def rowwise_ring(plan, model):
                     deps.append(prev)
                 enc = add(
                     plan, "encode", holder, f"enc:{label}.{step}",
-                    SizeExpr(part), deps=deps, grad=grad.name)
+                    SizeExpr(part), deps=deps, grad=grad.name, region=c)
                 send = add(
                     plan, "send", holder, f"hop:{label}.{step}", wire,
-                    deps=[enc], dst=nxt, grad=grad.name)
+                    deps=[enc], dst=nxt, grad=grad.name, region=c)
                 dec = add(
                     plan, "decode", nxt, f"agg:{label}.{step}",
                     SizeExpr(part), deps=[send, ReadyRef(nxt, grad.name)],
-                    grad=grad.name, fusable=True)
+                    grad=grad.name, region=c, fusable=True)
                 prev = add(
                     plan, "merge", nxt, f"agg:{label}.{step}",
-                    SizeExpr(part), deps=[dec], grad=grad.name,
+                    SizeExpr(part), deps=[dec], grad=grad.name, region=c,
                     fusable=True)
 
             final_holder = (start + n - 1) % n
             head = add(
                 plan, "encode", final_holder, f"enc-final:{label}",
-                SizeExpr(part), deps=[prev], grad=grad.name)
+                SizeExpr(part), deps=[prev], grad=grad.name, region=c)
             add(plan, "barrier", final_holder, f"done:{label}",
-                deps=[prev], grad=grad.name)
+                deps=[prev], grad=grad.name, region=c)
             hop_dep = head
             for step in range(n - 1):
                 holder = (final_holder + step) % n
                 nxt = topology.successor(holder)
                 send = add(
                     plan, "send", holder, f"bcast:{label}.{step}", wire,
-                    deps=[hop_dep], dst=nxt, grad=grad.name)
+                    deps=[hop_dep], dst=nxt, grad=grad.name, region=c)
                 hop_dep = send
                 dec = add(
                     plan, "decode", nxt, f"dec:{label}.{step}",
-                    SizeExpr(part), deps=[send], grad=grad.name)
+                    SizeExpr(part), deps=[send], grad=grad.name, region=c)
                 add(plan, "barrier", nxt, f"done:{label}@{nxt}",
-                    deps=[dec], grad=grad.name)
+                    deps=[dec], grad=grad.name, region=c)
 
     raw_ring(plan, raw)
 
@@ -245,27 +250,28 @@ def rowwise_byteps(strategy, plan, pctx, model):
                     # Local slice still crosses PCIe into host memory.
                     agg = add(
                         plan, "cpu", server, f"agg:{label}@{w}", size,
-                        deps=[ReadyRef(w, grad.name)], grad=grad.name)
+                        deps=[ReadyRef(w, grad.name)], grad=grad.name,
+                        region=p)
                 else:
                     push = add(
                         plan, "send", w, f"push:{label}@{w}", size,
                         deps=[ReadyRef(w, grad.name)], dst=server,
-                        grad=grad.name)
+                        grad=grad.name, region=p)
                     agg = add(
                         plan, "cpu", server, f"agg:{label}@{w}", size,
-                        deps=[push], grad=grad.name)
+                        deps=[push], grad=grad.name, region=p)
                 aggregates.append(agg)
             # Pull: server returns the aggregate to every worker.
             for w in range(n):
                 if w == server:
                     add(plan, "barrier", w, f"pulled:{label}@{w}",
-                        deps=aggregates, grad=grad.name)
+                        deps=aggregates, grad=grad.name, region=p)
                 else:
                     pull = add(
                         plan, "send", server, f"pull:{label}@{w}", size,
-                        deps=aggregates, dst=w, grad=grad.name)
+                        deps=aggregates, dst=w, grad=grad.name, region=p)
                     add(plan, "barrier", w, f"pulled:{label}@{w}",
-                        deps=[pull], grad=grad.name)
+                        deps=[pull], grad=grad.name, region=p)
 
 
 def rowwise_ring_allreduce(strategy, plan, pctx, model):
@@ -354,47 +360,48 @@ def rowwise_byteps_oss(strategy, plan, pctx, model):
                 # Worker: staging copy + encode of this slice.
                 stage = add(
                     plan, "copy", w, f"stage:{label}@{w}", size,
-                    deps=[ReadyRef(w, grad.name)], grad=grad.name)
+                    deps=[ReadyRef(w, grad.name)], grad=grad.name, region=p)
                 enc = add(
                     plan, "encode", w, f"enc:{label}@{w}", size,
-                    deps=[stage], grad=grad.name, **worker_cpu)
+                    deps=[stage], grad=grad.name, region=p, **worker_cpu)
                 if w == server:
                     arrived = enc
                 else:
                     arrived = add(
                         plan, "send", w, f"push:{label}@{w}", wire,
-                        deps=[enc], dst=server, grad=grad.name)
+                        deps=[enc], dst=server, grad=grad.name, region=p)
                 # Server (host CPU): decode then accumulate -- two
                 # separate steps, never fused (no ``fusable`` marks).
                 dec = add(
                     plan, "decode", server, f"srv-dec:{label}@{w}", size,
-                    deps=[arrived], grad=grad.name, on_cpu=True,
+                    deps=[arrived], grad=grad.name, region=p, on_cpu=True,
                     allocates_output=True, as_cpu=True)
                 agg = add(
                     plan, "cpu", server, f"srv-agg:{label}@{w}", size,
-                    deps=[dec], grad=grad.name)
+                    deps=[dec], grad=grad.name, region=p)
                 merges.append(agg)
 
             # Server re-encodes the aggregate on the CPU, then pulls.
             srv_enc = add(
                 plan, "encode", server, f"srv-enc:{label}", size,
-                deps=merges, grad=grad.name, on_cpu=True, as_cpu=True)
+                deps=merges, grad=grad.name, region=p, on_cpu=True,
+                as_cpu=True)
             for w in range(n):
                 if w == server:
                     arrived = srv_enc
                 else:
                     arrived = add(
                         plan, "send", server, f"pull:{label}@{w}", wire,
-                        deps=[srv_enc], dst=w, grad=grad.name)
+                        deps=[srv_enc], dst=w, grad=grad.name, region=p)
                 unstage = add(
                     plan, "copy", w, f"unstage:{label}@{w}", size,
-                    deps=[arrived], grad=grad.name)
+                    deps=[arrived], grad=grad.name, region=p)
                 dec = add(
                     plan, "decode", w, f"dec:{label}@{w}", size,
-                    deps=[unstage], grad=grad.name,
+                    deps=[unstage], grad=grad.name, region=p,
                     allocates_output=True, **worker_cpu)
                 add(plan, "barrier", w, f"done:{label}@{w}", deps=[dec],
-                    grad=grad.name)
+                    grad=grad.name, region=p)
 
 
 def rowwise_ring_oss(strategy, plan, pctx, model):

@@ -4,10 +4,10 @@ Every strategy appends its ops as template blocks through
 ``SyncPlan.extend``.  ``tests/rowwise_expand.py`` keeps the expands as
 they were written, one test-side ``add`` per op; both must leave the
 same post-expand plan (JSON form, digest, dependency rows, ready-ref
-order, uids, flags, attrs and the Python type of every size) on every
-golden case, on a heterogeneous cluster, on the adaptive palette plans,
-on one node, on the pipelining-off and selective-off ablations and on
-BERT-large.
+order, uids, regions, flags, attrs and the Python type of every size)
+on every golden case, on a heterogeneous cluster, on the adaptive
+palette plans, on one node, on the pipelining-off and selective-off
+ablations and on BERT-large.
 """
 
 import numpy as np
@@ -39,6 +39,7 @@ def assert_same_plan(block, rowwise):
     assert block.ref_keys == rowwise.ref_keys
     assert block.uids == rowwise.uids
     assert block.flags == rowwise.flags
+    assert block.regions == rowwise.regions
     assert block.attrs == rowwise.attrs
     assert block._next_uid == rowwise._next_uid
     assert list(map(type, block.nbytes)) == list(map(type, rowwise.nbytes))
@@ -207,7 +208,7 @@ def _columns(plan):
     return (list(plan.uids), list(plan.kinds), list(plan.nodes),
             plan.labels, plan.nbytes, list(map(type, plan.nbytes)),
             list(plan.compressed), list(plan.dsts), plan.grads,
-            list(plan.flags), plan.attrs,
+            list(plan.regions), list(plan.flags), plan.attrs,
             list(plan.dep_ptr), list(plan.dep_rows), plan.ref_keys,
             plan.dangling, plan._next_uid,
             {uid: plan.row_of(uid) for uid in plan.uids})

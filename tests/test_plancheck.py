@@ -31,7 +31,7 @@ from repro.analysis.plancheck import (
     iter_cases,
 )
 from repro.analysis.plancheck import main as plancheck_main
-from repro.casync.index import PlanIndex, plan_index, region_pid
+from repro.casync.index import PlanIndex, plan_index
 from repro.casync.ir import (
     Directive,
     PlanVerificationError,
@@ -91,6 +91,23 @@ def test_golden_case_proves_clean(case_name, build):
     assert report.ok(strict=True), report.render_text()
     assert report.diagnostics == ()
     assert report.num_ops == len(plan.ops)
+
+
+@pytest.mark.parametrize("case_name,build", CASES,
+                         ids=[name for name, _ in CASES])
+def test_findings_do_not_depend_on_labels(case_name, build):
+    # Regions come from the plan's regions column, never from a label:
+    # renaming every op moves no finding.
+    plan, pctx, recipe = build()
+
+    def findings():
+        report = check_plan(plan, pctx=pctx, recipe=recipe, name=case_name)
+        return [(d.rule, d.line) for d in report.diagnostics]
+
+    before = findings()
+    for i in range(len(plan)):
+        plan.update(i, label=f"op{i}")
+    assert findings() == before
 
 
 def test_mutant_corpus_caught_with_typed_findings():
@@ -160,12 +177,12 @@ def test_unordered_write_write_pair_is_pc201():
 
 
 def test_disjoint_partition_writes_do_not_alias():
-    # Same gradient, different .pK regions: unordered writes are fine.
+    # Same gradient, different regions: unordered writes are fine.
     plan = _race_plan()
     size = SizeExpr(512, compressed=True)
     for part in range(2):
-        add(plan, "decode", 0, f"m.g0.p{part}", size=size,
-            deps=(ReadyRef(0, "m.g0"),), grad="m.g0")
+        add(plan, "decode", 0, "m.g0.dec", size=size,
+            deps=(ReadyRef(0, "m.g0"),), grad="m.g0", region=part)
     assert _rules(plan) == set()
 
 
@@ -472,19 +489,6 @@ def test_invalidate_makes_in_place_mutation_visible():
     rules = {d.rule
              for d in check_plan(plan, pctx=pctx).diagnostics}
     assert "PC501" in rules
-
-
-@pytest.mark.parametrize("label,grad,expected", [
-    ("m.g0.p3", "m.g0", 3),
-    ("m.g0.c12", "m.g0", 12),
-    ("m.g0.p1.enc", "m.g0", 1),
-    ("m.g0", "m.g0", None),
-    ("m.g0.part2", "m.g0", None),     # not a region marker
-    ("m.g0.p2x", "m.g0", None),       # trailing junk breaks the boundary
-    ("srv.m.g0.p4.dec", "m.g0", 4),   # prefix fast path not applicable
-])
-def test_region_pid_parsing(label, grad, expected):
-    assert region_pid(label, grad) == expected
 
 
 # -- CLI ----------------------------------------------------------------------
