@@ -16,10 +16,11 @@ Every case also runs under an attached telemetry collector.  The
 collector rides the same send paths (inline sends, coordinator
 flushes) as a bare run and only records, so the traced run must
 reproduce the pinned hash too.  Its telemetry is pinned as well, in
-``tests/golden/telemetry_digests.json``: one digest over its spans and
-one over its metrics.
+``tests/golden/telemetry_digests.json``: one digest over its spans in
+recording order, one over the same spans sorted, and one over its
+metrics.
 
-The seed-11 fault rounds of ``tests/test_faults.py`` pin the same two
+The seed-11 fault rounds of ``tests/test_faults.py`` pin the same three
 digests of their traced run in ``tests/golden/fault_telemetry_digests.json``.
 
 Regenerate (only legitimate when the *simulated behaviour* is meant to
@@ -47,22 +48,45 @@ DIGEST_PATH = Path(__file__).parent / "golden" / "telemetry_digests.json"
 _ID_ATTRS = ("task", "task_ids")
 
 
-def span_digest(tel):
-    """Digest of every span, in recording order.
-
-    A span is keyed by name, category, track, start, end, its attrs
-    (task ids excluded) and its parent's name and start.
-    """
+def _span_keys(tel):
+    """One key per span, in recording order: name, category, track,
+    start, end, its attrs (task ids excluded) and its parent's name and
+    start."""
     by_id = {span.id: span for span in tel.spans}
-    digest = hashlib.sha256()
+    keys = []
     for span in tel.spans:
         parent = by_id.get(span.parent_id)
         attrs = sorted((k, v) for k, v in span.attrs.items()
                        if k not in _ID_ATTRS)
-        key = (span.name, span.category, span.track, span.start, span.end,
-               attrs, None if parent is None else (parent.name, parent.start))
-        digest.update(repr(key).encode() + b"\n")
+        keys.append(repr((span.name, span.category, span.track, span.start,
+                          span.end, attrs,
+                          None if parent is None
+                          else (parent.name, parent.start))))
+    return keys
+
+
+def _digest(keys):
+    digest = hashlib.sha256()
+    for key in keys:
+        digest.update(key.encode() + b"\n")
     return digest.hexdigest()
+
+
+def span_digest(tel):
+    """Digest of every span's key, in recording order."""
+    return _digest(_span_keys(tel))
+
+
+def sorted_span_digest(tel):
+    """Digest of the same keys, sorted: which spans were recorded, not
+    the order in which same-instant agenda entries recorded them."""
+    return _digest(sorted(_span_keys(tel)))
+
+
+def telemetry_digests(tel):
+    """The pinned digests of a traced round."""
+    return {"spans": span_digest(tel), "spans_sorted": sorted_span_digest(tel),
+            "metrics": metrics_digest(tel)}
 
 
 def metrics_digest(tel):
@@ -115,8 +139,10 @@ def test_trace_hash_matches_pre_refactor(case, traced):
     if traced:
         assert tel.spans, f"{case}: the collector recorded nothing"
         pinned = _load_golden(DIGEST_PATH)[case]
+        assert sorted_span_digest(tel) == pinned["spans_sorted"], (
+            f"{case}: the recorded spans changed")
         assert span_digest(tel) == pinned["spans"], (
-            f"{case}: recorded spans changed")
+            f"{case}: the recording order of the spans changed")
         assert metrics_digest(tel) == pinned["metrics"], (
             f"{case}: recorded metrics changed")
 
@@ -145,8 +171,7 @@ def _regen():
         default_graph_cache().clear()
         with telemetry_session() as tel:
             CASES[name]()
-        digests[name] = {"spans": span_digest(tel),
-                         "metrics": metrics_digest(tel)}
+        digests[name] = telemetry_digests(tel)
     DIGEST_PATH.write_text(json.dumps(digests, indent=1, sort_keys=True)
                            + "\n")
     print(f"wrote {len(digests)} telemetry digests -> {DIGEST_PATH}")
