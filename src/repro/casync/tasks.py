@@ -762,9 +762,11 @@ class NodeEngine:
     The compression and CPU executors are callback state machines over
     a :class:`_TaskQueue` (``docs/SIM_CORE.md``): a construction-time
     URGENT hop, then per task a *take* hop at ``(now, URGENT)`` that
-    forms the batch, or orphans the task if the engine halted meanwhile;
-    compute work runs through :meth:`Gpu.run_kernel`, CPU work through
-    one finish entry.
+    forms the batch and starts its work, or orphans the task if the
+    engine halted meanwhile.  A batch's kernel starts inside the take
+    hop (:meth:`Gpu.run_kernel`), so a batch, like a CPU task, takes
+    one more entry: its finish.  Task spans are opened only under a
+    collector.
     """
 
     #: Upper bound on the bytes fused into one batched kernel.
@@ -844,28 +846,22 @@ class NodeEngine:
             return
         graph._start_rows((graph.recipe.rows[k],))
 
-    def _task_span(self, k: int, at: float):
-        """Open a telemetry span for task ``k`` (None when disabled)."""
-        tel = self.env.telemetry
-        if tel is None:
-            return None
+    def _task_span(self, tel, k: int, at: float):
+        """Open task ``k``'s span on the attached collector ``tel``;
+        callers test for one first, so an untraced task enters no frame."""
         recipe = self.graph.recipe
         kind = recipe.kinds[k]
         return tel.begin(recipe.labels[k] or kind, category=kind,
                          track=f"node{self.node}/{kind}", at=at,
                          task=k, nbytes=recipe.nbytes[k])
 
-    def _finish_task_span(self, span, **attrs) -> None:
-        if span is not None:
-            self.env.telemetry.finish(span, self.env.now, **attrs)
-
     def _send_inline(self, k: int) -> None:
         """A send in two agenda entries (without retries):
 
-        * an *issue* entry at ``(now, URGENT)`` opens the send's span and
-          hands it to :meth:`Fabric.issue`, which reserves the NIC then,
-          not at dispatch: a pending URGENT issue of an earlier flush or
-          send must reserve first;
+        * an *issue* entry at ``(now, URGENT)`` opens the send's span
+          (under a collector) and hands it to :meth:`Fabric.issue`,
+          which reserves the NIC then, not at dispatch: a pending URGENT
+          issue of an earlier flush or send must reserve first;
         * the fabric's delivery entry records the message and runs
           :meth:`_finish_send`.
 
@@ -880,7 +876,8 @@ class NodeEngine:
         graph = self.graph
         dst, nbytes = graph.recipe.dsts[k], graph.recipe.nbytes[k]
         now = graph.started_at[k] = self.env.now
-        span = self._task_span(k, now)
+        tel = self.env.telemetry
+        span = None if tel is None else self._task_span(tel, k, now)
         if self.retry_policy is None:
             self.fabric.issue(graph.nodes[k], dst, nbytes, self._finish_send,
                               (k, span), span_parent=span)
@@ -897,7 +894,8 @@ class NodeEngine:
         graph = self.graph
         now = graph.finished_at[k] = self.env.now
         self.send_busy += now - graph.started_at[k]
-        self._finish_task_span(span, dst=graph.recipe.dsts[k])
+        if span is not None:
+            self.env.telemetry.finish(span, now, dst=graph.recipe.dsts[k])
         if not graph.triggered[k]:
             graph.complete(k)
 
@@ -908,8 +906,9 @@ class NodeEngine:
         now = graph.finished_at[k] = self.env.now
         self.send_busy += now - graph.started_at[k]
         attempts = graph.attempts.get(k, 0) - before
-        self._finish_task_span(span, outcome=outcome, dst=final_dst,
-                               attempts=attempts)
+        if span is not None:
+            self.env.telemetry.finish(span, now, outcome=outcome,
+                                      dst=final_dst, attempts=attempts)
         if graph.triggered[k]:
             return  # force-completed while we were retrying
         if outcome == "dead":
@@ -931,16 +930,18 @@ class NodeEngine:
             return
         graph = self.graph
         now = graph.started_at[k] = self.env.now
-        span = self._task_span(k, now)
+        tel = self.env.telemetry
+        span = None if tel is None else self._task_span(tel, k, now)
         self.env.call_later(graph.recipe.durations[k], self._cpu_finish,
                             (k, span))
 
     def _cpu_finish(self, work: Tuple[int, Any]) -> None:
         k, span = work
         graph = self.graph
-        graph.finished_at[k] = self.env.now
+        now = graph.finished_at[k] = self.env.now
         self.cpu_busy += graph.recipe.durations[k]
-        self._finish_task_span(span)
+        if span is not None:
+            self.env.telemetry.finish(span, now)
         if not graph.triggered[k]:
             graph.complete(k)
         self.q_cpu.next(self._cpu_take)
@@ -980,9 +981,10 @@ class NodeEngine:
         for k in batch:
             started[k] = start
         spans = []
-        if self.env.telemetry is not None:
+        tel = self.env.telemetry
+        if tel is not None:
             for k in batch:
-                span = self._task_span(k, start)
+                span = self._task_span(tel, k, start)
                 spans.append(span)
                 if len(batch) > 1:
                     span.attrs["fused"] = len(batch)
@@ -996,8 +998,9 @@ class NodeEngine:
         batch, start, spans = token
         now = self.env.now
         self.compute_busy += now - start
-        for span in spans:
-            self._finish_task_span(span)
+        if spans:  # opened only under a collector
+            for span in spans:
+                self.env.telemetry.finish(span, now)
         graph = self.graph
         finished, triggered = graph.finished_at, graph.triggered
         for k in batch:

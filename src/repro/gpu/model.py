@@ -14,10 +14,11 @@ overlaps DNN compute the way CUDA streams allow (§5: a dedicated queue
 schedules encode/decode on GPU).
 
 Each stream is a scalar reservation with one user that runs its kernels
-one at a time, as agenda callbacks: the node's forward/backward pass on
-the compute stream (:meth:`Gpu.run_compute`, which a crash abandons),
-the compression executor on the communication stream
-(:meth:`Gpu.run_kernel`).
+one at a time: the node's forward/backward pass on the compute stream
+(:meth:`Gpu.run_compute`, which a crash abandons), the compression
+executor on the communication stream (:meth:`Gpu.run_kernel`).  A kernel
+starts in its caller's agenda entry and takes one entry of its own, its
+finish.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from typing import Any, Callable, List, Optional, Tuple
 
 import numpy as np
 
-from ..sim import URGENT, Environment, SimulationError
+from ..sim import Environment, SimulationError
 
 __all__ = ["GpuSpec", "Gpu", "IntervalLog", "V100", "GTX1080TI"]
 
@@ -145,10 +146,10 @@ class IntervalLog:
 class _Stream:
     """One stream's reservation and the kernel it runs.
 
-    ``free_at`` is when the last granted kernel ends; ``epoch`` counts
-    aborts, so a grant or finish entry scheduled before the last abort
-    finds it moved and does nothing; ``span`` is the running kernel's
-    telemetry span (or None).
+    ``free_at`` is when the last started kernel ends; ``epoch`` counts
+    aborts, so a finish entry scheduled before the last abort finds it
+    moved and does nothing; ``span`` is the running kernel's telemetry
+    span (or None).
     """
 
     __slots__ = ("track", "free_at", "epoch", "span")
@@ -185,7 +186,7 @@ class Gpu:
                     span_parent=None) -> None:
         """Run one kernel on the compute stream, then ``handler(token)``.
 
-        Scheduled as :meth:`run_kernel` schedules a kernel; a kernel
+        Started as :meth:`run_kernel` starts a kernel; a kernel
         :meth:`abort_compute` abandons never calls ``handler``.
         """
         self._request(self.compute, seconds, handler, token, category,
@@ -196,16 +197,16 @@ class Gpu:
                    span_parent=None) -> None:
         """Run one kernel on the communication stream, then ``handler(token)``.
 
-        A *grant* hop at ``(now, URGENT)`` applies :attr:`slowdown` and
-        reserves the stream; a *finish* entry logs the kernel when it
-        ends.  The caller serializes its kernels: a grant while one runs
-        raises :class:`~repro.sim.SimulationError`.
+        The kernel starts now, in the caller's agenda entry: it applies
+        :attr:`slowdown` and reserves the stream; a *finish* entry logs
+        the kernel when it ends.  The caller serializes its kernels: a
+        launch while one runs raises :class:`~repro.sim.SimulationError`.
         """
         self._request(self.comm, seconds, handler, token, category,
                       span_parent)
 
     def abort_compute(self) -> None:
-        """Abandon the compute kernel requested or running, if any (a crash).
+        """Abandon the compute kernel running, if any (a crash).
 
         The stream is free at once, the kernel logs no busy interval and
         its span closes with outcome ``interrupted``.
@@ -221,46 +222,31 @@ class Gpu:
     def _request(self, stream: _Stream, seconds: float,
                  handler: Callable[[Any], None], token: Any, category: str,
                  span_parent) -> None:
+        """Start a kernel on ``stream`` now and push its finish entry."""
         if not 0 <= seconds < math.inf:  # also rejects NaN
             problem = "negative" if seconds < 0 else "non-finite"
             raise ValueError(f"gpu{self.index} {stream.track}: {problem} "
                              f"duration {seconds}")
-        tel = self.env.telemetry
-        if tel is not None:
-            tel.metrics.counter("sim.resource.requests").inc()
-        self.env.call_later(0.0, self._grant,
-                            (stream, stream.epoch, seconds, handler, token,
-                             category, span_parent), URGENT)
-
-    def _grant(self, request: Tuple) -> None:
-        stream, epoch, seconds, handler, token, category, span_parent = (
-            request)
-        if epoch != stream.epoch:
-            return
         env = self.env
         start = env.now
         if start < stream.free_at:
             raise SimulationError(
                 f"gpu{self.index}: a kernel starts at {start} while the "
                 f"{stream.track} stream is reserved until {stream.free_at}")
-        seconds, span = self._begin(seconds, stream.track, category,
-                                    span_parent)
+        if self.slowdown != 1.0:
+            seconds *= self.slowdown
+        span = None
+        tel = env.telemetry
+        if tel is not None:
+            tel.metrics.counter("sim.resource.requests").inc()
+            span = tel.begin(category, category="kernel",
+                             track=f"node{self.index}/{stream.track}",
+                             parent=span_parent, at=start)
         stream.free_at = start + seconds
         stream.span = span
         env.call_later(seconds, self._finish,
-                       (stream, epoch, start, handler, token, category, span))
-
-    def _begin(self, seconds: float, stream: str, category: str,
-               span_parent) -> Tuple[float, Any]:
-        """Start a kernel now: its slowed duration and span (or None)."""
-        if self.slowdown != 1.0:
-            seconds *= self.slowdown
-        tel = self.env.telemetry
-        if tel is None:
-            return seconds, None
-        return seconds, tel.begin(category, category="kernel",
-                                  track=f"node{self.index}/{stream}",
-                                  parent=span_parent, at=self.env.now)
+                       (stream, stream.epoch, start, handler, token,
+                        category, span))
 
     def _finish(self, kernel: Tuple) -> None:
         stream, epoch, start, handler, token, category, span = kernel

@@ -39,7 +39,7 @@ __all__ = [
 #: Default scheduling priority for events.
 NORMAL = 1
 #: Priority for bookkeeping events that must run before normal ones at the
-#: same timestamp (e.g. a kernel's grant hop, a crash reaching its node).
+#: same timestamp (e.g. an executor's take hop, a crash reaching its node).
 URGENT = 0
 
 #: Compaction is considered only once this many cancelled entries have

@@ -545,11 +545,12 @@ def test_fused_duration_is_a_left_fold():
 
 
 @pytest.mark.parametrize("at,timeline", [
-    # Applied at t=0 after the dispatch, before the first grant: both
-    # kernels run slowed.
+    # Applied at t=0 after the dispatch, in the injector's start hop,
+    # which runs before the executor's first take hop starts a's kernel:
+    # both kernels run slowed.
     (0.0, [("a", 0.0, 2.0), ("b", 2.0, 4.0)]),
     # Applied at t=1, just before a's finish takes b: a ran at full
-    # speed, b is granted slowed.
+    # speed, b starts slowed.
     (1.0, [("a", 0.0, 1.0), ("b", 1.0, 3.0)]),
 ])
 def test_gpu_slowdown_between_dispatch_and_grant(at, timeline):

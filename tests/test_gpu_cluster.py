@@ -83,11 +83,12 @@ def test_gpu_same_stream_serializes():
     assert done == [("a", 1.0), ("b", 2.0)]
     assert gpu.comm.free_at == 2.0
     # The stream holds one kernel at a time: a launch while one runs is
-    # refused at its grant, not queued behind it.
+    # refused at once, not queued behind it.
     gpu.run_kernel(1.0, finished, "c")
-    gpu.run_kernel(1.0, finished, "d")
     with pytest.raises(SimulationError, match="reserved until 3.0"):
-        env.run()
+        gpu.run_kernel(1.0, finished, "d")
+    env.run()
+    assert done[2:] == [("c", 3.0)]
 
 
 def test_gpu_log_records_intervals():
@@ -112,10 +113,10 @@ def test_gpu_negative_duration_rejected():
 @pytest.mark.parametrize("seconds", [float("nan"), float("inf")])
 @pytest.mark.parametrize("stream", ["compute", "comm"])
 def test_gpu_non_finite_duration_rejected_at_the_request(seconds, stream):
-    """A NaN duration would pass a negative test and fail later, in the
-    grant hop, with no kernel named and the stream reserved until nan; an
-    infinite one would drive the clock to inf.  Both are refused at the
-    request, naming the stream, and schedule nothing."""
+    """A NaN duration would pass a negative test and leave the stream
+    reserved until nan, with no kernel named; an infinite one would
+    drive the clock to inf.  Both are refused at the request, naming the
+    stream, and schedule nothing."""
     env = Environment()
     gpu = Gpu(env, V100)
     run = gpu.run_compute if stream == "compute" else gpu.run_kernel

@@ -198,7 +198,7 @@ def _run_interrupts(delays, pokes):
             log.append(("interrupted", target, env.now, f"poke@{at}"))
 
     def schedule_pokes(_value):
-        # Pushed after the kernels' grants, as the crashes of a fault
+        # Pushed after the kernels' finish entries, as the crashes of a fault
         # schedule are: at a tie the kernel's finish comes first.
         for at, target in pokes:
             env.call_later(at, poke, (at, target))

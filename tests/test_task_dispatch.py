@@ -104,12 +104,14 @@ def _golden_round(traced):
         trace = trace_iteration(model, cluster, get_strategy("casync-ps"),
                                 algorithm=algo)
     assert trace_hash(trace).startswith("88c4e59099cd")
-    return 555  # 1,380 - barriers before batches shared an entry
+    # 1,380 - barriers before batches shared an entry.
+    return 555, 454
 
 
 def _faulted_round(make_strategy, schedule, steps, **limits):
     """A round of ``tests.test_faults``' small model on 3 nodes under
-    ``schedule``, as a callable returning its pinned step count."""
+    ``schedule``, as a callable returning its pinned step counts
+    ``steps``, before and since a kernel's grant joined its request."""
     def run():
         trace_iteration(fault_model(), ec2_v100_cluster(3), make_strategy(),
                         algorithm=OneBit(), fault_schedule=schedule,
@@ -120,12 +122,13 @@ def _faulted_round(make_strategy, schedule, steps, **limits):
 
 def _deadline_exceeded_round():
     run = _faulted_round(lambda: CaSyncPS(bulk=False, selective=False),
-                         FaultSchedule.of(NodeCrash(at=1e-4, node=1)), 72,
-                         sync_deadline_s=2e-3, heartbeat_timeout_s=10)
+                         FaultSchedule.of(NodeCrash(at=1e-4, node=1)),
+                         (72, 59), sync_deadline_s=2e-3,
+                         heartbeat_timeout_s=10)
     with pytest.raises(DeadlineExceeded) as excinfo:
         run()
     assert excinfo.value.at == pytest.approx(2e-3)
-    return 72
+    return 72, 59
 
 
 #: Rounds whose ``Environment.step`` count is pinned, by test id.
@@ -134,17 +137,17 @@ STEP_PINNED_ROUNDS = {
     "telemetry": lambda: _golden_round(traced=True),
     "ps-seed11": _faulted_round(
         lambda: CaSyncPS(bulk=False, selective=False),
-        random_schedule(seed=11, num_nodes=3, horizon=2e-3), 137,
+        random_schedule(seed=11, num_nodes=3, horizon=2e-3), (137, 111),
         sync_deadline_s=0.5),
     "ps-partition": _faulted_round(
         lambda: CaSyncPS(bulk=False, selective=False),
         FaultSchedule.of(LinkPartition(at=1e-4, src=0, dst=1),
-                         LinkRestore(at=3e-3, src=0, dst=1)), 149,
+                         LinkRestore(at=3e-3, src=0, dst=1)), (149, 122),
         sync_deadline_s=0.5),
     "ring-crash-restart": _faulted_round(
         lambda: CaSyncRing(bulk=False, selective=False),
         FaultSchedule.of(NodeCrash(at=1e-4, node=2),
-                         NodeRestart(at=2e-3, node=2)), 141,
+                         NodeRestart(at=2e-3, node=2)), (141, 117),
         sync_deadline_s=0.5),
     "ps-deadline-exceeded": _deadline_exceeded_round,
 }
@@ -187,18 +190,31 @@ def test_one_agenda_entry_per_completion(case):
     the deadline the same way; their counts were taken from the design
     in which ready signals, the graph's ``done``, the deadline's verdict
     and link waits were ``Event`` objects, each firing through one
-    entry."""
-    steps = [0]
-    original = Environment.step
+    entry.
+
+    555 steps (137, 149, 141 and 72 for the faulted rounds) until a
+    kernel's grant joined its request: every kernel, a fused Q_comp
+    launch or a compute-pass segment, took a grant hop at ``(now,
+    URGENT)`` besides its finish entry, and now starts in the entry that
+    requests it.  Each count fell by exactly its round's launched-kernel
+    count (101; 26, 27, 24 and 13), which the test checks."""
+    steps, kernels = [0], [0]
+    step, request = Environment.step, Gpu._request
 
     def counting(self):
         steps[0] += 1
-        original(self)
+        step(self)
+
+    def counting_request(self, *args):
+        kernels[0] += 1
+        request(self, *args)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(Environment, "step", counting)
-        pinned = STEP_PINNED_ROUNDS[case]()
+        mp.setattr(Gpu, "_request", counting_request)
+        before, pinned = STEP_PINNED_ROUNDS[case]()
     assert steps[0] == pinned
+    assert before - pinned == kernels[0]
 
 
 def test_completing_a_task_twice_raises():
