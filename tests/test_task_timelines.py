@@ -8,8 +8,11 @@ ready ref's fire instant.  The trace hashes round times to 1e-12 s and
 sort events by lane; this pin is exact and per task.
 
 The cases are the 22 golden cases
-(:func:`repro.analysis.plancheck.golden_cases`, run by
-:func:`~repro.training.trace.trace_iteration`) and the 14 fault rounds
+(:func:`repro.analysis.plancheck.golden_cases`), each run twice: by
+:func:`~repro.training.trace.trace_iteration`, which turns local
+aggregation off, and (``simulate/...``) by
+:func:`~repro.training.simulate_iteration`, where a gradient's ready ref
+fires only after its intra-node aggregation; and the 14 fault rounds
 behind ``tests/golden/fault_fingerprints.json`` (every strategy of
 ``tests/test_faults.py``, pristine and under the seed-11 schedule).
 
@@ -29,6 +32,7 @@ import pytest
 from repro.analysis.plancheck import golden_cases, golden_model
 from repro.cluster import ec2_v100_cluster
 from repro.faults import RetryPolicy, SyncAborted, random_schedule
+from repro.training import simulate_iteration
 from repro.training.loop import _run_round
 from repro.training.trace import trace_iteration
 from tests.test_faults import SEED11_CASES, small_model
@@ -59,8 +63,8 @@ def timeline_digest(graph):
     return digest.hexdigest()
 
 
-def _round_graph(**kwargs):
-    """The graph of the round one ``trace_iteration(**kwargs)`` runs, an
+def _round_graph(simulate=trace_iteration, **kwargs):
+    """The graph of the round one ``simulate(**kwargs)`` runs, an
     aborted round's included."""
     rounds = []
 
@@ -69,18 +73,20 @@ def _round_graph(**kwargs):
         return rounds[-1]
 
     try:
-        with mock.patch("repro.training.trace._run_round", recording_round):
-            trace_iteration(**kwargs)
+        with mock.patch(f"{simulate.__module__}._run_round",
+                        recording_round):
+            simulate(**kwargs)
     except SyncAborted as exc:
         return exc.report.graph
     return rounds[0].graph
 
 
-def _golden_case(case):
+def _golden_case(case, simulate=trace_iteration):
     def run():
         strategy, algorithm = case.inputs()
-        return _round_graph(model=golden_model(), cluster=ec2_v100_cluster(4),
-                            strategy=strategy, algorithm=algorithm)
+        return _round_graph(simulate, model=golden_model(),
+                            cluster=ec2_v100_cluster(4), strategy=strategy,
+                            algorithm=algorithm)
     return run
 
 
@@ -101,6 +107,8 @@ def _fault_case(name, seed):
 
 
 CASES = {case.name: _golden_case(case) for case in golden_cases()}
+CASES.update({f"simulate/{case.name}": _golden_case(case, simulate_iteration)
+              for case in golden_cases()})
 CASES.update({f"faults/{name}/{key}": _fault_case(name, seed)
               for name in sorted(SEED11_CASES)
               for key, seed in (("pristine", None), ("seed11", 11))})
