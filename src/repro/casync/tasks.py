@@ -755,9 +755,9 @@ class NodeEngine:
     ``bulk``, all simultaneously-ready computing tasks fuse into a single
     kernel launch, the §3.2 batch-compression optimization.  Sends go
     through the coordinator (bulk sends, when one is attached) or
-    :meth:`_send_inline`, whose issue event hands the send to
-    :meth:`Fabric.issue` directly or, under a ``retry_policy``, to
-    :func:`robust_transfer`.
+    :meth:`_send_inline`, which hands the send to :meth:`Fabric.issue`
+    directly or, under a ``retry_policy``, to :func:`robust_transfer`,
+    in the releasing entry unless an URGENT entry waits ahead of it.
 
     The compression and CPU executors are callback state machines over
     a :class:`_TaskQueue` (``docs/SIM_CORE.md``): a construction-time
@@ -794,6 +794,7 @@ class NodeEngine:
         #: degradation controller once the death is *declared*).
         self.orphans: List[int] = []
         self.retries = 0
+        self._agenda_lanes = env.lanes  # never rebound (Environment.lanes)
         self.q_comp = _TaskQueue(env, self._comp_take)
         self.q_cpu = _TaskQueue(env, self._cpu_take)
         self.compute_busy = 0.0
@@ -856,21 +857,15 @@ class NodeEngine:
                          task=k, nbytes=recipe.nbytes[k])
 
     def _send_inline(self, k: int) -> None:
-        """A send in two agenda entries (without retries):
-
-        * an *issue* entry at ``(now, URGENT)`` opens the send's span
-          (under a collector) and hands it to :meth:`Fabric.issue`,
-          which reserves the NIC then, not at dispatch: a pending URGENT
-          issue of an earlier flush or send must reserve first;
-        * the fabric's delivery entry records the message and runs
-          :meth:`_finish_send`.
-
-        Under a ``retry_policy`` the issue entry starts
-        :func:`robust_transfer` instead, and :meth:`_finish_robust`
-        completes the task.  A collector only records, so a traced round
-        steps the same entries as a bare one.
-        """
-        self.env.call_later(0.0, self._issue_send, k, URGENT)
+        """Hand send ``k`` to :meth:`Fabric.issue` (or :func:`robust_transfer`)
+        in this entry, or from a hop at ``(now, URGENT)`` if an URGENT
+        entry waits at this instant, which must reserve or start first.
+        Into an empty lane the hop would step next, so issuing in place
+        keeps the order (``docs/SIM_CORE.md``)."""
+        if self._agenda_lanes[URGENT]:
+            self.env.call_later(0.0, self._issue_send, k, URGENT)
+        else:
+            self._issue_send(k)
 
     def _issue_send(self, k: int) -> None:
         graph = self.graph

@@ -436,21 +436,23 @@ class _NodePass:
         if self.span is not None:
             env.telemetry.finish(self.span, env.now)
         grad = self.segments[self.segment][2]
+        delay = 0.0
         if grad is not None:
             graph, key = self.graph, (self.node, grad.name)
             if key not in graph.ready_at:  # else made ready before a crash
-                delay = (self.agg_node.local_aggregation_time(grad.nbytes)
-                         if self.agg_node is not None else 0.0)
-                if delay > 0:
-                    env.call_later(0.0, _start_local_agg,
-                                   (graph, key, delay), URGENT)
-                else:
+                if self.agg_node is not None:
+                    delay = self.agg_node.local_aggregation_time(grad.nbytes)
+                if not delay > 0:
                     graph.make_ready(*key)
         self.segment += 1
         if self.segment == len(self.segments):
             self.running = False
         else:
             self._launch()
+        if delay > 0:
+            # After the next segment's finish, so that the two keep
+            # their order if they land at the same instant.
+            env.call_later(delay, _finish_local_agg, (graph, key))
 
     def on_crash(self, node: int) -> None:
         """The injector's crash hook: schedule the crash's URGENT hop."""
@@ -473,13 +475,6 @@ class _NodePass:
             env.call_later(delay, self.run, self.epoch)
         else:
             self._launch()
-
-
-def _start_local_agg(hop: Tuple[TaskGraph, Tuple[int, str], float]) -> None:
-    """The URGENT hop of a gradient's intra-node aggregation: the ready
-    ref ``key`` of ``graph`` fires ``delay`` later."""
-    graph, key, delay = hop
-    graph.env.call_later(delay, _finish_local_agg, (graph, key))
 
 
 def _finish_local_agg(ref: Tuple[TaskGraph, Tuple[int, str]]) -> None:

@@ -12,7 +12,7 @@ from repro.faults import (FaultInjector, FaultSchedule, GpuSlowdown,
 from repro.faults.membership import Membership
 from repro.gpu import Gpu, V100
 from repro.net import Fabric, NetworkSpec
-from repro.sim import Environment
+from repro.sim import NORMAL, Environment
 from repro.telemetry import TelemetryCollector
 from tests.taskgraph_rows import build, join, recipe, row, task, tasks
 
@@ -375,6 +375,57 @@ def test_non_bulk_send_bypasses_coordinator():
     run_graph(env, graph, engines)
     assert coord.batches_flushed == 0
     assert fabric.stats.messages == 1
+
+
+def _recording_pushes(env):
+    """Record the qualified name of every callback ``env`` pushes."""
+    pushes, call_later = [], env.call_later
+
+    def recorded(delay, callback, value=None, priority=NORMAL):
+        pushes.append(callback.__qualname__)
+        return call_later(delay, callback, value, priority)
+
+    env.call_later = recorded
+    return pushes
+
+
+def _released_at_half_second(rows):
+    """Arm ``rows`` (an encode of 0.5 s on node 0, then its dependents)
+    and step up to the encode's completion entry, recording pushes."""
+    env, fabric, gpus, engines, _ = make_world(2, gbps=8.0)  # 1 GB/s
+    graph = build(env, rows)
+    pushes = _recording_pushes(env)
+    graph.arm(engines)
+    while not graph.triggered[0]:
+        env.step()
+    del pushes[:]
+    return env, fabric, graph, pushes
+
+
+def test_a_send_released_into_an_empty_urgent_lane_issues_in_place():
+    env, fabric, graph, pushes = _released_at_half_second([
+        row(0, "encode", "enc", duration=0.5),
+        row(0, "send", "snd", nbytes=1e9, dst=1, deps=[0])])
+    env.step()  # the encode's completion entry releases the send
+    assert graph.started_at[1] == 0.5
+    assert fabric.nics[0].up_free == 1.5
+    assert pushes == ["Fabric._deliver"]
+
+
+def test_a_send_released_after_a_take_hop_keeps_its_issue_hop():
+    """The take hop, pushed first, starts its kernel first: the kernel's
+    finish is pushed before the send's delivery, at the same instant."""
+    env, fabric, graph, pushes = _released_at_half_second([
+        row(0, "encode", "enc", duration=0.5),
+        row(0, "decode", "dec", duration=1.0, deps=[0]),
+        row(0, "send", "snd", nbytes=1e9, dst=1, deps=[0])])
+    env.step()
+    assert graph.started_at[2] != graph.started_at[2]  # NaN: not issued
+    assert pushes == ["NodeEngine._comp_take", "NodeEngine._issue_send"]
+    while not graph.settled:
+        env.step()
+    assert pushes[2:4] == ["Gpu._finish", "Fabric._deliver"]
+    assert graph.finished_at[1] == graph.finished_at[2] == 1.5
 
 
 def test_coordinator_validation():

@@ -14,12 +14,14 @@ import contextlib
 from array import array
 import gc
 import math
+import sys
 import weakref
 
 import numpy as np
 import pytest
 
 import repro.sim
+import repro.training.loop
 from repro.algorithms import OneBit
 from repro.analysis.plancheck import golden_cases, golden_model
 from repro.casync import Coordinator, NodeEngine, run_graph
@@ -39,7 +41,7 @@ from repro.faults import (
 from repro.gpu import Gpu, V100
 from repro.models import GradientSpec, ModelSpec
 from repro.net import Fabric, NetworkSpec
-from repro.sim import NORMAL, Environment, SimulationError
+from repro.sim import NORMAL, URGENT, Environment, SimulationError
 from repro.strategies import CaSyncPS, CaSyncRing, get_strategy
 from repro.strategies.base import SyncContext
 from repro.telemetry import telemetry_session
@@ -105,13 +107,13 @@ def _golden_round(traced):
                                 algorithm=algo)
     assert trace_hash(trace).startswith("88c4e59099cd")
     # 1,380 - barriers before batches shared an entry.
-    return 555, 454
+    return 454, 454
 
 
 def _faulted_round(make_strategy, schedule, steps, **limits):
     """A round of ``tests.test_faults``' small model on 3 nodes under
     ``schedule``, as a callable returning its pinned step counts
-    ``steps``, before and since a kernel's grant joined its request."""
+    ``steps``, before and since a send issued in its releasing entry."""
     def run():
         trace_iteration(fault_model(), ec2_v100_cluster(3), make_strategy(),
                         algorithm=OneBit(), fault_schedule=schedule,
@@ -123,12 +125,12 @@ def _faulted_round(make_strategy, schedule, steps, **limits):
 def _deadline_exceeded_round():
     run = _faulted_round(lambda: CaSyncPS(bulk=False, selective=False),
                          FaultSchedule.of(NodeCrash(at=1e-4, node=1)),
-                         (72, 59), sync_deadline_s=2e-3,
+                         (59, 56), sync_deadline_s=2e-3,
                          heartbeat_timeout_s=10)
     with pytest.raises(DeadlineExceeded) as excinfo:
         run()
     assert excinfo.value.at == pytest.approx(2e-3)
-    return 72, 59
+    return 59, 56
 
 
 #: Rounds whose ``Environment.step`` count is pinned, by test id.
@@ -137,17 +139,17 @@ STEP_PINNED_ROUNDS = {
     "telemetry": lambda: _golden_round(traced=True),
     "ps-seed11": _faulted_round(
         lambda: CaSyncPS(bulk=False, selective=False),
-        random_schedule(seed=11, num_nodes=3, horizon=2e-3), (137, 111),
+        random_schedule(seed=11, num_nodes=3, horizon=2e-3), (111, 106),
         sync_deadline_s=0.5),
     "ps-partition": _faulted_round(
         lambda: CaSyncPS(bulk=False, selective=False),
         FaultSchedule.of(LinkPartition(at=1e-4, src=0, dst=1),
-                         LinkRestore(at=3e-3, src=0, dst=1)), (149, 122),
+                         LinkRestore(at=3e-3, src=0, dst=1)), (122, 117),
         sync_deadline_s=0.5),
     "ring-crash-restart": _faulted_round(
         lambda: CaSyncRing(bulk=False, selective=False),
         FaultSchedule.of(NodeCrash(at=1e-4, node=2),
-                         NodeRestart(at=2e-3, node=2)), (141, 117),
+                         NodeRestart(at=2e-3, node=2)), (117, 111),
         sync_deadline_s=0.5),
     "ps-deadline-exceeded": _deadline_exceeded_round,
 }
@@ -197,24 +199,66 @@ def test_one_agenda_entry_per_completion(case):
     launch or a compute-pass segment, took a grant hop at ``(now,
     URGENT)`` besides its finish entry, and now starts in the entry that
     requests it.  Each count fell by exactly its round's launched-kernel
-    count (101; 26, 27, 24 and 13), which the test checks."""
-    steps, kernels = [0], [0]
-    step, request = Environment.step, Gpu._request
+    count (101; 26, 27, 24 and 13).
 
-    def counting(self):
-        steps[0] += 1
+    454 steps (111, 122, 117 and 59 for the faulted rounds) until a send
+    issued in the entry that releases it, when no URGENT entry waits at
+    that instant: every inline send took an issue hop at ``(now,
+    URGENT)``.  The golden round sends through the coordinator and did
+    not move.  Each faulted count fell by its round's in-place issues
+    plus the batch yields that only an issue hop forced, which the test
+    checks against a run with the hop on every send.  These rounds run
+    without local aggregation, so the aggregation timers, which lost
+    their URGENT hop at the same time, saved none here."""
+    (before, pinned), census = _census(STEP_PINNED_ROUNDS[case])
+    assert census["steps"] == pinned
+    _, hops = _census(STEP_PINNED_ROUNDS[case], send_inline=lambda self, k: (
+        self.env.call_later(0.0, self._issue_send, k, URGENT)))
+    assert hops["steps"] == before
+    assert hops["issues"] == hops["issue entries"]
+    assert census["aggregations"] == hops["aggregations"] == 0
+    in_place = census["issues"] - census["issue entries"]
+    assert before - pinned == in_place + hops["yields"] - census["yields"]
+
+
+def _census(run, send_inline=None):
+    """Run one of :data:`STEP_PINNED_ROUNDS`; returns its pinned step
+    counts and a count of its steps, its sends issued (and how many from
+    an entry of their own), its batch yields and its aggregation timers.
+    ``send_inline`` replaces :meth:`NodeEngine._send_inline`."""
+    counts = collections.Counter()
+    step, issue = Environment.step, NodeEngine._issue_send
+    yield_front = Environment.yield_front
+    finish_agg = repro.training.loop._finish_local_agg
+
+    def counting_step(self):
+        counts["steps"] += 1
         step(self)
 
-    def counting_request(self, *args):
-        kernels[0] += 1
-        request(self, *args)
+    def counting_issue(self, k):
+        counts["issues"] += 1
+        # An issue hop's callback is called by the step itself.
+        counts["issue entries"] += sys._getframe(1).f_code is step.__code__
+        issue(self, k)
+
+    def counting_yield(self, callback, value):
+        yielded = yield_front(self, callback, value)
+        counts["yields"] += yielded
+        return yielded
+
+    def counting_agg(ref):
+        counts["aggregations"] += 1
+        finish_agg(ref)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(Environment, "step", counting)
-        mp.setattr(Gpu, "_request", counting_request)
-        before, pinned = STEP_PINNED_ROUNDS[case]()
-    assert steps[0] == pinned
-    assert before - pinned == kernels[0]
+        mp.setattr(Environment, "step", counting_step)
+        mp.setattr(Environment, "yield_front", counting_yield)
+        mp.setattr(NodeEngine, "_issue_send", counting_issue)
+        mp.setattr(repro.training.loop, "_finish_local_agg", counting_agg)
+        if send_inline is not None:
+            mp.setattr(NodeEngine, "_send_inline", send_inline)
+        pinned = run()
+    return pinned, counts
 
 
 def test_completing_a_task_twice_raises():
